@@ -10,12 +10,13 @@ conflict set of objects that a caller must plan to relocate first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 from .geometry import Pose, collides
 from .mip import TaskSkeleton
 from .motion import build_moves, endpoints_reachable
-from .plans import GroundedJointAction, PartiallyGroundedAction, RobotMove
+from .plans import GroundedJointAction
 from .scene import Scene, sample_placement
 from .validator import _partner_pairs, _trim_for_handover
 
@@ -34,9 +35,6 @@ class GroundingContext:
     """Future joint actions already fixed, and what they occupy."""
     s_fut: tuple = ()                 # GroundedJointAction suffix (time order)
     m_fut: frozenset = frozenset()    # objects moved in s_fut
-
-    def volumes(self) -> list:
-        return volumes_of(self.s_fut)
 
 
 def volumes_of(steps) -> list:
@@ -115,39 +113,55 @@ def find_trajectories(actions, placements, obstacles, scene: Scene,
     ``obstacles`` are (shape, pose) volumes every corridor must avoid (the
     fixed obstacles plus the movables protected at their initial poses).
     Same-step corridors of distinct robots must be mutually clear, except
-    around a shared handover point. Returns robot -> RobotMove or None.
+    around a shared handover point. Each action tries its class's grasps in
+    order, and the first clear combination wins; its moves carry the grasp
+    used as ``grasp_pick`` and ``grasp_place``. Returns robot -> RobotMove
+    or None.
     """
     poses = poses or {}
-    moves: dict[str, RobotMove] = {}
+    options = []  # per action: the moves of each grasp clear on its own
     for action in sorted(actions, key=lambda a: a.key()):
         obj_pose = poses.get(action.obj, scene.movables[action.obj].pose)
         placement = placements[action.obj]
-        if not endpoints_reachable(scene, action, obj_pose, placement):
+        clear = []
+        for g in action.grasps or (action.grasp_pick,):
+            a = (action if g == action.grasp_pick
+                 else replace(action, grasp_pick=g, grasp_place=g))
+            if not endpoints_reachable(scene, a, obj_pose, placement):
+                continue
+            moves = build_moves(scene, a, obj_pose, placement)
+            if all(_sweep_clear(r, cor, obstacles, scene)
+                   for r, mv in moves.items() for cor in mv.all_corridors()):
+                clear.append(moves)
+        if not clear:
             return None
-        moves.update(build_moves(scene, action, obj_pose, placement))
-    for r in sorted(moves):
-        for cor in moves[r].all_corridors():
-            if any(collides(cor, ob) for ob in obstacles):
-                return None
-            for other in sorted(scene.robots):
-                if other != r and cor.contains_point(scene.robots[other].base):
-                    return None
-    # cross-robot clearance, with handover partners exempt near their meeting point
-    step = GroundedJointAction(moves=moves)
-    partner_pairs = _partner_pairs(step)
-    robots = sorted(moves)
-    for i in range(len(robots)):
-        for j in range(i + 1, len(robots)):
-            r1, r2 = robots[i], robots[j]
-            if frozenset((r1, r2)) in partner_pairs:
-                cs1 = _trim_for_handover(scene, moves[r1])
-                cs2 = _trim_for_handover(scene, moves[r2])
-            else:
-                cs1 = moves[r1].all_corridors()
-                cs2 = moves[r2].all_corridors()
-            if any(collides(c1, c2) for c1 in cs1 for c2 in cs2):
-                return None
-    return moves
+        options.append(clear)
+    for combo in itertools.product(*options):
+        moves = {r: mv for m in combo for r, mv in m.items()}
+        if _robots_clear(moves, scene):
+            return moves
+    return None
+
+
+def _sweep_clear(robot: str, cor, obstacles, scene: Scene) -> bool:
+    return not (any(collides(cor, ob) for ob in obstacles)
+                or any(other != robot and cor.contains_point(scene.robots[other].base)
+                       for other in scene.robots))
+
+
+def _robots_clear(moves: dict, scene: Scene) -> bool:
+    """Cross-robot clearance, with handover partners exempt near their meeting point."""
+    partner_pairs = _partner_pairs(GroundedJointAction(moves=moves))
+    for r1, r2 in itertools.combinations(sorted(moves), 2):
+        if frozenset((r1, r2)) in partner_pairs:
+            cs1 = _trim_for_handover(scene, moves[r1])
+            cs2 = _trim_for_handover(scene, moves[r2])
+        else:
+            cs1 = moves[r1].all_corridors()
+            cs2 = moves[r2].all_corridors()
+        if any(collides(c1, c2) for c1 in cs1 for c2 in cs2):
+            return False
+    return True
 
 
 def movables_occluding(steps, scene: Scene, exclude) -> set[str]:
@@ -167,13 +181,26 @@ def movables_occluding(steps, scene: Scene, exclude) -> set[str]:
     return out
 
 
+def _sample_step(actions, forbidden, obstacles, scene: Scene, rng,
+                 cfg: GroundingConfig):
+    """Moves of the first placement sample whose sweeps are clear, or None."""
+    for _ in range(cfg.step_restarts):
+        placements = find_placements(actions, forbidden, scene, rng,
+                                     cfg.placement_attempts)
+        if placements is not None:
+            moves = find_trajectories(actions, placements, obstacles, scene)
+            if moves is not None:
+                return moves
+    return None
+
+
 def ground(skeleton: TaskSkeleton, ctx: GroundingContext, scene: Scene, rng,
            cfg: GroundingConfig = GroundingConfig()):
     """Ground ``skeleton`` in reverse against the context's future actions."""
     if skeleton.moved_objects & ctx.m_fut:
         raise ValueError("skeleton re-moves an object already moved later")
     m_fut = set(ctx.m_fut)
-    v_fut = list(ctx.volumes()) + [
+    v_fut = volumes_of(ctx.s_fut) + [
         f for s in ctx.s_fut for f in _footprints(s.moves, scene)]
     m_out = set(scene.movables) - m_fut - set(skeleton.moved_objects)
     grounded = list(ctx.s_fut)
@@ -186,47 +213,25 @@ def ground(skeleton: TaskSkeleton, ctx: GroundingContext, scene: Scene, rng,
 
     for t in range(skeleton.makespan, 0, -1):
         actions = {a for a in skeleton.steps[t - 1].values() if a is not None}
-        strict_forbidden = fixed + obstacle_poses(m_out | m_fut) + v_fut
-        strict_obstacles = fixed + obstacle_poses(m_out | m_fut)
-        moves = None
-        for _ in range(cfg.step_restarts):
-            placements = find_placements(actions, strict_forbidden, scene, rng,
-                                         cfg.placement_attempts)
-            if placements is None:
-                continue
-            moves = find_trajectories(actions, placements, strict_obstacles, scene)
-            if moves is not None:
-                break
-        if moves is None:
+        strict = fixed + obstacle_poses(m_out | m_fut)
+        moves = _sample_step(actions, strict + v_fut, strict, scene, rng, cfg)
+        relaxed = moves is None
+        if relaxed:
             # relaxed pass: the not-planned objects may be collided with,
             # since new skeletons can be generated to move them first
-            relaxed_forbidden = fixed + obstacle_poses(m_fut) + v_fut
-            relaxed_obstacles = fixed + obstacle_poses(m_fut)
-            for _ in range(cfg.step_restarts):
-                placements = find_placements(actions, relaxed_forbidden, scene,
-                                             rng, cfg.placement_attempts)
-                if placements is None:
-                    continue
-                moves = find_trajectories(actions, placements,
-                                          relaxed_obstacles, scene)
-                if moves is not None:
-                    break
+            loose = fixed + obstacle_poses(m_fut)
+            moves = _sample_step(actions, loose + v_fut, loose, scene, rng, cfg)
             if moves is None:
                 return Failure(f"step {t}: no feasible placements or trajectories")
-            step = GroundedJointAction(moves=moves)
-            grounded = [step] + grounded
-            m_fut |= step.moved_objects()
-            unmoved_goals = {o for o, _ in scene.goal} - m_fut
-            occluders = movables_occluding(grounded, scene, exclude=m_fut)
-            conflicts = unmoved_goals | occluders
-            if not conflicts:
-                # the relaxed sample happens to be strictly consistent:
-                # keep going as if the strict pass had succeeded
-                v_fut += list(volumes_of([step])) + _footprints(moves, scene)
-                continue
-            return Partial(steps=tuple(grounded), conflicts=frozenset(conflicts))
         step = GroundedJointAction(moves=moves)
         grounded = [step] + grounded
         m_fut |= step.moved_objects()
+        if relaxed:
+            unmoved_goals = {o for o, _ in scene.goal} - m_fut
+            conflicts = unmoved_goals | movables_occluding(grounded, scene, exclude=m_fut)
+            if conflicts:
+                return Partial(steps=tuple(grounded), conflicts=frozenset(conflicts))
+            # the relaxed sample happens to be strictly consistent:
+            # keep going as if the strict pass had succeeded
         v_fut += list(volumes_of([step])) + _footprints(moves, scene)
     return Full(steps=tuple(grounded))

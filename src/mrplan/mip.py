@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .plans import PartiallyGroundedAction
 from .taskgraph import CMTG
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -96,24 +95,9 @@ class TaskSkeleton:
             tuple(sorted(a.key() for a in {v for v in step.values() if v is not None}))
             for step in self.steps)
 
-    def selection_key(self) -> frozenset:
-        out = set()
-        for step in self.steps:
-            out |= {a.key() for a in step.values() if a is not None}
-        return frozenset(out)
-
     @property
     def makespan(self) -> int:
         return len(self.steps)
-
-    def all_actions(self) -> list[PartiallyGroundedAction]:
-        seen = []
-        for step in self.steps:
-            for r in sorted(step):
-                a = step[r]
-                if a is not None and a not in seen:
-                    seen.append(a)
-        return seen
 
 
 def compile_model(graph: CMTG, T: int) -> MipModel:
@@ -329,9 +313,7 @@ def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
 
 
 def extract_skeleton(solution: MipSolution, graph: CMTG, T: int,
-                     robot_names=None, model: MipModel | None = None) -> TaskSkeleton:
-    if model is None:
-        model = compile_model(graph, T)
+                     robot_names=None, *, model: MipModel) -> TaskSkeleton:
     if robot_names is None:
         robot_names = sorted({r for a in graph.action_nodes for r in a.robots})
     steps: list[dict] = [{r: None for r in robot_names} for _ in range(T)]
@@ -368,33 +350,33 @@ def _exclusion_cut(model: MipModel, selected: set) -> None:
 def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
                         budget: int = DEFAULT_NODE_BUDGET,
                         robot_names=None) -> list[TaskSkeleton]:
-    """Distinct task skeletons in order of increasing horizon.
+    """Up to ``K_max`` distinct task skeletons, by increasing horizon.
 
-    Solutions found at each horizon are excluded (by their action-selection
-    set) from later solves, so enumerated skeletons differ in which actions
-    they run.
+    Each solve's action selection is cut from all later solves, and a
+    skeleton whose step structure repeats an earlier one is skipped. Actions
+    are grasp classes, so skeletons differ in which robots move which
+    objects where. Raises BudgetExceeded when a solve exceeds ``budget``.
     """
     if not graph.targets:
         return []
     skeletons: list[TaskSkeleton] = []
     structures = set()
-    cuts: list[frozenset] = []  # action-selection sets, by action key
-    actions_all = graph.sorted_actions()
+    # action-selection sets, by action-edge index: every horizon's model
+    # lists the graph's actions in the same canonical order
+    cuts: list[set] = []
     for T in range(1, T_max + 1):
         model = compile_model(graph, T)
-        key_to_index = {a.key(): i for i, (_, a) in enumerate(model.action_edges)}
         for cut in cuts:
-            _exclusion_cut(model, {key_to_index[k] for k in cut})
+            _exclusion_cut(model, cut)
         while True:
             res = solve(model, budget)
             if res == "infeasible":
                 break
-            sk = extract_skeleton(res, graph, T, robot_names, model)
-            selection = frozenset(
-                actions_all[i].key() for i in range(len(model.action_edges))
-                if res.assignment[model.act_var[(1, i)]] == 1)
+            sk = extract_skeleton(res, graph, T, robot_names, model=model)
+            selection = {i for i in range(len(model.action_edges))
+                         if res.assignment[model.act_var[(1, i)]] == 1}
             cuts.append(selection)
-            _exclusion_cut(model, {key_to_index[k] for k in selection})
+            _exclusion_cut(model, selection)
             if sk.structure_key() not in structures:
                 structures.add(sk.structure_key())
                 skeletons.append(sk)

@@ -6,7 +6,7 @@ Plan documents are JSON; the exact field names are frozen in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
@@ -24,6 +24,10 @@ class PartiallyGroundedAction:
 
     A handover is an action whose pick and place robots differ; the two
     robots meet at the scene's handover point for that pair.
+
+    A task-graph action stands for its grasp-equivalence class: ``grasps``
+    lists the class's grasp angles, nearest to the pick robot first, and
+    grounding tries them in that order. They take no part in identity.
     """
     obj: str
     region: str
@@ -31,6 +35,7 @@ class PartiallyGroundedAction:
     place_robot: str
     grasp_pick: float
     grasp_place: float
+    grasps: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_handover(self) -> bool:
@@ -84,14 +89,6 @@ class GroundedJointAction:
 
     def placements(self) -> dict[str, Pose]:
         return {mv.action.obj: mv.placement for mv in self.moves.values()}
-
-    def actions(self) -> list[PartiallyGroundedAction]:
-        seen = []
-        for r in sorted(self.moves):
-            a = self.moves[r].action
-            if a not in seen:
-                seen.append(a)
-        return seen
 
 
 @dataclass(frozen=True)

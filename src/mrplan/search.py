@@ -17,7 +17,7 @@ from . import mip
 from .facts import FactSet, compute_facts
 from .grounding import (Failure, Full, GroundingConfig, GroundingContext,
                         Partial, context_from_steps, ground)
-from .mip import TaskSkeleton, enumerate_skeletons
+from .mip import BudgetExceeded, TaskSkeleton, enumerate_skeletons
 from .plans import Plan
 from .scene import Scene
 from .taskgraph import build_cmtg
@@ -76,7 +76,7 @@ class SearchEdge:
 @dataclass(frozen=True)
 class NoPlan:
     reason: str                  # no_initial_skeletons | all_branches_pruned
-    iterations: int              # | budget_exhausted
+    iterations: int              # | budget_exhausted | solver_budget
     tree_size: int
 
     def to_doc(self) -> dict:
@@ -152,6 +152,7 @@ class _Tree:
 
 def _new_skeletons_for(conflicts, grounded_steps, facts: FactSet, scene: Scene,
                        cfg: PlannerConfig):
+    """Skeletons moving the ``conflicts`` that ``grounded_steps`` leave unmoved."""
     moved = set()
     for s in grounded_steps:
         moved |= s.moved_objects()
@@ -179,12 +180,11 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
     facts = compute_facts(scene)
     tree = _Tree()
     root = tree.new_node()
-    goal_objects = set(scene.goal_objects())
-    root_graph = build_cmtg(goal_objects, facts, scene)
-    for sk in enumerate_skeletons(root_graph, cfg.t_max, cfg.k_max,
-                                  cfg.node_budget,
-                                  robot_names=sorted(scene.robots)):
-        tree.new_edge(root, sk)
+    try:
+        for sk in _new_skeletons_for(scene.goal_objects(), (), facts, scene, cfg):
+            tree.new_edge(root, sk)
+    except BudgetExceeded:
+        return NoPlan("solver_budget", 0, 1)
     if not root.children:
         return NoPlan("no_initial_skeletons", 0, 1)
 
@@ -250,8 +250,13 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
         # partial: expand with skeletons for the conflict set
         head = tree.new_node(outcome.steps)
         edge.head = head.id
-        new_sks = _new_skeletons_for(outcome.conflicts, outcome.steps, facts,
-                                     scene, cfg)
+        try:
+            new_sks = _new_skeletons_for(outcome.conflicts, outcome.steps,
+                                         facts, scene, cfg)
+        except BudgetExceeded:
+            if best_plan is not None:
+                return best_plan
+            return NoPlan("solver_budget", iterations, len(tree.nodes))
         for sk in new_sks:
             tree.new_edge(head, sk)
         if not head.children:

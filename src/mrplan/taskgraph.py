@@ -2,7 +2,9 @@
 objects block those actions.
 
 The graph is bipartite. Object nodes and action nodes are connected by
-action edges (object -> action that moves it). Block-pick edges (action ->
+action edges (object -> action that moves it). An action node stands for a
+grasp-equivalence class: grasps that no model row can tell apart share one
+node, and grounding picks the grasp. Block-pick edges (action ->
 object) record objects whose current pose intersects the pick sweep;
 block-place edges (only for actions that deliver a goal object) record
 objects intersecting the cached goal-place sweep. The graph is built by a
@@ -10,6 +12,7 @@ recursion that adds each referenced object at most once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .facts import FactSet, occluders_of
@@ -62,40 +65,48 @@ class CMTG:
         return "\n".join(lines) + "\n"
 
 
-def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[PartiallyGroundedAction]:
-    """All partially grounded actions able to move ``obj`` to its target region."""
+def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
+    """One (action, pick blockers, place blockers) per grasp-equivalence class.
+
+    A class is every grasp that moves ``obj`` to its target region with the
+    same robots and the same blockers; no model row can tell its members
+    apart. The representative holds the member whose grasp point lies
+    nearest the pick robot's base (ties, to 1e-9 m, broken by angle) and
+    lists all members in that order. A handover places at its pick grasp:
+    the place facts are the same for every grasp.
+    """
     goal_objects = set(scene.goal_objects())
     region = scene.target_region_of(obj)
-    out = []
-    for (m, g, r) in sorted(facts.reachable_pick):
+    classes: dict[tuple, list[float]] = {}
+    for (m, g, r1) in sorted(facts.reachable_pick):
         if m != obj:
             continue
-        if (obj, region, g, r) in facts.reachable_place:
-            out.append(PartiallyGroundedAction(
-                obj=obj, region=region, pick_robot=r, place_robot=r,
-                grasp_pick=g, grasp_place=g))
-    if obj in goal_objects:
-        for (m, g1, g2, r1, r2) in sorted(facts.enable_goal_handover):
-            if m != obj:
+        place_robots = [r1]
+        if obj in goal_objects:
+            place_robots += [r2 for r2 in sorted(scene.robots)
+                             if (obj, g, g, r1, r2) in facts.enable_goal_handover]
+        for r2 in place_robots:
+            if (obj, region, g, r2) not in facts.reachable_place:
                 continue
-            if (obj, g1, r1) not in facts.reachable_pick:
-                continue
-            if (obj, region, g2, r2) in facts.reachable_place:
-                out.append(PartiallyGroundedAction(
-                    obj=obj, region=region, pick_robot=r1, place_robot=r2,
-                    grasp_pick=g1, grasp_place=g2))
+            pick, place = occluders_of(facts, PartiallyGroundedAction(
+                obj, region, r1, r2, g, g), goal_objects)
+            classes.setdefault((r1, r2, frozenset(pick), frozenset(place)), []).append(g)
+    out = []
+    for (r1, r2, pick, place), grasps in classes.items():
+        base = scene.robots[r1].base
+        grasps.sort(key=lambda g: (round(math.dist(base, scene.grasp_point(obj, g)), 9), g))
+        out.append((PartiallyGroundedAction(obj, region, r1, r2, grasps[0], grasps[0],
+                                            tuple(grasps)), pick, place))
     return out
 
 
 def add_object(obj: str, graph: CMTG, facts: FactSet, scene: Scene,
                excluded: frozenset = frozenset()) -> None:
-    """Add ``obj``, its feasible actions and (recursively) their blockers."""
+    """Add ``obj``, its action classes and (recursively) their blockers."""
     if obj in graph.object_nodes:
         return
     graph.object_nodes.add(obj)
-    goal_objects = set(scene.goal_objects())
-    for action in _candidate_actions(obj, facts, scene):
-        pick_blockers, place_blockers = occluders_of(facts, action, goal_objects)
+    for action, pick_blockers, place_blockers in _candidate_actions(obj, facts, scene):
         # an already-moved object can never be cleared again, so any action it
         # blocks is unusable
         if (pick_blockers | place_blockers) & excluded:

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
+import dataclasses
 import json
 
 import pytest
 
+from mrplan import cli
 from mrplan.cli import main
 
 from conftest import scenario
@@ -46,6 +48,15 @@ def test_plan_exit_2_with_no_plan_report(tmp_path, capsys):
     assert run(["plan", scenario("unsat_fixed_blocked")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["no_plan"] == "no_initial_skeletons"
+
+
+def test_plan_exit_2_when_the_solver_budget_runs_out(monkeypatch, capsys):
+    config_from_args = cli._config_from_args
+    monkeypatch.setattr(cli, "_config_from_args", lambda args: dataclasses.replace(
+        config_from_args(args), node_budget=1))
+    assert run(["plan", scenario("pick_chain")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["no_plan"] == "solver_budget"
 
 
 def test_missing_or_invalid_scene_exits_1(tmp_path, capsys):

@@ -85,7 +85,7 @@ def test_non_goal_blockers_target_home_region():
             assert not a.is_handover
 
 
-def test_one_action_node_per_feasible_grasp():
+def test_one_action_node_per_grasp_class():
     doc = {
         "regions": [{"name": "work", "rect": [-1.0, -1.0, 1.0, 1.0]},
                     {"name": "goal_zone", "rect": [-0.4, 0.3, 0.0, 0.7]}],
@@ -99,7 +99,10 @@ def test_one_action_node_per_feasible_grasp():
     scene = loads_scene(json.dumps(doc))
     facts = compute_facts(scene)
     graph = build_cmtg(["M1"], facts, scene)
-    # all 8 grasp points lie in the wide annulus; one single-robot action each
-    assert len(graph.actions_moving("M1")) == 8
-    grasps = {a.grasp_pick for a in graph.actions_moving("M1")}
-    assert len(grasps) == 8
+    # all 8 grasp points lie in the wide annulus and nothing blocks them, so
+    # they form one class: one action carrying every grasp, nearest R1 first
+    # (the grasp facing the base, then mirror pairs by increasing angle)
+    [action] = graph.actions_moving("M1")
+    angles = scene.grasp_angles()
+    assert action.grasps == tuple(angles[i] for i in (4, 3, 5, 2, 6, 1, 7, 0))
+    assert action.grasp_pick == action.grasp_place == angles[4]

@@ -1,14 +1,19 @@
 """Reverse grounding of task skeletons: full, partial and failed outcomes."""
+import json
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from mrplan.facts import compute_facts
 from mrplan.grounding import (Failure, Full, GroundingConfig, GroundingContext,
                               Partial, context_from_steps, find_placements,
                               find_trajectories, ground, volumes_of)
 from mrplan.mip import TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction, Plan
-from mrplan.scene import load_scene
+from mrplan.scene import load_scene, loads_scene
+from mrplan.taskgraph import build_cmtg
 from mrplan.validator import validate_plan
 
 from conftest import scenario
@@ -149,5 +154,37 @@ def test_partial_conflicts_are_actionable():
     res = ground(fixer, ctx, scene, random.Random(0),
                  GroundingConfig(step_restarts=20))
     assert isinstance(res, Full)
+    report = validate_plan(scene, Plan(steps=res.steps))
+    assert report.ok, report.to_doc()
+
+
+def test_grounding_falls_back_to_the_next_grasp_of_the_class():
+    # R2 reaches nothing, but its base sits on R1's approach to the nearest
+    # grasp of M1 (angle pi). The fact phase does not see robot bases, so
+    # every grasp lands in one class; grounding must skip to angle pi/2.
+    doc = {
+        "regions": [{"name": "work", "rect": [-1.0, -1.0, 1.0, 1.0]},
+                    {"name": "goal_zone", "rect": [0.3, 0.4, 0.6, 0.7]}],
+        "movables": [{"name": "M1", "shape": {"type": "disc", "radius": 0.1},
+                      "pose": {"x": 0.5, "y": 0.0}, "home_region": "work"}],
+        "robots": [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.1,
+                    "reach_max": 1.0, "gripper_width": 0.1},
+                   {"name": "R2", "base": [0.3, -0.04], "reach_min": 0.1,
+                    "reach_max": 0.15, "gripper_width": 0.1}],
+        "grasp_count": 4,
+        "goal": [["M1", "goal_zone"]],
+    }
+    scene = loads_scene(json.dumps(doc))
+    [action] = build_cmtg(["M1"], compute_facts(scene), scene).actions_moving("M1")
+    assert action.grasps == (math.pi, math.pi / 2, 3 * math.pi / 2, 0.0)
+
+    nearest_only = replace(action, grasps=action.grasps[:1])
+    res = ground(skeleton([nearest_only]), GroundingContext(), scene, random.Random(0))
+    assert isinstance(res, Failure)
+
+    res = ground(skeleton([action]), GroundingContext(), scene, random.Random(0))
+    assert isinstance(res, Full)
+    grounded = res.steps[0].moves["R1"].action
+    assert grounded.grasp_pick == grounded.grasp_place == math.pi / 2
     report = validate_plan(scene, Plan(steps=res.steps))
     assert report.ok, report.to_doc()

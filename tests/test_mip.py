@@ -1,14 +1,20 @@
 """0-1 model compilation and the exact branch-and-bound solver."""
+import json
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from mrplan.facts import compute_facts, occluders_of
 from mrplan.mip import (BudgetExceeded, ConsistencyError, MipSolution,
                         compile_model, enumerate_skeletons, extract_skeleton,
                         solve)
 from mrplan.plans import PartiallyGroundedAction
-from mrplan.taskgraph import CMTG
+from mrplan.scene import loads_scene
+from mrplan.taskgraph import CMTG, build_cmtg
 
+from conftest import scenario
 from oracle_mip import (OracleVars, oracle_feasible, oracle_minimum,
                         random_cmtg)
 
@@ -71,8 +77,9 @@ def test_variable_count_and_lp_dump():
 def test_pick_block_needs_strictly_earlier_step():
     g = make_graph([act("M1"), act("M2")], ["M1"], pick_blocks=[("M1", "M2")])
     assert solve(compile_model(g, 1)) == "infeasible"
-    res = solve(compile_model(g, 2))
-    sk = extract_skeleton(res, g, 2)
+    model = compile_model(g, 2)
+    res = solve(model)
+    sk = extract_skeleton(res, g, 2, model=model)
     assert sk.steps[0]["R1"] == act("M2")
     assert sk.steps[1]["R1"] == act("M1")
 
@@ -80,9 +87,10 @@ def test_pick_block_needs_strictly_earlier_step():
 def test_place_block_allows_same_step_on_different_robots():
     a1, a2 = act("M1", robot="R1"), act("M2", robot="R2")
     g = make_graph([a1, a2], ["M1"], place_blocks=[("M1", "M2")])
-    res = solve(compile_model(g, 1))
+    model = compile_model(g, 1)
+    res = solve(model)
     assert isinstance(res, MipSolution)
-    sk = extract_skeleton(res, g, 1)
+    sk = extract_skeleton(res, g, 1, model=model)
     assert sk.makespan == 1 and sk.moved_objects == frozenset({"M1", "M2"})
 
 
@@ -100,8 +108,9 @@ def test_handover_occupies_both_robots():
     g = make_graph([h, a2], ["M1", "M2"])
     # R2 is needed by both actions, so one joint step is impossible
     assert solve(compile_model(g, 1)) == "infeasible"
-    res = solve(compile_model(g, 2))
-    sk = extract_skeleton(res, g, 2)
+    model = compile_model(g, 2)
+    res = solve(model)
+    sk = extract_skeleton(res, g, 2, model=model)
     handover_step = next(s for s in sk.steps if h in s.values())
     assert handover_step["R1"] == h and handover_step["R2"] == h
 
@@ -125,9 +134,10 @@ def test_big_m_precedence_row_expansion():
 def test_non_target_gating():
     # M2 is not a target and blocks nothing, so its action can never run
     g = make_graph([act("M1"), act("M2", robot="R2")], ["M1"])
-    res = solve(compile_model(g, 1))
+    model = compile_model(g, 1)
+    res = solve(model)
     assert res.objective_value == 1
-    sk = extract_skeleton(res, g, 1)
+    sk = extract_skeleton(res, g, 1, model=model)
     assert sk.moved_objects == frozenset({"M1"})
     # and a horizon that would need M2 to fill a step is infeasible
     assert solve(compile_model(g, 2)) == "infeasible"
@@ -199,3 +209,59 @@ def test_compiled_rows_match_oracle_on_random_vectors():
             vec = tuple(rng.randint(0, 1) for _ in range(model.num_vars))
             v = OracleVars.from_vector(g, T, vec)
             assert rows_satisfied(model, vec) == oracle_feasible(v)
+
+
+def _map_actions(graph, fn):
+    """A copy of ``graph`` with every action a replaced by the actions fn(a)."""
+    out = CMTG(targets=graph.targets, object_nodes=set(graph.object_nodes))
+    for m, a in graph.action_edges:
+        for b in fn(a):
+            out.action_nodes.add(b)
+            out.action_edges.add((m, b))
+            out.block_pick_edges |= {(b, x) for a2, x in graph.block_pick_edges if a2 == a}
+            out.block_place_edges |= {(b, x) for a2, x in graph.block_place_edges if a2 == a}
+    return out
+
+
+def expand_classes(graph):
+    """One action per member grasp of each class, with the class's blockers."""
+    return _map_actions(graph, lambda a: [
+        replace(a, grasp_pick=g, grasp_place=g, grasps=(g,)) for g in a.grasps])
+
+
+def assert_collapsed_optimum_matches_expanded_oracle(graph):
+    expanded = expand_classes(graph)
+    for T in (1, 2, 3):
+        res = solve(compile_model(graph, T))
+        expect = oracle_minimum(expanded, T)
+        if res == "infeasible":
+            assert expect is None, T
+        else:
+            assert res.objective_value == expect, T
+
+
+def test_grasp_classes_keep_the_optimum_of_random_graphs():
+    rng = random.Random(11)
+    for _ in range(10):
+        k = rng.randint(2, 4)
+        angles = tuple(2.0 * math.pi * i / k for i in range(k))
+        graph = _map_actions(random_cmtg(rng, max_objects=3, max_actions=3),
+                             lambda a: [replace(a, grasps=angles)])
+        assert_collapsed_optimum_matches_expanded_oracle(graph)
+
+
+@pytest.mark.parametrize("name", ["pick_chain", "place_blocked", "handover_required"])
+@pytest.mark.parametrize("grasp_count", [2, 3, 4])
+def test_grasp_classes_keep_the_optimum_of_scene_graphs(name, grasp_count):
+    doc = json.loads(scenario(name).read_text())
+    doc["grasp_count"] = grasp_count
+    scene = loads_scene(json.dumps(doc))
+    facts = compute_facts(scene)
+    graph = build_cmtg(scene.goal_objects(), facts, scene)
+    goals = scene.goal_objects()
+    for a in graph.action_nodes:
+        # every member grasp has the class's (pick, place) blockers
+        for g in a.grasps:
+            member = replace(a, grasp_pick=g, grasp_place=g)
+            assert occluders_of(facts, member, goals) == occluders_of(facts, a, goals)
+    assert_collapsed_optimum_matches_expanded_oracle(graph)

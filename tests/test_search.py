@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from mrplan import search
 from mrplan.grounding import Failure, Full, Partial
-from mrplan.mip import TaskSkeleton
+from mrplan.mip import BudgetExceeded, TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan
 from mrplan.scene import load_scene, loads_scene
 from mrplan.search import (NoPlan, PlannerConfig, SearchEdge, SearchNode,
@@ -161,3 +162,35 @@ def test_exhaustive_mode_returns_minimum_cost_plan():
     assert result.motion_cost == 2
     assert result.makespan == 1  # both robots act in the same joint step
     assert validate_plan(scene, result).ok
+
+
+@pytest.mark.parametrize("budget,iterations", [(1, 0), (3, 1)])
+def test_solver_budget_is_a_no_plan(budget, iterations):
+    # node budget 1 runs out in the root enumeration, 3 in the enumeration
+    # for the first grounding conflict
+    res = plan(load_scene(scenario("pick_chain")), PlannerConfig(node_budget=budget))
+    assert isinstance(res, NoPlan)
+    assert res.reason == "solver_budget"
+    assert res.iterations == iterations
+
+
+def test_exhaustive_search_keeps_its_best_plan_past_a_solver_budget(monkeypatch):
+    # pa_small's first iteration grounds fully and its second partially;
+    # make the enumeration for that conflict run out of budget
+    calls = []
+    enumerate_skeletons = search.enumerate_skeletons
+
+    def second_call_over_budget(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise BudgetExceeded("node budget exceeded")
+        return enumerate_skeletons(*args, **kwargs)
+
+    monkeypatch.setattr(search, "enumerate_skeletons", second_call_over_budget)
+    scene = load_scene(scenario("pa_small"))
+    trace = []
+    res = plan(scene, PlannerConfig(exhaust=True), trace=trace)
+    assert isinstance(res, Plan) and validate_plan(scene, res).ok
+    # the search stopped at the second iteration's enumeration
+    assert len(calls) == 2
+    assert [line.split()[2] for line in trace] == ["outcome=full"]
