@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 I/O or schema error, 2 planner found no plan,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -57,7 +58,11 @@ def cmd_plan(args) -> int:
                 model = compile_model(graph, cfg.t_max)
                 Path(args.dump_mip).write_text(model.dumps_lp())
     trace: list[str] = []
-    result = search_plan(scene, cfg, trace=trace)
+    try:
+        result = search_plan(scene, cfg, trace=trace)
+    except ValueError as e:  # a scene the planner cannot take, e.g. no goal
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     if args.trace:
         Path(args.trace).write_text("\n".join(trace) + ("\n" if trace else ""))
     if isinstance(result, NoPlan):
@@ -113,6 +118,11 @@ def cmd_bench(args) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return 1
+    try:
+        base_cfg = PlannerConfig(time_budget=args.time_budget)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     scenarios = sorted(directory.glob("*.json"))
     report = {"trials": args.trials, "seed_base": args.seed_base, "scenarios": {}}
     header = (f"{'scenario':30s} {'success':>8s} {'time_s':>8s} "
@@ -129,8 +139,7 @@ def cmd_bench(args) -> int:
             print(f"{name:30s} {'ERROR':>8s}  {e}")
             continue
         for k in range(args.trials):
-            cfg = PlannerConfig(seed=args.seed_base + k,
-                                time_budget=args.time_budget)
+            cfg = dataclasses.replace(base_cfg, seed=args.seed_base + k)
             trace: list[str] = []
             t0 = time.perf_counter()
             try:

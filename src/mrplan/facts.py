@@ -1,9 +1,12 @@
 """Phase 1: occlusion / reachability / handover facts for a scene.
 
-Every true predicate instance is recorded together with the swept volume
-that certifies it. Trajectories are straight corridors; for each candidate
-we first look for a corridor clear of all movables, and otherwise keep the
-one with the fewest movable occluders and record those occluders.
+Facts carry a grasp only where the geometry reads one: the pick sweep runs
+from the robot's base to the grasp point, so pick facts are per grasp,
+while place, goal-place and handover facts are the same for every grasp
+and carry none. Trajectories are straight corridors; for each goal
+placement we look for a candidate whose corridor and footprint are clear of
+all movables, and otherwise keep the one with the fewest movable occluders
+and record those occluders.
 """
 from __future__ import annotations
 
@@ -23,28 +26,26 @@ class FactLookupError(KeyError):
 @dataclass
 class FactSet:
     occludes_pick: set = field(default_factory=set)        # (M1, M2, g, R)
-    occludes_goal_place: set = field(default_factory=set)  # (M1, M2, Re, g, R)
+    occludes_goal_place: set = field(default_factory=set)  # (M1, M2, Re, R)
     reachable_pick: set = field(default_factory=set)       # (M, g, R)
-    reachable_place: set = field(default_factory=set)      # (M, Re, g, R)
-    enable_goal_handover: set = field(default_factory=set)  # (M, g1, g2, R1, R2)
-    cached_volumes: dict = field(default_factory=dict)
+    reachable_place: set = field(default_factory=set)      # (M, Re, R)
+    enable_goal_handover: set = field(default_factory=set)  # (M, R1, R2)
 
     def to_records(self) -> list[dict]:
         recs = []
         for m, g, r in sorted(self.reachable_pick):
             recs.append({"predicate": "reachable_pick", "object": m, "grasp": g, "robot": r})
-        for m, re, g, r in sorted(self.reachable_place):
+        for m, re, r in sorted(self.reachable_place):
             recs.append({"predicate": "reachable_place", "object": m, "region": re,
-                         "grasp": g, "robot": r})
+                         "robot": r})
         for m1, m2, g, r in sorted(self.occludes_pick):
             recs.append({"predicate": "occludes_pick", "occluder": m1, "object": m2,
                          "grasp": g, "robot": r})
-        for m1, m2, re, g, r in sorted(self.occludes_goal_place):
+        for m1, m2, re, r in sorted(self.occludes_goal_place):
             recs.append({"predicate": "occludes_goal_place", "occluder": m1, "object": m2,
-                         "region": re, "grasp": g, "robot": r})
-        for m, g1, g2, r1, r2 in sorted(self.enable_goal_handover):
+                         "region": re, "robot": r})
+        for m, r1, r2 in sorted(self.enable_goal_handover):
             recs.append({"predicate": "enable_goal_handover", "object": m,
-                         "grasp_pick": g1, "grasp_place": g2,
                          "pick_robot": r1, "place_robot": r2})
         return recs
 
@@ -78,17 +79,6 @@ def _avoids_fixed(scene: Scene, cor: Corridor) -> bool:
     return not any(collides(cor, fp) for fp in scene.fixed)
 
 
-def _movable_occluders(scene: Scene, volumes, skip: str) -> list[str]:
-    out = []
-    for name in sorted(scene.movables):
-        if name == skip:
-            continue
-        m = scene.movables[name]
-        if any(collides(v, (m.shape, m.pose)) for v in volumes):
-            out.append(name)
-    return out
-
-
 def compute_facts(scene: Scene) -> FactSet:
     facts = FactSet()
     goal_objects = set(scene.goal_objects())
@@ -107,8 +97,7 @@ def compute_facts(scene: Scene) -> FactSet:
                 if not _avoids_fixed(scene, cor):
                     continue
                 facts.reachable_pick.add((obj, g, rname))
-                facts.cached_volumes[("pick", obj, g, rname)] = cor
-                for occ in _movable_occluders(scene, [cor], skip=obj):
+                for occ in scene.movables_hit([cor], exclude=(obj,)):
                     facts.occludes_pick.add((occ, obj, g, rname))
 
     # place reachability (all regions) and goal-place occlusions (goal pairs)
@@ -129,23 +118,19 @@ def compute_facts(scene: Scene) -> FactSet:
                     valid.append((p, cor))
                 if not valid:
                     continue
-                for g in angles:
-                    facts.reachable_place.add((obj, re, g, rname))
+                facts.reachable_place.add((obj, re, rname))
                 if (obj, re) not in goal_pairs:
                     continue
                 # two-stage choice: fewest movable occluders, earliest candidate
                 best = None
                 for p, cor in valid:
-                    occ = _movable_occluders(scene, [cor, (shape, p)], skip=obj)
-                    if best is None or len(occ) < len(best[2]):
-                        best = (p, cor, occ)
-                    if not best[2]:
+                    occ = scene.movables_hit([cor, (shape, p)], exclude=(obj,))
+                    if best is None or len(occ) < len(best):
+                        best = occ
+                    if not best:
                         break
-                _, cor, occluders = best
-                for g in angles:
-                    facts.cached_volumes[("goal_place", obj, re, g, rname)] = cor
-                    for occ in occluders:
-                        facts.occludes_goal_place.add((occ, obj, re, g, rname))
+                for occ in best:
+                    facts.occludes_goal_place.add((occ, obj, re, rname))
 
     # handover enablement, goal objects only
     for obj in sorted(goal_objects):
@@ -160,11 +145,8 @@ def compute_facts(scene: Scene) -> FactSet:
                 carry = swept_corridor(m.pose.xy, h, scene.transfer_width(r1, obj))
                 reach = swept_corridor(scene.robots[r2].base, h,
                                        scene.robots[r2].gripper_width)
-                if not (_avoids_fixed(scene, carry) and _avoids_fixed(scene, reach)):
-                    continue
-                for g1 in angles:
-                    for g2 in angles:
-                        facts.enable_goal_handover.add((obj, g1, g2, r1, r2))
+                if _avoids_fixed(scene, carry) and _avoids_fixed(scene, reach):
+                    facts.enable_goal_handover.add((obj, r1, r2))
     return facts
 
 
@@ -177,7 +159,6 @@ def occluders_of(facts: FactSet, action, goal_objects) -> tuple[set, set]:
             if m2 == action.obj and g == action.grasp_pick and r == action.pick_robot}
     place = set()
     if action.obj in goal_objects:
-        place = {m1 for (m1, m2, re, g, r) in facts.occludes_goal_place
-                 if m2 == action.obj and re == action.region
-                 and g == action.grasp_place and r == action.place_robot}
+        place = {m1 for (m1, m2, re, r) in facts.occludes_goal_place
+                 if m2 == action.obj and re == action.region and r == action.place_robot}
     return pick, place

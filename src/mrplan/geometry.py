@@ -105,10 +105,6 @@ class Corridor:
     def length(self) -> float:
         return math.hypot(self.b[0] - self.a[0], self.b[1] - self.a[1])
 
-    def area(self) -> float:
-        hw = self.half_width
-        return self.length * self.width + math.pi * hw * hw
-
     def contains_point(self, p: tuple[float, float]) -> bool:
         return point_segment_distance(p, self.a, self.b) < self.half_width - EPS
 
@@ -296,10 +292,6 @@ def collides(a, b) -> bool:
     if isinstance(s2, Disc):
         return _disc_rect(s2.radius, p2, s1, p1)
     return _rect_rect(s1, p1, s2, p2)
-
-
-def corridor_contains_point(cor: Corridor, p: tuple[float, float]) -> bool:
-    return cor.contains_point(p)
 
 
 def shape_inside_rect(shape: Shape, pose: Pose, rect: Rect) -> bool:

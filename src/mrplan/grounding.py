@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 
 from .geometry import Pose, collides
 from .mip import TaskSkeleton
-from .motion import build_moves, endpoints_reachable
+from .motion import build_moves, endpoints_reachable, partner_pairs, trim_for_handover
 from .plans import GroundedJointAction
 from .scene import Scene, sample_placement
-from .validator import _partner_pairs, _trim_for_handover
 
 DEFAULT_PLACEMENT_ATTEMPTS = 100
 DEFAULT_STEP_RESTARTS = 10
@@ -38,16 +37,18 @@ class GroundingContext:
 
 
 def volumes_of(steps) -> list:
-    """Swept corridors and placement footprints of grounded joint actions."""
-    out = []
-    for step in steps:
-        for r in sorted(step.moves):
-            mv = step.moves[r]
-            out.extend(mv.all_corridors())
-    return out
+    """Swept corridors of grounded joint actions."""
+    return [cor for step in steps for r in sorted(step.moves)
+            for cor in step.moves[r].all_corridors()]
 
 
-def context_from_steps(steps, scene: Scene) -> GroundingContext:
+def _occupied(steps, scene: Scene) -> list:
+    """What grounded joint actions occupy: their corridors and placed objects."""
+    return volumes_of(steps) + [(scene.movables[obj].shape, pose) for step in steps
+                                for obj, pose in step.placements().items()]
+
+
+def context_from_steps(steps) -> GroundingContext:
     moved = set()
     for s in steps:
         moved |= s.moved_objects()
@@ -72,13 +73,6 @@ class Partial:
 @dataclass(frozen=True)
 class Failure:
     reason: str = ""
-
-
-def _footprints(step_moves: dict, scene: Scene) -> list:
-    seen = {}
-    for r, mv in step_moves.items():
-        seen[mv.action.obj] = (scene.movables[mv.action.obj].shape, mv.placement)
-    return list(seen.values())
 
 
 def find_placements(actions, forbidden, scene: Scene, rng,
@@ -151,34 +145,17 @@ def _sweep_clear(robot: str, cor, obstacles, scene: Scene) -> bool:
 
 def _robots_clear(moves: dict, scene: Scene) -> bool:
     """Cross-robot clearance, with handover partners exempt near their meeting point."""
-    partner_pairs = _partner_pairs(GroundedJointAction(moves=moves))
+    pairs = partner_pairs(moves)
     for r1, r2 in itertools.combinations(sorted(moves), 2):
-        if frozenset((r1, r2)) in partner_pairs:
-            cs1 = _trim_for_handover(scene, moves[r1])
-            cs2 = _trim_for_handover(scene, moves[r2])
+        if frozenset((r1, r2)) in pairs:
+            cs1 = trim_for_handover(scene, moves[r1])
+            cs2 = trim_for_handover(scene, moves[r2])
         else:
             cs1 = moves[r1].all_corridors()
             cs2 = moves[r2].all_corridors()
         if any(collides(c1, c2) for c1 in cs1 for c2 in cs2):
             return False
     return True
-
-
-def movables_occluding(steps, scene: Scene, exclude) -> set[str]:
-    """Movables (outside ``exclude``) intersecting any volume of ``steps``."""
-    vols = volumes_of(steps)
-    foot = []
-    for s in steps:
-        foot.extend(_footprints(s.moves, scene))
-    out = set()
-    for name in sorted(scene.movables):
-        if name in exclude:
-            continue
-        m = scene.movables[name]
-        body = (m.shape, m.pose)
-        if any(collides(v, body) for v in vols + foot):
-            out.add(name)
-    return out
 
 
 def _sample_step(actions, forbidden, obstacles, scene: Scene, rng,
@@ -200,8 +177,7 @@ def ground(skeleton: TaskSkeleton, ctx: GroundingContext, scene: Scene, rng,
     if skeleton.moved_objects & ctx.m_fut:
         raise ValueError("skeleton re-moves an object already moved later")
     m_fut = set(ctx.m_fut)
-    v_fut = volumes_of(ctx.s_fut) + [
-        f for s in ctx.s_fut for f in _footprints(s.moves, scene)]
+    v_fut = _occupied(ctx.s_fut, scene)
     m_out = set(scene.movables) - m_fut - set(skeleton.moved_objects)
     grounded = list(ctx.s_fut)
 
@@ -228,10 +204,11 @@ def ground(skeleton: TaskSkeleton, ctx: GroundingContext, scene: Scene, rng,
         m_fut |= step.moved_objects()
         if relaxed:
             unmoved_goals = {o for o, _ in scene.goal} - m_fut
-            conflicts = unmoved_goals | movables_occluding(grounded, scene, exclude=m_fut)
+            conflicts = unmoved_goals | set(
+                scene.movables_hit(_occupied(grounded, scene), exclude=m_fut))
             if conflicts:
                 return Partial(steps=tuple(grounded), conflicts=frozenset(conflicts))
             # the relaxed sample happens to be strictly consistent:
             # keep going as if the strict pass had succeeded
-        v_fut += list(volumes_of([step])) + _footprints(moves, scene)
+        v_fut += _occupied([step], scene)
     return Full(steps=tuple(grounded))

@@ -5,7 +5,7 @@ The pick sweep is a straight capsule from the base to the grasp point,
 of width gripper_width. The transfer sweep is a straight capsule from the
 object's pose to its destination, of width gripper_width + object diameter,
 so it covers the carried object. A handover splits the transfer at the
-pair's handover point.
+pair's handover point; the partners' corridors may overlap only near it.
 """
 from __future__ import annotations
 
@@ -16,15 +16,10 @@ from .plans import PartiallyGroundedAction, RobotMove, Trajectory
 from .scene import Scene
 
 
-def grasp_point_for(scene: Scene, action: PartiallyGroundedAction,
-                    obj_pose: Pose) -> tuple[float, float]:
-    return scene.grasp_point(action.obj, action.grasp_pick, pose=obj_pose)
-
-
 def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,
                 placement: Pose) -> dict[str, RobotMove]:
     """Grounded per-robot moves for one action: trajectories with corridors."""
-    gp = grasp_point_for(scene, action, obj_pose)
+    gp = scene.grasp_point(action.obj, action.grasp_pick, pose=obj_pose)
     r_pick = scene.robots[action.pick_robot]
     base_pick = Pose(*r_pick.base)
     pick_traj = Trajectory(
@@ -64,7 +59,7 @@ def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,
 def endpoints_reachable(scene: Scene, action: PartiallyGroundedAction,
                         obj_pose: Pose, placement: Pose) -> bool:
     """Annulus checks for grasp point, placement and handover point."""
-    gp = grasp_point_for(scene, action, obj_pose)
+    gp = scene.grasp_point(action.obj, action.grasp_pick, pose=obj_pose)
     if not scene.robots[action.pick_robot].in_reach(gp):
         return False
     if not scene.robots[action.place_robot].in_reach(placement.xy):
@@ -81,3 +76,26 @@ def endpoints_reachable(scene: Scene, action: PartiallyGroundedAction,
 def points_close(a: tuple[float, float], b: tuple[float, float],
                  tol: float = 1e-6) -> bool:
     return math.hypot(a[0] - b[0], a[1] - b[1]) <= tol
+
+
+def partner_pairs(moves: dict[str, RobotMove]) -> set[frozenset]:
+    """Robot pairs that hand an object over among one joint action's moves."""
+    return {frozenset(mv.action.robots) for mv in moves.values()
+            if mv.action.is_handover}
+
+
+def trim_for_handover(scene: Scene, mv: RobotMove) -> list:
+    """Corridors of a handover participant, trimmed around the handover point."""
+    a = mv.action
+    h = scene.handover_point(a.pick_robot, a.place_robot)
+    radius = scene.handover_radius(a.pick_robot, a.place_robot)
+    out = []
+    for cor in mv.all_corridors():
+        if points_close(cor.a, h) or points_close(cor.b, h):
+            end = cor.a if points_close(cor.a, h) else cor.b
+            trimmed = cor.trimmed(end, radius + cor.half_width)
+            if trimmed is not None:
+                out.append(trimmed)
+        else:
+            out.append(cor)
+    return out

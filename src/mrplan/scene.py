@@ -127,6 +127,13 @@ class Scene:
     def transfer_width(self, robot: str, obj: str) -> float:
         return self.robots[robot].gripper_width + self.movables[obj].diameter
 
+    def movables_hit(self, volumes, exclude=()) -> list[str]:
+        """Movables outside ``exclude`` that any of ``volumes`` hits at their
+        start poses, in name order."""
+        return [name for name, m in sorted(self.movables.items())
+                if name not in exclude
+                and any(collides(v, (m.shape, m.pose)) for v in volumes)]
+
     # -- invariants ----------------------------------------------------------
 
     def _check_invariants(self):

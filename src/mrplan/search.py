@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 from . import mip
 from .facts import FactSet, compute_facts
-from .grounding import (Failure, Full, GroundingConfig, GroundingContext,
-                        Partial, context_from_steps, ground)
+from .grounding import Failure, Full, Partial, context_from_steps, ground
 from .mip import BudgetExceeded, TaskSkeleton, enumerate_skeletons
 from .plans import Plan
 from .scene import Scene
@@ -38,17 +37,15 @@ class PlannerConfig:
     time_budget: float = 60.0
     seed: int = 0
     node_budget: int = mip.DEFAULT_NODE_BUDGET
-    placement_attempts: int = 100
-    step_restarts: int = 10
     exhaust: bool = False
 
     def __post_init__(self):
         if self.c < 0 or self.alpha < 0:
             raise ValueError("c and alpha must be nonnegative")
-
-    def grounding(self) -> GroundingConfig:
-        return GroundingConfig(placement_attempts=self.placement_attempts,
-                               step_restarts=self.step_restarts)
+        if self.t_max < 1 or self.k_max < 1 or self.node_budget < 1:
+            raise ValueError("t_max, k_max and node_budget must be >= 1")
+        if self.max_iterations < 0 or self.time_budget < 0:
+            raise ValueError("max_iterations and time_budget must be nonnegative")
 
 
 @dataclass
@@ -76,7 +73,7 @@ class SearchEdge:
 @dataclass(frozen=True)
 class NoPlan:
     reason: str                  # no_initial_skeletons | all_branches_pruned
-    iterations: int              # | budget_exhausted | solver_budget
+    iterations: int              # | budget_exhausted | solver_budget | time_budget
     tree_size: int
 
     def to_doc(self) -> dict:
@@ -165,7 +162,12 @@ def _new_skeletons_for(conflicts, grounded_steps, facts: FactSet, scene: Scene,
 
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
-    """Search for a valid plan. Returns a Plan or a NoPlan report."""
+    """Search for a valid plan. Returns a Plan or a NoPlan report.
+
+    ``cfg.time_budget`` counts from entry and is checked between iterations;
+    a single skeleton enumeration or grounding is not interrupted.
+    """
+    deadline = time.monotonic() + cfg.time_budget
     if not scene.goal:
         raise ValueError("scene has an empty goal specification")
     if trace is None:
@@ -188,17 +190,20 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
     if not root.children:
         return NoPlan("no_initial_skeletons", 0, 1)
 
-    deadline = time.monotonic() + cfg.time_budget
     best_plan: Plan | None = None
     iterations = 0
 
+    def give_up(reason: str):
+        """The best plan so far (exhaustive runs only), else a NoPlan report."""
+        if best_plan is not None:
+            return best_plan
+        return NoPlan(reason, iterations, len(tree.nodes))
+
     for iteration in range(1, cfg.max_iterations + 1):
         if time.monotonic() > deadline:
-            break
+            return give_up("time_budget")
         if tree.node_exhausted(root):
-            if best_plan is not None:
-                return best_plan
-            return NoPlan("all_branches_pruned", iterations, len(tree.nodes))
+            return give_up("all_branches_pruned")
         iterations = iteration
 
         # selection: descend by max UCB over non-exhausted edges
@@ -215,9 +220,9 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
             node = tree.nodes[edge.head]
 
         # evaluation
-        ctx = context_from_steps(node.stored_steps, scene)
+        ctx = context_from_steps(node.stored_steps)
         rng = random.Random(f"{cfg.seed}:{edge.id}")
-        outcome = ground(edge.skeleton, ctx, scene, rng, cfg.grounding())
+        outcome = ground(edge.skeleton, ctx, scene, rng)
         edge.evaluated = True
 
         if isinstance(outcome, Full):
@@ -254,9 +259,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
             new_sks = _new_skeletons_for(outcome.conflicts, outcome.steps,
                                          facts, scene, cfg)
         except BudgetExceeded:
-            if best_plan is not None:
-                return best_plan
-            return NoPlan("solver_budget", iterations, len(tree.nodes))
+            return give_up("solver_budget")
         for sk in new_sks:
             tree.new_edge(head, sk)
         if not head.children:
@@ -267,6 +270,4 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
         backpropagate(path, r)
         head.visits += 1
 
-    if best_plan is not None:
-        return best_plan
-    return NoPlan("budget_exhausted", iterations, len(tree.nodes))
+    return give_up("budget_exhausted")

@@ -7,8 +7,8 @@ grasp-equivalence class: grasps that no model row can tell apart share one
 node, and grounding picks the grasp. Block-pick edges (action ->
 object) record objects whose current pose intersects the pick sweep;
 block-place edges (only for actions that deliver a goal object) record
-objects intersecting the cached goal-place sweep. The graph is built by a
-recursion that adds each referenced object at most once.
+objects intersecting the goal-place sweep the fact phase chose. The graph
+is built by a recursion that adds each referenced object at most once.
 """
 from __future__ import annotations
 
@@ -72,8 +72,8 @@ def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
     same robots and the same blockers; no model row can tell its members
     apart. The representative holds the member whose grasp point lies
     nearest the pick robot's base (ties, to 1e-9 m, broken by angle) and
-    lists all members in that order. A handover places at its pick grasp:
-    the place facts are the same for every grasp.
+    lists all members in that order. A handover places at its pick grasp;
+    place and handover facts carry no grasp.
     """
     goal_objects = set(scene.goal_objects())
     region = scene.target_region_of(obj)
@@ -84,9 +84,9 @@ def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
         place_robots = [r1]
         if obj in goal_objects:
             place_robots += [r2 for r2 in sorted(scene.robots)
-                             if (obj, g, g, r1, r2) in facts.enable_goal_handover]
+                             if (obj, r1, r2) in facts.enable_goal_handover]
         for r2 in place_robots:
-            if (obj, region, g, r2) not in facts.reachable_place:
+            if (obj, region, r2) not in facts.reachable_place:
                 continue
             pick, place = occluders_of(facts, PartiallyGroundedAction(
                 obj, region, r1, r2, g, g), goal_objects)

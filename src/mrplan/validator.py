@@ -9,14 +9,16 @@ Replays a plan step by step on a copy of the scene and checks:
   (iii) handover corridors of both partners meet at the handover point and
         do not overlap outside the handover neighbourhood;
 plus monotonicity (each object moved at most once) and goal satisfaction.
+A plan that names unknown entities, fills one slot of a handover, or lists
+corridors that are not the sweeps of its waypoints raises PlanError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .geometry import collides, shape_inside_rect
-from .motion import points_close
-from .plans import GroundedJointAction, Plan, PlanError, RobotMove
+from .geometry import EPS, collides, shape_inside_rect
+from .motion import partner_pairs, points_close, trim_for_handover
+from .plans import Plan, PlanError
 from .scene import Scene
 
 CONDITIONS = ("condition_i", "condition_ii", "condition_iii", "monotonicity", "goal")
@@ -69,6 +71,10 @@ def _check_structure(scene: Scene, plan: Plan):
                 raise PlanError(f"step {j}: unknown robot in action for {a.obj}")
             if robot not in a.robots:
                 raise PlanError(f"step {j}: robot {robot} holds an action it is not part of")
+            _check_sweep(j, robot, "pick_traj", mv.pick_traj,
+                         scene.robots[robot].gripper_width)
+            _check_sweep(j, robot, "place_traj", mv.place_traj,
+                         scene.transfer_width(robot, a.obj))
         # a handover must occupy both of its robots' slots
         for robot, mv in step.moves.items():
             a = mv.action
@@ -80,29 +86,19 @@ def _check_structure(scene: Scene, plan: Plan):
                         f"step {j}: handover of {a.obj} does not occupy both robot slots")
 
 
-def _partner_pairs(step: GroundedJointAction) -> set[frozenset]:
-    pairs = set()
-    for robot, mv in step.moves.items():
-        if mv.action.is_handover:
-            pairs.add(frozenset((mv.action.pick_robot, mv.action.place_robot)))
-    return pairs
-
-
-def _trim_for_handover(scene: Scene, mv: RobotMove):
-    """Corridors of a handover participant, trimmed around the handover point."""
-    a = mv.action
-    h = scene.handover_point(a.pick_robot, a.place_robot)
-    radius = scene.handover_radius(a.pick_robot, a.place_robot)
-    out = []
-    for cor in mv.all_corridors():
-        if points_close(cor.a, h) or points_close(cor.b, h):
-            end = cor.a if points_close(cor.a, h) else cor.b
-            trimmed = cor.trimmed(end, radius + cor.half_width)
-            if trimmed is not None:
-                out.append(trimmed)
-        else:
-            out.append(cor)
-    return out
+def _check_sweep(j: int, robot: str, name: str, traj, min_width: float):
+    """A trajectory is the sweep of its waypoints: one corridor per leg, at
+    least ``min_width`` wide, running from each waypoint to the next."""
+    legs = list(zip(traj.waypoints, traj.waypoints[1:]))
+    if len(traj.corridors) != len(legs):
+        raise PlanError(f"step {j}: {robot} {name} has {len(traj.corridors)} corridors "
+                        f"for {len(legs)} waypoint legs")
+    for (p, q), cor in zip(legs, traj.corridors):
+        if not (points_close(cor.a, p.xy) and points_close(cor.b, q.xy)):
+            raise PlanError(f"step {j}: {robot} {name} corridor does not join its waypoints")
+        if cor.width < min_width - EPS:
+            raise PlanError(f"step {j}: {robot} {name} corridor is narrower than "
+                            f"{min_width:g}")
 
 
 def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
@@ -118,7 +114,7 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
             if obj in moved_before:
                 report.add("monotonicity", j, f"object {obj} moved more than once")
 
-        partner_pairs = _partner_pairs(step)
+        pairs = partner_pairs(step.moves)
         robots = sorted(step.moves)
 
         # (i) corridors vs static world
@@ -147,10 +143,9 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
         for i1 in range(len(robots)):
             for i2 in range(i1 + 1, len(robots)):
                 r1, r2 = robots[i1], robots[i2]
-                pair = frozenset((r1, r2))
-                if pair in partner_pairs:
-                    cs1 = _trim_for_handover(scene, step.moves[r1])
-                    cs2 = _trim_for_handover(scene, step.moves[r2])
+                if frozenset((r1, r2)) in pairs:
+                    cs1 = trim_for_handover(scene, step.moves[r1])
+                    cs2 = trim_for_handover(scene, step.moves[r2])
                     code = "condition_iii"
                     msg = (f"handover corridors of {r1} and {r2} overlap outside "
                            f"the handover neighbourhood")

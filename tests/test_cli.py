@@ -77,6 +77,50 @@ def test_validate_exit_3_on_violations(tmp_path, capsys):
     assert report["violations"]
 
 
+def planned_then_edited(tmp_path, name, edit):
+    out = tmp_path / "plan.json"
+    assert run(["plan", scenario(name), "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    edit([rec for step in doc["steps"] for rec in step if rec["type"] != "wait"])
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def test_validate_exits_1_on_a_handover_carry_without_corridors(tmp_path, capsys):
+    def edit(moves):
+        next(m for m in moves if m["role"] == "pick")["place_traj"]["corridors"] = []
+    out = planned_then_edited(tmp_path, "pick_chain", edit)
+    assert run(["validate", scenario("pick_chain"), out]) == 1
+    assert "place_traj has 0 corridors" in capsys.readouterr().err
+
+
+def test_validate_exits_1_on_a_move_without_transfer_corridors(tmp_path, capsys):
+    def edit(moves):
+        moves[0]["place_traj"]["corridors"] = []
+    out = planned_then_edited(tmp_path, "unobstructed", edit)
+    assert run(["validate", scenario("unobstructed"), out]) == 1
+    assert "place_traj has 0 corridors" in capsys.readouterr().err
+
+
+def test_plan_exits_1_on_a_scene_without_goal(tmp_path, capsys):
+    doc = json.loads(scenario("unobstructed").read_text())
+    del doc["goal"]
+    path = tmp_path / "no_goal.json"
+    path.write_text(json.dumps(doc))
+    assert run(["plan", path]) == 1
+    assert "error: scene has an empty goal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--t-max", 0, "--dump-mip", "model.lp"],
+                                   ["--k-max", 0], ["--max-iters", -1],
+                                   ["--time-budget", -1]])
+def test_plan_exits_1_on_out_of_range_limits(tmp_path, capsys, flags):
+    flags = [tmp_path / f if str(f).endswith(".lp") else f for f in flags]
+    assert run(["plan", scenario("unobstructed"), *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "model.lp").exists()
+
+
 def test_validate_malformed_plan_exits_1(tmp_path):
     bad = tmp_path / "plan.json"
     bad.write_text("{\"steps\": 3}")
@@ -129,6 +173,11 @@ def test_bench_runs_directory(tmp_path, capsys):
 
 def test_bench_on_missing_directory_exits_1(tmp_path):
     assert run(["bench", tmp_path / "absent"]) == 1
+
+
+def test_bench_exits_1_on_a_negative_time_budget(tmp_path, capsys):
+    assert run(["bench", tmp_path, "--time-budget", -1]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

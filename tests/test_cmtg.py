@@ -28,12 +28,14 @@ def test_place_blocked_graph_matches_golden():
 
 
 def test_block_edges_follow_the_facts():
-    graph, scene, facts = graph_for("pick_chain")
-    for a, m in graph.block_pick_edges:
-        assert (m, a.obj, a.grasp_pick, a.pick_robot) in facts.occludes_pick
-    for a, m in graph.block_place_edges:
-        assert (m, a.obj, a.region, a.grasp_place, a.place_robot) \
-            in facts.occludes_goal_place
+    # pick_chain has pick blockers only; place_blocked has a place blocker
+    for name in ("pick_chain", "place_blocked"):
+        graph, scene, facts = graph_for(name)
+        for a, m in graph.block_pick_edges:
+            assert (m, a.obj, a.grasp_pick, a.pick_robot) in facts.occludes_pick
+        for a, m in graph.block_place_edges:
+            assert (m, a.obj, a.region, a.place_robot) in facts.occludes_goal_place
+    assert graph.block_place_edges
 
 
 def test_add_object_is_idempotent():

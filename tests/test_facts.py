@@ -21,7 +21,7 @@ def test_unobstructed_scene_facts():
     scene = load_scene(scenario("unobstructed"))
     facts = compute_facts(scene)
     assert ("M1", 0.0, "R1") in facts.reachable_pick
-    assert ("M1", "goal_zone", 0.0, "R1") in facts.reachable_place
+    assert ("M1", "goal_zone", "R1") in facts.reachable_place
     assert facts.occludes_pick == set()
     assert facts.occludes_goal_place == set()
     assert facts.enable_goal_handover == set()  # needs two robots
@@ -48,15 +48,15 @@ def test_pick_chain_occlusions():
     assert ("M4", "M1", 0.0, "R1") in facts.occludes_pick
     assert ("M3", "M4", 0.0, "R1") in facts.occludes_pick
     # M1's goal region is only reachable by R2, and a handover is enabled
-    assert ("M1", "goal_zone", 0.0, "R1") not in facts.reachable_place
-    assert ("M1", "goal_zone", 0.0, "R2") in facts.reachable_place
-    assert ("M1", 0.0, 0.0, "R1", "R2") in facts.enable_goal_handover
+    assert ("M1", "goal_zone", "R1") not in facts.reachable_place
+    assert ("M1", "goal_zone", "R2") in facts.reachable_place
+    assert ("M1", "R1", "R2") in facts.enable_goal_handover
 
 
 def test_place_blocked_goal_place_occluder():
     scene = load_scene(scenario("place_blocked"))
     facts = compute_facts(scene)
-    assert ("M2", "M1", "goal_zone", 0.0, "R2") in facts.occludes_goal_place
+    assert ("M2", "M1", "goal_zone", "R2") in facts.occludes_goal_place
 
 
 def test_occluders_of_pick_and_place_blockers():
@@ -82,30 +82,41 @@ def test_occluders_of_unreachable_action_raises():
                      scene.goal_objects())
 
 
-def test_pick_occluders_certified_by_cached_corridors():
-    """Every recorded pick occluder really intersects the stored corridor,
-    and no unrecorded movable does."""
+def test_pick_occluders_certified_by_pick_corridors():
+    """For every reachable pick, each recorded occluder really intersects the
+    pick corridor, and no unrecorded movable does."""
     for name in ("pick_chain", "place_blocked", "pa_small"):
         scene = load_scene(scenario(name))
         facts = compute_facts(scene)
-        for (key, cor) in facts.cached_volumes.items():
-            if key[0] != "pick":
-                continue
-            _, obj, g, r = key
+        assert facts.reachable_pick
+        for obj, g, r in facts.reachable_pick:
+            cor = scene.pick_corridor(r, obj, g)
             recorded = {m1 for (m1, m2, g2, r2) in facts.occludes_pick
                         if (m2, g2, r2) == (obj, g, r)}
             actual = {n for n in scene.movables if n != obj
                       and collides(cor, (scene.movables[n].shape,
                                          scene.movables[n].pose))}
-            assert recorded == actual, (name, key)
+            assert recorded == actual, (name, obj, g, r)
 
 
 def test_goal_place_occlusions_only_for_goal_pairs():
     scene = load_scene(scenario("pa_small"))
     facts = compute_facts(scene)
     goal_pairs = {(m, re) for m, re in scene.goal}
-    for (m1, m2, re, g, r) in facts.occludes_goal_place:
+    for (m1, m2, re, r) in facts.occludes_goal_place:
         assert (m2, re) in goal_pairs
+
+
+def test_place_and_handover_facts_do_not_depend_on_grasp_count():
+    doc = json.loads(scenario("place_blocked").read_text())
+    by_count = []
+    for count in (1, 8):
+        doc["grasp_count"] = count
+        facts = compute_facts(loads_scene(json.dumps(doc)))
+        by_count.append((facts.reachable_place, facts.occludes_goal_place,
+                         facts.enable_goal_handover))
+    assert by_count[0] == by_count[1]
+    assert all(by_count[0])
 
 
 def test_place_candidates_grid():

@@ -80,22 +80,8 @@ def test_boundary_touch_is_not_a_collision():
 def test_degenerate_corridor_is_a_disc():
     cor = swept_corridor((0, 0), (0, 0), 0.2)
     assert cor.length == 0.0
-    assert cor.area() == pytest.approx(math.pi * 0.01)
     assert cor.contains_point((0.09, 0))
     assert not cor.contains_point((0.11, 0))
-
-
-def test_capsule_area_closed_form_and_monte_carlo():
-    cor = swept_corridor((0, 0), (1, 0), 0.2)
-    expect = 1 * 0.2 + math.pi * 0.01
-    assert cor.area() == pytest.approx(expect)
-    rng = random.Random(1)
-    n, hits, box = 200000, 0, 1.5
-    for _ in range(n):
-        p = (rng.uniform(-box, box), rng.uniform(-box, box))
-        hits += point_in_corridor(p, cor)
-    mc_area = hits / n * (2 * box) ** 2
-    assert mc_area == pytest.approx(expect, rel=0.05)
 
 
 def test_pick_corridor_contains_midpoint_obstacle():

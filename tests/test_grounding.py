@@ -71,7 +71,7 @@ def test_removing_an_already_moved_object_is_rejected():
     scene = load_scene(scenario("unobstructed"))
     sk = skeleton([act("M1", "goal_zone")])
     done = ground(sk, GroundingContext(), scene, random.Random(0))
-    ctx = context_from_steps(done.steps, scene)
+    ctx = context_from_steps(done.steps)
     assert ctx.m_fut == frozenset({"M1"})
     with pytest.raises(ValueError, match="already moved"):
         ground(sk, ctx, scene, random.Random(1))
@@ -138,7 +138,7 @@ def test_partial_suffix_contains_future_context():
     sk = skeleton([act("M1", "goal_zone")])
     res = ground(sk, GroundingContext(), scene, random.Random(0))
     assert isinstance(res, Partial)
-    ctx = context_from_steps(res.steps, scene)
+    ctx = context_from_steps(res.steps)
     assert ctx.m_fut == frozenset({"M1"})
     assert len(volumes_of(res.steps)) >= 2  # pick + transfer corridors
 
@@ -149,7 +149,7 @@ def test_partial_conflicts_are_actionable():
     first = ground(skeleton([act("M1", "goal_zone")]), GroundingContext(),
                    scene, random.Random(0))
     assert isinstance(first, Partial)
-    ctx = context_from_steps(first.steps, scene)
+    ctx = context_from_steps(first.steps)
     fixer = skeleton([act("M2", "work")])
     res = ground(fixer, ctx, scene, random.Random(0),
                  GroundingConfig(step_restarts=20))

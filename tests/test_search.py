@@ -1,6 +1,7 @@
 """Skeleton-level tree search: selection arithmetic, rewards, end-to-end runs."""
 import json
 import re
+import types
 
 import pytest
 
@@ -172,6 +173,32 @@ def test_solver_budget_is_a_no_plan(budget, iterations):
     assert isinstance(res, NoPlan)
     assert res.reason == "solver_budget"
     assert res.iterations == iterations
+
+
+@pytest.mark.parametrize("field,value", [("t_max", 0), ("k_max", 0),
+                                         ("node_budget", 0), ("max_iterations", -1),
+                                         ("time_budget", -0.5)])
+def test_config_rejects_out_of_range_limits(field, value):
+    with pytest.raises(ValueError):
+        PlannerConfig(**{field: value})
+
+
+def test_time_budget_counts_the_root_enumeration(monkeypatch):
+    # a root enumeration that takes 2 s of a 1 s budget leaves no time to ground
+    clock = [0.0]
+    enumerate_skeletons = search.enumerate_skeletons
+
+    def slow_enumeration(*args, **kwargs):
+        clock[0] += 2.0
+        return enumerate_skeletons(*args, **kwargs)
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(search, "enumerate_skeletons", slow_enumeration)
+    trace = []
+    res = plan(load_scene(scenario("unobstructed")), PlannerConfig(time_budget=1.0),
+               trace=trace)
+    assert isinstance(res, NoPlan)
+    assert (res.reason, res.iterations, trace) == ("time_budget", 0, [])
 
 
 def test_exhaustive_search_keeps_its_best_plan_past_a_solver_budget(monkeypatch):

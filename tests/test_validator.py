@@ -1,5 +1,6 @@
 """Plan validity checker: replay, per-condition violations, round trips."""
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -120,6 +121,19 @@ def test_unknown_entity_references_are_structural_errors():
         scene, a, scene.movables["M1"].pose, Pose(0.25, 0.55)))
     with pytest.raises(PlanError, match="unknown region"):
         validate_plan(scene, Plan(steps=(bad_region,)))
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda c: replace(c, width=0.05), "narrower"),
+    (lambda c: replace(c, b=(c.b[0] + 0.1, c.b[1])), "does not join"),
+], ids=["narrow", "off_waypoint"])
+def test_corridor_that_is_not_the_sweep_of_its_waypoints_is_structural(edit, match):
+    scene = load_scene(scenario("unobstructed"))
+    mv = step_for(scene, single_action(), Pose(0.25, 0.55)).moves["R1"]
+    bad = replace(mv, pick_traj=replace(
+        mv.pick_traj, corridors=(edit(mv.pick_traj.corridors[0]),)))
+    with pytest.raises(PlanError, match=match):
+        validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
 
 
 def test_plan_serialization_round_trip_preserves_validity():
