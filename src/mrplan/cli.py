@@ -46,6 +46,7 @@ def cmd_plan(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    facts = None
     if args.dump_facts or args.dump_cmtg or args.dump_mip:
         facts = compute_facts(scene)
         if args.dump_facts:
@@ -59,7 +60,7 @@ def cmd_plan(args) -> int:
                 Path(args.dump_mip).write_text(model.dumps_lp())
     trace: list[str] = []
     try:
-        result = search_plan(scene, cfg, trace=trace)
+        result = search_plan(scene, cfg, trace=trace, facts=facts)
     except ValueError as e:  # a scene the planner cannot take, e.g. no goal
         print(f"error: {e}", file=sys.stderr)
         return 1

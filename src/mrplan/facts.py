@@ -3,18 +3,34 @@
 Facts carry a grasp only where the geometry reads one: the pick sweep runs
 from the robot's base to the grasp point, so pick facts are per grasp,
 while place, goal-place and handover facts are the same for every grasp
-and carry none. Trajectories are straight corridors; for each goal
-placement we look for a candidate whose corridor and footprint are clear of
-all movables, and otherwise keep the one with the fewest movable occluders
-and record those occluders.
+and carry none. Trajectories are straight corridors.
+
+Place facts test candidate placements: the region centre first, then a
+PLACE_GRID x PLACE_GRID grid inset by the object's circumradius, row by
+row; the inset keeps every candidate's footprint inside the region. A
+candidate is valid for a robot when it lies in the robot's reach annulus
+and its transfer sweep from the base clears the fixed obstacles. Each
+(object, region) grid is built once and shared by the robots, and each
+robot tests it only until its answer is known:
+
+* ``reachable_place`` needs one valid candidate, so for a non-goal pair
+  the first valid candidate settles it;
+* for a goal pair we keep the earliest valid candidate with the fewest
+  movable occluders (corridor plus footprint) and record those occluders,
+  so the scan stops at the first valid candidate with none.
+
+A robot whose reach annulus misses the grid's bounding box (nearest point
+beyond ``reach_max``, or farthest point inside ``reach_min``) is skipped
+without testing any candidate; no candidate can be valid for it.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from .geometry import Corridor, Pose, collides, shape_inside_rect, swept_corridor
-from .scene import Scene
+from .geometry import Corridor, Pose, Rect, collides, swept_corridor
+from .scene import Robot, Scene
 
 PLACE_GRID = 5  # candidate placements per region axis for the place certificate
 
@@ -53,30 +69,50 @@ class FactSet:
         return json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n"
 
 
-def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
-    """Region center plus a fixed grid of candidate placement poses."""
-    rect = scene.regions[region_name].rect
-    inset = scene.movables[obj].shape.circumradius
+def _grid(rect: Rect, inset: float):
+    """Candidate placement points for a shape of circumradius ``inset``: the
+    region centre, then a PLACE_GRID x PLACE_GRID grid inset by ``inset``,
+    row by row, without a second copy of the centre. The shape placed at any
+    of them lies inside ``rect``, because no point of it is farther than its
+    circumradius from its centre. Returns the points and their bounding box
+    (xmin, ymin, xmax, ymax), or None when nothing fits."""
     x0, x1 = rect.xmin + inset, rect.xmax - inset
     y0, y1 = rect.ymin + inset, rect.ymax - inset
     if x0 > x1 or y0 > y1:
-        return []
-    cx, cy = rect.center
-    cands = [Pose(cx, cy)]
+        return None
     n = PLACE_GRID
-    for iy in range(n):
-        for ix in range(n):
-            x = x0 + (x1 - x0) * ix / (n - 1)
-            y = y0 + (y1 - y0) * iy / (n - 1)
-            p = Pose(x, y)
-            if (p.x, p.y) != (cx, cy):
-                cands.append(p)
-    return [p for p in cands
-            if shape_inside_rect(scene.movables[obj].shape, p, rect)]
+    xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
+    ys = [y0 + (y1 - y0) * i / (n - 1) for i in range(n)]
+    cx, cy = rect.center
+    points = [(cx, cy)] + [(x, y) for y in ys for x in xs if (x, y) != (cx, cy)]
+    box = (min(min(xs), cx), min(min(ys), cy), max(max(xs), cx), max(max(ys), cy))
+    return points, box
+
+
+def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
+    """Candidate placement poses for ``obj`` in the region, in the order
+    ``compute_facts`` tests them."""
+    grid = _grid(scene.regions[region_name].rect,
+                 scene.movables[obj].shape.circumradius)
+    return [] if grid is None else [Pose(x, y) for x, y in grid[0]]
 
 
 def _avoids_fixed(scene: Scene, cor: Corridor) -> bool:
     return not any(collides(cor, fp) for fp in scene.fixed)
+
+
+def _annulus_meets_box(robot: Robot, box) -> bool:
+    """False when no point of the box can pass ``robot.in_reach``.
+
+    The distances to the box's nearest and farthest points are computed
+    with the same float operations ``in_reach`` uses, and subtraction and
+    hypot are monotone, so no point of the box rounds nearer or farther.
+    """
+    xmin, ymin, xmax, ymax = box
+    bx, by = robot.base
+    near = math.hypot(max(xmin - bx, 0.0, bx - xmax), max(ymin - by, 0.0, by - ymax))
+    far = math.hypot(max(bx - xmin, xmax - bx), max(by - ymin, ymax - by))
+    return near <= robot.reach_max and far >= robot.reach_min
 
 
 def compute_facts(scene: Scene) -> FactSet:
@@ -101,34 +137,40 @@ def compute_facts(scene: Scene) -> FactSet:
                     facts.occludes_pick.add((occ, obj, g, rname))
 
     # place reachability (all regions) and goal-place occlusions (goal pairs)
-    goal_pairs = {(m, re) for m, re in scene.goal}
+    goal_pairs = set(scene.goal)
     for obj in sorted(scene.movables):
         shape = scene.movables[obj].shape
         for re in sorted(scene.regions):
+            grid = _grid(scene.regions[re].rect, shape.circumradius)
+            if grid is None:
+                continue
+            points, box = grid
+            goal_pair = (obj, re) in goal_pairs
             for rname in robot_names:
                 robot = scene.robots[rname]
+                if not _annulus_meets_box(robot, box):
+                    continue
                 width = scene.transfer_width(rname, obj)
-                valid = []
-                for p in place_candidates(scene, re, obj):
-                    if not robot.in_reach(p.xy):
+                # None until a candidate is valid; then the occluders of the
+                # earliest valid candidate with the fewest of them
+                best = None
+                for xy in points:
+                    if not robot.in_reach(xy):
                         continue
-                    cor = swept_corridor(robot.base, p.xy, width)
+                    cor = swept_corridor(robot.base, xy, width)
                     if not _avoids_fixed(scene, cor):
                         continue
-                    valid.append((p, cor))
-                if not valid:
-                    continue
-                facts.reachable_place.add((obj, re, rname))
-                if (obj, re) not in goal_pairs:
-                    continue
-                # two-stage choice: fewest movable occluders, earliest candidate
-                best = None
-                for p, cor in valid:
-                    occ = scene.movables_hit([cor, (shape, p)], exclude=(obj,))
+                    if not goal_pair:
+                        best = []
+                        break
+                    occ = scene.movables_hit([cor, (shape, Pose(*xy))], exclude=(obj,))
                     if best is None or len(occ) < len(best):
                         best = occ
                     if not best:
                         break
+                if best is None:
+                    continue
+                facts.reachable_place.add((obj, re, rname))
                 for occ in best:
                     facts.occludes_goal_place.add((occ, obj, re, rname))
 

@@ -161,11 +161,14 @@ def _new_skeletons_for(conflicts, grounded_steps, facts: FactSet, scene: Scene,
                                robot_names=sorted(scene.robots))
 
 
-def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
+def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
+         facts: FactSet | None = None):
     """Search for a valid plan. Returns a Plan or a NoPlan report.
 
     ``cfg.time_budget`` counts from entry and is checked between iterations;
-    a single skeleton enumeration or grounding is not interrupted.
+    a single skeleton enumeration or grounding is not interrupted. ``facts``,
+    when given, must be ``compute_facts(scene)``: a caller that already holds
+    them saves computing them again.
     """
     deadline = time.monotonic() + cfg.time_budget
     if not scene.goal:
@@ -179,7 +182,8 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
     if scene.goal_satisfied():
         return Plan(steps=())
 
-    facts = compute_facts(scene)
+    if facts is None:
+        facts = compute_facts(scene)
     tree = _Tree()
     root = tree.new_node()
     try:

@@ -5,7 +5,9 @@ Replays a plan step by step on a copy of the scene and checks:
         robots and collision-free w.r.t. fixed obstacles, the current poses
         of all non-manipulated objects, and the other robots' base points;
   (ii)  placements lie entirely inside their target regions, are
-        collision-free, and pick/place endpoints are within reach;
+        collision-free, and pick/place endpoints are within reach; each
+        trajectory starts and ends where ``motion.build_moves`` lays it out
+        on the replayed poses (base, grasp point, current pose, placement);
   (iii) handover corridors of both partners meet at the handover point and
         do not overlap outside the handover neighbourhood;
 plus monotonicity (each object moved at most once) and goal satisfaction.
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .geometry import EPS, collides, shape_inside_rect
 from .motion import partner_pairs, points_close, trim_for_handover
-from .plans import Plan, PlanError
+from .plans import Plan, PlanError, RobotMove
 from .scene import Scene
 
 CONDITIONS = ("condition_i", "condition_ii", "condition_iii", "monotonicity", "goal")
@@ -99,6 +101,30 @@ def _check_sweep(j: int, robot: str, name: str, traj, min_width: float):
         if cor.width < min_width - EPS:
             raise PlanError(f"step {j}: {robot} {name} corridor is narrower than "
                             f"{min_width:g}")
+
+
+def _endpoint_faults(scene: Scene, robot: str, mv: RobotMove, poses) -> list[str]:
+    """Trajectory ends that are not where ``motion.build_moves`` puts them:
+    every pick sweep starts at the robot's base and the picking robot's ends
+    at the grasp point; the carry starts at the object's current pose (single
+    move or handover pick side) and the delivery ends at the placement
+    (single move or handover place side)."""
+    a = mv.action
+    faults = []
+    if not points_close(mv.pick_traj.waypoints[0].xy, scene.robots[robot].base):
+        faults.append(f"pick trajectory of {robot} does not start at its base")
+    if robot == a.pick_robot:
+        gp = scene.grasp_point(a.obj, a.grasp_pick, pose=poses[a.obj])
+        if not points_close(mv.pick_traj.waypoints[-1].xy, gp):
+            faults.append(f"pick trajectory of {robot} does not end at the grasp "
+                          f"point of {a.obj}")
+        if not points_close(mv.place_traj.waypoints[0].xy, poses[a.obj].xy):
+            faults.append(f"carry of {a.obj} by {robot} does not start at its "
+                          f"current pose")
+    if robot == a.place_robot:
+        if not points_close(mv.place_traj.waypoints[-1].xy, mv.placement.xy):
+            faults.append(f"carry of {a.obj} by {robot} does not end at its placement")
+    return faults
 
 
 def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
@@ -189,6 +215,9 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
             if not scene.robots[a.pick_robot].in_reach(gp):
                 report.add("condition_ii", j,
                            f"grasp point of {a.obj} is out of reach of {a.pick_robot}")
+        for robot in robots:
+            for msg in _endpoint_faults(scene, robot, step.moves[robot], poses):
+                report.add("condition_ii", j, msg)
         for i1 in range(len(placements)):
             for i2 in range(i1 + 1, len(placements)):
                 a1, mv1 = placements[i1]

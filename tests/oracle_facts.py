@@ -1,0 +1,103 @@
+"""Straightforward reference for ``mrplan.facts.compute_facts``.
+
+Used only by tests. It tests every place candidate for every robot, with
+the candidate grid rebuilt per robot and no early stop or reach pruning,
+so the planner's pruned fact phase can be checked against it record for
+record.
+"""
+from __future__ import annotations
+
+from mrplan.facts import PLACE_GRID, FactSet
+from mrplan.geometry import Pose, collides, shape_inside_rect, swept_corridor
+
+
+def place_candidates(scene, region_name, obj):
+    """Region center plus a fixed grid of candidate placement poses."""
+    rect = scene.regions[region_name].rect
+    inset = scene.movables[obj].shape.circumradius
+    x0, x1 = rect.xmin + inset, rect.xmax - inset
+    y0, y1 = rect.ymin + inset, rect.ymax - inset
+    if x0 > x1 or y0 > y1:
+        return []
+    cx, cy = rect.center
+    cands = [Pose(cx, cy)]
+    n = PLACE_GRID
+    for iy in range(n):
+        for ix in range(n):
+            x = x0 + (x1 - x0) * ix / (n - 1)
+            y = y0 + (y1 - y0) * iy / (n - 1)
+            p = Pose(x, y)
+            if (p.x, p.y) != (cx, cy):
+                cands.append(p)
+    return [p for p in cands
+            if shape_inside_rect(scene.movables[obj].shape, p, rect)]
+
+
+def avoids_fixed(scene, cor):
+    return not any(collides(cor, fp) for fp in scene.fixed)
+
+
+def compute_facts(scene) -> FactSet:
+    facts = FactSet()
+    goal_objects = set(scene.goal_objects())
+    angles = scene.grasp_angles()
+    robot_names = sorted(scene.robots)
+
+    for obj in sorted(scene.movables):
+        for rname in robot_names:
+            robot = scene.robots[rname]
+            for g in angles:
+                gp = scene.grasp_point(obj, g)
+                if not robot.in_reach(gp):
+                    continue
+                cor = scene.pick_corridor(rname, obj, g)
+                if not avoids_fixed(scene, cor):
+                    continue
+                facts.reachable_pick.add((obj, g, rname))
+                for occ in scene.movables_hit([cor], exclude=(obj,)):
+                    facts.occludes_pick.add((occ, obj, g, rname))
+
+    goal_pairs = {(m, re) for m, re in scene.goal}
+    for obj in sorted(scene.movables):
+        shape = scene.movables[obj].shape
+        for re in sorted(scene.regions):
+            for rname in robot_names:
+                robot = scene.robots[rname]
+                width = scene.transfer_width(rname, obj)
+                valid = []
+                for p in place_candidates(scene, re, obj):
+                    if not robot.in_reach(p.xy):
+                        continue
+                    cor = swept_corridor(robot.base, p.xy, width)
+                    if not avoids_fixed(scene, cor):
+                        continue
+                    valid.append((p, cor))
+                if not valid:
+                    continue
+                facts.reachable_place.add((obj, re, rname))
+                if (obj, re) not in goal_pairs:
+                    continue
+                # fewest movable occluders, earliest candidate
+                best = None
+                for p, cor in valid:
+                    occ = scene.movables_hit([cor, (shape, p)], exclude=(obj,))
+                    if best is None or len(occ) < len(best):
+                        best = occ
+                for occ in best:
+                    facts.occludes_goal_place.add((occ, obj, re, rname))
+
+    for obj in sorted(goal_objects):
+        m = scene.movables[obj]
+        for r1 in robot_names:
+            for r2 in robot_names:
+                if r1 == r2:
+                    continue
+                h = scene.handover_point(r1, r2)
+                if not (scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)):
+                    continue
+                carry = swept_corridor(m.pose.xy, h, scene.transfer_width(r1, obj))
+                reach = swept_corridor(scene.robots[r2].base, h,
+                                       scene.robots[r2].gripper_width)
+                if avoids_fixed(scene, carry) and avoids_fixed(scene, reach):
+                    facts.enable_goal_handover.add((obj, r1, r2))
+    return facts

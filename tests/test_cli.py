@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from mrplan import cli
+from mrplan import cli, search
 from mrplan.cli import main
+from mrplan.facts import compute_facts
+from mrplan.scene import load_scene
 
 from conftest import scenario
 
@@ -36,6 +38,38 @@ def test_plan_writes_valid_plan_and_artifacts(tmp_path):
     assert trace.read_text().startswith("iter=1 ")
 
     assert run(["validate", scenario("pick_chain"), out]) == 0
+
+
+def test_dumping_facts_computes_them_once_and_changes_no_output(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(scene):
+        calls.append(scene)
+        return compute_facts(scene)
+
+    monkeypatch.setattr(cli, "compute_facts", counted)
+    monkeypatch.setattr(search, "compute_facts", counted)
+    outputs = []
+    for dump in (False, True):
+        calls.clear()
+        out, trace, facts = tmp_path / "plan.json", tmp_path / "trace.txt", tmp_path / "f"
+        argv = ["plan", scenario("pick_chain"), "--out", out, "--trace", trace]
+        assert run(argv + (["--dump-facts", facts] if dump else [])) == 0
+        assert len(calls) == 1
+        outputs.append((out.read_text(), trace.read_text()))
+    assert outputs[0] == outputs[1]
+    assert facts.read_text() == compute_facts(load_scene(scenario("pick_chain"))).dumps()
+
+
+def test_validate_exit_3_on_a_carry_away_from_the_object(tmp_path, capsys):
+    def edit(moves):
+        traj = moves[0]["place_traj"]
+        traj["waypoints"][0]["y"] += 0.05
+        traj["corridors"][0]["a"][1] += 0.05
+    out = planned_then_edited(tmp_path, "unobstructed", edit)
+    assert run(["validate", scenario("unobstructed"), out]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert [v["code"] for v in report["violations"]] == ["condition_ii"]
 
 
 def test_plan_stdout_when_no_out_given(tmp_path, capsys):

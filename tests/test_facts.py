@@ -1,14 +1,17 @@
 """Occlusion / reachability / handover facts and their certificates."""
 import json
+import math
+import random
 
 import pytest
 
+import oracle_facts
 from mrplan.facts import FactLookupError, compute_facts, occluders_of, place_candidates
-from mrplan.geometry import collides
+from mrplan.geometry import Disc, Pose, Rectangle, collides, swept_corridor
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import load_scene, loads_scene
 
-from conftest import scenario
+from conftest import EXTRA, SCENARIOS, scenario
 
 
 def action(obj, region, pick_robot, place_robot=None, g=0.0):
@@ -154,3 +157,178 @@ def test_facts_deterministic_and_serializable():
     assert all("predicate" in r for r in recs)
     preds = {r["predicate"] for r in recs}
     assert {"reachable_pick", "occludes_pick", "enable_goal_handover"} <= preds
+
+
+# ---------------------------------------------------------------------------
+# the pruned fact phase against the straightforward oracle
+
+
+def assert_matches_oracle(scene):
+    assert compute_facts(scene).dumps() == oracle_facts.compute_facts(scene).dumps()
+    for re in scene.regions:
+        for obj in scene.movables:
+            assert (place_candidates(scene, re, obj)
+                    == oracle_facts.place_candidates(scene, re, obj))
+
+
+SHIPPED = sorted(SCENARIOS.glob("*.json")) + sorted(EXTRA.glob("*.json"))
+
+
+@pytest.mark.parametrize("grasp_count", [1, 3, 8])
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_facts_match_oracle_on_shipped_scenes(path, grasp_count):
+    doc = json.loads(path.read_text())
+    doc["grasp_count"] = grasp_count
+    assert_matches_oracle(loads_scene(json.dumps(doc)))
+
+
+def disc(r):
+    return {"type": "disc", "radius": r}
+
+
+def rectangle(hw, hh):
+    return {"type": "rectangle", "half_w": hw, "half_h": hh}
+
+
+def parse_shape(d):
+    return Disc(d["radius"]) if d["type"] == "disc" else Rectangle(d["half_w"], d["half_h"])
+
+
+def generated_scene(rng):
+    """Two or three robots, R1 with a wide reach_min hole around its base;
+    fixed obstacles on the sweeps from the bases to the regions; discs and
+    rotated rectangles in a work strip; random regions plus one beyond every
+    robot's reach, one inside R1's hole and one too small for any object."""
+    robots = [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.3,
+               "reach_max": 1.2, "gripper_width": 0.08}]
+    for k in range(rng.randint(1, 2)):
+        robots.append({"name": f"R{k + 2}",
+                       "base": [rng.uniform(1.0, 2.0), rng.uniform(-0.8, 0.8)],
+                       "reach_min": rng.uniform(0.05, 0.3),
+                       "reach_max": rng.uniform(0.7, 1.3),
+                       "gripper_width": rng.uniform(0.05, 0.1)})
+    regions = [{"name": "work", "rect": [-0.6, -0.9, 2.2, 0.9]},
+               {"name": "far", "rect": [5.0, 5.0, 5.5, 5.5]},
+               {"name": "hole", "rect": [-0.15, -0.15, 0.15, 0.15]},
+               {"name": "slot", "rect": [0.5, 1.0, 0.55, 1.05]}]
+    for k in range(rng.randint(2, 4)):
+        x, y = rng.uniform(-1.2, 2.4), rng.uniform(-1.3, 1.3)
+        w, h = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.6)
+        regions.append({"name": f"Z{k}", "rect": [x, y, x + w, y + h]})
+
+    placed = []   # (shape, pose) of every solid so far
+
+    def clear(shape, pose):
+        return all(not collides((shape, pose), other) for other in placed)
+
+    fixed = []
+    for _ in range(rng.randint(1, 4)):
+        base = rng.choice(robots)["base"]
+        z = rng.choice(regions[4:])["rect"]
+        t = rng.uniform(0.3, 0.8)
+        cx, cy = (z[0] + z[2]) / 2, (z[1] + z[3]) / 2
+        x, y = base[0] + t * (cx - base[0]), base[1] + t * (cy - base[1])
+        d = disc(rng.uniform(0.02, 0.06)) if rng.random() < 0.5 else \
+            rectangle(rng.uniform(0.02, 0.06), rng.uniform(0.02, 0.06))
+        theta = rng.uniform(0.0, math.pi)
+        placed.append((parse_shape(d), Pose(x, y, theta)))
+        fixed.append({"shape": d, "pose": {"x": x, "y": y, "theta": theta}})
+
+    movables = []
+    count = rng.randint(3, 7)
+    while len(movables) < count:
+        d = disc(rng.uniform(0.03, 0.07)) if rng.random() < 0.6 else \
+            rectangle(rng.uniform(0.03, 0.06), rng.uniform(0.02, 0.05))
+        shape = parse_shape(d)
+        r = shape.circumradius
+        pose = Pose(rng.uniform(-0.6 + r, 2.2 - r), rng.uniform(-0.9 + r, 0.9 - r),
+                    rng.uniform(0.0, math.pi))
+        if not clear(shape, pose):
+            continue
+        placed.append((shape, pose))
+        movables.append({"name": f"M{len(movables) + 1}", "shape": d,
+                         "pose": {"x": pose.x, "y": pose.y, "theta": pose.theta},
+                         "home_region": "work"})
+    names = [m["name"] for m in movables]
+    goal = [[m, rng.choice(regions)["name"]]
+            for m in rng.sample(names, rng.randint(1, len(names)))]
+    return {"regions": regions, "fixed": fixed, "movables": movables,
+            "robots": robots, "grasp_count": rng.randint(1, 4), "goal": goal}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_facts_match_oracle_on_generated_scenes(seed):
+    scene = loads_scene(json.dumps(generated_scene(random.Random(seed))))
+    assert_matches_oracle(scene)
+    facts = compute_facts(scene)
+    assert not any(re in ("far", "slot") for _, re, _ in facts.reachable_place)
+    assert not any(re == "hole" and r == "R1" for _, re, r in facts.reachable_place)
+
+
+def scene_sweep(scene, robot, obj, pose):
+    return swept_corridor(scene.robots[robot].base, pose.xy,
+                          scene.transfer_width(robot, obj))
+
+
+def test_goal_place_without_a_clear_candidate_keeps_the_fewest_occluders():
+    """Every candidate in the nook overlaps B; R1's sweeps to the first two
+    candidates (the centre, then the grid's first corner) also hit C. The
+    fact keeps the first candidate that hits only B."""
+    doc = {
+        "regions": [{"name": "work", "rect": [0.0, -1.0, 2.0, 1.0]},
+                    {"name": "nook", "rect": [0.82, 0.52, 0.98, 0.68]}],
+        "movables": [
+            {"name": "M1", "shape": disc(0.02), "pose": {"x": 0.5, "y": -0.5},
+             "home_region": "work"},
+            {"name": "B", "shape": disc(0.075), "pose": {"x": 0.9, "y": 0.6},
+             "home_region": "nook"},
+            {"name": "C", "shape": disc(0.01), "pose": {"x": 0.6, "y": 0.43},
+             "home_region": "work"},
+        ],
+        "robots": [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.1,
+                    "reach_max": 1.5, "gripper_width": 0.02}],
+        "grasp_count": 2,
+        "goal": [["M1", "nook"]],
+    }
+    scene = loads_scene(json.dumps(doc))
+    assert_matches_oracle(scene)
+    shape = scene.movables["M1"].shape
+    hits = [scene.movables_hit([scene_sweep(scene, "R1", "M1", p), (shape, p)],
+                               exclude=("M1",))
+            for p in place_candidates(scene, "nook", "M1")]
+    assert hits[:3] == [["B", "C"], ["B", "C"], ["B"]]
+    assert compute_facts(scene).occludes_goal_place == {("B", "M1", "nook", "R1")}
+
+
+def test_goal_place_ties_go_to_the_earliest_candidate_the_centre():
+    """Every sweep to the shelf hits exactly one of C, D, E: the left grid
+    columns C, the right ones D, the middle column and the centre E. The
+    centre comes first, so E is the recorded occluder."""
+    doc = {
+        "regions": [{"name": "work", "rect": [-1.0, -1.0, 1.0, 0.8]},
+                    {"name": "shelf", "rect": [-0.3, 0.9, 0.3, 1.0]}],
+        "movables": [
+            {"name": "M1", "shape": disc(0.02), "pose": {"x": 0.5, "y": -0.5},
+             "home_region": "work"},
+            {"name": "C", "shape": disc(0.04), "pose": {"x": -0.1, "y": 0.5},
+             "home_region": "work"},
+            {"name": "D", "shape": disc(0.04), "pose": {"x": 0.1, "y": 0.5},
+             "home_region": "work"},
+            {"name": "E", "shape": disc(0.01), "pose": {"x": 0.0, "y": 0.3},
+             "home_region": "work"},
+        ],
+        "robots": [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.1,
+                    "reach_max": 1.5, "gripper_width": 0.02}],
+        "grasp_count": 1,
+        "goal": [["M1", "shelf"]],
+    }
+    scene = loads_scene(json.dumps(doc))
+    assert_matches_oracle(scene)
+    shape = scene.movables["M1"].shape
+    cands = place_candidates(scene, "shelf", "M1")
+    hits = [scene.movables_hit([scene_sweep(scene, "R1", "M1", p), (shape, p)],
+                               exclude=("M1",))
+            for p in cands]
+    assert all(len(h) == 1 for h in hits)
+    assert hits[0] == ["E"] and hits[1] == ["C"] and hits[-1] == ["D"]
+    assert compute_facts(scene).occludes_goal_place == {("E", "M1", "shelf", "R1")}

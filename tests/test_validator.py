@@ -136,6 +136,52 @@ def test_corridor_that_is_not_the_sweep_of_its_waypoints_is_structural(edit, mat
         validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
 
 
+def moved_end(traj, index, to):
+    """``traj`` with waypoint ``index`` (0 or -1) moved to ``to``; the corridor
+    follows, so the trajectory stays the sweep of its waypoints."""
+    wps = list(traj.waypoints)
+    wps[index] = Pose(*to)
+    cor = traj.corridors[index]
+    cor = replace(cor, a=to) if index == 0 else replace(cor, b=to)
+    cors = list(traj.corridors)
+    cors[index] = cor
+    return replace(traj, waypoints=tuple(wps), corridors=tuple(cors))
+
+
+@pytest.mark.parametrize("traj,index,to,match", [
+    ("pick_traj", 0, (0.0, 0.05), "pick trajectory of R1 does not start at its base"),
+    ("pick_traj", -1, (0.55, 0.05), "does not end at the grasp point"),
+    ("place_traj", 0, (0.5, 0.05), "does not start at its current pose"),
+    ("place_traj", -1, (0.25, 0.6), "does not end at its placement"),
+], ids=["pick_start", "pick_end", "carry_start", "carry_end"])
+def test_trajectory_away_from_its_endpoint_is_condition_ii(traj, index, to, match):
+    scene = load_scene(scenario("unobstructed"))
+    mv = step_for(scene, single_action(), Pose(0.25, 0.55)).moves["R1"]
+    bad = replace(mv, **{traj: moved_end(getattr(mv, traj), index, to)})
+    report = validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
+    assert [v.code for v in report.violations] == ["condition_ii"]
+    assert match in report.violations[0].message
+
+
+@pytest.mark.parametrize("robot,traj,index,to,match", [
+    ("R1", "place_traj", 0, (0.3, 0.05), "carry of M1 by R1 does not start"),
+    ("R2", "place_traj", -1, (1.6, 0.75), "carry of M1 by R2 does not end"),
+    ("R2", "pick_traj", 0, (1.6, 0.05), "pick trajectory of R2 does not start"),
+], ids=["carry_start", "delivery_end", "receive_start"])
+def test_handover_legs_away_from_their_endpoints_are_condition_ii(robot, traj, index,
+                                                                  to, match):
+    scene = load_scene(scenario("handover_required"))
+    a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
+                                place_robot="R2", grasp_pick=0.0, grasp_place=0.0)
+    moves = build_moves(scene, a, scene.movables["M1"].pose, Pose(1.6, 0.7))
+    assert validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),))).ok
+    mv = moves[robot]
+    moves[robot] = replace(mv, **{traj: moved_end(getattr(mv, traj), index, to)})
+    report = validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
+    faults = [v for v in report.violations if v.code == "condition_ii"]
+    assert len(faults) == 1 and match in faults[0].message
+
+
 def test_plan_serialization_round_trip_preserves_validity():
     for name in ("unobstructed", "pick_chain", "parallel_goals"):
         scene = load_scene(scenario(name))
