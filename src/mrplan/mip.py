@@ -1,20 +1,23 @@
 """0-1 integer program over a manipulation task graph.
 
-For a horizon T, binary variables X[t, e] are declared for every action
-edge and block edge e of the graph. X[t, (M,a)] = 1 means action a runs at
-some step >= t, so the execution step of a selected action is sum_t X[t].
-The constraint families enforce: (1) monotone step indicators, (2) block
-indicators mirror their action, (3) non-target objects move only when they
-block a selected action, (4)-(7) per-robot capacity and per-step progress,
-(8) all targets move, (9) blockers of selected actions move, (10) each
-object moves at most once, (11) pick-blockers move strictly earlier,
-(12) place-blockers move no later (big-M linearization, M = T + 1).
+For a horizon T, binary variables X[t, a] are declared for every action
+edge a of the graph. X[t, a] = 1 means action a runs at some step >= t, so
+the execution step of a selected action is sum_t X[t, a]. A block edge
+(a, M) is indicated by its action's column X[t, a], so family (2), block
+indicators mirror their action, holds by substitution. The other families
+enforce: (1) monotone step indicators, (3) non-target objects move only
+when they block a selected action, (4)-(7) per-robot capacity and per-step
+progress, (8) all targets move, (9) blockers of selected actions move,
+(10) each object moves at most once, (11) pick-blockers move strictly
+earlier, (12) place-blockers move no later (big-M linearization,
+M = T + 1).
 
 The solver is an exact depth-first branch-and-bound over the binaries with
 unit constraint propagation; all arithmetic is integral.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .taskgraph import CMTG
@@ -41,14 +44,13 @@ class LinearConstraint:
 @dataclass
 class MipModel:
     T: int
-    var_names: list            # canonical: X[1..] over action edges, then blocks
+    var_names: list            # canonical: X[t, action edge], by t, then action
     objective: dict            # var_index -> coefficient (minimize)
     constraints: list = field(default_factory=list)
     # bookkeeping for extraction
     action_edges: list = field(default_factory=list)   # [(obj, action)]
     block_edges: list = field(default_factory=list)    # [(action, obj, kind)]
     act_var: dict = field(default_factory=dict)        # (t, edge_i) -> var index
-    blk_var: dict = field(default_factory=dict)        # (t, edge_j) -> var index
 
     @property
     def num_vars(self) -> int:
@@ -112,31 +114,26 @@ def compile_model(graph: CMTG, T: int) -> MipModel:
                         graph.block_place_edges, key=lambda e: (e[0].key(), e[1]))])
 
     var_names: list[str] = []
-    act_var, blk_var = {}, {}
+    act_var = {}
     # X[1, action edge] first, in canonical order: this is the branch order
     for t in range(1, T + 1):
         for i, (m, a) in enumerate(action_edges):
             act_var[(t, i)] = len(var_names)
             var_names.append(f"Xa_t{t}_{m}_a{a_index[a]}")
-    for t in range(1, T + 1):
-        for j, (a, m, kind) in enumerate(block_edges):
-            blk_var[(t, j)] = len(var_names)
-            var_names.append(f"Xb_t{t}_a{a_index[a]}_{m}_{kind}")
 
     objective = {act_var[(1, i)]: 1 for i in range(len(action_edges))}
     model = MipModel(T=T, var_names=var_names, objective=objective,
                      action_edges=action_edges, block_edges=block_edges,
-                     act_var=act_var, blk_var=blk_var)
+                     act_var=act_var)
 
     objects = graph.sorted_objects()
     robots = sorted({r for a in actions for r in a.robots})
     edges_of_obj = {m: [i for i, (m2, _) in enumerate(action_edges) if m2 == m]
                     for m in objects}
-    blocks_of_action = {i: [j for j, (a2, _, _) in enumerate(block_edges)
-                            if a2 == actions[i]]
-                        for i in range(len(actions))}
-    blocks_into_obj = {m: [j for j, (_, m2, _) in enumerate(block_edges) if m2 == m]
-                       for m in objects}
+    # the actions each object blocks, once per block edge; a block edge's
+    # indicator is its action's column
+    blocked_by = {m: [a_index[a] for a, m2, _ in block_edges if m2 == m]
+                  for m in objects}
     edges_of_robot = {r: [i for i, (_, a) in enumerate(action_edges) if r in a.robots]
                       for r in robots}
 
@@ -147,21 +144,16 @@ def compile_model(graph: CMTG, T: int) -> MipModel:
         for t in range(1, T):
             model.add({act_var[(t, i)]: 1, act_var[(t + 1, i)]: -1}, ">=", 0,
                       f"mono_t{t}_e{i}")
-    # (2) block indicators mirror their action
-    for i in range(len(action_edges)):
-        for j in blocks_of_action[i]:
-            for t in range(1, T + 1):
-                model.add({act_var[(t, i)]: 1, blk_var[(t, j)]: -1}, "==", 0,
-                          f"mirror_t{t}_e{i}_b{j}")
     # (3) non-targets move only to unblock a selected action
     for m in objects:
         if m in graph.targets:
             continue
         for t in range(1, T + 1):
-            rhs_terms = {blk_var[(t, j)]: -1 for j in blocks_into_obj[m]}
+            rhs_terms = Counter()
+            rhs_terms.subtract(act_var[(t, b)] for b in blocked_by[m])
             for i in edges_of_obj[m]:
-                coeffs = dict(rhs_terms)
-                coeffs[act_var[(t, i)]] = coeffs.get(act_var[(t, i)], 0) + 1
+                coeffs = rhs_terms.copy()
+                coeffs[act_var[(t, i)]] += 1
                 model.add(coeffs, "<=", 0, f"gate_t{t}_{m}_e{i}")
     # (4) per-robot capacity at the last step
     for r in robots:
@@ -189,8 +181,8 @@ def compile_model(graph: CMTG, T: int) -> MipModel:
                   f"target_{m}")
     # (9) blockers of selected actions are moved
     for j, (a, m, kind) in enumerate(block_edges):
-        coeffs = {act_var[(1, i)]: 1 for i in edges_of_obj[m]}
-        coeffs[blk_var[(1, j)]] = coeffs.get(blk_var[(1, j)], 0) - 1
+        coeffs = Counter(act_var[(1, i)] for i in edges_of_obj[m])
+        coeffs[act_var[(1, a_index[a])]] -= 1
         model.add(coeffs, ">=", 0, f"unblock_b{j}")
     # (10) each object moved at most once
     for m in objects:
@@ -198,14 +190,13 @@ def compile_model(graph: CMTG, T: int) -> MipModel:
             model.add({act_var[(1, i)]: 1 for i in edges_of_obj[m]}, "<=", 1,
                       f"once_{m}")
     # (11)/(12) precedence, big-M linearized:
-    #   X[1,b]=1  =>  sum_t X[t,b] >= sum over M's action edges of sum_t X[t] (+1)
+    #   X[1,a]=1  =>  sum_t X[t,a] >= sum over M's action edges of sum_t X[t] (+1)
     for j, (a, m, kind) in enumerate(block_edges):
-        coeffs: dict = {}
+        coeffs = Counter()
         for t in range(1, T + 1):
-            coeffs[blk_var[(t, j)]] = coeffs.get(blk_var[(t, j)], 0) + 1
-            for i in edges_of_obj[m]:
-                coeffs[act_var[(t, i)]] = coeffs.get(act_var[(t, i)], 0) - 1
-        coeffs[blk_var[(1, j)]] = coeffs.get(blk_var[(1, j)], 0) - big_m
+            coeffs[act_var[(t, a_index[a])]] += 1
+            coeffs.subtract(act_var[(t, i)] for i in edges_of_obj[m])
+        coeffs[act_var[(1, a_index[a])]] -= big_m
         strict = 1 if kind == "pick" else 0
         model.add(coeffs, ">=", strict - big_m, f"prec_{kind}_b{j}")
     return model
@@ -352,15 +343,14 @@ def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
                         robot_names=None) -> list[TaskSkeleton]:
     """Up to ``K_max`` distinct task skeletons, by increasing horizon.
 
-    Each solve's action selection is cut from all later solves, and a
-    skeleton whose step structure repeats an earlier one is skipped. Actions
+    Each solve's action selection is cut from all later solves, so no two
+    skeletons select the same actions or share a ``structure_key``. Actions
     are grasp classes, so skeletons differ in which robots move which
     objects where. Raises BudgetExceeded when a solve exceeds ``budget``.
     """
     if not graph.targets:
         return []
     skeletons: list[TaskSkeleton] = []
-    structures = set()
     # action-selection sets, by action-edge index: every horizon's model
     # lists the graph's actions in the same canonical order
     cuts: list[set] = []
@@ -377,9 +367,7 @@ def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
                          if res.assignment[model.act_var[(1, i)]] == 1}
             cuts.append(selection)
             _exclusion_cut(model, selection)
-            if sk.structure_key() not in structures:
-                structures.add(sk.structure_key())
-                skeletons.append(sk)
-                if len(skeletons) >= K_max:
-                    return skeletons
+            skeletons.append(sk)
+            if len(skeletons) >= K_max:
+                return skeletons
     return skeletons

@@ -11,8 +11,10 @@ Replays a plan step by step on a copy of the scene and checks:
   (iii) handover corridors of both partners meet at the handover point and
         do not overlap outside the handover neighbourhood;
 plus monotonicity (each object moved at most once) and goal satisfaction.
-A plan that names unknown entities, fills one slot of a handover, or lists
-corridors that are not the sweeps of its waypoints raises PlanError.
+A plan that names unknown entities, fills one slot of a handover, gives a
+move a role other than its action's, gives a handover's two sides
+different placements, or lists corridors that are not the sweeps of its
+waypoints raises PlanError.
 """
 from __future__ import annotations
 
@@ -73,6 +75,11 @@ def _check_structure(scene: Scene, plan: Plan):
                 raise PlanError(f"step {j}: unknown robot in action for {a.obj}")
             if robot not in a.robots:
                 raise PlanError(f"step {j}: robot {robot} holds an action it is not part of")
+            role = ("single" if not a.is_handover
+                    else "pick" if robot == a.pick_robot else "place")
+            if mv.role != role:
+                raise PlanError(f"step {j}: {robot} has role {mv.role!r} in a "
+                                f"{role!r} move of {a.obj}")
             _check_sweep(j, robot, "pick_traj", mv.pick_traj,
                          scene.robots[robot].gripper_width)
             _check_sweep(j, robot, "place_traj", mv.place_traj,
@@ -86,6 +93,10 @@ def _check_structure(scene: Scene, plan: Plan):
                 if partner is None or partner.action != a:
                     raise PlanError(
                         f"step {j}: handover of {a.obj} does not occupy both robot slots")
+                if partner.placement != mv.placement:
+                    raise PlanError(
+                        f"step {j}: the two sides of the handover of {a.obj} "
+                        f"disagree on its placement")
 
 
 def _check_sweep(j: int, robot: str, name: str, traj, min_width: float):
@@ -183,14 +194,9 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
                 if any(collides(c1, c2) for c1 in cs1 for c2 in cs2):
                     report.add(code, j, msg)
 
-        # (ii) placements
-        placements = []
-        for robot in robots:
-            mv = step.moves[robot]
-            a = mv.action
-            if a.is_handover and robot != a.place_robot:
-                continue
-            placements.append((a, mv))
+        # (ii) placements, from each move's place side
+        placements = [(step.moves[r].action, step.moves[r]) for r in robots
+                      if r == step.moves[r].action.place_robot]
         for a, mv in placements:
             shape = scene.movables[a.obj].shape
             region = scene.regions[a.region]
@@ -249,9 +255,8 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
                     report.add("condition_iii", j,
                                f"handover point for {a.obj} is out of reach of {rname}")
 
-        for robot in robots:
-            mv = step.moves[robot]
-            poses[mv.action.obj] = mv.placement
+        for a, mv in placements:
+            poses[a.obj] = mv.placement
         moved_before |= manipulated
 
     if not scene.goal_satisfied(poses):

@@ -35,28 +35,24 @@ class OracleVars:
         self.xb = {}  # (t, block_edge_index) -> 0/1
 
     def vector(self):
-        """Flat assignment in the implementation's canonical variable order."""
-        out = []
-        for t in range(1, self.T + 1):
-            for i in range(len(self.action_edges)):
-                out.append(self.xa[(t, i)])
-        for t in range(1, self.T + 1):
-            for j in range(len(self.block_edges)):
-                out.append(self.xb[(t, j)])
-        return tuple(out)
+        """Flat assignment in the implementation's canonical variable order:
+        X[t, action edge] by t, then action. The model has no block columns."""
+        return tuple(self.xa[(t, i)] for t in range(1, self.T + 1)
+                     for i in range(len(self.action_edges)))
 
     @classmethod
     def from_vector(cls, graph: CMTG, T: int, vec):
+        """Each block indicator is read as its action's step indicator."""
         v = cls(graph, T)
         k = 0
         for t in range(1, T + 1):
             for i in range(len(v.action_edges)):
                 v.xa[(t, i)] = vec[k]
                 k += 1
+        action_index = {a: i for i, (_, a) in enumerate(v.action_edges)}
         for t in range(1, T + 1):
-            for j in range(len(v.block_edges)):
-                v.xb[(t, j)] = vec[k]
-                k += 1
+            for j, (a, _, _) in enumerate(v.block_edges):
+                v.xb[(t, j)] = v.xa[(t, action_index[a])]
         return v
 
     @classmethod
@@ -72,6 +68,17 @@ class OracleVars:
             for j, (a, m, kind) in enumerate(v.block_edges):
                 v.xb[(t, j)] = 1 if a in chosen_step and t <= chosen_step[a] else 0
         return v
+
+
+def rows_satisfied(model, vector) -> bool:
+    """Every compiled row holds at the flat assignment ``vector``."""
+    for con in model.constraints:
+        lhs = sum(c * vector[v] for v, c in con.coeffs)
+        ok = (lhs <= con.rhs if con.sense == "<="
+              else lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs)
+        if not ok:
+            return False
+    return True
 
 
 def oracle_feasible(v: OracleVars) -> bool:

@@ -27,21 +27,11 @@ from mrplan.validator import validate_plan
 
 from conftest import GOLDEN, SCENARIOS, scenario
 from oracle_mip import (OracleVars, enumerate_schedules, oracle_feasible,
-                        oracle_minimum, random_cmtg)
+                        oracle_minimum, random_cmtg, rows_satisfied)
 
 SUITE = ("unobstructed", "pick_chain", "place_blocked", "handover_required",
          "parallel_goals", "constrained_relocation", "unsat_fixed_blocked",
          "satisfied_at_start")
-
-
-def rows_satisfied(model, vector):
-    for con in model.constraints:
-        lhs = sum(c * vector[v] for v, c in con.coeffs)
-        ok = (lhs <= con.rhs if con.sense == "<="
-              else lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs)
-        if not ok:
-            return False
-    return True
 
 
 # 1. exact optimality of the 0-1 solver ------------------------------------

@@ -136,6 +136,24 @@ def test_validate_exits_1_on_a_move_without_transfer_corridors(tmp_path, capsys)
     assert "place_traj has 0 corridors" in capsys.readouterr().err
 
 
+def test_validate_exits_1_on_a_handover_pick_side_placement_elsewhere(tmp_path, capsys):
+    def edit(moves):
+        pick = next(m for m in moves if m["role"] == "pick")
+        pick["placement"].update(x=0.5, y=-0.3)
+    out = planned_then_edited(tmp_path, "handover_required", edit)
+    assert run(["validate", scenario("handover_required"), out]) == 1
+    assert "disagree on its placement" in capsys.readouterr().err
+
+
+def test_validate_exits_1_on_roles_that_do_not_match_their_actions(tmp_path, capsys):
+    def edit(moves):
+        for m in moves:
+            m["role"] = "single"
+    out = planned_then_edited(tmp_path, "handover_required", edit)
+    assert run(["validate", scenario("handover_required"), out]) == 1
+    assert "has role 'single'" in capsys.readouterr().err
+
+
 def test_plan_exits_1_on_a_scene_without_goal(tmp_path, capsys):
     doc = json.loads(scenario("unobstructed").read_text())
     del doc["goal"]

@@ -14,9 +14,9 @@ from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import loads_scene
 from mrplan.taskgraph import CMTG, build_cmtg
 
-from conftest import scenario
+from conftest import SCENARIOS, scenario
 from oracle_mip import (OracleVars, oracle_feasible, oracle_minimum,
-                        random_cmtg)
+                        random_cmtg, rows_satisfied)
 
 
 def act(obj, robot="R1", place_robot=None, region="re"):
@@ -41,16 +41,6 @@ def make_graph(actions, targets, pick_blocks=(), place_blocks=()):
     return g
 
 
-def rows_satisfied(model, vector):
-    for con in model.constraints:
-        lhs = sum(c * vector[v] for v, c in con.coeffs)
-        ok = (lhs <= con.rhs if con.sense == "<="
-              else lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs)
-        if not ok:
-            return False
-    return True
-
-
 def test_single_action_single_step():
     g = make_graph([act("M1")], ["M1"])
     model = compile_model(g, 1)
@@ -66,7 +56,7 @@ def test_single_action_single_step():
 def test_variable_count_and_lp_dump():
     g = make_graph([act("M1"), act("M2")], ["M1"], pick_blocks=[("M1", "M2")])
     model = compile_model(g, 3)
-    assert model.num_vars == 3 * (2 + 1)
+    assert model.num_vars == 3 * 2  # X[t, a] over action edges only
     lp = model.dumps_lp()
     assert lp.startswith("Minimize")
     assert "Subject To" in lp and "Binary" in lp and lp.endswith("End\n")
@@ -120,15 +110,43 @@ def test_big_m_precedence_row_expansion():
     T = 2
     model = compile_model(g, T)
     row = next(c for c in model.constraints if c.label == "prec_pick_b0")
-    # sum_t X[t,blk] - sum_t X[t, M2's action edge] - (T+1) X[1,blk] >= 1-(T+1)
+    # the block edge is indicated by M1's action column a:
+    # sum_t X[t,a] - sum_t X[t, M2's action edge] - (T+1) X[1,a] >= 1-(T+1)
+    m1_edge = next(i for i, (m, _) in enumerate(model.action_edges) if m == "M1")
     m2_edge = next(i for i, (m, _) in enumerate(model.action_edges) if m == "M2")
     expect = {}
     for t in (1, 2):
-        expect[model.blk_var[(t, 0)]] = expect.get(model.blk_var[(t, 0)], 0) + 1
+        expect[model.act_var[(t, m1_edge)]] = 1
         expect[model.act_var[(t, m2_edge)]] = -1
-    expect[model.blk_var[(1, 0)]] += -(T + 1)
+    expect[model.act_var[(1, m1_edge)]] += -(T + 1)
     assert dict(row.coeffs) == expect
     assert row.sense == ">=" and row.rhs == 1 - (T + 1)
+
+
+def test_block_edges_share_their_action_column():
+    # M1's action is both pick- and place-blocked by the non-target M2
+    g = make_graph([act("M1"), act("M2", robot="R2")], ["M1"],
+                   pick_blocks=[("M1", "M2")], place_blocks=[("M1", "M2")])
+    model = compile_model(g, 2)
+    m1, m2 = (next(i for i, (m, _) in enumerate(model.action_edges) if m == obj)
+              for obj in ("M1", "M2"))
+    rows = {c.label: c for c in model.constraints}
+    for t in (1, 2):
+        gate = rows[f"gate_t{t}_M2_e{m2}"]
+        assert dict(gate.coeffs) == {model.act_var[(t, m1)]: -2,
+                                     model.act_var[(t, m2)]: 1}
+    assert not any(c.label.startswith("mirror") for c in model.constraints)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),
+                         ids=lambda path: path.stem)
+def test_scene_models_declare_only_action_columns(path):
+    scene = loads_scene(path.read_text())
+    graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
+    for T in (1, 2, 3, 4):
+        model = compile_model(graph, T)
+        assert model.num_vars == T * len(graph.action_nodes)
+        assert "Xb_" not in model.dumps_lp()
 
 
 def test_non_target_gating():

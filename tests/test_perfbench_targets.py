@@ -1,0 +1,35 @@
+"""The benchmark's tracer wraps planner layers by (module, attribute) name.
+
+A rename in ``src/mrplan`` that the tracer does not follow would silently
+drop a span from the per-layer metrics, so every traced name must exist in
+its module and be looked up there.
+"""
+import ast
+import importlib
+import inspect
+
+import pytest
+
+from conftest import REPO
+
+
+def traced_names():
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text())
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                           for t in node.targets))
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+
+
+def test_tracer_targets_are_listed():
+    assert len(traced_names()) >= 10
+
+
+@pytest.mark.parametrize("module,attr", traced_names(),
+                         ids=lambda x: x if isinstance(x, str) else None)
+def test_traced_name_resolves_and_is_looked_up_in_its_module(module, attr):
+    mod = importlib.import_module(module)
+    assert callable(getattr(mod, attr, None)), f"{module} has no callable {attr}"
+    loads = {node.id for node in ast.walk(ast.parse(inspect.getsource(mod)))
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert attr in loads, f"{module} never looks up {attr}, so its span stays empty"

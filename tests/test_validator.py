@@ -99,13 +99,45 @@ def test_handover_step_passes_condition_iii():
     assert report.ok, report.to_doc()
 
 
-def test_handover_missing_partner_slot_is_structural_error():
-    scene = load_scene(scenario("handover_required"))
+def handover_moves(scene):
     a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
                                 place_robot="R2", grasp_pick=0.0, grasp_place=0.0)
-    moves = build_moves(scene, a, scene.movables["M1"].pose, Pose(1.6, 0.7))
+    return build_moves(scene, a, scene.movables["M1"].pose, Pose(1.6, 0.7))
+
+
+def test_handover_missing_partner_slot_is_structural_error():
+    scene = load_scene(scenario("handover_required"))
+    moves = handover_moves(scene)
     del moves["R2"]
     with pytest.raises(PlanError, match="both robot slots"):
+        validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
+
+
+def test_handover_sides_with_different_placements_are_structural_error():
+    scene = load_scene(scenario("handover_required"))
+    moves = handover_moves(scene)
+    moves["R1"] = replace(moves["R1"], placement=Pose(0.5, -0.3))
+    with pytest.raises(PlanError, match="disagree on its placement"):
+        validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
+
+
+@pytest.mark.parametrize("scene_name,robot,role", [
+    ("unobstructed", "R1", "pick"),
+    ("handover_required", "R1", "single"),
+    ("handover_required", "R1", "place"),
+    ("handover_required", "R2", "single"),
+    ("handover_required", "R2", "pick"),
+])
+def test_role_that_does_not_match_the_action_is_structural_error(scene_name, robot,
+                                                                 role):
+    scene = load_scene(scenario(scene_name))
+    if scene_name == "unobstructed":
+        moves = dict(step_for(scene, single_action(), Pose(0.25, 0.55)).moves)
+    else:
+        moves = handover_moves(scene)
+    assert validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),))).ok
+    moves[robot] = replace(moves[robot], role=role)
+    with pytest.raises(PlanError, match=f"{robot} has role '{role}'"):
         validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
 
 
@@ -171,9 +203,7 @@ def test_trajectory_away_from_its_endpoint_is_condition_ii(traj, index, to, matc
 def test_handover_legs_away_from_their_endpoints_are_condition_ii(robot, traj, index,
                                                                   to, match):
     scene = load_scene(scenario("handover_required"))
-    a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
-                                place_robot="R2", grasp_pick=0.0, grasp_place=0.0)
-    moves = build_moves(scene, a, scene.movables["M1"].pose, Pose(1.6, 0.7))
+    moves = handover_moves(scene)
     assert validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),))).ok
     mv = moves[robot]
     moves[robot] = replace(mv, **{traj: moved_end(getattr(mv, traj), index, to)})
