@@ -1,0 +1,411 @@
+"""The skeleton solver: closed action sets, then a schedule check.
+
+``mip.solve`` hands this module the task graph its rows encode, as a
+``GraphIndex``, and gets back the lexicographically least optimal
+assignment of those rows without building them. The method is logic-based
+Benders decomposition (Hooker & Ottosson, Math. Prog. 96, 2003):
+
+* rows (3) and (8)-(10) say that the selected actions are one per moved
+  object, closed under "blockers of a selected action move", with every
+  target moved and no other object. The master enumerates such sets by
+  size, then lexicographically (0 before 1 over canonical actions),
+  skipping exclusion cuts. It prunes with the objects that must move, the
+  robot steps they take (a handover takes two), |S| >= T because no step
+  is empty, and the longest chain of pick blockers, which must fit in T;
+* rows (1), (4)-(7), (11) and (12) say that the set has a schedule over
+  steps 1..T. For the first set that has one, a depth-first search in the
+  rows' branch order (X[t, a] by t, then canonical action, 0 first) finds
+  its first schedule.
+
+One node is one call of the set search or of the schedule search.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .taskgraph import CMTG
+
+
+class BudgetExceeded(Exception):
+    """Solver node limit hit before proving optimality or infeasibility."""
+
+
+@dataclass(frozen=True)
+class GraphIndex:
+    """The task graph by position: actions in canonical order, objects and
+    robots sorted by name. Its pick and place blockers are listed by object
+    position, so action, then blocker, order is the graph's block-edge order."""
+    actions: tuple       # canonical order
+    objects: tuple       # sorted names
+    robots: tuple        # sorted names of the robots the actions use
+    obj_of: tuple        # action -> object
+    robots_of: tuple     # action -> robots
+    pick: tuple          # action -> objects that pick-block it
+    place: tuple         # action -> objects that place-block it
+    blockers: tuple      # action -> frozenset of pick and place blockers
+    acts: tuple          # object -> its actions
+    targets: frozenset
+
+
+def index_graph(graph: CMTG) -> GraphIndex:
+    """``graph`` by position."""
+    actions = graph.sorted_actions()
+    objects = graph.sorted_objects()
+    robots = sorted({r for a in actions for r in a.robots})
+    a_index = {a: i for i, a in enumerate(actions)}
+    o_index = {m: k for k, m in enumerate(objects)}
+    r_index = {r: k for k, r in enumerate(robots)}
+    acts: list[list] = [[] for _ in objects]
+    pick: list[list] = [[] for _ in actions]
+    place: list[list] = [[] for _ in actions]
+    try:
+        obj_of = tuple(o_index[a.obj] for a in actions)
+        for i, o in enumerate(obj_of):
+            acts[o].append(i)
+        for edges, blocked in ((graph.block_pick_edges, pick),
+                               (graph.block_place_edges, place)):
+            for a, m in edges:
+                blocked[a_index[a]].append(o_index[m])
+        targets = frozenset(o_index[m] for m in graph.targets)
+    except KeyError as e:
+        raise ValueError(f"task graph references object {e} it does not list") from None
+    pick = [sorted(p) for p in pick]
+    place = [sorted(q) for q in place]
+    return GraphIndex(actions=tuple(actions), objects=tuple(objects), robots=tuple(robots),
+                      obj_of=obj_of,
+                      robots_of=tuple(tuple(r_index[r] for r in a.robots) for a in actions),
+                      pick=tuple(map(tuple, pick)), place=tuple(map(tuple, place)),
+                      blockers=tuple(frozenset(p + q) for p, q in zip(pick, place)),
+                      acts=tuple(map(tuple, acts)), targets=targets)
+
+
+def first_optimum(ix: GraphIndex, T: int, cuts, budget: int):
+    """(selected actions in canonical order, step of each selected action)
+    of the lexicographically least optimal assignment at horizon T, or None
+    when there is none. ``cuts`` are action sets no solution may select.
+    Raises BudgetExceeded after ``budget`` nodes."""
+    return _Search(ix, T, cuts, budget).run()
+
+
+_UNDECIDED, _UNMOVED = -2, -1
+
+
+class _Search:
+    """One solve: closed action sets, then one schedule.
+
+    Objects are decided in sorted order, each either unmoved or moved by one
+    of its actions, tried last canonical action first: that visits action
+    sets in lexicographic order, 0 before 1. ``need[o]`` counts why object o
+    must move (it is a target, or blocks a chosen action); a complete choice
+    is closed when exactly the objects with a need move.
+    """
+
+    def __init__(self, ix: GraphIndex, T: int, cuts, budget: int):
+        self.ix = ix
+        self.T = T
+        self.budget = budget
+        self.nodes = 0
+        self.cuts = set(cuts)
+        self.choice = [_UNDECIDED if acts else _UNMOVED for acts in ix.acts]
+        self.need = [1 if o in ix.targets else 0 for o in range(len(ix.acts))]
+        self.use = [0] * len(ix.robots)
+        self.order = [o for o, acts in enumerate(ix.acts) if acts]
+        self.size = 0                # actions chosen so far
+        self.k = 0                   # the set size this pass looks for
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceeded(f"node budget {self.budget} exceeded")
+
+    def run(self):
+        """(selected actions, step per selected action) or None."""
+        self.tick()
+        # no step is empty, so at least T objects move, each taking a robot step
+        if min(len(self.order), len(self.ix.robots) * self.T) < self.T:
+            return None
+        for o in self.ix.targets:
+            if self.choice[o] == _UNMOVED:
+                return None
+        bounds = self.reach()
+        if bounds is None:
+            return None
+        for k in range(max(bounds[0], self.T), bounds[1] + 1):
+            self.k = k
+            found = self.sets(0, bounds)
+            if found is not None:
+                return found
+        return None
+
+    def usable(self, i: int) -> bool:
+        """No blocker of action i stays unmoved and its robots have a free step."""
+        for r in self.ix.robots_of[i]:
+            if self.use[r] >= self.T:
+                return False
+        for b in self.ix.blockers[i]:
+            if self.choice[b] == _UNMOVED:
+                return False
+        return True
+
+    def reach(self):
+        """(fewest, most, idle): bounds on the actions a closed completion of
+        the current choices selects, and the undecided objects that no
+        completion moves; None when no completion can have a schedule.
+
+        Lower bounds on each object's step (its longest chain of blockers,
+        pick blockers strictly earlier) rule out actions that cannot run by
+        step T. The objects that must move, and the blockers all their
+        remaining actions share, are then counted against the size and
+        against each robot's T steps. It runs at every node, so it is written
+        with loops rather than generator expressions.
+        """
+        ix, T, choice, need, use = self.ix, self.T, self.choice, self.need, self.use
+        pick, place, blockers, robots_of = ix.pick, ix.place, ix.blockers, ix.robots_of
+        never = T + 1
+        options = {}        # object -> the actions it may still move by
+        for o in self.order:
+            c = choice[o]
+            if c >= 0:
+                options[o] = (c,)
+            elif c == _UNDECIDED:
+                options[o] = [i for i in ix.acts[o] if self.usable(i)]
+        depth = [never] * len(choice)
+        for o, opts in options.items():
+            if opts:
+                depth[o] = 1
+        changed = True
+        while changed:
+            changed = False
+            for o, opts in options.items():
+                best = never
+                for i in opts:
+                    d = 1
+                    for p in pick[i]:
+                        if depth[p] >= d:
+                            d = depth[p] + 1
+                    for q in place[i]:
+                        if depth[q] > d:
+                            d = depth[q]
+                    if d < best:
+                        best = d
+                if best != depth[o]:
+                    depth[o] = best
+                    changed = True
+        undecided = []
+        for o, opts in options.items():
+            if choice[o] >= 0:
+                if depth[o] > T:
+                    return None
+                continue
+            undecided.append(o)
+            fit = []
+            for i in opts:
+                for p in pick[i]:
+                    if depth[p] >= T:
+                        break
+                else:
+                    for q in place[i]:
+                        if depth[q] > T:
+                            break
+                    else:
+                        fit.append(i)
+            options[o] = fit
+        # an object without a need moves only if a remaining action of an
+        # object that can still move lists it as a blocker
+        idle = set()
+        while True:
+            wanted = set()
+            for o in undecided:
+                if o not in idle:
+                    for i in options[o]:
+                        wanted |= blockers[i]
+            more = False
+            for o in undecided:
+                if not need[o] and o not in wanted and o not in idle:
+                    idle.add(o)
+                    more = True
+            if not more:
+                break
+        for o in options:
+            if choice[o] >= 0 and not need[o] and o not in wanted:
+                return None
+        # objects that must move: those with a need, and every blocker that
+        # all of a must-move object's remaining actions share
+        must = [o for o in undecided if need[o]]
+        seen = set(must)
+        forced_use = [0] * len(ix.robots)
+        slots = 0
+        for o in must:
+            opts = options[o]
+            if not opts:
+                return None
+            shared = blockers[opts[0]]
+            fewest = len(robots_of[opts[0]])
+            for i in opts[1:]:
+                shared = shared & blockers[i]
+                fewest = min(fewest, len(robots_of[i]))
+            for b in shared:
+                if choice[b] == _UNDECIDED and b not in seen:
+                    seen.add(b)
+                    must.append(b)
+            for r in robots_of[opts[0]]:
+                for i in opts[1:]:
+                    if r not in robots_of[i]:
+                        break
+                else:
+                    forced_use[r] += 1
+            slots += fewest
+        used = 0
+        for r, u in enumerate(use):
+            if u + forced_use[r] > T:
+                return None
+            used += u
+        free = len(ix.robots) * T - used
+        if slots > free:
+            return None
+        movable = 0
+        for o in undecided:
+            if options[o] and o not in idle:
+                movable += 1
+        # every further action takes at least one robot step
+        return self.size + len(must), self.size + min(movable, free), idle
+
+    def take(self, i: int, sign: int) -> None:
+        ix = self.ix
+        self.choice[ix.obj_of[i]] = i if sign > 0 else _UNDECIDED
+        self.size += sign
+        for r in ix.robots_of[i]:
+            self.use[r] += sign
+        for b in ix.blockers[i]:
+            self.need[b] += sign
+
+    def sets(self, pos: int, bounds=None):
+        """Depth-first over the objects from ``order[pos]`` on: the first
+        closed set of exactly ``k`` actions that has a schedule. ``bounds``
+        is ``reach()`` of the current choices, when the caller has it."""
+        self.tick()
+        if pos == len(self.order):
+            return self.leaf()
+        if bounds is None:
+            bounds = self.reach()
+            if bounds is None or not bounds[0] <= self.k <= bounds[1]:
+                return None
+        # objects that can no longer move stay unmoved without a branch
+        start = pos
+        while pos < len(self.order) and self.order[pos] in bounds[2]:
+            self.choice[self.order[pos]] = _UNMOVED
+            pos += 1
+        found = self.branch(pos)
+        for o in self.order[start:pos]:
+            self.choice[o] = _UNDECIDED
+        return found
+
+    def branch(self, pos: int):
+        if pos == len(self.order):
+            return self.leaf()
+        o = self.order[pos]
+        if not self.need[o]:
+            self.choice[o] = _UNMOVED
+            found = self.sets(pos + 1)
+            self.choice[o] = _UNDECIDED
+            if found is not None:
+                return found
+        for i in reversed(self.ix.acts[o]):
+            if not self.usable(i):
+                continue
+            self.take(i, 1)
+            found = self.sets(pos + 1)
+            self.take(i, -1)
+            if found is not None:
+                return found
+        return None
+
+    def leaf(self):
+        """Every object decided: the set, if it is closed, has k actions, is
+        not cut and has a schedule."""
+        if self.size != self.k:
+            return None
+        selection = []
+        for o in self.order:
+            c = self.choice[o]
+            if c >= 0:
+                if not self.need[o]:
+                    return None
+                selection.append(c)
+        if self.cuts and frozenset(selection) in self.cuts:
+            return None
+        # objects, and so their actions, are in canonical order
+        steps = self.schedule(selection)
+        return None if steps is None else (selection, steps)
+
+    def schedule(self, selection: list):
+        """The first step per action in branch order, or None.
+
+        Level t decides X[t, a] for every action a still open (step >= t-1),
+        by canonical action, 0 (step t-1) before 1 (step >= t). Step bounds
+        [lo, hi] check each precedence as soon as it can fail; both ends of
+        a pair are exact once its later action is fixed.
+        """
+        ix, T, choice = self.ix, self.T, self.choice
+        lo = dict.fromkeys(selection, 1)
+        hi = dict.fromkeys(selection, T)
+        # (action, 1 for a pick block, 0 for a place block): the actions that
+        # must run before a, and those a must run before
+        preds = {a: [] for a in selection}
+        succs = {a: [] for a in selection}
+        for a in selection:
+            for strict, objs in ((1, ix.pick[a]), (0, ix.place[a])):
+                for m in objs:
+                    preds[a].append((choice[m], strict))
+                    succs[choice[m]].append((a, strict))
+        busy = [set() for _ in range(T + 1)]
+        count = [0] * (T + 1)
+
+        def can_fix(a, s):
+            if not busy[s].isdisjoint(ix.robots_of[a]):
+                return False
+            for b, strict in preds[a]:
+                if s < lo[b] + strict:
+                    return False
+            for y, strict in succs[a]:
+                if hi[y] < s + strict:
+                    return False
+            return True
+
+        def can_defer(a, t):
+            for y, strict in succs[a]:
+                if hi[y] < t + strict:
+                    return False
+            return True
+
+        def decide(t, open_, j, later):
+            self.tick()
+            if j == len(open_):
+                if count[t - 1] == 0:
+                    return False
+                return t > T or decide(t + 1, later, 0, [])
+            a = open_[j]
+            rest = len(open_) - j - 1
+            old = lo[a], hi[a]
+            # X[t, a] = 0: a runs at step t-1; steps t..T still need an action each
+            if len(later) + rest >= T - t + 1:
+                lo[a] = hi[a] = t - 1
+                if can_fix(a, t - 1):
+                    busy[t - 1].update(ix.robots_of[a])
+                    count[t - 1] += 1
+                    if decide(t, open_, j + 1, later):
+                        return True
+                    busy[t - 1].difference_update(ix.robots_of[a])
+                    count[t - 1] -= 1
+                lo[a], hi[a] = old
+            # X[t, a] = 1: a runs at step t or later
+            if t <= T and (count[t - 1] or rest) and can_defer(a, t):
+                lo[a] = t
+                later.append(a)
+                if decide(t, open_, j + 1, later):
+                    return True
+                later.pop()
+                lo[a] = old[0]
+            return False
+
+        return dict(lo) if decide(2, selection, 0, []) else None

@@ -12,21 +12,27 @@ progress, (8) all targets move, (9) blockers of selected actions move,
 earlier, (12) place-blockers move no later (big-M linearization,
 M = T + 1).
 
-The solver is an exact depth-first branch-and-bound over the binaries with
-unit constraint propagation; all arithmetic is integral.
+The rows are built on the first read of ``MipModel.constraints``
+(``--dump-mip`` and the row-fidelity tests read them). ``solve`` never
+reads them: ``mrplan.closure`` solves the task graph they encode and
+returns their lexicographically least optimal assignment. All arithmetic
+is integral.
 """
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+# BudgetExceeded is raised by the solver and is part of this module's interface
+from .closure import BudgetExceeded, GraphIndex, first_optimum, index_graph
 from .taskgraph import CMTG
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
 
-class BudgetExceeded(Exception):
-    """Solver node limit hit before proving optimality or infeasibility."""
+class TimeBudgetExceeded(Exception):
+    """The planner's deadline passed before a skeleton solve started."""
 
 
 class ConsistencyError(ValueError):
@@ -46,19 +52,32 @@ class MipModel:
     T: int
     var_names: list            # canonical: X[t, action edge], by t, then action
     objective: dict            # var_index -> coefficient (minimize)
-    constraints: list = field(default_factory=list)
-    # bookkeeping for extraction
-    action_edges: list = field(default_factory=list)   # [(obj, action)]
-    block_edges: list = field(default_factory=list)    # [(action, obj, kind)]
+    # the graph by position, for the solver, extraction and the rows
+    index: GraphIndex = field(repr=False)
     act_var: dict = field(default_factory=dict)        # (t, edge_i) -> var index
+    cuts: list = field(default_factory=list)           # excluded action-edge sets
+    _rows: list | None = field(default=None, init=False, repr=False, compare=False)
+    _n_base_rows: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def num_vars(self) -> int:
         return len(self.var_names)
 
-    def add(self, coeffs: dict, sense: str, rhs: int, label: str = ""):
-        items = tuple(sorted(coeffs.items()))
-        self.constraints.append(LinearConstraint(items, sense, rhs, label))
+    @property
+    def action_edges(self) -> list:
+        """[(object, action)], actions in canonical order."""
+        return [(a.obj, a) for a in self.index.actions]
+
+    @property
+    def constraints(self) -> list[LinearConstraint]:
+        """Rows (1)-(12), then one ``excl_<n>`` row per exclusion cut in the
+        order the cuts were added; built on first read."""
+        if self._rows is None:
+            self._rows = _model_rows(self)
+            self._n_base_rows = len(self._rows)
+        for cut in self.cuts[len(self._rows) - self._n_base_rows:]:
+            self._rows.append(_cut_row(self, cut, f"excl_{len(self._rows)}"))
+        return self._rows
 
     def dumps_lp(self) -> str:
         """Model in LP text format (minimize / subject to / binary)."""
@@ -102,205 +121,131 @@ class TaskSkeleton:
         return len(self.steps)
 
 
-def compile_model(graph: CMTG, T: int) -> MipModel:
+def compile_model(graph: CMTG, T: int, *, _index: GraphIndex | None = None) -> MipModel:
+    """The model at horizon T: variables and the graph index now, rows on
+    first read of ``constraints``. ``enumerate_skeletons`` passes its first
+    model's index of ``graph`` as ``_index`` to the later horizons: indexing
+    the graph again at every horizon made ``suite`` plans ~12% slower."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    actions = graph.sorted_actions()
-    a_index = {a: i for i, a in enumerate(actions)}
-    action_edges = [(a.obj, a) for a in actions]
-    block_edges = ([(a, m, "pick") for a, m in sorted(
-                        graph.block_pick_edges, key=lambda e: (e[0].key(), e[1]))]
-                   + [(a, m, "place") for a, m in sorted(
-                        graph.block_place_edges, key=lambda e: (e[0].key(), e[1]))])
-
+    index = index_graph(graph) if _index is None else _index
+    n = len(index.actions)
     var_names: list[str] = []
     act_var = {}
     # X[1, action edge] first, in canonical order: this is the branch order
     for t in range(1, T + 1):
-        for i, (m, a) in enumerate(action_edges):
+        for i, a in enumerate(index.actions):
             act_var[(t, i)] = len(var_names)
-            var_names.append(f"Xa_t{t}_{m}_a{a_index[a]}")
+            var_names.append(f"Xa_t{t}_{a.obj}_a{i}")
+    objective = {act_var[(1, i)]: 1 for i in range(n)}
+    return MipModel(T=T, var_names=var_names, objective=objective, index=index,
+                    act_var=act_var)
 
-    objective = {act_var[(1, i)]: 1 for i in range(len(action_edges))}
-    model = MipModel(T=T, var_names=var_names, objective=objective,
-                     action_edges=action_edges, block_edges=block_edges,
-                     act_var=act_var)
 
-    objects = graph.sorted_objects()
-    robots = sorted({r for a in actions for r in a.robots})
-    edges_of_obj = {m: [i for i, (m2, _) in enumerate(action_edges) if m2 == m]
-                    for m in objects}
-    # the actions each object blocks, once per block edge; a block edge's
-    # indicator is its action's column
-    blocked_by = {m: [a_index[a] for a, m2, _ in block_edges if m2 == m]
-                  for m in objects}
-    edges_of_robot = {r: [i for i, (_, a) in enumerate(action_edges) if r in a.robots]
-                      for r in robots}
+def _model_rows(model: MipModel) -> list[LinearConstraint]:
+    """Constraint families (1) and (3)-(12) of ``model``, in dump order."""
+    ix, T, act_var = model.index, model.T, model.act_var
+    n = len(ix.actions)
+    rows: list[LinearConstraint] = []
+
+    def add(coeffs: dict, sense: str, rhs: int, label: str):
+        rows.append(LinearConstraint(tuple(sorted(coeffs.items())), sense, rhs, label))
+
+    # block edges (action, object, kind) in the graph's order; a block
+    # edge's indicator is its action's column
+    block_edges = ([(i, o, "pick") for i in range(n) for o in ix.pick[i]]
+                   + [(i, o, "place") for i in range(n) for o in ix.place[i]])
+    blocked_by = [[] for _ in ix.objects]   # the actions each object blocks
+    for i, o, _ in block_edges:
+        blocked_by[o].append(i)
+    edges_of_robot = [[i for i in range(n) if r in ix.robots_of[i]]
+                      for r in range(len(ix.robots))]
 
     big_m = T + 1
 
     # (1) monotone step indicators
-    for i in range(len(action_edges)):
+    for i in range(n):
         for t in range(1, T):
-            model.add({act_var[(t, i)]: 1, act_var[(t + 1, i)]: -1}, ">=", 0,
-                      f"mono_t{t}_e{i}")
+            add({act_var[(t, i)]: 1, act_var[(t + 1, i)]: -1}, ">=", 0,
+                f"mono_t{t}_e{i}")
     # (3) non-targets move only to unblock a selected action
-    for m in objects:
-        if m in graph.targets:
+    for o, m in enumerate(ix.objects):
+        if o in ix.targets:
             continue
         for t in range(1, T + 1):
             rhs_terms = Counter()
-            rhs_terms.subtract(act_var[(t, b)] for b in blocked_by[m])
-            for i in edges_of_obj[m]:
+            rhs_terms.subtract(act_var[(t, b)] for b in blocked_by[o])
+            for i in ix.acts[o]:
                 coeffs = rhs_terms.copy()
                 coeffs[act_var[(t, i)]] += 1
-                model.add(coeffs, "<=", 0, f"gate_t{t}_{m}_e{i}")
+                add(coeffs, "<=", 0, f"gate_t{t}_{m}_e{i}")
     # (4) per-robot capacity at the last step
-    for r in robots:
-        coeffs = {act_var[(T, i)]: 1 for i in edges_of_robot[r]}
-        model.add(coeffs, "<=", 1, f"cap_T_{r}")
+    for r, edges in zip(ix.robots, edges_of_robot):
+        add({act_var[(T, i)]: 1 for i in edges}, "<=", 1, f"cap_T_{r}")
     # (5) progress at the last step
-    model.add({act_var[(T, i)]: 1 for i in range(len(action_edges))}, ">=", 1,
-              "prog_T")
+    add({act_var[(T, i)]: 1 for i in range(n)}, ">=", 1, "prog_T")
     # (6) per-robot capacity at every step
-    for r in robots:
+    for r, edges in zip(ix.robots, edges_of_robot):
         for t in range(1, T):
-            coeffs = {act_var[(t, i)]: 1 for i in edges_of_robot[r]}
-            for i in edges_of_robot[r]:
+            coeffs = {act_var[(t, i)]: 1 for i in edges}
+            for i in edges:
                 coeffs[act_var[(t + 1, i)]] = coeffs.get(act_var[(t + 1, i)], 0) - 1
-            model.add(coeffs, "<=", 1, f"cap_t{t}_{r}")
+            add(coeffs, "<=", 1, f"cap_t{t}_{r}")
     # (7) progress at every step
     for t in range(1, T):
-        coeffs = {act_var[(t, i)]: 1 for i in range(len(action_edges))}
-        for i in range(len(action_edges)):
+        coeffs = {act_var[(t, i)]: 1 for i in range(n)}
+        for i in range(n):
             coeffs[act_var[(t + 1, i)]] = coeffs.get(act_var[(t + 1, i)], 0) - 1
-        model.add(coeffs, ">=", 1, f"prog_t{t}")
+        add(coeffs, ">=", 1, f"prog_t{t}")
     # (8) every target is moved
-    for m in sorted(graph.targets):
-        model.add({act_var[(1, i)]: 1 for i in edges_of_obj[m]}, "==", 1,
-                  f"target_{m}")
+    for o in sorted(ix.targets):
+        add({act_var[(1, i)]: 1 for i in ix.acts[o]}, "==", 1, f"target_{ix.objects[o]}")
     # (9) blockers of selected actions are moved
-    for j, (a, m, kind) in enumerate(block_edges):
-        coeffs = Counter(act_var[(1, i)] for i in edges_of_obj[m])
-        coeffs[act_var[(1, a_index[a])]] -= 1
-        model.add(coeffs, ">=", 0, f"unblock_b{j}")
+    for j, (a, o, kind) in enumerate(block_edges):
+        coeffs = Counter(act_var[(1, i)] for i in ix.acts[o])
+        coeffs[act_var[(1, a)]] -= 1
+        add(coeffs, ">=", 0, f"unblock_b{j}")
     # (10) each object moved at most once
-    for m in objects:
-        if edges_of_obj[m]:
-            model.add({act_var[(1, i)]: 1 for i in edges_of_obj[m]}, "<=", 1,
-                      f"once_{m}")
+    for o, m in enumerate(ix.objects):
+        if ix.acts[o]:
+            add({act_var[(1, i)]: 1 for i in ix.acts[o]}, "<=", 1, f"once_{m}")
     # (11)/(12) precedence, big-M linearized:
     #   X[1,a]=1  =>  sum_t X[t,a] >= sum over M's action edges of sum_t X[t] (+1)
-    for j, (a, m, kind) in enumerate(block_edges):
+    for j, (a, o, kind) in enumerate(block_edges):
         coeffs = Counter()
         for t in range(1, T + 1):
-            coeffs[act_var[(t, a_index[a])]] += 1
-            coeffs.subtract(act_var[(t, i)] for i in edges_of_obj[m])
-        coeffs[act_var[(1, a_index[a])]] -= big_m
+            coeffs[act_var[(t, a)]] += 1
+            coeffs.subtract(act_var[(t, i)] for i in ix.acts[o])
+        coeffs[act_var[(1, a)]] -= big_m
         strict = 1 if kind == "pick" else 0
-        model.add(coeffs, ">=", strict - big_m, f"prec_{kind}_b{j}")
-    return model
+        add(coeffs, ">=", strict - big_m, f"prec_{kind}_b{j}")
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# Solver
-
-
-def _bounds(con: LinearConstraint, values) -> tuple[int, int]:
-    lo = hi = 0
-    for v, c in con.coeffs:
-        val = values[v]
-        if val < 0:
-            if c > 0:
-                hi += c
-            else:
-                lo += c
-        else:
-            lo += c * val
-            hi += c * val
-    return lo, hi
-
-
-def _violated(sense: str, lo: int, hi: int, rhs: int) -> bool:
-    if sense == ">=":
-        return hi < rhs
-    if sense == "<=":
-        return lo > rhs
-    return hi < rhs or lo > rhs
+def _cut_row(model: MipModel, selected: frozenset, label: str) -> LinearConstraint:
+    """The row that forbids selecting exactly the action edges ``selected``."""
+    coeffs = tuple((model.act_var[(1, i)], -1 if i in selected else 1)
+                   for i in range(len(model.index.actions)))
+    return LinearConstraint(tuple(sorted(coeffs)), ">=", 1 - len(selected), label)
 
 
 def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
-    """Optimal solution, or the string 'infeasible'. Raises BudgetExceeded."""
-    n = model.num_vars
-    values = [-1] * n
-    occurs: list[list[LinearConstraint]] = [[] for _ in range(n)]
-    for con in model.constraints:
-        for v, _ in con.coeffs:
-            occurs[v].append(con)
+    """Optimal solution, or the string 'infeasible'. Raises BudgetExceeded.
 
-    best_obj = [None]
-    best_assign = [None]
-    nodes = [0]
-
-    def propagate(trail: list) -> bool:
-        queue = list(model.constraints)
-        while queue:
-            con = queue.pop()
-            lo, hi = _bounds(con, values)
-            if _violated(con.sense, lo, hi, con.rhs):
-                return False
-            for v, c in con.coeffs:
-                if values[v] >= 0:
-                    continue
-                clo = min(0, c)
-                chi = max(0, c)
-                forced = None
-                for val in (0, 1):
-                    nlo = lo - clo + c * val
-                    nhi = hi - chi + c * val
-                    if _violated(con.sense, nlo, nhi, con.rhs):
-                        forced = 1 - val
-                        break
-                if forced is not None:
-                    nlo = lo - clo + c * forced
-                    nhi = hi - chi + c * forced
-                    if _violated(con.sense, nlo, nhi, con.rhs):
-                        return False  # both values impossible
-                    values[v] = forced
-                    trail.append(v)
-                    queue.extend(occurs[v])
-        return True
-
-    def lower_bound() -> int:
-        return sum(c for v, c in model.objective.items() if values[v] == 1)
-
-    def dfs() -> None:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"node budget {budget} exceeded")
-        if best_obj[0] is not None and lower_bound() >= best_obj[0]:
-            return
-        branch = next((v for v in range(n) if values[v] < 0), None)
-        if branch is None:
-            obj = lower_bound()
-            if best_obj[0] is None or obj < best_obj[0]:
-                best_obj[0] = obj
-                best_assign[0] = tuple(values)
-            return
-        for val in (0, 1):
-            values[branch] = val
-            trail = [branch]
-            if propagate(trail):
-                dfs()
-            for v in trail:
-                values[v] = -1
-
-    trail0: list[int] = []
-    if propagate(trail0):
-        dfs()
-    if best_assign[0] is None:
+    The solution is the lexicographically least optimal assignment (0 before
+    1, in variable order). One node is one call of the set search or of the
+    schedule search, counting the root; ``budget`` bounds the nodes of this
+    call.
+    """
+    found = first_optimum(model.index, model.T, model.cuts, budget)
+    if found is None:
         return "infeasible"
-    return MipSolution(assignment=best_assign[0], objective_value=best_obj[0])
+    selection, steps = found
+    assignment = [0] * model.num_vars
+    for i, step in steps.items():
+        for t in range(1, step + 1):
+            assignment[model.act_var[(t, i)]] = 1
+    return MipSolution(assignment=tuple(assignment), objective_value=len(selection))
 
 
 def extract_skeleton(solution: MipSolution, graph: CMTG, T: int,
@@ -330,23 +275,23 @@ def extract_skeleton(solution: MipSolution, graph: CMTG, T: int,
 
 def _exclusion_cut(model: MipModel, selected: set) -> None:
     """Forbid re-selecting exactly the action set ``selected`` (edge indices)."""
-    coeffs = {}
-    rhs = 1 - len(selected)
-    for i in range(len(model.action_edges)):
-        v = model.act_var[(1, i)]
-        coeffs[v] = -1 if i in selected else 1
-    model.add(coeffs, ">=", rhs, f"excl_{len(model.constraints)}")
+    model.cuts.append(frozenset(selected))
 
 
 def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
                         budget: int = DEFAULT_NODE_BUDGET,
-                        robot_names=None) -> list[TaskSkeleton]:
+                        robot_names=None, deadline: float | None = None
+                        ) -> list[TaskSkeleton]:
     """Up to ``K_max`` distinct task skeletons, by increasing horizon.
 
     Each solve's action selection is cut from all later solves, so no two
     skeletons select the same actions or share a ``structure_key``. Actions
     are grasp classes, so skeletons differ in which robots move which
-    objects where. Raises BudgetExceeded when a solve exceeds ``budget``.
+    objects where. Each solve enumerates closed action sets and checks the
+    first that fits for a schedule; no model's rows are built. Raises
+    BudgetExceeded when a solve exceeds ``budget`` nodes (calls of its set
+    or schedule search), and TimeBudgetExceeded when a solve would start
+    after ``deadline`` (a ``time.monotonic()`` value).
     """
     if not graph.targets:
         return []
@@ -354,16 +299,20 @@ def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
     # action-selection sets, by action-edge index: every horizon's model
     # lists the graph's actions in the same canonical order
     cuts: list[set] = []
+    index = None
     for T in range(1, T_max + 1):
-        model = compile_model(graph, T)
+        model = compile_model(graph, T, _index=index)
+        index = model.index
         for cut in cuts:
             _exclusion_cut(model, cut)
         while True:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeBudgetExceeded("time budget passed during skeleton enumeration")
             res = solve(model, budget)
             if res == "infeasible":
                 break
             sk = extract_skeleton(res, graph, T, robot_names, model=model)
-            selection = {i for i in range(len(model.action_edges))
+            selection = {i for i in range(len(model.index.actions))
                          if res.assignment[model.act_var[(1, i)]] == 1}
             cuts.append(selection)
             _exclusion_cut(model, selection)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import mip
 from .facts import FactSet, compute_facts
 from .grounding import Failure, Full, Partial, context_from_steps, ground
-from .mip import BudgetExceeded, TaskSkeleton, enumerate_skeletons
+from .mip import BudgetExceeded, TaskSkeleton, TimeBudgetExceeded, enumerate_skeletons
 from .plans import Plan
 from .scene import Scene
 from .taskgraph import build_cmtg
@@ -53,8 +53,8 @@ class SearchNode:
     id: int
     stored_steps: tuple = ()     # grounded joint actions accumulated so far
     visits: int = 0
-    terminal: bool = False
     children: list = field(default_factory=list)  # edge ids
+    open_edges: int = 0          # children not yet exhausted
 
 
 @dataclass
@@ -68,6 +68,7 @@ class SearchEdge:
     visits: int = 0
     evaluated: bool = False
     pruned: bool = False
+    exhausted: bool = False      # pruned, or its head has no open edge
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,20 @@ def ucb(node: SearchNode, edge: SearchEdge, c: float) -> float:
 
 
 def backpropagate(path, r: float) -> None:
-    """path is a root-to-edge alternation: [(node, edge), ...]."""
-    for node, edge in path:
+    """path is a root-to-edge alternation: [(node, edge), ...].
+
+    When the last edge is exhausted, each node on the way up loses an open
+    edge, and a node left with none exhausts the edge above it.
+    """
+    exhausted = path[-1][1].exhausted
+    for node, edge in reversed(path):
         node.visits += 1
         edge.visits += 1
         edge.value += r
+        if exhausted:
+            edge.exhausted = True
+            node.open_edges -= 1
+            exhausted = node.open_edges == 0
 
 
 def reward(outcome, new_skeletons, alpha: float) -> float:
@@ -130,25 +140,12 @@ class _Tree:
                           skeleton=skeleton, prior=prior)
         self.edges[edge.id] = edge
         tail.children.append(edge.id)
+        tail.open_edges += 1
         return edge
-
-    def edge_exhausted(self, edge: SearchEdge) -> bool:
-        if edge.pruned:
-            return True
-        if not edge.evaluated:
-            return False
-        return self.node_exhausted(self.nodes[edge.head])
-
-    def node_exhausted(self, node: SearchNode) -> bool:
-        if node.terminal:
-            return True
-        if not node.children:
-            return True
-        return all(self.edge_exhausted(self.edges[e]) for e in node.children)
 
 
 def _new_skeletons_for(conflicts, grounded_steps, facts: FactSet, scene: Scene,
-                       cfg: PlannerConfig):
+                       cfg: PlannerConfig, deadline: float):
     """Skeletons moving the ``conflicts`` that ``grounded_steps`` leave unmoved."""
     moved = set()
     for s in grounded_steps:
@@ -158,17 +155,17 @@ def _new_skeletons_for(conflicts, grounded_steps, facts: FactSet, scene: Scene,
         return []
     graph = build_cmtg(targets, facts, scene, excluded=frozenset(moved))
     return enumerate_skeletons(graph, cfg.t_max, cfg.k_max, cfg.node_budget,
-                               robot_names=sorted(scene.robots))
+                               robot_names=sorted(scene.robots), deadline=deadline)
 
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
          facts: FactSet | None = None):
     """Search for a valid plan. Returns a Plan or a NoPlan report.
 
-    ``cfg.time_budget`` counts from entry and is checked between iterations;
-    a single skeleton enumeration or grounding is not interrupted. ``facts``,
-    when given, must be ``compute_facts(scene)``: a caller that already holds
-    them saves computing them again.
+    ``cfg.time_budget`` counts from entry and is checked between iterations
+    and before each skeleton solve; a single solve or grounding is not
+    interrupted. ``facts``, when given, must be ``compute_facts(scene)``: a
+    caller that already holds them saves computing them again.
     """
     deadline = time.monotonic() + cfg.time_budget
     if not scene.goal:
@@ -187,10 +184,13 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
     tree = _Tree()
     root = tree.new_node()
     try:
-        for sk in _new_skeletons_for(scene.goal_objects(), (), facts, scene, cfg):
+        for sk in _new_skeletons_for(scene.goal_objects(), (), facts, scene, cfg,
+                                     deadline):
             tree.new_edge(root, sk)
     except BudgetExceeded:
         return NoPlan("solver_budget", 0, 1)
+    except TimeBudgetExceeded:
+        return NoPlan("time_budget", 0, 1)
     if not root.children:
         return NoPlan("no_initial_skeletons", 0, 1)
 
@@ -206,7 +206,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
     for iteration in range(1, cfg.max_iterations + 1):
         if time.monotonic() > deadline:
             return give_up("time_budget")
-        if tree.node_exhausted(root):
+        if not root.open_edges:
             return give_up("all_branches_pruned")
         iterations = iteration
 
@@ -216,7 +216,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
         edge = None
         while True:
             candidates = [tree.edges[e] for e in node.children
-                          if not tree.edge_exhausted(tree.edges[e])]
+                          if not tree.edges[e].exhausted]
             edge = max(candidates, key=lambda e: (ucb(node, e, cfg.c), -e.id))
             path.append((node, edge))
             if not edge.evaluated:
@@ -239,7 +239,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
             r = reward(outcome, None, cfg.alpha)
             emit(f"iter={iteration} edge={edge.id} outcome=full reward={r:.6f}")
             head = tree.new_node(outcome.steps)
-            head.terminal = True
+            edge.exhausted = True           # a plan ends here
             edge.head = head.id
             backpropagate(path, r)
             head.visits += 1
@@ -251,7 +251,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
             continue
 
         if isinstance(outcome, Failure):
-            edge.pruned = True
+            edge.pruned = edge.exhausted = True
             emit(f"iter={iteration} edge={edge.id} outcome=failure reward=0.000000")
             backpropagate(path, 0.0)
             continue
@@ -261,13 +261,15 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
         edge.head = head.id
         try:
             new_sks = _new_skeletons_for(outcome.conflicts, outcome.steps,
-                                         facts, scene, cfg)
+                                         facts, scene, cfg, deadline)
         except BudgetExceeded:
             return give_up("solver_budget")
+        except TimeBudgetExceeded:
+            return give_up("time_budget")
         for sk in new_sks:
             tree.new_edge(head, sk)
         if not head.children:
-            head.terminal = True
+            edge.exhausted = True
         r = reward(outcome, new_sks, cfg.alpha)
         emit(f"iter={iteration} edge={edge.id} outcome=partial reward={r:.6f} "
              f"children={len(head.children)}")

@@ -184,16 +184,19 @@ def oracle_minimum(graph: CMTG, T: int):
 
 
 def random_cmtg(rng: random.Random, max_objects: int = 6,
-                max_actions: int = 8) -> CMTG:
+                max_actions: int = 8, pick_p: float = 0.15,
+                place_p: float = 0.10, robots=("A", "B")) -> CMTG:
+    """A random graph: each (action, other object) pair is a pick block with
+    probability ``pick_p``, else a place block with probability ``place_p``."""
     n_obj = rng.randint(1, max_objects)
     objects = [f"O{k}" for k in range(n_obj)]
-    robots = ["A", "B"]
+    robots = list(robots)
     graph = CMTG(targets=frozenset())
     graph.object_nodes = set(objects)
     n_act = rng.randint(1, max_actions)
     for k in range(n_act):
         obj = rng.choice(objects)
-        if rng.random() < 0.25:
+        if rng.random() < 0.25 and len(robots) > 1:
             pick, place = rng.sample(robots, 2)
         else:
             pick = place = rng.choice(robots)
@@ -208,12 +211,37 @@ def random_cmtg(rng: random.Random, max_objects: int = 6,
             if b == obj:
                 continue
             roll = rng.random()
-            if roll < 0.15:
+            if roll < pick_p:
                 graph.block_pick_edges.add((a, b))
-            elif roll < 0.25:
+            elif roll < pick_p + place_p:
                 graph.block_place_edges.add((a, b))
     movable = sorted({m for m, _ in graph.action_edges})
     pool = movable if movable else sorted(graph.object_nodes)
     n_targets = rng.randint(1, max(1, min(2, len(pool))))
     graph.targets = frozenset(rng.sample(pool, n_targets))
+    return graph
+
+
+def loads_cmtg(text: str) -> CMTG:
+    """The graph that ``CMTG.dumps`` wrote as ``text``."""
+    graph = CMTG()
+    actions = []
+    for line in text.splitlines():
+        kind, *rest = line.split()
+        if kind == "targets":
+            graph.targets = frozenset(rest)
+        elif kind == "object":
+            graph.object_nodes.add(rest[0])
+        elif kind == "action":
+            f = dict(field.split("=") for field in rest)
+            a = PartiallyGroundedAction(f["obj"], f["region"], f["pick"], f["place"],
+                                        float(f["g_pick"]), float(f["g_place"]))
+            actions.append(a)
+            graph.action_nodes.add(a)
+        elif kind == "action_edge":
+            graph.action_edges.add((rest[0], actions[int(rest[2][1:])]))
+        elif kind == "block_pick_edge":
+            graph.block_pick_edges.add((actions[int(rest[0][1:])], rest[2]))
+        elif kind == "block_place_edge":
+            graph.block_place_edges.add((actions[int(rest[0][1:])], rest[2]))
     return graph

@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from mrplan import search
+from mrplan import mip, search
 from mrplan.grounding import Failure, Full, Partial
 from mrplan.mip import BudgetExceeded, TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan
@@ -165,9 +165,9 @@ def test_exhaustive_mode_returns_minimum_cost_plan():
     assert validate_plan(scene, result).ok
 
 
-@pytest.mark.parametrize("budget,iterations", [(1, 0), (3, 1)])
+@pytest.mark.parametrize("budget,iterations", [(1, 0), (15, 1)])
 def test_solver_budget_is_a_no_plan(budget, iterations):
-    # node budget 1 runs out in the root enumeration, 3 in the enumeration
+    # node budget 1 runs out in the root enumeration, 15 in the enumeration
     # for the first grounding conflict
     res = plan(load_scene(scenario("pick_chain")), PlannerConfig(node_budget=budget))
     assert isinstance(res, NoPlan)
@@ -221,3 +221,97 @@ def test_exhaustive_search_keeps_its_best_plan_past_a_solver_budget(monkeypatch)
     # the search stopped at the second iteration's enumeration
     assert len(calls) == 2
     assert [line.split()[2] for line in trace] == ["outcome=full"]
+
+
+def fake_clock(monkeypatch):
+    """A clock that only the test moves, read by the search and the solver."""
+    clock = [0.0]
+    fake = types.SimpleNamespace(monotonic=lambda: clock[0])
+    monkeypatch.setattr(search, "time", fake)
+    monkeypatch.setattr(mip, "time", fake)
+    return clock
+
+
+def test_time_budget_stops_an_enumeration_before_its_next_solve(monkeypatch):
+    # pick_chain has no skeleton at T = 1; that solve ends past the 1 s
+    # budget, so the solve for T = 2 never starts
+    clock = fake_clock(monkeypatch)
+    horizons = []
+    solve = mip.solve
+
+    def slow_solve(model, budget):
+        horizons.append(model.T)
+        clock[0] += 2.0
+        return solve(model, budget)
+
+    monkeypatch.setattr(mip, "solve", slow_solve)
+    trace = []
+    res = plan(load_scene(scenario("pick_chain")), PlannerConfig(time_budget=1.0),
+               trace=trace)
+    assert horizons == [1]
+    assert isinstance(res, NoPlan)
+    assert (res.reason, res.iterations, trace) == ("time_budget", 0, [])
+
+
+def test_exhaustive_search_keeps_its_best_plan_past_the_time_budget(monkeypatch):
+    # pa_small's first iteration grounds fully and its second partially; the
+    # deadline passes as the enumeration for that conflict starts
+    clock = fake_clock(monkeypatch)
+    calls = []
+    enumerate_skeletons = search.enumerate_skeletons
+
+    def late_second_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            clock[0] += 2.0
+        return enumerate_skeletons(*args, **kwargs)
+
+    monkeypatch.setattr(search, "enumerate_skeletons", late_second_call)
+    scene = load_scene(scenario("pa_small"))
+    trace = []
+    res = plan(scene, PlannerConfig(exhaust=True, time_budget=1.0), trace=trace)
+    assert isinstance(res, Plan) and validate_plan(scene, res).ok
+    assert len(calls) == 2
+    assert [line.split()[2] for line in trace] == ["outcome=full"]
+
+
+def rescan_exhausted(tree, edge):
+    """The exhaustion rule, recomputed from the tree."""
+    if edge.pruned:
+        return True
+    if not edge.evaluated:
+        return False
+    return all(rescan_exhausted(tree, tree.edges[e])
+               for e in tree.nodes[edge.head].children)
+
+
+@pytest.mark.parametrize("name", ["pa_small", "conflict_partial", "pick_chain",
+                                  "parallel_goals"])
+def test_exhausted_flags_match_a_rescan_of_the_tree(monkeypatch, name):
+    trees = []
+
+    class RecordedTree(_Tree):
+        def __init__(self):
+            super().__init__()
+            trees.append(self)
+
+    def check(tree):
+        for edge in tree.edges.values():
+            assert edge.exhausted == rescan_exhausted(tree, edge), edge.id
+        for node in tree.nodes.values():
+            assert node.open_edges == sum(not tree.edges[e].exhausted
+                                          for e in node.children)
+
+    ground = search.ground
+
+    def checked_ground(*args, **kwargs):
+        check(trees[0])
+        return ground(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_Tree", RecordedTree)
+    monkeypatch.setattr(search, "ground", checked_ground)
+    for seed in range(3):
+        trees.clear()
+        plan(load_scene(scenario(name)),
+             PlannerConfig(seed=seed, exhaust=True, max_iterations=40))
+        check(trees[0])
