@@ -3,7 +3,7 @@
 Pipeline: geometric fact computation (reachability, occlusion, handover
 enablement), task-graph construction, integer-programming skeleton
 enumeration, reverse grounding, and tree search — plus an independent plan
-validator, SVG renderer and benchmark harness.
+validator and SVG renderer.
 """
 from .facts import FactSet, compute_facts
 from .grounding import Failure, Full, GroundingContext, Partial, ground

@@ -1,4 +1,4 @@
-"""Command-line interface: plan, validate, render and bench subcommands.
+"""Command-line interface: plan, validate and render subcommands.
 
 Exit codes: 0 success, 1 I/O or schema error, 2 planner found no plan,
 3 plan validation found violations.
@@ -6,11 +6,8 @@ Exit codes: 0 success, 1 I/O or schema error, 2 planner found no plan,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
 
 from .facts import compute_facts
@@ -106,83 +103,6 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _aggregate(values):
-    if not values:
-        return {"mean": None, "std": None}
-    mean = statistics.fmean(values)
-    std = statistics.pstdev(values) if len(values) > 1 else 0.0
-    return {"mean": mean, "std": std}
-
-
-def cmd_bench(args) -> int:
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return 1
-    try:
-        base_cfg = PlannerConfig(time_budget=args.time_budget)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    scenarios = sorted(directory.glob("*.json"))
-    report = {"trials": args.trials, "seed_base": args.seed_base, "scenarios": {}}
-    header = (f"{'scenario':30s} {'success':>8s} {'time_s':>8s} "
-              f"{'makespan':>9s} {'cost':>6s} {'iters':>6s}")
-    print(header)
-    print("-" * len(header))
-    for path in scenarios:
-        name = path.stem
-        trials = []
-        try:
-            scene = load_scene(path)
-        except (OSError, SceneError) as e:
-            report["scenarios"][name] = {"error": str(e)}
-            print(f"{name:30s} {'ERROR':>8s}  {e}")
-            continue
-        for k in range(args.trials):
-            cfg = dataclasses.replace(base_cfg, seed=args.seed_base + k)
-            trace: list[str] = []
-            t0 = time.perf_counter()
-            try:
-                result = search_plan(scene, cfg, trace=trace)
-            except Exception as e:  # record, keep benching
-                trials.append({"success": False, "error": str(e),
-                               "planning_time": time.perf_counter() - t0})
-                continue
-            dt = time.perf_counter() - t0
-            if isinstance(result, NoPlan):
-                trials.append({"success": False, "planning_time": dt,
-                               "reason": result.reason,
-                               "iterations": result.iterations})
-                continue
-            ok = validate_plan(scene, result).ok
-            trials.append({"success": ok, "planning_time": dt,
-                           "makespan": result.makespan,
-                           "motion_cost": result.motion_cost,
-                           "iterations": len(trace)})
-        succ = [t for t in trials if t.get("success")]
-        entry = {
-            "trials": trials,
-            "success_rate": len(succ) / len(trials) if trials else 0.0,
-            "planning_time": _aggregate([t["planning_time"] for t in trials]),
-            # plan quality is reported over successful trials only
-            "makespan": _aggregate([t["makespan"] for t in succ]),
-            "motion_cost": _aggregate([t["motion_cost"] for t in succ]),
-            "iterations": _aggregate([t["iterations"] for t in succ]),
-        }
-        report["scenarios"][name] = entry
-
-        def show(agg):
-            return "-" if agg["mean"] is None else f"{agg['mean']:.2f}"
-
-        print(f"{name:30s} {entry['success_rate'] * 100:7.0f}% "
-              f"{show(entry['planning_time']):>8s} {show(entry['makespan']):>9s} "
-              f"{show(entry['motion_cost']):>6s} {show(entry['iterations']):>6s}")
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrplan",
@@ -218,13 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", required=True, help="output SVG path")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("bench", help="run the benchmark harness on a directory")
-    p.add_argument("dir")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--time-budget", type=float, default=60.0)
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

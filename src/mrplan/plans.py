@@ -1,16 +1,15 @@
 """Actions, joint actions and plan documents.
 
-Plan documents are JSON; the exact field names are frozen in
-``schemas/plan.schema.json``.
+Plan documents are JSON; their format is ``schemas/plan.schema.json``,
+checked by ``mrplan.schemas``. ``loads_plan`` also refuses a step that lists
+a robot twice.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 
-import jsonschema
-
+from . import schemas
 from .geometry import Corridor, Pose
 
 
@@ -170,25 +169,22 @@ def dumps_plan(plan: Plan, robot_names) -> str:
     return json.dumps(plan_to_doc(plan, robot_names), indent=2, sort_keys=True) + "\n"
 
 
-def _load_schema() -> dict:
-    text = resources.files("mrplan.schemas").joinpath("plan.schema.json").read_text()
-    return json.loads(text)
-
-
 def loads_plan(text: str) -> Plan:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise PlanError(f"plan parse error at line {e.lineno}: {e.msg}") from e
     try:
-        jsonschema.validate(doc, _load_schema())
-    except jsonschema.ValidationError as e:
-        path = "/".join(str(p) for p in e.absolute_path)
-        raise PlanError(f"plan schema error at {path or '<root>'}: {e.message}") from e
+        schemas.schema("plan").check(doc)
+    except schemas.DocumentError as e:
+        raise PlanError(f"plan {e}") from e
     steps = []
-    for recs in doc["steps"]:
-        moves = {}
+    for t, recs in enumerate(doc["steps"], start=1):
+        moves, seen = {}, set()
         for rec in recs:
+            if rec["robot"] in seen:
+                raise PlanError(f"step {t}: robot {rec['robot']} has more than one record")
+            seen.add(rec["robot"])
             if rec["type"] == "wait":
                 continue
             action = PartiallyGroundedAction(

@@ -1,17 +1,17 @@
 """World model: regions, robots, movable/fixed objects, scene loading.
 
-Scene documents are JSON; the exact field names are frozen in
-``schemas/scene.schema.json``.
+Scene documents are JSON; their format is ``schemas/scene.schema.json``,
+checked by ``mrplan.schemas``. ``loads_scene`` also refuses a scene in which
+two regions, movables or robots share a name, or a ``handover_points`` key
+that is not two comma-separated robot names.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
-import jsonschema
-
+from . import schemas
 from .geometry import (
     Corridor,
     Disc,
@@ -137,10 +137,6 @@ class Scene:
     # -- invariants ----------------------------------------------------------
 
     def _check_invariants(self):
-        names = list(self.regions) + list(self.movables) + list(self.robots)
-        if len(names) != len(set(names)):
-            dup = sorted({n for n in names if names.count(n) > 1})
-            raise SceneError(f"duplicate entity names: {dup}")
         if self.grasp_count < 1:
             raise SceneError("grasp_count must be >= 1")
         for m in self.movables.values():
@@ -179,11 +175,6 @@ class Scene:
 # loading
 
 
-def _load_schema() -> dict:
-    text = resources.files("mrplan.schemas").joinpath("scene.schema.json").read_text()
-    return json.loads(text)
-
-
 def _parse_shape(d: dict) -> Shape:
     if d["type"] == "disc":
         return Disc(radius=d["radius"])
@@ -200,10 +191,13 @@ def loads_scene(text: str) -> Scene:
     except json.JSONDecodeError as e:
         raise SceneError(f"scene parse error at line {e.lineno}: {e.msg}") from e
     try:
-        jsonschema.validate(doc, _load_schema())
-    except jsonschema.ValidationError as e:
-        path = "/".join(str(p) for p in e.absolute_path)
-        raise SceneError(f"scene schema error at {path or '<root>'}: {e.message}") from e
+        schemas.schema("scene").check(doc)
+    except schemas.DocumentError as e:
+        raise SceneError(f"scene {e}") from e
+    names = [item["name"] for kind in ("regions", "movables", "robots") for item in doc[kind]]
+    if len(names) != len(set(names)):
+        dup = sorted({n for n in names if names.count(n) > 1})
+        raise SceneError(f"duplicate entity names: {dup}")
 
     regions = {}
     for r in doc["regions"]:
@@ -223,16 +217,20 @@ def loads_scene(text: str) -> Scene:
                                   r["reach_max"], r["gripper_width"])
     handover_points = {}
     for key, pt in doc.get("handover_points", {}).items():
-        a, b = key.split(",")
-        handover_points[(a.strip(), b.strip())] = (pt[0], pt[1])
+        pair = tuple(name.strip() for name in key.split(","))
+        if len(pair) != 2 or not all(pair):
+            raise SceneError(f"handover point key {key!r} is not two comma-separated robot names")
+        handover_points[pair] = (pt[0], pt[1])
     goal = [(g[0], g[1]) for g in doc.get("goal", [])]
+    # the schema takes 2.0 as an integer; range() does not
+    grasp_count = int(doc.get("grasp_count", DEFAULT_GRASP_COUNT))
     return Scene(
         regions=regions,
         fixed=fixed,
         movables=movables,
         robots=robots,
         handover_points=handover_points,
-        grasp_count=doc.get("grasp_count", DEFAULT_GRASP_COUNT),
+        grasp_count=grasp_count,
         goal=goal,
     )
 

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
+import copy
 import dataclasses
 import json
 
@@ -154,6 +155,35 @@ def test_validate_exits_1_on_roles_that_do_not_match_their_actions(tmp_path, cap
     assert "has role 'single'" in capsys.readouterr().err
 
 
+def test_validate_exits_1_on_a_robot_listed_twice_in_a_step(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    assert run(["plan", scenario("pick_chain"), "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    extra = copy.deepcopy(next(r for r in doc["steps"][0] if r["robot"] == "R1"))
+    extra["placement"].update(x=99.0, y=99.0)
+    extra["pick_traj"]["corridors"] = []
+    doc["steps"][0].insert(0, extra)
+    out.write_text(json.dumps(doc))
+    assert run(["validate", scenario("pick_chain"), out]) == 1
+    assert "error: step 1: robot R1 has more than one record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["regions"].append(dict(d["regions"][0])), "duplicate entity names"),
+    (lambda d: d["robots"].append(dict(d["robots"][0], base=[5.0, 5.0])),
+     "duplicate entity names"),
+    (lambda d: d.update(handover_points={"R1|R9": [0.0, 0.0]}),
+     "handover point key 'R1|R9' is not two comma-separated robot names"),
+], ids=["region", "robot", "handover_key"])
+def test_plan_exits_1_on_bad_scene_names_and_keys(tmp_path, capsys, edit, message):
+    doc = json.loads(scenario("pick_chain").read_text())
+    edit(doc)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    assert run(["plan", path]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_plan_exits_1_on_a_scene_without_goal(tmp_path, capsys):
     doc = json.loads(scenario("unobstructed").read_text())
     del doc["goal"]
@@ -203,33 +233,6 @@ def test_plan_determinism_across_processes_of_the_cli(tmp_path):
     assert run(["plan", scenario("parallel_goals"), "--seed", 5, "--out", a]) == 0
     assert run(["plan", scenario("parallel_goals"), "--seed", 5, "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_bench_runs_directory(tmp_path, capsys):
-    d = tmp_path / "scns"
-    d.mkdir()
-    (d / "easy.json").write_text(scenario("unobstructed").read_text())
-    (d / "none.json").write_text(scenario("unsat_fixed_blocked").read_text())
-    (d / "broken.json").write_text("{")
-    out = tmp_path / "report.json"
-    assert run(["bench", d, "--trials", 2, "--out", out]) == 0
-    report = json.loads(out.read_text())
-    assert report["trials"] == 2
-    assert report["scenarios"]["easy"]["success_rate"] == 1.0
-    assert report["scenarios"]["none"]["success_rate"] == 0.0
-    assert "error" in report["scenarios"]["broken"]
-    assert report["scenarios"]["easy"]["makespan"]["mean"] == 1.0
-    table = capsys.readouterr().out
-    assert "easy" in table and "broken" in table
-
-
-def test_bench_on_missing_directory_exits_1(tmp_path):
-    assert run(["bench", tmp_path / "absent"]) == 1
-
-
-def test_bench_exits_1_on_a_negative_time_budget(tmp_path, capsys):
-    assert run(["bench", tmp_path, "--time-budget", -1]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,5 +1,7 @@
-"""Module boundaries: no mrplan module reaches into another one's private names."""
+"""Module boundaries: no mrplan module reaches into another one's private names,
+and the package needs nothing outside the standard library."""
 import ast
+import sys
 
 from conftest import REPO
 
@@ -26,5 +28,20 @@ def private_imports(path):
 
 
 def test_no_module_imports_private_names_of_another():
-    found = [hit for path in sorted(SRC.glob("*.py")) for hit in private_imports(path)]
+    found = [hit for path in sorted(SRC.rglob("*.py")) for hit in private_imports(path)]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"mrplan"}]
     assert found == []

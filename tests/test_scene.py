@@ -52,6 +52,34 @@ def test_duplicate_names_rejected():
         make(doc)
 
 
+@pytest.mark.parametrize("kind", ["regions", "movables", "robots"])
+def test_duplicate_names_within_a_kind_rejected(kind):
+    # the second entry lies elsewhere, so only the name repeats
+    twin = json.loads(json.dumps(MINIMAL[kind][0]))
+    twin.update({"regions": {"rect": [2.0, 2.0, 3.0, 3.0]},
+                 "movables": {"pose": {"x": 0.2, "y": 0.2}},
+                 "robots": {"base": [3.0, 0.0]}}[kind])
+    with pytest.raises(SceneError, match=r"duplicate entity names: \['"):
+        make({kind: MINIMAL[kind] + [twin]})
+
+
+@pytest.mark.parametrize("key", ["R1|R9", "R1,R2,R3", "R1,", " , R1", "R1"])
+def test_handover_key_that_is_not_two_names_rejected(key):
+    doc = {"robots": MINIMAL["robots"] + [
+        {"name": "R2", "base": [2.0, 0.0], "reach_min": 0.1,
+         "reach_max": 2.0, "gripper_width": 0.1}]}
+    with pytest.raises(SceneError, match="not two comma-separated robot names"):
+        make(doc, handover_points={key: [1.0, 0.0]})
+    assert make(doc, handover_points={" R2 , R1": [1.0, 0.0]}).handover_point("R1", "R2") \
+        == (1.0, 0.0)
+
+
+def test_integral_float_grasp_count_is_an_integer():
+    s = make(grasp_count=2.0)
+    assert s.grasp_count == 2 and isinstance(s.grasp_count, int)
+    assert len(s.grasp_angles()) == 2
+
+
 def test_movable_outside_home_region_rejected():
     doc = {"movables": [{"name": "M1", "shape": {"type": "disc", "radius": 0.05},
                          "pose": {"x": 1.5, "y": 0.5}, "home_region": "work"}]}
