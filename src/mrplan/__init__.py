@@ -6,7 +6,7 @@ enumeration, reverse grounding, and tree search — plus an independent plan
 validator and SVG renderer.
 """
 from .facts import FactSet, compute_facts
-from .grounding import Failure, Full, GroundingContext, Partial, ground
+from .grounding import Failure, Full, Partial, ground
 from .mip import TaskSkeleton, compile_model, enumerate_skeletons, solve
 from .plans import Plan, PartiallyGroundedAction, dumps_plan, load_plan, loads_plan
 from .scene import Scene, SceneError, load_scene, loads_scene
@@ -15,8 +15,8 @@ from .taskgraph import CMTG, add_object, build_cmtg
 from .validator import validate_plan
 
 __all__ = [
-    "CMTG", "FactSet", "Failure", "Full", "GroundingContext", "NoPlan",
-    "Partial", "PartiallyGroundedAction", "Plan", "PlannerConfig", "Scene",
+    "CMTG", "FactSet", "Failure", "Full", "NoPlan", "Partial",
+    "PartiallyGroundedAction", "Plan", "PlannerConfig", "Scene",
     "SceneError", "TaskSkeleton", "add_object", "build_cmtg", "compile_model",
     "compute_facts", "dumps_plan", "enumerate_skeletons", "ground",
     "load_plan", "load_scene", "loads_plan", "loads_scene", "plan", "solve",

@@ -1,12 +1,15 @@
 """Reverse grounding of task skeletons.
 
-A skeleton is grounded from its last step backwards. Already-grounded future
-joint actions constrain the present: newly sampled placements must avoid the
-volumes the future occupies, and trajectories must avoid the objects the
-future still expects at their initial poses. When the strict pass fails, the
-collision constraints against the not-planned-to-move objects are relaxed;
-a relaxed success stops grounding and returns the grounded suffix plus the
-conflict set of objects that a caller must plan to relocate first.
+``ground`` grounds a skeleton from its last step backwards, in front of the
+grounded joint actions already fixed after it (a search node's stored
+steps). Those future actions constrain the present: newly sampled placements
+must avoid the volumes the future occupies, and trajectories must avoid the
+objects the future still expects at their initial poses. Each step draws up
+to ``STEP_RESTARTS`` placement samples, each of at most
+``scene.PLACEMENT_ATTEMPTS`` draws per object. When the strict pass fails,
+the collision constraints against the not-planned-to-move objects are
+relaxed; a relaxed success stops grounding and returns the grounded suffix
+plus the conflict set of objects that a caller must plan to relocate first.
 """
 from __future__ import annotations
 
@@ -16,24 +19,10 @@ from dataclasses import dataclass, replace
 from .geometry import Pose, collides
 from .mip import TaskSkeleton
 from .motion import build_moves, endpoints_reachable, partner_pairs, trim_for_handover
-from .plans import GroundedJointAction
+from .plans import GroundedJointAction, moved_objects
 from .scene import Scene, sample_placement
 
-DEFAULT_PLACEMENT_ATTEMPTS = 100
-DEFAULT_STEP_RESTARTS = 10
-
-
-@dataclass(frozen=True)
-class GroundingConfig:
-    placement_attempts: int = DEFAULT_PLACEMENT_ATTEMPTS
-    step_restarts: int = DEFAULT_STEP_RESTARTS
-
-
-@dataclass
-class GroundingContext:
-    """Future joint actions already fixed, and what they occupy."""
-    s_fut: tuple = ()                 # GroundedJointAction suffix (time order)
-    m_fut: frozenset = frozenset()    # objects moved in s_fut
+STEP_RESTARTS = 10
 
 
 def volumes_of(steps) -> list:
@@ -46,13 +35,6 @@ def _occupied(steps, scene: Scene) -> list:
     """What grounded joint actions occupy: their corridors and placed objects."""
     return volumes_of(steps) + [(scene.movables[obj].shape, pose) for step in steps
                                 for obj, pose in step.placements().items()]
-
-
-def context_from_steps(steps) -> GroundingContext:
-    moved = set()
-    for s in steps:
-        moved |= s.moved_objects()
-    return GroundingContext(s_fut=tuple(steps), m_fut=frozenset(moved))
 
 
 @dataclass(frozen=True)
@@ -75,24 +57,21 @@ class Failure:
     reason: str = ""
 
 
-def find_placements(actions, forbidden, scene: Scene, rng,
-                    attempts: int = DEFAULT_PLACEMENT_ATTEMPTS):
+def find_placements(actions, forbidden, scene: Scene, rng):
     """Jointly consistent placements for one skeleton step.
 
     ``actions`` are the distinct actions of the step; placements are sampled
-    in canonical object order and each must clear ``forbidden`` plus the
-    placements already chosen for this step. Returns obj -> Pose or None.
+    in canonical object order, each within reach of its place robot and clear
+    of ``forbidden`` plus the placements already chosen for this step.
+    Returns obj -> Pose or None.
     """
     placements: dict[str, Pose] = {}
     placed_volumes: list = []
     for action in sorted(actions, key=lambda a: a.key()):
         shape = scene.movables[action.obj].shape
-        robot = scene.robots[action.place_robot]
-        pose = sample_placement(
-            scene.regions[action.region], shape,
-            list(forbidden) + placed_volumes, rng,
-            max_attempts=attempts,
-            extra_ok=lambda p, robot=robot: robot.in_reach(p.xy))
+        pose = sample_placement(scene.regions[action.region], shape,
+                                list(forbidden) + placed_volumes, rng,
+                                scene.robots[action.place_robot])
         if pose is None:
             return None
         placements[action.obj] = pose
@@ -100,22 +79,21 @@ def find_placements(actions, forbidden, scene: Scene, rng,
     return placements
 
 
-def find_trajectories(actions, placements, obstacles, scene: Scene,
-                      poses=None):
+def find_trajectories(actions, placements, obstacles, scene: Scene):
     """Collision-free straight-line sweeps for one skeleton step.
 
     ``obstacles`` are (shape, pose) volumes every corridor must avoid (the
     fixed obstacles plus the movables protected at their initial poses).
+    Objects move at most once, so each is picked at its start pose.
     Same-step corridors of distinct robots must be mutually clear, except
     around a shared handover point. Each action tries its class's grasps in
     order, and the first clear combination wins; its moves carry the grasp
     used as ``grasp_pick`` and ``grasp_place``. Returns robot -> RobotMove
     or None.
     """
-    poses = poses or {}
     options = []  # per action: the moves of each grasp clear on its own
     for action in sorted(actions, key=lambda a: a.key()):
-        obj_pose = poses.get(action.obj, scene.movables[action.obj].pose)
+        obj_pose = scene.movables[action.obj].pose
         placement = placements[action.obj]
         clear = []
         for g in action.grasps or (action.grasp_pick,):
@@ -158,12 +136,10 @@ def _robots_clear(moves: dict, scene: Scene) -> bool:
     return True
 
 
-def _sample_step(actions, forbidden, obstacles, scene: Scene, rng,
-                 cfg: GroundingConfig):
+def _sample_step(actions, forbidden, obstacles, scene: Scene, rng):
     """Moves of the first placement sample whose sweeps are clear, or None."""
-    for _ in range(cfg.step_restarts):
-        placements = find_placements(actions, forbidden, scene, rng,
-                                     cfg.placement_attempts)
+    for _ in range(STEP_RESTARTS):
+        placements = find_placements(actions, forbidden, scene, rng)
         if placements is not None:
             moves = find_trajectories(actions, placements, obstacles, scene)
             if moves is not None:
@@ -171,15 +147,15 @@ def _sample_step(actions, forbidden, obstacles, scene: Scene, rng,
     return None
 
 
-def ground(skeleton: TaskSkeleton, ctx: GroundingContext, scene: Scene, rng,
-           cfg: GroundingConfig = GroundingConfig()):
-    """Ground ``skeleton`` in reverse against the context's future actions."""
-    if skeleton.moved_objects & ctx.m_fut:
+def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
+    """Ground ``skeleton`` in reverse in front of ``future``, the grounded
+    joint actions (time order) that run after it."""
+    m_fut = moved_objects(future)
+    if skeleton.moved_objects & m_fut:
         raise ValueError("skeleton re-moves an object already moved later")
-    m_fut = set(ctx.m_fut)
-    v_fut = _occupied(ctx.s_fut, scene)
+    v_fut = _occupied(future, scene)
     m_out = set(scene.movables) - m_fut - set(skeleton.moved_objects)
-    grounded = list(ctx.s_fut)
+    grounded = list(future)
 
     def obstacle_poses(names):
         return [(scene.movables[n].shape, scene.movables[n].pose)
@@ -190,13 +166,13 @@ def ground(skeleton: TaskSkeleton, ctx: GroundingContext, scene: Scene, rng,
     for t in range(skeleton.makespan, 0, -1):
         actions = {a for a in skeleton.steps[t - 1].values() if a is not None}
         strict = fixed + obstacle_poses(m_out | m_fut)
-        moves = _sample_step(actions, strict + v_fut, strict, scene, rng, cfg)
+        moves = _sample_step(actions, strict + v_fut, strict, scene, rng)
         relaxed = moves is None
         if relaxed:
             # relaxed pass: the not-planned objects may be collided with,
             # since new skeletons can be generated to move them first
             loose = fixed + obstacle_poses(m_fut)
-            moves = _sample_step(actions, loose + v_fut, loose, scene, rng, cfg)
+            moves = _sample_step(actions, loose + v_fut, loose, scene, rng)
             if moves is None:
                 return Failure(f"step {t}: no feasible placements or trajectories")
         step = GroundedJointAction(moves=moves)

@@ -90,6 +90,11 @@ class GroundedJointAction:
         return {mv.action.obj: mv.placement for mv in self.moves.values()}
 
 
+def moved_objects(steps) -> set[str]:
+    """Objects moved by any of the grounded joint actions ``steps``."""
+    return set().union(*(step.moved_objects() for step in steps))
+
+
 @dataclass(frozen=True)
 class Plan:
     steps: tuple[GroundedJointAction, ...]
@@ -100,13 +105,7 @@ class Plan:
 
     @property
     def motion_cost(self) -> int:
-        return len(self.all_moved_objects())
-
-    def all_moved_objects(self) -> set[str]:
-        out = set()
-        for s in self.steps:
-            out |= s.moved_objects()
-        return out
+        return len(moved_objects(self.steps))
 
 
 # ---------------------------------------------------------------------------

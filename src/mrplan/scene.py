@@ -3,7 +3,8 @@
 Scene documents are JSON; their format is ``schemas/scene.schema.json``,
 checked by ``mrplan.schemas``. ``loads_scene`` also refuses a scene in which
 two regions, movables or robots share a name, or a ``handover_points`` key
-that is not two comma-separated robot names.
+that is not two comma-separated robot names; a ``Scene`` refuses a goal that
+lists an object more than once.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .geometry import (
 )
 
 DEFAULT_GRASP_COUNT = 8
-DEFAULT_MAX_ATTEMPTS = 100
+PLACEMENT_ATTEMPTS = 100
 
 
 class SceneError(ValueError):
@@ -158,6 +159,10 @@ class Scene:
                 raise SceneError(f"goal references unknown object {obj!r}")
             if re not in self.regions:
                 raise SceneError(f"goal references unknown region {re!r}")
+        goal_objs = [obj for obj, _ in self.goal]
+        if len(goal_objs) != len(set(goal_objs)):
+            dup = sorted({o for o in goal_objs if goal_objs.count(o) > 1})
+            raise SceneError(f"goal lists objects more than once: {dup}")
         for (r1, r2) in self.handover_points:
             if r1 not in self.robots or r2 not in self.robots:
                 raise SceneError(f"handover point references unknown robots ({r1}, {r2})")
@@ -244,27 +249,24 @@ def load_scene(path) -> Scene:
 # placement sampling
 
 
-def sample_placement(region: Region, obj: Shape, forbidden, rng,
-                     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                     extra_ok=None) -> Pose | None:
-    """Rejection-sample a pose for `obj` fully inside `region`, clear of every
-    forbidden volume. `forbidden` entries are (Shape, Pose) pairs or Corridors.
-    `extra_ok`, when given, is an additional predicate a candidate must pass.
-    Returns None after max_attempts rejections.
+def sample_placement(region: Region, shape: Shape, forbidden, rng,
+                     robot: Robot) -> Pose | None:
+    """Rejection-sample a pose for ``shape`` fully inside ``region``, with its
+    centre in ``robot``'s reach, clear of every forbidden volume.
+    ``forbidden`` entries are (Shape, Pose) pairs or Corridors. Returns None
+    after ``PLACEMENT_ATTEMPTS`` rejections.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     rect = region.rect
-    for _ in range(max_attempts):
+    for _ in range(PLACEMENT_ATTEMPTS):
         x = rng.uniform(rect.xmin, rect.xmax)
         y = rng.uniform(rect.ymin, rect.ymax)
-        theta = 0.0 if isinstance(obj, Disc) else rng.uniform(0.0, 2.0 * math.pi)
+        theta = 0.0 if isinstance(shape, Disc) else rng.uniform(0.0, 2.0 * math.pi)
         pose = Pose(x, y, theta)
-        if not shape_inside_rect(obj, pose, rect):
+        if not shape_inside_rect(shape, pose, rect):
             continue
-        if extra_ok is not None and not extra_ok(pose):
+        if not robot.in_reach(pose.xy):
             continue
-        if any(collides((obj, pose), f) for f in forbidden):
+        if any(collides((shape, pose), f) for f in forbidden):
             continue
         return pose
     return None

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from . import mip
 from .facts import FactSet, compute_facts
-from .grounding import Failure, Full, Partial, context_from_steps, ground
+from .grounding import Failure, Full, Partial, ground
 from .mip import BudgetExceeded, TaskSkeleton, TimeBudgetExceeded, enumerate_skeletons
-from .plans import Plan
+from .plans import Plan, moved_objects
 from .scene import Scene
 from .taskgraph import build_cmtg
 from .validator import validate_plan
@@ -60,7 +60,6 @@ class SearchNode:
 @dataclass
 class SearchEdge:
     id: int
-    tail: int                    # node id
     skeleton: TaskSkeleton
     prior: float
     head: int | None = None
@@ -108,10 +107,7 @@ def reward(outcome, new_skeletons, alpha: float) -> float:
     if isinstance(outcome, Failure):
         return 0.0
     if isinstance(outcome, Full):
-        moved = set()
-        for s in outcome.steps:
-            moved |= s.moved_objects()
-        return 1.0 + alpha / len(moved)
+        return 1.0 + alpha / len(moved_objects(outcome.steps))
     # partial
     if not new_skeletons:
         return 0.0
@@ -119,7 +115,7 @@ def reward(outcome, new_skeletons, alpha: float) -> float:
                key=lambda sk: (sk.makespan, len(sk.moved_objects),
                                sk.structure_key()))
     grounded_len = len(outcome.steps)
-    grounded_objs = len({o for s in outcome.steps for o in s.moved_objects()})
+    grounded_objs = len(moved_objects(outcome.steps))
     return (grounded_len / (grounded_len + best.makespan)
             + alpha / (grounded_objs + len(best.moved_objects)))
 
@@ -136,8 +132,7 @@ class _Tree:
 
     def new_edge(self, tail: SearchNode, skeleton: TaskSkeleton) -> SearchEdge:
         prior = 1.0 / len(skeleton.moved_objects)
-        edge = SearchEdge(id=len(self.edges), tail=tail.id,
-                          skeleton=skeleton, prior=prior)
+        edge = SearchEdge(id=len(self.edges), skeleton=skeleton, prior=prior)
         self.edges[edge.id] = edge
         tail.children.append(edge.id)
         tail.open_edges += 1
@@ -147,9 +142,7 @@ class _Tree:
 def _new_skeletons_for(conflicts, grounded_steps, facts: FactSet, scene: Scene,
                        cfg: PlannerConfig, deadline: float):
     """Skeletons moving the ``conflicts`` that ``grounded_steps`` leave unmoved."""
-    moved = set()
-    for s in grounded_steps:
-        moved |= s.moved_objects()
+    moved = moved_objects(grounded_steps)
     targets = set(conflicts) - moved
     if not targets:
         return []
@@ -224,9 +217,8 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
             node = tree.nodes[edge.head]
 
         # evaluation
-        ctx = context_from_steps(node.stored_steps)
         rng = random.Random(f"{cfg.seed}:{edge.id}")
-        outcome = ground(edge.skeleton, ctx, scene, rng)
+        outcome = ground(edge.skeleton, node.stored_steps, scene, rng)
         edge.evaluated = True
 
         if isinstance(outcome, Full):

@@ -36,10 +36,6 @@ class CMTG:
     def sorted_objects(self) -> list[str]:
         return sorted(self.object_nodes)
 
-    def blockers(self, action: PartiallyGroundedAction) -> set[str]:
-        return ({m for a, m in self.block_pick_edges if a == action}
-                | {m for a, m in self.block_place_edges if a == action})
-
     def actions_moving(self, obj: str) -> list[PartiallyGroundedAction]:
         return sorted((a for m, a in self.action_edges if m == obj),
                       key=lambda a: a.key())

@@ -15,7 +15,7 @@ import pytest
 
 from mrplan.facts import compute_facts
 from mrplan.geometry import collides
-from mrplan.grounding import GroundingContext, Partial, ground, volumes_of
+from mrplan.grounding import Partial, ground, volumes_of
 from mrplan.mip import MipSolution, TaskSkeleton, compile_model, solve
 from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan
 from mrplan.scene import load_scene
@@ -101,7 +101,8 @@ def test_task_graph_structure_pick_chain():
     assert graph.object_nodes == {"M1", "M3", "M4"}
     m1_actions = graph.actions_moving("M1")
     assert len(m1_actions) == 1 and m1_actions[0].is_handover
-    assert graph.blockers(m1_actions[0]) == {"M4"}
+    assert {m for a, m in graph.block_pick_edges | graph.block_place_edges
+            if a == m1_actions[0]} == {"M4"}
     m4_actions = graph.actions_moving("M4")
     assert len(m4_actions) == 1
     assert (m4_actions[0], "M3") in graph.block_pick_edges
@@ -152,7 +153,7 @@ class _Step:
 
 def test_selection_and_reward_formulas_exact():
     node = SearchNode(id=0, visits=9)
-    edge = SearchEdge(id=0, tail=0, skeleton=sk(["M1"]), prior=0.25,
+    edge = SearchEdge(id=0, skeleton=sk(["M1"]), prior=0.25,
                       value=2.0, visits=3)
     # value/(n+1) + c * prior * sqrt(N) / (n+1)
     assert abs(ucb(node, edge, 1.0) - (0.5 + 0.25 * 3.0 / 4.0)) < 1e-12
@@ -177,7 +178,7 @@ def test_zero_exploration_constant_is_argmax_over_means():
         edges = []
         for i in range(5):
             edges.append(SearchEdge(
-                id=i, tail=0, skeleton=sk([f"M{i}"]),
+                id=i, skeleton=sk([f"M{i}"]),
                 prior=rng.uniform(0.1, 1.0),
                 value=rng.uniform(0.0, 5.0), visits=rng.randint(0, 10)))
         by_ucb = max(edges, key=lambda e: (ucb(node, e, 0.0), -e.id))
@@ -193,7 +194,7 @@ def test_partial_grounding_reports_verified_conflicts_and_search_resolves():
     a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
                                 place_robot="R1", grasp_pick=0.0, grasp_place=0.0)
     skel = TaskSkeleton(steps=({"R1": a},), moved_objects=frozenset({"M1"}))
-    outcome = ground(skel, GroundingContext(), scene, random.Random(0))
+    outcome = ground(skel, (), scene, random.Random(0))
     assert isinstance(outcome, Partial)
 
     # geometric verification: which movables overlap the grounded volumes?

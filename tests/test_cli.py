@@ -174,7 +174,8 @@ def test_validate_exits_1_on_a_robot_listed_twice_in_a_step(tmp_path, capsys):
      "duplicate entity names"),
     (lambda d: d.update(handover_points={"R1|R9": [0.0, 0.0]}),
      "handover point key 'R1|R9' is not two comma-separated robot names"),
-], ids=["region", "robot", "handover_key"])
+    (lambda d: d["goal"].append(["M1", "work"]), "goal lists objects more than once: ['M1']"),
+], ids=["region", "robot", "handover_key", "goal_object_twice"])
 def test_plan_exits_1_on_bad_scene_names_and_keys(tmp_path, capsys, edit, message):
     doc = json.loads(scenario("pick_chain").read_text())
     edit(doc)

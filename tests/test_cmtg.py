@@ -73,12 +73,6 @@ def test_excluded_target_rejected():
         build_cmtg(["M1"], facts, scene, excluded=frozenset({"M1"}))
 
 
-def test_blockers_accessor():
-    graph, _, _ = graph_for("pick_chain")
-    handover = next(a for a in graph.sorted_actions() if a.obj == "M1")
-    assert graph.blockers(handover) == {"M4"}
-
-
 def test_non_goal_blockers_target_home_region():
     graph, scene, _ = graph_for("pick_chain")
     for a in graph.sorted_actions():

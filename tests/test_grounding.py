@@ -7,11 +7,10 @@ from dataclasses import replace
 import pytest
 
 from mrplan.facts import compute_facts
-from mrplan.grounding import (Failure, Full, GroundingConfig, GroundingContext,
-                              Partial, context_from_steps, find_placements,
+from mrplan.grounding import (Failure, Full, Partial, find_placements,
                               find_trajectories, ground, volumes_of)
 from mrplan.mip import TaskSkeleton
-from mrplan.plans import PartiallyGroundedAction, Plan
+from mrplan.plans import PartiallyGroundedAction, Plan, moved_objects
 from mrplan.scene import load_scene, loads_scene
 from mrplan.taskgraph import build_cmtg
 from mrplan.validator import validate_plan
@@ -41,7 +40,7 @@ def skeleton(*steps):
 def test_full_grounding_of_single_step_skeleton():
     scene = load_scene(scenario("unobstructed"))
     sk = skeleton([act("M1", "goal_zone")])
-    res = ground(sk, GroundingContext(), scene, random.Random(0))
+    res = ground(sk, (), scene, random.Random(0))
     assert isinstance(res, Full)
     assert len(res.steps) == 1
     report = validate_plan(scene, Plan(steps=res.steps))
@@ -53,7 +52,7 @@ def test_partial_outcome_reports_exact_conflict_set():
     # but no pick corridor or placement, so only grounding can discover it
     scene = load_scene(scenario("conflict_partial"))
     sk = skeleton([act("M1", "goal_zone")])
-    res = ground(sk, GroundingContext(), scene, random.Random(0))
+    res = ground(sk, (), scene, random.Random(0))
     assert isinstance(res, Partial)
     assert res.conflicts == frozenset({"M2"})
     assert len(res.steps) == 1
@@ -62,7 +61,7 @@ def test_partial_outcome_reports_exact_conflict_set():
 def test_failure_when_goal_region_is_covered_by_fixed_obstacle():
     scene = load_scene(scenario("unsat_fixed_blocked"))
     sk = skeleton([act("M1", "goal_zone")])
-    res = ground(sk, GroundingContext(), scene, random.Random(0))
+    res = ground(sk, (), scene, random.Random(0))
     assert isinstance(res, Failure)
     assert "step 1" in res.reason
 
@@ -70,23 +69,22 @@ def test_failure_when_goal_region_is_covered_by_fixed_obstacle():
 def test_removing_an_already_moved_object_is_rejected():
     scene = load_scene(scenario("unobstructed"))
     sk = skeleton([act("M1", "goal_zone")])
-    done = ground(sk, GroundingContext(), scene, random.Random(0))
-    ctx = context_from_steps(done.steps)
-    assert ctx.m_fut == frozenset({"M1"})
+    done = ground(sk, (), scene, random.Random(0))
+    assert moved_objects(done.steps) == {"M1"}
     with pytest.raises(ValueError, match="already moved"):
-        ground(sk, ctx, scene, random.Random(1))
+        ground(sk, done.steps, scene, random.Random(1))
 
 
 def test_grounding_is_deterministic_in_the_rng():
     scene = load_scene(scenario("constrained_relocation"))
     sk = skeleton([act("M2", "strip")], [act("M1", "goal_zone")])
-    r1 = ground(sk, GroundingContext(), scene, random.Random(5))
-    r2 = ground(sk, GroundingContext(), scene, random.Random(5))
+    r1 = ground(sk, (), scene, random.Random(5))
+    r2 = ground(sk, (), scene, random.Random(5))
     assert isinstance(r1, Full) and isinstance(r2, Full)
     p1 = [s.placements() for s in r1.steps]
     p2 = [s.placements() for s in r2.steps]
     assert p1 == p2
-    r3 = ground(sk, GroundingContext(), scene, random.Random(6))
+    r3 = ground(sk, (), scene, random.Random(6))
     assert isinstance(r3, Full)  # other seeds ground too, possibly elsewhere
 
 
@@ -95,7 +93,7 @@ def test_grounded_multi_step_skeleton_validates():
     # vacate M1's pick sweep even though it blocks it only at its start pose
     scene = load_scene(scenario("constrained_relocation"))
     sk = skeleton([act("M2", "strip")], [act("M1", "goal_zone")])
-    res = ground(sk, GroundingContext(), scene, random.Random(0))
+    res = ground(sk, (), scene, random.Random(0))
     assert isinstance(res, Full)
     report = validate_plan(scene, Plan(steps=res.steps))
     assert report.ok, report.to_doc()
@@ -136,23 +134,19 @@ def test_find_trajectories_rejects_blocked_corridor():
 def test_partial_suffix_contains_future_context():
     scene = load_scene(scenario("conflict_partial"))
     sk = skeleton([act("M1", "goal_zone")])
-    res = ground(sk, GroundingContext(), scene, random.Random(0))
+    res = ground(sk, (), scene, random.Random(0))
     assert isinstance(res, Partial)
-    ctx = context_from_steps(res.steps)
-    assert ctx.m_fut == frozenset({"M1"})
+    assert moved_objects(res.steps) == {"M1"}
     assert len(volumes_of(res.steps)) >= 2  # pick + transfer corridors
 
 
 def test_partial_conflicts_are_actionable():
     # grounding the conflict object first makes the original skeleton work
     scene = load_scene(scenario("conflict_partial"))
-    first = ground(skeleton([act("M1", "goal_zone")]), GroundingContext(),
-                   scene, random.Random(0))
+    first = ground(skeleton([act("M1", "goal_zone")]), (), scene, random.Random(0))
     assert isinstance(first, Partial)
-    ctx = context_from_steps(first.steps)
     fixer = skeleton([act("M2", "work")])
-    res = ground(fixer, ctx, scene, random.Random(0),
-                 GroundingConfig(step_restarts=20))
+    res = ground(fixer, first.steps, scene, random.Random(0))
     assert isinstance(res, Full)
     report = validate_plan(scene, Plan(steps=res.steps))
     assert report.ok, report.to_doc()
@@ -179,10 +173,10 @@ def test_grounding_falls_back_to_the_next_grasp_of_the_class():
     assert action.grasps == (math.pi, math.pi / 2, 3 * math.pi / 2, 0.0)
 
     nearest_only = replace(action, grasps=action.grasps[:1])
-    res = ground(skeleton([nearest_only]), GroundingContext(), scene, random.Random(0))
+    res = ground(skeleton([nearest_only]), (), scene, random.Random(0))
     assert isinstance(res, Failure)
 
-    res = ground(skeleton([action]), GroundingContext(), scene, random.Random(0))
+    res = ground(skeleton([action]), (), scene, random.Random(0))
     assert isinstance(res, Full)
     grounded = res.steps[0].moves["R1"].action
     assert grounded.grasp_pick == grounded.grasp_place == math.pi / 2

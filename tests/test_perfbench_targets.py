@@ -2,15 +2,21 @@
 
 A rename in ``src/mrplan`` that the tracer does not follow would silently
 drop a span from the per-layer metrics, so every traced name must exist in
-its module and be looked up there.
+its module and be looked up there, and a traced run must fill every span
+without changing a plan.
 """
 import ast
 import importlib
+import importlib.util
 import inspect
 
 import pytest
 
-from conftest import REPO
+from conftest import REPO, scenario
+
+from mrplan.plans import dumps_plan
+from mrplan.scene import load_scene
+from mrplan.search import PlannerConfig, plan
 
 
 def traced_names():
@@ -33,3 +39,26 @@ def test_traced_name_resolves_and_is_looked_up_in_its_module(module, attr):
     loads = {node.id for node in ast.walk(ast.parse(inspect.getsource(mod)))
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert attr in loads, f"{module} never looks up {attr}, so its span stays empty"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  REPO / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_runs_fill_every_span_and_keep_their_plans():
+    tracer = load_tracer()
+    scenes = [load_scene(scenario(name)) for name in ("pick_chain", "conflict_partial")]
+    untraced = [dumps_plan(plan(s, PlannerConfig(seed=0)), sorted(s.robots))
+                for s in scenes]
+    tr = tracer.Tracer()
+    with tr.installed():
+        traced = [dumps_plan(plan(s, PlannerConfig(seed=0)), sorted(s.robots))
+                  for s in scenes]
+    assert traced == untraced
+    assert not tr.errors
+    empty = [name for _, _, name, _ in tracer.TARGETS if not tr.calls[name]]
+    assert not empty, f"spans without calls: {empty}"

@@ -1,0 +1,68 @@
+"""Golden digests of every shipped scene's plan and search trace.
+
+``golden/plan_digests.json`` maps ``<scene>:<seed>`` (the scene's path under
+``scenarios/`` without ``.json``) to the sha256 of what ``mrplan plan --seed
+<seed>`` writes with default settings: the plan JSON, or the ``NoPlan``
+document when there is none, and the ``--trace`` file. A refactor must leave
+every digest unchanged. After an intended behaviour change, regenerate the
+file with
+
+    PYTHONPATH=src python tests/test_plan_digests.py
+
+and list the change, with the scenes and seeds whose digests moved, in
+``CHANGES.md``.
+"""
+import hashlib
+import json
+import sys
+
+import pytest
+
+from conftest import GOLDEN, SCENARIOS
+
+from mrplan.plans import dumps_plan
+from mrplan.scene import load_scene
+from mrplan.search import NoPlan, PlannerConfig, plan
+
+SEEDS = range(5)
+DIGESTS = GOLDEN / "plan_digests.json"
+
+
+def scene_names():
+    paths = sorted(SCENARIOS.glob("*.json")) + sorted((SCENARIOS / "extra").glob("*.json"))
+    return [p.relative_to(SCENARIOS).with_suffix("").as_posix() for p in paths]
+
+
+def digests(name: str, seed: int) -> dict:
+    """sha256 of the plan (or NoPlan) text and the trace text, as the CLI writes them."""
+    scene = load_scene(SCENARIOS / f"{name}.json")
+    trace: list[str] = []
+    result = plan(scene, PlannerConfig(seed=seed), trace=trace)
+    if isinstance(result, NoPlan):
+        text = json.dumps(result.to_doc(), sort_keys=True) + "\n"
+    else:
+        text = dumps_plan(result, sorted(scene.robots))
+    trace_text = "\n".join(trace) + ("\n" if trace else "")
+    return {"plan": hashlib.sha256(text.encode()).hexdigest(),
+            "trace": hashlib.sha256(trace_text.encode()).hexdigest()}
+
+
+def golden() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def test_golden_covers_every_scene_and_seed():
+    assert set(golden()) == {f"{n}:{s}" for n in scene_names() for s in SEEDS}
+
+
+@pytest.mark.parametrize("name", scene_names())
+def test_plans_and_traces_match_the_golden_digests(name):
+    expected = golden()
+    for seed in SEEDS:
+        assert digests(name, seed) == expected[f"{name}:{seed}"], f"{name} seed {seed}"
+
+
+if __name__ == "__main__":
+    doc = {f"{n}:{s}": digests(n, s) for n in scene_names() for s in SEEDS}
+    DIGESTS.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(doc)} digests to {DIGESTS}", file=sys.stderr)

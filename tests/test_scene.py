@@ -6,7 +6,8 @@ import random
 import pytest
 
 from mrplan.geometry import Disc, Pose
-from mrplan.scene import Region, Rect, SceneError, load_scene, loads_scene, sample_placement
+from mrplan.scene import (Region, Rect, Robot, SceneError, load_scene, loads_scene,
+                          sample_placement)
 
 from conftest import scenario
 
@@ -18,6 +19,10 @@ MINIMAL = {
                 "reach_max": 2.0, "gripper_width": 0.1}],
     "goal": [["M1", "work"]],
 }
+
+
+# reaches every point of the unit square
+REACH_ALL = Robot("R", (0.0, 0.0), 0.0, 2.0, 0.1)
 
 
 def make(doc=None, **overrides):
@@ -92,6 +97,15 @@ def test_unknown_goal_object_rejected():
         make(goal=[["Mx", "work"]])
 
 
+@pytest.mark.parametrize("goal", [[["M1", "work"], ["M1", "shelf"]],
+                                  [["M1", "work"], ["M1", "work"]]],
+                         ids=["two_regions", "same_region"])
+def test_goal_naming_an_object_twice_rejected(goal):
+    regions = MINIMAL["regions"] + [{"name": "shelf", "rect": [2.0, 0.0, 3.0, 1.0]}]
+    with pytest.raises(SceneError, match=r"goal lists objects more than once: \['M1'\]"):
+        make(regions=regions, goal=goal)
+
+
 def test_malformed_json_and_schema_errors():
     with pytest.raises(SceneError, match="parse error"):
         loads_scene("{not json")
@@ -140,7 +154,7 @@ def test_sample_placement_respects_region_and_forbidden():
     blocker = (Disc(0.2), Pose(0.5, 0.5))
     rng = random.Random(3)
     for _ in range(50):
-        pose = sample_placement(region, obj, [blocker], rng)
+        pose = sample_placement(region, obj, [blocker], rng, REACH_ALL)
         assert pose is not None
         assert 0.1 <= pose.x <= 0.9 and 0.1 <= pose.y <= 0.9
         # clear of the blocker (boundary grazing allowed by tolerance)
@@ -154,17 +168,17 @@ def test_sample_placement_infeasible_returns_none():
     region = Region("r", Rect(0.0, 0.0, 1.0, 1.0))
     obj = Disc(0.3)
     blocker = (Disc(0.3), Pose(0.5, 0.5))
-    assert sample_placement(region, obj, [blocker], random.Random(0)) is None
+    assert sample_placement(region, obj, [blocker], random.Random(0), REACH_ALL) is None
 
 
-def test_sample_placement_deterministic_and_extra_ok():
+def test_sample_placement_deterministic_and_in_reach():
     region = Region("r", Rect(0.0, 0.0, 1.0, 1.0))
     obj = Disc(0.05)
-    p1 = sample_placement(region, obj, [], random.Random(7))
-    p2 = sample_placement(region, obj, [], random.Random(7))
+    p1 = sample_placement(region, obj, [], random.Random(7), REACH_ALL)
+    p2 = sample_placement(region, obj, [], random.Random(7), REACH_ALL)
     assert p1 == p2
-    left = sample_placement(region, obj, [], random.Random(7),
-                            extra_ok=lambda p: p.x < 0.2)
-    assert left is not None and left.x < 0.2
-    with pytest.raises(ValueError):
-        sample_placement(region, obj, [], random.Random(0), max_attempts=0)
+    short = Robot("R", (0.0, 0.0), 0.1, 0.4, 0.1)
+    near = sample_placement(region, obj, [], random.Random(7), short)
+    assert near is not None and 0.1 <= math.hypot(near.x, near.y) <= 0.4
+    far = Robot("R", (5.0, 5.0), 0.1, 1.0, 0.1)
+    assert sample_placement(region, obj, [], random.Random(7), far) is None

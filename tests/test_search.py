@@ -8,7 +8,7 @@ import pytest
 from mrplan import mip, search
 from mrplan.grounding import Failure, Full, Partial
 from mrplan.mip import BudgetExceeded, TaskSkeleton
-from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan
+from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan, moved_objects
 from mrplan.scene import load_scene, loads_scene
 from mrplan.search import (NoPlan, PlannerConfig, SearchEdge, SearchNode,
                            _Tree, backpropagate, plan, reward, ucb)
@@ -38,11 +38,11 @@ def grounded_step(obj="M1"):
 
 def test_ucb_formula_values():
     node = SearchNode(id=0, visits=4)
-    edge = SearchEdge(id=0, tail=0, skeleton=sk_for(["M1"]), prior=0.5,
+    edge = SearchEdge(id=0, skeleton=sk_for(["M1"]), prior=0.5,
                       value=1.0, visits=1)
     assert ucb(node, edge, c=1.0) == pytest.approx(1.0)  # 1/2 + 0.5*2/2
     assert ucb(node, edge, c=0.0) == pytest.approx(0.5)
-    fresh = SearchEdge(id=1, tail=0, skeleton=sk_for(["M1"]), prior=1.0)
+    fresh = SearchEdge(id=1, skeleton=sk_for(["M1"]), prior=1.0)
     assert ucb(SearchNode(id=1), fresh, c=1.0) == 0.0
     assert ucb(node, fresh, c=2.0) == pytest.approx(2.0 * 1.0 * 2.0)
 
@@ -121,7 +121,7 @@ def test_conflict_discovered_in_grounding_is_resolved():
     scene = load_scene(scenario("conflict_partial"))
     result = plan(scene, PlannerConfig(seed=0))
     assert isinstance(result, Plan)
-    assert result.all_moved_objects() == {"M1", "M2"}
+    assert moved_objects(result.steps) == {"M1", "M2"}
     assert validate_plan(scene, result).ok
 
 
