@@ -109,15 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-robot geometric task-and-motion planner over a 2D world.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    default = PlannerConfig()
     p = sub.add_parser("plan", help="search for a plan on a scene")
     p.add_argument("scene")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--time-budget", type=float, default=60.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--t-max", type=int, default=4)
-    p.add_argument("--k-max", type=int, default=10)
+    p.add_argument("--seed", type=int, default=default.seed)
+    p.add_argument("--max-iters", type=int, default=default.max_iterations)
+    p.add_argument("--time-budget", type=float, default=default.time_budget)
+    p.add_argument("--c", type=float, default=default.c)
+    p.add_argument("--alpha", type=float, default=default.alpha)
+    p.add_argument("--t-max", type=int, default=default.t_max)
+    p.add_argument("--k-max", type=int, default=default.k_max)
     p.add_argument("--out", help="plan output path (default: stdout)")
     p.add_argument("--dump-facts", help="write computed facts as sorted JSON")
     p.add_argument("--dump-cmtg", help="write the goal task graph, line-oriented")

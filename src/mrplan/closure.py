@@ -80,10 +80,10 @@ def index_graph(graph: CMTG) -> GraphIndex:
 
 
 def first_optimum(ix: GraphIndex, T: int, cuts, budget: int):
-    """(selected actions in canonical order, step of each selected action)
-    of the lexicographically least optimal assignment at horizon T, or None
-    when there is none. ``cuts`` are action sets no solution may select.
-    Raises BudgetExceeded after ``budget`` nodes."""
+    """The step of each selected action, by action in canonical order, of the
+    lexicographically least optimal assignment at horizon T, or None when
+    there is none; its keys are the selection. ``cuts`` are action sets no
+    solution may select. Raises BudgetExceeded after ``budget`` nodes."""
     return _Search(ix, T, cuts, budget).run()
 
 
@@ -119,7 +119,7 @@ class _Search:
             raise BudgetExceeded(f"node budget {self.budget} exceeded")
 
     def run(self):
-        """(selected actions, step per selected action) or None."""
+        """The step per selected action, or None."""
         self.tick()
         # no step is empty, so at least T objects move, each taking a robot step
         if min(len(self.order), len(self.ix.robots) * self.T) < self.T:
@@ -321,8 +321,8 @@ class _Search:
         return None
 
     def leaf(self):
-        """Every object decided: the set, if it is closed, has k actions, is
-        not cut and has a schedule."""
+        """Every object decided: the set's first schedule, if the set is
+        closed, has k actions and is not cut."""
         if self.size != self.k:
             return None
         selection = []
@@ -335,8 +335,7 @@ class _Search:
         if self.cuts and frozenset(selection) in self.cuts:
             return None
         # objects, and so their actions, are in canonical order
-        steps = self.schedule(selection)
-        return None if steps is None else (selection, steps)
+        return self.schedule(selection)
 
     def schedule(self, selection: list):
         """The first step per action in branch order, or None.

@@ -34,6 +34,11 @@ class Pose:
     def xy(self) -> tuple[float, float]:
         return (self.x, self.y)
 
+    @classmethod
+    def from_doc(cls, d: dict) -> Pose:
+        """A pose from a scene or plan document; ``theta`` defaults to 0."""
+        return cls(d["x"], d["y"], d.get("theta", 0.0))
+
 
 @dataclass(frozen=True)
 class Disc:

@@ -164,7 +164,7 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
     fixed = list(scene.fixed)
 
     for t in range(skeleton.makespan, 0, -1):
-        actions = {a for a in skeleton.steps[t - 1].values() if a is not None}
+        actions = set(skeleton.steps[t - 1].values())
         strict = fixed + obstacle_poses(m_out | m_fut)
         moves = _sample_step(actions, strict + v_fut, strict, scene, rng)
         relaxed = moves is None

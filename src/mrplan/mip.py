@@ -2,21 +2,25 @@
 
 For a horizon T, binary variables X[t, a] are declared for every action
 edge a of the graph. X[t, a] = 1 means action a runs at some step >= t, so
-the execution step of a selected action is sum_t X[t, a]. A block edge
-(a, M) is indicated by its action's column X[t, a], so family (2), block
-indicators mirror their action, holds by substitution. The other families
-enforce: (1) monotone step indicators, (3) non-target objects move only
-when they block a selected action, (4)-(7) per-robot capacity and per-step
-progress, (8) all targets move, (9) blockers of selected actions move,
-(10) each object moves at most once, (11) pick-blockers move strictly
-earlier, (12) place-blockers move no later (big-M linearization,
-M = T + 1).
+the execution step of a selected action is sum_t X[t, a]. Variables are
+numbered by t, then canonical action: X[t, a_i] is variable
+``model.var(t, i) = (t - 1) * n + i`` for n actions. The objective counts
+the selected actions, sum_a X[1, a]. A block edge (a, M) is indicated by
+its action's column X[t, a], so family (2), block indicators mirror their
+action, holds by substitution. The other families enforce: (1) monotone
+step indicators, (3) non-target objects move only when they block a
+selected action, (4)-(7) per-robot capacity and per-step progress, (8) all
+targets move, (9) blockers of selected actions move, (10) each object moves
+at most once, (11) pick-blockers move strictly earlier, (12) place-blockers
+move no later (big-M linearization, M = T + 1).
 
-The rows are built on the first read of ``MipModel.constraints``
-(``--dump-mip`` and the row-fidelity tests read them). ``solve`` never
-reads them: ``mrplan.closure`` solves the task graph they encode and
-returns their lexicographically least optimal assignment. All arithmetic
-is integral.
+A model stores only its horizon, the indexed graph and its exclusion cuts.
+The rows are built on the first read of ``MipModel.constraints``, and the
+variable names and objective on each read of ``var_names`` and
+``objective``: ``--dump-mip`` and the row-fidelity tests read them.
+``solve`` never does: ``mrplan.closure`` solves the task graph they encode
+and returns their lexicographically least optimal assignment. All
+arithmetic is integral.
 """
 from __future__ import annotations
 
@@ -50,23 +54,30 @@ class LinearConstraint:
 @dataclass
 class MipModel:
     T: int
-    var_names: list            # canonical: X[t, action edge], by t, then action
-    objective: dict            # var_index -> coefficient (minimize)
     # the graph by position, for the solver, extraction and the rows
     index: GraphIndex = field(repr=False)
-    act_var: dict = field(default_factory=dict)        # (t, edge_i) -> var index
-    cuts: list = field(default_factory=list)           # excluded action-edge sets
+    cuts: list = field(default_factory=list)    # excluded action sets (frozensets)
     _rows: list | None = field(default=None, init=False, repr=False, compare=False)
     _n_base_rows: int = field(default=0, init=False, repr=False, compare=False)
 
-    @property
-    def num_vars(self) -> int:
-        return len(self.var_names)
+    def var(self, t: int, i: int) -> int:
+        """Index of X[t, action i]."""
+        return (t - 1) * len(self.index.actions) + i
 
     @property
-    def action_edges(self) -> list:
-        """[(object, action)], actions in canonical order."""
-        return [(a.obj, a) for a in self.index.actions]
+    def num_vars(self) -> int:
+        return self.T * len(self.index.actions)
+
+    @property
+    def var_names(self) -> list[str]:
+        """Name per variable index; built on each read."""
+        return [f"Xa_t{t}_{a.obj}_a{i}" for t in range(1, self.T + 1)
+                for i, a in enumerate(self.index.actions)]
+
+    @property
+    def objective(self) -> dict:
+        """var index -> coefficient (minimize); built on each read."""
+        return {self.var(1, i): 1 for i in range(len(self.index.actions))}
 
     @property
     def constraints(self) -> list[LinearConstraint]:
@@ -81,9 +92,11 @@ class MipModel:
 
     def dumps_lp(self) -> str:
         """Model in LP text format (minimize / subject to / binary)."""
+        names = self.var_names
+
         def term(c, v):
             sign = "+" if c >= 0 else "-"
-            return f"{sign} {abs(c)} {self.var_names[v]}"
+            return f"{sign} {abs(c)} {names[v]}"
         lines = ["Minimize"]
         obj = " ".join(term(c, v) for v, c in sorted(self.objective.items()))
         lines.append(f" obj: {obj or '0'}")
@@ -94,7 +107,7 @@ class MipModel:
             name = con.label or f"c{i}"
             lines.append(f" {name}: {lhs} {sense_txt[con.sense]} {con.rhs}")
         lines.append("Binary")
-        lines.append(" " + " ".join(self.var_names))
+        lines.append(" " + " ".join(names))
         lines.append("End")
         return "\n".join(lines) + "\n"
 
@@ -107,14 +120,10 @@ class MipSolution:
 
 @dataclass(frozen=True)
 class TaskSkeleton:
-    """Sequence of per-step robot -> action assignments (None = wait)."""
-    steps: tuple               # tuple of dict robot -> action | None
+    """Per step, each robot that acts -> its action; a handover maps both of
+    its robots to it, and a robot that waits is absent."""
+    steps: tuple               # tuple of dict robot -> action
     moved_objects: frozenset
-
-    def structure_key(self) -> tuple:
-        return tuple(
-            tuple(sorted(a.key() for a in {v for v in step.values() if v is not None}))
-            for step in self.steps)
 
     @property
     def makespan(self) -> int:
@@ -122,29 +131,18 @@ class TaskSkeleton:
 
 
 def compile_model(graph: CMTG, T: int, *, _index: GraphIndex | None = None) -> MipModel:
-    """The model at horizon T: variables and the graph index now, rows on
-    first read of ``constraints``. ``enumerate_skeletons`` passes its first
-    model's index of ``graph`` as ``_index`` to the later horizons: indexing
-    the graph again at every horizon made ``suite`` plans ~12% slower."""
+    """The model at horizon T: the graph index now, rows on first read of
+    ``constraints``. ``enumerate_skeletons`` passes its first model's index
+    of ``graph`` as ``_index`` to the later horizons: indexing the graph
+    again at every horizon made ``suite`` plans ~12% slower."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    index = index_graph(graph) if _index is None else _index
-    n = len(index.actions)
-    var_names: list[str] = []
-    act_var = {}
-    # X[1, action edge] first, in canonical order: this is the branch order
-    for t in range(1, T + 1):
-        for i, a in enumerate(index.actions):
-            act_var[(t, i)] = len(var_names)
-            var_names.append(f"Xa_t{t}_{a.obj}_a{i}")
-    objective = {act_var[(1, i)]: 1 for i in range(n)}
-    return MipModel(T=T, var_names=var_names, objective=objective, index=index,
-                    act_var=act_var)
+    return MipModel(T=T, index=index_graph(graph) if _index is None else _index)
 
 
 def _model_rows(model: MipModel) -> list[LinearConstraint]:
     """Constraint families (1) and (3)-(12) of ``model``, in dump order."""
-    ix, T, act_var = model.index, model.T, model.act_var
+    ix, T, var = model.index, model.T, model.var
     n = len(ix.actions)
     rows: list[LinearConstraint] = []
 
@@ -166,7 +164,7 @@ def _model_rows(model: MipModel) -> list[LinearConstraint]:
     # (1) monotone step indicators
     for i in range(n):
         for t in range(1, T):
-            add({act_var[(t, i)]: 1, act_var[(t + 1, i)]: -1}, ">=", 0,
+            add({var(t, i): 1, var(t + 1, i): -1}, ">=", 0,
                 f"mono_t{t}_e{i}")
     # (3) non-targets move only to unblock a selected action
     for o, m in enumerate(ix.objects):
@@ -174,49 +172,49 @@ def _model_rows(model: MipModel) -> list[LinearConstraint]:
             continue
         for t in range(1, T + 1):
             rhs_terms = Counter()
-            rhs_terms.subtract(act_var[(t, b)] for b in blocked_by[o])
+            rhs_terms.subtract(var(t, b) for b in blocked_by[o])
             for i in ix.acts[o]:
                 coeffs = rhs_terms.copy()
-                coeffs[act_var[(t, i)]] += 1
+                coeffs[var(t, i)] += 1
                 add(coeffs, "<=", 0, f"gate_t{t}_{m}_e{i}")
     # (4) per-robot capacity at the last step
     for r, edges in zip(ix.robots, edges_of_robot):
-        add({act_var[(T, i)]: 1 for i in edges}, "<=", 1, f"cap_T_{r}")
+        add({var(T, i): 1 for i in edges}, "<=", 1, f"cap_T_{r}")
     # (5) progress at the last step
-    add({act_var[(T, i)]: 1 for i in range(n)}, ">=", 1, "prog_T")
+    add({var(T, i): 1 for i in range(n)}, ">=", 1, "prog_T")
     # (6) per-robot capacity at every step
     for r, edges in zip(ix.robots, edges_of_robot):
         for t in range(1, T):
-            coeffs = {act_var[(t, i)]: 1 for i in edges}
+            coeffs = {var(t, i): 1 for i in edges}
             for i in edges:
-                coeffs[act_var[(t + 1, i)]] = coeffs.get(act_var[(t + 1, i)], 0) - 1
+                coeffs[var(t + 1, i)] = coeffs.get(var(t + 1, i), 0) - 1
             add(coeffs, "<=", 1, f"cap_t{t}_{r}")
     # (7) progress at every step
     for t in range(1, T):
-        coeffs = {act_var[(t, i)]: 1 for i in range(n)}
+        coeffs = {var(t, i): 1 for i in range(n)}
         for i in range(n):
-            coeffs[act_var[(t + 1, i)]] = coeffs.get(act_var[(t + 1, i)], 0) - 1
+            coeffs[var(t + 1, i)] = coeffs.get(var(t + 1, i), 0) - 1
         add(coeffs, ">=", 1, f"prog_t{t}")
     # (8) every target is moved
     for o in sorted(ix.targets):
-        add({act_var[(1, i)]: 1 for i in ix.acts[o]}, "==", 1, f"target_{ix.objects[o]}")
+        add({var(1, i): 1 for i in ix.acts[o]}, "==", 1, f"target_{ix.objects[o]}")
     # (9) blockers of selected actions are moved
     for j, (a, o, kind) in enumerate(block_edges):
-        coeffs = Counter(act_var[(1, i)] for i in ix.acts[o])
-        coeffs[act_var[(1, a)]] -= 1
+        coeffs = Counter(var(1, i) for i in ix.acts[o])
+        coeffs[var(1, a)] -= 1
         add(coeffs, ">=", 0, f"unblock_b{j}")
     # (10) each object moved at most once
     for o, m in enumerate(ix.objects):
         if ix.acts[o]:
-            add({act_var[(1, i)]: 1 for i in ix.acts[o]}, "<=", 1, f"once_{m}")
+            add({var(1, i): 1 for i in ix.acts[o]}, "<=", 1, f"once_{m}")
     # (11)/(12) precedence, big-M linearized:
     #   X[1,a]=1  =>  sum_t X[t,a] >= sum over M's action edges of sum_t X[t] (+1)
     for j, (a, o, kind) in enumerate(block_edges):
         coeffs = Counter()
         for t in range(1, T + 1):
-            coeffs[act_var[(t, a)]] += 1
-            coeffs.subtract(act_var[(t, i)] for i in ix.acts[o])
-        coeffs[act_var[(1, a)]] -= big_m
+            coeffs[var(t, a)] += 1
+            coeffs.subtract(var(t, i) for i in ix.acts[o])
+        coeffs[var(1, a)] -= big_m
         strict = 1 if kind == "pick" else 0
         add(coeffs, ">=", strict - big_m, f"prec_{kind}_b{j}")
     return rows
@@ -224,7 +222,7 @@ def _model_rows(model: MipModel) -> list[LinearConstraint]:
 
 def _cut_row(model: MipModel, selected: frozenset, label: str) -> LinearConstraint:
     """The row that forbids selecting exactly the action edges ``selected``."""
-    coeffs = tuple((model.act_var[(1, i)], -1 if i in selected else 1)
+    coeffs = tuple((model.var(1, i), -1 if i in selected else 1)
                    for i in range(len(model.index.actions)))
     return LinearConstraint(tuple(sorted(coeffs)), ">=", 1 - len(selected), label)
 
@@ -237,86 +235,75 @@ def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
     schedule search, counting the root; ``budget`` bounds the nodes of this
     call.
     """
-    found = first_optimum(model.index, model.T, model.cuts, budget)
-    if found is None:
+    steps = first_optimum(model.index, model.T, model.cuts, budget)
+    if steps is None:
         return "infeasible"
-    selection, steps = found
     assignment = [0] * model.num_vars
     for i, step in steps.items():
         for t in range(1, step + 1):
-            assignment[model.act_var[(t, i)]] = 1
-    return MipSolution(assignment=tuple(assignment), objective_value=len(selection))
+            assignment[model.var(t, i)] = 1
+    return MipSolution(assignment=tuple(assignment), objective_value=len(steps))
 
 
-def extract_skeleton(solution: MipSolution, graph: CMTG, T: int,
-                     robot_names=None, *, model: MipModel) -> TaskSkeleton:
-    if robot_names is None:
-        robot_names = sorted({r for a in graph.action_nodes for r in a.robots})
-    steps: list[dict] = [{r: None for r in robot_names} for _ in range(T)]
+def extract_skeleton(solution: MipSolution, model: MipModel) -> TaskSkeleton:
+    """The skeleton ``solution`` encodes: each selected action at step
+    sum_t X[t, a], under each of its robots. Raises ConsistencyError when the
+    assignment is not a schedule: non-monotone indicators, a robot used twice
+    in a step, or an empty step."""
+    T = model.T
+    steps: list[dict] = [{} for _ in range(T)]
     moved = set()
-    for i, (m, a) in enumerate(model.action_edges):
-        col = [solution.assignment[model.act_var[(t, i)]] for t in range(1, T + 1)]
+    for i, a in enumerate(model.index.actions):
+        col = [solution.assignment[model.var(t, i)] for t in range(1, T + 1)]
         if any(col[t] < col[t + 1] for t in range(T - 1)):
-            raise ConsistencyError(f"non-monotone step indicators for action on {m}")
+            raise ConsistencyError(f"non-monotone step indicators for action on {a.obj}")
         k = sum(col)
         if k == 0:
             continue
         step = steps[k - 1]
         for r in a.robots:
-            if step[r] is not None:
+            if r in step:
                 raise ConsistencyError(f"robot {r} assigned twice at step {k}")
             step[r] = a
-        moved.add(m)
-    steps = [s for s in steps if any(v is not None for v in s.values())]
-    if len(steps) != T:
+        moved.add(a.obj)
+    if not all(steps):
         raise ConsistencyError("solution leaves an empty step")
     return TaskSkeleton(steps=tuple(steps), moved_objects=frozenset(moved))
 
 
-def _exclusion_cut(model: MipModel, selected: set) -> None:
-    """Forbid re-selecting exactly the action set ``selected`` (edge indices)."""
-    model.cuts.append(frozenset(selected))
-
-
 def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
                         budget: int = DEFAULT_NODE_BUDGET,
-                        robot_names=None, deadline: float | None = None
-                        ) -> list[TaskSkeleton]:
+                        deadline: float | None = None) -> list[TaskSkeleton]:
     """Up to ``K_max`` distinct task skeletons, by increasing horizon.
 
     Each solve's action selection is cut from all later solves, so no two
-    skeletons select the same actions or share a ``structure_key``. Actions
-    are grasp classes, so skeletons differ in which robots move which
-    objects where. Each solve enumerates closed action sets and checks the
-    first that fits for a schedule; no model's rows are built. Raises
-    BudgetExceeded when a solve exceeds ``budget`` nodes (calls of its set
-    or schedule search), and TimeBudgetExceeded when a solve would start
-    after ``deadline`` (a ``time.monotonic()`` value).
+    skeletons select the same actions. Every horizon's model lists the
+    graph's actions in the same canonical order, so all of them share one
+    cut list. Actions are grasp classes, so skeletons differ in which robots
+    move which objects where. Each solve enumerates closed action sets and
+    checks the first that fits for a schedule; no model's rows are built.
+    Raises BudgetExceeded when a solve exceeds ``budget`` nodes (calls of
+    its set or schedule search), and TimeBudgetExceeded when a solve would
+    start after ``deadline`` (a ``time.monotonic()`` value).
     """
     if not graph.targets:
         return []
     skeletons: list[TaskSkeleton] = []
-    # action-selection sets, by action-edge index: every horizon's model
-    # lists the graph's actions in the same canonical order
-    cuts: list[set] = []
+    cuts: list[frozenset] = []
     index = None
     for T in range(1, T_max + 1):
         model = compile_model(graph, T, _index=index)
+        model.cuts = cuts
         index = model.index
-        for cut in cuts:
-            _exclusion_cut(model, cut)
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeBudgetExceeded("time budget passed during skeleton enumeration")
             res = solve(model, budget)
             if res == "infeasible":
                 break
-            sk = extract_skeleton(res, graph, T, robot_names, model=model)
-            selection = {i for i in range(len(model.index.actions))
-                         if res.assignment[model.act_var[(1, i)]] == 1}
-            cuts.append(selection)
-            _exclusion_cut(model, selection)
-            skeletons.append(sk)
+            skeletons.append(extract_skeleton(res, model))
             if len(skeletons) >= K_max:
                 return skeletons
+            cuts.append(frozenset(i for i in range(len(index.actions))
+                                  if res.assignment[model.var(1, i)]))
     return skeletons

@@ -124,13 +124,9 @@ def _traj_doc(t: Trajectory) -> dict:
     }
 
 
-def _parse_pose(d: dict) -> Pose:
-    return Pose(d["x"], d["y"], d.get("theta", 0.0))
-
-
 def _parse_traj(d: dict) -> Trajectory:
     return Trajectory(
-        waypoints=tuple(_parse_pose(w) for w in d["waypoints"]),
+        waypoints=tuple(Pose.from_doc(w) for w in d["waypoints"]),
         corridors=tuple(Corridor(tuple(c["a"]), tuple(c["b"]), c["width"])
                         for c in d["corridors"]),
     )
@@ -192,7 +188,7 @@ def loads_plan(text: str) -> Plan:
                 grasp_pick=rec["grasp_pick"], grasp_place=rec["grasp_place"])
             moves[rec["robot"]] = RobotMove(
                 action=action, role=rec["role"],
-                placement=_parse_pose(rec["placement"]),
+                placement=Pose.from_doc(rec["placement"]),
                 pick_traj=_parse_traj(rec["pick_traj"]),
                 place_traj=_parse_traj(rec["place_traj"]))
         steps.append(GroundedJointAction(moves=moves))

@@ -186,10 +186,6 @@ def _parse_shape(d: dict) -> Shape:
     return Rectangle(half_w=d["half_w"], half_h=d["half_h"])
 
 
-def _parse_pose(d: dict) -> Pose:
-    return Pose(d["x"], d["y"], d.get("theta", 0.0))
-
-
 def loads_scene(text: str) -> Scene:
     try:
         doc = json.loads(text)
@@ -211,11 +207,11 @@ def loads_scene(text: str) -> Scene:
             regions[r["name"]] = Region(r["name"], Rect(xmin, ymin, xmax, ymax))
         except ValueError as e:
             raise SceneError(f"region {r['name']}: {e}") from e
-    fixed = [(_parse_shape(f["shape"]), _parse_pose(f["pose"])) for f in doc.get("fixed", [])]
+    fixed = [(_parse_shape(f["shape"]), Pose.from_doc(f["pose"])) for f in doc.get("fixed", [])]
     movables = {}
     for m in doc["movables"]:
         movables[m["name"]] = Movable(m["name"], _parse_shape(m["shape"]),
-                                      _parse_pose(m["pose"]), m["home_region"])
+                                      Pose.from_doc(m["pose"]), m["home_region"])
     robots = {}
     for r in doc["robots"]:
         robots[r["name"]] = Robot(r["name"], tuple(r["base"]), r["reach_min"],

@@ -40,11 +40,12 @@ class PlannerConfig:
     exhaust: bool = False
 
     def __post_init__(self):
-        if self.c < 0 or self.alpha < 0:
+        # written as "not (x >= bound)" so that NaN is out of range too
+        if not (self.c >= 0 and self.alpha >= 0):
             raise ValueError("c and alpha must be nonnegative")
-        if self.t_max < 1 or self.k_max < 1 or self.node_budget < 1:
+        if not (self.t_max >= 1 and self.k_max >= 1 and self.node_budget >= 1):
             raise ValueError("t_max, k_max and node_budget must be >= 1")
-        if self.max_iterations < 0 or self.time_budget < 0:
+        if not (self.max_iterations >= 0 and self.time_budget >= 0):
             raise ValueError("max_iterations and time_budget must be nonnegative")
 
 
@@ -111,9 +112,7 @@ def reward(outcome, new_skeletons, alpha: float) -> float:
     # partial
     if not new_skeletons:
         return 0.0
-    best = min(new_skeletons,
-               key=lambda sk: (sk.makespan, len(sk.moved_objects),
-                               sk.structure_key()))
+    best = min(new_skeletons, key=lambda sk: (sk.makespan, len(sk.moved_objects)))
     grounded_len = len(outcome.steps)
     grounded_objs = len(moved_objects(outcome.steps))
     return (grounded_len / (grounded_len + best.makespan)
@@ -137,18 +136,6 @@ class _Tree:
         tail.children.append(edge.id)
         tail.open_edges += 1
         return edge
-
-
-def _new_skeletons_for(conflicts, grounded_steps, facts: FactSet, scene: Scene,
-                       cfg: PlannerConfig, deadline: float):
-    """Skeletons moving the ``conflicts`` that ``grounded_steps`` leave unmoved."""
-    moved = moved_objects(grounded_steps)
-    targets = set(conflicts) - moved
-    if not targets:
-        return []
-    graph = build_cmtg(targets, facts, scene, excluded=frozenset(moved))
-    return enumerate_skeletons(graph, cfg.t_max, cfg.k_max, cfg.node_budget,
-                               robot_names=sorted(scene.robots), deadline=deadline)
 
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
@@ -175,18 +162,6 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
     if facts is None:
         facts = compute_facts(scene)
     tree = _Tree()
-    root = tree.new_node()
-    try:
-        for sk in _new_skeletons_for(scene.goal_objects(), (), facts, scene, cfg,
-                                     deadline):
-            tree.new_edge(root, sk)
-    except BudgetExceeded:
-        return NoPlan("solver_budget", 0, 1)
-    except TimeBudgetExceeded:
-        return NoPlan("time_budget", 0, 1)
-    if not root.children:
-        return NoPlan("no_initial_skeletons", 0, 1)
-
     best_plan: Plan | None = None
     iterations = 0
 
@@ -195,6 +170,30 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
         if best_plan is not None:
             return best_plan
         return NoPlan(reason, iterations, len(tree.nodes))
+
+    def expand(node: SearchNode, conflicts) -> str | None:
+        """Add an edge from ``node`` for each skeleton that moves
+        ``conflicts``, which its stored steps leave unmoved. Returns the stop
+        reason when enumeration runs out of a budget."""
+        graph = build_cmtg(conflicts, facts, scene,
+                           excluded=moved_objects(node.stored_steps))
+        try:
+            skeletons = enumerate_skeletons(graph, cfg.t_max, cfg.k_max,
+                                            cfg.node_budget, deadline=deadline)
+        except BudgetExceeded:
+            return "solver_budget"
+        except TimeBudgetExceeded:
+            return "time_budget"
+        for sk in skeletons:
+            tree.new_edge(node, sk)
+        return None
+
+    root = tree.new_node()
+    stop = expand(root, scene.goal_objects())
+    if stop:
+        return give_up(stop)
+    if not root.children:
+        return NoPlan("no_initial_skeletons", 0, 1)
 
     for iteration in range(1, cfg.max_iterations + 1):
         if time.monotonic() > deadline:
@@ -251,18 +250,12 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
         # partial: expand with skeletons for the conflict set
         head = tree.new_node(outcome.steps)
         edge.head = head.id
-        try:
-            new_sks = _new_skeletons_for(outcome.conflicts, outcome.steps,
-                                         facts, scene, cfg, deadline)
-        except BudgetExceeded:
-            return give_up("solver_budget")
-        except TimeBudgetExceeded:
-            return give_up("time_budget")
-        for sk in new_sks:
-            tree.new_edge(head, sk)
+        stop = expand(head, outcome.conflicts)
+        if stop:
+            return give_up(stop)
         if not head.children:
             edge.exhausted = True
-        r = reward(outcome, new_sks, cfg.alpha)
+        r = reward(outcome, [tree.edges[e].skeleton for e in head.children], cfg.alpha)
         emit(f"iter={iteration} edge={edge.id} outcome=partial reward={r:.6f} "
              f"children={len(head.children)}")
         backpropagate(path, r)

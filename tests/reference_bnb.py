@@ -39,6 +39,7 @@ def _violated(sense: str, lo: int, hi: int, rhs: int) -> bool:
 def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
     """Optimal solution, or the string 'infeasible'. Raises BudgetExceeded."""
     n = model.num_vars
+    objective = model.objective
     values = [-1] * n
     occurs: list[list[LinearConstraint]] = [[] for _ in range(n)]
     for con in model.constraints:
@@ -79,7 +80,7 @@ def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
         return True
 
     def lower_bound() -> int:
-        return sum(c for v, c in model.objective.items() if values[v] == 1)
+        return sum(c for v, c in objective.items() if values[v] == 1)
 
     def dfs() -> None:
         nodes[0] += 1

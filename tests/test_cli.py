@@ -196,12 +196,17 @@ def test_plan_exits_1_on_a_scene_without_goal(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--t-max", 0, "--dump-mip", "model.lp"],
                                    ["--k-max", 0], ["--max-iters", -1],
-                                   ["--time-budget", -1]])
+                                   ["--time-budget", -1], ["--time-budget", "nan"]])
 def test_plan_exits_1_on_out_of_range_limits(tmp_path, capsys, flags):
     flags = [tmp_path / f if str(f).endswith(".lp") else f for f in flags]
     assert run(["plan", scenario("unobstructed"), *flags]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "model.lp").exists()
+
+
+def test_plan_without_flags_uses_the_planner_defaults():
+    args = cli.build_parser().parse_args(["plan", "scene.json"])
+    assert cli._config_from_args(args) == search.PlannerConfig()
 
 
 def test_validate_malformed_plan_exits_1(tmp_path):

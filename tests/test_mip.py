@@ -47,7 +47,7 @@ def test_single_action_single_step():
     res = solve(model)
     assert isinstance(res, MipSolution)
     assert res.objective_value == 1
-    sk = extract_skeleton(res, g, 1, model=model)
+    sk = extract_skeleton(res, model)
     assert sk.makespan == 1
     assert sk.moved_objects == frozenset({"M1"})
     assert sk.steps[0]["R1"] == act("M1")
@@ -69,7 +69,7 @@ def test_pick_block_needs_strictly_earlier_step():
     assert solve(compile_model(g, 1)) == "infeasible"
     model = compile_model(g, 2)
     res = solve(model)
-    sk = extract_skeleton(res, g, 2, model=model)
+    sk = extract_skeleton(res, model)
     assert sk.steps[0]["R1"] == act("M2")
     assert sk.steps[1]["R1"] == act("M1")
 
@@ -80,7 +80,7 @@ def test_place_block_allows_same_step_on_different_robots():
     model = compile_model(g, 1)
     res = solve(model)
     assert isinstance(res, MipSolution)
-    sk = extract_skeleton(res, g, 1, model=model)
+    sk = extract_skeleton(res, model)
     assert sk.makespan == 1 and sk.moved_objects == frozenset({"M1", "M2"})
 
 
@@ -100,7 +100,7 @@ def test_handover_occupies_both_robots():
     assert solve(compile_model(g, 1)) == "infeasible"
     model = compile_model(g, 2)
     res = solve(model)
-    sk = extract_skeleton(res, g, 2, model=model)
+    sk = extract_skeleton(res, model)
     handover_step = next(s for s in sk.steps if h in s.values())
     assert handover_step["R1"] == h and handover_step["R2"] == h
 
@@ -112,13 +112,13 @@ def test_big_m_precedence_row_expansion():
     row = next(c for c in model.constraints if c.label == "prec_pick_b0")
     # the block edge is indicated by M1's action column a:
     # sum_t X[t,a] - sum_t X[t, M2's action edge] - (T+1) X[1,a] >= 1-(T+1)
-    m1_edge = next(i for i, (m, _) in enumerate(model.action_edges) if m == "M1")
-    m2_edge = next(i for i, (m, _) in enumerate(model.action_edges) if m == "M2")
+    m1_edge = next(i for i, a in enumerate(model.index.actions) if a.obj == "M1")
+    m2_edge = next(i for i, a in enumerate(model.index.actions) if a.obj == "M2")
     expect = {}
     for t in (1, 2):
-        expect[model.act_var[(t, m1_edge)]] = 1
-        expect[model.act_var[(t, m2_edge)]] = -1
-    expect[model.act_var[(1, m1_edge)]] += -(T + 1)
+        expect[model.var(t, m1_edge)] = 1
+        expect[model.var(t, m2_edge)] = -1
+    expect[model.var(1, m1_edge)] += -(T + 1)
     assert dict(row.coeffs) == expect
     assert row.sense == ">=" and row.rhs == 1 - (T + 1)
 
@@ -128,13 +128,13 @@ def test_block_edges_share_their_action_column():
     g = make_graph([act("M1"), act("M2", robot="R2")], ["M1"],
                    pick_blocks=[("M1", "M2")], place_blocks=[("M1", "M2")])
     model = compile_model(g, 2)
-    m1, m2 = (next(i for i, (m, _) in enumerate(model.action_edges) if m == obj)
+    m1, m2 = (next(i for i, a in enumerate(model.index.actions) if a.obj == obj)
               for obj in ("M1", "M2"))
     rows = {c.label: c for c in model.constraints}
     for t in (1, 2):
         gate = rows[f"gate_t{t}_M2_e{m2}"]
-        assert dict(gate.coeffs) == {model.act_var[(t, m1)]: -2,
-                                     model.act_var[(t, m2)]: 1}
+        assert dict(gate.coeffs) == {model.var(t, m1): -2,
+                                     model.var(t, m2): 1}
     assert not any(c.label.startswith("mirror") for c in model.constraints)
 
 
@@ -155,7 +155,7 @@ def test_non_target_gating():
     model = compile_model(g, 1)
     res = solve(model)
     assert res.objective_value == 1
-    sk = extract_skeleton(res, g, 1, model=model)
+    sk = extract_skeleton(res, model)
     assert sk.moved_objects == frozenset({"M1"})
     # and a horizon that would need M2 to fill a step is infeasible
     assert solve(compile_model(g, 2)) == "infeasible"
@@ -171,9 +171,9 @@ def test_extract_rejects_non_monotone_assignment():
     g = make_graph([act("M1")], ["M1"])
     model = compile_model(g, 2)
     bad = [0] * model.num_vars
-    bad[model.act_var[(2, 0)]] = 1  # X1=0 but X2=1
+    bad[model.var(2, 0)] = 1  # X1=0 but X2=1
     with pytest.raises(ConsistencyError):
-        extract_skeleton(MipSolution(tuple(bad), 0), g, 2, model=model)
+        extract_skeleton(MipSolution(tuple(bad), 0), model)
 
 
 def test_enumerate_skeletons_ordering_and_dedup():
@@ -184,10 +184,38 @@ def test_enumerate_skeletons_ordering_and_dedup():
     first = sks[0]
     assert first.makespan == 3
     assert [s["R1"].obj for s in first.steps] == ["M3", "M2", "M1"]
-    keys = [sk.structure_key() for sk in sks]
-    assert len(keys) == len(set(keys))
+    selections = [frozenset(a for step in sk.steps for a in step.values()) for sk in sks]
+    assert len(selections) == len(set(selections))
     assert enumerate_skeletons(CMTG(targets=frozenset())) == []
     assert enumerate_skeletons(g, K_max=1) == sks[:1]
+
+
+def assert_steps_map_acting_robots(sk):
+    for step in sk.steps:
+        assert step and None not in step.values()
+        for r, a in step.items():
+            assert r in a.robots
+            assert all(step[other] == a for other in a.robots)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),
+                         ids=lambda path: path.stem)
+def test_scene_skeletons_map_each_robot_to_an_action_it_runs(path):
+    scene = loads_scene(path.read_text())
+    graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
+    for sk in enumerate_skeletons(graph):
+        assert_steps_map_acting_robots(sk)
+
+
+def test_random_skeletons_map_each_robot_to_an_action_it_runs():
+    rng = random.Random("acting robots")
+    checked = 0
+    for _ in range(40):
+        graph = random_cmtg(rng, 5, 7, robots=("A", "B", "C"))
+        for sk in enumerate_skeletons(graph, T_max=3):
+            assert_steps_map_acting_robots(sk)
+            checked += 1
+    assert checked > 40
 
 
 def test_enumerate_respects_increasing_horizon():
@@ -197,7 +225,8 @@ def test_enumerate_respects_increasing_horizon():
     sks = enumerate_skeletons(g)
     assert len(sks) == 2
     assert all(sk.makespan == 1 for sk in sks)
-    assert {sk.steps[0]["R1"] or sk.steps[0]["R2"] for sk in sks} == {a1, a1b}
+    assert {frozenset(sk.steps[0].values()) for sk in sks} == {frozenset({a1}),
+                                                                frozenset({a1b})}
 
 
 def test_solver_matches_oracle_on_random_graphs():

@@ -23,8 +23,8 @@ from oracle_mip import index_edges, loads_cmtg, random_cmtg, rows_satisfied
 
 
 def selection(model, res):
-    return {i for i in range(len(model.action_edges))
-            if res.assignment[model.act_var[(1, i)]] == 1}
+    return {i for i in range(len(model.index.actions))
+            if res.assignment[model.var(1, i)] == 1}
 
 
 def assert_solvers_agree(graph, T_max=4) -> int:
@@ -34,7 +34,7 @@ def assert_solvers_agree(graph, T_max=4) -> int:
     for T in range(1, T_max + 1):
         model = compile_model(graph, T)
         for cut in cuts:
-            mip._exclusion_cut(model, cut)
+            model.cuts.append(frozenset(cut))
         while True:
             got, want = solve(model), reference_bnb.solve(model)
             solves += 1
@@ -42,7 +42,7 @@ def assert_solvers_agree(graph, T_max=4) -> int:
             if got == "infeasible":
                 break
             cuts.append(selection(model, got))
-            mip._exclusion_cut(model, cuts[-1])
+            model.cuts.append(frozenset(cuts[-1]))
     return solves
 
 
@@ -89,7 +89,7 @@ block_place_edge a3 -> O1
 def test_an_object_no_completion_moves_justifies_nothing():
     graph = loads_cmtg(UNJUSTIFIED_BLOCKER)
     model = compile_model(graph, 2)
-    mip._exclusion_cut(model, {0})
+    model.cuts.append(frozenset({0}))
     assert solve(model) == reference_bnb.solve(model) == "infeasible"
     assert assert_solvers_agree(graph) >= 4
 
@@ -144,7 +144,7 @@ def test_objective_matches_scipy_milp_beyond_brute_force():
             assert res.objective_value == round(ref.fun)
             assert rows_satisfied(model, res.assignment)
             compared += 1
-            mip._exclusion_cut(model, selection(model, res))
+            model.cuts.append(frozenset(selection(model, res)))
 
 
 def test_heavy_clutter_infeasibility_proof_is_fast():
@@ -157,10 +157,10 @@ def test_heavy_clutter_infeasibility_proof_is_fast():
     assert graph.dumps() == (GOLDEN / "heavy_clutter_cmtg.txt").read_text()
     model = compile_model(graph, 4)
     assert model.num_vars == 100
-    mip._exclusion_cut(model, {2, 20, 24})
+    model.cuts.append(frozenset({2, 20, 24}))
     res = solve(model)
     assert res.objective_value == 4 and selection(model, res) == {1, 5, 9, 18}
-    mip._exclusion_cut(model, {1, 5, 9, 18})
+    model.cuts.append(frozenset({1, 5, 9, 18}))
     assert len(model.constraints) == 316
     # 71 nodes; the row-level reference runs out of a budget of 100 long
     # before its proof
@@ -174,12 +174,12 @@ def test_rows_are_built_on_first_read_with_cuts_in_order():
     graph = random_cmtg(rng, max_objects=4, max_actions=6)
     read_early = compile_model(graph, 3)
     base = len(read_early.constraints)
-    mip._exclusion_cut(read_early, {0})
+    read_early.cuts.append(frozenset({0}))
     assert len(read_early.constraints) == base + 1
-    mip._exclusion_cut(read_early, {1, 2})
+    read_early.cuts.append(frozenset({1, 2}))
     read_late = compile_model(graph, 3)
-    mip._exclusion_cut(read_late, {0})
-    mip._exclusion_cut(read_late, {1, 2})
+    read_late.cuts.append(frozenset({0}))
+    read_late.cuts.append(frozenset({1, 2}))
     solve(read_late)
     assert read_late._rows is None          # the solver never reads the rows
     assert read_late.dumps_lp() == read_early.dumps_lp()

@@ -3,29 +3,39 @@
 ``golden/plan_digests.json`` maps ``<scene>:<seed>`` (the scene's path under
 ``scenarios/`` without ``.json``) to the sha256 of what ``mrplan plan --seed
 <seed>`` writes with default settings: the plan JSON, or the ``NoPlan``
-document when there is none, and the ``--trace`` file. A refactor must leave
-every digest unchanged. After an intended behaviour change, regenerate the
-file with
+document when there is none, and the ``--trace`` file.
+``golden/dump_digests.json`` maps ``<scene>`` to the sha256 of the files
+``mrplan plan`` writes for ``--dump-facts``, ``--dump-cmtg`` and
+``--dump-mip`` at the default ``--t-max``. A refactor must leave every
+digest unchanged. After an intended behaviour change, regenerate both files
+with
 
     PYTHONPATH=src python tests/test_plan_digests.py
 
 and list the change, with the scenes and seeds whose digests moved, in
 ``CHANGES.md``.
 """
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN, SCENARIOS
 
+from mrplan import cli
 from mrplan.plans import dumps_plan
 from mrplan.scene import load_scene
 from mrplan.search import NoPlan, PlannerConfig, plan
 
 SEEDS = range(5)
 DIGESTS = GOLDEN / "plan_digests.json"
+DUMP_DIGESTS = GOLDEN / "dump_digests.json"
+DUMPS = ("facts", "cmtg", "mip")
 
 
 def scene_names():
@@ -47,12 +57,26 @@ def digests(name: str, seed: int) -> dict:
             "trace": hashlib.sha256(trace_text.encode()).hexdigest()}
 
 
+def dump_digests(name: str) -> dict:
+    """sha256 of each ``--dump-*`` file ``mrplan plan`` writes for the scene."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        argv = ["plan", str(SCENARIOS / f"{name}.json"), "--out", str(out / "plan.json")]
+        for kind in DUMPS:
+            argv += [f"--dump-{kind}", str(out / kind)]
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        return {kind: hashlib.sha256((out / kind).read_bytes()).hexdigest()
+                for kind in DUMPS}
+
+
 def golden() -> dict:
     return json.loads(DIGESTS.read_text())
 
 
 def test_golden_covers_every_scene_and_seed():
     assert set(golden()) == {f"{n}:{s}" for n in scene_names() for s in SEEDS}
+    assert set(json.loads(DUMP_DIGESTS.read_text())) == set(scene_names())
 
 
 @pytest.mark.parametrize("name", scene_names())
@@ -62,7 +86,14 @@ def test_plans_and_traces_match_the_golden_digests(name):
         assert digests(name, seed) == expected[f"{name}:{seed}"], f"{name} seed {seed}"
 
 
+@pytest.mark.parametrize("name", scene_names())
+def test_dumps_match_the_golden_digests(name):
+    assert dump_digests(name) == json.loads(DUMP_DIGESTS.read_text())[name]
+
+
 if __name__ == "__main__":
-    doc = {f"{n}:{s}": digests(n, s) for n in scene_names() for s in SEEDS}
-    DIGESTS.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(doc)} digests to {DIGESTS}", file=sys.stderr)
+    for path, doc in (
+            (DIGESTS, {f"{n}:{s}": digests(n, s) for n in scene_names() for s in SEEDS}),
+            (DUMP_DIGESTS, {n: dump_digests(n) for n in scene_names()})):
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(doc)} digests to {path}", file=sys.stderr)

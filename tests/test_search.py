@@ -14,7 +14,7 @@ from mrplan.search import (NoPlan, PlannerConfig, SearchEdge, SearchNode,
                            _Tree, backpropagate, plan, reward, ucb)
 from mrplan.validator import validate_plan
 
-from conftest import scenario
+from conftest import SCENARIOS, scenario
 
 TRACE_RE = re.compile(
     r"^iter=\d+ edge=\d+ outcome=(full|partial|failure) reward=\d+\.\d{6}"
@@ -177,10 +177,24 @@ def test_solver_budget_is_a_no_plan(budget, iterations):
 
 @pytest.mark.parametrize("field,value", [("t_max", 0), ("k_max", 0),
                                          ("node_budget", 0), ("max_iterations", -1),
-                                         ("time_budget", -0.5)])
+                                         ("time_budget", -0.5),
+                                         ("time_budget", float("nan")),
+                                         ("c", float("nan")), ("alpha", float("nan"))])
 def test_config_rejects_out_of_range_limits(field, value):
     with pytest.raises(ValueError):
         PlannerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),
+                         ids=lambda path: path.stem)
+def test_planning_reads_no_rows_or_variable_names(path, monkeypatch):
+    def unread(model):
+        raise AssertionError("the planner read a model's LP bookkeeping")
+
+    monkeypatch.setattr(mip.MipModel, "constraints", property(unread))
+    monkeypatch.setattr(mip.MipModel, "var_names", property(unread))
+    monkeypatch.setattr(mip.MipModel, "objective", property(unread))
+    plan(load_scene(path), PlannerConfig(seed=0))
 
 
 def test_time_budget_counts_the_root_enumeration(monkeypatch):
