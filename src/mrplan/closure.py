@@ -1,8 +1,10 @@
 """The skeleton solver: closed action sets, then a schedule check.
 
 ``mip.solve`` hands this module the task graph its rows encode, as a
-``GraphIndex``, and gets back the lexicographically least optimal
-assignment of those rows without building them. The method is logic-based
+``GraphIndex``, and gets back the step of each action selected by the
+lexicographically least optimal assignment of those rows, without building
+them. The steps determine the assignment: X[t, a] = 1 exactly when a is
+selected and its step is >= t. The method is logic-based
 Benders decomposition (Hooker & Ottosson, Math. Prog. 96, 2003):
 
 * rows (3) and (8)-(10) say that the selected actions are one per moved
@@ -80,10 +82,11 @@ def index_graph(graph: CMTG) -> GraphIndex:
 
 
 def first_optimum(ix: GraphIndex, T: int, cuts, budget: int):
-    """The step of each selected action, by action in canonical order, of the
-    lexicographically least optimal assignment at horizon T, or None when
-    there is none; its keys are the selection. ``cuts`` are action sets no
-    solution may select. Raises BudgetExceeded after ``budget`` nodes."""
+    """The step of each action selected by the lexicographically least
+    optimal assignment at horizon T, keyed by action in canonical order, or
+    None when there is none. Its keys are the selection, and the steps
+    determine the assignment. ``cuts`` are action sets no solution may
+    select. Raises BudgetExceeded after ``budget`` nodes."""
     return _Search(ix, T, cuts, budget).run()
 
 

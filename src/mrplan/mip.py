@@ -19,8 +19,9 @@ The rows are built on the first read of ``MipModel.constraints``, and the
 variable names and objective on each read of ``var_names`` and
 ``objective``: ``--dump-mip`` and the row-fidelity tests read them.
 ``solve`` never does: ``mrplan.closure`` solves the task graph they encode
-and returns their lexicographically least optimal assignment. All
-arithmetic is integral.
+and returns the step of each action their lexicographically least optimal
+assignment selects, which determines it: X[t, a] = 1 exactly when a is
+selected and its step is >= t. All arithmetic is integral.
 """
 from __future__ import annotations
 
@@ -37,10 +38,6 @@ DEFAULT_NODE_BUDGET = 10 ** 6
 
 class TimeBudgetExceeded(Exception):
     """The planner's deadline passed before a skeleton solve started."""
-
-
-class ConsistencyError(ValueError):
-    """A solution does not fit the model it claims to solve."""
 
 
 @dataclass(frozen=True)
@@ -110,12 +107,6 @@ class MipModel:
         lines.append(" " + " ".join(names))
         lines.append("End")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class MipSolution:
-    assignment: tuple          # value per var index
-    objective_value: int
 
 
 @dataclass(frozen=True)
@@ -228,47 +219,29 @@ def _cut_row(model: MipModel, selected: frozenset, label: str) -> LinearConstrai
 
 
 def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
-    """Optimal solution, or the string 'infeasible'. Raises BudgetExceeded.
+    """The step of each action the lexicographically least optimal
+    assignment selects (0 before 1, in variable order), keyed by canonical
+    action index, or the string 'infeasible'. Raises BudgetExceeded.
 
-    The solution is the lexicographically least optimal assignment (0 before
-    1, in variable order). One node is one call of the set search or of the
-    schedule search, counting the root; ``budget`` bounds the nodes of this
-    call.
+    The steps determine the assignment, X[t, a] = 1 exactly when a is
+    selected and its step is >= t, and their count is the objective. One
+    node is one call of the set search or of the schedule search, counting
+    the root; ``budget`` bounds the nodes of this call.
     """
     steps = first_optimum(model.index, model.T, model.cuts, budget)
-    if steps is None:
-        return "infeasible"
-    assignment = [0] * model.num_vars
+    return "infeasible" if steps is None else steps
+
+
+def extract_skeleton(steps: dict, model: MipModel) -> TaskSkeleton:
+    """The skeleton ``solve`` returned as ``steps``: each selected action at
+    its step, under each of its robots."""
+    actions = model.index.actions
+    by_step: list[dict] = [{} for _ in range(model.T)]
     for i, step in steps.items():
-        for t in range(1, step + 1):
-            assignment[model.var(t, i)] = 1
-    return MipSolution(assignment=tuple(assignment), objective_value=len(steps))
-
-
-def extract_skeleton(solution: MipSolution, model: MipModel) -> TaskSkeleton:
-    """The skeleton ``solution`` encodes: each selected action at step
-    sum_t X[t, a], under each of its robots. Raises ConsistencyError when the
-    assignment is not a schedule: non-monotone indicators, a robot used twice
-    in a step, or an empty step."""
-    T = model.T
-    steps: list[dict] = [{} for _ in range(T)]
-    moved = set()
-    for i, a in enumerate(model.index.actions):
-        col = [solution.assignment[model.var(t, i)] for t in range(1, T + 1)]
-        if any(col[t] < col[t + 1] for t in range(T - 1)):
-            raise ConsistencyError(f"non-monotone step indicators for action on {a.obj}")
-        k = sum(col)
-        if k == 0:
-            continue
-        step = steps[k - 1]
-        for r in a.robots:
-            if r in step:
-                raise ConsistencyError(f"robot {r} assigned twice at step {k}")
-            step[r] = a
-        moved.add(a.obj)
-    if not all(steps):
-        raise ConsistencyError("solution leaves an empty step")
-    return TaskSkeleton(steps=tuple(steps), moved_objects=frozenset(moved))
+        for r in actions[i].robots:
+            by_step[step - 1][r] = actions[i]
+    return TaskSkeleton(steps=tuple(by_step),
+                        moved_objects=frozenset(actions[i].obj for i in steps))
 
 
 def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
@@ -304,6 +277,5 @@ def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
             skeletons.append(extract_skeleton(res, model))
             if len(skeletons) >= K_max:
                 return skeletons
-            cuts.append(frozenset(i for i in range(len(index.actions))
-                                  if res.assignment[model.var(1, i)]))
+            cuts.append(frozenset(res))
     return skeletons

@@ -40,9 +40,10 @@ class PlannerConfig:
     exhaust: bool = False
 
     def __post_init__(self):
-        # written as "not (x >= bound)" so that NaN is out of range too
-        if not (self.c >= 0 and self.alpha >= 0):
-            raise ValueError("c and alpha must be nonnegative")
+        # written as "not (in range)" so that NaN is out of range too; an
+        # infinite c or alpha makes the UCB NaN, but time_budget=inf is no deadline
+        if not (0 <= self.c < math.inf and 0 <= self.alpha < math.inf):
+            raise ValueError("c and alpha must be finite and nonnegative")
         if not (self.t_max >= 1 and self.k_max >= 1 and self.node_budget >= 1):
             raise ValueError("t_max, k_max and node_budget must be >= 1")
         if not (self.max_iterations >= 0 and self.time_budget >= 0):
@@ -67,8 +68,7 @@ class SearchEdge:
     value: float = 0.0
     visits: int = 0
     evaluated: bool = False
-    pruned: bool = False
-    exhausted: bool = False      # pruned, or its head has no open edge
+    exhausted: bool = False      # grounding failed, or its head has no open edge
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
             continue
 
         if isinstance(outcome, Failure):
-            edge.pruned = edge.exhausted = True
+            edge.exhausted = True
             emit(f"iter={iteration} edge={edge.id} outcome=failure reward=0.000000")
             backpropagate(path, 0.0)
             continue

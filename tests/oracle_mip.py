@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from mrplan.mip import TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.taskgraph import CMTG
 
@@ -68,6 +69,36 @@ class OracleVars:
             for j, (a, m, kind) in enumerate(v.block_edges):
                 v.xb[(t, j)] = 1 if a in chosen_step and t <= chosen_step[a] else 0
         return v
+
+
+def assignment(model, steps) -> tuple:
+    """The flat 0/1 vector of ``mip.solve``'s action -> step answer:
+    X[t, a] = 1 exactly when a is selected and its step is >= t."""
+    return tuple(int(i in steps and steps[i] >= t) for t in range(1, model.T + 1)
+                 for i in range(len(model.index.actions)))
+
+
+def decode_skeleton(vector, model) -> TaskSkeleton:
+    """The skeleton a flat 0/1 vector encodes: each selected action at step
+    sum_t X[t, a], under each of its robots. Asserts that the vector is a
+    schedule: monotone indicators, no robot twice in a step, no empty step."""
+    T = model.T
+    steps: list[dict] = [{} for _ in range(T)]
+    moved = set()
+    for i, a in enumerate(model.index.actions):
+        col = [vector[model.var(t, i)] for t in range(1, T + 1)]
+        assert all(col[t] >= col[t + 1] for t in range(T - 1)), \
+            f"non-monotone step indicators for action on {a.obj}"
+        k = sum(col)
+        if k == 0:
+            continue
+        step = steps[k - 1]
+        for r in a.robots:
+            assert r not in step, f"robot {r} assigned twice at step {k}"
+            step[r] = a
+        moved.add(a.obj)
+    assert all(steps), "solution leaves an empty step"
+    return TaskSkeleton(steps=tuple(steps), moved_objects=frozenset(moved))
 
 
 def rows_satisfied(model, vector) -> bool:

@@ -9,8 +9,7 @@ returns the lexicographically least optimal assignment.
 """
 from __future__ import annotations
 
-from mrplan.mip import (DEFAULT_NODE_BUDGET, BudgetExceeded, LinearConstraint, MipModel,
-                        MipSolution)
+from mrplan.mip import DEFAULT_NODE_BUDGET, BudgetExceeded, LinearConstraint, MipModel
 
 
 def _bounds(con: LinearConstraint, values) -> tuple[int, int]:
@@ -37,7 +36,8 @@ def _violated(sense: str, lo: int, hi: int, rhs: int) -> bool:
 
 
 def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
-    """Optimal solution, or the string 'infeasible'. Raises BudgetExceeded."""
+    """The optimal assignment, a 0/1 value per variable index, or the string
+    'infeasible'. Raises BudgetExceeded."""
     n = model.num_vars
     objective = model.objective
     values = [-1] * n
@@ -108,4 +108,4 @@ def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
         dfs()
     if best_assign[0] is None:
         return "infeasible"
-    return MipSolution(assignment=best_assign[0], objective_value=best_obj[0])
+    return best_assign[0]

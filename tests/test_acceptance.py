@@ -16,7 +16,7 @@ import pytest
 from mrplan.facts import compute_facts
 from mrplan.geometry import collides
 from mrplan.grounding import Partial, ground, volumes_of
-from mrplan.mip import MipSolution, TaskSkeleton, compile_model, solve
+from mrplan.mip import TaskSkeleton, compile_model, solve
 from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan
 from mrplan.scene import load_scene
 from mrplan.search import NoPlan, PlannerConfig, SearchEdge, SearchNode
@@ -54,8 +54,8 @@ def test_solver_optimal_on_50_random_graphs():
         if expect is None:
             assert res == "infeasible"
             continue
-        assert isinstance(res, MipSolution)
-        assert res.objective_value == expect
+        assert isinstance(res, dict)
+        assert len(res) == expect
         compared += 1
 
 

@@ -196,7 +196,8 @@ def test_plan_exits_1_on_a_scene_without_goal(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--t-max", 0, "--dump-mip", "model.lp"],
                                    ["--k-max", 0], ["--max-iters", -1],
-                                   ["--time-budget", -1], ["--time-budget", "nan"]])
+                                   ["--time-budget", -1], ["--time-budget", "nan"],
+                                   ["--c", "inf"], ["--alpha", "inf"]])
 def test_plan_exits_1_on_out_of_range_limits(tmp_path, capsys, flags):
     flags = [tmp_path / f if str(f).endswith(".lp") else f for f in flags]
     assert run(["plan", scenario("unobstructed"), *flags]) == 1

@@ -1,8 +1,9 @@
 """The graph-level skeleton solver against the row-level reference.
 
 ``reference_bnb.solve`` is a branch and bound over the compiled rows alone.
-``mip.solve`` works on the task graph the rows encode and must return the
-same assignment, not just the same objective, through every exclusion cut
+``mip.solve`` works on the task graph the rows encode and returns the step
+of each selected action; the assignment those steps determine must be the
+reference's, not just of the same objective, through every exclusion cut
 that ``enumerate_skeletons`` adds.
 """
 import json
@@ -12,37 +13,38 @@ import pytest
 
 from mrplan import mip
 from mrplan.facts import compute_facts
-from mrplan.mip import compile_model, solve
+from mrplan.mip import compile_model, extract_skeleton, solve
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import loads_scene
 from mrplan.taskgraph import CMTG, build_cmtg
 
 import reference_bnb
 from conftest import GOLDEN, SCENARIOS
-from oracle_mip import index_edges, loads_cmtg, random_cmtg, rows_satisfied
-
-
-def selection(model, res):
-    return {i for i in range(len(model.index.actions))
-            if res.assignment[model.var(1, i)] == 1}
+from oracle_mip import (assignment, decode_skeleton, index_edges, loads_cmtg,
+                        random_cmtg, rows_satisfied)
 
 
 def assert_solvers_agree(graph, T_max=4) -> int:
     """Both solvers through the cut sequence of ``enumerate_skeletons``, with
-    no skeleton limit; the number of solves compared."""
+    no skeleton limit; the number of solves compared. Each solve's steps
+    must give the reference's assignment, a schedule satisfying every row,
+    and the skeleton that the reference's assignment decodes to."""
     cuts, solves = [], 0
     for T in range(1, T_max + 1):
         model = compile_model(graph, T)
-        for cut in cuts:
-            model.cuts.append(frozenset(cut))
+        model.cuts.extend(cuts)
         while True:
             got, want = solve(model), reference_bnb.solve(model)
             solves += 1
-            assert got == want, (T, model.cuts, graph.dumps())
-            if got == "infeasible":
+            if got == "infeasible" or want == "infeasible":
+                assert got == want, (T, model.cuts, graph.dumps())
                 break
-            cuts.append(selection(model, got))
-            model.cuts.append(frozenset(cuts[-1]))
+            vector = assignment(model, got)
+            assert vector == want, (T, model.cuts, graph.dumps())
+            assert rows_satisfied(model, vector)
+            assert extract_skeleton(got, model) == decode_skeleton(want, model)
+            cuts.append(frozenset(got))
+            model.cuts.append(cuts[-1])
     return solves
 
 
@@ -141,10 +143,10 @@ def test_objective_matches_scipy_milp_beyond_brute_force():
                 assert ref.status == 2, ref.message
                 break
             assert ref.status == 0, ref.message
-            assert res.objective_value == round(ref.fun)
-            assert rows_satisfied(model, res.assignment)
+            assert len(res) == round(ref.fun)
+            assert rows_satisfied(model, assignment(model, res))
             compared += 1
-            model.cuts.append(frozenset(selection(model, res)))
+            model.cuts.append(frozenset(res))
 
 
 def test_heavy_clutter_infeasibility_proof_is_fast():
@@ -159,7 +161,7 @@ def test_heavy_clutter_infeasibility_proof_is_fast():
     assert model.num_vars == 100
     model.cuts.append(frozenset({2, 20, 24}))
     res = solve(model)
-    assert res.objective_value == 4 and selection(model, res) == {1, 5, 9, 18}
+    assert set(res) == {1, 5, 9, 18}
     model.cuts.append(frozenset({1, 5, 9, 18}))
     assert len(model.constraints) == 316
     # 71 nodes; the row-level reference runs out of a budget of 100 long

@@ -62,3 +62,15 @@ def test_traced_runs_fill_every_span_and_keep_their_plans():
     assert not tr.errors
     empty = [name for _, _, name, _ in tracer.TARGETS if not tr.calls[name]]
     assert not empty, f"spans without calls: {empty}"
+
+
+def test_traced_solves_count_infeasible_horizons_and_one_skeleton_per_feasible_solve():
+    # pick_chain has no skeleton at T = 1, so its root enumeration proves one
+    # horizon infeasible; the tracer tells that apart from a solution only
+    # by comparing the solve's result with the string "infeasible"
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    with tr.installed():
+        plan(load_scene(scenario("pick_chain")), PlannerConfig(seed=0))
+    assert tr.counters["mip.solve.infeasible"] >= 1
+    assert tr.counters["mip.solve.feasible"] == tr.counters["mip.skeletons"]

@@ -179,7 +179,8 @@ def test_solver_budget_is_a_no_plan(budget, iterations):
                                          ("node_budget", 0), ("max_iterations", -1),
                                          ("time_budget", -0.5),
                                          ("time_budget", float("nan")),
-                                         ("c", float("nan")), ("alpha", float("nan"))])
+                                         ("c", float("nan")), ("alpha", float("nan")),
+                                         ("c", float("inf")), ("alpha", float("inf"))])
 def test_config_rejects_out_of_range_limits(field, value):
     with pytest.raises(ValueError):
         PlannerConfig(**{field: value})
@@ -291,10 +292,10 @@ def test_exhaustive_search_keeps_its_best_plan_past_the_time_budget(monkeypatch)
 
 def rescan_exhausted(tree, edge):
     """The exhaustion rule, recomputed from the tree."""
-    if edge.pruned:
-        return True
     if not edge.evaluated:
         return False
+    if edge.head is None:           # its grounding failed
+        return True
     return all(rescan_exhausted(tree, tree.edges[e])
                for e in tree.nodes[edge.head].children)
 
