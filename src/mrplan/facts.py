@@ -1,9 +1,11 @@
 """Phase 1: occlusion / reachability / handover facts for a scene.
 
-Facts carry a grasp only where the geometry reads one: the pick sweep runs
-from the robot's base to the grasp point, so pick facts are per grasp,
-while place, goal-place and handover facts are the same for every grasp
-and carry none. Trajectories are straight corridors.
+Every sweep a fact tests is laid out by ``mrplan.motion``, whose docstring
+states the conventions; grounding executes the same sweeps, so each fact
+certifies what grounding will do. Facts carry a grasp only where the
+geometry reads one: the pick sweep runs from the robot's base to the grasp
+point, so pick facts are per grasp, while place, goal-place and handover
+facts are the same for every grasp and carry none.
 
 Place facts test candidate placements: the region centre first, then a
 PLACE_GRID x PLACE_GRID grid inset by the object's circumradius, row by
@@ -29,7 +31,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .geometry import Corridor, Pose, Rect, collides, swept_corridor
+from .geometry import Corridor, Pose, Rect, collides
+from .motion import carry_sweep, gripper_sweep
 from .scene import Robot, Scene
 
 PLACE_GRID = 5  # candidate placements per region axis for the place certificate
@@ -129,7 +132,7 @@ def compute_facts(scene: Scene) -> FactSet:
                 gp = scene.grasp_point(obj, g)
                 if not robot.in_reach(gp):
                     continue
-                cor = scene.pick_corridor(rname, obj, g)
+                cor = gripper_sweep(scene, rname, gp)
                 if not _avoids_fixed(scene, cor):
                     continue
                 facts.reachable_pick.add((obj, g, rname))
@@ -150,14 +153,13 @@ def compute_facts(scene: Scene) -> FactSet:
                 robot = scene.robots[rname]
                 if not _annulus_meets_box(robot, box):
                     continue
-                width = scene.transfer_width(rname, obj)
                 # None until a candidate is valid; then the occluders of the
                 # earliest valid candidate with the fewest of them
                 best = None
                 for xy in points:
                     if not robot.in_reach(xy):
                         continue
-                    cor = swept_corridor(robot.base, xy, width)
+                    cor = carry_sweep(scene, rname, obj, robot.base, xy)
                     if not _avoids_fixed(scene, cor):
                         continue
                     if not goal_pair:
@@ -184,10 +186,8 @@ def compute_facts(scene: Scene) -> FactSet:
                 h = scene.handover_point(r1, r2)
                 if not (scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)):
                     continue
-                carry = swept_corridor(m.pose.xy, h, scene.transfer_width(r1, obj))
-                reach = swept_corridor(scene.robots[r2].base, h,
-                                       scene.robots[r2].gripper_width)
-                if _avoids_fixed(scene, carry) and _avoids_fixed(scene, reach):
+                if (_avoids_fixed(scene, carry_sweep(scene, r1, obj, m.pose.xy, h))
+                        and _avoids_fixed(scene, gripper_sweep(scene, r2, h))):
                     facts.enable_goal_handover.add((obj, r1, r2))
     return facts
 

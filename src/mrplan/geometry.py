@@ -106,10 +106,6 @@ class Corridor:
     def half_width(self) -> float:
         return 0.5 * self.width
 
-    @property
-    def length(self) -> float:
-        return math.hypot(self.b[0] - self.a[0], self.b[1] - self.a[1])
-
     def contains_point(self, p: tuple[float, float]) -> bool:
         return point_segment_distance(p, self.a, self.b) < self.half_width - EPS
 
@@ -134,13 +130,6 @@ class Corridor:
         if flipped:
             return Corridor(new_cut, keep, self.width)
         return Corridor(keep, new_cut, self.width)
-
-
-def swept_corridor(frm: tuple[float, float], to: tuple[float, float], width: float) -> Corridor:
-    """Capsule swept by a straight move from `frm` to `to`."""
-    if width <= 0.0:
-        raise ValueError("corridor width must be positive")
-    return Corridor(tuple(frm), tuple(to), width)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ to ``STEP_RESTARTS`` placement samples, each of at most
 the collision constraints against the not-planned-to-move objects are
 relaxed; a relaxed success stops grounding and returns the grounded suffix
 plus the conflict set of objects that a caller must plan to relocate first.
+The sweeps of each move are laid out by ``mrplan.motion`` (see its
+docstring), the same sweeps the fact phase tested.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .geometry import Pose, collides
 from .mip import TaskSkeleton
-from .motion import build_moves, endpoints_reachable, partner_pairs, trim_for_handover
+from .motion import build_moves, partner_pairs, trim_for_handover
 from .plans import GroundedJointAction, moved_objects
 from .scene import Scene, sample_placement
 
@@ -99,8 +101,6 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
         for g in action.grasps or (action.grasp_pick,):
             a = (action if g == action.grasp_pick
                  else replace(action, grasp_pick=g, grasp_place=g))
-            if not endpoints_reachable(scene, a, obj_pose, placement):
-                continue
             moves = build_moves(scene, a, obj_pose, placement)
             if all(_sweep_clear(r, cor, obstacles, scene)
                    for r, mv in moves.items() for cor in mv.all_corridors()):
@@ -149,7 +149,16 @@ def _sample_step(actions, forbidden, obstacles, scene: Scene, rng):
 
 def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
     """Ground ``skeleton`` in reverse in front of ``future``, the grounded
-    joint actions (time order) that run after it."""
+    joint actions (time order) that run after it.
+
+    The skeleton's actions come from the scene's task graph, which
+    guarantees reach: each grasp comes from a ``reachable_pick`` fact at the
+    object's start pose, where grounding picks it, and each handover from an
+    ``enable_goal_handover`` fact, which needs both robots to reach the
+    handover point. ``sample_placement`` keeps placements in the place
+    robot's reach. So grounding tests only collisions; the validator
+    re-checks reach on every returned plan.
+    """
     m_fut = moved_objects(future)
     if skeleton.moved_objects & m_fut:
         raise ValueError("skeleton re-moves an object already moved later")

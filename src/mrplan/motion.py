@@ -1,76 +1,70 @@
-"""Construction of swept corridors for grounded pick-and-place actions.
+"""Robot sweeps: the one layout of every straight move a robot makes.
 
-Conventions (desk scale): a robot is a fixed base with a reach annulus.
-The pick sweep is a straight capsule from the base to the grasp point,
-of width gripper_width. The transfer sweep is a straight capsule from the
-object's pose to its destination, of width gripper_width + object diameter,
-so it covers the carried object. A handover splits the transfer at the
-pair's handover point; the partners' corridors may overlap only near it.
+Conventions (desk scale): a robot is a fixed base with a reach annulus,
+and every move is a straight capsule (``Corridor``).
+
+* ``gripper_sweep``: the empty gripper from the robot's base to a point,
+  of width ``gripper_width``. It is the pick sweep (to the grasp point) and
+  a handover's receive (to the handover point).
+* ``carry_sweep``: the robot carrying an object from one point to another,
+  of width ``Scene.transfer_width`` (gripper width plus object diameter),
+  so it covers the carried object. It is the single transfer (start pose to
+  placement), a handover's carry (start pose to handover point) and
+  delivery (handover point to placement), and the fact phase's place
+  certificate (base to candidate placement).
+
+The fact phase (``mrplan.facts``) tests these sweeps and grounding
+(``build_moves``) executes them, so a fact certifies the sweep that
+grounding lays out. A handover splits the transfer at the pair's handover
+point; the partners' corridors may overlap only near it.
 """
 from __future__ import annotations
 
 import math
 
-from .geometry import Pose, swept_corridor
+from .geometry import Corridor, Pose
 from .plans import PartiallyGroundedAction, RobotMove, Trajectory
 from .scene import Scene
+
+
+def gripper_sweep(scene: Scene, robot: str, to: tuple[float, float]) -> Corridor:
+    """The empty gripper's sweep from ``robot``'s base to ``to``."""
+    r = scene.robots[robot]
+    return Corridor(r.base, to, r.gripper_width)
+
+
+def carry_sweep(scene: Scene, robot: str, obj: str, frm: tuple[float, float],
+                to: tuple[float, float]) -> Corridor:
+    """``robot``'s sweep carrying ``obj`` from ``frm`` to ``to``."""
+    return Corridor(frm, to, scene.transfer_width(robot, obj))
 
 
 def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,
                 placement: Pose) -> dict[str, RobotMove]:
     """Grounded per-robot moves for one action: trajectories with corridors."""
-    gp = scene.grasp_point(action.obj, action.grasp_pick, pose=obj_pose)
-    r_pick = scene.robots[action.pick_robot]
-    base_pick = Pose(*r_pick.base)
-    pick_traj = Trajectory(
-        waypoints=(base_pick, Pose(*gp)),
-        corridors=(swept_corridor(r_pick.base, gp, r_pick.gripper_width),),
-    )
-    transfer_w_pick = scene.transfer_width(action.pick_robot, action.obj)
+    pick, obj = action.pick_robot, action.obj
+    gp = scene.grasp_point(obj, action.grasp_pick, pose=obj_pose)
+    pick_traj = Trajectory(waypoints=(Pose(*scene.robots[pick].base), Pose(*gp)),
+                           corridors=(gripper_sweep(scene, pick, gp),))
     if not action.is_handover:
         place_traj = Trajectory(
             waypoints=(obj_pose, placement),
-            corridors=(swept_corridor(obj_pose.xy, placement.xy, transfer_w_pick),),
-        )
-        return {action.pick_robot: RobotMove(action, "single", placement,
-                                             pick_traj, place_traj)}
+            corridors=(carry_sweep(scene, pick, obj, obj_pose.xy, placement.xy),))
+        return {pick: RobotMove(action, "single", placement, pick_traj, place_traj)}
 
-    h = scene.handover_point(action.pick_robot, action.place_robot)
-    r_place = scene.robots[action.place_robot]
-    carry_traj = Trajectory(
-        waypoints=(obj_pose, Pose(*h)),
-        corridors=(swept_corridor(obj_pose.xy, h, transfer_w_pick),),
-    )
-    reach_traj = Trajectory(
-        waypoints=(Pose(*r_place.base), Pose(*h)),
-        corridors=(swept_corridor(r_place.base, h, r_place.gripper_width),),
-    )
-    transfer_w_place = scene.transfer_width(action.place_robot, action.obj)
+    place = action.place_robot
+    h = scene.handover_point(pick, place)
+    carry_traj = Trajectory(waypoints=(obj_pose, Pose(*h)),
+                            corridors=(carry_sweep(scene, pick, obj, obj_pose.xy, h),))
+    reach_traj = Trajectory(waypoints=(Pose(*scene.robots[place].base), Pose(*h)),
+                            corridors=(gripper_sweep(scene, place, h),))
     deliver_traj = Trajectory(
         waypoints=(Pose(*h), placement),
-        corridors=(swept_corridor(h, placement.xy, transfer_w_place),),
-    )
+        corridors=(carry_sweep(scene, place, obj, h, placement.xy),))
     return {
-        action.pick_robot: RobotMove(action, "pick", placement, pick_traj, carry_traj),
-        action.place_robot: RobotMove(action, "place", placement, reach_traj, deliver_traj),
+        pick: RobotMove(action, "pick", placement, pick_traj, carry_traj),
+        place: RobotMove(action, "place", placement, reach_traj, deliver_traj),
     }
-
-
-def endpoints_reachable(scene: Scene, action: PartiallyGroundedAction,
-                        obj_pose: Pose, placement: Pose) -> bool:
-    """Annulus checks for grasp point, placement and handover point."""
-    gp = scene.grasp_point(action.obj, action.grasp_pick, pose=obj_pose)
-    if not scene.robots[action.pick_robot].in_reach(gp):
-        return False
-    if not scene.robots[action.place_robot].in_reach(placement.xy):
-        return False
-    if action.is_handover:
-        h = scene.handover_point(action.pick_robot, action.place_robot)
-        if not scene.robots[action.pick_robot].in_reach(h):
-            return False
-        if not scene.robots[action.place_robot].in_reach(h):
-            return False
-    return True
 
 
 def points_close(a: tuple[float, float], b: tuple[float, float],

@@ -1,8 +1,8 @@
 """Actions, joint actions and plan documents.
 
 Plan documents are JSON; their format is ``schemas/plan.schema.json``,
-checked by ``mrplan.schemas``. ``loads_plan`` also refuses a step that lists
-a robot twice.
+checked by ``mrplan.schemas``. ``loads_plan`` also refuses a number that is
+not finite and a step that lists a robot twice.
 """
 from __future__ import annotations
 
@@ -166,9 +166,11 @@ def dumps_plan(plan: Plan, robot_names) -> str:
 
 def loads_plan(text: str) -> Plan:
     try:
-        doc = json.loads(text)
+        doc = schemas.parse(text)
     except json.JSONDecodeError as e:
         raise PlanError(f"plan parse error at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:
+        raise PlanError(f"plan parse error: {e}") from e
     try:
         schemas.schema("plan").check(doc)
     except schemas.DocumentError as e:

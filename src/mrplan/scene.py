@@ -1,10 +1,11 @@
 """World model: regions, robots, movable/fixed objects, scene loading.
 
 Scene documents are JSON; their format is ``schemas/scene.schema.json``,
-checked by ``mrplan.schemas``. ``loads_scene`` also refuses a scene in which
-two regions, movables or robots share a name, or a ``handover_points`` key
-that is not two comma-separated robot names; a ``Scene`` refuses a goal that
-lists an object more than once.
+checked by ``mrplan.schemas``. ``loads_scene`` also refuses a number that is
+not finite, a scene in which two regions, movables or robots share a name,
+and ``handover_points`` keys that are not two comma-separated robot names,
+pair a robot with itself or list a pair twice (in either order); a ``Scene``
+refuses a goal that lists an object more than once.
 """
 from __future__ import annotations
 
@@ -13,17 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import schemas
-from .geometry import (
-    Corridor,
-    Disc,
-    Pose,
-    Rect,
-    Rectangle,
-    Shape,
-    collides,
-    shape_inside_rect,
-    swept_corridor,
-)
+from .geometry import Disc, Pose, Rect, Rectangle, Shape, collides, shape_inside_rect
 
 DEFAULT_GRASP_COUNT = 8
 PLACEMENT_ATTEMPTS = 100
@@ -121,10 +112,6 @@ class Scene:
         r = m.shape.circumradius
         return (p.x + r * math.cos(angle), p.y + r * math.sin(angle))
 
-    def pick_corridor(self, robot: str, obj: str, angle: float) -> Corridor:
-        r = self.robots[robot]
-        return swept_corridor(r.base, self.grasp_point(obj, angle), r.gripper_width)
-
     def transfer_width(self, robot: str, obj: str) -> float:
         return self.robots[robot].gripper_width + self.movables[obj].diameter
 
@@ -188,9 +175,11 @@ def _parse_shape(d: dict) -> Shape:
 
 def loads_scene(text: str) -> Scene:
     try:
-        doc = json.loads(text)
+        doc = schemas.parse(text)
     except json.JSONDecodeError as e:
         raise SceneError(f"scene parse error at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:
+        raise SceneError(f"scene parse error: {e}") from e
     try:
         schemas.schema("scene").check(doc)
     except schemas.DocumentError as e:
@@ -221,6 +210,10 @@ def loads_scene(text: str) -> Scene:
         pair = tuple(name.strip() for name in key.split(","))
         if len(pair) != 2 or not all(pair):
             raise SceneError(f"handover point key {key!r} is not two comma-separated robot names")
+        if pair[0] == pair[1]:
+            raise SceneError(f"handover point key {key!r} pairs robot {pair[0]} with itself")
+        if pair in handover_points or pair[::-1] in handover_points:
+            raise SceneError(f"handover points list robots {pair[0]} and {pair[1]} twice")
         handover_points[pair] = (pt[0], pt[1])
     goal = [(g[0], g[1]) for g in doc.get("goal", [])]
     # the schema takes 2.0 as an integer; range() does not

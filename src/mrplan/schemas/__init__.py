@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from importlib import resources
 
 _ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
@@ -209,6 +210,31 @@ _KEYWORDS = {
     "oneOf": Schema._one_of,
     "$ref": Schema._ref,
 }
+
+
+def parse(text: str):
+    """The JSON value of a scene or plan document.
+
+    Python's ``json`` reads ``NaN``, ``Infinity`` and ``-Infinity``, and reads
+    a literal beyond the float range, such as ``1e400``, as infinity. No
+    document quantity may be non-finite: ``minimum`` and ``exclusiveMinimum``
+    are false on NaN, and a NaN volume collides with nothing. Such a number
+    raises ``ValueError``; malformed text raises ``json.JSONDecodeError``.
+    """
+    return json.loads(text, parse_float=_finite_float, parse_int=_finite_int,
+                      parse_constant=_finite_float)
+
+
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"{token} is not a finite number")
+    return x
+
+
+def _finite_int(token: str) -> int:
+    _finite_float(token)  # an integer beyond the float range reads as inf
+    return int(token)
 
 
 @functools.cache

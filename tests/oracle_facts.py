@@ -3,12 +3,13 @@
 Used only by tests. It tests every place candidate for every robot, with
 the candidate grid rebuilt per robot and no early stop or reach pruning,
 so the planner's pruned fact phase can be checked against it record for
-record.
+record. It builds its corridors with ``Corridor`` directly, so it does not
+share ``mrplan.motion``'s sweep layout with the code it checks.
 """
 from __future__ import annotations
 
 from mrplan.facts import PLACE_GRID, FactSet
-from mrplan.geometry import Pose, collides, shape_inside_rect, swept_corridor
+from mrplan.geometry import Corridor, Pose, collides, shape_inside_rect
 
 
 def place_candidates(scene, region_name, obj):
@@ -50,7 +51,7 @@ def compute_facts(scene) -> FactSet:
                 gp = scene.grasp_point(obj, g)
                 if not robot.in_reach(gp):
                     continue
-                cor = scene.pick_corridor(rname, obj, g)
+                cor = Corridor(robot.base, gp, robot.gripper_width)
                 if not avoids_fixed(scene, cor):
                     continue
                 facts.reachable_pick.add((obj, g, rname))
@@ -68,7 +69,7 @@ def compute_facts(scene) -> FactSet:
                 for p in place_candidates(scene, re, obj):
                     if not robot.in_reach(p.xy):
                         continue
-                    cor = swept_corridor(robot.base, p.xy, width)
+                    cor = Corridor(robot.base, p.xy, width)
                     if not avoids_fixed(scene, cor):
                         continue
                     valid.append((p, cor))
@@ -95,9 +96,8 @@ def compute_facts(scene) -> FactSet:
                 h = scene.handover_point(r1, r2)
                 if not (scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)):
                     continue
-                carry = swept_corridor(m.pose.xy, h, scene.transfer_width(r1, obj))
-                reach = swept_corridor(scene.robots[r2].base, h,
-                                       scene.robots[r2].gripper_width)
+                carry = Corridor(m.pose.xy, h, scene.transfer_width(r1, obj))
+                reach = Corridor(scene.robots[r2].base, h, scene.robots[r2].gripper_width)
                 if avoids_fixed(scene, carry) and avoids_fixed(scene, reach):
                     facts.enable_goal_handover.add((obj, r1, r2))
     return facts

@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -168,6 +169,12 @@ def test_validate_exits_1_on_a_robot_listed_twice_in_a_step(tmp_path, capsys):
     assert "error: step 1: robot R1 has more than one record" in capsys.readouterr().err
 
 
+def obstacle(x=0.0, theta=0.0, half_w=0.05):
+    """A fixed rectangle clear of everything in ``pick_chain``."""
+    return {"shape": {"type": "rectangle", "half_w": half_w, "half_h": 0.05},
+            "pose": {"x": x, "y": 5.0, "theta": theta}}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["regions"].append(dict(d["regions"][0])), "duplicate entity names"),
     (lambda d: d["robots"].append(dict(d["robots"][0], base=[5.0, 5.0])),
@@ -175,14 +182,40 @@ def test_validate_exits_1_on_a_robot_listed_twice_in_a_step(tmp_path, capsys):
     (lambda d: d.update(handover_points={"R1|R9": [0.0, 0.0]}),
      "handover point key 'R1|R9' is not two comma-separated robot names"),
     (lambda d: d["goal"].append(["M1", "work"]), "goal lists objects more than once: ['M1']"),
-], ids=["region", "robot", "handover_key", "goal_object_twice"])
+    (lambda d: d.update(handover_points={"R1,R1": [0.0, 0.0]}),
+     "handover point key 'R1,R1' pairs robot R1 with itself"),
+    (lambda d: d.update(handover_points={"R1,R2": [0.8, 0.0], "R2,R1": [0.7, 0.1]}),
+     "handover points list robots R2 and R1 twice"),
+    (lambda d: d.update(handover_points={"R1,R2": [0.8, 0.0], "R1, R2": [0.7, 0.1]}),
+     "handover points list robots R1 and R2 twice"),
+    (lambda d: d["fixed"].append(obstacle(x=math.nan)), "scene parse error: NaN is not a finite"),
+    (lambda d: d["fixed"].append(obstacle(theta=math.nan)), "scene parse error: NaN is not"),
+    (lambda d: d["fixed"].append(obstacle(half_w=math.nan)), "scene parse error: NaN is not"),
+    (lambda d: d["robots"][0].update(reach_max=math.inf),
+     "scene parse error: Infinity is not a finite number"),
+], ids=["region", "robot", "handover_key", "goal_object_twice", "handover_self",
+        "handover_pair_twice", "handover_key_twice", "nan_x", "nan_theta", "nan_half_w",
+        "inf_reach"])
 def test_plan_exits_1_on_bad_scene_names_and_keys(tmp_path, capsys, edit, message):
     doc = json.loads(scenario("pick_chain").read_text())
+    doc.setdefault("fixed", [])
     edit(doc)
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     assert run(["plan", path]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_validate_exits_1_on_non_finite_corridor_widths(tmp_path, capsys):
+    # a NaN-wide corridor collides with nothing, so it would clear any obstacle
+    def edit(moves):
+        for m in moves:
+            for traj in (m["pick_traj"], m["place_traj"]):
+                for cor in traj["corridors"]:
+                    cor["width"] = math.nan
+    out = planned_then_edited(tmp_path, "pick_chain", edit)
+    assert run(["validate", scenario("pick_chain"), out]) == 1
+    assert "error: plan parse error: NaN is not a finite number" in capsys.readouterr().err
 
 
 def test_plan_exits_1_on_a_scene_without_goal(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 import oracle_facts
 from mrplan.facts import FactLookupError, compute_facts, occluders_of, place_candidates
-from mrplan.geometry import Disc, Pose, Rectangle, collides, swept_corridor
+from mrplan.geometry import Corridor, Disc, Pose, Rectangle, collides
+from mrplan.motion import build_moves
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import load_scene, loads_scene
 
@@ -87,13 +88,16 @@ def test_occluders_of_unreachable_action_raises():
 
 def test_pick_occluders_certified_by_pick_corridors():
     """For every reachable pick, each recorded occluder really intersects the
-    pick corridor, and no unrecorded movable does."""
+    pick corridor grounding lays out, and no unrecorded movable does."""
     for name in ("pick_chain", "place_blocked", "pa_small"):
         scene = load_scene(scenario(name))
         facts = compute_facts(scene)
         assert facts.reachable_pick
         for obj, g, r in facts.reachable_pick:
-            cor = scene.pick_corridor(r, obj, g)
+            pose = scene.movables[obj].pose
+            moves = build_moves(scene, action(obj, scene.target_region_of(obj), r, g=g),
+                                pose, pose)
+            cor, = moves[r].pick_traj.corridors
             recorded = {m1 for (m1, m2, g2, r2) in facts.occludes_pick
                         if (m2, g2, r2) == (obj, g, r)}
             actual = {n for n in scene.movables if n != obj
@@ -266,8 +270,7 @@ def test_facts_match_oracle_on_generated_scenes(seed):
 
 
 def scene_sweep(scene, robot, obj, pose):
-    return swept_corridor(scene.robots[robot].base, pose.xy,
-                          scene.transfer_width(robot, obj))
+    return Corridor(scene.robots[robot].base, pose.xy, scene.transfer_width(robot, obj))
 
 
 def test_goal_place_without_a_clear_candidate_keeps_the_fewest_occluders():

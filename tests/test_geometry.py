@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrplan.geometry import (Corridor, Disc, Pose, Rect, Rectangle, collides,
-                             point_segment_distance, shape_inside_rect,
-                             swept_corridor)
+                             point_segment_distance, shape_inside_rect)
 
 # ---------------------------------------------------------------------------
 # membership oracle (independent of the implementation's distance math)
@@ -78,14 +77,13 @@ def test_boundary_touch_is_not_a_collision():
 
 
 def test_degenerate_corridor_is_a_disc():
-    cor = swept_corridor((0, 0), (0, 0), 0.2)
-    assert cor.length == 0.0
+    cor = Corridor((0, 0), (0, 0), 0.2)
     assert cor.contains_point((0.09, 0))
     assert not cor.contains_point((0.11, 0))
 
 
 def test_pick_corridor_contains_midpoint_obstacle():
-    cor = swept_corridor((0, 0), (0.5, 0.5), 0.1)
+    cor = Corridor((0, 0), (0.5, 0.5), 0.1)
     obstacle = (Disc(0.05), Pose(0.25, 0.25))
     assert collides(cor, obstacle)
     assert mc_overlap(cor, obstacle, random.Random(2))

@@ -15,7 +15,7 @@ from mrplan.scene import load_scene, loads_scene
 from mrplan.taskgraph import build_cmtg
 from mrplan.validator import validate_plan
 
-from conftest import scenario
+from conftest import EXTRA, SCENARIOS, scenario
 
 
 def act(obj, region, pick_robot="R1", place_robot=None):
@@ -182,3 +182,28 @@ def test_grounding_falls_back_to_the_next_grasp_of_the_class():
     assert grounded.grasp_pick == grounded.grasp_place == math.pi / 2
     report = validate_plan(scene, Plan(steps=res.steps))
     assert report.ok, report.to_doc()
+
+
+def test_task_graph_actions_are_in_reach_where_grounding_executes_them():
+    """Grounding tests no reach: it relies on every grasp of a goal task-graph
+    action lying in the pick robot's reach at the object's start pose, where
+    the object is picked, and on both robots of a handover reaching the
+    handover point."""
+    checked = handovers = 0
+    for path in sorted(SCENARIOS.glob("*.json")) + sorted(EXTRA.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for grasp_count in (1, 3, 8):
+            scene = loads_scene(json.dumps({**doc, "grasp_count": grasp_count}))
+            graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
+            for a in graph.sorted_actions():
+                start = scene.movables[a.obj].pose
+                assert a.grasps, (path.name, a)
+                for g in a.grasps:
+                    gp = scene.grasp_point(a.obj, g, pose=start)
+                    assert scene.robots[a.pick_robot].in_reach(gp), (path.name, a, g)
+                if a.is_handover:
+                    h = scene.handover_point(a.pick_robot, a.place_robot)
+                    assert all(scene.robots[r].in_reach(h) for r in a.robots), (path.name, a)
+                    handovers += 1
+                checked += 1
+    assert checked and handovers

@@ -68,13 +68,23 @@ def test_duplicate_names_within_a_kind_rejected(kind):
         make({kind: MINIMAL[kind] + [twin]})
 
 
-@pytest.mark.parametrize("key", ["R1|R9", "R1,R2,R3", "R1,", " , R1", "R1"])
-def test_handover_key_that_is_not_two_names_rejected(key):
+@pytest.mark.parametrize("points, message", [
+    *(pytest.param({key: [1.0, 0.0]}, "not two comma-separated robot names", id=key)
+      for key in ["R1|R9", "R1,R2,R3", "R1,", " , R1", "R1"]),
+    pytest.param({"R1,R1": [1.0, 0.0]}, "pairs robot R1 with itself", id="R1,R1"),
+    # either order would give the pair a handover point that depends on
+    # which robot picks
+    pytest.param({"R1,R2": [0.8, 0.0], "R2,R1": [0.7, 0.1]},
+                 "list robots R2 and R1 twice", id="R1,R2+R2,R1"),
+    pytest.param({"R1,R2": [0.8, 0.0], "R1, R2": [0.7, 0.1]},
+                 "list robots R1 and R2 twice", id="R1,R2+R1, R2"),
+])
+def test_handover_key_that_is_not_two_names_rejected(points, message):
     doc = {"robots": MINIMAL["robots"] + [
         {"name": "R2", "base": [2.0, 0.0], "reach_min": 0.1,
          "reach_max": 2.0, "gripper_width": 0.1}]}
-    with pytest.raises(SceneError, match="not two comma-separated robot names"):
-        make(doc, handover_points={key: [1.0, 0.0]})
+    with pytest.raises(SceneError, match=message):
+        make(doc, handover_points=points)
     assert make(doc, handover_points={" R2 , R1": [1.0, 0.0]}).handover_point("R1", "R2") \
         == (1.0, 0.0)
 
@@ -111,6 +121,16 @@ def test_malformed_json_and_schema_errors():
         loads_scene("{not json")
     with pytest.raises(SceneError, match="schema error"):
         loads_scene(json.dumps({"regions": []}))
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "minus_inf", "float_1e400", "int_1e400"])
+def test_non_finite_number_rejected(number):
+    # a NaN passes every schema bound, and a NaN volume collides with nothing
+    text = json.dumps(MINIMAL).replace('"x": 0.5', f'"x": {number}')
+    assert number in text
+    with pytest.raises(SceneError, match=f"scene parse error: {number} is not a finite"):
+        loads_scene(text)
 
 
 def test_scenario_file_loads():
