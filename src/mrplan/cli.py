@@ -33,7 +33,7 @@ def _config_from_args(args) -> PlannerConfig:
     return PlannerConfig(
         c=args.c, alpha=args.alpha, t_max=args.t_max, k_max=args.k_max,
         max_iterations=args.max_iters, time_budget=args.time_budget,
-        seed=args.seed, exhaust=args.exhaust)
+        node_budget=args.node_budget, seed=args.seed, exhaust=args.exhaust)
 
 
 def cmd_plan(args) -> int:
@@ -115,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=default.seed)
     p.add_argument("--max-iters", type=int, default=default.max_iterations)
     p.add_argument("--time-budget", type=float, default=default.time_budget)
+    p.add_argument("--node-budget", type=int, default=default.node_budget)
     p.add_argument("--c", type=float, default=default.c)
     p.add_argument("--alpha", type=float, default=default.alpha)
     p.add_argument("--t-max", type=int, default=default.t_max)

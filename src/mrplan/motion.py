@@ -16,7 +16,8 @@ and every move is a straight capsule (``Corridor``).
 The fact phase (``mrplan.facts``) tests these sweeps and grounding
 (``build_moves``) executes them, so a fact certifies the sweep that
 grounding lays out. A handover splits the transfer at the pair's handover
-point; the partners' corridors may overlap only near it.
+point; the partners' corridors may overlap only near it. Only the pick
+robot's gripper sweep, to the grasp point, depends on the grasp.
 """
 from __future__ import annotations
 

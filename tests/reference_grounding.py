@@ -1,0 +1,40 @@
+"""Eager trajectory search: the reference ``grounding.find_trajectories`` is
+checked against.
+
+Used only by tests. For each action it lays out and tests every sweep of
+every grasp in the class, keeps the grasps whose moves are clear on their
+own, then tries the combinations in ``itertools.product`` order and returns
+the first one whose robots are mutually clear. The planner's version must
+return the same moves, or ``None`` when this one does.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import replace
+
+from mrplan.grounding import _robots_clear, _sweep_clear
+from mrplan.motion import build_moves
+from mrplan.scene import Scene
+
+
+def find_trajectories(actions, placements, obstacles, scene: Scene):
+    options = []  # per action: the moves of each grasp clear on its own
+    for action in sorted(actions, key=lambda a: a.key()):
+        obj_pose = scene.movables[action.obj].pose
+        placement = placements[action.obj]
+        clear = []
+        for g in action.grasps or (action.grasp_pick,):
+            a = (action if g == action.grasp_pick
+                 else replace(action, grasp_pick=g, grasp_place=g))
+            moves = build_moves(scene, a, obj_pose, placement)
+            if all(_sweep_clear(r, cor, obstacles, scene)
+                   for r, mv in moves.items() for cor in mv.all_corridors()):
+                clear.append(moves)
+        if not clear:
+            return None
+        options.append(clear)
+    for combo in itertools.product(*options):
+        moves = {r: mv for m in combo for r, mv in m.items()}
+        if _robots_clear(moves, scene):
+            return moves
+    return None

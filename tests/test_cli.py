@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, artifact files."""
 import copy
-import dataclasses
 import json
 import math
 
@@ -86,11 +85,8 @@ def test_plan_exit_2_with_no_plan_report(tmp_path, capsys):
     assert err["no_plan"] == "no_initial_skeletons"
 
 
-def test_plan_exit_2_when_the_solver_budget_runs_out(monkeypatch, capsys):
-    config_from_args = cli._config_from_args
-    monkeypatch.setattr(cli, "_config_from_args", lambda args: dataclasses.replace(
-        config_from_args(args), node_budget=1))
-    assert run(["plan", scenario("pick_chain")]) == 2
+def test_plan_exit_2_when_the_solver_budget_runs_out(capsys):
+    assert run(["plan", scenario("pick_chain"), "--node-budget", 1]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["no_plan"] == "solver_budget"
 
@@ -228,7 +224,7 @@ def test_plan_exits_1_on_a_scene_without_goal(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--t-max", 0, "--dump-mip", "model.lp"],
-                                   ["--k-max", 0], ["--max-iters", -1],
+                                   ["--k-max", 0], ["--max-iters", -1], ["--node-budget", 0],
                                    ["--time-budget", -1], ["--time-budget", "nan"],
                                    ["--c", "inf"], ["--alpha", "inf"]])
 def test_plan_exits_1_on_out_of_range_limits(tmp_path, capsys, flags):
