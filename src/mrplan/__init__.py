@@ -11,13 +11,13 @@ from .mip import TaskSkeleton, compile_model, enumerate_skeletons, solve
 from .plans import Plan, PartiallyGroundedAction, dumps_plan, load_plan, loads_plan
 from .scene import Scene, SceneError, load_scene, loads_scene
 from .search import NoPlan, PlannerConfig, plan
-from .taskgraph import CMTG, add_object, build_cmtg
+from .taskgraph import CMTG, build_cmtg
 from .validator import validate_plan
 
 __all__ = [
     "CMTG", "FactSet", "Failure", "Full", "NoPlan", "Partial",
     "PartiallyGroundedAction", "Plan", "PlannerConfig", "Scene",
-    "SceneError", "TaskSkeleton", "add_object", "build_cmtg", "compile_model",
+    "SceneError", "TaskSkeleton", "build_cmtg", "compile_model",
     "compute_facts", "dumps_plan", "enumerate_skeletons", "ground",
     "load_plan", "load_scene", "loads_plan", "loads_scene", "plan", "solve",
     "validate_plan",

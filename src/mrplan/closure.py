@@ -1,11 +1,12 @@
 """The skeleton solver: closed action sets, then a schedule check.
 
-``mip.solve`` hands this module the task graph its rows encode, as a
-``GraphIndex``, and gets back the step of each action selected by the
-lexicographically least optimal assignment of those rows, without building
-them. The steps determine the assignment: X[t, a] = 1 exactly when a is
-selected and its step is >= t. The method is logic-based
-Benders decomposition (Hooker & Ottosson, Math. Prog. 96, 2003):
+``mip.solve`` hands this module the task graph its rows encode, read as
+``make_graph`` built it (by position, actions in canonical order), and gets
+back the step of each action selected by the lexicographically least
+optimal assignment of those rows, without building them. The steps
+determine the assignment: X[t, a] = 1 exactly when a is selected and its
+step is >= t. The method is logic-based Benders decomposition (Hooker &
+Ottosson, Math. Prog. 96, 2003):
 
 * rows (3) and (8)-(10) say that the selected actions are one per moved
   object, closed under "blockers of a selected action move", with every
@@ -23,8 +24,6 @@ One node is one call of the set search or of the schedule search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .taskgraph import CMTG
 
 
@@ -32,62 +31,13 @@ class BudgetExceeded(Exception):
     """Solver node limit hit before proving optimality or infeasibility."""
 
 
-@dataclass(frozen=True)
-class GraphIndex:
-    """The task graph by position: actions in canonical order, objects and
-    robots sorted by name. Its pick and place blockers are listed by object
-    position, so action, then blocker, order is the graph's block-edge order."""
-    actions: tuple       # canonical order
-    objects: tuple       # sorted names
-    robots: tuple        # sorted names of the robots the actions use
-    obj_of: tuple        # action -> object
-    robots_of: tuple     # action -> robots
-    pick: tuple          # action -> objects that pick-block it
-    place: tuple         # action -> objects that place-block it
-    blockers: tuple      # action -> frozenset of pick and place blockers
-    acts: tuple          # object -> its actions
-    targets: frozenset
-
-
-def index_graph(graph: CMTG) -> GraphIndex:
-    """``graph`` by position."""
-    actions = graph.sorted_actions()
-    objects = graph.sorted_objects()
-    robots = sorted({r for a in actions for r in a.robots})
-    a_index = {a: i for i, a in enumerate(actions)}
-    o_index = {m: k for k, m in enumerate(objects)}
-    r_index = {r: k for k, r in enumerate(robots)}
-    acts: list[list] = [[] for _ in objects]
-    pick: list[list] = [[] for _ in actions]
-    place: list[list] = [[] for _ in actions]
-    try:
-        obj_of = tuple(o_index[a.obj] for a in actions)
-        for i, o in enumerate(obj_of):
-            acts[o].append(i)
-        for edges, blocked in ((graph.block_pick_edges, pick),
-                               (graph.block_place_edges, place)):
-            for a, m in edges:
-                blocked[a_index[a]].append(o_index[m])
-        targets = frozenset(o_index[m] for m in graph.targets)
-    except KeyError as e:
-        raise ValueError(f"task graph references object {e} it does not list") from None
-    pick = [sorted(p) for p in pick]
-    place = [sorted(q) for q in place]
-    return GraphIndex(actions=tuple(actions), objects=tuple(objects), robots=tuple(robots),
-                      obj_of=obj_of,
-                      robots_of=tuple(tuple(r_index[r] for r in a.robots) for a in actions),
-                      pick=tuple(map(tuple, pick)), place=tuple(map(tuple, place)),
-                      blockers=tuple(frozenset(p + q) for p, q in zip(pick, place)),
-                      acts=tuple(map(tuple, acts)), targets=targets)
-
-
-def first_optimum(ix: GraphIndex, T: int, cuts, budget: int):
+def first_optimum(graph: CMTG, T: int, cuts, budget: int):
     """The step of each action selected by the lexicographically least
     optimal assignment at horizon T, keyed by action in canonical order, or
     None when there is none. Its keys are the selection, and the steps
     determine the assignment. ``cuts`` are action sets no solution may
     select. Raises BudgetExceeded after ``budget`` nodes."""
-    return _Search(ix, T, cuts, budget).run()
+    return _Search(graph, T, cuts, budget).run()
 
 
 _UNDECIDED, _UNMOVED = -2, -1
@@ -103,16 +53,16 @@ class _Search:
     is closed when exactly the objects with a need move.
     """
 
-    def __init__(self, ix: GraphIndex, T: int, cuts, budget: int):
-        self.ix = ix
+    def __init__(self, graph: CMTG, T: int, cuts, budget: int):
+        self.graph = graph
         self.T = T
         self.budget = budget
         self.nodes = 0
         self.cuts = set(cuts)
-        self.choice = [_UNDECIDED if acts else _UNMOVED for acts in ix.acts]
-        self.need = [1 if o in ix.targets else 0 for o in range(len(ix.acts))]
-        self.use = [0] * len(ix.robots)
-        self.order = [o for o, acts in enumerate(ix.acts) if acts]
+        self.choice = [_UNDECIDED if acts else _UNMOVED for acts in graph.acts]
+        self.need = [1 if m in graph.targets else 0 for m in graph.object_nodes]
+        self.use = [0] * len(graph.robots)
+        self.order = [o for o, acts in enumerate(graph.acts) if acts]
         self.size = 0                # actions chosen so far
         self.k = 0                   # the set size this pass looks for
 
@@ -125,10 +75,10 @@ class _Search:
         """The step per selected action, or None."""
         self.tick()
         # no step is empty, so at least T objects move, each taking a robot step
-        if min(len(self.order), len(self.ix.robots) * self.T) < self.T:
+        if min(len(self.order), len(self.graph.robots) * self.T) < self.T:
             return None
-        for o in self.ix.targets:
-            if self.choice[o] == _UNMOVED:
+        for o, n in enumerate(self.need):
+            if n and self.choice[o] == _UNMOVED:
                 return None
         bounds = self.reach()
         if bounds is None:
@@ -142,10 +92,10 @@ class _Search:
 
     def usable(self, i: int) -> bool:
         """No blocker of action i stays unmoved and its robots have a free step."""
-        for r in self.ix.robots_of[i]:
+        for r in self.graph.robots_of[i]:
             if self.use[r] >= self.T:
                 return False
-        for b in self.ix.blockers[i]:
+        for b in self.graph.blockers[i]:
             if self.choice[b] == _UNMOVED:
                 return False
         return True
@@ -162,8 +112,9 @@ class _Search:
         against each robot's T steps. It runs at every node, so it is written
         with loops rather than generator expressions.
         """
-        ix, T, choice, need, use = self.ix, self.T, self.choice, self.need, self.use
-        pick, place, blockers, robots_of = ix.pick, ix.place, ix.blockers, ix.robots_of
+        graph, T, choice, need, use = self.graph, self.T, self.choice, self.need, self.use
+        pick, place, blockers = graph.pick, graph.place, graph.blockers
+        robots_of = graph.robots_of
         never = T + 1
         options = {}        # object -> the actions it may still move by
         for o in self.order:
@@ -171,7 +122,7 @@ class _Search:
             if c >= 0:
                 options[o] = (c,)
             elif c == _UNDECIDED:
-                options[o] = [i for i in ix.acts[o] if self.usable(i)]
+                options[o] = [i for i in graph.acts[o] if self.usable(i)]
         depth = [never] * len(choice)
         for o, opts in options.items():
             if opts:
@@ -236,7 +187,7 @@ class _Search:
         # all of a must-move object's remaining actions share
         must = [o for o in undecided if need[o]]
         seen = set(must)
-        forced_use = [0] * len(ix.robots)
+        forced_use = [0] * len(graph.robots)
         slots = 0
         for o in must:
             opts = options[o]
@@ -263,7 +214,7 @@ class _Search:
             if u + forced_use[r] > T:
                 return None
             used += u
-        free = len(ix.robots) * T - used
+        free = len(graph.robots) * T - used
         if slots > free:
             return None
         movable = 0
@@ -274,12 +225,12 @@ class _Search:
         return self.size + len(must), self.size + min(movable, free), idle
 
     def take(self, i: int, sign: int) -> None:
-        ix = self.ix
-        self.choice[ix.obj_of[i]] = i if sign > 0 else _UNDECIDED
+        graph = self.graph
+        self.choice[graph.obj_of[i]] = i if sign > 0 else _UNDECIDED
         self.size += sign
-        for r in ix.robots_of[i]:
+        for r in graph.robots_of[i]:
             self.use[r] += sign
-        for b in ix.blockers[i]:
+        for b in graph.blockers[i]:
             self.need[b] += sign
 
     def sets(self, pos: int, bounds=None):
@@ -313,7 +264,7 @@ class _Search:
             self.choice[o] = _UNDECIDED
             if found is not None:
                 return found
-        for i in reversed(self.ix.acts[o]):
+        for i in reversed(self.graph.acts[o]):
             if not self.usable(i):
                 continue
             self.take(i, 1)
@@ -348,7 +299,7 @@ class _Search:
         [lo, hi] check each precedence as soon as it can fail; both ends of
         a pair are exact once its later action is fixed.
         """
-        ix, T, choice = self.ix, self.T, self.choice
+        graph, T, choice = self.graph, self.T, self.choice
         lo = dict.fromkeys(selection, 1)
         hi = dict.fromkeys(selection, T)
         # (action, 1 for a pick block, 0 for a place block): the actions that
@@ -356,7 +307,7 @@ class _Search:
         preds = {a: [] for a in selection}
         succs = {a: [] for a in selection}
         for a in selection:
-            for strict, objs in ((1, ix.pick[a]), (0, ix.place[a])):
+            for strict, objs in ((1, graph.pick[a]), (0, graph.place[a])):
                 for m in objs:
                     preds[a].append((choice[m], strict))
                     succs[choice[m]].append((a, strict))
@@ -364,7 +315,7 @@ class _Search:
         count = [0] * (T + 1)
 
         def can_fix(a, s):
-            if not busy[s].isdisjoint(ix.robots_of[a]):
+            if not busy[s].isdisjoint(graph.robots_of[a]):
                 return False
             for b, strict in preds[a]:
                 if s < lo[b] + strict:
@@ -393,11 +344,11 @@ class _Search:
             if len(later) + rest >= T - t + 1:
                 lo[a] = hi[a] = t - 1
                 if can_fix(a, t - 1):
-                    busy[t - 1].update(ix.robots_of[a])
+                    busy[t - 1].update(graph.robots_of[a])
                     count[t - 1] += 1
                     if decide(t, open_, j + 1, later):
                         return True
-                    busy[t - 1].difference_update(ix.robots_of[a])
+                    busy[t - 1].difference_update(graph.robots_of[a])
                     count[t - 1] -= 1
                 lo[a], hi[a] = old
             # X[t, a] = 1: a runs at step t or later

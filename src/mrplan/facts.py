@@ -24,6 +24,13 @@ robot tests it only until its answer is known:
 A robot whose reach annulus misses the grid's bounding box (nearest point
 beyond ``reach_max``, or farthest point inside ``reach_min``) is skipped
 without testing any candidate; no candidate can be valid for it.
+
+Each occlusion fact is keyed by the sweep it tests, in the form the task
+graph reads: ``reachable_pick`` maps (object, grasp, robot) to the
+movables the gripper sweep hits, and ``reachable_place`` maps (object,
+region, robot) to the goal-place occluders, none for a non-goal pair.
+``occludes_pick`` and ``occludes_goal_place`` list the same facts as
+(occluder, object, ...) records.
 """
 from __future__ import annotations
 
@@ -38,17 +45,23 @@ from .scene import Robot, Scene
 PLACE_GRID = 5  # candidate placements per region axis for the place certificate
 
 
-class FactLookupError(KeyError):
-    """An action references predicate instances that were never computed."""
-
-
 @dataclass
 class FactSet:
-    occludes_pick: set = field(default_factory=set)        # (M1, M2, g, R)
-    occludes_goal_place: set = field(default_factory=set)  # (M1, M2, Re, R)
-    reachable_pick: set = field(default_factory=set)       # (M, g, R)
-    reachable_place: set = field(default_factory=set)      # (M, Re, R)
+    reachable_pick: dict = field(default_factory=dict)     # (M, g, R) -> occluders
+    reachable_place: dict = field(default_factory=dict)    # (M, Re, R) -> occluders
     enable_goal_handover: set = field(default_factory=set)  # (M, R1, R2)
+
+    @property
+    def occludes_pick(self) -> frozenset:
+        """(M1, M2, g, R): M1 lies on R's gripper sweep to M2's grasp g."""
+        return frozenset((occ, m, g, r) for (m, g, r), hit in self.reachable_pick.items()
+                         for occ in hit)
+
+    @property
+    def occludes_goal_place(self) -> frozenset:
+        """(M1, M2, Re, R): M1 occludes R's goal place of M2 in Re."""
+        return frozenset((occ, m, re, r) for (m, re, r), hit in self.reachable_place.items()
+                         for occ in hit)
 
     def to_records(self) -> list[dict]:
         recs = []
@@ -135,9 +148,8 @@ def compute_facts(scene: Scene) -> FactSet:
                 cor = gripper_sweep(scene, rname, gp)
                 if not _avoids_fixed(scene, cor):
                     continue
-                facts.reachable_pick.add((obj, g, rname))
-                for occ in scene.movables_hit([cor], exclude=(obj,)):
-                    facts.occludes_pick.add((occ, obj, g, rname))
+                facts.reachable_pick[(obj, g, rname)] = frozenset(
+                    scene.movables_hit([cor], exclude=(obj,)))
 
     # place reachability (all regions) and goal-place occlusions (goal pairs)
     goal_pairs = set(scene.goal)
@@ -172,9 +184,7 @@ def compute_facts(scene: Scene) -> FactSet:
                         break
                 if best is None:
                     continue
-                facts.reachable_place.add((obj, re, rname))
-                for occ in best:
-                    facts.occludes_goal_place.add((occ, obj, re, rname))
+                facts.reachable_place[(obj, re, rname)] = frozenset(best)
 
     # handover enablement, goal objects only
     for obj in sorted(goal_objects):
@@ -191,16 +201,3 @@ def compute_facts(scene: Scene) -> FactSet:
                     facts.enable_goal_handover.add((obj, r1, r2))
     return facts
 
-
-def occluders_of(facts: FactSet, action, goal_objects) -> tuple[set, set]:
-    """Pick and place blockers of a partially grounded action."""
-    if (action.obj, action.grasp_pick, action.pick_robot) not in facts.reachable_pick:
-        raise FactLookupError(
-            f"no reachable_pick fact for {action.obj} with {action.pick_robot}")
-    pick = {m1 for (m1, m2, g, r) in facts.occludes_pick
-            if m2 == action.obj and g == action.grasp_pick and r == action.pick_robot}
-    place = set()
-    if action.obj in goal_objects:
-        place = {m1 for (m1, m2, re, r) in facts.occludes_goal_place
-                 if m2 == action.obj and re == action.region and r == action.place_robot}
-    return pick, place

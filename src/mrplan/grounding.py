@@ -73,7 +73,7 @@ def find_placements(actions, forbidden, scene: Scene, rng):
     """
     placements: dict[str, Pose] = {}
     placed_volumes: list = []
-    for action in sorted(actions, key=lambda a: a.key()):
+    for action in sorted(actions):
         shape = scene.movables[action.obj].shape
         pose = sample_placement(scene.regions[action.region], shape,
                                 list(forbidden) + placed_volumes, rng,
@@ -101,7 +101,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
     RobotMove or None.
     """
     options = []  # per action: the moves of its clear grasps, drawn lazily
-    for action in sorted(actions, key=lambda a: a.key()):
+    for action in sorted(actions):
         clear = _Drawn(_clear_grasps(action, placements[action.obj], obstacles, scene))
         if next(iter(clear), None) is None:
             return None

@@ -14,8 +14,10 @@ targets move, (9) blockers of selected actions move, (10) each object moves
 at most once, (11) pick-blockers move strictly earlier, (12) place-blockers
 move no later (big-M linearization, M = T + 1).
 
-A model stores only its horizon, the indexed graph and its exclusion cuts.
-The rows are built on the first read of ``MipModel.constraints``, and the
+A model stores only its horizon, the task graph and its exclusion cuts.
+The rows, the solver and skeleton extraction read the graph as
+``taskgraph.make_graph`` built it, by position; there is no index. The
+rows are built on the first read of ``MipModel.constraints``, and the
 variable names and objective on each read of ``var_names`` and
 ``objective``: ``--dump-mip`` and the row-fidelity tests read them.
 ``solve`` never does: ``mrplan.closure`` solves the task graph they encode
@@ -30,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 # BudgetExceeded is raised by the solver and is part of this module's interface
-from .closure import BudgetExceeded, GraphIndex, first_optimum, index_graph
+from .closure import BudgetExceeded, first_optimum
 from .taskgraph import CMTG
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -51,30 +53,29 @@ class LinearConstraint:
 @dataclass
 class MipModel:
     T: int
-    # the graph by position, for the solver, extraction and the rows
-    index: GraphIndex = field(repr=False)
+    graph: CMTG = field(repr=False)
     cuts: list = field(default_factory=list)    # excluded action sets (frozensets)
     _rows: list | None = field(default=None, init=False, repr=False, compare=False)
     _n_base_rows: int = field(default=0, init=False, repr=False, compare=False)
 
     def var(self, t: int, i: int) -> int:
         """Index of X[t, action i]."""
-        return (t - 1) * len(self.index.actions) + i
+        return (t - 1) * len(self.graph.action_nodes) + i
 
     @property
     def num_vars(self) -> int:
-        return self.T * len(self.index.actions)
+        return self.T * len(self.graph.action_nodes)
 
     @property
     def var_names(self) -> list[str]:
         """Name per variable index; built on each read."""
         return [f"Xa_t{t}_{a.obj}_a{i}" for t in range(1, self.T + 1)
-                for i, a in enumerate(self.index.actions)]
+                for i, a in enumerate(self.graph.action_nodes)]
 
     @property
     def objective(self) -> dict:
         """var index -> coefficient (minimize); built on each read."""
-        return {self.var(1, i): 1 for i in range(len(self.index.actions))}
+        return {self.var(1, i): 1 for i in range(len(self.graph.action_nodes))}
 
     @property
     def constraints(self) -> list[LinearConstraint]:
@@ -121,20 +122,18 @@ class TaskSkeleton:
         return len(self.steps)
 
 
-def compile_model(graph: CMTG, T: int, *, _index: GraphIndex | None = None) -> MipModel:
-    """The model at horizon T: the graph index now, rows on first read of
-    ``constraints``. ``enumerate_skeletons`` passes its first model's index
-    of ``graph`` as ``_index`` to the later horizons: indexing the graph
-    again at every horizon made ``suite`` plans ~12% slower."""
+def compile_model(graph: CMTG, T: int) -> MipModel:
+    """The model at horizon T; its rows are built on first read of
+    ``constraints``."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    return MipModel(T=T, index=index_graph(graph) if _index is None else _index)
+    return MipModel(T=T, graph=graph)
 
 
 def _model_rows(model: MipModel) -> list[LinearConstraint]:
     """Constraint families (1) and (3)-(12) of ``model``, in dump order."""
-    ix, T, var = model.index, model.T, model.var
-    n = len(ix.actions)
+    g, T, var = model.graph, model.T, model.var
+    n = len(g.action_nodes)
     rows: list[LinearConstraint] = []
 
     def add(coeffs: dict, sense: str, rhs: int, label: str):
@@ -142,13 +141,13 @@ def _model_rows(model: MipModel) -> list[LinearConstraint]:
 
     # block edges (action, object, kind) in the graph's order; a block
     # edge's indicator is its action's column
-    block_edges = ([(i, o, "pick") for i in range(n) for o in ix.pick[i]]
-                   + [(i, o, "place") for i in range(n) for o in ix.place[i]])
-    blocked_by = [[] for _ in ix.objects]   # the actions each object blocks
+    block_edges = ([(i, o, "pick") for i in range(n) for o in g.pick[i]]
+                   + [(i, o, "place") for i in range(n) for o in g.place[i]])
+    blocked_by = [[] for _ in g.object_nodes]   # the actions each object blocks
     for i, o, _ in block_edges:
         blocked_by[o].append(i)
-    edges_of_robot = [[i for i in range(n) if r in ix.robots_of[i]]
-                      for r in range(len(ix.robots))]
+    edges_of_robot = [[i for i in range(n) if r in g.robots_of[i]]
+                      for r in range(len(g.robots))]
 
     big_m = T + 1
 
@@ -158,23 +157,23 @@ def _model_rows(model: MipModel) -> list[LinearConstraint]:
             add({var(t, i): 1, var(t + 1, i): -1}, ">=", 0,
                 f"mono_t{t}_e{i}")
     # (3) non-targets move only to unblock a selected action
-    for o, m in enumerate(ix.objects):
-        if o in ix.targets:
+    for o, m in enumerate(g.object_nodes):
+        if m in g.targets:
             continue
         for t in range(1, T + 1):
             rhs_terms = Counter()
             rhs_terms.subtract(var(t, b) for b in blocked_by[o])
-            for i in ix.acts[o]:
+            for i in g.acts[o]:
                 coeffs = rhs_terms.copy()
                 coeffs[var(t, i)] += 1
                 add(coeffs, "<=", 0, f"gate_t{t}_{m}_e{i}")
     # (4) per-robot capacity at the last step
-    for r, edges in zip(ix.robots, edges_of_robot):
+    for r, edges in zip(g.robots, edges_of_robot):
         add({var(T, i): 1 for i in edges}, "<=", 1, f"cap_T_{r}")
     # (5) progress at the last step
     add({var(T, i): 1 for i in range(n)}, ">=", 1, "prog_T")
     # (6) per-robot capacity at every step
-    for r, edges in zip(ix.robots, edges_of_robot):
+    for r, edges in zip(g.robots, edges_of_robot):
         for t in range(1, T):
             coeffs = {var(t, i): 1 for i in edges}
             for i in edges:
@@ -187,24 +186,25 @@ def _model_rows(model: MipModel) -> list[LinearConstraint]:
             coeffs[var(t + 1, i)] = coeffs.get(var(t + 1, i), 0) - 1
         add(coeffs, ">=", 1, f"prog_t{t}")
     # (8) every target is moved
-    for o in sorted(ix.targets):
-        add({var(1, i): 1 for i in ix.acts[o]}, "==", 1, f"target_{ix.objects[o]}")
+    for o, m in enumerate(g.object_nodes):
+        if m in g.targets:
+            add({var(1, i): 1 for i in g.acts[o]}, "==", 1, f"target_{m}")
     # (9) blockers of selected actions are moved
     for j, (a, o, kind) in enumerate(block_edges):
-        coeffs = Counter(var(1, i) for i in ix.acts[o])
+        coeffs = Counter(var(1, i) for i in g.acts[o])
         coeffs[var(1, a)] -= 1
         add(coeffs, ">=", 0, f"unblock_b{j}")
     # (10) each object moved at most once
-    for o, m in enumerate(ix.objects):
-        if ix.acts[o]:
-            add({var(1, i): 1 for i in ix.acts[o]}, "<=", 1, f"once_{m}")
+    for o, m in enumerate(g.object_nodes):
+        if g.acts[o]:
+            add({var(1, i): 1 for i in g.acts[o]}, "<=", 1, f"once_{m}")
     # (11)/(12) precedence, big-M linearized:
     #   X[1,a]=1  =>  sum_t X[t,a] >= sum over M's action edges of sum_t X[t] (+1)
     for j, (a, o, kind) in enumerate(block_edges):
         coeffs = Counter()
         for t in range(1, T + 1):
             coeffs[var(t, a)] += 1
-            coeffs.subtract(var(t, i) for i in ix.acts[o])
+            coeffs.subtract(var(t, i) for i in g.acts[o])
         coeffs[var(1, a)] -= big_m
         strict = 1 if kind == "pick" else 0
         add(coeffs, ">=", strict - big_m, f"prec_{kind}_b{j}")
@@ -214,7 +214,7 @@ def _model_rows(model: MipModel) -> list[LinearConstraint]:
 def _cut_row(model: MipModel, selected: frozenset, label: str) -> LinearConstraint:
     """The row that forbids selecting exactly the action edges ``selected``."""
     coeffs = tuple((model.var(1, i), -1 if i in selected else 1)
-                   for i in range(len(model.index.actions)))
+                   for i in range(len(model.graph.action_nodes)))
     return LinearConstraint(tuple(sorted(coeffs)), ">=", 1 - len(selected), label)
 
 
@@ -228,14 +228,14 @@ def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
     node is one call of the set search or of the schedule search, counting
     the root; ``budget`` bounds the nodes of this call.
     """
-    steps = first_optimum(model.index, model.T, model.cuts, budget)
+    steps = first_optimum(model.graph, model.T, model.cuts, budget)
     return "infeasible" if steps is None else steps
 
 
 def extract_skeleton(steps: dict, model: MipModel) -> TaskSkeleton:
     """The skeleton ``solve`` returned as ``steps``: each selected action at
     its step, under each of its robots."""
-    actions = model.index.actions
+    actions = model.graph.action_nodes
     by_step: list[dict] = [{} for _ in range(model.T)]
     for i, step in steps.items():
         for r in actions[i].robots:
@@ -263,11 +263,9 @@ def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
         return []
     skeletons: list[TaskSkeleton] = []
     cuts: list[frozenset] = []
-    index = None
     for T in range(1, T_max + 1):
-        model = compile_model(graph, T, _index=index)
+        model = compile_model(graph, T)
         model.cuts = cuts
-        index = model.index
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeBudgetExceeded("time budget passed during skeleton enumeration")

@@ -26,7 +26,8 @@ class PartiallyGroundedAction:
 
     A task-graph action stands for its grasp-equivalence class: ``grasps``
     lists the class's grasp angles, nearest to the pick robot first, and
-    grounding tries them in that order. They take no part in identity.
+    grounding tries them in that order. They take no part in identity or
+    order: actions sort by their other fields, the canonical action order.
     """
     obj: str
     region: str
@@ -45,10 +46,6 @@ class PartiallyGroundedAction:
         if self.is_handover:
             return (self.pick_robot, self.place_robot)
         return (self.pick_robot,)
-
-    def key(self) -> tuple:
-        return (self.obj, self.region, self.pick_robot, self.place_robot,
-                self.grasp_pick, self.grasp_place)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 Regions are outlined rectangles, fixed and movable objects filled shapes,
 robots a base dot plus reach annulus, and each plan step a numbered layer of
-swept corridors and motion arrows. Output is byte-identical for identical
-inputs.
+swept corridors and motion arrows. Names are escaped, so the output is
+well-formed XML whatever a scene calls its parts. Output is byte-identical
+for identical inputs.
 """
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape
 
 from .geometry import Disc, Pose, Rectangle
 from .plans import Plan
@@ -68,7 +70,9 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
     for shape, pose in scene.fixed:
         xs += [pose.x - shape.circumradius, pose.x + shape.circumradius]
         ys += [pose.y - shape.circumradius, pose.y + shape.circumradius]
-    cv = _Canvas(min(xs) - PAD, min(ys) - PAD, max(xs) + PAD, max(ys) + PAD)
+    # a scene with nothing to bound gets an empty canvas around the origin
+    cv = _Canvas(min(xs, default=0.0) - PAD, min(ys, default=0.0) - PAD,
+                 max(xs, default=0.0) + PAD, max(ys, default=0.0) + PAD)
 
     for name in sorted(scene.regions):
         reg = scene.regions[name]
@@ -79,7 +83,7 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
                f'fill="none" stroke="#888" stroke-dasharray="6 3"/>')
         lx, ly = cv.pt((reg.rect.xmin + 0.02, reg.rect.ymax - 0.02))
         cv.add(f'<text class="region-label" x="{_fmt(lx)}" y="{_fmt(ly + 12)}" '
-               f'font-size="12" fill="#888">{name}</text>')
+               f'font-size="12" fill="#888">{escape(name)}</text>')
     for i, (shape, pose) in enumerate(scene.fixed):
         cv.add(_shape_svg(cv, shape, pose, "fixed", 'fill="#444"'))
     for name in sorted(scene.movables):
@@ -88,7 +92,7 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
                           'fill="#6baed6" stroke="#2171b5"'))
         lx, ly = cv.pt(m.pose.xy)
         cv.add(f'<text class="movable-label" x="{_fmt(lx)}" y="{_fmt(ly + 4)}" '
-               f'font-size="11" text-anchor="middle">{name}</text>')
+               f'font-size="11" text-anchor="middle">{escape(name)}</text>')
     for name in sorted(scene.robots):
         r = scene.robots[name]
         bx, by = cv.pt(r.base)
@@ -99,7 +103,7 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
                f'r="{_fmt(r.reach_min * SCALE)}" fill="none" stroke="#bbb"/>'
                f'<circle cx="{_fmt(bx)}" cy="{_fmt(by)}" r="5" fill="#000"/>'
                f'<text x="{_fmt(bx + 8)}" y="{_fmt(by - 8)}" '
-               f'font-size="12">{name}</text></g>')
+               f'font-size="12">{escape(name)}</text></g>')
 
     if plan is not None:
         for j, step in enumerate(plan.steps, start=1):

@@ -7,58 +7,95 @@ grasp-equivalence class: grasps that no model row can tell apart share one
 node, and grounding picks the grasp. Block-pick edges (action ->
 object) record objects whose current pose intersects the pick sweep;
 block-place edges (only for actions that deliver a goal object) record
-objects intersecting the goal-place sweep the fact phase chose. The graph
-is built by a recursion that adds each referenced object at most once.
+objects intersecting the goal-place sweep the fact phase chose.
+
+``build_cmtg`` walks a worklist from the targets, adding each referenced
+object's action classes once, and hands them to ``make_graph``. That is
+the one constructor: it sorts once and returns the graph in canonical
+positional form. Objects are sorted by name and actions in canonical
+(field) order; every other field lists positions into those, so the
+solver and the model rows read the graph as it is.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .facts import FactSet, occluders_of
+from .facts import FactSet
 from .plans import PartiallyGroundedAction
 from .scene import Scene
 
 
-@dataclass
+@dataclass(frozen=True)
 class CMTG:
-    """Collaborative manipulation task graph."""
-    targets: frozenset = frozenset()
-    object_nodes: set = field(default_factory=set)
-    action_nodes: set = field(default_factory=set)
-    action_edges: set = field(default_factory=set)       # (object, action)
-    block_pick_edges: set = field(default_factory=set)   # (action, object)
-    block_place_edges: set = field(default_factory=set)  # (action, object)
+    """Collaborative manipulation task graph, by position."""
+    targets: frozenset    # names
+    object_nodes: tuple   # sorted names
+    action_nodes: tuple   # canonical order
+    robots: tuple         # sorted names of the robots the actions use
+    obj_of: tuple         # action -> object
+    robots_of: tuple      # action -> robots
+    pick: tuple           # action -> objects that pick-block it, ascending
+    place: tuple          # action -> objects that place-block it, ascending
+    blockers: tuple       # action -> frozenset of pick and place blockers
+    acts: tuple           # object -> its actions, ascending
 
-    def sorted_actions(self) -> list[PartiallyGroundedAction]:
-        return sorted(self.action_nodes, key=lambda a: a.key())
+    @property
+    def block_pick_edges(self) -> list:
+        """(action, object) pairs, by action, then object."""
+        return [(a, self.object_nodes[o])
+                for a, objs in zip(self.action_nodes, self.pick) for o in objs]
 
-    def sorted_objects(self) -> list[str]:
-        return sorted(self.object_nodes)
-
-    def actions_moving(self, obj: str) -> list[PartiallyGroundedAction]:
-        return sorted((a for m, a in self.action_edges if m == obj),
-                      key=lambda a: a.key())
+    @property
+    def block_place_edges(self) -> list:
+        """(action, object) pairs, by action, then object."""
+        return [(a, self.object_nodes[o])
+                for a, objs in zip(self.action_nodes, self.place) for o in objs]
 
     def dumps(self) -> str:
         lines = [f"targets {' '.join(sorted(self.targets))}"]
-        for m in self.sorted_objects():
-            lines.append(f"object {m}")
-        for a in self.sorted_actions():
+        lines += [f"object {m}" for m in self.object_nodes]
+        for a in self.action_nodes:
             lines.append(
                 "action obj={obj} region={region} pick={pick} place={place} "
                 "g_pick={gp:.6f} g_place={gpl:.6f}".format(
                     obj=a.obj, region=a.region, pick=a.pick_robot,
                     place=a.place_robot, gp=a.grasp_pick, gpl=a.grasp_place))
-        actions = self.sorted_actions()
-        index = {a: i for i, a in enumerate(actions)}
-        for m, a in sorted(self.action_edges, key=lambda e: (e[0], e[1].key())):
-            lines.append(f"action_edge {m} -> a{index[a]}")
-        for a, m in sorted(self.block_pick_edges, key=lambda e: (e[0].key(), e[1])):
-            lines.append(f"block_pick_edge a{index[a]} -> {m}")
-        for a, m in sorted(self.block_place_edges, key=lambda e: (e[0].key(), e[1])):
-            lines.append(f"block_place_edge a{index[a]} -> {m}")
+        lines += [f"action_edge {a.obj} -> a{i}" for i, a in enumerate(self.action_nodes)]
+        for kind, blocked in (("pick", self.pick), ("place", self.place)):
+            lines += [f"block_{kind}_edge a{i} -> {self.object_nodes[o]}"
+                      for i, objs in enumerate(blocked) for o in objs]
         return "\n".join(lines) + "\n"
+
+
+def make_graph(targets, blocks: dict) -> CMTG:
+    """The graph of ``targets`` and the actions of ``blocks``, which maps
+    each action to its (pick blockers, place blockers), sets of object
+    names. Its objects are the targets, the actions' objects and the
+    blockers."""
+    targets = frozenset(targets)
+    items = sorted(blocks.items())    # distinct actions: blockers are never compared
+    actions = tuple(a for a, _ in items)
+    names = set(targets)
+    for a, (pick, place) in items:
+        names.add(a.obj)
+        names.update(pick, place)
+    objects = tuple(sorted(names))
+    robots = tuple(sorted({r for a in actions for r in a.robots}))
+    o_index = {m: k for k, m in enumerate(objects)}
+    r_index = {r: k for k, r in enumerate(robots)}
+    pick = tuple(tuple(sorted([o_index[m] for m in p])) for _, (p, _) in items)
+    place = tuple(tuple(sorted([o_index[m] for m in q])) for _, (_, q) in items)
+    obj_of = tuple(o_index[a.obj] for a in actions)
+    acts: list[list] = [[] for _ in objects]
+    for i, o in enumerate(obj_of):
+        acts[o].append(i)
+    return CMTG(targets=targets, object_nodes=objects, action_nodes=actions, robots=robots,
+                obj_of=obj_of,
+                robots_of=tuple(tuple(r_index[r] for r in a.robots) for a in actions),
+                pick=pick, place=place,
+                blockers=tuple(frozenset(p + q) for p, q in zip(pick, place)),
+                acts=tuple(map(tuple, acts)))
 
 
 def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
@@ -69,24 +106,23 @@ def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
     apart. The representative holds the member whose grasp point lies
     nearest the pick robot's base (ties, to 1e-9 m, broken by angle) and
     lists all members in that order. A handover places at its pick grasp;
-    place and handover facts carry no grasp.
+    place and handover facts carry no grasp, and only a goal pair has place
+    blockers.
     """
-    goal_objects = set(scene.goal_objects())
     region = scene.target_region_of(obj)
+    robots = sorted(scene.robots)
     classes: dict[tuple, list[float]] = {}
-    for (m, g, r1) in sorted(facts.reachable_pick):
-        if m != obj:
-            continue
-        place_robots = [r1]
-        if obj in goal_objects:
-            place_robots += [r2 for r2 in sorted(scene.robots)
-                             if (obj, r1, r2) in facts.enable_goal_handover]
-        for r2 in place_robots:
-            if (obj, region, r2) not in facts.reachable_place:
+    for g in scene.grasp_angles():
+        for r1 in robots:
+            pick = facts.reachable_pick.get((obj, g, r1))
+            if pick is None:
                 continue
-            pick, place = occluders_of(facts, PartiallyGroundedAction(
-                obj, region, r1, r2, g, g), goal_objects)
-            classes.setdefault((r1, r2, frozenset(pick), frozenset(place)), []).append(g)
+            for r2 in robots:
+                if r2 != r1 and (obj, r1, r2) not in facts.enable_goal_handover:
+                    continue
+                place = facts.reachable_place.get((obj, region, r2))
+                if place is not None:
+                    classes.setdefault((r1, r2, pick, place), []).append(g)
     out = []
     for (r1, r2, pick, place), grasps in classes.items():
         base = scene.robots[r1].base
@@ -96,34 +132,24 @@ def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
     return out
 
 
-def add_object(obj: str, graph: CMTG, facts: FactSet, scene: Scene,
-               excluded: frozenset = frozenset()) -> None:
-    """Add ``obj``, its action classes and (recursively) their blockers."""
-    if obj in graph.object_nodes:
-        return
-    graph.object_nodes.add(obj)
-    for action, pick_blockers, place_blockers in _candidate_actions(obj, facts, scene):
-        # an already-moved object can never be cleared again, so any action it
-        # blocks is unusable
-        if (pick_blockers | place_blockers) & excluded:
-            continue
-        graph.action_nodes.add(action)
-        graph.action_edges.add((obj, action))
-        for b in sorted(pick_blockers):
-            graph.block_pick_edges.add((action, b))
-            add_object(b, graph, facts, scene, excluded)
-        for b in sorted(place_blockers):
-            graph.block_place_edges.add((action, b))
-            add_object(b, graph, facts, scene, excluded)
-
-
 def build_cmtg(targets, facts: FactSet, scene: Scene,
                excluded=frozenset()) -> CMTG:
+    """The targets, their action classes and, transitively, the blockers of
+    those actions with theirs. An already-moved (``excluded``) object can
+    never be cleared again, so any action it blocks is left out."""
     targets = frozenset(targets)
     excluded = frozenset(excluded)
     if targets & excluded:
         raise ValueError("targets and excluded objects overlap")
-    graph = CMTG(targets=targets)
-    for t in sorted(targets):
-        add_object(t, graph, facts, scene, excluded)
-    return graph
+    blocks: dict = {}
+    seen = set(targets)
+    todo = list(targets)
+    while todo:
+        for action, pick, place in _candidate_actions(todo.pop(), facts, scene):
+            blockers = pick | place
+            if blockers & excluded:
+                continue
+            blocks[action] = (pick, place)
+            todo += blockers - seen
+            seen |= blockers
+    return make_graph(targets, blocks)

@@ -54,9 +54,8 @@ def compute_facts(scene) -> FactSet:
                 cor = Corridor(robot.base, gp, robot.gripper_width)
                 if not avoids_fixed(scene, cor):
                     continue
-                facts.reachable_pick.add((obj, g, rname))
-                for occ in scene.movables_hit([cor], exclude=(obj,)):
-                    facts.occludes_pick.add((occ, obj, g, rname))
+                facts.reachable_pick[(obj, g, rname)] = frozenset(
+                    scene.movables_hit([cor], exclude=(obj,)))
 
     goal_pairs = {(m, re) for m, re in scene.goal}
     for obj in sorted(scene.movables):
@@ -75,8 +74,8 @@ def compute_facts(scene) -> FactSet:
                     valid.append((p, cor))
                 if not valid:
                     continue
-                facts.reachable_place.add((obj, re, rname))
                 if (obj, re) not in goal_pairs:
+                    facts.reachable_place[(obj, re, rname)] = frozenset()
                     continue
                 # fewest movable occluders, earliest candidate
                 best = None
@@ -84,8 +83,7 @@ def compute_facts(scene) -> FactSet:
                     occ = scene.movables_hit([cor, (shape, p)], exclude=(obj,))
                     if best is None or len(occ) < len(best):
                         best = occ
-                for occ in best:
-                    facts.occludes_goal_place.add((occ, obj, re, rname))
+                facts.reachable_place[(obj, re, rname)] = frozenset(best)
 
     for obj in sorted(goal_objects):
         m = scene.movables[obj]

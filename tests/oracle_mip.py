@@ -12,17 +12,15 @@ import random
 
 from mrplan.mip import TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction
-from mrplan.taskgraph import CMTG
+from mrplan.taskgraph import CMTG, make_graph
 
 
-def index_edges(graph: CMTG):
-    actions = graph.sorted_actions()
-    action_edges = [(a.obj, a) for a in actions]
-    block_edges = ([(a, m, "pick") for a, m in sorted(
-                        graph.block_pick_edges, key=lambda e: (e[0].key(), e[1]))]
-                   + [(a, m, "place") for a, m in sorted(
-                        graph.block_place_edges, key=lambda e: (e[0].key(), e[1]))])
-    return action_edges, block_edges
+def blocks_of(graph: CMTG) -> dict:
+    """``graph`` as ``make_graph`` takes it: action -> (pick blockers, place
+    blockers), by name."""
+    names = graph.object_nodes
+    return {a: ({names[o] for o in p}, {names[o] for o in q})
+            for a, p, q in zip(graph.action_nodes, graph.pick, graph.place)}
 
 
 class OracleVars:
@@ -31,7 +29,10 @@ class OracleVars:
     def __init__(self, graph: CMTG, T: int):
         self.graph = graph
         self.T = T
-        self.action_edges, self.block_edges = index_edges(graph)
+        # the graph lists its actions and block edges in canonical order
+        self.action_edges = [(a.obj, a) for a in graph.action_nodes]
+        self.block_edges = ([(a, m, "pick") for a, m in graph.block_pick_edges]
+                            + [(a, m, "place") for a, m in graph.block_place_edges])
         self.xa = {}  # (t, action_edge_index) -> 0/1
         self.xb = {}  # (t, block_edge_index) -> 0/1
 
@@ -75,7 +76,7 @@ def assignment(model, steps) -> tuple:
     """The flat 0/1 vector of ``mip.solve``'s action -> step answer:
     X[t, a] = 1 exactly when a is selected and its step is >= t."""
     return tuple(int(i in steps and steps[i] >= t) for t in range(1, model.T + 1)
-                 for i in range(len(model.index.actions)))
+                 for i in range(len(model.graph.action_nodes)))
 
 
 def decode_skeleton(vector, model) -> TaskSkeleton:
@@ -85,7 +86,7 @@ def decode_skeleton(vector, model) -> TaskSkeleton:
     T = model.T
     steps: list[dict] = [{} for _ in range(T)]
     moved = set()
-    for i, a in enumerate(model.index.actions):
+    for i, a in enumerate(model.graph.action_nodes):
         col = [vector[model.var(t, i)] for t in range(1, T + 1)]
         assert all(col[t] >= col[t + 1] for t in range(T - 1)), \
             f"non-monotone step indicators for action on {a.obj}"
@@ -192,11 +193,8 @@ def enumerate_schedules(graph: CMTG, T: int):
     objects = sorted(graph.object_nodes)
     options = []
     for m in objects:
-        opts = [None]
-        for a in graph.actions_moving(m):
-            for step in range(1, T + 1):
-                opts.append((a, step))
-        options.append(opts)
+        options.append([None] + [(a, step) for a in graph.action_nodes if a.obj == m
+                                 for step in range(1, T + 1)])
     for combo in itertools.product(*options):
         schedule = {m: choice for m, choice in zip(objects, combo)
                     if choice is not None}
@@ -222,57 +220,47 @@ def random_cmtg(rng: random.Random, max_objects: int = 6,
     n_obj = rng.randint(1, max_objects)
     objects = [f"O{k}" for k in range(n_obj)]
     robots = list(robots)
-    graph = CMTG(targets=frozenset())
-    graph.object_nodes = set(objects)
+    blocks = {}
     n_act = rng.randint(1, max_actions)
     for k in range(n_act):
         obj = rng.choice(objects)
         if rng.random() < 0.25 and len(robots) > 1:
-            pick, place = rng.sample(robots, 2)
+            r1, r2 = rng.sample(robots, 2)
         else:
-            pick = place = rng.choice(robots)
+            r1 = r2 = rng.choice(robots)
         a = PartiallyGroundedAction(obj=obj, region=f"re{rng.randint(0, 1)}",
-                                    pick_robot=pick, place_robot=place,
+                                    pick_robot=r1, place_robot=r2,
                                     grasp_pick=0.0, grasp_place=0.0)
-        if a in graph.action_nodes:
+        if a in blocks:
             continue
-        graph.action_nodes.add(a)
-        graph.action_edges.add((obj, a))
+        pick, place = blocks[a] = set(), set()
         for b in objects:
             if b == obj:
                 continue
             roll = rng.random()
             if roll < pick_p:
-                graph.block_pick_edges.add((a, b))
+                pick.add(b)
             elif roll < pick_p + place_p:
-                graph.block_place_edges.add((a, b))
-    movable = sorted({m for m, _ in graph.action_edges})
-    pool = movable if movable else sorted(graph.object_nodes)
-    n_targets = rng.randint(1, max(1, min(2, len(pool))))
-    graph.targets = frozenset(rng.sample(pool, n_targets))
-    return graph
+                place.add(b)
+    movable = sorted({a.obj for a in blocks})
+    n_targets = rng.randint(1, max(1, min(2, len(movable))))
+    return make_graph(rng.sample(movable, n_targets), blocks)
 
 
 def loads_cmtg(text: str) -> CMTG:
-    """The graph that ``CMTG.dumps`` wrote as ``text``."""
-    graph = CMTG()
-    actions = []
+    """The graph that ``CMTG.dumps`` wrote as ``text``. Its objects follow
+    from the targets, actions and blockers, so object lines are skipped."""
+    targets, actions, blocks = (), [], {}
     for line in text.splitlines():
         kind, *rest = line.split()
         if kind == "targets":
-            graph.targets = frozenset(rest)
-        elif kind == "object":
-            graph.object_nodes.add(rest[0])
+            targets = rest
         elif kind == "action":
             f = dict(field.split("=") for field in rest)
             a = PartiallyGroundedAction(f["obj"], f["region"], f["pick"], f["place"],
                                         float(f["g_pick"]), float(f["g_place"]))
             actions.append(a)
-            graph.action_nodes.add(a)
-        elif kind == "action_edge":
-            graph.action_edges.add((rest[0], actions[int(rest[2][1:])]))
-        elif kind == "block_pick_edge":
-            graph.block_pick_edges.add((actions[int(rest[0][1:])], rest[2]))
-        elif kind == "block_place_edge":
-            graph.block_place_edges.add((actions[int(rest[0][1:])], rest[2]))
-    return graph
+            blocks[a] = (set(), set())
+        elif kind in ("block_pick_edge", "block_place_edge"):
+            blocks[actions[int(rest[0][1:])]][kind == "block_place_edge"].add(rest[2])
+    return make_graph(targets, blocks)

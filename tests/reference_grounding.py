@@ -19,7 +19,7 @@ from mrplan.scene import Scene
 
 def find_trajectories(actions, placements, obstacles, scene: Scene):
     options = []  # per action: the moves of each grasp clear on its own
-    for action in sorted(actions, key=lambda a: a.key()):
+    for action in sorted(actions):
         obj_pose = scene.movables[action.obj].pose
         placement = placements[action.obj]
         clear = []

@@ -98,12 +98,12 @@ def test_rows_accept_feasible_and_reject_perturbed_assignments():
 def test_task_graph_structure_pick_chain():
     scene = load_scene(scenario("pick_chain"))
     graph = build_cmtg({"M1"}, compute_facts(scene), scene)
-    assert graph.object_nodes == {"M1", "M3", "M4"}
-    m1_actions = graph.actions_moving("M1")
+    assert graph.object_nodes == ("M1", "M3", "M4")
+    m1_actions = [a for a in graph.action_nodes if a.obj == "M1"]
     assert len(m1_actions) == 1 and m1_actions[0].is_handover
-    assert {m for a, m in graph.block_pick_edges | graph.block_place_edges
+    assert {m for a, m in graph.block_pick_edges + graph.block_place_edges
             if a == m1_actions[0]} == {"M4"}
-    m4_actions = graph.actions_moving("M4")
+    m4_actions = [a for a in graph.action_nodes if a.obj == "M4"]
     assert len(m4_actions) == 1
     assert (m4_actions[0], "M3") in graph.block_pick_edges
     assert graph.dumps() == (GOLDEN / "pick_chain_cmtg.txt").read_text()
@@ -112,7 +112,7 @@ def test_task_graph_structure_pick_chain():
 def test_task_graph_structure_place_blocked():
     scene = load_scene(scenario("place_blocked"))
     graph = build_cmtg({"M1"}, compute_facts(scene), scene)
-    handover = graph.actions_moving("M1")[0]
+    handover = next(a for a in graph.action_nodes if a.obj == "M1")
     assert handover.is_handover
     assert (handover, "M2") in graph.block_place_edges
     assert graph.dumps() == (GOLDEN / "place_blocked_cmtg.txt").read_text()

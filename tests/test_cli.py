@@ -2,6 +2,7 @@
 import copy
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -262,6 +263,32 @@ def test_render_scene_and_plan(tmp_path):
     svg3 = tmp_path / "again.svg"
     assert run(["render", scenario("pick_chain"), out, "--svg", svg3]) == 0
     assert svg3.read_text() == with_plan
+
+
+def test_render_escapes_names(tmp_path):
+    names = ["R&D <1>", "M<1> & 'co'", 'arm "A" > 2']
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "regions": [{"name": names[0], "rect": [-1.0, -1.0, 1.0, 1.0]}],
+        "movables": [{"name": names[1], "shape": {"type": "disc", "radius": 0.05},
+                      "pose": {"x": 0.5, "y": 0.0}, "home_region": names[0]}],
+        "robots": [{"name": names[2], "base": [0.0, 0.0], "reach_min": 0.1,
+                    "reach_max": 1.0, "gripper_width": 0.1}],
+    }))
+    svg = tmp_path / "scene.svg"
+    assert run(["render", scene, "--svg", svg]) == 0
+    labels = [el.text for el in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert sorted(labels) == sorted(names)
+
+
+def test_render_scene_with_nothing_to_bound(tmp_path):
+    scene = tmp_path / "empty.json"
+    scene.write_text(json.dumps({"regions": [], "movables": [], "robots": []}))
+    svg = tmp_path / "empty.svg"
+    assert run(["render", scene, "--svg", svg]) == 0
+    root = ET.parse(svg).getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg" and len(root) == 0
+    assert float(root.get("width")) > 0 and float(root.get("height")) > 0
 
 
 def test_plan_determinism_across_processes_of_the_cli(tmp_path):

@@ -1,13 +1,16 @@
-"""Task-graph construction: recursion over blockers, exclusions, golden dumps."""
+"""Task-graph construction: the worklist over blockers, exclusions, the
+canonical form, golden dumps."""
 import json
+import random
 
 import pytest
 
 from mrplan.facts import compute_facts
 from mrplan.scene import load_scene, loads_scene
-from mrplan.taskgraph import CMTG, add_object, build_cmtg
+from mrplan.taskgraph import build_cmtg, make_graph
 
 from conftest import GOLDEN, scenario
+from oracle_mip import blocks_of, random_cmtg
 
 
 def graph_for(name, targets=None, excluded=frozenset()):
@@ -38,15 +41,28 @@ def test_block_edges_follow_the_facts():
     assert graph.block_place_edges
 
 
-def test_add_object_is_idempotent():
-    scene = load_scene(scenario("pick_chain"))
-    facts = compute_facts(scene)
-    graph = CMTG(targets=frozenset({"M1"}))
-    add_object("M1", graph, facts, scene)
-    snapshot = graph.dumps()
-    add_object("M1", graph, facts, scene)
-    add_object("M4", graph, facts, scene)  # already pulled in as a blocker
-    assert graph.dumps() == snapshot
+def test_a_target_that_is_already_a_blocker_adds_nothing():
+    # M4 blocks M1's only action, so M1 alone already pulls it in
+    one, _, _ = graph_for("pick_chain", targets=["M1"])
+    both, _, _ = graph_for("pick_chain", targets=["M1", "M4"])
+    assert "M4" in {m for _, m in one.block_pick_edges}
+    assert both.object_nodes == one.object_nodes
+    assert both.action_nodes == one.action_nodes
+    assert both.block_pick_edges == one.block_pick_edges
+    assert both.block_place_edges == one.block_place_edges
+
+
+def test_make_graph_ignores_insertion_order():
+    rng = random.Random("insertion order")
+    for _ in range(40):
+        graph = random_cmtg(rng, 6, 8, robots=("A", "B", "C"))
+        items = [(a, (rng.sample(sorted(p), len(p)), rng.sample(sorted(q), len(q))))
+                 for a, (p, q) in blocks_of(graph).items()]
+        rng.shuffle(items)
+        targets = rng.sample(sorted(graph.targets), len(graph.targets))
+        again = make_graph(targets, dict(items))
+        assert again == graph
+        assert again.dumps() == graph.dumps()
 
 
 def test_target_insertion_order_does_not_matter():
@@ -62,7 +78,7 @@ def test_excluded_blocker_drops_dependent_actions():
     # must disappear, leaving M1 without any action
     graph, _, _ = graph_for("pick_chain", targets=["M1"],
                             excluded=frozenset({"M4"}))
-    assert graph.actions_moving("M1") == []
+    assert not any(a.obj == "M1" for a in graph.action_nodes)
     assert "M4" not in graph.object_nodes
 
 
@@ -75,7 +91,7 @@ def test_excluded_target_rejected():
 
 def test_non_goal_blockers_target_home_region():
     graph, scene, _ = graph_for("pick_chain")
-    for a in graph.sorted_actions():
+    for a in graph.action_nodes:
         if a.obj not in scene.goal_objects():
             assert a.region == scene.movables[a.obj].home_region
             assert not a.is_handover
@@ -98,7 +114,7 @@ def test_one_action_node_per_grasp_class():
     # all 8 grasp points lie in the wide annulus and nothing blocks them, so
     # they form one class: one action carrying every grasp, nearest R1 first
     # (the grasp facing the base, then mirror pairs by increasing angle)
-    [action] = graph.actions_moving("M1")
+    [action] = graph.action_nodes
     angles = scene.grasp_angles()
     assert action.grasps == tuple(angles[i] for i in (4, 3, 5, 2, 6, 1, 7, 0))
     assert action.grasp_pick == action.grasp_place == angles[4]

@@ -6,13 +6,16 @@ import random
 import pytest
 
 import oracle_facts
-from mrplan.facts import FactLookupError, compute_facts, occluders_of, place_candidates
+from mrplan.facts import compute_facts, place_candidates
 from mrplan.geometry import Corridor, Disc, Pose, Rectangle, collides
 from mrplan.motion import build_moves
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import load_scene, loads_scene
 
 from conftest import EXTRA, SCENARIOS, scenario
+
+
+SHIPPED = sorted(SCENARIOS.glob("*.json")) + sorted(EXTRA.glob("*.json"))
 
 
 def action(obj, region, pick_robot, place_robot=None, g=0.0):
@@ -43,7 +46,7 @@ def test_grasp_point_outside_reach_annulus_blocks_pick():
     }
     facts = compute_facts(loads_scene(json.dumps(doc)))
     # grasp point (0.25, 0) is closer than reach_min
-    assert facts.reachable_pick == set()
+    assert facts.reachable_pick == {}
 
 
 def test_pick_chain_occlusions():
@@ -64,26 +67,28 @@ def test_place_blocked_goal_place_occluder():
 
 
 def test_occluders_of_pick_and_place_blockers():
-    scene = load_scene(scenario("pick_chain"))
+    # the handover of M1 from R1 to R2: picked at grasp 0 by R1, placed by R2
+    facts = compute_facts(load_scene(scenario("pick_chain")))
+    assert facts.reachable_pick[("M1", 0.0, "R1")] == {"M4"}
+    assert facts.reachable_place[("M1", "goal_zone", "R2")] == frozenset()
+
+    facts2 = compute_facts(load_scene(scenario("place_blocked")))
+    assert facts2.reachable_place[("M1", "goal_zone", "R2")] == {"M2"}
+
+
+@pytest.mark.parametrize("grasp_count", [1, 3, 8])
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_non_goal_places_have_no_occluders(path, grasp_count):
+    """The task graph reads place blockers without asking whether the pair
+    is a goal pair: only a goal pair may map to occluders."""
+    doc = json.loads(path.read_text())
+    scene = loads_scene(json.dumps({**doc, "grasp_count": grasp_count}))
+    goal_pairs = set(scene.goal)
     facts = compute_facts(scene)
-    hand = action("M1", "goal_zone", "R1", "R2")
-    pick, place = occluders_of(facts, hand, scene.goal_objects())
-    assert pick == {"M4"}
-    assert place == set()
-
-    scene2 = load_scene(scenario("place_blocked"))
-    facts2 = compute_facts(scene2)
-    a = action("M1", "goal_zone", "R1", "R2")
-    pick2, place2 = occluders_of(facts2, a, scene2.goal_objects())
-    assert place2 == {"M2"}
-
-
-def test_occluders_of_unreachable_action_raises():
-    scene = load_scene(scenario("unobstructed"))
-    facts = compute_facts(scene)
-    with pytest.raises(FactLookupError):
-        occluders_of(facts, action("M1", "goal_zone", "R1", g=1.23),
-                     scene.goal_objects())
+    assert facts.reachable_place
+    for (m, re, r), occluders in facts.reachable_place.items():
+        if (m, re) not in goal_pairs:
+            assert occluders == frozenset(), (m, re, r)
 
 
 def test_pick_occluders_certified_by_pick_corridors():
@@ -173,9 +178,6 @@ def assert_matches_oracle(scene):
         for obj in scene.movables:
             assert (place_candidates(scene, re, obj)
                     == oracle_facts.place_candidates(scene, re, obj))
-
-
-SHIPPED = sorted(SCENARIOS.glob("*.json")) + sorted(EXTRA.glob("*.json"))
 
 
 @pytest.mark.parametrize("grasp_count", [1, 3, 8])

@@ -169,7 +169,7 @@ def test_grounding_falls_back_to_the_next_grasp_of_the_class():
         "goal": [["M1", "goal_zone"]],
     }
     scene = loads_scene(json.dumps(doc))
-    [action] = build_cmtg(["M1"], compute_facts(scene), scene).actions_moving("M1")
+    [action] = build_cmtg(["M1"], compute_facts(scene), scene).action_nodes
     assert action.grasps == (math.pi, math.pi / 2, 3 * math.pi / 2, 0.0)
 
     nearest_only = replace(action, grasps=action.grasps[:1])
@@ -195,7 +195,7 @@ def test_task_graph_actions_are_in_reach_where_grounding_executes_them():
         for grasp_count in (1, 3, 8):
             scene = loads_scene(json.dumps({**doc, "grasp_count": grasp_count}))
             graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
-            for a in graph.sorted_actions():
+            for a in graph.action_nodes:
                 start = scene.movables[a.obj].pose
                 assert a.grasps, (path.name, a)
                 for g in a.grasps:

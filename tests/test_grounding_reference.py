@@ -34,7 +34,7 @@ def goal_actions(path, grasp_count):
     doc = json.loads(path.read_text())
     scene = loads_scene(json.dumps({**doc, "grasp_count": grasp_count}))
     graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
-    return scene, graph.sorted_actions()
+    return scene, graph.action_nodes
 
 
 def joint_steps(actions):

@@ -6,16 +6,16 @@ from dataclasses import replace
 
 import pytest
 
-from mrplan.facts import compute_facts, occluders_of
+from mrplan.facts import compute_facts
 from mrplan.mip import (BudgetExceeded, compile_model, enumerate_skeletons,
                         extract_skeleton, solve)
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import loads_scene
-from mrplan.taskgraph import CMTG, build_cmtg
+from mrplan.taskgraph import build_cmtg, make_graph
 
 from conftest import SCENARIOS, scenario
-from oracle_mip import (OracleVars, assignment, oracle_feasible, oracle_minimum,
-                        random_cmtg, rows_satisfied)
+from oracle_mip import (OracleVars, assignment, blocks_of, oracle_feasible,
+                        oracle_minimum, random_cmtg, rows_satisfied)
 
 
 def act(obj, robot="R1", place_robot=None, region="re"):
@@ -24,24 +24,18 @@ def act(obj, robot="R1", place_robot=None, region="re"):
                                    grasp_pick=0.0, grasp_place=0.0)
 
 
-def make_graph(actions, targets, pick_blocks=(), place_blocks=()):
-    g = CMTG(targets=frozenset(targets))
-    for a in actions:
-        g.object_nodes.add(a.obj)
-        g.action_nodes.add(a)
-        g.action_edges.add((a.obj, a))
+def small_graph(actions, targets, pick_blocks=(), place_blocks=()):
+    """A block (M, B) makes B a blocker of the action that moves M."""
+    blocks = {a: (set(), set()) for a in actions}
     by_obj = {a.obj: a for a in actions}
-    for blocked, blocker in pick_blocks:
-        g.block_pick_edges.add((by_obj[blocked], blocker))
-        g.object_nodes.add(blocker)
-    for blocked, blocker in place_blocks:
-        g.block_place_edges.add((by_obj[blocked], blocker))
-        g.object_nodes.add(blocker)
-    return g
+    for kind, pairs in enumerate((pick_blocks, place_blocks)):
+        for blocked, blocker in pairs:
+            blocks[by_obj[blocked]][kind].add(blocker)
+    return make_graph(targets, blocks)
 
 
 def test_single_action_single_step():
-    g = make_graph([act("M1")], ["M1"])
+    g = small_graph([act("M1")], ["M1"])
     model = compile_model(g, 1)
     res = solve(model)
     assert res == {0: 1}
@@ -52,7 +46,7 @@ def test_single_action_single_step():
 
 
 def test_variable_count_and_lp_dump():
-    g = make_graph([act("M1"), act("M2")], ["M1"], pick_blocks=[("M1", "M2")])
+    g = small_graph([act("M1"), act("M2")], ["M1"], pick_blocks=[("M1", "M2")])
     model = compile_model(g, 3)
     assert model.num_vars == 3 * 2  # X[t, a] over action edges only
     lp = model.dumps_lp()
@@ -63,7 +57,7 @@ def test_variable_count_and_lp_dump():
 
 
 def test_pick_block_needs_strictly_earlier_step():
-    g = make_graph([act("M1"), act("M2")], ["M1"], pick_blocks=[("M1", "M2")])
+    g = small_graph([act("M1"), act("M2")], ["M1"], pick_blocks=[("M1", "M2")])
     assert solve(compile_model(g, 1)) == "infeasible"
     model = compile_model(g, 2)
     res = solve(model)
@@ -74,7 +68,7 @@ def test_pick_block_needs_strictly_earlier_step():
 
 def test_place_block_allows_same_step_on_different_robots():
     a1, a2 = act("M1", robot="R1"), act("M2", robot="R2")
-    g = make_graph([a1, a2], ["M1"], place_blocks=[("M1", "M2")])
+    g = small_graph([a1, a2], ["M1"], place_blocks=[("M1", "M2")])
     model = compile_model(g, 1)
     res = solve(model)
     assert isinstance(res, dict)
@@ -84,7 +78,7 @@ def test_place_block_allows_same_step_on_different_robots():
 
 def test_shared_robot_capacity_forces_two_steps():
     a1, a2 = act("M1"), act("M2")
-    g = make_graph([a1, a2], ["M1", "M2"])
+    g = small_graph([a1, a2], ["M1", "M2"])
     assert solve(compile_model(g, 1)) == "infeasible"
     res = solve(compile_model(g, 2))
     assert len(res) == 2
@@ -93,7 +87,7 @@ def test_shared_robot_capacity_forces_two_steps():
 def test_handover_occupies_both_robots():
     h = act("M1", robot="R1", place_robot="R2")
     a2 = act("M2", robot="R2")
-    g = make_graph([h, a2], ["M1", "M2"])
+    g = small_graph([h, a2], ["M1", "M2"])
     # R2 is needed by both actions, so one joint step is impossible
     assert solve(compile_model(g, 1)) == "infeasible"
     model = compile_model(g, 2)
@@ -104,14 +98,14 @@ def test_handover_occupies_both_robots():
 
 
 def test_big_m_precedence_row_expansion():
-    g = make_graph([act("M1"), act("M2")], ["M1"], pick_blocks=[("M1", "M2")])
+    g = small_graph([act("M1"), act("M2")], ["M1"], pick_blocks=[("M1", "M2")])
     T = 2
     model = compile_model(g, T)
     row = next(c for c in model.constraints if c.label == "prec_pick_b0")
     # the block edge is indicated by M1's action column a:
     # sum_t X[t,a] - sum_t X[t, M2's action edge] - (T+1) X[1,a] >= 1-(T+1)
-    m1_edge = next(i for i, a in enumerate(model.index.actions) if a.obj == "M1")
-    m2_edge = next(i for i, a in enumerate(model.index.actions) if a.obj == "M2")
+    m1_edge = next(i for i, a in enumerate(model.graph.action_nodes) if a.obj == "M1")
+    m2_edge = next(i for i, a in enumerate(model.graph.action_nodes) if a.obj == "M2")
     expect = {}
     for t in (1, 2):
         expect[model.var(t, m1_edge)] = 1
@@ -123,10 +117,10 @@ def test_big_m_precedence_row_expansion():
 
 def test_block_edges_share_their_action_column():
     # M1's action is both pick- and place-blocked by the non-target M2
-    g = make_graph([act("M1"), act("M2", robot="R2")], ["M1"],
+    g = small_graph([act("M1"), act("M2", robot="R2")], ["M1"],
                    pick_blocks=[("M1", "M2")], place_blocks=[("M1", "M2")])
     model = compile_model(g, 2)
-    m1, m2 = (next(i for i, a in enumerate(model.index.actions) if a.obj == obj)
+    m1, m2 = (next(i for i, a in enumerate(model.graph.action_nodes) if a.obj == obj)
               for obj in ("M1", "M2"))
     rows = {c.label: c for c in model.constraints}
     for t in (1, 2):
@@ -149,7 +143,7 @@ def test_scene_models_declare_only_action_columns(path):
 
 def test_non_target_gating():
     # M2 is not a target and blocks nothing, so its action can never run
-    g = make_graph([act("M1"), act("M2", robot="R2")], ["M1"])
+    g = small_graph([act("M1"), act("M2", robot="R2")], ["M1"])
     model = compile_model(g, 1)
     res = solve(model)
     assert len(res) == 1
@@ -160,13 +154,13 @@ def test_non_target_gating():
 
 
 def test_budget_zero_raises():
-    g = make_graph([act("M1")], ["M1"])
+    g = small_graph([act("M1")], ["M1"])
     with pytest.raises(BudgetExceeded):
         solve(compile_model(g, 1), budget=0)
 
 
 def test_enumerate_skeletons_ordering_and_dedup():
-    g = make_graph([act("M1"), act("M2"), act("M3")], ["M1"],
+    g = small_graph([act("M1"), act("M2"), act("M3")], ["M1"],
                    pick_blocks=[("M1", "M2"), ("M2", "M3")])
     sks = enumerate_skeletons(g)
     assert sks, "chain should be solvable at T=3"
@@ -175,7 +169,7 @@ def test_enumerate_skeletons_ordering_and_dedup():
     assert [s["R1"].obj for s in first.steps] == ["M3", "M2", "M1"]
     selections = [frozenset(a for step in sk.steps for a in step.values()) for sk in sks]
     assert len(selections) == len(set(selections))
-    assert enumerate_skeletons(CMTG(targets=frozenset())) == []
+    assert enumerate_skeletons(make_graph((), {})) == []
     assert enumerate_skeletons(g, K_max=1) == sks[:1]
 
 
@@ -210,7 +204,7 @@ def test_random_skeletons_map_each_robot_to_an_action_it_runs():
 def test_enumerate_respects_increasing_horizon():
     a1 = act("M1", robot="R1")
     a1b = act("M1", robot="R2")
-    g = make_graph([a1, a1b], ["M1"])
+    g = small_graph([a1, a1b], ["M1"])
     sks = enumerate_skeletons(g)
     assert len(sks) == 2
     assert all(sk.makespan == 1 for sk in sks)
@@ -250,14 +244,8 @@ def test_compiled_rows_match_oracle_on_random_vectors():
 
 def _map_actions(graph, fn):
     """A copy of ``graph`` with every action a replaced by the actions fn(a)."""
-    out = CMTG(targets=graph.targets, object_nodes=set(graph.object_nodes))
-    for m, a in graph.action_edges:
-        for b in fn(a):
-            out.action_nodes.add(b)
-            out.action_edges.add((m, b))
-            out.block_pick_edges |= {(b, x) for a2, x in graph.block_pick_edges if a2 == a}
-            out.block_place_edges |= {(b, x) for a2, x in graph.block_place_edges if a2 == a}
-    return out
+    return make_graph(graph.targets, {b: blocks for a, blocks in blocks_of(graph).items()
+                                      for b in fn(a)})
 
 
 def expand_classes(graph):
@@ -295,10 +283,10 @@ def test_grasp_classes_keep_the_optimum_of_scene_graphs(name, grasp_count):
     scene = loads_scene(json.dumps(doc))
     facts = compute_facts(scene)
     graph = build_cmtg(scene.goal_objects(), facts, scene)
-    goals = scene.goal_objects()
-    for a in graph.action_nodes:
-        # every member grasp has the class's (pick, place) blockers
+    for a, (pick, place) in blocks_of(graph).items():
+        # every member grasp has the class's pick blockers; place facts carry
+        # no grasp, so the members share the place blockers
+        assert place == facts.reachable_place[(a.obj, a.region, a.place_robot)]
         for g in a.grasps:
-            member = replace(a, grasp_pick=g, grasp_place=g)
-            assert occluders_of(facts, member, goals) == occluders_of(facts, a, goals)
+            assert facts.reachable_pick[(a.obj, g, a.pick_robot)] == pick
     assert_collapsed_optimum_matches_expanded_oracle(graph)

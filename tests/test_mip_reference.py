@@ -16,12 +16,12 @@ from mrplan.facts import compute_facts
 from mrplan.mip import compile_model, extract_skeleton, solve
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import loads_scene
-from mrplan.taskgraph import CMTG, build_cmtg
+from mrplan.taskgraph import build_cmtg, make_graph
 
 import reference_bnb
 from conftest import GOLDEN, SCENARIOS
-from oracle_mip import (assignment, decode_skeleton, index_edges, loads_cmtg,
-                        random_cmtg, rows_satisfied)
+from oracle_mip import (assignment, decode_skeleton, loads_cmtg, random_cmtg,
+                        rows_satisfied)
 
 
 def assert_solvers_agree(graph, T_max=4) -> int:
@@ -190,20 +190,20 @@ def test_rows_are_built_on_first_read_with_cuts_in_order():
 
 
 def test_block_edge_rows_follow_the_graph_order():
-    # one action blocked by several objects, which the graph holds in sets
+    # one action blocked by several objects, handed over in no order
     def act(m):
         return PartiallyGroundedAction(m, "work", "R1", "R1", 0.0, 0.0)
-    graph = CMTG(targets=frozenset({"M1"}))
     picks, places = ("M9", "M2", "M5", "M3", "M8", "M6"), ("M10", "M7", "M4", "M11")
-    for m in ("M1", *picks, *places):
-        graph.object_nodes.add(m)
-        graph.action_nodes.add(act(m))
-        graph.action_edges.add((m, act(m)))
-    graph.block_pick_edges |= {(act("M1"), m) for m in picks}
-    graph.block_place_edges |= {(act("M1"), m) for m in places}
+    blocks = {act(m): ((), ()) for m in (*picks, *places)}
+    blocks[act("M1")] = (picks, places)
+    graph = make_graph({"M1"}, blocks)
     model = compile_model(graph, 2)
     rows = {row.label: row for row in model.constraints}
-    _, block_edges = index_edges(graph)
+    # the graph's block edges: by action, then blocker name
+    assert graph.block_pick_edges == [(act("M1"), m) for m in sorted(picks)]
+    assert graph.block_place_edges == [(act("M1"), m) for m in sorted(places)]
+    block_edges = ([(a, m, "pick") for a, m in graph.block_pick_edges]
+                   + [(a, m, "place") for a, m in graph.block_place_edges])
     for j, (_, m, kind) in enumerate(block_edges):
         assert f"prec_{kind}_b{j}" in rows
         moved = [model.var_names[v] for v, c in rows[f"unblock_b{j}"].coeffs if c > 0]
