@@ -29,6 +29,14 @@ def _load_scene_or_die(path: str) -> Scene:
         raise SystemExit(1)
 
 
+def _write_or_die(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _config_from_args(args) -> PlannerConfig:
     return PlannerConfig(
         c=args.c, alpha=args.alpha, t_max=args.t_max, k_max=args.k_max,
@@ -47,14 +55,14 @@ def cmd_plan(args) -> int:
     if args.dump_facts or args.dump_cmtg or args.dump_mip:
         facts = compute_facts(scene)
         if args.dump_facts:
-            Path(args.dump_facts).write_text(facts.dumps())
+            _write_or_die(args.dump_facts, facts.dumps())
         if args.dump_cmtg or args.dump_mip:
             graph = build_cmtg(set(scene.goal_objects()), facts, scene)
             if args.dump_cmtg:
-                Path(args.dump_cmtg).write_text(graph.dumps())
+                _write_or_die(args.dump_cmtg, graph.dumps())
             if args.dump_mip:
                 model = compile_model(graph, cfg.t_max)
-                Path(args.dump_mip).write_text(model.dumps_lp())
+                _write_or_die(args.dump_mip, model.dumps_lp())
     trace: list[str] = []
     try:
         result = search_plan(scene, cfg, trace=trace, facts=facts)
@@ -62,13 +70,13 @@ def cmd_plan(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.trace:
-        Path(args.trace).write_text("\n".join(trace) + ("\n" if trace else ""))
+        _write_or_die(args.trace, "\n".join(trace) + ("\n" if trace else ""))
     if isinstance(result, NoPlan):
         print(json.dumps(result.to_doc(), sort_keys=True), file=sys.stderr)
         return 2
     text = dumps_plan(result, sorted(scene.robots))
     if args.out:
-        Path(args.out).write_text(text)
+        _write_or_die(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -95,11 +103,7 @@ def cmd_render(args) -> int:
         except (OSError, PlanError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-    try:
-        Path(args.svg).write_text(render_svg(scene, plan))
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    _write_or_die(args.svg, render_svg(scene, plan))
     return 0
 
 

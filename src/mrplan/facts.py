@@ -25,18 +25,23 @@ A robot whose reach annulus misses the grid's bounding box (nearest point
 beyond ``reach_max``, or farthest point inside ``reach_min``) is skipped
 without testing any candidate; no candidate can be valid for it.
 
-Each occlusion fact is keyed by the sweep it tests, in the form the task
-graph reads: ``reachable_pick`` maps (object, grasp, robot) to the
-movables the gripper sweep hits, and ``reachable_place`` maps (object,
-region, robot) to the goal-place occluders, none for a non-goal pair.
-``occludes_pick`` and ``occludes_goal_place`` list the same facts as
-(occluder, object, ...) records.
+``compute_facts`` computes nothing up front. Its ``FactSet`` computes an
+object's pick facts (``picks``), a goal object's handover facts
+(``handovers``) and an (object, region) pair's place facts (``places``)
+when first read, then keeps them, so a plan computes facts only for what
+its task graphs read; no read order changes a fact. Each occlusion fact
+is keyed by the sweep it tests: ``reachable_pick`` maps (object, grasp,
+robot) to the movables the gripper sweep hits, and ``reachable_place``
+maps (object, region, robot) to the goal-place occluders, none for a
+non-goal pair. ``occludes_pick`` and ``occludes_goal_place`` list the
+same facts as (occluder, object, ...) records. These full views and
+``dumps`` fill every object and region first.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
 
 from .geometry import Corridor, Pose, Rect, collides
 from .motion import carry_sweep, gripper_sweep
@@ -45,11 +50,28 @@ from .scene import Robot, Scene
 PLACE_GRID = 5  # candidate placements per region axis for the place certificate
 
 
-@dataclass
 class FactSet:
-    reachable_pick: dict = field(default_factory=dict)     # (M, g, R) -> occluders
-    reachable_place: dict = field(default_factory=dict)    # (M, Re, R) -> occluders
-    enable_goal_handover: set = field(default_factory=set)  # (M, R1, R2)
+    """A scene's facts: ``picks(M)``, ``places(M, Re)`` and ``handovers(M)``
+    hold the full view's entries for M (and Re), computed when first read."""
+
+    def __init__(self, scene: Scene):
+        self.scene = scene
+        self.picks = functools.cache(functools.partial(_picks, scene))
+        self.places = functools.cache(functools.partial(_places, scene))
+        self.handovers = functools.cache(functools.partial(_handovers, scene))
+
+    @property
+    def reachable_pick(self) -> dict:
+        return {k: v for m in sorted(self.scene.movables) for k, v in self.picks(m).items()}
+
+    @property
+    def reachable_place(self) -> dict:
+        return {k: v for m in sorted(self.scene.movables)
+                for re in sorted(self.scene.regions) for k, v in self.places(m, re).items()}
+
+    @property
+    def enable_goal_handover(self) -> set:
+        return {k for m in self.scene.goal_objects() for k in self.handovers(m)}
 
     @property
     def occludes_pick(self) -> frozenset:
@@ -132,72 +154,76 @@ def _annulus_meets_box(robot: Robot, box) -> bool:
 
 
 def compute_facts(scene: Scene) -> FactSet:
-    facts = FactSet()
-    goal_objects = set(scene.goal_objects())
+    return FactSet(scene)
+
+
+def _picks(scene: Scene, obj: str) -> dict:
+    """Pick reachability and pick occlusions of ``obj``, per grasp."""
+    facts = {}
     angles = scene.grasp_angles()
-    robot_names = sorted(scene.robots)
-
-    # pick reachability and pick occlusions, per grasp
-    for obj in sorted(scene.movables):
-        for rname in robot_names:
-            robot = scene.robots[rname]
-            for g in angles:
-                gp = scene.grasp_point(obj, g)
-                if not robot.in_reach(gp):
-                    continue
-                cor = gripper_sweep(scene, rname, gp)
-                if not _avoids_fixed(scene, cor):
-                    continue
-                facts.reachable_pick[(obj, g, rname)] = frozenset(
-                    scene.movables_hit([cor], exclude=(obj,)))
-
-    # place reachability (all regions) and goal-place occlusions (goal pairs)
-    goal_pairs = set(scene.goal)
-    for obj in sorted(scene.movables):
-        shape = scene.movables[obj].shape
-        for re in sorted(scene.regions):
-            grid = _grid(scene.regions[re].rect, shape.circumradius)
-            if grid is None:
+    for rname in sorted(scene.robots):
+        robot = scene.robots[rname]
+        for g in angles:
+            gp = scene.grasp_point(obj, g)
+            if not robot.in_reach(gp):
                 continue
-            points, box = grid
-            goal_pair = (obj, re) in goal_pairs
-            for rname in robot_names:
-                robot = scene.robots[rname]
-                if not _annulus_meets_box(robot, box):
-                    continue
-                # None until a candidate is valid; then the occluders of the
-                # earliest valid candidate with the fewest of them
-                best = None
-                for xy in points:
-                    if not robot.in_reach(xy):
-                        continue
-                    cor = carry_sweep(scene, rname, obj, robot.base, xy)
-                    if not _avoids_fixed(scene, cor):
-                        continue
-                    if not goal_pair:
-                        best = []
-                        break
-                    occ = scene.movables_hit([cor, (shape, Pose(*xy))], exclude=(obj,))
-                    if best is None or len(occ) < len(best):
-                        best = occ
-                    if not best:
-                        break
-                if best is None:
-                    continue
-                facts.reachable_place[(obj, re, rname)] = frozenset(best)
-
-    # handover enablement, goal objects only
-    for obj in sorted(goal_objects):
-        m = scene.movables[obj]
-        for r1 in robot_names:
-            for r2 in robot_names:
-                if r1 == r2:
-                    continue
-                h = scene.handover_point(r1, r2)
-                if not (scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)):
-                    continue
-                if (_avoids_fixed(scene, carry_sweep(scene, r1, obj, m.pose.xy, h))
-                        and _avoids_fixed(scene, gripper_sweep(scene, r2, h))):
-                    facts.enable_goal_handover.add((obj, r1, r2))
+            cor = gripper_sweep(scene, rname, gp)
+            if not _avoids_fixed(scene, cor):
+                continue
+            facts[(obj, g, rname)] = frozenset(scene.movables_hit([cor], exclude=(obj,)))
     return facts
 
+
+def _places(scene: Scene, obj: str, re: str) -> dict:
+    """Place reachability of ``obj`` in ``re``, goal-place occlusions too."""
+    facts = {}
+    shape = scene.movables[obj].shape
+    grid = _grid(scene.regions[re].rect, shape.circumradius)
+    if grid is None:
+        return facts
+    points, box = grid
+    goal_pair = (obj, re) in scene.goal
+    for rname in sorted(scene.robots):
+        robot = scene.robots[rname]
+        if not _annulus_meets_box(robot, box):
+            continue
+        # None until a candidate is valid; then the occluders of the
+        # earliest valid candidate with the fewest of them
+        best = None
+        for xy in points:
+            if not robot.in_reach(xy):
+                continue
+            cor = carry_sweep(scene, rname, obj, robot.base, xy)
+            if not _avoids_fixed(scene, cor):
+                continue
+            if not goal_pair:
+                best = []
+                break
+            occ = scene.movables_hit([cor, (shape, Pose(*xy))], exclude=(obj,))
+            if best is None or len(occ) < len(best):
+                best = occ
+            if not best:
+                break
+        if best is not None:
+            facts[(obj, re, rname)] = frozenset(best)
+    return facts
+
+
+def _handovers(scene: Scene, obj: str) -> set:
+    """Handover enablement of ``obj``, none unless it is a goal object."""
+    facts = set()
+    if scene.goal_region_of(obj) is None:
+        return facts
+    m = scene.movables[obj]
+    robot_names = sorted(scene.robots)
+    for r1 in robot_names:
+        for r2 in robot_names:
+            if r1 == r2:
+                continue
+            h = scene.handover_point(r1, r2)
+            if not (scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)):
+                continue
+            if (_avoids_fixed(scene, carry_sweep(scene, r1, obj, m.pose.xy, h))
+                    and _avoids_fixed(scene, gripper_sweep(scene, r2, h))):
+                facts.add((obj, r1, r2))
+    return facts

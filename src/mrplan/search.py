@@ -144,8 +144,9 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
 
     ``cfg.time_budget`` counts from entry and is checked between iterations
     and before each skeleton solve; a single solve or grounding is not
-    interrupted. ``facts``, when given, must be ``compute_facts(scene)``: a
-    caller that already holds them saves computing them again.
+    interrupted. ``facts``, when given, must be ``compute_facts(scene)``.
+    Facts are computed as the task graphs read them, so those a caller has
+    already read, for a dump, are not computed again.
     """
     deadline = time.monotonic() + cfg.time_budget
     if not scene.goal:

@@ -111,16 +111,17 @@ def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
     """
     region = scene.target_region_of(obj)
     robots = sorted(scene.robots)
+    picks, places, handovers = facts.picks(obj), facts.places(obj, region), facts.handovers(obj)
     classes: dict[tuple, list[float]] = {}
     for g in scene.grasp_angles():
         for r1 in robots:
-            pick = facts.reachable_pick.get((obj, g, r1))
+            pick = picks.get((obj, g, r1))
             if pick is None:
                 continue
             for r2 in robots:
-                if r2 != r1 and (obj, r1, r2) not in facts.enable_goal_handover:
+                if r2 != r1 and (obj, r1, r2) not in handovers:
                     continue
-                place = facts.reachable_place.get((obj, region, r2))
+                place = places.get((obj, region, r2))
                 if place is not None:
                     classes.setdefault((r1, r2, pick, place), []).append(g)
     out = []

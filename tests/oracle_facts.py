@@ -8,8 +8,23 @@ share ``mrplan.motion``'s sweep layout with the code it checks.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from mrplan.facts import PLACE_GRID, FactSet
 from mrplan.geometry import Corridor, Pose, collides, shape_inside_rect
+
+
+@dataclass
+class OracleFacts:
+    """A ``FactSet``'s full view, held in plain containers filled up front.
+    The records and the dump are ``FactSet``'s, read from these fields."""
+    reachable_pick: dict = field(default_factory=dict)
+    reachable_place: dict = field(default_factory=dict)
+    enable_goal_handover: set = field(default_factory=set)
+    occludes_pick = FactSet.occludes_pick
+    occludes_goal_place = FactSet.occludes_goal_place
+    to_records = FactSet.to_records
+    dumps = FactSet.dumps
 
 
 def place_candidates(scene, region_name, obj):
@@ -38,8 +53,8 @@ def avoids_fixed(scene, cor):
     return not any(collides(cor, fp) for fp in scene.fixed)
 
 
-def compute_facts(scene) -> FactSet:
-    facts = FactSet()
+def compute_facts(scene) -> OracleFacts:
+    facts = OracleFacts()
     goal_objects = set(scene.goal_objects())
     angles = scene.grasp_angles()
     robot_names = sorted(scene.robots)

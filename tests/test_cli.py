@@ -235,6 +235,17 @@ def test_plan_exits_1_on_out_of_range_limits(tmp_path, capsys, flags):
     assert not (tmp_path / "model.lp").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--dump-facts", "--dump-cmtg",
+                                  "--dump-mip"])
+def test_plan_exits_1_on_an_unwritable_output(tmp_path, capsys, flag):
+    # pick_chain plans, so every output, the plan included, is written
+    target = tmp_path / "missing" / "file"
+    assert run(["plan", scenario("pick_chain"), flag, target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_plan_without_flags_uses_the_planner_defaults():
     args = cli.build_parser().parse_args(["plan", "scene.json"])
     assert cli._config_from_args(args) == search.PlannerConfig()
