@@ -1,7 +1,8 @@
 """Command-line interface: plan, validate and render subcommands.
 
 Exit codes: 0 success, 1 I/O or schema error, 2 planner found no plan,
-3 plan validation found violations.
+3 plan validation found violations, 4 a plan the search grounded failed
+validation (a planner fault).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .mip import compile_model
 from .plans import Plan, PlanError, dumps_plan, load_plan
 from .render import render_svg
 from .scene import Scene, SceneError, load_scene
-from .search import NoPlan, PlannerConfig
+from .search import NoPlan, PlannerConfig, SearchError
 from .search import plan as search_plan
 from .taskgraph import build_cmtg
 from .validator import validate_plan
@@ -69,6 +70,9 @@ def cmd_plan(args) -> int:
     except ValueError as e:  # a scene the planner cannot take, e.g. no goal
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except SearchError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     if args.trace:
         _write_or_die(args.trace, "\n".join(trace) + ("\n" if trace else ""))
     if isinstance(result, NoPlan):

@@ -5,7 +5,11 @@ states the conventions; grounding executes the same sweeps, so each fact
 certifies what grounding will do. Facts carry a grasp only where the
 geometry reads one: the pick sweep runs from the robot's base to the grasp
 point, so pick facts are per grasp, while place, goal-place and handover
-facts are the same for every grasp and carry none.
+facts are the same for every grasp and carry none. A pick fact's grasp
+point is in the robot's reach, and its gripper sweep clears the fixed
+obstacles and covers no other robot's base; the movables it hits are its
+occluders. Grounding lays that sweep out again at the object's start pose
+and does not test it again.
 
 Place facts test candidate placements: the region centre first, then a
 PLACE_GRID x PLACE_GRID grid inset by the object's circumradius, row by
@@ -44,7 +48,7 @@ import json
 import math
 
 from .geometry import Corridor, Pose, Rect, collides
-from .motion import carry_sweep, gripper_sweep
+from .motion import bases_crossed, carry_sweep, gripper_sweep
 from .scene import Robot, Scene
 
 PLACE_GRID = 5  # candidate placements per region axis for the place certificate
@@ -158,7 +162,8 @@ def compute_facts(scene: Scene) -> FactSet:
 
 
 def _picks(scene: Scene, obj: str) -> dict:
-    """Pick reachability and pick occlusions of ``obj``, per grasp."""
+    """Pick reachability and pick occlusions of ``obj``, per grasp: a pick
+    whose gripper sweep covers another robot's base is left out."""
     facts = {}
     angles = scene.grasp_angles()
     for rname in sorted(scene.robots):
@@ -168,7 +173,7 @@ def _picks(scene: Scene, obj: str) -> dict:
             if not robot.in_reach(gp):
                 continue
             cor = gripper_sweep(scene, rname, gp)
-            if not _avoids_fixed(scene, cor):
+            if bases_crossed(scene, rname, cor) or not _avoids_fixed(scene, cor):
                 continue
             facts[(obj, g, rname)] = frozenset(scene.movables_hit([cor], exclude=(obj,)))
     return facts

@@ -12,10 +12,14 @@ relaxed; a relaxed success stops grounding and returns the grounded suffix
 plus the conflict set of objects that a caller must plan to relocate first.
 The sweeps of each move are laid out by ``mrplan.motion`` (see its
 docstring), the same sweeps the fact phase tested. ``find_trajectories``
-tests each sweep once: per action, the sweeps its whole grasp class shares
-(the carry; a handover's carry, receive and delivery), then only the pick
-robot's gripper sweep per grasp, drawing the clear grasps lazily while it
-walks the combinations in ``itertools.product`` order.
+tests only the sweeps an action's whole grasp class shares (the carry; a
+handover's carry, receive and delivery), once per action, then tries the
+grasp combinations in ``itertools.product`` order. For the one sweep that
+depends on the grasp, the pick robot's gripper sweep, it relies on a
+precondition: no obstacle lies on a task-graph pick sweep. A pick fact
+clears that sweep of the fixed obstacles and the other robots' bases,
+every movable it hits is a pick blocker that the skeleton moves strictly
+earlier, and ``build_cmtg`` drops any action an already-moved object blocks.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass, replace
 
 from .geometry import Pose, collides
 from .mip import TaskSkeleton
-from .motion import build_moves, gripper_sweep, partner_pairs, trim_for_handover
+from .motion import bases_crossed, build_moves, partner_pairs, trim_for_handover
 from .plans import GroundedJointAction, moved_objects
 from .scene import Scene, sample_placement
 
@@ -92,74 +96,40 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
     fixed obstacles plus the movables protected at their initial poses).
     Objects move at most once, so each is picked at its start pose.
     Same-step corridors of distinct robots must be mutually clear, except
-    around a shared handover point. Each sweep is tested once: per action,
-    the sweeps every grasp of its class shares, then only the pick robot's
-    gripper sweep per grasp, in the class's order, as far as the search
-    needs. The grasp combinations are tried in ``itertools.product`` order
-    and the first whose robots are mutually clear wins; its moves carry the
-    grasp used as ``grasp_pick`` and ``grasp_place``. Returns robot ->
-    RobotMove or None.
+    around a shared handover point. Only the sweeps an action's whole grasp
+    class shares are tested against ``obstacles`` and the other robots'
+    bases, once per action. Precondition: no obstacle lies on a task-graph
+    pick sweep (see the module docstring), so no pick sweep is tested. The
+    grasp combinations are tried in ``itertools.product`` order, class
+    representatives first, and the first whose robots are mutually clear
+    wins; its moves carry the grasp used as ``grasp_pick`` and
+    ``grasp_place``. Returns robot -> RobotMove or None.
     """
-    options = []  # per action: the moves of its clear grasps, drawn lazily
-    for action in sorted(actions):
-        clear = _Drawn(_clear_grasps(action, placements[action.obj], obstacles, scene))
-        if next(iter(clear), None) is None:
+    actions = sorted(actions)
+    layouts = []  # per action: grasp -> its moves, each built on first use
+    for action in actions:
+        moves = build_moves(scene, action, scene.movables[action.obj].pose,
+                            placements[action.obj])
+        pick = action.pick_robot
+        if not all(_sweep_clear(r, cor, obstacles, scene) for r, mv in moves.items()
+                   for cor in (mv.place_traj.corridors if r == pick else mv.all_corridors())):
             return None
-        options.append(clear)
-    for combo in _product(options):
-        moves = {r: mv for m in combo for r, mv in m.items()}
+        layouts.append({action.grasp_pick: moves})
+    for combo in itertools.product(*(a.grasps or (a.grasp_pick,) for a in actions)):
+        moves = {}
+        for a, g, built in zip(actions, combo, layouts):
+            if g not in built:
+                built[g] = build_moves(scene, replace(a, grasp_pick=g, grasp_place=g),
+                                       scene.movables[a.obj].pose, placements[a.obj])
+            moves.update(built[g])
         if _robots_clear(moves, scene):
             return moves
     return None
 
 
-def _clear_grasps(action, placement, obstacles, scene: Scene):
-    """The moves of each grasp of ``action``'s class whose sweeps are clear,
-    in the class's order."""
-    obj_pose = scene.movables[action.obj].pose
-    moves = build_moves(scene, action, obj_pose, placement)
-    pick = action.pick_robot
-    if not all(_sweep_clear(r, cor, obstacles, scene) for r, mv in moves.items()
-               for cor in (mv.place_traj.corridors if r == pick else mv.all_corridors())):
-        return
-    for g in action.grasps or (action.grasp_pick,):
-        sweep = gripper_sweep(scene, pick, scene.grasp_point(action.obj, g, pose=obj_pose))
-        if _sweep_clear(pick, sweep, obstacles, scene):
-            yield (moves if g == action.grasp_pick else
-                   build_moves(scene, replace(action, grasp_pick=g, grasp_place=g),
-                               obj_pose, placement))
-
-
-class _Drawn:
-    """An iterator's items, drawn on first use and kept for the next pass."""
-
-    def __init__(self, items):
-        self._items, self._kept = items, []
-
-    def __iter__(self):
-        for i in itertools.count():
-            if i == len(self._kept):
-                item = next(self._items, None)
-                if item is None:
-                    return
-                self._kept.append(item)
-            yield self._kept[i]
-
-
-def _product(pools):
-    """``itertools.product(*pools)`` without drawing a pool ahead of need."""
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _product(pools[1:]):
-            yield (head,) + tail
-
-
 def _sweep_clear(robot: str, cor, obstacles, scene: Scene) -> bool:
     return not (any(collides(cor, ob) for ob in obstacles)
-                or any(other != robot and cor.contains_point(scene.robots[other].base)
-                       for other in scene.robots))
+                or bases_crossed(scene, robot, cor))
 
 
 def _robots_clear(moves: dict, scene: Scene) -> bool:

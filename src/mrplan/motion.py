@@ -15,7 +15,9 @@ and every move is a straight capsule (``Corridor``).
 
 The fact phase (``mrplan.facts``) tests these sweeps and grounding
 (``build_moves``) executes them, so a fact certifies the sweep that
-grounding lays out. A handover splits the transfer at the pair's handover
+grounding lays out. No sweep may cover another robot's base
+(``bases_crossed``); the fact phase, grounding and the validator all ask
+this one predicate. A handover splits the transfer at the pair's handover
 point; the partners' corridors may overlap only near it. Only the pick
 robot's gripper sweep, to the grasp point, depends on the grasp.
 """
@@ -38,6 +40,12 @@ def carry_sweep(scene: Scene, robot: str, obj: str, frm: tuple[float, float],
                 to: tuple[float, float]) -> Corridor:
     """``robot``'s sweep carrying ``obj`` from ``frm`` to ``to``."""
     return Corridor(frm, to, scene.transfer_width(robot, obj))
+
+
+def bases_crossed(scene: Scene, robot: str, cor: Corridor) -> list[str]:
+    """The other robots, in name order, whose base ``robot``'s sweep covers."""
+    return [other for other in sorted(scene.robots)
+            if other != robot and cor.contains_point(scene.robots[other].base)]
 
 
 def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .geometry import EPS, collides, shape_inside_rect
-from .motion import partner_pairs, points_close, trim_for_handover
+from .motion import bases_crossed, partner_pairs, points_close, trim_for_handover
 from .plans import Plan, PlanError, RobotMove
 from .scene import Scene
 
@@ -169,12 +169,9 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
                     if collides(cor, (m.shape, poses[name])):
                         report.add("condition_i", j,
                                    f"corridor of {robot} hits object {name}")
-                for other in sorted(scene.robots):
-                    if other == robot:
-                        continue
-                    if cor.contains_point(scene.robots[other].base):
-                        report.add("condition_i", j,
-                                   f"corridor of {robot} sweeps over base of {other}")
+                for other in bases_crossed(scene, robot, cor):
+                    report.add("condition_i", j,
+                               f"corridor of {robot} sweeps over base of {other}")
 
         # (i)/(iii) cross-robot corridor overlap
         for i1 in range(len(robots)):

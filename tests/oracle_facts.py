@@ -3,15 +3,18 @@
 Used only by tests. It tests every place candidate for every robot, with
 the candidate grid rebuilt per robot and no early stop or reach pruning,
 so the planner's pruned fact phase can be checked against it record for
-record. It builds its corridors with ``Corridor`` directly, so it does not
-share ``mrplan.motion``'s sweep layout with the code it checks.
+record. It builds its corridors with ``Corridor`` directly, and tests a
+pick sweep against the other robots' bases with its own distance test, so
+it does not share ``mrplan.motion``'s sweep layout or base predicate with
+the code it checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from mrplan.facts import PLACE_GRID, FactSet
-from mrplan.geometry import Corridor, Pose, collides, shape_inside_rect
+from mrplan.geometry import (EPS, Corridor, Pose, collides, point_segment_distance,
+                             shape_inside_rect)
 
 
 @dataclass
@@ -69,6 +72,10 @@ def compute_facts(scene) -> OracleFacts:
                 cor = Corridor(robot.base, gp, robot.gripper_width)
                 if not avoids_fixed(scene, cor):
                     continue
+                if any(point_segment_distance(other.base, robot.base, gp)
+                       < robot.gripper_width / 2 - EPS
+                       for oname, other in scene.robots.items() if oname != rname):
+                    continue  # the gripper sweeps over another robot's base
                 facts.reachable_pick[(obj, g, rname)] = frozenset(
                     scene.movables_hit([cor], exclude=(obj,)))
 

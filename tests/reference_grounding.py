@@ -5,7 +5,8 @@ Used only by tests. For each action it lays out and tests every sweep of
 every grasp in the class, keeps the grasps whose moves are clear on their
 own, then tries the combinations in ``itertools.product`` order and returns
 the first one whose robots are mutually clear. The planner's version must
-return the same moves, or ``None`` when this one does.
+return the same moves, or ``None`` when this one does, on every input that
+meets its precondition: no obstacle lies on a task-graph pick sweep.
 """
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ from mrplan import cli, search
 from mrplan.cli import main
 from mrplan.facts import compute_facts
 from mrplan.scene import load_scene
+from mrplan.validator import ValidationReport
 
 from conftest import scenario
 
@@ -90,6 +91,20 @@ def test_plan_exit_2_when_the_solver_budget_runs_out(capsys):
     assert run(["plan", scenario("pick_chain"), "--node-budget", 1]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["no_plan"] == "solver_budget"
+
+
+def test_plan_exits_4_when_a_grounded_plan_fails_validation(monkeypatch, capsys):
+    def failing(scene, plan):
+        report = ValidationReport()
+        report.add("condition_i", 1, "corridor of R1 hits object M2")
+        return report
+
+    monkeypatch.setattr(search, "validate_plan", failing)
+    assert run(["plan", scenario("pick_chain")]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: grounded plan failed validation: ")
+    assert "corridor of R1 hits object M2" in out.err
 
 
 def test_missing_or_invalid_scene_exits_1(tmp_path, capsys):

@@ -6,16 +6,21 @@ from dataclasses import replace
 
 import pytest
 
+from mrplan import grounding
 from mrplan.facts import compute_facts
+from mrplan.geometry import Disc, Pose
 from mrplan.grounding import (Failure, Full, Partial, find_placements,
                               find_trajectories, ground, volumes_of)
 from mrplan.mip import TaskSkeleton
+from mrplan.motion import bases_crossed, build_moves
 from mrplan.plans import PartiallyGroundedAction, Plan, moved_objects
 from mrplan.scene import load_scene, loads_scene
+from mrplan.search import PlannerConfig, plan
 from mrplan.taskgraph import build_cmtg
 from mrplan.validator import validate_plan
 
 from conftest import EXTRA, SCENARIOS, scenario
+from test_facts import generated_scene
 
 
 def act(obj, region, pick_robot="R1", place_robot=None):
@@ -119,14 +124,16 @@ def test_find_placements_joint_consistency_pigeonhole():
 
 
 def test_find_trajectories_rejects_blocked_corridor():
+    # M2 lies on the pick sweep, but it is a pick blocker, which the planner
+    # moves first and never passes as an obstacle; block the carry instead
     scene = load_scene(scenario("constrained_relocation"))
     a = act("M1", "goal_zone")
     placements = find_placements([a], [], scene, random.Random(0))
     assert placements is not None
-    m2 = scene.movables["M2"]
-    blocked = find_trajectories([a], placements,
-                                list(scene.fixed) + [(m2.shape, m2.pose)], scene)
-    assert blocked is None  # pick sweep passes straight through M2
+    start, end = scene.movables["M1"].pose, placements["M1"]
+    pebble = (Disc(0.01), Pose((start.x + end.x) / 2, (start.y + end.y) / 2))
+    blocked = find_trajectories([a], placements, list(scene.fixed) + [pebble], scene)
+    assert blocked is None  # the carry passes straight through the pebble
     clear = find_trajectories([a], placements, list(scene.fixed), scene)
     assert clear is not None
 
@@ -152,29 +159,28 @@ def test_partial_conflicts_are_actionable():
     assert report.ok, report.to_doc()
 
 
-def test_grounding_falls_back_to_the_next_grasp_of_the_class():
-    # R2 reaches nothing, but its base sits on R1's approach to the nearest
-    # grasp of M1 (angle pi). The fact phase does not see robot bases, so
-    # every grasp lands in one class; grounding must skip to angle pi/2.
-    doc = {
-        "regions": [{"name": "work", "rect": [-1.0, -1.0, 1.0, 1.0]},
-                    {"name": "goal_zone", "rect": [0.3, 0.4, 0.6, 0.7]}],
-        "movables": [{"name": "M1", "shape": {"type": "disc", "radius": 0.1},
-                      "pose": {"x": 0.5, "y": 0.0}, "home_region": "work"}],
-        "robots": [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.1,
-                    "reach_max": 1.0, "gripper_width": 0.1},
-                   {"name": "R2", "base": [0.3, -0.04], "reach_min": 0.1,
-                    "reach_max": 0.15, "gripper_width": 0.1}],
-        "grasp_count": 4,
-        "goal": [["M1", "goal_zone"]],
-    }
-    scene = loads_scene(json.dumps(doc))
-    [action] = build_cmtg(["M1"], compute_facts(scene), scene).action_nodes
-    assert action.grasps == (math.pi, math.pi / 2, 3 * math.pi / 2, 0.0)
+# R2 reaches nothing, but its base sits on R1's approaches to grasps pi (the
+# nearest), 3pi/2 and 0 of M1; only the approach to pi/2 clears it
+BASE_ON_APPROACH = {
+    "regions": [{"name": "work", "rect": [-1.0, -1.0, 1.0, 1.0]},
+                {"name": "goal_zone", "rect": [0.3, 0.4, 0.6, 0.7]}],
+    "movables": [{"name": "M1", "shape": {"type": "disc", "radius": 0.1},
+                  "pose": {"x": 0.5, "y": 0.0}, "home_region": "work"}],
+    "robots": [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.1,
+                "reach_max": 1.0, "gripper_width": 0.1},
+               {"name": "R2", "base": [0.3, -0.04], "reach_min": 0.1,
+                "reach_max": 0.15, "gripper_width": 0.1}],
+    "grasp_count": 4,
+    "goal": [["M1", "goal_zone"]],
+}
 
-    nearest_only = replace(action, grasps=action.grasps[:1])
-    res = ground(skeleton([nearest_only]), (), scene, random.Random(0))
-    assert isinstance(res, Failure)
+
+def test_grounding_falls_back_to_the_next_grasp_of_the_class():
+    # the fact phase drops the picks whose sweeps cover R2's base, so the
+    # class holds only pi/2, and grounding takes it
+    scene = loads_scene(json.dumps(BASE_ON_APPROACH))
+    [action] = build_cmtg(["M1"], compute_facts(scene), scene).action_nodes
+    assert action.grasps == (math.pi / 2,)
 
     res = ground(skeleton([action]), (), scene, random.Random(0))
     assert isinstance(res, Full)
@@ -207,3 +213,63 @@ def test_task_graph_actions_are_in_reach_where_grounding_executes_them():
                     handovers += 1
                 checked += 1
     assert checked and handovers
+
+
+@pytest.mark.parametrize("source", ["shipped", "generated", "base_on_approach"])
+def test_no_obstacle_lies_on_a_task_graph_pick_sweep_in_a_plan(source, monkeypatch):
+    """``find_trajectories`` does not test pick sweeps. It relies on every
+    grasp of every action the planner hands it having a pick sweep clear of
+    that call's obstacles and of the other robots' bases."""
+    real = grounding.find_trajectories
+    calls = []
+
+    def checked(actions, placements, obstacles, scene):
+        for a in actions:
+            pose = scene.movables[a.obj].pose
+            for g in a.grasps:
+                moves = build_moves(scene, replace(a, grasp_pick=g, grasp_place=g),
+                                    pose, placements[a.obj])
+                [sweep] = moves[a.pick_robot].pick_traj.corridors
+                assert grounding._sweep_clear(a.pick_robot, sweep, obstacles, scene), (
+                    name, a, g)
+        calls.append(len(actions))
+        return real(actions, placements, obstacles, scene)
+
+    monkeypatch.setattr(grounding, "find_trajectories", checked)
+    if source == "base_on_approach":
+        cases = [(f"{source}:{g}:{seed}", {**BASE_ON_APPROACH, "grasp_count": g}, seed)
+                 for g in (4, 8) for seed in range(3)]
+    elif source == "shipped":
+        paths = sorted(SCENARIOS.glob("*.json")) + sorted(EXTRA.glob("*.json"))
+        cases = [(f"{path.name}:{g}:{seed}",
+                  {**json.loads(path.read_text()), "grasp_count": g}, seed)
+                 for path in paths for g in (1, 3, 8) for seed in range(3)]
+    else:
+        cases = [(f"generated:{k}", generated_scene(random.Random(k)), 0) for k in range(40)]
+    for name, doc, seed in cases:
+        plan(loads_scene(json.dumps(doc)), PlannerConfig(seed=seed))
+    assert calls
+
+
+def test_find_trajectories_rejects_a_shared_sweep_over_another_robots_base():
+    """A single move's carry, or a handover's delivery, that covers a third
+    robot's base fails the whole class; another placement clears it."""
+    def robot(name, x, y):
+        return {"name": name, "base": [x, y], "reach_min": 0.1, "reach_max": 1.0,
+                "gripper_width": 0.1}
+    scene = loads_scene(json.dumps({
+        "regions": [{"name": "work", "rect": [-1.0, -1.0, 2.0, 1.0]}],
+        "movables": [{"name": "M1", "shape": {"type": "disc", "radius": 0.05},
+                      "pose": {"x": 0.3, "y": 0.3}, "home_region": "work"}],
+        "robots": [robot("R1", 0.0, 0.0), robot("R2", 1.0, 0.0), robot("R3", 0.75, 0.25)],
+        "grasp_count": 1,
+        "goal": [["M1", "work"]]}))
+    # (action, robot whose carry or delivery runs over R3, placements)
+    for action, mover, over_r3, clear in (
+            (act("M1", "work"), "R1", Pose(1.2, 0.2), Pose(0.3, -0.3)),
+            (act("M1", "work", "R1", "R2"), "R2", Pose(1.0, 0.5), Pose(1.0, -0.5))):
+        assert find_trajectories([action], {"M1": clear}, [], scene) is not None, action
+        assert find_trajectories([action], {"M1": over_r3}, [], scene) is None, action
+        moves = build_moves(scene, action, scene.movables["M1"].pose, over_r3)
+        [sweep] = moves[mover].place_traj.corridors
+        assert bases_crossed(scene, mover, sweep) == ["R3"], action

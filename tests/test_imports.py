@@ -45,3 +45,28 @@ def test_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} imports {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names | {"mrplan"}]
     assert found == []
+
+
+def test_no_private_name_is_left_unused():
+    """Every module-level private name in the package is read somewhere in
+    it, so a helper that a refactor strands fails here."""
+    defined, loaded = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(f"{path.name}:{node.lineno}", name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    assert defined
+    assert [f"{where} defines {name}" for where, name in defined if name not in loaded] == []

@@ -1,4 +1,6 @@
 """Plan validity checker: replay, per-condition violations, round trips."""
+import json
+import math
 import random
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ from mrplan.geometry import Pose
 from mrplan.motion import build_moves
 from mrplan.plans import (GroundedJointAction, PartiallyGroundedAction, Plan,
                           PlanError, dumps_plan, loads_plan)
-from mrplan.scene import load_scene
+from mrplan.scene import load_scene, loads_scene
 from mrplan.search import PlannerConfig, plan as run_planner
 from mrplan.validator import validate_plan
 
@@ -72,6 +74,27 @@ def test_corridor_through_obstacle_is_condition_i():
     assert report.condition_results()["condition_i"] is False
     assert any("M2" in v.message for v in report.violations
                if v.code == "condition_i")
+
+
+def test_corridor_over_another_robots_base_is_condition_i():
+    # R2's base sits on R1's approach to grasp pi of M1, the grasp point
+    # (0.4, 0); nothing else in the plan is wrong
+    scene = loads_scene(json.dumps({
+        "regions": [{"name": "work", "rect": [-1.0, -1.0, 1.0, 1.0]},
+                    {"name": "goal_zone", "rect": [0.3, 0.4, 0.6, 0.7]}],
+        "movables": [{"name": "M1", "shape": {"type": "disc", "radius": 0.1},
+                      "pose": {"x": 0.5, "y": 0.0}, "home_region": "work"}],
+        "robots": [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.1,
+                    "reach_max": 1.0, "gripper_width": 0.1},
+                   {"name": "R2", "base": [0.3, -0.04], "reach_min": 0.1,
+                    "reach_max": 0.15, "gripper_width": 0.1}],
+        "grasp_count": 4,
+        "goal": [["M1", "goal_zone"]]}))
+    action = replace(single_action(), grasp_pick=math.pi, grasp_place=math.pi)
+    step = step_for(scene, action, Pose(0.45, 0.55))
+    report = validate_plan(scene, Plan(steps=(step,)))
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("condition_i", "corridor of R1 sweeps over base of R2")]
 
 
 def test_coincident_placements_are_condition_ii():
