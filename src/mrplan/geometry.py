@@ -110,7 +110,7 @@ class Corridor:
         return point_segment_distance(p, self.a, self.b) < self.half_width - EPS
 
     def trimmed(self, end: tuple[float, float], amount: float) -> "Corridor | None":
-        """Shorten the endpoint that coincides with `end` by `amount`.
+        """Shorten the endpoint nearer to `end` by `amount`.
 
         Returns None when the whole segment is trimmed away.
         """

@@ -14,12 +14,14 @@ The sweeps of each move are laid out by ``mrplan.motion`` (see its
 docstring), the same sweeps the fact phase tested. ``find_trajectories``
 tests only the sweeps an action's whole grasp class shares (the carry; a
 handover's carry, receive and delivery), once per action, then tries the
-grasp combinations in ``itertools.product`` order. For the one sweep that
-depends on the grasp, the pick robot's gripper sweep, it relies on a
-precondition: no obstacle lies on a task-graph pick sweep. A pick fact
-clears that sweep of the fixed obstacles and the other robots' bases,
-every movable it hits is a pick blocker that the skeleton moves strictly
-earlier, and ``build_cmtg`` drops any action an already-moved object blocks.
+grasp combinations in ``itertools.product`` order and keeps the first in
+which ``motion.robot_clashes`` finds no two robots' corridors colliding.
+For the one sweep that depends on the grasp, the pick robot's gripper
+sweep, it relies on a precondition: no obstacle lies on a task-graph pick
+sweep. A pick fact clears that sweep of the fixed obstacles and the other
+robots' bases, every movable it hits is a pick blocker that the skeleton
+moves strictly earlier, and ``build_cmtg`` drops any action an
+already-moved object blocks.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from .geometry import Pose, collides
 from .mip import TaskSkeleton
-from .motion import bases_crossed, build_moves, partner_pairs, trim_for_handover
+from .motion import bases_crossed, build_moves, robot_clashes
 from .plans import GroundedJointAction, moved_objects
 from .scene import Scene, sample_placement
 
@@ -101,8 +103,8 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
     bases, once per action. Precondition: no obstacle lies on a task-graph
     pick sweep (see the module docstring), so no pick sweep is tested. The
     grasp combinations are tried in ``itertools.product`` order, class
-    representatives first, and the first whose robots are mutually clear
-    wins; its moves carry the grasp used as ``grasp_pick`` and
+    representatives first, and the first for which ``motion.robot_clashes``
+    yields nothing wins; its moves carry the grasp used as ``grasp_pick`` and
     ``grasp_place``. Returns robot -> RobotMove or None.
     """
     actions = sorted(actions)
@@ -122,7 +124,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
                 built[g] = build_moves(scene, replace(a, grasp_pick=g, grasp_place=g),
                                        scene.movables[a.obj].pose, placements[a.obj])
             moves.update(built[g])
-        if _robots_clear(moves, scene):
+        if not any(robot_clashes(scene, moves)):
             return moves
     return None
 
@@ -130,21 +132,6 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
 def _sweep_clear(robot: str, cor, obstacles, scene: Scene) -> bool:
     return not (any(collides(cor, ob) for ob in obstacles)
                 or bases_crossed(scene, robot, cor))
-
-
-def _robots_clear(moves: dict, scene: Scene) -> bool:
-    """Cross-robot clearance, with handover partners exempt near their meeting point."""
-    pairs = partner_pairs(moves)
-    for r1, r2 in itertools.combinations(sorted(moves), 2):
-        if frozenset((r1, r2)) in pairs:
-            cs1 = trim_for_handover(scene, moves[r1])
-            cs2 = trim_for_handover(scene, moves[r2])
-        else:
-            cs1 = moves[r1].all_corridors()
-            cs2 = moves[r2].all_corridors()
-        if any(collides(c1, c2) for c1 in cs1 for c2 in cs2):
-            return False
-    return True
 
 
 def _sample_step(actions, forbidden, obstacles, scene: Scene, rng):

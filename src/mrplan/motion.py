@@ -18,14 +18,18 @@ The fact phase (``mrplan.facts``) tests these sweeps and grounding
 grounding lays out. No sweep may cover another robot's base
 (``bases_crossed``); the fact phase, grounding and the validator all ask
 this one predicate. A handover splits the transfer at the pair's handover
-point; the partners' corridors may overlap only near it. Only the pick
-robot's gripper sweep, to the grasp point, depends on the grasp.
+point; the partners' corridors may overlap only near it. The same-step
+corridors of two robots may not collide, partners' corridors trimmed
+around their handover point first (``robot_clashes``); grounding and the
+validator both ask this one predicate. Only the pick robot's gripper
+sweep, to the grasp point, depends on the grasp.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
-from .geometry import Corridor, Pose
+from .geometry import Corridor, Pose, collides
 from .plans import PartiallyGroundedAction, RobotMove, Trajectory
 from .scene import Scene
 
@@ -81,24 +85,31 @@ def points_close(a: tuple[float, float], b: tuple[float, float],
     return math.hypot(a[0] - b[0], a[1] - b[1]) <= tol
 
 
-def partner_pairs(moves: dict[str, RobotMove]) -> set[frozenset]:
-    """Robot pairs that hand an object over among one joint action's moves."""
-    return {frozenset(mv.action.robots) for mv in moves.values()
-            if mv.action.is_handover}
-
-
 def trim_for_handover(scene: Scene, mv: RobotMove) -> list:
     """Corridors of a handover participant, trimmed around the handover point."""
     a = mv.action
     h = scene.handover_point(a.pick_robot, a.place_robot)
     radius = scene.handover_radius(a.pick_robot, a.place_robot)
-    out = []
-    for cor in mv.all_corridors():
-        if points_close(cor.a, h) or points_close(cor.b, h):
-            end = cor.a if points_close(cor.a, h) else cor.b
-            trimmed = cor.trimmed(end, radius + cor.half_width)
-            if trimmed is not None:
-                out.append(trimmed)
+    cors = (cor.trimmed(h, radius + cor.half_width)
+            if points_close(cor.a, h) or points_close(cor.b, h) else cor
+            for cor in mv.all_corridors())
+    return [cor for cor in cors if cor is not None]
+
+
+def robot_clashes(scene: Scene, moves: dict[str, RobotMove]):
+    """Yield ``(r1, r2, handover)`` for each robot pair, in
+    ``itertools.combinations(sorted(moves), 2)`` order, whose same-step
+    corridors collide. Handover partners are compared trimmed around their
+    handover point (``handover`` is True)."""
+    partners = {frozenset(mv.action.robots) for mv in moves.values()
+                if mv.action.is_handover}
+    for r1, r2 in itertools.combinations(sorted(moves), 2):
+        handover = frozenset((r1, r2)) in partners
+        if handover:
+            cs1 = trim_for_handover(scene, moves[r1])
+            cs2 = trim_for_handover(scene, moves[r2])
         else:
-            out.append(cor)
-    return out
+            cs1 = moves[r1].all_corridors()
+            cs2 = moves[r2].all_corridors()
+        if any(collides(c1, c2) for c1 in cs1 for c2 in cs2):
+            yield r1, r2, handover

@@ -201,5 +201,8 @@ def loads_plan(text: str) -> Plan:
 
 
 def load_plan(path) -> Plan:
-    with open(path) as f:
-        return loads_plan(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            return loads_plan(f.read())
+    except UnicodeDecodeError as e:
+        raise PlanError(f"plan parse error: {path} is not UTF-8: {e.reason}") from e

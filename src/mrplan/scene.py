@@ -230,8 +230,11 @@ def loads_scene(text: str) -> Scene:
 
 
 def load_scene(path) -> Scene:
-    with open(path) as f:
-        return loads_scene(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            return loads_scene(f.read())
+    except UnicodeDecodeError as e:
+        raise SceneError(f"scene parse error: {path} is not UTF-8: {e.reason}") from e
 
 
 # ---------------------------------------------------------------------------

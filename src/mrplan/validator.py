@@ -11,6 +11,11 @@ Replays a plan step by step on a copy of the scene and checks:
   (iii) handover corridors of both partners meet at the handover point and
         do not overlap outside the handover neighbourhood;
 plus monotonicity (each object moved at most once) and goal satisfaction.
+It tests every corridor and placement itself, against each step's world
+(fixed obstacles, then unmoved objects at their replayed poses), and shares
+only two definitions with grounding: the bases a sweep covers
+(``motion.bases_crossed``) and the robot pairs that clash
+(``motion.robot_clashes``).
 A plan that names unknown entities, fills one slot of a handover, gives a
 move a role other than its action's, gives a handover's two sides
 different placements, or lists corridors that are not the sweeps of its
@@ -18,10 +23,11 @@ waypoints raises PlanError.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .geometry import EPS, collides, shape_inside_rect
-from .motion import bases_crossed, partner_pairs, points_close, trim_for_handover
+from .motion import bases_crossed, points_close, robot_clashes
 from .plans import Plan, PlanError, RobotMove
 from .scene import Scene
 
@@ -143,74 +149,48 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
     report = ValidationReport()
     poses = {name: m.pose for name, m in scene.movables.items()}
     moved_before: set[str] = set()
+    fixed = [(f"fixed obstacle {k}", vol) for k, vol in enumerate(scene.fixed)]
 
     for j, step in enumerate(plan.steps, start=1):
         manipulated = step.moved_objects()
         # monotonicity
-        for obj in sorted(manipulated):
-            if obj in moved_before:
-                report.add("monotonicity", j, f"object {obj} moved more than once")
+        for obj in sorted(manipulated & moved_before):
+            report.add("monotonicity", j, f"object {obj} moved more than once")
 
-        pairs = partner_pairs(step.moves)
         robots = sorted(step.moves)
+        # the static world: fixed obstacles, then the unmoved objects where they are
+        world = fixed + [(f"object {name}", (scene.movables[name].shape, poses[name]))
+                         for name in sorted(scene.movables) if name not in manipulated]
 
         # (i) corridors vs static world
         for robot in robots:
-            mv = step.moves[robot]
-            for cor in mv.all_corridors():
-                for k, (shape, pose) in enumerate(scene.fixed):
-                    if collides(cor, (shape, pose)):
-                        report.add("condition_i", j,
-                                   f"corridor of {robot} hits fixed obstacle {k}")
-                for name in sorted(scene.movables):
-                    if name in manipulated:
-                        continue
-                    m = scene.movables[name]
-                    if collides(cor, (m.shape, poses[name])):
-                        report.add("condition_i", j,
-                                   f"corridor of {robot} hits object {name}")
+            for cor in step.moves[robot].all_corridors():
+                for label, vol in world:
+                    if collides(cor, vol):
+                        report.add("condition_i", j, f"corridor of {robot} hits {label}")
                 for other in bases_crossed(scene, robot, cor):
                     report.add("condition_i", j,
                                f"corridor of {robot} sweeps over base of {other}")
 
         # (i)/(iii) cross-robot corridor overlap
-        for i1 in range(len(robots)):
-            for i2 in range(i1 + 1, len(robots)):
-                r1, r2 = robots[i1], robots[i2]
-                if frozenset((r1, r2)) in pairs:
-                    cs1 = trim_for_handover(scene, step.moves[r1])
-                    cs2 = trim_for_handover(scene, step.moves[r2])
-                    code = "condition_iii"
-                    msg = (f"handover corridors of {r1} and {r2} overlap outside "
-                           f"the handover neighbourhood")
-                else:
-                    cs1 = step.moves[r1].all_corridors()
-                    cs2 = step.moves[r2].all_corridors()
-                    code = "condition_i"
-                    msg = f"corridors of {r1} and {r2} collide"
-                if any(collides(c1, c2) for c1 in cs1 for c2 in cs2):
-                    report.add(code, j, msg)
+        for r1, r2, handover in robot_clashes(scene, step.moves):
+            if handover:
+                report.add("condition_iii", j, f"handover corridors of {r1} and {r2} "
+                                               f"overlap outside the handover neighbourhood")
+            else:
+                report.add("condition_i", j, f"corridors of {r1} and {r2} collide")
 
         # (ii) placements, from each move's place side
         placements = [(step.moves[r].action, step.moves[r]) for r in robots
                       if r == step.moves[r].action.place_robot]
         for a, mv in placements:
             shape = scene.movables[a.obj].shape
-            region = scene.regions[a.region]
-            if not shape_inside_rect(shape, mv.placement, region.rect):
+            if not shape_inside_rect(shape, mv.placement, scene.regions[a.region].rect):
                 report.add("condition_ii", j,
                            f"placement of {a.obj} is not inside region {a.region}")
-            for k, (fshape, fpose) in enumerate(scene.fixed):
-                if collides((shape, mv.placement), (fshape, fpose)):
-                    report.add("condition_ii", j,
-                               f"placement of {a.obj} hits fixed obstacle {k}")
-            for name in sorted(scene.movables):
-                if name in manipulated:
-                    continue
-                m = scene.movables[name]
-                if collides((shape, mv.placement), (m.shape, poses[name])):
-                    report.add("condition_ii", j,
-                               f"placement of {a.obj} hits object {name}")
+            for label, vol in world:
+                if collides((shape, mv.placement), vol):
+                    report.add("condition_ii", j, f"placement of {a.obj} hits {label}")
             if not scene.robots[a.place_robot].in_reach(mv.placement.xy):
                 report.add("condition_ii", j,
                            f"placement of {a.obj} is out of reach of {a.place_robot}")
@@ -221,47 +201,31 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
         for robot in robots:
             for msg in _endpoint_faults(scene, robot, step.moves[robot], poses):
                 report.add("condition_ii", j, msg)
-        for i1 in range(len(placements)):
-            for i2 in range(i1 + 1, len(placements)):
-                a1, mv1 = placements[i1]
-                a2, mv2 = placements[i2]
-                s1 = scene.movables[a1.obj].shape
-                s2 = scene.movables[a2.obj].shape
-                if collides((s1, mv1.placement), (s2, mv2.placement)):
-                    report.add("condition_ii", j,
-                               f"placements of {a1.obj} and {a2.obj} overlap")
+        for (a1, mv1), (a2, mv2) in itertools.combinations(placements, 2):
+            if collides((scene.movables[a1.obj].shape, mv1.placement),
+                        (scene.movables[a2.obj].shape, mv2.placement)):
+                report.add("condition_ii", j,
+                           f"placements of {a1.obj} and {a2.obj} overlap")
 
         # (iii) handover geometry
-        seen_handover = set()
-        for robot in robots:
-            a = step.moves[robot].action
-            if not a.is_handover or a in seen_handover:
-                continue
-            seen_handover.add(a)
+        handovers = [step.moves[r].action for r in robots if step.moves[r].action.is_handover]
+        for a in dict.fromkeys(handovers):
             h = scene.handover_point(a.pick_robot, a.place_robot)
-            carry = step.moves[a.pick_robot].place_traj.corridors[-1]
-            reach = step.moves[a.place_robot].pick_traj.corridors[-1]
-            if not (points_close(carry.a, h) or points_close(carry.b, h)):
-                report.add("condition_iii", j,
-                           f"carry corridor for {a.obj} does not reach the handover point")
-            if not (points_close(reach.a, h) or points_close(reach.b, h)):
-                report.add("condition_iii", j,
-                           f"receive corridor for {a.obj} does not reach the handover point")
+            for leg, cor in (("carry", step.moves[a.pick_robot].place_traj.corridors[-1]),
+                             ("receive", step.moves[a.place_robot].pick_traj.corridors[-1])):
+                if not (points_close(cor.a, h) or points_close(cor.b, h)):
+                    report.add("condition_iii", j, f"{leg} corridor for {a.obj} does not "
+                                                   f"reach the handover point")
             for rname in (a.pick_robot, a.place_robot):
                 if not scene.robots[rname].in_reach(h):
                     report.add("condition_iii", j,
                                f"handover point for {a.obj} is out of reach of {rname}")
 
-        for a, mv in placements:
-            poses[a.obj] = mv.placement
+        poses.update(step.placements())
         moved_before |= manipulated
 
-    if not scene.goal_satisfied(poses):
-        unmet = [
-            (obj, re) for obj, re in scene.goal
-            if not shape_inside_rect(scene.movables[obj].shape, poses[obj],
-                                     scene.regions[re].rect)
-        ]
-        for obj, re in unmet:
+    for obj, re in scene.goal:
+        if not shape_inside_rect(scene.movables[obj].shape, poses[obj],
+                                 scene.regions[re].rect):
             report.add("goal", None, f"object {obj} does not end inside region {re}")
     return report

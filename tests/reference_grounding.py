@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
-from mrplan.grounding import _robots_clear, _sweep_clear
-from mrplan.motion import build_moves
+from mrplan.grounding import _sweep_clear
+from mrplan.motion import build_moves, robot_clashes
 from mrplan.scene import Scene
 
 
@@ -36,6 +36,6 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
         options.append(clear)
     for combo in itertools.product(*options):
         moves = {r: mv for m in combo for r, mv in m.items()}
-        if _robots_clear(moves, scene):
+        if not any(robot_clashes(scene, moves)):
             return moves
     return None

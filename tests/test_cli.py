@@ -266,6 +266,28 @@ def test_plan_without_flags_uses_the_planner_defaults():
     assert cli._config_from_args(args) == search.PlannerConfig()
 
 
+@pytest.mark.parametrize("argv, role", [
+    (["plan", "{bad}"], "scene"),
+    (["validate", "{bad}", "{plan}"], "scene"),
+    (["validate", "{scene}", "{bad}"], "plan"),
+    (["render", "{bad}", "--svg", "{svg}"], "scene"),
+    (["render", "{scene}", "{bad}", "--svg", "{svg}"], "plan"),
+], ids=["plan_scene", "validate_scene", "validate_plan", "render_scene", "render_plan"])
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys, argv, role):
+    scene = scenario("unobstructed")
+    plan = tmp_path / "plan.json"
+    assert run(["plan", scene, "--out", plan]) == 0
+    # the same document saved as UTF-16 with a byte-order mark
+    good = scene if role == "scene" else plan
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + good.read_text().encode("utf-16-le"))
+    paths = {"bad": bad, "plan": plan, "scene": scene, "svg": tmp_path / "out.svg"}
+    assert run([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {role} parse error: {bad} is not UTF-8: ")
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_validate_malformed_plan_exits_1(tmp_path):
     bad = tmp_path / "plan.json"
     bad.write_text("{\"steps\": 3}")

@@ -19,8 +19,8 @@ import pytest
 
 from mrplan.facts import compute_facts
 from mrplan.geometry import Disc, Pose
-from mrplan.grounding import _robots_clear, find_placements, find_trajectories
-from mrplan.motion import build_moves
+from mrplan.grounding import find_placements, find_trajectories
+from mrplan.motion import build_moves, robot_clashes
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import loads_scene
 from mrplan.taskgraph import build_cmtg
@@ -129,7 +129,7 @@ def test_the_first_clear_combination_in_product_order_wins():
                                    scene.movables[a.obj].pose, placements[a.obj]))
         return out
 
-    assert [_robots_clear(moves(g1, g2), scene)
+    assert [not any(robot_clashes(scene, moves(g1, g2)))
             for g1, g2 in itertools.product(grasps, grasps)] == [False, True, True, False]
     want = reference_grounding.find_trajectories(step, placements, [], scene)
     assert want == moves(0.0, math.pi)

@@ -254,3 +254,69 @@ def test_validator_is_pure():
     step = step_for(scene, single_action(), Pose(0.25, 0.55))
     validate_plan(scene, Plan(steps=(step,)))
     assert scene.movables["M1"].pose == before
+
+
+def scene_of(movables, robots, fixed=(), goal=None):
+    """A scene in one large work region; ``movables`` maps name -> (x, y) of
+    a 0.05 disc, ``robots`` name -> base. Every robot reaches 0.1 to 1.2."""
+    disc = {"type": "disc", "radius": 0.05}
+    return loads_scene(json.dumps({
+        "regions": [{"name": "work", "rect": [-2.0, -2.0, 2.0, 2.0]},
+                    {"name": "zone", "rect": [1.5, 1.5, 1.9, 1.9]}],
+        "movables": [{"name": n, "shape": disc, "pose": {"x": x, "y": y},
+                      "home_region": "work"} for n, (x, y) in movables.items()],
+        "robots": [{"name": n, "base": list(base), "reach_min": 0.1, "reach_max": 1.2,
+                    "gripper_width": 0.1} for n, base in robots.items()],
+        "fixed": list(fixed),
+        "grasp_count": 4,
+        "goal": goal if goal is not None else [[n, "work"] for n in movables]}))
+
+
+def violations(scene, *steps):
+    return [(v.code, v.message)
+            for v in validate_plan(scene, Plan(steps=steps)).violations]
+
+
+def test_crossing_corridors_of_two_robots_are_condition_i():
+    # each robot reaches across the other's pick sweep to its object
+    scene = scene_of({"M1": (0.7, 0.4), "M2": (0.3, 0.4)},
+                     {"R1": (0.0, 0.0), "R2": (1.0, 0.0)})
+    moves = {**build_moves(scene, single_action("M1", "work", "R1"),
+                           scene.movables["M1"].pose, Pose(0.7, 0.7)),
+             **build_moves(scene, single_action("M2", "work", "R2"),
+                           scene.movables["M2"].pose, Pose(0.3, 0.7))}
+    assert violations(scene, GroundedJointAction(moves=moves)) == [
+        ("condition_i", "corridors of R1 and R2 collide")]
+
+
+def test_handover_corridors_overlapping_away_from_the_handover_point_are_condition_iii():
+    # R2 delivers from the handover point (0.5, 0) back across R1's pick sweep
+    scene = scene_of({"M1": (0.3, 0.4)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)})
+    action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
+                                     place_robot="R2", grasp_pick=math.pi,
+                                     grasp_place=math.pi)
+    moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(-0.1, 0.35))
+    assert violations(scene, GroundedJointAction(moves=moves)) == [
+        ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
+                          "handover neighbourhood")]
+
+
+def test_a_placement_reports_the_fixed_obstacle_before_the_object_it_hits():
+    box = {"shape": {"type": "rectangle", "half_w": 0.05, "half_h": 0.05},
+           "pose": {"x": 0.5, "y": 0.55, "theta": 0.0}}
+    scene = scene_of({"M1": (0.5, 0.0), "M2": (0.58, 0.42), "M3": (-0.5, 0.0)},
+                     {"R1": (0.0, 0.0)}, fixed=[box])
+    step = step_for(scene, single_action("M1", "work", "R1"), Pose(0.5, 0.47))
+    assert violations(scene, step) == [
+        ("condition_i", "corridor of R1 hits fixed obstacle 0"),
+        ("condition_i", "corridor of R1 hits object M2"),
+        ("condition_ii", "placement of M1 hits fixed obstacle 0"),
+        ("condition_ii", "placement of M1 hits object M2")]
+
+
+def test_unmet_goals_are_reported_in_goal_order():
+    scene = scene_of({"M1": (0.5, 0.0), "M2": (-0.5, 0.0)}, {"R1": (0.0, 0.0)},
+                     goal=[["M2", "zone"], ["M1", "zone"]])
+    assert violations(scene) == [
+        ("goal", "object M2 does not end inside region zone"),
+        ("goal", "object M1 does not end inside region zone")]
