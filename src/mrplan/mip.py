@@ -263,7 +263,9 @@ def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
         return []
     skeletons: list[TaskSkeleton] = []
     cuts: list[frozenset] = []
-    for T in range(1, T_max + 1):
+    # no step is empty and no object moves twice, so no horizon longer than
+    # the number of objects with an action has a skeleton
+    for T in range(1, min(T_max, sum(1 for acts in graph.acts if acts)) + 1):
         model = compile_model(graph, T)
         model.cuts = cuts
         while True:

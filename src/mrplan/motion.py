@@ -80,9 +80,8 @@ def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,
     }
 
 
-def points_close(a: tuple[float, float], b: tuple[float, float],
-                 tol: float = 1e-6) -> bool:
-    return math.hypot(a[0] - b[0], a[1] - b[1]) <= tol
+def points_close(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    return math.hypot(a[0] - b[0], a[1] - b[1]) <= 1e-6
 
 
 def trim_for_handover(scene: Scene, mv: RobotMove) -> list:

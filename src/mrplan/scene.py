@@ -154,11 +154,10 @@ class Scene:
             if r1 not in self.robots or r2 not in self.robots:
                 raise SceneError(f"handover point references unknown robots ({r1}, {r2})")
 
-    def goal_satisfied(self, poses: dict[str, Pose] | None = None) -> bool:
+    def goal_satisfied(self) -> bool:
         for obj, re in self.goal:
             m = self.movables[obj]
-            pose = poses[obj] if poses is not None else m.pose
-            if not shape_inside_rect(m.shape, pose, self.regions[re].rect):
+            if not shape_inside_rect(m.shape, m.pose, self.regions[re].rect):
                 return False
         return True
 

@@ -2,12 +2,17 @@
 
 The tree's nodes store sequences of grounded joint actions; each edge stores
 a task skeleton proposed to be grounded in front of its tail node's sequence.
-Iterations select an unevaluated edge by upper confidence bound, ground its
-skeleton, and either return a finished plan, expand the tree with new
-skeletons for the grounding conflicts, or prune the edge on failure.
+A node holds its edges, and an edge holds its head node once its grounding
+returns a partial plan. Iterations select an unevaluated edge by upper
+confidence bound, ground its skeleton, and either return a finished plan,
+expand the tree with new skeletons for the grounding conflicts, or prune the
+edge on failure. An edge is exhausted when its grounding ends in a plan or a
+failure, or when every child of its head is exhausted; the search gives up
+when every child of the root is.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -52,11 +57,9 @@ class PlannerConfig:
 
 @dataclass
 class SearchNode:
-    id: int
     stored_steps: tuple = ()     # grounded joint actions accumulated so far
     visits: int = 0
-    children: list = field(default_factory=list)  # edge ids
-    open_edges: int = 0          # children not yet exhausted
+    children: list = field(default_factory=list)  # SearchEdges
 
 
 @dataclass
@@ -64,11 +67,10 @@ class SearchEdge:
     id: int
     skeleton: TaskSkeleton
     prior: float
-    head: int | None = None
+    head: SearchNode | None = None   # set when grounding returns a Partial
     value: float = 0.0
     visits: int = 0
-    evaluated: bool = False
-    exhausted: bool = False      # grounding failed, or its head has no open edge
+    exhausted: bool = False      # a plan or a failure, or all its head's children are
 
 
 @dataclass(frozen=True)
@@ -90,18 +92,15 @@ def ucb(node: SearchNode, edge: SearchEdge, c: float) -> float:
 def backpropagate(path, r: float) -> None:
     """path is a root-to-edge alternation: [(node, edge), ...].
 
-    When the last edge is exhausted, each node on the way up loses an open
-    edge, and a node left with none exhausts the edge above it.
+    On the way up, an edge is exhausted once every child of its head is,
+    which a head with no children meets at once.
     """
-    exhausted = path[-1][1].exhausted
     for node, edge in reversed(path):
         node.visits += 1
         edge.visits += 1
         edge.value += r
-        if exhausted:
+        if edge.head is not None and all(e.exhausted for e in edge.head.children):
             edge.exhausted = True
-            node.open_edges -= 1
-            exhausted = node.open_edges == 0
 
 
 def reward(outcome, new_skeletons, alpha: float) -> float:
@@ -117,25 +116,6 @@ def reward(outcome, new_skeletons, alpha: float) -> float:
     grounded_objs = len(moved_objects(outcome.steps))
     return (grounded_len / (grounded_len + best.makespan)
             + alpha / (grounded_objs + len(best.moved_objects)))
-
-
-class _Tree:
-    def __init__(self):
-        self.nodes: dict[int, SearchNode] = {}
-        self.edges: dict[int, SearchEdge] = {}
-
-    def new_node(self, stored_steps=()) -> SearchNode:
-        node = SearchNode(id=len(self.nodes), stored_steps=tuple(stored_steps))
-        self.nodes[node.id] = node
-        return node
-
-    def new_edge(self, tail: SearchNode, skeleton: TaskSkeleton) -> SearchEdge:
-        prior = 1.0 / len(skeleton.moved_objects)
-        edge = SearchEdge(id=len(self.edges), skeleton=skeleton, prior=prior)
-        self.edges[edge.id] = edge
-        tail.children.append(edge.id)
-        tail.open_edges += 1
-        return edge
 
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
@@ -162,7 +142,8 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
 
     if facts is None:
         facts = compute_facts(scene)
-    tree = _Tree()
+    edge_ids = itertools.count()
+    tree_size = 1                   # the root, plus a head per partial grounding
     best_plan: Plan | None = None
     iterations = 0
 
@@ -170,7 +151,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
         """The best plan so far (exhaustive runs only), else a NoPlan report."""
         if best_plan is not None:
             return best_plan
-        return NoPlan(reason, iterations, len(tree.nodes))
+        return NoPlan(reason, iterations, tree_size)
 
     def expand(node: SearchNode, conflicts) -> str | None:
         """Add an edge from ``node`` for each skeleton that moves
@@ -185,11 +166,11 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
             return "solver_budget"
         except TimeBudgetExceeded:
             return "time_budget"
-        for sk in skeletons:
-            tree.new_edge(node, sk)
+        node.children += [SearchEdge(next(edge_ids), sk, prior=1.0 / len(sk.moved_objects))
+                          for sk in skeletons]
         return None
 
-    root = tree.new_node()
+    root = SearchNode()
     stop = expand(root, scene.goal_objects())
     if stop:
         return give_up(stop)
@@ -199,27 +180,25 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
     for iteration in range(1, cfg.max_iterations + 1):
         if time.monotonic() > deadline:
             return give_up("time_budget")
-        if not root.open_edges:
+        if all(e.exhausted for e in root.children):
             return give_up("all_branches_pruned")
         iterations = iteration
 
-        # selection: descend by max UCB over non-exhausted edges
+        # selection: descend by max UCB over non-exhausted edges; of those,
+        # the ones with a head are exactly the evaluated ones
         node = root
         path = []
-        edge = None
         while True:
-            candidates = [tree.edges[e] for e in node.children
-                          if not tree.edges[e].exhausted]
-            edge = max(candidates, key=lambda e: (ucb(node, e, cfg.c), -e.id))
+            edge = max((e for e in node.children if not e.exhausted),
+                       key=lambda e: (ucb(node, e, cfg.c), -e.id))
             path.append((node, edge))
-            if not edge.evaluated:
+            if edge.head is None:
                 break
-            node = tree.nodes[edge.head]
+            node = edge.head
 
         # evaluation
         rng = random.Random(f"{cfg.seed}:{edge.id}")
         outcome = ground(edge.skeleton, node.stored_steps, scene, rng)
-        edge.evaluated = True
 
         if isinstance(outcome, Full):
             candidate = Plan(steps=outcome.steps)
@@ -230,11 +209,8 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
                     + "; ".join(v.message for v in report.violations))
             r = reward(outcome, None, cfg.alpha)
             emit(f"iter={iteration} edge={edge.id} outcome=full reward={r:.6f}")
-            head = tree.new_node(outcome.steps)
             edge.exhausted = True           # a plan ends here
-            edge.head = head.id
             backpropagate(path, r)
-            head.visits += 1
             if not cfg.exhaust:
                 return candidate
             if best_plan is None or ((candidate.motion_cost, candidate.makespan)
@@ -249,14 +225,12 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
             continue
 
         # partial: expand with skeletons for the conflict set
-        head = tree.new_node(outcome.steps)
-        edge.head = head.id
+        head = edge.head = SearchNode(outcome.steps)
+        tree_size += 1
         stop = expand(head, outcome.conflicts)
         if stop:
             return give_up(stop)
-        if not head.children:
-            edge.exhausted = True
-        r = reward(outcome, [tree.edges[e].skeleton for e in head.children], cfg.alpha)
+        r = reward(outcome, [e.skeleton for e in head.children], cfg.alpha)
         emit(f"iter={iteration} edge={edge.id} outcome=partial reward={r:.6f} "
              f"children={len(head.children)}")
         backpropagate(path, r)

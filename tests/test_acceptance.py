@@ -152,7 +152,7 @@ class _Step:
 
 
 def test_selection_and_reward_formulas_exact():
-    node = SearchNode(id=0, visits=9)
+    node = SearchNode(visits=9)
     edge = SearchEdge(id=0, skeleton=sk(["M1"]), prior=0.25,
                       value=2.0, visits=3)
     # value/(n+1) + c * prior * sqrt(N) / (n+1)
@@ -174,7 +174,7 @@ def test_selection_and_reward_formulas_exact():
 def test_zero_exploration_constant_is_argmax_over_means():
     rng = random.Random(1)
     for _ in range(50):
-        node = SearchNode(id=0, visits=rng.randint(1, 50))
+        node = SearchNode(visits=rng.randint(1, 50))
         edges = []
         for i in range(5):
             edges.append(SearchEdge(

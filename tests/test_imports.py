@@ -1,6 +1,6 @@
 """Module boundaries: no mrplan module reaches into another one's private names,
-the package needs nothing outside the standard library, and no module-level
-name is left defined but unread."""
+the package needs nothing outside the standard library, no module-level name
+is left defined but unread, and no default parameter is left unpassed."""
 import ast
 import sys
 
@@ -98,3 +98,51 @@ def test_no_public_name_is_left_unused():
     loaded = names_read(readers)
     assert defined
     assert [f"{where} defines {name}" for where, name in defined if name not in loaded] == []
+
+
+def calls_by_callee(paths):
+    """Two maps from a callee's name, over every call in ``paths``: to the
+    numbers of positional arguments its calls pass, and to the keywords they
+    pass. A callee is the called ``Name`` or ``Attribute`` name, with a
+    module's ``from ... import x as y`` aliases resolved back to ``x``."""
+    positional, keywords = {}, {}
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = alias.get(name, name)
+            positional.setdefault(name, set()).add(len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return positional, keywords
+
+
+def test_no_default_parameter_is_left_unpassed():
+    """Every parameter with a default in a package function is passed, by
+    position or by keyword, by some call in the package; a default that no
+    caller overrides is a constant. ``cli.main(argv)`` is the console entry
+    point, which the interpreter calls with no argument."""
+    positional, keywords = calls_by_callee(sorted(SRC.rglob("*.py")))
+    unpassed = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            defaults = dict(zip(params[len(params) - len(args.defaults):], args.defaults))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                            if d is not None)
+            if params[:1] in (["self"], ["cls"]):
+                params = params[1:]
+            for name in defaults:
+                at = params.index(name) if name in params else None
+                passed = (name in keywords.get(fn.name, ()) or (
+                    at is not None and any(n > at for n in positional.get(fn.name, ()))))
+                if not passed and (path.name, fn.name, name) != ("cli.py", "main", "argv"):
+                    unpassed.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+    assert unpassed == []

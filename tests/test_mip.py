@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from mrplan import mip
 from mrplan.facts import compute_facts
 from mrplan.mip import (BudgetExceeded, compile_model, enumerate_skeletons,
                         extract_skeleton, solve)
@@ -171,6 +172,28 @@ def test_enumerate_skeletons_ordering_and_dedup():
     assert len(selections) == len(set(selections))
     assert enumerate_skeletons(make_graph((), {})) == []
     assert enumerate_skeletons(g, K_max=1) == sks[:1]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),
+                         ids=lambda path: path.stem)
+def test_enumeration_stops_at_the_number_of_objects_with_an_action(path, monkeypatch):
+    # no step is empty and no object moves twice, so no longer horizon has a
+    # skeleton: a huge T_max makes at most one infeasible solve per horizon
+    # up to the cap, plus one solve per skeleton (K_max = 10)
+    scene = loads_scene(path.read_text())
+    graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
+    cap = sum(1 for acts in graph.acts if acts)
+    expected = enumerate_skeletons(graph, T_max=cap)
+    calls = []
+    solve = mip.solve
+
+    def counted_solve(model, budget):
+        calls.append(model.T)
+        assert len(calls) <= cap + 10 and model.T <= cap
+        return solve(model, budget)
+
+    monkeypatch.setattr(mip, "solve", counted_solve)
+    assert enumerate_skeletons(graph, T_max=10**9) == expected
 
 
 def assert_steps_map_acting_robots(sk):

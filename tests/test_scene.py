@@ -162,10 +162,9 @@ def test_grasp_point_on_circumscribed_circle():
     assert s.grasp_point("M1", 0.0, pose=moved) == pytest.approx((0.25, 0.2))
 
 
-def test_goal_satisfied_with_pose_override():
+def test_goal_satisfied():
     s = make(goal=[["M1", "work"]])
     assert s.goal_satisfied()
-    assert not s.goal_satisfied({"M1": Pose(5.0, 5.0)})
 
 
 def test_sample_placement_respects_region_and_forbidden():

@@ -11,7 +11,7 @@ from mrplan.mip import BudgetExceeded, TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan, moved_objects
 from mrplan.scene import load_scene, loads_scene
 from mrplan.search import (NoPlan, PlannerConfig, SearchEdge, SearchNode,
-                           _Tree, backpropagate, plan, reward, ucb)
+                           backpropagate, plan, reward, ucb)
 from mrplan.validator import validate_plan
 
 from conftest import SCENARIOS, scenario
@@ -37,13 +37,13 @@ def grounded_step(obj="M1"):
 
 
 def test_ucb_formula_values():
-    node = SearchNode(id=0, visits=4)
+    node = SearchNode(visits=4)
     edge = SearchEdge(id=0, skeleton=sk_for(["M1"]), prior=0.5,
                       value=1.0, visits=1)
     assert ucb(node, edge, c=1.0) == pytest.approx(1.0)  # 1/2 + 0.5*2/2
     assert ucb(node, edge, c=0.0) == pytest.approx(0.5)
     fresh = SearchEdge(id=1, skeleton=sk_for(["M1"]), prior=1.0)
-    assert ucb(SearchNode(id=1), fresh, c=1.0) == 0.0
+    assert ucb(SearchNode(), fresh, c=1.0) == 0.0
     assert ucb(node, fresh, c=2.0) == pytest.approx(2.0 * 1.0 * 2.0)
 
 
@@ -62,14 +62,11 @@ def test_reward_values():
 
 
 def test_backpropagate_updates_path_statistics():
-    tree = _Tree()
-    root = tree.new_node()
-    e1 = tree.new_edge(root, sk_for(["M1", "M2"]))
-    mid = tree.new_node()
-    e1.head = mid.id
-    e2 = tree.new_edge(mid, sk_for(["M3"]))
-    assert e1.prior == pytest.approx(0.5)
-    assert e2.prior == pytest.approx(1.0)
+    mid = SearchNode()
+    e1 = SearchEdge(id=0, skeleton=sk_for(["M1", "M2"]), prior=0.5, head=mid)
+    root = SearchNode(children=[e1])
+    e2 = SearchEdge(id=1, skeleton=sk_for(["M3"]), prior=1.0)
+    mid.children.append(e2)
     backpropagate([(root, e1), (mid, e2)], 0.75)
     assert root.visits == 1 and mid.visits == 1
     assert e1.visits == 1 and e1.value == pytest.approx(0.75)
@@ -290,43 +287,58 @@ def test_exhaustive_search_keeps_its_best_plan_past_the_time_budget(monkeypatch)
     assert [line.split()[2] for line in trace] == ["outcome=full"]
 
 
-def rescan_exhausted(tree, edge):
-    """The exhaustion rule, recomputed from the tree."""
-    if not edge.evaluated:
-        return False
-    if edge.head is None:           # its grounding failed
-        return True
-    return all(rescan_exhausted(tree, tree.edges[e])
-               for e in tree.nodes[edge.head].children)
+def rescan_exhausted(edge, grounded):
+    """The exhaustion rule, recomputed from the tree and the ids of the edges
+    grounded so far."""
+    if edge.head is None:           # not grounded, or grounded to a plan or a failure
+        return edge.id in grounded
+    return all(rescan_exhausted(e, grounded) for e in edge.head.children)
 
 
 @pytest.mark.parametrize("name", ["pa_small", "conflict_partial", "pick_chain",
                                   "parallel_goals"])
 def test_exhausted_flags_match_a_rescan_of_the_tree(monkeypatch, name):
-    trees = []
+    # a dataclass's __init__ does not call a __post_init__ a subclass adds
+    nodes = []
+    trace = []
 
-    class RecordedTree(_Tree):
-        def __init__(self):
-            super().__init__()
-            trees.append(self)
+    class RecordedNode(SearchNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(self)
 
-    def check(tree):
-        for edge in tree.edges.values():
-            assert edge.exhausted == rescan_exhausted(tree, edge), edge.id
-        for node in tree.nodes.values():
-            assert node.open_edges == sum(not tree.edges[e].exhausted
-                                          for e in node.children)
+    def check():
+        grounded = {int(line.split()[1].removeprefix("edge=")) for line in trace}
+        for node in nodes:
+            for edge in node.children:
+                assert edge.exhausted == rescan_exhausted(edge, grounded), edge.id
+                assert edge.prior == pytest.approx(1 / len(edge.skeleton.moved_objects))
 
-    ground = search.ground
+    def checked_backpropagate(path, r):
+        backpropagate(path, r)
+        check()
 
-    def checked_ground(*args, **kwargs):
-        check(trees[0])
-        return ground(*args, **kwargs)
-
-    monkeypatch.setattr(search, "_Tree", RecordedTree)
-    monkeypatch.setattr(search, "ground", checked_ground)
+    monkeypatch.setattr(search, "SearchNode", RecordedNode)
+    monkeypatch.setattr(search, "backpropagate", checked_backpropagate)
     for seed in range(3):
-        trees.clear()
+        nodes.clear()
+        trace.clear()
         plan(load_scene(scenario(name)),
-             PlannerConfig(seed=seed, exhaust=True, max_iterations=40))
-        check(trees[0])
+             PlannerConfig(seed=seed, exhaust=True, max_iterations=40), trace=trace)
+        check()
+
+
+def test_no_plan_tree_size_counts_the_root_and_each_partial_grounding():
+    # the root, plus one node for each partial grounding; no other outcome adds one
+    for path in sorted(SCENARIOS.rglob("*.json")):
+        scene = load_scene(path)
+        for seed in range(3):
+            for iterations in range(1, 4):
+                trace = []
+                res = plan(scene, PlannerConfig(seed=seed, max_iterations=iterations),
+                           trace=trace)
+                if isinstance(res, NoPlan):
+                    partials = sum("outcome=partial" in line for line in trace)
+                    assert res.tree_size == 1 + partials, (path.stem, seed, iterations)
+    res = plan(load_scene(scenario("conflict_partial")), PlannerConfig(max_iterations=1))
+    assert isinstance(res, NoPlan) and res.tree_size == 2
