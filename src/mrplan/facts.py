@@ -47,7 +47,7 @@ import functools
 import json
 import math
 
-from .geometry import Corridor, Pose, Rect, collides
+from .geometry import Corridor, Pose, Rect, collides_any
 from .motion import bases_crossed, carry_sweep, gripper_sweep
 from .scene import Robot, Scene
 
@@ -140,7 +140,7 @@ def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
 
 
 def _avoids_fixed(scene: Scene, cor: Corridor) -> bool:
-    return not any(collides(cor, fp) for fp in scene.fixed)
+    return not collides_any(cor, scene.fixed)
 
 
 def _annulus_meets_box(robot: Robot, box) -> bool:

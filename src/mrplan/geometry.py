@@ -2,6 +2,15 @@
 
 All lengths are in meters, angles in radians. Boundary contact within
 EPS does not count as a collision, so tangent configurations are stable.
+
+The collision kernel is ``collides_any(vol, volumes)``: does ``vol`` overlap
+any of ``volumes``? It dispatches on ``vol``'s type once per call and stops
+at the first hit. The disc-disc test and a corridor's tests against discs
+run inline, the latter with the segment's direction computed once and the
+float operations of ``point_segment_distance`` in order, so each decision
+is bit-identical to the helper's. Every one-against-many test in the
+package goes through it; ``collides(a, b)`` is its one-volume case, so each
+pair test has one definition.
 """
 from __future__ import annotations
 
@@ -145,34 +154,39 @@ def point_segment_distance(p, a, b) -> float:
     if d2 == 0.0:
         return math.hypot(px - ax, py - ay)
     t = ((px - ax) * dx + (py - ay) * dy) / d2
-    t = max(0.0, min(1.0, t))
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def _orient(a, b, c):
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if v > 0:
+        return 1
+    if v < 0:
+        return -1
+    return 0
+
+
+def _on_seg(a, b, c):
+    return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+
 def _segments_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-        return 0
-
-    def on_seg(a, b, c):
-        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
-
-    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
-    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
+    o1, o2 = _orient(p1, p2, p3), _orient(p1, p2, p4)
+    o3, o4 = _orient(p3, p4, p1), _orient(p3, p4, p2)
     if o1 != o2 and o3 != o4:
         return True
-    if o1 == 0 and on_seg(p1, p2, p3):
+    if o1 == 0 and _on_seg(p1, p2, p3):
         return True
-    if o2 == 0 and on_seg(p1, p2, p4):
+    if o2 == 0 and _on_seg(p1, p2, p4):
         return True
-    if o3 == 0 and on_seg(p3, p4, p1):
+    if o3 == 0 and _on_seg(p3, p4, p1):
         return True
-    if o4 == 0 and on_seg(p3, p4, p2):
+    if o4 == 0 and _on_seg(p3, p4, p2):
         return True
     return False
 
@@ -201,10 +215,6 @@ def _to_local(pose: Pose, p):
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     dx, dy = p[0] - pose.x, p[1] - pose.y
     return (c * dx + s * dy, -s * dx + c * dy)
-
-
-def _disc_disc(r1, p1, r2, p2) -> bool:
-    return math.hypot(p1.x - p2.x, p1.y - p2.y) < r1 + r2 - EPS
 
 
 def _disc_rect(radius, cpose, rect: Rectangle, rpose) -> bool:
@@ -252,40 +262,74 @@ def _segment_rect_distance(a, b, rect: Rectangle, pose: Pose) -> float:
     return best
 
 
-def _corridor_shape(cor: Corridor, shape: Shape, pose: Pose) -> bool:
-    if isinstance(shape, Disc):
-        return point_segment_distance((pose.x, pose.y), cor.a, cor.b) \
-            < cor.half_width + shape.radius - EPS
-    return _segment_rect_distance(cor.a, cor.b, shape, pose) < cor.half_width - EPS
+def collides_any(vol, volumes) -> bool:
+    """True iff ``vol`` overlaps any of ``volumes`` with positive area.
 
-
-def _corridor_corridor(c1: Corridor, c2: Corridor) -> bool:
-    return segment_segment_distance(c1.a, c1.b, c2.a, c2.b) \
-        < c1.half_width + c2.half_width - EPS
+    ``vol`` and each of ``volumes`` is a (Shape, Pose) pair or a Corridor.
+    The scan stops at the first hit. Touching at a measure-zero boundary is
+    non-colliding (EPS tolerance).
+    """
+    if isinstance(vol, Corridor):
+        a, b, hw = vol.a, vol.b, vol.half_width
+        ax, ay = a
+        bx, by = b
+        dx, dy = bx - ax, by - ay
+        d2 = dx * dx + dy * dy
+        for v in volumes:
+            if isinstance(v, Corridor):
+                if segment_segment_distance(a, b, v.a, v.b) < hw + v.half_width - EPS:
+                    return True
+                continue
+            shape, pose = v
+            if not isinstance(shape, Disc):
+                if _segment_rect_distance(a, b, shape, pose) < hw - EPS:
+                    return True
+                continue
+            # point_segment_distance(pose, a, b), its float operations in order
+            px, py = pose.x, pose.y
+            if d2 == 0.0:
+                dist = math.hypot(px - ax, py - ay)
+            else:
+                t = ((px - ax) * dx + (py - ay) * dy) / d2
+                if t < 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                dist = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+            if dist < hw + shape.radius - EPS:
+                return True
+        return False
+    shape, pose = vol
+    if not isinstance(shape, Disc):
+        for v in volumes:
+            if isinstance(v, Corridor):
+                if _segment_rect_distance(v.a, v.b, shape, pose) < v.half_width - EPS:
+                    return True
+            elif isinstance(v[0], Disc):
+                if _disc_rect(v[0].radius, v[1], shape, pose):
+                    return True
+            elif _rect_rect(shape, pose, v[0], v[1]):
+                return True
+        return False
+    r, px, py = shape.radius, pose.x, pose.y
+    for v in volumes:
+        if isinstance(v, Corridor):
+            if point_segment_distance((px, py), v.a, v.b) < v.half_width + r - EPS:
+                return True
+            continue
+        s2, p2 = v
+        if isinstance(s2, Disc):
+            if math.hypot(px - p2.x, py - p2.y) < r + s2.radius - EPS:
+                return True
+        elif _disc_rect(r, pose, s2, p2):
+            return True
+    return False
 
 
 def collides(a, b) -> bool:
-    """True iff two solids overlap with positive area.
-
-    Each argument is either a (Shape, Pose) pair or a Corridor. Touching at a
-    measure-zero boundary is non-colliding (EPS tolerance).
-    """
-    a_cor, b_cor = isinstance(a, Corridor), isinstance(b, Corridor)
-    if a_cor and b_cor:
-        return _corridor_corridor(a, b)
-    if a_cor:
-        return _corridor_shape(a, b[0], b[1])
-    if b_cor:
-        return _corridor_shape(b, a[0], a[1])
-    s1, p1 = a
-    s2, p2 = b
-    if isinstance(s1, Disc) and isinstance(s2, Disc):
-        return _disc_disc(s1.radius, p1, s2.radius, p2)
-    if isinstance(s1, Disc):
-        return _disc_rect(s1.radius, p1, s2, p2)
-    if isinstance(s2, Disc):
-        return _disc_rect(s2.radius, p2, s1, p1)
-    return _rect_rect(s1, p1, s2, p2)
+    """True iff two solids overlap with positive area: ``collides_any``'s
+    one-volume case."""
+    return collides_any(a, (b,))
 
 
 def shape_inside_rect(shape: Shape, pose: Pose, rect: Rect) -> bool:

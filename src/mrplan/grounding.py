@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .geometry import Pose, collides
+from .geometry import Pose, collides_any
 from .mip import TaskSkeleton
 from .motion import bases_crossed, build_moves, robot_clashes
 from .plans import GroundedJointAction, moved_objects
@@ -130,8 +130,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
 
 
 def _sweep_clear(robot: str, cor, obstacles, scene: Scene) -> bool:
-    return not (any(collides(cor, ob) for ob in obstacles)
-                or bases_crossed(scene, robot, cor))
+    return not (collides_any(cor, obstacles) or bases_crossed(scene, robot, cor))
 
 
 def _sample_step(actions, forbidden, obstacles, scene: Scene, rng):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .geometry import Corridor, Pose, collides
+from .geometry import Corridor, Pose, collides_any
 from .plans import PartiallyGroundedAction, RobotMove, Trajectory
 from .scene import Scene
 
@@ -110,5 +110,5 @@ def robot_clashes(scene: Scene, moves: dict[str, RobotMove]):
         else:
             cs1 = moves[r1].all_corridors()
             cs2 = moves[r2].all_corridors()
-        if any(collides(c1, c2) for c1 in cs1 for c2 in cs2):
+        if any(collides_any(c1, cs2) for c1 in cs1):
             yield r1, r2, handover

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import schemas
-from .geometry import Disc, Pose, Rect, Rectangle, Shape, collides, shape_inside_rect
+from .geometry import (Disc, Pose, Rect, Rectangle, Shape, collides, collides_any,
+                       shape_inside_rect)
 
 DEFAULT_GRASP_COUNT = 8
 PLACEMENT_ATTEMPTS = 100
@@ -119,8 +120,7 @@ class Scene:
         """Movables outside ``exclude`` that any of ``volumes`` hits at their
         start poses, in name order."""
         return [name for name, m in sorted(self.movables.items())
-                if name not in exclude
-                and any(collides(v, (m.shape, m.pose)) for v in volumes)]
+                if name not in exclude and collides_any((m.shape, m.pose), volumes)]
 
     # -- invariants ----------------------------------------------------------
 
@@ -138,9 +138,8 @@ class Scene:
             for b in items[i + 1:]:
                 if collides((a.shape, a.pose), (b.shape, b.pose)):
                     raise SceneError(f"movables {a.name} and {b.name} overlap at load")
-            for shape, pose in self.fixed:
-                if collides((a.shape, a.pose), (shape, pose)):
-                    raise SceneError(f"movable {a.name} overlaps a fixed obstacle at load")
+            if collides_any((a.shape, a.pose), self.fixed):
+                raise SceneError(f"movable {a.name} overlaps a fixed obstacle at load")
         for obj, re in self.goal:
             if obj not in self.movables:
                 raise SceneError(f"goal references unknown object {obj!r}")
@@ -257,7 +256,7 @@ def sample_placement(region: Region, shape: Shape, forbidden, rng,
             continue
         if not robot.in_reach(pose.xy):
             continue
-        if any(collides((shape, pose), f) for f in forbidden):
+        if collides_any((shape, pose), forbidden):
             continue
         return pose
     return None

@@ -12,10 +12,11 @@ Replays a plan step by step on a copy of the scene and checks:
         do not overlap outside the handover neighbourhood;
 plus monotonicity (each object moved at most once) and goal satisfaction.
 It tests every corridor and placement itself, against each step's world
-(fixed obstacles, then unmoved objects at their replayed poses), and shares
-only two definitions with grounding: the bases a sweep covers
-(``motion.bases_crossed``) and the robot pairs that clash
-(``motion.robot_clashes``).
+(fixed obstacles, then unmoved objects at their replayed poses), with one
+``geometry.collides_any`` query each; only on a hit does it walk the world
+to name what was hit. It shares only two definitions with grounding: the
+bases a sweep covers (``motion.bases_crossed``) and the robot pairs that
+clash (``motion.robot_clashes``).
 A plan that names unknown entities, fills one slot of a handover, gives a
 move a role other than its action's, gives a handover's two sides
 different placements, or lists corridors that are not the sweeps of its
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .geometry import EPS, collides, shape_inside_rect
+from .geometry import EPS, collides, collides_any, shape_inside_rect
 from .motion import bases_crossed, points_close, robot_clashes
 from .plans import Plan, PlanError, RobotMove
 from .scene import Scene
@@ -161,13 +162,15 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
         # the static world: fixed obstacles, then the unmoved objects where they are
         world = fixed + [(f"object {name}", (scene.movables[name].shape, poses[name]))
                          for name in sorted(scene.movables) if name not in manipulated]
+        volumes = [vol for _, vol in world]
 
         # (i) corridors vs static world
         for robot in robots:
             for cor in step.moves[robot].all_corridors():
-                for label, vol in world:
-                    if collides(cor, vol):
-                        report.add("condition_i", j, f"corridor of {robot} hits {label}")
+                if collides_any(cor, volumes):
+                    for label, vol in world:
+                        if collides(cor, vol):
+                            report.add("condition_i", j, f"corridor of {robot} hits {label}")
                 for other in bases_crossed(scene, robot, cor):
                     report.add("condition_i", j,
                                f"corridor of {robot} sweeps over base of {other}")
@@ -188,9 +191,10 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
             if not shape_inside_rect(shape, mv.placement, scene.regions[a.region].rect):
                 report.add("condition_ii", j,
                            f"placement of {a.obj} is not inside region {a.region}")
-            for label, vol in world:
-                if collides((shape, mv.placement), vol):
-                    report.add("condition_ii", j, f"placement of {a.obj} hits {label}")
+            if collides_any((shape, mv.placement), volumes):
+                for label, vol in world:
+                    if collides((shape, mv.placement), vol):
+                        report.add("condition_ii", j, f"placement of {a.obj} hits {label}")
             if not scene.robots[a.place_robot].in_reach(mv.placement.xy):
                 report.add("condition_ii", j,
                            f"placement of {a.obj} is out of reach of {a.place_robot}")

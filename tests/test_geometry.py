@@ -1,4 +1,6 @@
-"""Geometry primitives, checked against Monte-Carlo membership oracles."""
+"""Geometry primitives, checked against Monte-Carlo membership oracles and,
+for the collision kernel, against the pairwise reference in
+``reference_geometry``."""
 import math
 import random
 
@@ -6,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrplan.geometry import (Corridor, Disc, Pose, Rect, Rectangle, collides,
-                             point_segment_distance, shape_inside_rect)
+import reference_geometry as ref
+from mrplan.geometry import (EPS, Corridor, Disc, Pose, Rect, Rectangle, collides,
+                             collides_any, shape_inside_rect)
 
 # ---------------------------------------------------------------------------
 # membership oracle (independent of the implementation's distance math)
@@ -24,7 +27,11 @@ def point_in_shape(p, shape, pose: Pose) -> bool:
 
 
 def point_in_corridor(p, cor: Corridor) -> bool:
-    return point_segment_distance(p, cor.a, cor.b) <= cor.half_width
+    (ax, ay), (bx, by) = cor.a, cor.b
+    dx, dy = bx - ax, by - ay
+    len2 = dx * dx + dy * dy
+    t = 0.0 if len2 == 0.0 else min(1.0, max(0.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / len2))
+    return math.hypot(p[0] - (ax + t * dx), p[1] - (ay + t * dy)) <= cor.half_width
 
 
 def point_in(p, volume) -> bool:
@@ -107,31 +114,94 @@ def test_shape_inside_rect():
 shapes = st.one_of(
     st.builds(Disc, st.floats(0.05, 0.5)),
     st.builds(Rectangle, st.floats(0.05, 0.5), st.floats(0.05, 0.5)))
-poses = st.builds(Pose, st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 6.2))
+# a few shared points, so corridors often share an endpoint or have none
+# (a == b), and shapes sit on corridor endpoints
+SHARED = ((0.0, 0.0), (0.5, 0.5), (1.0, -0.5), (-0.5, 1.0))
+points = st.one_of(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), st.sampled_from(SHARED))
+poses = st.one_of(st.builds(Pose, st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 6.2)),
+                  st.builds(lambda p, th: Pose(*p, th), st.sampled_from(SHARED),
+                            st.floats(0, 6.2)))
+corridors = st.one_of(
+    st.builds(Corridor, points, points, st.floats(0.02, 0.6)),
+    st.builds(lambda p, w: Corridor(p, p, w), points, st.floats(0.02, 0.6)))
+volumes = st.one_of(st.tuples(shapes, poses), corridors)
+
+
+def shrunk(vol):
+    """``vol`` with its boundary moved 1e-6 inwards."""
+    if isinstance(vol, Corridor):
+        return Corridor(vol.a, vol.b, vol.width - 2e-6)
+    shape, pose = vol
+    if isinstance(shape, Disc):
+        return Disc(shape.radius - 1e-6), pose
+    return Rectangle(shape.half_w - 1e-6, shape.half_h - 1e-6), pose
 
 
 @settings(max_examples=200, deadline=None)
-@given(s1=shapes, p1=poses, s2=shapes, p2=poses)
-def test_collides_symmetric(s1, p1, s2, p2):
-    assert collides((s1, p1), (s2, p2)) == collides((s2, p2), (s1, p1))
+@given(v1=volumes, v2=volumes)
+def test_collides_symmetric(v1, v2):
+    assert collides(v1, v2) == collides(v2, v1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(s1=shapes, p1=poses, s2=shapes, p2=poses, seed=st.integers(0, 10 ** 6))
-def test_collides_agrees_with_membership_oracle(s1, p1, s2, p2, seed):
+@given(v1=volumes, v2=volumes, seed=st.integers(0, 10 ** 6))
+def test_collides_agrees_with_membership_oracle(v1, v2, seed):
     """If sampling finds a shared interior point, collides must say so; if
     collides denies overlap, sampling must not find a clearly interior one."""
     rng = random.Random(seed)
-    result = collides((s1, p1), (s2, p2))
-    found = mc_overlap((s1, p1), (s2, p2), rng, n=4000)
+    result = collides(v1, v2)
+    found = mc_overlap(v1, v2, rng, n=4000)
     if found and not result:
         # tolerate only boundary-grazing contacts
-        shrunk1 = Disc(s1.radius - 1e-6) if isinstance(s1, Disc) else \
-            Rectangle(s1.half_w - 1e-6, s1.half_h - 1e-6)
-        assert not mc_overlap((shrunk1, p1), (s2, p2), rng, n=4000)
-    if result and isinstance(s1, Disc) and isinstance(s2, Disc):
+        assert not mc_overlap(shrunk(v1), v2, rng, n=4000)
+    if result and not isinstance(v1, Corridor) and not isinstance(v2, Corridor) \
+            and isinstance(v1[0], Disc) and isinstance(v2[0], Disc):
         # disc-disc positives are exactly checkable
+        (s1, p1), (s2, p2) = v1, v2
         assert math.hypot(p1.x - p2.x, p1.y - p2.y) < s1.radius + s2.radius
+
+
+@st.composite
+def boundary_pairs(draw):
+    """Two discs or corridors whose gap is ``r1 + r2 - EPS`` (the largest gap
+    that does not collide), or one ulp either side of it. The first sits on
+    the origin and the second on the x axis, so each distance is exact."""
+    kind = draw(st.sampled_from(["disc-disc", "disc-corridor", "corridor-corridor"]))
+    r1, r2 = draw(st.floats(0.01, 0.5)), draw(st.floats(0.01, 0.5))
+    gap = r1 + r2 - EPS
+    gap = draw(st.sampled_from([math.nextafter(gap, 0.0), gap, math.nextafter(gap, 1.0)]))
+    if kind == "corridor-corridor":
+        return Corridor((0.0, -1.0), (0.0, 1.0), 2 * r1), \
+            Corridor((gap, -1.0), (gap, 1.0), 2 * r2)
+    first = ((Disc(r1), Pose(0.0, 0.0)) if kind == "disc-disc"
+             else Corridor((0.0, -1.0), (0.0, 1.0), 2 * r1))
+    return first, (Disc(r2), Pose(gap, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vol=volumes, others=st.lists(volumes, max_size=8), pair=boundary_pairs(),
+       swap=st.booleans())
+def test_collides_any_matches_the_pairwise_reference(vol, others, pair, swap):
+    """The kernel gives the pairwise reference's answer on every pair, in
+    both argument orders, and ``collides_any`` is ``any`` over the pairs."""
+    first, second = pair[::-1] if swap else pair
+    for v, vols in ((vol, others + [first, second]), (first, others + [second])):
+        assert collides_any(v, vols) == any(ref.collides(v, o) for o in vols)
+        for o in vols:
+            assert collides(v, o) == ref.collides(v, o)
+            assert collides(o, v) == ref.collides(o, v)
+
+
+def test_boundary_pairs_collide_only_below_the_gap():
+    """The boundary strategy sits where the EPS tolerance decides."""
+    for r1, r2 in ((0.1, 0.2), (0.3, 0.05)):
+        gap = r1 + r2 - EPS
+        for first in ((Disc(r1), Pose(0.0, 0.0)), Corridor((0.0, -1.0), (0.0, 1.0), 2 * r1)):
+            for d, want in ((math.nextafter(gap, 0.0), True), (gap, False),
+                            (math.nextafter(gap, 1.0), False)):
+                second = (Disc(r2), Pose(d, 0.0))
+                assert collides(first, second) is want and collides(second, first) is want
+                assert ref.collides(first, second) is want
 
 
 def test_corridor_corridor_crossing_and_parallel():

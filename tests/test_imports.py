@@ -1,6 +1,7 @@
 """Module boundaries: no mrplan module reaches into another one's private names,
 the package needs nothing outside the standard library, no module-level name
-is left defined but unread, and no default parameter is left unpassed."""
+is left defined but unread, no default parameter is left unpassed, and no
+one-against-many collision test bypasses ``geometry.collides_any``."""
 import ast
 import sys
 
@@ -146,3 +147,23 @@ def test_no_default_parameter_is_left_unpassed():
                 if not passed and (path.name, fn.name, name) != ("cli.py", "main", "argv"):
                     unpassed.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
     assert unpassed == []
+
+
+def test_no_any_over_pairwise_collides():
+    """No ``any(...)`` or ``all(...)`` in the package has a generator element
+    that calls ``collides``: a test of one volume against many goes through
+    ``geometry.collides_any``, which dispatches once and stops at the first
+    hit, so each pair test keeps one definition."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("any", "all") and node.args
+                    and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp,
+                                                  ast.SetComp))):
+                continue
+            calls = [getattr(n.func, "id", getattr(n.func, "attr", None))
+                     for n in ast.walk(node.args[0].elt) if isinstance(n, ast.Call)]
+            if "collides" in calls:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
