@@ -16,9 +16,16 @@ Ottosson, Math. Prog. 96, 2003):
   robot steps they take (a handover takes two), |S| >= T because no step
   is empty, and the longest chain of pick blockers, which must fit in T;
 * rows (1), (4)-(7), (11) and (12) say that the set has a schedule over
-  steps 1..T. For the first set that has one, a depth-first search in the
+  steps 1..T. For each set that has one, a depth-first search in the
   rows' branch order (X[t, a] by t, then canonical action, 0 first) finds
   its first schedule.
+
+A ``Search`` walks one horizon's sets once and yields an answer per set
+that has a schedule, cutting it as it goes. Cuts are tested only at a
+leaf, so the walk's order does not depend on them: resuming after an
+answer gives what a fresh search with that answer cut would give, and
+exclusion cuts (Balas & Jeroslow, SIAM J. Appl. Math. 23, 1972) are needed
+only across horizons.
 
 One node is one call of the set search or of the schedule search.
 """
@@ -31,33 +38,25 @@ class BudgetExceeded(Exception):
     """Solver node limit hit before proving optimality or infeasibility."""
 
 
-def first_optimum(graph: CMTG, T: int, cuts, budget: int):
-    """The step of each action selected by the lexicographically least
-    optimal assignment at horizon T, keyed by action in canonical order, or
-    None when there is none. Its keys are the selection, and the steps
-    determine the assignment. ``cuts`` are action sets no solution may
-    select. Raises BudgetExceeded after ``budget`` nodes."""
-    return _Search(graph, T, cuts, budget).run()
-
-
 _UNDECIDED, _UNMOVED = -2, -1
 
 
-class _Search:
-    """One solve: closed action sets, then one schedule.
+class Search:
+    """One horizon: closed action sets, each with its first schedule.
 
     Objects are decided in sorted order, each either unmoved or moved by one
     of its actions, tried last canonical action first: that visits action
     sets in lexicographic order, 0 before 1. ``need[o]`` counts why object o
     must move (it is a target, or blocks a chosen action); a complete choice
-    is closed when exactly the objects with a need move.
+    is closed when exactly the objects with a need move. ``cuts`` starts as
+    the action sets no answer may select and gains each answer.
     """
 
-    def __init__(self, graph: CMTG, T: int, cuts, budget: int):
+    def __init__(self, graph: CMTG, T: int, cuts):
         self.graph = graph
         self.T = T
-        self.budget = budget
         self.nodes = 0
+        self.limit = 0
         self.cuts = set(cuts)
         self.choice = [_UNDECIDED if acts else _UNMOVED for acts in graph.acts]
         self.need = [1 if m in graph.targets else 0 for m in graph.object_nodes]
@@ -65,30 +64,37 @@ class _Search:
         self.order = [o for o, acts in enumerate(graph.acts) if acts]
         self.size = 0                # actions chosen so far
         self.k = 0                   # the set size this pass looks for
+        self.answers = self.run()
+
+    def next(self, budget: int):
+        """The step of each action selected by the lexicographically least
+        optimal assignment that no cut excludes, keyed by action in
+        canonical order, or None when there is none. Its keys are the
+        selection, and the steps determine the assignment. Raises
+        BudgetExceeded after ``budget`` more nodes; the search cannot go on
+        after that."""
+        self.limit = self.nodes + budget
+        return next(self.answers, None)
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(f"node budget {self.budget} exceeded")
+        if self.nodes > self.limit:
+            raise BudgetExceeded(f"node limit {self.limit} exceeded")
 
     def run(self):
-        """The step per selected action, or None."""
+        """The step per selected action of each answer, in order."""
         self.tick()
         # no step is empty, so at least T objects move, each taking a robot step
         if min(len(self.order), len(self.graph.robots) * self.T) < self.T:
-            return None
-        for o, n in enumerate(self.need):
-            if n and self.choice[o] == _UNMOVED:
-                return None
+            return
+        if any(n and self.choice[o] == _UNMOVED for o, n in enumerate(self.need)):
+            return
         bounds = self.reach()
         if bounds is None:
-            return None
+            return
         for k in range(max(bounds[0], self.T), bounds[1] + 1):
             self.k = k
-            found = self.sets(0, bounds)
-            if found is not None:
-                return found
-        return None
+            yield from self.sets(0, bounds)
 
     def usable(self, i: int) -> bool:
         """No blocker of action i stays unmoved and its robots have a free step."""
@@ -234,62 +240,59 @@ class _Search:
             self.need[b] += sign
 
     def sets(self, pos: int, bounds=None):
-        """Depth-first over the objects from ``order[pos]`` on: the first
-        closed set of exactly ``k`` actions that has a schedule. ``bounds``
-        is ``reach()`` of the current choices, when the caller has it."""
+        """Depth-first over the objects from ``order[pos]`` on: each closed
+        set of exactly ``k`` actions that has a schedule. ``bounds`` is
+        ``reach()`` of the current choices, when the caller has it; a
+        complete choice goes to its leaf without one."""
         self.tick()
-        if pos == len(self.order):
-            return self.leaf()
-        if bounds is None:
+        if bounds is None and pos < len(self.order):
             bounds = self.reach()
             if bounds is None or not bounds[0] <= self.k <= bounds[1]:
-                return None
+                return
         # objects that can no longer move stay unmoved without a branch
         start = pos
         while pos < len(self.order) and self.order[pos] in bounds[2]:
             self.choice[self.order[pos]] = _UNMOVED
             pos += 1
-        found = self.branch(pos)
+        yield from self.branch(pos)
         for o in self.order[start:pos]:
             self.choice[o] = _UNDECIDED
-        return found
 
     def branch(self, pos: int):
         if pos == len(self.order):
-            return self.leaf()
+            yield from self.leaf()
+            return
         o = self.order[pos]
         if not self.need[o]:
             self.choice[o] = _UNMOVED
-            found = self.sets(pos + 1)
+            yield from self.sets(pos + 1)
             self.choice[o] = _UNDECIDED
-            if found is not None:
-                return found
         for i in reversed(self.graph.acts[o]):
             if not self.usable(i):
                 continue
             self.take(i, 1)
-            found = self.sets(pos + 1)
+            yield from self.sets(pos + 1)
             self.take(i, -1)
-            if found is not None:
-                return found
-        return None
 
     def leaf(self):
         """Every object decided: the set's first schedule, if the set is
-        closed, has k actions and is not cut."""
+        closed, has k actions and is not cut; the set is then cut."""
         if self.size != self.k:
-            return None
+            return
         selection = []
         for o in self.order:
             c = self.choice[o]
             if c >= 0:
                 if not self.need[o]:
-                    return None
+                    return
                 selection.append(c)
         if self.cuts and frozenset(selection) in self.cuts:
-            return None
+            return
         # objects, and so their actions, are in canonical order
-        return self.schedule(selection)
+        steps = self.schedule(selection)
+        if steps is not None:
+            self.cuts.add(frozenset(selection))
+            yield steps
 
     def schedule(self, selection: list):
         """The first step per action in branch order, or None.

@@ -14,16 +14,19 @@ targets move, (9) blockers of selected actions move, (10) each object moves
 at most once, (11) pick-blockers move strictly earlier, (12) place-blockers
 move no later (big-M linearization, M = T + 1).
 
-A model stores only its horizon, the task graph and its exclusion cuts.
-The rows, the solver and skeleton extraction read the graph as
-``taskgraph.make_graph`` built it, by position; there is no index. The
-rows are built on the first read of ``MipModel.constraints``, and the
-variable names and objective on each read of ``var_names`` and
-``objective``: ``--dump-mip`` and the row-fidelity tests read them.
-``solve`` never does: ``mrplan.closure`` solves the task graph they encode
-and returns the step of each action their lexicographically least optimal
-assignment selects, which determines it: X[t, a] = 1 exactly when a is
-selected and its step is >= t. All arithmetic is integral.
+A model stores its horizon, the task graph, its exclusion cuts and the
+search ``solve`` runs on it. The rows, the solver and skeleton extraction
+read the graph as ``taskgraph.make_graph`` built it, by position; there is
+no index. The base rows are built on the first read of
+``MipModel.constraints`` and the cut rows on each read, and the variable
+names and objective on each read of ``var_names`` and ``objective``:
+``--dump-mip`` and the row-fidelity tests read them. ``solve`` never does:
+a ``mrplan.closure.Search`` solves the task graph they encode and returns
+the step of each action their lexicographically least optimal assignment
+selects, which determines it: X[t, a] = 1 exactly when a is selected and
+its step is >= t. The model keeps that search, so a solve after its
+answer is cut goes on from where the last one stopped. All arithmetic is
+integral.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 # BudgetExceeded is raised by the solver and is part of this module's interface
-from .closure import BudgetExceeded, first_optimum
+from .closure import BudgetExceeded, Search
 from .taskgraph import CMTG
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -56,7 +59,7 @@ class MipModel:
     graph: CMTG = field(repr=False)
     cuts: list = field(default_factory=list)    # excluded action sets (frozensets)
     _rows: list | None = field(default=None, init=False, repr=False, compare=False)
-    _n_base_rows: int = field(default=0, init=False, repr=False, compare=False)
+    _search: Search | None = field(default=None, init=False, repr=False, compare=False)
 
     def var(self, t: int, i: int) -> int:
         """Index of X[t, action i]."""
@@ -79,14 +82,13 @@ class MipModel:
 
     @property
     def constraints(self) -> list[LinearConstraint]:
-        """Rows (1)-(12), then one ``excl_<n>`` row per exclusion cut in the
-        order the cuts were added; built on first read."""
+        """Rows (1)-(12), built on first read, then one ``excl_<n>`` row per
+        exclusion cut in the order the cuts were added, built on each read."""
         if self._rows is None:
             self._rows = _model_rows(self)
-            self._n_base_rows = len(self._rows)
-        for cut in self.cuts[len(self._rows) - self._n_base_rows:]:
-            self._rows.append(_cut_row(self, cut, f"excl_{len(self._rows)}"))
-        return self._rows
+        base = len(self._rows)
+        return self._rows + [_cut_row(self, cut, f"excl_{base + j}")
+                             for j, cut in enumerate(self.cuts)]
 
     def dumps_lp(self) -> str:
         """Model in LP text format (minimize / subject to / binary)."""
@@ -224,11 +226,22 @@ def solve(model: MipModel, budget: int = DEFAULT_NODE_BUDGET):
     action index, or the string 'infeasible'. Raises BudgetExceeded.
 
     The steps determine the assignment, X[t, a] = 1 exactly when a is
-    selected and its step is >= t, and their count is the objective. One
-    node is one call of the set search or of the schedule search, counting
-    the root; ``budget`` bounds the nodes of this call.
+    selected and its step is >= t, and their count is the objective.
+
+    The model keeps its running search. When its cuts grew by exactly the
+    answers that search returned, as ``enumerate_skeletons`` grows them, the
+    search resumes after its last answer; otherwise a fresh search starts
+    from the root. Either way the answer is the same. One node is one call
+    of the set search or of the schedule search; ``budget`` bounds the nodes
+    this call walks, counted from the model's previous answer, with the root
+    counted once. After BudgetExceeded the next call starts afresh.
     """
-    steps = first_optimum(model.graph, model.T, model.cuts, budget)
+    search = model._search
+    if search is None or search.cuts != set(model.cuts):
+        search = Search(model.graph, model.T, model.cuts)
+    model._search = None        # a walk the budget cut short cannot go on
+    steps = search.next(budget)
+    model._search = search
     return "infeasible" if steps is None else steps
 
 
@@ -253,11 +266,13 @@ def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
     skeletons select the same actions. Every horizon's model lists the
     graph's actions in the same canonical order, so all of them share one
     cut list. Actions are grasp classes, so skeletons differ in which robots
-    move which objects where. Each solve enumerates closed action sets and
-    checks the first that fits for a schedule; no model's rows are built.
+    move which objects where. Each horizon's model runs one search over
+    closed action sets, checking each that fits for a schedule; each solve
+    resumes it after the previous skeleton, and no model's rows are built.
     Raises BudgetExceeded when a solve exceeds ``budget`` nodes (calls of
-    its set or schedule search), and TimeBudgetExceeded when a solve would
-    start after ``deadline`` (a ``time.monotonic()`` value).
+    its set or schedule search, from the previous skeleton at its horizon
+    on), and TimeBudgetExceeded when a solve would start after
+    ``deadline`` (a ``time.monotonic()`` value).
     """
     if not graph.targets:
         return []

@@ -196,6 +196,107 @@ def test_enumeration_stops_at_the_number_of_objects_with_an_action(path, monkeyp
     assert enumerate_skeletons(graph, T_max=10**9) == expected
 
 
+def scene_graph(path, grasp_count=None):
+    doc = json.loads(path.read_text())
+    if grasp_count is not None:
+        doc["grasp_count"] = grasp_count
+    scene = loads_scene(json.dumps(doc))
+    return build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every ``Search`` that ``mip`` builds, in order of construction."""
+    built = []
+
+    class CountedSearch(mip.Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(mip, "Search", CountedSearch)
+    return built
+
+
+def test_enumeration_resumes_one_search_per_horizon(searches):
+    # each horizon's search resumes after every skeleton instead of walking
+    # again from its root, so it never takes more nodes than a fresh model
+    # per solve given the same cuts, and fewer once a horizon has an answer
+    fewer = 0
+    for path in sorted(SCENARIOS.rglob("*.json")):
+        graph = scene_graph(path)
+        horizons = min(4, sum(1 for acts in graph.acts if acts)) if graph.targets else 0
+        searches.clear()
+        enumerate_skeletons(graph, T_max=4, K_max=10**6)
+        assert [s.T for s in searches] == list(range(1, horizons + 1)), path.stem
+        resumed = sum(s.nodes for s in searches)
+        searches.clear()
+        cuts = []
+        for T in range(1, horizons + 1):
+            while True:
+                fresh = compile_model(graph, T)
+                fresh.cuts.extend(cuts)
+                steps = solve(fresh)
+                if steps == "infeasible":
+                    break
+                cuts.append(frozenset(steps))
+        restarted = sum(s.nodes for s in searches)
+        assert resumed <= restarted, path.stem
+        fewer += resumed < restarted
+    assert fewer >= 1
+
+
+def test_solve_resumes_only_when_the_cuts_grew_by_its_answers():
+    # solve stays a function of (graph, T, cuts): a repeated solve, or one
+    # after a cut is taken back, restarts rather than resumes
+    checked = 0
+    for path in sorted(SCENARIOS.rglob("*.json")):
+        graph = scene_graph(path, 2)
+        for T in range(1, 5):
+            model = compile_model(graph, T)
+            first = solve(model)
+            assert solve(model) == first, (path.stem, T)
+            if first == "infeasible":
+                continue
+            model.cuts.append(frozenset(first))
+            solve(model)                    # resumes past the first answer
+            model.cuts.pop()
+            assert solve(model) == first, (path.stem, T)
+            checked += 1
+    assert checked >= 10
+
+
+def test_a_budget_overrun_leaves_the_model_solvable():
+    # after an overrun the model's search stopped mid-walk; reading it on
+    # would report a wrong "infeasible", so the next solve starts afresh
+    overruns = recovered = 0
+    for path in sorted(SCENARIOS.rglob("*.json")):
+        for grasp_count in (1, 2, 4, 8):
+            graph = scene_graph(path, grasp_count)
+            for T in range(1, 5):
+                model, twin = compile_model(graph, T), compile_model(graph, T)
+                first = solve(model)
+                if first == "infeasible":
+                    continue
+                assert solve(twin) == first
+                model.cuts.append(frozenset(first))
+                twin.cuts.append(frozenset(first))
+                before = twin._search.nodes
+                solve(twin)
+                needed = twin._search.nodes - before   # the resumed walk's nodes
+                if needed == 0:
+                    continue
+                with pytest.raises(BudgetExceeded):
+                    solve(model, budget=needed - 1)
+                overruns += 1
+                fresh = compile_model(graph, T)
+                fresh.cuts.extend(model.cuts)
+                want = solve(fresh)
+                assert solve(model) == want, (path.stem, grasp_count, T)
+                recovered += want != "infeasible"
+    assert overruns >= 10 and recovered >= 1
+
+
 def assert_steps_map_acting_robots(sk):
     for step in sk.steps:
         assert step and None not in step.values()

@@ -28,13 +28,18 @@ def assert_solvers_agree(graph, T_max=4) -> int:
     """Both solvers through the cut sequence of ``enumerate_skeletons``, with
     no skeleton limit; the number of solves compared. Each solve's steps
     must give the reference's assignment, a schedule satisfying every row,
-    and the skeleton that the reference's assignment decodes to."""
+    and the skeleton that the reference's assignment decodes to. The model
+    resumes its search after each answer; a fresh model given the same cuts
+    restarts it from the root, and must give the same answer."""
     cuts, solves = [], 0
     for T in range(1, T_max + 1):
         model = compile_model(graph, T)
         model.cuts.extend(cuts)
         while True:
             got, want = solve(model), reference_bnb.solve(model)
+            restarted = compile_model(graph, T)
+            restarted.cuts.extend(model.cuts)
+            assert got == solve(restarted), (T, model.cuts, graph.dumps())
             solves += 1
             if got == "infeasible" or want == "infeasible":
                 assert got == want, (T, model.cuts, graph.dumps())
