@@ -84,9 +84,6 @@ class Search:
     def run(self):
         """The step per selected action of each answer, in order."""
         self.tick()
-        # no step is empty, so at least T objects move, each taking a robot step
-        if min(len(self.order), len(self.graph.robots) * self.T) < self.T:
-            return
         if any(n and self.choice[o] == _UNMOVED for o, n in enumerate(self.need)):
             return
         bounds = self.reach()

@@ -140,7 +140,7 @@ def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
 
 
 def _avoids_fixed(scene: Scene, cor: Corridor) -> bool:
-    return not collides_any(cor, scene.fixed)
+    return not scene.fixed or not collides_any(cor, scene.fixed)
 
 
 def _annulus_meets_box(robot: Robot, box) -> bool:

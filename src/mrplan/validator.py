@@ -4,19 +4,27 @@ Replays a plan step by step on a copy of the scene and checks:
   (i)   all same-step swept corridors are pairwise collision-free across
         robots and collision-free w.r.t. fixed obstacles, the current poses
         of all non-manipulated objects, and the other robots' base points;
-  (ii)  placements lie entirely inside their target regions, are
-        collision-free, and pick/place endpoints are within reach; each
-        trajectory starts and ends where ``motion.build_moves`` lays it out
-        on the replayed poses (base, grasp point, current pose, placement);
-  (iii) handover corridors of both partners meet at the handover point and
-        do not overlap outside the handover neighbourhood;
+  (ii)  placements lie entirely inside their target regions and are
+        collision-free; each move's two legs run as its role lays them out
+        on the replayed poses, each ending within the robot's reach:
+
+          role     pick leg (gripper)       carry leg
+          single   base -> grasp point      current pose -> placement
+          pick     base -> grasp point      current pose -> handover point
+          place    base -> handover point   handover point -> placement
+
+  (iii) a fault of (ii) at the handover point is a (iii) fault, as is an
+        overlap of partners' corridors outside the handover neighbourhood;
 plus monotonicity (each object moved at most once) and goal satisfaction.
 It tests every corridor and placement itself, against each step's world
 (fixed obstacles, then unmoved objects at their replayed poses), with one
 ``geometry.collides_any`` query each; only on a hit does it walk the world
-to name what was hit. It shares only two definitions with grounding: the
-bases a sweep covers (``motion.bases_crossed``) and the robot pairs that
-clash (``motion.robot_clashes``).
+to name what was hit. It derives the legs' ends with its own arithmetic,
+never with the layout grounding executes (``motion.build_moves``). Besides
+the collision kernel, it shares with grounding the bases a sweep covers
+(``motion.bases_crossed``), the robot pairs that clash
+(``motion.robot_clashes``) and the tolerance of a point match
+(``motion.points_close``).
 A plan that names unknown entities, fills one slot of a handover, gives a
 move a role other than its action's, gives a handover's two sides
 different placements, or lists corridors that are not the sweeps of its
@@ -121,28 +129,36 @@ def _check_sweep(j: int, robot: str, name: str, traj, min_width: float):
                             f"{min_width:g}")
 
 
-def _endpoint_faults(scene: Scene, robot: str, mv: RobotMove, poses) -> list[str]:
-    """Trajectory ends that are not where ``motion.build_moves`` puts them:
-    every pick sweep starts at the robot's base and the picking robot's ends
-    at the grasp point; the carry starts at the object's current pose (single
-    move or handover pick side) and the delivery ends at the placement
-    (single move or handover place side)."""
-    a = mv.action
-    faults = []
-    if not points_close(mv.pick_traj.waypoints[0].xy, scene.robots[robot].base):
-        faults.append(f"pick trajectory of {robot} does not start at its base")
-    if robot == a.pick_robot:
-        gp = scene.grasp_point(a.obj, a.grasp_pick, pose=poses[a.obj])
-        if not points_close(mv.pick_traj.waypoints[-1].xy, gp):
-            faults.append(f"pick trajectory of {robot} does not end at the grasp "
-                          f"point of {a.obj}")
-        if not points_close(mv.place_traj.waypoints[0].xy, poses[a.obj].xy):
-            faults.append(f"carry of {a.obj} by {robot} does not start at its "
-                          f"current pose")
-    if robot == a.place_robot:
-        if not points_close(mv.place_traj.waypoints[-1].xy, mv.placement.xy):
-            faults.append(f"carry of {a.obj} by {robot} does not end at its placement")
-    return faults
+def _leg_faults(scene: Scene, robot: str, mv: RobotMove, poses):
+    """Yield ``(code, message)`` for each fault in the two legs of ``robot``'s
+    move, laid out by its role as the module's table says: a leg's first
+    waypoint is its start, its last waypoint is its end, and its end is in
+    the robot's reach. A fault at the handover point is condition (iii), any
+    other condition (ii)."""
+    a, r = mv.action, scene.robots[robot]
+    base = (r.base, "its base", "condition_ii")
+    grasp = (scene.grasp_point(a.obj, a.grasp_pick, pose=poses[a.obj]),
+             f"the grasp point of {a.obj}", "condition_ii")
+    current = (poses[a.obj].xy, "its current pose", "condition_ii")
+    placement = (mv.placement.xy, "its placement", "condition_ii")
+    if a.is_handover:
+        h = (scene.handover_point(a.pick_robot, a.place_robot), "the handover point",
+             "condition_iii")
+    if mv.role == "single":
+        legs = (base, grasp), (current, placement)
+    elif mv.role == "pick":
+        legs = (base, grasp), (current, h)
+    else:
+        legs = (base, h), (h, placement)
+    names = f"pick trajectory of {robot}", f"carry of {a.obj} by {robot}"
+    for leg, traj, (start, end) in zip(names, (mv.pick_traj, mv.place_traj), legs):
+        for verb, at, (p, where, code) in (("start", traj.waypoints[0], start),
+                                            ("end", traj.waypoints[-1], end)):
+            if not points_close(at.xy, p):
+                yield code, f"{leg} does not {verb} at {where}"
+        p, where, code = end
+        if not r.in_reach(p):
+            yield code, f"{leg} ends out of reach at {where}"
 
 
 def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
@@ -195,35 +211,15 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
                 for label, vol in world:
                     if collides((shape, mv.placement), vol):
                         report.add("condition_ii", j, f"placement of {a.obj} hits {label}")
-            if not scene.robots[a.place_robot].in_reach(mv.placement.xy):
-                report.add("condition_ii", j,
-                           f"placement of {a.obj} is out of reach of {a.place_robot}")
-            gp = scene.grasp_point(a.obj, a.grasp_pick, pose=poses[a.obj])
-            if not scene.robots[a.pick_robot].in_reach(gp):
-                report.add("condition_ii", j,
-                           f"grasp point of {a.obj} is out of reach of {a.pick_robot}")
+        # (ii)/(iii) where each leg starts and ends, and its reach
         for robot in robots:
-            for msg in _endpoint_faults(scene, robot, step.moves[robot], poses):
-                report.add("condition_ii", j, msg)
+            for code, msg in _leg_faults(scene, robot, step.moves[robot], poses):
+                report.add(code, j, msg)
         for (a1, mv1), (a2, mv2) in itertools.combinations(placements, 2):
             if collides((scene.movables[a1.obj].shape, mv1.placement),
                         (scene.movables[a2.obj].shape, mv2.placement)):
                 report.add("condition_ii", j,
                            f"placements of {a1.obj} and {a2.obj} overlap")
-
-        # (iii) handover geometry
-        handovers = [step.moves[r].action for r in robots if step.moves[r].action.is_handover]
-        for a in dict.fromkeys(handovers):
-            h = scene.handover_point(a.pick_robot, a.place_robot)
-            for leg, cor in (("carry", step.moves[a.pick_robot].place_traj.corridors[-1]),
-                             ("receive", step.moves[a.place_robot].pick_traj.corridors[-1])):
-                if not (points_close(cor.a, h) or points_close(cor.b, h)):
-                    report.add("condition_iii", j, f"{leg} corridor for {a.obj} does not "
-                                                   f"reach the handover point")
-            for rname in (a.pick_robot, a.place_robot):
-                if not scene.robots[rname].in_reach(h):
-                    report.add("condition_iii", j,
-                               f"handover point for {a.obj} is out of reach of {rname}")
 
         poses.update(step.placements())
         moved_before |= manipulated

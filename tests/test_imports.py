@@ -1,7 +1,8 @@
 """Module boundaries: no mrplan module reaches into another one's private names,
 the package needs nothing outside the standard library, no module-level name
-is left defined but unread, no default parameter is left unpassed, and no
-one-against-many collision test bypasses ``geometry.collides_any``."""
+is left defined but unread, no default parameter is left unpassed, no
+one-against-many collision test bypasses ``geometry.collides_any``, and the
+validator lays out no move with the layout it checks."""
 import ast
 import sys
 
@@ -167,3 +168,15 @@ def test_no_any_over_pairwise_collides():
             if "collides" in calls:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_validator_does_not_use_the_layout_it_checks():
+    """``validator`` derives each leg's ends itself; it neither imports nor
+    reads ``motion.build_moves`` or the sweeps that lay out grounded moves,
+    so a fault in that layout cannot pass its own check."""
+    layout = {"build_moves", "gripper_sweep", "carry_sweep"}
+    tree = ast.parse((SRC / "validator.py").read_text())
+    used = {alias.name.split(".")[-1] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    used |= names_read([SRC / "validator.py"])
+    assert used & layout == set()

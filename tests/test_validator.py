@@ -218,20 +218,28 @@ def test_trajectory_away_from_its_endpoint_is_condition_ii(traj, index, to, matc
     assert match in report.violations[0].message
 
 
-@pytest.mark.parametrize("robot,traj,index,to,match", [
-    ("R1", "place_traj", 0, (0.3, 0.05), "carry of M1 by R1 does not start"),
-    ("R2", "place_traj", -1, (1.6, 0.75), "carry of M1 by R2 does not end"),
-    ("R2", "pick_traj", 0, (1.6, 0.05), "pick trajectory of R2 does not start"),
-], ids=["carry_start", "delivery_end", "receive_start"])
+@pytest.mark.parametrize("robot,traj,index,to,code,match", [
+    ("R1", "place_traj", 0, (0.3, 0.05), "condition_ii", "carry of M1 by R1 does not start"),
+    ("R2", "place_traj", -1, (1.6, 0.75), "condition_ii", "carry of M1 by R2 does not end"),
+    ("R2", "pick_traj", 0, (1.6, 0.05), "condition_ii",
+     "pick trajectory of R2 does not start"),
+    ("R1", "place_traj", -1, (0.75, 0.0), "condition_iii",
+     "carry of M1 by R1 does not end at the handover point"),
+    ("R2", "pick_traj", -1, (0.8, 0.05), "condition_iii",
+     "pick trajectory of R2 does not end at the handover point"),
+    ("R2", "place_traj", 0, (0.85, 0.0), "condition_iii",
+     "carry of M1 by R2 does not start at the handover point"),
+], ids=["carry_start", "delivery_end", "receive_start", "carry_end", "receive_end",
+        "delivery_start"])
 def test_handover_legs_away_from_their_endpoints_are_condition_ii(robot, traj, index,
-                                                                  to, match):
+                                                                  to, code, match):
     scene = load_scene(scenario("handover_required"))
     moves = handover_moves(scene)
     assert validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),))).ok
     mv = moves[robot]
     moves[robot] = replace(mv, **{traj: moved_end(getattr(mv, traj), index, to)})
     report = validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
-    faults = [v for v in report.violations if v.code == "condition_ii"]
+    faults = [v for v in report.violations if v.code == code]
     assert len(faults) == 1 and match in faults[0].message
 
 
@@ -320,3 +328,25 @@ def test_unmet_goals_are_reported_in_goal_order():
     assert violations(scene) == [
         ("goal", "object M2 does not end inside region zone"),
         ("goal", "object M1 does not end inside region zone")]
+
+
+@pytest.mark.parametrize("obj_at,placement,handover_point,fault", [
+    ((0.5, 0.0), (1.3, 0.0), None,
+     ("condition_ii", "carry of M1 by R1 ends out of reach at its placement")),
+    ((1.25, 0.0), (0.5, 0.5), None,
+     ("condition_ii", "pick trajectory of R1 ends out of reach at the grasp point of M1")),
+    ((0.5, 0.4), (1.5, 0.4), (1.3, 0.0),
+     ("condition_iii", "carry of M1 by R1 ends out of reach at the handover point")),
+    ((0.5, 0.4), (1.5, 0.4), (0.7, 0.0),
+     ("condition_iii", "pick trajectory of R2 ends out of reach at the handover point")),
+], ids=["placement", "grasp_point", "handover_giver", "handover_receiver"])
+def test_a_leg_that_ends_out_of_reach_names_its_robot(obj_at, placement, handover_point,
+                                                     fault):
+    # every robot reaches 0.1 to 1.2 from its base; R2 sits 2.0 from R1
+    scene = scene_of({"M1": obj_at}, {"R1": (0.0, 0.0), "R2": (2.0, 0.0)})
+    action = single_action("M1", "work", "R1")
+    if handover_point is not None:
+        scene = replace(scene, handover_points={("R1", "R2"): handover_point})
+        action = replace(action, place_robot="R2")
+    moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(*placement))
+    assert violations(scene, GroundedJointAction(moves=moves)) == [fault]
