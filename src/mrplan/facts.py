@@ -187,7 +187,7 @@ def _places(scene: Scene, obj: str, re: str) -> dict:
     if grid is None:
         return facts
     points, box = grid
-    goal_pair = (obj, re) in scene.goal
+    goal_pair = scene.goal.get(obj) == re
     for rname in sorted(scene.robots):
         robot = scene.robots[rname]
         if not _annulus_meets_box(robot, box):
@@ -217,7 +217,7 @@ def _places(scene: Scene, obj: str, re: str) -> dict:
 def _handovers(scene: Scene, obj: str) -> set:
     """Handover enablement of ``obj``, none unless it is a goal object."""
     facts = set()
-    if scene.goal_region_of(obj) is None:
+    if obj not in scene.goal:
         return facts
     m = scene.movables[obj]
     robot_names = sorted(scene.robots)

@@ -104,8 +104,8 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
     pick sweep (see the module docstring), so no pick sweep is tested. The
     grasp combinations are tried in ``itertools.product`` order, class
     representatives first, and the first for which ``motion.robot_clashes``
-    yields nothing wins; its moves carry the grasp used as ``grasp_pick`` and
-    ``grasp_place``. Returns robot -> RobotMove or None.
+    yields nothing wins; its moves carry the grasp used as ``grasp_pick``.
+    Returns robot -> RobotMove or None.
     """
     actions = sorted(actions)
     layouts = []  # per action: grasp -> its moves, each built on first use
@@ -114,14 +114,14 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
                             placements[action.obj])
         pick = action.pick_robot
         if not all(_sweep_clear(r, cor, obstacles, scene) for r, mv in moves.items()
-                   for cor in (mv.place_traj.corridors if r == pick else mv.all_corridors())):
+                   for cor in ((mv.place_traj.corridor,) if r == pick else mv.all_corridors())):
             return None
         layouts.append({action.grasp_pick: moves})
     for combo in itertools.product(*(a.grasps or (a.grasp_pick,) for a in actions)):
         moves = {}
         for a, g, built in zip(actions, combo, layouts):
             if g not in built:
-                built[g] = build_moves(scene, replace(a, grasp_pick=g, grasp_place=g),
+                built[g] = build_moves(scene, replace(a, grasp_pick=g),
                                        scene.movables[a.obj].pose, placements[a.obj])
             moves.update(built[g])
         if not any(robot_clashes(scene, moves)):
@@ -185,7 +185,7 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
         grounded = [step] + grounded
         m_fut |= step.moved_objects()
         if relaxed:
-            unmoved_goals = {o for o, _ in scene.goal} - m_fut
+            unmoved_goals = scene.goal.keys() - m_fut
             conflicts = unmoved_goals | set(
                 scene.movables_hit(_occupied(grounded, scene), exclude=m_fut))
             if conflicts:

@@ -58,25 +58,24 @@ def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,
     pick, obj = action.pick_robot, action.obj
     gp = scene.grasp_point(obj, action.grasp_pick, pose=obj_pose)
     pick_traj = Trajectory(waypoints=(Pose(*scene.robots[pick].base), Pose(*gp)),
-                           corridors=(gripper_sweep(scene, pick, gp),))
+                           corridor=gripper_sweep(scene, pick, gp))
     if not action.is_handover:
         place_traj = Trajectory(
             waypoints=(obj_pose, placement),
-            corridors=(carry_sweep(scene, pick, obj, obj_pose.xy, placement.xy),))
-        return {pick: RobotMove(action, "single", placement, pick_traj, place_traj)}
+            corridor=carry_sweep(scene, pick, obj, obj_pose.xy, placement.xy))
+        return {pick: RobotMove(action, placement, pick_traj, place_traj)}
 
     place = action.place_robot
     h = scene.handover_point(pick, place)
     carry_traj = Trajectory(waypoints=(obj_pose, Pose(*h)),
-                            corridors=(carry_sweep(scene, pick, obj, obj_pose.xy, h),))
+                            corridor=carry_sweep(scene, pick, obj, obj_pose.xy, h))
     reach_traj = Trajectory(waypoints=(Pose(*scene.robots[place].base), Pose(*h)),
-                            corridors=(gripper_sweep(scene, place, h),))
-    deliver_traj = Trajectory(
-        waypoints=(Pose(*h), placement),
-        corridors=(carry_sweep(scene, place, obj, h, placement.xy),))
+                            corridor=gripper_sweep(scene, place, h))
+    deliver_traj = Trajectory(waypoints=(Pose(*h), placement),
+                              corridor=carry_sweep(scene, place, obj, h, placement.xy))
     return {
-        pick: RobotMove(action, "pick", placement, pick_traj, carry_traj),
-        place: RobotMove(action, "place", placement, reach_traj, deliver_traj),
+        pick: RobotMove(action, placement, pick_traj, carry_traj),
+        place: RobotMove(action, placement, reach_traj, deliver_traj),
     }
 
 

@@ -2,7 +2,8 @@
 
 Plan documents are JSON; their format is ``schemas/plan.schema.json``,
 checked by ``mrplan.schemas``. ``loads_plan`` also refuses a number that is
-not finite and a step that lists a robot twice.
+not finite, a step that lists a robot twice, and a record whose ``role`` or
+``grasp_place`` is not the one its action implies: both are written from it.
 """
 from __future__ import annotations
 
@@ -28,13 +29,13 @@ class PartiallyGroundedAction:
     lists the class's grasp angles, nearest to the pick robot first, and
     grounding tries them in that order. They take no part in identity or
     order: actions sort by their other fields, the canonical action order.
+    ``grasp_pick`` is the action's one grasp, from pick to place.
     """
     obj: str
     region: str
     pick_robot: str
     place_robot: str
     grasp_pick: float
-    grasp_place: float
     grasps: tuple = field(default=(), compare=False, repr=False)
 
     @property
@@ -47,32 +48,29 @@ class PartiallyGroundedAction:
             return (self.pick_robot, self.place_robot)
         return (self.pick_robot,)
 
+    def role(self, robot: str) -> str:
+        """``robot``'s part: single, or the pick or place side of a handover."""
+        return ("single" if not self.is_handover
+                else "pick" if robot == self.pick_robot else "place")
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    waypoints: tuple[Pose, ...]
-    corridors: tuple[Corridor, ...]
-
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
-            raise PlanError("trajectory needs at least 2 waypoints")
+    """One straight leg: ``corridor`` sweeps from one waypoint to the other."""
+    waypoints: tuple[Pose, Pose]
+    corridor: Corridor
 
 
 @dataclass(frozen=True)
 class RobotMove:
-    """One robot's slot in a grounded joint action.
-
-    role is 'single', 'pick' (handover pick side) or 'place' (handover
-    place side).
-    """
+    """One robot's slot in a grounded joint action, in ``action.role(robot)``."""
     action: PartiallyGroundedAction
-    role: str
     placement: Pose
     pick_traj: Trajectory
     place_traj: Trajectory
 
-    def all_corridors(self) -> tuple[Corridor, ...]:
-        return self.pick_traj.corridors + self.place_traj.corridors
+    def all_corridors(self) -> tuple[Corridor, Corridor]:
+        return (self.pick_traj.corridor, self.place_traj.corridor)
 
 
 @dataclass(frozen=True)
@@ -114,19 +112,18 @@ def _pose_doc(p: Pose) -> dict:
 
 
 def _traj_doc(t: Trajectory) -> dict:
+    c = t.corridor
     return {
         "waypoints": [_pose_doc(w) for w in t.waypoints],
-        "corridors": [{"a": list(c.a), "b": list(c.b), "width": c.width}
-                      for c in t.corridors],
+        "corridors": [{"a": list(c.a), "b": list(c.b), "width": c.width}],
     }
 
 
 def _parse_traj(d: dict) -> Trajectory:
-    return Trajectory(
-        waypoints=tuple(Pose.from_doc(w) for w in d["waypoints"]),
-        corridors=tuple(Corridor(tuple(c["a"]), tuple(c["b"]), c["width"])
-                        for c in d["corridors"]),
-    )
+    p, q = d["waypoints"]
+    c, = d["corridors"]
+    return Trajectory(waypoints=(Pose.from_doc(p), Pose.from_doc(q)),
+                      corridor=Corridor(tuple(c["a"]), tuple(c["b"]), c["width"]))
 
 
 def plan_to_doc(plan: Plan, robot_names) -> dict:
@@ -142,13 +139,13 @@ def plan_to_doc(plan: Plan, robot_names) -> dict:
             recs.append({
                 "robot": r,
                 "type": "pick_place",
-                "role": mv.role,
+                "role": a.role(r),
                 "object": a.obj,
                 "region": a.region,
                 "pick_robot": a.pick_robot,
                 "place_robot": a.place_robot,
                 "grasp_pick": a.grasp_pick,
-                "grasp_place": a.grasp_place,
+                "grasp_place": a.grasp_pick,
                 "placement": _pose_doc(mv.placement),
                 "pick_traj": _traj_doc(mv.pick_traj),
                 "place_traj": _traj_doc(mv.place_traj),
@@ -176,18 +173,26 @@ def loads_plan(text: str) -> Plan:
     for t, recs in enumerate(doc["steps"], start=1):
         moves, seen = {}, set()
         for rec in recs:
-            if rec["robot"] in seen:
-                raise PlanError(f"step {t}: robot {rec['robot']} has more than one record")
-            seen.add(rec["robot"])
+            robot = rec["robot"]
+            if robot in seen:
+                raise PlanError(f"step {t}: robot {robot} has more than one record")
+            seen.add(robot)
             if rec["type"] == "wait":
                 continue
             action = PartiallyGroundedAction(
                 obj=rec["object"], region=rec["region"],
                 pick_robot=rec["pick_robot"], place_robot=rec["place_robot"],
-                grasp_pick=rec["grasp_pick"], grasp_place=rec["grasp_place"])
-            moves[rec["robot"]] = RobotMove(
-                action=action, role=rec["role"],
-                placement=Pose.from_doc(rec["placement"]),
+                grasp_pick=rec["grasp_pick"])
+            if rec["grasp_place"] != action.grasp_pick:
+                raise PlanError(f"step {t}: {robot} has grasp_place {rec['grasp_place']!r} "
+                                f"in a move of {action.obj} picked at {action.grasp_pick!r}")
+            # the validator refuses a robot that is not part of its action
+            role = action.role(robot)
+            if robot in action.robots and rec["role"] != role:
+                raise PlanError(f"step {t}: {robot} has role {rec['role']!r} in a "
+                                f"{role!r} move of {action.obj}")
+            moves[robot] = RobotMove(
+                action=action, placement=Pose.from_doc(rec["placement"]),
                 pick_traj=_parse_traj(rec["pick_traj"]),
                 place_traj=_parse_traj(rec["place_traj"]))
         steps.append(GroundedJointAction(moves=moves))

@@ -119,17 +119,16 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
                         f'x2="{_fmt(bx)}" y2="{_fmt(by)}" stroke="{color}" '
                         f'stroke-width="{_fmt(cor.width * SCALE)}" '
                         f'stroke-linecap="round" stroke-opacity="0.15"/>')
-                for cor in mv.place_traj.corridors:
-                    ax, ay = cv.pt(cor.a)
-                    bx, by = cv.pt(cor.b)
-                    parts.append(
-                        f'<line class="arrow" x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
-                        f'x2="{_fmt(bx)}" y2="{_fmt(by)}" stroke="{color}" '
-                        f'stroke-width="2"/>')
-                    mx, my = (ax + bx) / 2, (ay + by) / 2
-                    parts.append(
-                        f'<text class="step-label" x="{_fmt(mx)}" y="{_fmt(my)}" '
-                        f'font-size="14" fill="{color}" font-weight="bold">{j}</text>')
+                ax, ay = cv.pt(mv.place_traj.corridor.a)
+                bx, by = cv.pt(mv.place_traj.corridor.b)
+                parts.append(
+                    f'<line class="arrow" x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
+                    f'x2="{_fmt(bx)}" y2="{_fmt(by)}" stroke="{color}" '
+                    f'stroke-width="2"/>')
+                mx, my = (ax + bx) / 2, (ay + by) / 2
+                parts.append(
+                    f'<text class="step-label" x="{_fmt(mx)}" y="{_fmt(my)}" '
+                    f'font-size="14" fill="{color}" font-weight="bold">{j}</text>')
                 px, py = cv.pt(mv.placement.xy)
                 parts.append(
                     f'<circle class="placement" cx="{_fmt(px)}" cy="{_fmt(py)}" '

@@ -4,8 +4,9 @@ Scene documents are JSON; their format is ``schemas/scene.schema.json``,
 checked by ``mrplan.schemas``. ``loads_scene`` also refuses a number that is
 not finite, a scene in which two regions, movables or robots share a name,
 and ``handover_points`` keys that are not two comma-separated robot names,
-pair a robot with itself or list a pair twice (in either order); a ``Scene``
-refuses a goal that lists an object more than once.
+pair a robot with itself or list a pair twice (in either order), and a
+goal that lists an object more than once. A ``Scene``'s goal maps each goal
+object to its goal region.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ class Scene:
     robots: dict[str, Robot]
     handover_points: dict[tuple[str, str], tuple[float, float]]
     grasp_count: int
-    goal: list[tuple[str, str]]
+    goal: dict[str, str]  # object -> goal region
 
     def __post_init__(self):
         self._check_invariants()
@@ -82,18 +83,11 @@ class Scene:
         return [2.0 * math.pi * i / k for i in range(k)]
 
     def goal_objects(self) -> list[str]:
-        return sorted({m for m, _ in self.goal})
-
-    def goal_region_of(self, obj: str) -> str | None:
-        for m, re in self.goal:
-            if m == obj:
-                return re
-        return None
+        return sorted(self.goal)
 
     def target_region_of(self, obj: str) -> str:
         """Goal region for goal objects, home region otherwise."""
-        re = self.goal_region_of(obj)
-        return re if re is not None else self.movables[obj].home_region
+        return self.goal.get(obj, self.movables[obj].home_region)
 
     def handover_point(self, r1: str, r2: str) -> tuple[float, float]:
         key = (r1, r2) if (r1, r2) in self.handover_points else (r2, r1)
@@ -140,21 +134,17 @@ class Scene:
                     raise SceneError(f"movables {a.name} and {b.name} overlap at load")
             if collides_any((a.shape, a.pose), self.fixed):
                 raise SceneError(f"movable {a.name} overlaps a fixed obstacle at load")
-        for obj, re in self.goal:
+        for obj, re in self.goal.items():
             if obj not in self.movables:
                 raise SceneError(f"goal references unknown object {obj!r}")
             if re not in self.regions:
                 raise SceneError(f"goal references unknown region {re!r}")
-        goal_objs = [obj for obj, _ in self.goal]
-        if len(goal_objs) != len(set(goal_objs)):
-            dup = sorted({o for o in goal_objs if goal_objs.count(o) > 1})
-            raise SceneError(f"goal lists objects more than once: {dup}")
         for (r1, r2) in self.handover_points:
             if r1 not in self.robots or r2 not in self.robots:
                 raise SceneError(f"handover point references unknown robots ({r1}, {r2})")
 
     def goal_satisfied(self) -> bool:
-        for obj, re in self.goal:
+        for obj, re in self.goal.items():
             m = self.movables[obj]
             if not shape_inside_rect(m.shape, m.pose, self.regions[re].rect):
                 return False
@@ -213,7 +203,11 @@ def loads_scene(text: str) -> Scene:
         if pair in handover_points or pair[::-1] in handover_points:
             raise SceneError(f"handover points list robots {pair[0]} and {pair[1]} twice")
         handover_points[pair] = (pt[0], pt[1])
-    goal = [(g[0], g[1]) for g in doc.get("goal", [])]
+    goal_objs = [obj for obj, _ in doc.get("goal", [])]
+    dup = sorted({o for o in goal_objs if goal_objs.count(o) > 1})
+    if dup:
+        raise SceneError(f"goal lists objects more than once: {dup}")
+    goal = dict(doc.get("goal", []))
     # the schema takes 2.0 as an integer; range() does not
     grasp_count = int(doc.get("grasp_count", DEFAULT_GRASP_COUNT))
     return Scene(

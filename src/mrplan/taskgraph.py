@@ -58,9 +58,9 @@ class CMTG:
         for a in self.action_nodes:
             lines.append(
                 "action obj={obj} region={region} pick={pick} place={place} "
-                "g_pick={gp:.6f} g_place={gpl:.6f}".format(
+                "g_pick={gp:.6f} g_place={gp:.6f}".format(
                     obj=a.obj, region=a.region, pick=a.pick_robot,
-                    place=a.place_robot, gp=a.grasp_pick, gpl=a.grasp_place))
+                    place=a.place_robot, gp=a.grasp_pick))
         lines += [f"action_edge {a.obj} -> a{i}" for i, a in enumerate(self.action_nodes)]
         for kind, blocked in (("pick", self.pick), ("place", self.place)):
             lines += [f"block_{kind}_edge a{i} -> {self.object_nodes[o]}"
@@ -128,8 +128,8 @@ def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
     for (r1, r2, pick, place), grasps in classes.items():
         base = scene.robots[r1].base
         grasps.sort(key=lambda g: (round(math.dist(base, scene.grasp_point(obj, g)), 9), g))
-        out.append((PartiallyGroundedAction(obj, region, r1, r2, grasps[0], grasps[0],
-                                            tuple(grasps)), pick, place))
+        out.append((PartiallyGroundedAction(obj, region, r1, r2, grasps[0], tuple(grasps)),
+                    pick, place))
     return out
 
 

@@ -25,10 +25,11 @@ the collision kernel, it shares with grounding the bases a sweep covers
 (``motion.bases_crossed``), the robot pairs that clash
 (``motion.robot_clashes``) and the tolerance of a point match
 (``motion.points_close``).
-A plan that names unknown entities, fills one slot of a handover, gives a
-move a role other than its action's, gives a handover's two sides
-different placements, or lists corridors that are not the sweeps of its
-waypoints raises PlanError.
+A plan that names unknown entities, gives a robot an action it is not part
+of, fills one slot of a handover, gives a handover's two sides different
+placements, or has a corridor that is not the sweep of its two waypoints
+raises PlanError. A move's role is its action's; ``plans.loads_plan``
+refuses a plan document that says otherwise.
 """
 from __future__ import annotations
 
@@ -90,11 +91,6 @@ def _check_structure(scene: Scene, plan: Plan):
                 raise PlanError(f"step {j}: unknown robot in action for {a.obj}")
             if robot not in a.robots:
                 raise PlanError(f"step {j}: robot {robot} holds an action it is not part of")
-            role = ("single" if not a.is_handover
-                    else "pick" if robot == a.pick_robot else "place")
-            if mv.role != role:
-                raise PlanError(f"step {j}: {robot} has role {mv.role!r} in a "
-                                f"{role!r} move of {a.obj}")
             _check_sweep(j, robot, "pick_traj", mv.pick_traj,
                          scene.robots[robot].gripper_width)
             _check_sweep(j, robot, "place_traj", mv.place_traj,
@@ -115,25 +111,21 @@ def _check_structure(scene: Scene, plan: Plan):
 
 
 def _check_sweep(j: int, robot: str, name: str, traj, min_width: float):
-    """A trajectory is the sweep of its waypoints: one corridor per leg, at
-    least ``min_width`` wide, running from each waypoint to the next."""
-    legs = list(zip(traj.waypoints, traj.waypoints[1:]))
-    if len(traj.corridors) != len(legs):
-        raise PlanError(f"step {j}: {robot} {name} has {len(traj.corridors)} corridors "
-                        f"for {len(legs)} waypoint legs")
-    for (p, q), cor in zip(legs, traj.corridors):
-        if not (points_close(cor.a, p.xy) and points_close(cor.b, q.xy)):
-            raise PlanError(f"step {j}: {robot} {name} corridor does not join its waypoints")
-        if cor.width < min_width - EPS:
-            raise PlanError(f"step {j}: {robot} {name} corridor is narrower than "
-                            f"{min_width:g}")
+    """A trajectory is the sweep of its two waypoints: its corridor runs from
+    the first to the second and is at least ``min_width`` wide."""
+    (p, q), cor = traj.waypoints, traj.corridor
+    if not (points_close(cor.a, p.xy) and points_close(cor.b, q.xy)):
+        raise PlanError(f"step {j}: {robot} {name} corridor does not join its waypoints")
+    if cor.width < min_width - EPS:
+        raise PlanError(f"step {j}: {robot} {name} corridor is narrower than "
+                        f"{min_width:g}")
 
 
 def _leg_faults(scene: Scene, robot: str, mv: RobotMove, poses):
     """Yield ``(code, message)`` for each fault in the two legs of ``robot``'s
     move, laid out by its role as the module's table says: a leg's first
-    waypoint is its start, its last waypoint is its end, and its end is in
-    the robot's reach. A fault at the handover point is condition (iii), any
+    waypoint is its start, its second its end, and its end is in the robot's
+    reach. A fault at the handover point is condition (iii), any
     other condition (ii)."""
     a, r = mv.action, scene.robots[robot]
     base = (r.base, "its base", "condition_ii")
@@ -144,16 +136,17 @@ def _leg_faults(scene: Scene, robot: str, mv: RobotMove, poses):
     if a.is_handover:
         h = (scene.handover_point(a.pick_robot, a.place_robot), "the handover point",
              "condition_iii")
-    if mv.role == "single":
+    role = a.role(robot)
+    if role == "single":
         legs = (base, grasp), (current, placement)
-    elif mv.role == "pick":
+    elif role == "pick":
         legs = (base, grasp), (current, h)
     else:
         legs = (base, h), (h, placement)
     names = f"pick trajectory of {robot}", f"carry of {a.obj} by {robot}"
     for leg, traj, (start, end) in zip(names, (mv.pick_traj, mv.place_traj), legs):
-        for verb, at, (p, where, code) in (("start", traj.waypoints[0], start),
-                                            ("end", traj.waypoints[-1], end)):
+        first, last = traj.waypoints
+        for verb, at, (p, where, code) in (("start", first, start), ("end", last, end)):
             if not points_close(at.xy, p):
                 yield code, f"{leg} does not {verb} at {where}"
         p, where, code = end
@@ -224,7 +217,7 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
         poses.update(step.placements())
         moved_before |= manipulated
 
-    for obj, re in scene.goal:
+    for obj, re in scene.goal.items():
         if not shape_inside_rect(scene.movables[obj].shape, poses[obj],
                                  scene.regions[re].rect):
             report.add("goal", None, f"object {obj} does not end inside region {re}")

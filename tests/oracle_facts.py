@@ -79,7 +79,7 @@ def compute_facts(scene) -> OracleFacts:
                 facts.reachable_pick[(obj, g, rname)] = frozenset(
                     scene.movables_hit([cor], exclude=(obj,)))
 
-    goal_pairs = {(m, re) for m, re in scene.goal}
+    goal_pairs = set(scene.goal.items())
     for obj in sorted(scene.movables):
         shape = scene.movables[obj].shape
         for re in sorted(scene.regions):

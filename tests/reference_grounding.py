@@ -26,7 +26,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
         clear = []
         for g in action.grasps or (action.grasp_pick,):
             a = (action if g == action.grasp_pick
-                 else replace(action, grasp_pick=g, grasp_place=g))
+                 else replace(action, grasp_pick=g))
             moves = build_moves(scene, a, obj_pose, placement)
             if all(_sweep_clear(r, cor, obstacles, scene)
                    for r, mv in moves.items() for cor in mv.all_corridors()):

@@ -138,7 +138,7 @@ def test_all_returned_plans_validate_across_suite_and_seeds():
 
 def sk(objs, makespan=1):
     a = PartiallyGroundedAction(obj=objs[0], region="re", pick_robot="R1",
-                                place_robot="R1", grasp_pick=0.0, grasp_place=0.0)
+                                place_robot="R1", grasp_pick=0.0)
     return TaskSkeleton(steps=tuple({"R1": a} for _ in range(makespan)),
                         moved_objects=frozenset(objs))
 
@@ -192,7 +192,7 @@ def test_zero_exploration_constant_is_argmax_over_means():
 def test_partial_grounding_reports_verified_conflicts_and_search_resolves():
     scene = load_scene(scenario("conflict_partial"))
     a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
-                                place_robot="R1", grasp_pick=0.0, grasp_place=0.0)
+                                place_robot="R1", grasp_pick=0.0)
     skel = TaskSkeleton(steps=({"R1": a},), moved_objects=frozenset({"M1"}))
     outcome = ground(skel, (), scene, random.Random(0))
     assert isinstance(outcome, Partial)

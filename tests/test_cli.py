@@ -139,7 +139,7 @@ def test_validate_exits_1_on_a_handover_carry_without_corridors(tmp_path, capsys
         next(m for m in moves if m["role"] == "pick")["place_traj"]["corridors"] = []
     out = planned_then_edited(tmp_path, "pick_chain", edit)
     assert run(["validate", scenario("pick_chain"), out]) == 1
-    assert "place_traj has 0 corridors" in capsys.readouterr().err
+    assert "place_traj/corridors: [] is too short" in capsys.readouterr().err
 
 
 def test_validate_exits_1_on_a_move_without_transfer_corridors(tmp_path, capsys):
@@ -147,7 +147,7 @@ def test_validate_exits_1_on_a_move_without_transfer_corridors(tmp_path, capsys)
         moves[0]["place_traj"]["corridors"] = []
     out = planned_then_edited(tmp_path, "unobstructed", edit)
     assert run(["validate", scenario("unobstructed"), out]) == 1
-    assert "place_traj has 0 corridors" in capsys.readouterr().err
+    assert "place_traj/corridors: [] is too short" in capsys.readouterr().err
 
 
 def test_validate_exits_1_on_a_handover_pick_side_placement_elsewhere(tmp_path, capsys):
@@ -168,13 +168,38 @@ def test_validate_exits_1_on_roles_that_do_not_match_their_actions(tmp_path, cap
     assert "has role 'single'" in capsys.readouterr().err
 
 
+def detour(moves):
+    # (3, 3) is 4.2 m from R1's base, far beyond its reach; corridors join
+    # every waypoint, but a trajectory is one straight leg
+    traj = moves[0]["place_traj"]
+    (a, b), (cor,) = traj["waypoints"], traj["corridors"]
+    traj["waypoints"] = [a, {"x": 3.0, "y": 3.0, "theta": 0.0}, b]
+    traj["corridors"] = [dict(cor, b=[3.0, 3.0]), dict(cor, a=[3.0, 3.0])]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (detour, "schema error at steps/0/0/place_traj/waypoints: "),
+    (lambda moves: moves[0]["place_traj"]["corridors"].append(
+        dict(moves[0]["place_traj"]["corridors"][0])),
+     "schema error at steps/0/0/place_traj/corridors: "),
+    # an action holds its object by one grasp from pick to place
+    (lambda moves: moves[0].update(grasp_place=moves[0]["grasp_pick"] + 2.0),
+     "error: step 1: R1 has grasp_place "),
+], ids=["detour", "two_corridors", "grasp_place"])
+def test_validate_exits_1_on_a_move_that_is_not_one_leg_per_trajectory_and_one_grasp(
+        tmp_path, capsys, edit, message):
+    out = planned_then_edited(tmp_path, "unobstructed", edit)
+    assert run(["validate", scenario("unobstructed"), out]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_validate_exits_1_on_a_robot_listed_twice_in_a_step(tmp_path, capsys):
     out = tmp_path / "plan.json"
     assert run(["plan", scenario("pick_chain"), "--out", out]) == 0
     doc = json.loads(out.read_text())
     extra = copy.deepcopy(next(r for r in doc["steps"][0] if r["robot"] == "R1"))
     extra["placement"].update(x=99.0, y=99.0)
-    extra["pick_traj"]["corridors"] = []
+    extra["pick_traj"]["corridors"][0]["width"] = 0.001  # narrower than the gripper
     doc["steps"][0].insert(0, extra)
     out.write_text(json.dumps(doc))
     assert run(["validate", scenario("pick_chain"), out]) == 1

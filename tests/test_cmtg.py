@@ -117,4 +117,4 @@ def test_one_action_node_per_grasp_class():
     [action] = graph.action_nodes
     angles = scene.grasp_angles()
     assert action.grasps == tuple(angles[i] for i in (4, 3, 5, 2, 6, 1, 7, 0))
-    assert action.grasp_pick == action.grasp_place == angles[4]
+    assert action.grasp_pick == angles[4]

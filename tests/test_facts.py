@@ -21,7 +21,7 @@ SHIPPED = sorted(SCENARIOS.glob("*.json")) + sorted(EXTRA.glob("*.json"))
 def action(obj, region, pick_robot, place_robot=None, g=0.0):
     return PartiallyGroundedAction(obj=obj, region=region, pick_robot=pick_robot,
                                    place_robot=place_robot or pick_robot,
-                                   grasp_pick=g, grasp_place=g)
+                                   grasp_pick=g)
 
 
 def test_unobstructed_scene_facts():
@@ -83,7 +83,7 @@ def test_non_goal_places_have_no_occluders(path, grasp_count):
     is a goal pair: only a goal pair may map to occluders."""
     doc = json.loads(path.read_text())
     scene = loads_scene(json.dumps({**doc, "grasp_count": grasp_count}))
-    goal_pairs = set(scene.goal)
+    goal_pairs = set(scene.goal.items())
     facts = compute_facts(scene)
     assert facts.reachable_place
     for (m, re, r), occluders in facts.reachable_place.items():
@@ -102,7 +102,7 @@ def test_pick_occluders_certified_by_pick_corridors():
             pose = scene.movables[obj].pose
             moves = build_moves(scene, action(obj, scene.target_region_of(obj), r, g=g),
                                 pose, pose)
-            cor, = moves[r].pick_traj.corridors
+            cor = moves[r].pick_traj.corridor
             recorded = {m1 for (m1, m2, g2, r2) in facts.occludes_pick
                         if (m2, g2, r2) == (obj, g, r)}
             actual = {n for n in scene.movables if n != obj
@@ -114,7 +114,7 @@ def test_pick_occluders_certified_by_pick_corridors():
 def test_goal_place_occlusions_only_for_goal_pairs():
     scene = load_scene(scenario("pa_small"))
     facts = compute_facts(scene)
-    goal_pairs = {(m, re) for m, re in scene.goal}
+    goal_pairs = set(scene.goal.items())
     for (m1, m2, re, r) in facts.occludes_goal_place:
         assert (m2, re) in goal_pairs
 

@@ -26,7 +26,7 @@ from test_facts import generated_scene
 def act(obj, region, pick_robot="R1", place_robot=None):
     return PartiallyGroundedAction(obj=obj, region=region, pick_robot=pick_robot,
                                    place_robot=place_robot or pick_robot,
-                                   grasp_pick=0.0, grasp_place=0.0)
+                                   grasp_pick=0.0)
 
 
 def skeleton(*steps):
@@ -185,7 +185,7 @@ def test_grounding_falls_back_to_the_next_grasp_of_the_class():
     res = ground(skeleton([action]), (), scene, random.Random(0))
     assert isinstance(res, Full)
     grounded = res.steps[0].moves["R1"].action
-    assert grounded.grasp_pick == grounded.grasp_place == math.pi / 2
+    assert grounded.grasp_pick == math.pi / 2
     report = validate_plan(scene, Plan(steps=res.steps))
     assert report.ok, report.to_doc()
 
@@ -227,9 +227,9 @@ def test_no_obstacle_lies_on_a_task_graph_pick_sweep_in_a_plan(source, monkeypat
         for a in actions:
             pose = scene.movables[a.obj].pose
             for g in a.grasps:
-                moves = build_moves(scene, replace(a, grasp_pick=g, grasp_place=g),
+                moves = build_moves(scene, replace(a, grasp_pick=g),
                                     pose, placements[a.obj])
-                [sweep] = moves[a.pick_robot].pick_traj.corridors
+                sweep = moves[a.pick_robot].pick_traj.corridor
                 assert grounding._sweep_clear(a.pick_robot, sweep, obstacles, scene), (
                     name, a, g)
         calls.append(len(actions))
@@ -271,5 +271,5 @@ def test_find_trajectories_rejects_a_shared_sweep_over_another_robots_base():
         assert find_trajectories([action], {"M1": clear}, [], scene) is not None, action
         assert find_trajectories([action], {"M1": over_r3}, [], scene) is None, action
         moves = build_moves(scene, action, scene.movables["M1"].pose, over_r3)
-        [sweep] = moves[mover].place_traj.corridors
+        sweep = moves[mover].place_traj.corridor
         assert bases_crossed(scene, mover, sweep) == ["R3"], action

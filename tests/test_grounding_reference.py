@@ -54,7 +54,7 @@ def pebbles(scene, step, placements):
         obj_pose = scene.movables[action.obj].pose
         moves = build_moves(scene, action, obj_pose, placements[action.obj])
         for r, mv in moves.items():
-            shared = (mv.place_traj.corridors if r == action.pick_robot
+            shared = ((mv.place_traj.corridor,) if r == action.pick_robot
                       else mv.all_corridors())
             for cor in shared:
                 (ax, ay), (bx, by) = cor.a, cor.b
@@ -118,14 +118,14 @@ def test_the_first_clear_combination_in_product_order_wins():
         "grasp_count": 2,
         "goal": [["M1", "work"]]}))
     grasps = (0.0, math.pi)
-    step = [PartiallyGroundedAction(obj, "work", robot, robot, 0.0, 0.0, grasps)
+    step = [PartiallyGroundedAction(obj, "work", robot, robot, 0.0, grasps)
             for obj, robot in (("M1", "R1"), ("M2", "R2"))]
     placements = {"M1": Pose(0.0, 1.5), "M2": Pose(0.0, -1.5)}
 
     def moves(g1, g2):
         out = {}
         for a, g in zip(step, (g1, g2)):
-            out.update(build_moves(scene, replace(a, grasp_pick=g, grasp_place=g),
+            out.update(build_moves(scene, replace(a, grasp_pick=g),
                                    scene.movables[a.obj].pose, placements[a.obj]))
         return out
 
@@ -148,7 +148,7 @@ def test_the_grasps_of_a_class_differ_only_in_the_pick_sweep(grasp_count):
             placement = Pose(obj_pose.x + 0.3, obj_pose.y - 0.2)
             rep = build_moves(scene, action, obj_pose, placement)
             for g in action.grasps:
-                moves = build_moves(scene, replace(action, grasp_pick=g, grasp_place=g),
+                moves = build_moves(scene, replace(action, grasp_pick=g),
                                     obj_pose, placement)
                 assert moves.keys() == rep.keys()
                 for r, mv in moves.items():

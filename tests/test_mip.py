@@ -22,7 +22,7 @@ from oracle_mip import (OracleVars, assignment, blocks_of, oracle_feasible,
 def act(obj, robot="R1", place_robot=None, region="re"):
     return PartiallyGroundedAction(obj=obj, region=region, pick_robot=robot,
                                    place_robot=place_robot or robot,
-                                   grasp_pick=0.0, grasp_place=0.0)
+                                   grasp_pick=0.0)
 
 
 def small_graph(actions, targets, pick_blocks=(), place_blocks=()):
@@ -375,7 +375,7 @@ def _map_actions(graph, fn):
 def expand_classes(graph):
     """One action per member grasp of each class, with the class's blockers."""
     return _map_actions(graph, lambda a: [
-        replace(a, grasp_pick=g, grasp_place=g, grasps=(g,)) for g in a.grasps])
+        replace(a, grasp_pick=g, grasps=(g,)) for g in a.grasps])
 
 
 def assert_collapsed_optimum_matches_expanded_oracle(graph):

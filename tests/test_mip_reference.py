@@ -197,7 +197,7 @@ def test_rows_are_built_on_first_read_with_cuts_in_order():
 def test_block_edge_rows_follow_the_graph_order():
     # one action blocked by several objects, handed over in no order
     def act(m):
-        return PartiallyGroundedAction(m, "work", "R1", "R1", 0.0, 0.0)
+        return PartiallyGroundedAction(m, "work", "R1", "R1", 0.0)
     picks, places = ("M9", "M2", "M5", "M3", "M8", "M6"), ("M10", "M7", "M4", "M11")
     blocks = {act(m): ((), ()) for m in (*picks, *places)}
     blocks[act("M1")] = (picks, places)

@@ -23,7 +23,7 @@ TRACE_RE = re.compile(
 
 def sk_for(objs, makespan=1):
     a = PartiallyGroundedAction(obj=objs[0], region="re", pick_robot="R1",
-                                place_robot="R1", grasp_pick=0.0, grasp_place=0.0)
+                                place_robot="R1", grasp_pick=0.0)
     steps = tuple({"R1": a} for _ in range(makespan))
     return TaskSkeleton(steps=steps, moved_objects=frozenset(objs))
 

@@ -14,13 +14,12 @@ from mrplan.scene import load_scene, loads_scene
 from mrplan.search import PlannerConfig, plan as run_planner
 from mrplan.validator import validate_plan
 
-from conftest import scenario
+from conftest import EXTRA, SCENARIOS, scenario
 
 
 def single_action(obj="M1", region="goal_zone", robot="R1"):
     return PartiallyGroundedAction(obj=obj, region=region, pick_robot=robot,
-                                   place_robot=robot, grasp_pick=0.0,
-                                   grasp_place=0.0)
+                                   place_robot=robot, grasp_pick=0.0)
 
 
 def step_for(scene, action, placement, obj_pose=None):
@@ -90,7 +89,7 @@ def test_corridor_over_another_robots_base_is_condition_i():
                     "reach_max": 0.15, "gripper_width": 0.1}],
         "grasp_count": 4,
         "goal": [["M1", "goal_zone"]]}))
-    action = replace(single_action(), grasp_pick=math.pi, grasp_place=math.pi)
+    action = replace(single_action(), grasp_pick=math.pi)
     step = step_for(scene, action, Pose(0.45, 0.55))
     report = validate_plan(scene, Plan(steps=(step,)))
     assert [(v.code, v.message) for v in report.violations] == [
@@ -100,9 +99,9 @@ def test_corridor_over_another_robots_base_is_condition_i():
 def test_coincident_placements_are_condition_ii():
     scene = load_scene(scenario("parallel_goals"))
     a1 = PartiallyGroundedAction(obj="M1", region="region_a", pick_robot="R1",
-                                 place_robot="R1", grasp_pick=0.0, grasp_place=0.0)
+                                 place_robot="R1", grasp_pick=0.0)
     a2 = PartiallyGroundedAction(obj="M2", region="region_a", pick_robot="R2",
-                                 place_robot="R2", grasp_pick=0.0, grasp_place=0.0)
+                                 place_robot="R2", grasp_pick=0.0)
     target = Pose(0.25, -0.35)
     moves = {**build_moves(scene, a1, scene.movables["M1"].pose, target),
              **build_moves(scene, a2, scene.movables["M2"].pose, target)}
@@ -124,7 +123,7 @@ def test_handover_step_passes_condition_iii():
 
 def handover_moves(scene):
     a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
-                                place_robot="R2", grasp_pick=0.0, grasp_place=0.0)
+                                place_robot="R2", grasp_pick=0.0)
     return build_moves(scene, a, scene.movables["M1"].pose, Pose(1.6, 0.7))
 
 
@@ -153,15 +152,20 @@ def test_handover_sides_with_different_placements_are_structural_error():
 ])
 def test_role_that_does_not_match_the_action_is_structural_error(scene_name, robot,
                                                                  role):
+    # a move's role is its action's, so only a plan document can state another
     scene = load_scene(scenario(scene_name))
     if scene_name == "unobstructed":
         moves = dict(step_for(scene, single_action(), Pose(0.25, 0.55)).moves)
     else:
         moves = handover_moves(scene)
-    assert validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),))).ok
-    moves[robot] = replace(moves[robot], role=role)
-    with pytest.raises(PlanError, match=f"{robot} has role '{role}'"):
-        validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
+    text = dumps_plan(Plan(steps=(GroundedJointAction(moves=moves),)), scene.robots)
+    assert validate_plan(scene, loads_plan(text)).ok
+    doc = json.loads(text)
+    rec = next(rec for rec in doc["steps"][0] if rec["robot"] == robot)
+    want, rec["role"] = rec["role"], role
+    with pytest.raises(PlanError, match=f"^step 1: {robot} has role '{role}' in a "
+                                        f"'{want}' move of M1$"):
+        loads_plan(json.dumps(doc))
 
 
 def test_unknown_entity_references_are_structural_errors():
@@ -171,7 +175,7 @@ def test_unknown_entity_references_are_structural_errors():
     with pytest.raises(PlanError, match="unknown robot"):
         validate_plan(scene, Plan(steps=(bad,)))
     a = PartiallyGroundedAction(obj="M1", region="nowhere", pick_robot="R1",
-                                place_robot="R1", grasp_pick=0.0, grasp_place=0.0)
+                                place_robot="R1", grasp_pick=0.0)
     bad_region = GroundedJointAction(moves=build_moves(
         scene, a, scene.movables["M1"].pose, Pose(0.25, 0.55)))
     with pytest.raises(PlanError, match="unknown region"):
@@ -185,8 +189,7 @@ def test_unknown_entity_references_are_structural_errors():
 def test_corridor_that_is_not_the_sweep_of_its_waypoints_is_structural(edit, match):
     scene = load_scene(scenario("unobstructed"))
     mv = step_for(scene, single_action(), Pose(0.25, 0.55)).moves["R1"]
-    bad = replace(mv, pick_traj=replace(
-        mv.pick_traj, corridors=(edit(mv.pick_traj.corridors[0]),)))
+    bad = replace(mv, pick_traj=replace(mv.pick_traj, corridor=edit(mv.pick_traj.corridor)))
     with pytest.raises(PlanError, match=match):
         validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
 
@@ -196,11 +199,9 @@ def moved_end(traj, index, to):
     follows, so the trajectory stays the sweep of its waypoints."""
     wps = list(traj.waypoints)
     wps[index] = Pose(*to)
-    cor = traj.corridors[index]
+    cor = traj.corridor
     cor = replace(cor, a=to) if index == 0 else replace(cor, b=to)
-    cors = list(traj.corridors)
-    cors[index] = cor
-    return replace(traj, waypoints=tuple(wps), corridors=tuple(cors))
+    return replace(traj, waypoints=tuple(wps), corridor=cor)
 
 
 @pytest.mark.parametrize("traj,index,to,match", [
@@ -244,16 +245,23 @@ def test_handover_legs_away_from_their_endpoints_are_condition_ii(robot, traj, i
 
 
 def test_plan_serialization_round_trip_preserves_validity():
-    for name in ("unobstructed", "pick_chain", "parallel_goals"):
-        scene = load_scene(scenario(name))
-        result = run_planner(scene, PlannerConfig(seed=1))
-        assert isinstance(result, Plan)
-        text = dumps_plan(result, scene.robots)
-        again = loads_plan(text)
-        assert dumps_plan(again, scene.robots) == text
-        assert validate_plan(scene, again).ok
-        assert again.makespan == result.makespan
-        assert again.motion_cost == result.motion_cost
+    # a document's role and grasp_place are written from the action: reading
+    # and writing it again must give the same text
+    planned = 0
+    for path in sorted(SCENARIOS.glob("*.json")) + sorted(EXTRA.glob("*.json")):
+        scene = load_scene(path)
+        for seed in range(5):
+            result = run_planner(scene, PlannerConfig(seed=seed))
+            if not isinstance(result, Plan):
+                continue
+            planned += 1
+            text = dumps_plan(result, scene.robots)
+            again = loads_plan(text)
+            assert dumps_plan(again, scene.robots) == text, (path.stem, seed)
+            assert validate_plan(scene, again).ok, (path.stem, seed)
+            assert again.makespan == result.makespan
+            assert again.motion_cost == result.motion_cost
+    assert planned >= 50
 
 
 def test_validator_is_pure():
@@ -301,8 +309,7 @@ def test_handover_corridors_overlapping_away_from_the_handover_point_are_conditi
     # R2 delivers from the handover point (0.5, 0) back across R1's pick sweep
     scene = scene_of({"M1": (0.3, 0.4)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)})
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
-                                     place_robot="R2", grasp_pick=math.pi,
-                                     grasp_place=math.pi)
+                                     place_robot="R2", grasp_pick=math.pi)
     moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(-0.1, 0.35))
     assert violations(scene, GroundedJointAction(moves=moves)) == [
         ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
