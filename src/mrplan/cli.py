@@ -1,8 +1,8 @@
 """Command-line interface: plan, validate and render subcommands.
 
 Exit codes: 0 success, 1 I/O or schema error, 2 planner found no plan,
-3 plan validation found violations, 4 a plan the search grounded failed
-validation (a planner fault).
+3 plan validation found violations, 4 an internal check failed during the
+search, such as a grounded plan failing validation (a planner fault).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .facts import compute_facts
 from .mip import compile_model
-from .plans import Plan, PlanError, dumps_plan, load_plan
+from .plans import PlanError, dumps_plan, load_plan
 from .render import render_svg
 from .scene import Scene, SceneError, load_scene
 from .search import NoPlan, PlannerConfig, SearchError
@@ -67,7 +67,7 @@ def cmd_plan(args) -> int:
     trace: list[str] = []
     try:
         result = search_plan(scene, cfg, trace=trace, facts=facts)
-    except ValueError as e:  # a scene the planner cannot take, e.g. no goal
+    except ValueError as e:  # a scene with an empty goal
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SearchError as e:
@@ -89,7 +89,7 @@ def cmd_plan(args) -> int:
 def cmd_validate(args) -> int:
     scene = _load_scene_or_die(args.scene)
     try:
-        plan = load_plan(args.plan)
+        plan = load_plan(args.plan, scene.robots)
         report = validate_plan(scene, plan)
     except (OSError, PlanError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -103,7 +103,7 @@ def cmd_render(args) -> int:
     plan = None
     if args.plan:
         try:
-            plan = load_plan(args.plan)
+            plan = load_plan(args.plan, scene.robots)
         except (OSError, PlanError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1

@@ -97,12 +97,10 @@ def trim_for_handover(scene: Scene, mv: RobotMove) -> list:
 def robot_clashes(scene: Scene, moves: dict[str, RobotMove]):
     """Yield ``(r1, r2, handover)`` for each robot pair, in
     ``itertools.combinations(sorted(moves), 2)`` order, whose same-step
-    corridors collide. Handover partners are compared trimmed around their
-    handover point (``handover`` is True)."""
-    partners = {frozenset(mv.action.robots) for mv in moves.values()
-                if mv.action.is_handover}
+    corridors collide. ``handover`` is True for partners, the two robots that
+    hold one action; they are compared trimmed around its handover point."""
     for r1, r2 in itertools.combinations(sorted(moves), 2):
-        handover = frozenset((r1, r2)) in partners
+        handover = moves[r1].action == moves[r2].action
         if handover:
             cs1 = trim_for_handover(scene, moves[r1])
             cs2 = trim_for_handover(scene, moves[r2])

@@ -2,8 +2,9 @@
 
 Plan documents are JSON; their format is ``schemas/plan.schema.json``,
 checked by ``mrplan.schemas``. ``loads_plan`` also refuses a number that is
-not finite, a step that lists a robot twice, and a record whose ``role`` or
-``grasp_place`` is not the one its action implies: both are written from it.
+not finite, a robot that is not in ``robots`` (the scene's) or is listed twice
+in a step, and a record whose ``role`` or ``grasp_place`` is not the one its
+action implies: both are written from it.
 """
 from __future__ import annotations
 
@@ -158,7 +159,7 @@ def dumps_plan(plan: Plan, robot_names) -> str:
     return json.dumps(plan_to_doc(plan, robot_names), indent=2, sort_keys=True) + "\n"
 
 
-def loads_plan(text: str) -> Plan:
+def loads_plan(text: str, robots) -> Plan:
     try:
         doc = schemas.parse(text)
     except json.JSONDecodeError as e:
@@ -174,6 +175,8 @@ def loads_plan(text: str) -> Plan:
         moves, seen = {}, set()
         for rec in recs:
             robot = rec["robot"]
+            if robot not in robots:
+                raise PlanError(f"step {t}: unknown robot {robot!r}")
             if robot in seen:
                 raise PlanError(f"step {t}: robot {robot} has more than one record")
             seen.add(robot)
@@ -205,9 +208,9 @@ def loads_plan(text: str) -> Plan:
     return plan
 
 
-def load_plan(path) -> Plan:
+def load_plan(path, robots) -> Plan:
     try:
         with open(path, encoding="utf-8") as f:
-            return loads_plan(f.read())
+            return loads_plan(f.read(), robots)
     except UnicodeDecodeError as e:
         raise PlanError(f"plan parse error: {path} is not UTF-8: {e.reason}") from e

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import schemas
 from .geometry import (Disc, Pose, Rect, Rectangle, Shape, collides, collides_any,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import mip
 from .facts import FactSet, compute_facts
-from .grounding import Failure, Full, Partial, ground
+from .grounding import Failure, Full, ground
 from .mip import BudgetExceeded, TaskSkeleton, TimeBudgetExceeded, enumerate_skeletons
 from .plans import Plan, moved_objects
 from .scene import Scene
@@ -29,7 +29,7 @@ from .validator import validate_plan
 
 
 class SearchError(RuntimeError):
-    """Internal consistency failure (e.g. an emitted plan fails validation)."""
+    """A planner fault: an internal check failed during the search."""
 
 
 @dataclass
@@ -127,15 +127,16 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
     interrupted. ``facts``, when given, must be ``compute_facts(scene)``.
     Facts are computed as the task graphs read them, so those a caller has
     already read, for a dump, are not computed again.
+
+    Every stop but a plan is ``give_up``'s: ``BudgetExceeded`` or
+    ``TimeBudgetExceeded`` from below is ``solver_budget`` or ``time_budget``.
+    A ``ValueError`` after the goal check is a planner fault: ``SearchError``.
     """
     deadline = time.monotonic() + cfg.time_budget
     if not scene.goal:
         raise ValueError("scene has an empty goal specification")
     if trace is None:
         trace = []
-
-    def emit(line: str):
-        trace.append(line)
 
     if scene.goal_satisfied():
         return Plan(steps=())
@@ -153,87 +154,82 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
             return best_plan
         return NoPlan(reason, iterations, tree_size)
 
-    def expand(node: SearchNode, conflicts) -> str | None:
+    def expand(node: SearchNode, conflicts) -> None:
         """Add an edge from ``node`` for each skeleton that moves
-        ``conflicts``, which its stored steps leave unmoved. Returns the stop
-        reason when enumeration runs out of a budget."""
+        ``conflicts``, which its stored steps leave unmoved. A budget that
+        enumeration runs out of raises through to ``plan``'s one handler."""
         graph = build_cmtg(conflicts, facts, scene,
                            excluded=moved_objects(node.stored_steps))
-        try:
-            skeletons = enumerate_skeletons(graph, cfg.t_max, cfg.k_max,
-                                            cfg.node_budget, deadline=deadline)
-        except BudgetExceeded:
-            return "solver_budget"
-        except TimeBudgetExceeded:
-            return "time_budget"
+        skeletons = enumerate_skeletons(graph, cfg.t_max, cfg.k_max,
+                                        cfg.node_budget, deadline=deadline)
         node.children += [SearchEdge(next(edge_ids), sk, prior=1.0 / len(sk.moved_objects))
                           for sk in skeletons]
-        return None
 
     root = SearchNode()
-    stop = expand(root, scene.goal_objects())
-    if stop:
-        return give_up(stop)
-    if not root.children:
-        return NoPlan("no_initial_skeletons", 0, 1)
+    try:
+        expand(root, scene.goal_objects())
+        if not root.children:
+            return give_up("no_initial_skeletons")
+        for iteration in range(1, cfg.max_iterations + 1):
+            if time.monotonic() > deadline:
+                return give_up("time_budget")
+            if all(e.exhausted for e in root.children):
+                return give_up("all_branches_pruned")
+            iterations = iteration
 
-    for iteration in range(1, cfg.max_iterations + 1):
-        if time.monotonic() > deadline:
-            return give_up("time_budget")
-        if all(e.exhausted for e in root.children):
-            return give_up("all_branches_pruned")
-        iterations = iteration
+            # selection: descend by max UCB over non-exhausted edges; of those,
+            # the ones with a head are exactly the evaluated ones
+            node = root
+            path = []
+            while True:
+                edge = max((e for e in node.children if not e.exhausted),
+                           key=lambda e: (ucb(node, e, cfg.c), -e.id))
+                path.append((node, edge))
+                if edge.head is None:
+                    break
+                node = edge.head
 
-        # selection: descend by max UCB over non-exhausted edges; of those,
-        # the ones with a head are exactly the evaluated ones
-        node = root
-        path = []
-        while True:
-            edge = max((e for e in node.children if not e.exhausted),
-                       key=lambda e: (ucb(node, e, cfg.c), -e.id))
-            path.append((node, edge))
-            if edge.head is None:
-                break
-            node = edge.head
+            # evaluation
+            rng = random.Random(f"{cfg.seed}:{edge.id}")
+            outcome = ground(edge.skeleton, node.stored_steps, scene, rng)
 
-        # evaluation
-        rng = random.Random(f"{cfg.seed}:{edge.id}")
-        outcome = ground(edge.skeleton, node.stored_steps, scene, rng)
+            if isinstance(outcome, Full):
+                candidate = Plan(steps=outcome.steps)
+                report = validate_plan(scene, candidate)
+                if not report.ok:
+                    raise SearchError(
+                        "grounded plan failed validation: "
+                        + "; ".join(v.message for v in report.violations))
+                r = reward(outcome, None, cfg.alpha)
+                trace.append(f"iter={iteration} edge={edge.id} outcome=full reward={r:.6f}")
+                edge.exhausted = True           # a plan ends here
+                backpropagate(path, r)
+                if not cfg.exhaust:
+                    return candidate
+                if best_plan is None or ((candidate.motion_cost, candidate.makespan)
+                                         < (best_plan.motion_cost, best_plan.makespan)):
+                    best_plan = candidate
+                continue
 
-        if isinstance(outcome, Full):
-            candidate = Plan(steps=outcome.steps)
-            report = validate_plan(scene, candidate)
-            if not report.ok:
-                raise SearchError(
-                    "grounded plan failed validation: "
-                    + "; ".join(v.message for v in report.violations))
-            r = reward(outcome, None, cfg.alpha)
-            emit(f"iter={iteration} edge={edge.id} outcome=full reward={r:.6f}")
-            edge.exhausted = True           # a plan ends here
+            if isinstance(outcome, Failure):
+                edge.exhausted = True
+                trace.append(f"iter={iteration} edge={edge.id} outcome=failure reward=0.000000")
+                backpropagate(path, 0.0)
+                continue
+
+            # partial: expand with skeletons for the conflict set
+            head = edge.head = SearchNode(outcome.steps)
+            tree_size += 1
+            expand(head, outcome.conflicts)
+            r = reward(outcome, [e.skeleton for e in head.children], cfg.alpha)
+            trace.append(f"iter={iteration} edge={edge.id} outcome=partial reward={r:.6f} "
+                         f"children={len(head.children)}")
             backpropagate(path, r)
-            if not cfg.exhaust:
-                return candidate
-            if best_plan is None or ((candidate.motion_cost, candidate.makespan)
-                                     < (best_plan.motion_cost, best_plan.makespan)):
-                best_plan = candidate
-            continue
-
-        if isinstance(outcome, Failure):
-            edge.exhausted = True
-            emit(f"iter={iteration} edge={edge.id} outcome=failure reward=0.000000")
-            backpropagate(path, 0.0)
-            continue
-
-        # partial: expand with skeletons for the conflict set
-        head = edge.head = SearchNode(outcome.steps)
-        tree_size += 1
-        stop = expand(head, outcome.conflicts)
-        if stop:
-            return give_up(stop)
-        r = reward(outcome, [e.skeleton for e in head.children], cfg.alpha)
-        emit(f"iter={iteration} edge={edge.id} outcome=partial reward={r:.6f} "
-             f"children={len(head.children)}")
-        backpropagate(path, r)
-        head.visits += 1
-
+            head.visits += 1
+    except BudgetExceeded:
+        return give_up("solver_budget")
+    except TimeBudgetExceeded:
+        return give_up("time_budget")
+    except ValueError as e:     # the scene and config passed their checks above
+        raise SearchError(f"internal check failed: {e}") from e
     return give_up("budget_exhausted")

@@ -28,8 +28,9 @@ the collision kernel, it shares with grounding the bases a sweep covers
 A plan that names unknown entities, gives a robot an action it is not part
 of, fills one slot of a handover, gives a handover's two sides different
 placements, or has a corridor that is not the sweep of its two waypoints
-raises PlanError. A move's role is its action's; ``plans.loads_plan``
-refuses a plan document that says otherwise.
+raises PlanError. A move's role is its action's, and each record's robot,
+a wait's too, is one of the scene's; ``plans.loads_plan`` refuses a plan
+document that says otherwise.
 """
 from __future__ import annotations
 

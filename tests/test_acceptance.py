@@ -7,17 +7,14 @@ of every emitted plan, the selection/reward arithmetic, conflict discovery
 during grounding, the benefit of multi-robot collaboration, and the time
 envelope of the whole scenario suite.
 """
-import math
 import random
 import time
-
-import pytest
 
 from mrplan.facts import compute_facts
 from mrplan.geometry import collides
 from mrplan.grounding import Partial, ground, volumes_of
 from mrplan.mip import TaskSkeleton, compile_model, solve
-from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan
+from mrplan.plans import PartiallyGroundedAction, Plan
 from mrplan.scene import load_scene
 from mrplan.search import NoPlan, PlannerConfig, SearchEdge, SearchNode
 from mrplan.search import plan as search_plan

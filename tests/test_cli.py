@@ -13,6 +13,7 @@ from mrplan.scene import load_scene
 from mrplan.validator import ValidationReport
 
 from conftest import scenario
+from test_search import PLANNER_FAULTS
 
 
 def run(argv):
@@ -105,6 +106,18 @@ def test_plan_exits_4_when_a_grounded_plan_fails_validation(monkeypatch, capsys)
     assert out.out == ""
     assert out.err.startswith("error: grounded plan failed validation: ")
     assert "corridor of R1 hits object M2" in out.err
+
+
+@pytest.mark.parametrize("fault", sorted(PLANNER_FAULTS))
+def test_plan_exits_4_when_an_internal_check_fails(fault, tmp_path, monkeypatch, capsys):
+    install, message = PLANNER_FAULTS[fault]
+    install(monkeypatch)
+    out = tmp_path / "plan.json"
+    assert run(["plan", scenario("unobstructed"), "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: internal check failed: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_or_invalid_scene_exits_1(tmp_path, capsys):
@@ -204,6 +217,22 @@ def test_validate_exits_1_on_a_robot_listed_twice_in_a_step(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     assert run(["validate", scenario("pick_chain"), out]) == 1
     assert "error: step 1: robot R1 has more than one record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", ["wait", "move"])
+def test_a_plan_record_for_a_robot_the_scene_lacks_exits_1(tmp_path, capsys, record):
+    out = tmp_path / "plan.json"
+    assert run(["plan", scenario("unobstructed"), "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    extra = {"robot": "R9", "type": "wait"}
+    if record == "move":
+        extra = {**copy.deepcopy(doc["steps"][0][0]), "robot": "R9"}
+    doc["steps"][0].append(extra)
+    out.write_text(json.dumps(doc))
+    assert run(["validate", scenario("unobstructed"), out]) == 1
+    assert run(["render", scenario("unobstructed"), out, "--svg", tmp_path / "p.svg"]) == 1
+    assert capsys.readouterr().err == "error: step 1: unknown robot 'R9'\n" * 2
+    assert not (tmp_path / "p.svg").exists()
 
 
 def obstacle(x=0.0, theta=0.0, half_w=0.05):

@@ -1,8 +1,9 @@
 """Module boundaries: no mrplan module reaches into another one's private names,
 the package needs nothing outside the standard library, no module-level name
-is left defined but unread, no default parameter is left unpassed, no
-one-against-many collision test bypasses ``geometry.collides_any``, and the
-validator lays out no move with the layout it checks."""
+is left defined but unread, no imported name is left unread, no default
+parameter is left unpassed, no one-against-many collision test bypasses
+``geometry.collides_any``, and the validator lays out no move with the layout
+it checks."""
 import ast
 import sys
 
@@ -100,6 +101,43 @@ def test_no_public_name_is_left_unused():
     loaded = names_read(readers)
     assert defined
     assert [f"{where} defines {name}" for where, name in defined if name not in loaded] == []
+
+
+def imports(tree):
+    """``(lineno, name, bound, module)`` for each name an import in ``tree``
+    binds as ``bound``, ``from __future__`` aside: ``module`` is the module a
+    ``from ... import`` takes ``name`` from, else None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield node.lineno, a.name, a.asname or a.name, node.module
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                yield node.lineno, a.name, a.asname or a.name.split(".")[0], None
+
+
+def test_no_imported_name_is_left_unread():
+    """Every name an import binds in the package or its tests is read in that
+    module, unless it is in the module's ``__all__`` or a module of the
+    package, its tests or the benchmark imports it from this one (as
+    ``search`` imports ``mip.BudgetExceeded``)."""
+    paths = sorted(SRC.rglob("*.py")) + sorted((REPO / "tests").glob("*.py"))
+    taken = {(module.split(".")[-1], name)
+             for path in paths + sorted((REPO / "perfbench").glob("*.py"))
+             for _, name, _, module in imports(ast.parse(path.read_text())) if module}
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        key = path.parent.name if path.stem == "__init__" else path.stem
+        unread += [f"{path.relative_to(REPO)}:{line} imports {bound}"
+                   for line, _, bound, _ in imports(tree)
+                   if bound not in read and (key, bound) not in taken]
+    assert unread == []
 
 
 def calls_by_callee(paths):

@@ -156,7 +156,7 @@ def test_loading_documents_does_not_import_jsonschema():
         f"scene = mrplan.load_scene({str(path)!r})\n"
         "text = mrplan.dumps_plan(mrplan.plan(scene, mrplan.PlannerConfig()),"
         " sorted(scene.robots))\n"
-        "mrplan.loads_plan(text)\n"
+        "mrplan.loads_plan(text, scene.robots)\n"
         "print('jsonschema' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -5,12 +5,13 @@ import types
 
 import pytest
 
-from mrplan import mip, search
+from mrplan import mip, motion, search, taskgraph
+from mrplan.geometry import Corridor
 from mrplan.grounding import Failure, Full, Partial
 from mrplan.mip import BudgetExceeded, TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan, moved_objects
 from mrplan.scene import load_scene, loads_scene
-from mrplan.search import (NoPlan, PlannerConfig, SearchEdge, SearchNode,
+from mrplan.search import (NoPlan, PlannerConfig, SearchEdge, SearchError, SearchNode,
                            backpropagate, plan, reward, ucb)
 from mrplan.validator import validate_plan
 
@@ -104,6 +105,39 @@ def test_empty_goal_rejected():
     scene = loads_scene(json.dumps(doc))
     with pytest.raises(ValueError, match="empty goal"):
         plan(scene)
+
+
+def narrow_carry(monkeypatch):
+    """Grounding lays out every carry at half its width."""
+    carry_sweep = motion.carry_sweep
+
+    def narrow(*args):
+        cor = carry_sweep(*args)
+        return Corridor(cor.a, cor.b, cor.width / 2)
+    monkeypatch.setattr(motion, "carry_sweep", narrow)
+
+
+def exclude_targets(monkeypatch):
+    """The search passes every task graph its own targets as excluded."""
+    def build_cmtg(targets, facts, scene, excluded):
+        return taskgraph.build_cmtg(targets, facts, scene, excluded=set(targets) | excluded)
+    monkeypatch.setattr(search, "build_cmtg", build_cmtg)
+
+
+# planner faults on `unobstructed`, each with the failed check's message
+PLANNER_FAULTS = {
+    "narrow_carry": (narrow_carry, "step 1: R1 place_traj corridor is narrower than 0.2"),
+    "exclude_targets": (exclude_targets, "targets and excluded objects overlap"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANNER_FAULTS))
+def test_a_failed_internal_check_is_a_search_error(fault, monkeypatch):
+    # the validator's PlanError and a layer's ValueError are planner faults
+    install, message = PLANNER_FAULTS[fault]
+    install(monkeypatch)
+    with pytest.raises(SearchError, match=f"^internal check failed: {message}"):
+        plan(load_scene(scenario("unobstructed")))
 
 
 def test_unreachable_goal_region_reports_no_plan():

@@ -1,7 +1,6 @@
 """Plan validity checker: replay, per-condition violations, round trips."""
 import json
 import math
-import random
 from dataclasses import replace
 
 import pytest
@@ -159,13 +158,13 @@ def test_role_that_does_not_match_the_action_is_structural_error(scene_name, rob
     else:
         moves = handover_moves(scene)
     text = dumps_plan(Plan(steps=(GroundedJointAction(moves=moves),)), scene.robots)
-    assert validate_plan(scene, loads_plan(text)).ok
+    assert validate_plan(scene, loads_plan(text, scene.robots)).ok
     doc = json.loads(text)
     rec = next(rec for rec in doc["steps"][0] if rec["robot"] == robot)
     want, rec["role"] = rec["role"], role
     with pytest.raises(PlanError, match=f"^step 1: {robot} has role '{role}' in a "
                                         f"'{want}' move of M1$"):
-        loads_plan(json.dumps(doc))
+        loads_plan(json.dumps(doc), scene.robots)
 
 
 def test_unknown_entity_references_are_structural_errors():
@@ -256,7 +255,7 @@ def test_plan_serialization_round_trip_preserves_validity():
                 continue
             planned += 1
             text = dumps_plan(result, scene.robots)
-            again = loads_plan(text)
+            again = loads_plan(text, scene.robots)
             assert dumps_plan(again, scene.robots) == text, (path.stem, seed)
             assert validate_plan(scene, again).ok, (path.stem, seed)
             assert again.makespan == result.makespan
