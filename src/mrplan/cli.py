@@ -1,5 +1,9 @@
 """Command-line interface: plan, validate and render subcommands.
 
+``main`` is the one place that turns a failure into output and an exit code:
+a command returns 0, 2 or 3, and ``main`` maps what a command raises to 1
+or 4 with one ``error:`` line on stderr.
+
 Exit codes: 0 success, 1 I/O or schema error, 2 planner found no plan,
 3 plan validation found violations, 4 an internal check failed during the
 search, such as a grounded plan failing validation (a planner fault).
@@ -13,29 +17,13 @@ from pathlib import Path
 
 from .facts import compute_facts
 from .mip import compile_model
-from .plans import PlanError, dumps_plan, load_plan
+from .plans import dumps_plan, load_plan
 from .render import render_svg
-from .scene import Scene, SceneError, load_scene
+from .scene import load_scene
 from .search import NoPlan, PlannerConfig, SearchError
 from .search import plan as search_plan
 from .taskgraph import build_cmtg
 from .validator import validate_plan
-
-
-def _load_scene_or_die(path: str) -> Scene:
-    try:
-        return load_scene(path)
-    except (OSError, SceneError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def _write_or_die(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _config_from_args(args) -> PlannerConfig:
@@ -46,68 +34,45 @@ def _config_from_args(args) -> PlannerConfig:
 
 
 def cmd_plan(args) -> int:
-    scene = _load_scene_or_die(args.scene)
-    try:
-        cfg = _config_from_args(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    scene = load_scene(args.scene)
+    cfg = _config_from_args(args)
     facts = None
     if args.dump_facts or args.dump_cmtg or args.dump_mip:
         facts = compute_facts(scene)
         if args.dump_facts:
-            _write_or_die(args.dump_facts, facts.dumps())
+            Path(args.dump_facts).write_text(facts.dumps())
         if args.dump_cmtg or args.dump_mip:
             graph = build_cmtg(set(scene.goal_objects()), facts, scene)
             if args.dump_cmtg:
-                _write_or_die(args.dump_cmtg, graph.dumps())
+                Path(args.dump_cmtg).write_text(graph.dumps())
             if args.dump_mip:
-                model = compile_model(graph, cfg.t_max)
-                _write_or_die(args.dump_mip, model.dumps_lp())
+                Path(args.dump_mip).write_text(compile_model(graph, cfg.t_max).dumps_lp())
     trace: list[str] = []
-    try:
-        result = search_plan(scene, cfg, trace=trace, facts=facts)
-    except ValueError as e:  # a scene with an empty goal
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except SearchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+    result = search_plan(scene, cfg, trace=trace, facts=facts)
     if args.trace:
-        _write_or_die(args.trace, "\n".join(trace) + ("\n" if trace else ""))
+        Path(args.trace).write_text("\n".join(trace) + ("\n" if trace else ""))
     if isinstance(result, NoPlan):
         print(json.dumps(result.to_doc(), sort_keys=True), file=sys.stderr)
         return 2
     text = dumps_plan(result, sorted(scene.robots))
     if args.out:
-        _write_or_die(args.out, text)
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_validate(args) -> int:
-    scene = _load_scene_or_die(args.scene)
-    try:
-        plan = load_plan(args.plan, scene.robots)
-        report = validate_plan(scene, plan)
-    except (OSError, PlanError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    scene = load_scene(args.scene)
+    report = validate_plan(scene, load_plan(args.plan, scene.robots))
     print(json.dumps(report.to_doc(), indent=2, sort_keys=True))
     return 0 if report.ok else 3
 
 
 def cmd_render(args) -> int:
-    scene = _load_scene_or_die(args.scene)
-    plan = None
-    if args.plan:
-        try:
-            plan = load_plan(args.plan, scene.robots)
-        except (OSError, PlanError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-    _write_or_die(args.svg, render_svg(scene, plan))
+    scene = load_scene(args.scene)
+    plan = load_plan(args.plan, scene.robots) if args.plan else None
+    Path(args.svg).write_text(render_svg(scene, plan))
     return 0
 
 
@@ -153,7 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SearchError as e:        # a planner fault
+        print(f"error: {e}", file=sys.stderr)
+        return 4
+    except (OSError, ValueError) as e:  # an unreadable, malformed or unwritable input
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Actions, joint actions and plan documents.
 
-Plan documents are JSON; their format is ``schemas/plan.schema.json``,
-checked by ``mrplan.schemas``. ``loads_plan`` also refuses a number that is
-not finite, a robot that is not in ``robots`` (the scene's) or is listed twice
-in a step, and a record whose ``role`` or ``grasp_place`` is not the one its
-action implies: both are written from it.
+Plan documents are JSON; their format is ``schemas/plan.schema.json``.
+``mrplan.schemas.load`` reads them, refusing a number that is not finite.
+``loads_plan`` also refuses a robot that is not in ``robots`` (the scene's)
+or is listed twice in a step, and a record whose ``role`` or
+``grasp_place`` is not the one its action implies: both are written from
+it.
 """
 from __future__ import annotations
 
@@ -160,16 +161,7 @@ def dumps_plan(plan: Plan, robot_names) -> str:
 
 
 def loads_plan(text: str, robots) -> Plan:
-    try:
-        doc = schemas.parse(text)
-    except json.JSONDecodeError as e:
-        raise PlanError(f"plan parse error at line {e.lineno}: {e.msg}") from e
-    except ValueError as e:
-        raise PlanError(f"plan parse error: {e}") from e
-    try:
-        schemas.schema("plan").check(doc)
-    except schemas.DocumentError as e:
-        raise PlanError(f"plan {e}") from e
+    doc = schemas.load("plan", text, PlanError)
     steps = []
     for t, recs in enumerate(doc["steps"], start=1):
         moves, seen = {}, set()
@@ -209,8 +201,4 @@ def loads_plan(text: str, robots) -> Plan:
 
 
 def load_plan(path, robots) -> Plan:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return loads_plan(f.read(), robots)
-    except UnicodeDecodeError as e:
-        raise PlanError(f"plan parse error: {path} is not UTF-8: {e.reason}") from e
+    return loads_plan(schemas.read("plan", path, PlanError), robots)

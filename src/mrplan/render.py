@@ -8,8 +8,8 @@ for identical inputs.
 """
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 from .geometry import Disc, Pose, Rectangle
 from .plans import Plan
@@ -83,7 +83,7 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
                f'fill="none" stroke="#888" stroke-dasharray="6 3"/>')
         lx, ly = cv.pt((reg.rect.xmin + 0.02, reg.rect.ymax - 0.02))
         cv.add(f'<text class="region-label" x="{_fmt(lx)}" y="{_fmt(ly + 12)}" '
-               f'font-size="12" fill="#888">{escape(name)}</text>')
+               f'font-size="12" fill="#888">{html.escape(name, quote=False)}</text>')
     for i, (shape, pose) in enumerate(scene.fixed):
         cv.add(_shape_svg(cv, shape, pose, "fixed", 'fill="#444"'))
     for name in sorted(scene.movables):
@@ -92,7 +92,7 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
                           'fill="#6baed6" stroke="#2171b5"'))
         lx, ly = cv.pt(m.pose.xy)
         cv.add(f'<text class="movable-label" x="{_fmt(lx)}" y="{_fmt(ly + 4)}" '
-               f'font-size="11" text-anchor="middle">{escape(name)}</text>')
+               f'font-size="11" text-anchor="middle">{html.escape(name, quote=False)}</text>')
     for name in sorted(scene.robots):
         r = scene.robots[name]
         bx, by = cv.pt(r.base)
@@ -103,7 +103,7 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
                f'r="{_fmt(r.reach_min * SCALE)}" fill="none" stroke="#bbb"/>'
                f'<circle cx="{_fmt(bx)}" cy="{_fmt(by)}" r="5" fill="#000"/>'
                f'<text x="{_fmt(bx + 8)}" y="{_fmt(by - 8)}" '
-               f'font-size="12">{escape(name)}</text></g>')
+               f'font-size="12">{html.escape(name, quote=False)}</text></g>')
 
     if plan is not None:
         for j, step in enumerate(plan.steps, start=1):

@@ -1,16 +1,15 @@
 """World model: regions, robots, movable/fixed objects, scene loading.
 
-Scene documents are JSON; their format is ``schemas/scene.schema.json``,
-checked by ``mrplan.schemas``. ``loads_scene`` also refuses a number that is
-not finite, a scene in which two regions, movables or robots share a name,
-and ``handover_points`` keys that are not two comma-separated robot names,
-pair a robot with itself or list a pair twice (in either order), and a
-goal that lists an object more than once. A ``Scene``'s goal maps each goal
-object to its goal region.
+Scene documents are JSON; their format is ``schemas/scene.schema.json``.
+``mrplan.schemas.load`` reads them, refusing a number that is not finite.
+``loads_scene`` also refuses a scene in which two regions, movables or
+robots share a name, ``handover_points`` keys that are not two
+comma-separated robot names, pair a robot with itself or list a pair twice
+(in either order), and a goal that lists an object more than once. A
+``Scene``'s goal maps each goal object to its goal region.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -162,16 +161,7 @@ def _parse_shape(d: dict) -> Shape:
 
 
 def loads_scene(text: str) -> Scene:
-    try:
-        doc = schemas.parse(text)
-    except json.JSONDecodeError as e:
-        raise SceneError(f"scene parse error at line {e.lineno}: {e.msg}") from e
-    except ValueError as e:
-        raise SceneError(f"scene parse error: {e}") from e
-    try:
-        schemas.schema("scene").check(doc)
-    except schemas.DocumentError as e:
-        raise SceneError(f"scene {e}") from e
+    doc = schemas.load("scene", text, SceneError)
     names = [item["name"] for kind in ("regions", "movables", "robots") for item in doc[kind]]
     if len(names) != len(set(names)):
         dup = sorted({n for n in names if names.count(n) > 1})
@@ -222,11 +212,7 @@ def loads_scene(text: str) -> Scene:
 
 
 def load_scene(path) -> Scene:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return loads_scene(f.read())
-    except UnicodeDecodeError as e:
-        raise SceneError(f"scene parse error: {path} is not UTF-8: {e.reason}") from e
+    return loads_scene(schemas.read("scene", path, SceneError))
 
 
 # ---------------------------------------------------------------------------

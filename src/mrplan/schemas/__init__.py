@@ -1,7 +1,11 @@
-"""The scene and plan document schemas, and the checker that applies them.
+"""The scene and plan document schemas, the checker that applies them, and
+the one reader of both documents.
 
 ``scene.schema.json`` and ``plan.schema.json`` are the one definition of the
-two document formats. ``Schema`` interprets the subset of JSON Schema
+two document formats. ``read`` and ``load`` are the one way to read them: a
+file that is not UTF-8, text that is not finite JSON and a document that
+breaks its schema are each refused here, with the document's kind in the
+message. ``Schema`` interprets the subset of JSON Schema
 (draft 2020-12) that they use:
 
 - ``type`` (``object``, ``array``, ``string``, ``number``, ``integer``; a
@@ -235,6 +239,34 @@ def _finite_float(token: str) -> float:
 def _finite_int(token: str) -> int:
     _finite_float(token)  # an integer beyond the float range reads as inf
     return int(token)
+
+
+def load(kind: str, text: str, error: type[ValueError]):
+    """The JSON value of ``text``, a ``kind`` document that its schema accepts.
+
+    Raises ``error`` for text that ``parse`` refuses or a value the schema
+    refuses.
+    """
+    try:
+        doc = parse(text)
+    except json.JSONDecodeError as e:
+        raise error(f"{kind} parse error at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:
+        raise error(f"{kind} parse error: {e}") from e
+    try:
+        schema(kind).check(doc)
+    except DocumentError as e:
+        raise error(f"{kind} {e}") from e
+    return doc
+
+
+def read(kind: str, path, error: type[ValueError]) -> str:
+    """The text of the ``kind`` document at ``path``; ``error`` if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{kind} parse error: {path} is not UTF-8: {e.reason}") from e
 
 
 @functools.cache

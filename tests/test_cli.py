@@ -272,6 +272,71 @@ def test_plan_exits_1_on_bad_scene_names_and_keys(tmp_path, capsys, edit, messag
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def rewrite(src, dst, edit):
+    """Write ``src``'s document to ``dst`` as ``edit`` leaves it, or the text
+    that ``edit`` returns."""
+    doc = json.loads(src.read_text())
+    text = edit(doc)
+    dst.write_text(json.dumps(doc) if text is None else text)
+
+
+def relabel_handover_pick(doc):
+    # R1's half of the handover becomes an R2 move that R1 holds
+    rec = next(r for r in doc["steps"][0] if r["robot"] == "R1")
+    rec.update(pick_robot="R2", place_robot="R2")
+
+
+# (scene, the document edited, the edit, the whole error line after "error: ")
+REFUSALS = [
+    ("pick_chain", "scene", lambda d: d["regions"][1].update(rect=[1.9, 0.5, 1.5, 0.9]),
+     "region goal_zone: rectangle must have positive area"),
+    ("pick_chain", "scene", lambda d: d["robots"][0].update(reach_min=1.0),
+     "robot R1: need 0 <= reach_min < reach_max"),
+    ("pick_chain", "scene", lambda d: d["movables"][0].update(home_region="shelf"),
+     "movable M1: unknown home_region 'shelf'"),
+    ("pick_chain", "scene", lambda d: d.update(fixed=[
+        {"shape": {"type": "disc", "radius": 0.02}, "pose": {"x": 0.5, "y": 0.5}}]),
+     "movable M1 overlaps a fixed obstacle at load"),
+    ("pick_chain", "scene", lambda d: d.update(goal=[["M1", "shelf"]]),
+     "goal references unknown region 'shelf'"),
+    ("pick_chain", "scene", lambda d: d.update(handover_points={"R1,R9": [0.8, 0.0]}),
+     "handover point references unknown robots (R1, R9)"),
+    ("unobstructed", "plan", lambda d: json.dumps(d)[:-1],
+     "plan parse error at line 1: Expecting ',' delimiter"),
+    ("unobstructed", "plan", lambda d: d.update(makespan=2),
+     "makespan field 2 != number of steps 1"),
+    ("unobstructed", "plan", lambda d: d.update(motion_cost=2),
+     "motion_cost field 2 != distinct moved objects 1"),
+    ("unobstructed", "plan", lambda d: d["steps"][0][0].update(object="M9"),
+     "step 1: unknown object 'M9'"),
+    # only the pick robot is unknown; R1 holds the place side it claims
+    ("unobstructed", "plan", lambda d: d["steps"][0][0].update(pick_robot="R9", role="place"),
+     "step 1: unknown robot in action for M1"),
+    ("handover_required", "plan", relabel_handover_pick,
+     "step 1: robot R1 holds an action it is not part of"),
+]
+
+
+@pytest.mark.parametrize("name, kind, edit, message", REFUSALS, ids=[
+    "region_inverted", "reach_empty", "home_region", "on_fixed", "goal_region",
+    "handover_robot", "plan_syntax", "makespan", "motion_cost", "unknown_object",
+    "pick_robot", "not_part"])
+def test_an_input_refusal_exits_1_with_its_one_error_line(
+        tmp_path, capsys, name, kind, edit, message):
+    scene, plan = scenario(name), tmp_path / "plan.json"
+    if kind == "scene":
+        rewrite(scene, tmp_path / "scene.json", edit)
+        argv = ["plan", tmp_path / "scene.json", "--out", plan]
+    else:
+        assert run(["plan", scene, "--out", plan]) == 0
+        rewrite(plan, plan, edit)
+        argv = ["validate", scene, plan]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert kind == "plan" or not plan.exists()
+
+
 def test_validate_exits_1_on_non_finite_corridor_widths(tmp_path, capsys):
     # a NaN-wide corridor collides with nothing, so it would clear any obstacle
     def edit(moves):

@@ -2,9 +2,11 @@
 the package needs nothing outside the standard library, no module-level name
 is left defined but unread, no imported name is left unread, no default
 parameter is left unpassed, no one-against-many collision test bypasses
-``geometry.collides_any``, and the validator lays out no move with the layout
-it checks."""
+``geometry.collides_any``, the validator lays out no move with the layout
+it checks, and starting the command line loads no network or XML library."""
 import ast
+import os
+import subprocess
 import sys
 
 from conftest import REPO
@@ -218,3 +220,14 @@ def test_validator_does_not_use_the_layout_it_checks():
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     used |= names_read([SRC / "validator.py"])
     assert used & layout == set()
+
+
+def test_importing_the_cli_loads_no_network_or_xml_library():
+    # xml.sax.saxutils alone pulls in urllib.request, http.client and email,
+    # a large share of every mrplan process's start-up
+    code = ("import sys, mrplan.cli\n"
+            "print(sorted({'urllib.request', 'http.client', 'xml.sax'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

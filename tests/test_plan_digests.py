@@ -6,7 +6,9 @@
 document when there is none, and the ``--trace`` file.
 ``golden/dump_digests.json`` maps ``<scene>`` to the sha256 of the files
 ``mrplan plan`` writes for ``--dump-facts``, ``--dump-cmtg`` and
-``--dump-mip`` at the default ``--t-max``. A refactor must leave every
+``--dump-mip`` at the default ``--t-max``, and of the SVG ``mrplan render``
+writes for the scene alone (``svg``) and with the plan ``mrplan plan`` wrote
+(``svg_plan``, absent when there is no plan). A refactor must leave every
 digest unchanged. After an intended behaviour change, regenerate both files
 with
 
@@ -58,16 +60,21 @@ def digests(name: str, seed: int) -> dict:
 
 
 def dump_digests(name: str) -> dict:
-    """sha256 of each ``--dump-*`` file ``mrplan plan`` writes for the scene."""
+    """sha256 of each ``--dump-*`` file ``mrplan plan`` writes for the scene,
+    and of the SVGs ``mrplan render`` writes for the scene and its plan."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        argv = ["plan", str(SCENARIOS / f"{name}.json"), "--out", str(out / "plan.json")]
+        scene, plan_path = str(SCENARIOS / f"{name}.json"), out / "plan.json"
+        argv = ["plan", scene, "--out", str(plan_path)]
         for kind in DUMPS:
             argv += [f"--dump-{kind}", str(out / kind)]
         with contextlib.redirect_stderr(io.StringIO()):
             cli.main(argv)
-        return {kind: hashlib.sha256((out / kind).read_bytes()).hexdigest()
-                for kind in DUMPS}
+        cli.main(["render", scene, "--svg", str(out / "svg")])
+        if plan_path.exists():
+            cli.main(["render", scene, str(plan_path), "--svg", str(out / "svg_plan")])
+        return {kind: hashlib.sha256(path.read_bytes()).hexdigest()
+                for kind in DUMPS + ("svg", "svg_plan") if (path := out / kind).exists()}
 
 
 def golden() -> dict:

@@ -321,6 +321,23 @@ def test_exhaustive_search_keeps_its_best_plan_past_the_time_budget(monkeypatch)
     assert [line.split()[2] for line in trace] == ["outcome=full"]
 
 
+def test_time_budget_stops_the_search_between_iterations(monkeypatch):
+    # unobstructed's one edge fails past the 1 s budget; the deadline is read
+    # before the check that every edge is exhausted
+    clock = fake_clock(monkeypatch)
+
+    def slow_failure(*args):
+        clock[0] += 2.0
+        return Failure()
+
+    monkeypatch.setattr(search, "ground", slow_failure)
+    trace = []
+    res = plan(load_scene(scenario("unobstructed")), PlannerConfig(time_budget=1.0),
+               trace=trace)
+    assert res == NoPlan("time_budget", 1, 1)
+    assert trace == ["iter=1 edge=0 outcome=failure reward=0.000000"]
+
+
 def rescan_exhausted(edge, grounded):
     """The exhaustion rule, recomputed from the tree and the ids of the edges
     grounded so far."""
