@@ -6,7 +6,8 @@ or 4 with one ``error:`` line on stderr.
 
 Exit codes: 0 success, 1 I/O or schema error, 2 planner found no plan,
 3 plan validation found violations, 4 an internal check failed during the
-search, such as a grounded plan failing validation (a planner fault).
+search or while building a ``--dump-*`` artifact, such as a grounded plan
+failing validation (a planner fault).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .mip import compile_model
 from .plans import dumps_plan, load_plan
 from .render import render_svg
 from .scene import load_scene
-from .search import NoPlan, PlannerConfig, SearchError
+from .search import NoPlan, PlannerConfig, SearchError, internal_checks
 from .search import plan as search_plan
 from .taskgraph import build_cmtg
 from .validator import validate_plan
@@ -37,16 +38,20 @@ def cmd_plan(args) -> int:
     scene = load_scene(args.scene)
     cfg = _config_from_args(args)
     facts = None
+    dumps = []      # (path, text), built before any is written
     if args.dump_facts or args.dump_cmtg or args.dump_mip:
         facts = compute_facts(scene)
-        if args.dump_facts:
-            Path(args.dump_facts).write_text(facts.dumps())
-        if args.dump_cmtg or args.dump_mip:
-            graph = build_cmtg(set(scene.goal_objects()), facts, scene)
-            if args.dump_cmtg:
-                Path(args.dump_cmtg).write_text(graph.dumps())
-            if args.dump_mip:
-                Path(args.dump_mip).write_text(compile_model(graph, cfg.t_max).dumps_lp())
+        with internal_checks():     # as during the search, a failed check is a planner fault
+            if args.dump_facts:
+                dumps.append((args.dump_facts, facts.dumps()))
+            if args.dump_cmtg or args.dump_mip:
+                graph = build_cmtg(set(scene.goal_objects()), facts, scene)
+                if args.dump_cmtg:
+                    dumps.append((args.dump_cmtg, graph.dumps()))
+                if args.dump_mip:
+                    dumps.append((args.dump_mip, compile_model(graph, cfg.t_max).dumps_lp()))
+    for path, text in dumps:
+        Path(path).write_text(text)
     trace: list[str] = []
     result = search_plan(scene, cfg, trace=trace, facts=facts)
     if args.trace:

@@ -43,7 +43,6 @@ same facts as (occluder, object, ...) records. These full views and
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -58,11 +57,28 @@ class FactSet:
     """A scene's facts: ``picks(M)``, ``places(M, Re)`` and ``handovers(M)``
     hold the full view's entries for M (and Re), computed when first read."""
 
+    __slots__ = ("scene", "_pick", "_place", "_handover")
+
     def __init__(self, scene: Scene):
         self.scene = scene
-        self.picks = functools.cache(functools.partial(_picks, scene))
-        self.places = functools.cache(functools.partial(_places, scene))
-        self.handovers = functools.cache(functools.partial(_handovers, scene))
+        self._pick = {}         # obj -> _picks(scene, obj)
+        self._place = {}        # (obj, region) -> _places(scene, obj, region)
+        self._handover = {}     # obj -> _handovers(scene, obj)
+
+    def picks(self, obj: str) -> dict:
+        if obj not in self._pick:
+            self._pick[obj] = _picks(self.scene, obj)
+        return self._pick[obj]
+
+    def places(self, obj: str, region: str) -> dict:
+        if (obj, region) not in self._place:
+            self._place[obj, region] = _places(self.scene, obj, region)
+        return self._place[obj, region]
+
+    def handovers(self, obj: str) -> set:
+        if obj not in self._handover:
+            self._handover[obj] = _handovers(self.scene, obj)
+        return self._handover[obj]
 
     @property
     def reachable_pick(self) -> dict:

@@ -15,7 +15,8 @@ pair test has one definition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 EPS = 1e-9
 
@@ -30,14 +31,13 @@ def norm_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class Pose:
-    x: float
-    y: float
-    theta: float = 0.0
+class Pose(Record):
+    __slots__ = ("x", "y", "theta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", norm_angle(self.theta))
+    def __init__(self, x: float, y: float, theta: float = 0.0):
+        self.x = x
+        self.y = y
+        self.theta = norm_angle(theta)
 
     @property
     def xy(self) -> tuple[float, float]:
@@ -49,27 +49,27 @@ class Pose:
         return cls(d["x"], d["y"], d.get("theta", 0.0))
 
 
-@dataclass(frozen=True)
-class Disc:
-    radius: float
+class Disc(Record):
+    __slots__ = ("radius",)
 
-    def __post_init__(self):
-        if self.radius <= 0.0:
+    def __init__(self, radius: float):
+        if radius <= 0.0:
             raise ValueError("disc radius must be positive")
+        self.radius = radius
 
     @property
     def circumradius(self) -> float:
         return self.radius
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    half_w: float
-    half_h: float
+class Rectangle(Record):
+    __slots__ = ("half_w", "half_h")
 
-    def __post_init__(self):
-        if self.half_w <= 0.0 or self.half_h <= 0.0:
+    def __init__(self, half_w: float, half_h: float):
+        if half_w <= 0.0 or half_h <= 0.0:
             raise ValueError("rectangle extents must be positive")
+        self.half_w = half_w
+        self.half_h = half_h
 
     @property
     def circumradius(self) -> float:
@@ -79,17 +79,17 @@ class Rectangle:
 Shape = Disc | Rectangle
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Record):
     """Axis-aligned rectangle given by min/max corners."""
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
+    __slots__ = ("xmin", "ymin", "xmax", "ymax")
 
-    def __post_init__(self):
-        if self.xmax <= self.xmin or self.ymax <= self.ymin:
+    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float):
+        if xmax <= xmin or ymax <= ymin:
             raise ValueError("rectangle must have positive area")
+        self.xmin = xmin
+        self.ymin = ymin
+        self.xmax = xmax
+        self.ymax = ymax
 
     @property
     def center(self) -> tuple[float, float]:
@@ -100,16 +100,16 @@ class Rect:
                 and self.ymin + margin <= p[1] <= self.ymax - margin)
 
 
-@dataclass(frozen=True)
-class Corridor:
+class Corridor(Record):
     """Capsule: a segment inflated by width/2. Zero-length segments are discs."""
-    a: tuple[float, float]
-    b: tuple[float, float]
-    width: float
+    __slots__ = ("a", "b", "width")
 
-    def __post_init__(self):
-        if self.width <= 0.0:
+    def __init__(self, a: tuple[float, float], b: tuple[float, float], width: float):
+        if width <= 0.0:
             raise ValueError("corridor width must be positive")
+        self.a = a
+        self.b = b
+        self.width = width
 
     @property
     def half_width(self) -> float:

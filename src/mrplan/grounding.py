@@ -26,12 +26,12 @@ already-moved object blocks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from .geometry import Pose, collides_any
 from .mip import TaskSkeleton
 from .motion import bases_crossed, build_moves, robot_clashes
 from .plans import GroundedJointAction, moved_objects
+from .record import Record
 from .scene import Scene, sample_placement
 
 STEP_RESTARTS = 10
@@ -49,24 +49,28 @@ def _occupied(steps, scene: Scene) -> list:
                                 for obj, pose in step.placements().items()]
 
 
-@dataclass(frozen=True)
-class Full:
-    steps: tuple  # complete sequence of grounded joint actions (time order)
+class Full(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple):
+        self.steps = steps  # complete sequence of grounded joint actions (time order)
 
 
-@dataclass(frozen=True)
-class Partial:
-    steps: tuple       # grounded suffix, including the input future actions
-    conflicts: frozenset
+class Partial(Record):
+    __slots__ = ("steps", "conflicts")
 
-    def __post_init__(self):
-        if not self.conflicts:
+    def __init__(self, steps: tuple, conflicts: frozenset):
+        if not conflicts:
             raise ValueError("partial outcome requires a nonempty conflict set")
+        self.steps = steps  # grounded suffix, including the input future actions
+        self.conflicts = conflicts
 
 
-@dataclass(frozen=True)
-class Failure:
-    reason: str = ""
+class Failure(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str = ""):
+        self.reason = reason
 
 
 def find_placements(actions, forbidden, scene: Scene, rng):
@@ -121,7 +125,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
         moves = {}
         for a, g, built in zip(actions, combo, layouts):
             if g not in built:
-                built[g] = build_moves(scene, replace(a, grasp_pick=g),
+                built[g] = build_moves(scene, a.replace(grasp_pick=g),
                                        scene.movables[a.obj].pose, placements[a.obj])
             moves.update(built[g])
         if not any(robot_clashes(scene, moves)):

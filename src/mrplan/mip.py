@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 # BudgetExceeded is raised by the solver and is part of this module's interface
 from .closure import BudgetExceeded, Search
+from .record import Record
 from .taskgraph import CMTG
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -45,21 +45,25 @@ class TimeBudgetExceeded(Exception):
     """The planner's deadline passed before a skeleton solve started."""
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    coeffs: tuple  # ((var_index, coefficient), ...)
-    sense: str     # '<=', '>=' or '=='
-    rhs: int
-    label: str = ""
+class LinearConstraint(Record):
+    __slots__ = ("coeffs", "sense", "rhs", "label")
+
+    def __init__(self, coeffs: tuple, sense: str, rhs: int, label: str):
+        self.coeffs = coeffs  # ((var_index, coefficient), ...)
+        self.sense = sense    # '<=', '>=' or '=='
+        self.rhs = rhs
+        self.label = label
 
 
-@dataclass
 class MipModel:
-    T: int
-    graph: CMTG = field(repr=False)
-    cuts: list = field(default_factory=list)    # excluded action sets (frozensets)
-    _rows: list | None = field(default=None, init=False, repr=False, compare=False)
-    _search: Search | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("T", "graph", "cuts", "_rows", "_search")
+
+    def __init__(self, T: int, graph: CMTG):
+        self.T = T
+        self.graph = graph
+        self.cuts = []          # excluded action sets (frozensets)
+        self._rows = None       # the base rows, once read
+        self._search = None     # the running Search of the last solve
 
     def var(self, t: int, i: int) -> int:
         """Index of X[t, action i]."""
@@ -112,12 +116,14 @@ class MipModel:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TaskSkeleton:
+class TaskSkeleton(Record):
     """Per step, each robot that acts -> its action; a handover maps both of
     its robots to it, and a robot that waits is absent."""
-    steps: tuple               # tuple of dict robot -> action
-    moved_objects: frozenset
+    __slots__ = ("steps", "moved_objects")
+
+    def __init__(self, steps: tuple, moved_objects: frozenset):
+        self.steps = steps  # tuple of dict robot -> action
+        self.moved_objects = moved_objects
 
     @property
     def makespan(self) -> int:

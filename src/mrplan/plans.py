@@ -10,18 +10,17 @@ it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import schemas
 from .geometry import Corridor, Pose
+from .record import Record
 
 
 class PlanError(ValueError):
     """Plan document is malformed or references unknown entities."""
 
 
-@dataclass(frozen=True, order=True)
-class PartiallyGroundedAction:
+class PartiallyGroundedAction(Record):
     """Pick-and-place without placement/trajectory information.
 
     A handover is an action whose pick and place robots differ; the two
@@ -33,12 +32,22 @@ class PartiallyGroundedAction:
     order: actions sort by their other fields, the canonical action order.
     ``grasp_pick`` is the action's one grasp, from pick to place.
     """
-    obj: str
-    region: str
-    pick_robot: str
-    place_robot: str
-    grasp_pick: float
-    grasps: tuple = field(default=(), compare=False, repr=False)
+    __slots__ = ("obj", "region", "pick_robot", "place_robot", "grasp_pick", "grasps")
+    _fields = __slots__[:-1]
+
+    def __init__(self, obj: str, region: str, pick_robot: str, place_robot: str,
+                 grasp_pick: float, grasps: tuple = ()):
+        self.obj = obj
+        self.region = region
+        self.pick_robot = pick_robot
+        self.place_robot = place_robot
+        self.grasp_pick = grasp_pick
+        self.grasps = grasps
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) < other._key(other)
 
     @property
     def is_handover(self) -> bool:
@@ -56,29 +65,36 @@ class PartiallyGroundedAction:
                 else "pick" if robot == self.pick_robot else "place")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """One straight leg: ``corridor`` sweeps from one waypoint to the other."""
-    waypoints: tuple[Pose, Pose]
-    corridor: Corridor
+    __slots__ = ("waypoints", "corridor")
+
+    def __init__(self, waypoints: tuple[Pose, Pose], corridor: Corridor):
+        self.waypoints = waypoints
+        self.corridor = corridor
 
 
-@dataclass(frozen=True)
-class RobotMove:
+class RobotMove(Record):
     """One robot's slot in a grounded joint action, in ``action.role(robot)``."""
-    action: PartiallyGroundedAction
-    placement: Pose
-    pick_traj: Trajectory
-    place_traj: Trajectory
+    __slots__ = ("action", "placement", "pick_traj", "place_traj")
+
+    def __init__(self, action: PartiallyGroundedAction, placement: Pose,
+                 pick_traj: Trajectory, place_traj: Trajectory):
+        self.action = action
+        self.placement = placement
+        self.pick_traj = pick_traj
+        self.place_traj = place_traj
 
     def all_corridors(self) -> tuple[Corridor, Corridor]:
         return (self.pick_traj.corridor, self.place_traj.corridor)
 
 
-@dataclass(frozen=True)
-class GroundedJointAction:
+class GroundedJointAction(Record):
     """Assignment of every robot to a move or a wait for one time step."""
-    moves: dict[str, RobotMove]  # absent robots wait
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: dict[str, RobotMove]):
+        self.moves = moves  # absent robots wait
 
     def moved_objects(self) -> set[str]:
         return {mv.action.obj for mv in self.moves.values()}
@@ -92,9 +108,11 @@ def moved_objects(steps) -> set[str]:
     return set().union(*(step.moved_objects() for step in steps))
 
 
-@dataclass(frozen=True)
-class Plan:
-    steps: tuple[GroundedJointAction, ...]
+class Plan(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[GroundedJointAction, ...]):
+        self.steps = steps
 
     @property
     def makespan(self) -> int:

@@ -84,7 +84,7 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
         lx, ly = cv.pt((reg.rect.xmin + 0.02, reg.rect.ymax - 0.02))
         cv.add(f'<text class="region-label" x="{_fmt(lx)}" y="{_fmt(ly + 12)}" '
                f'font-size="12" fill="#888">{html.escape(name, quote=False)}</text>')
-    for i, (shape, pose) in enumerate(scene.fixed):
+    for shape, pose in scene.fixed:
         cv.add(_shape_svg(cv, shape, pose, "fixed", 'fill="#444"'))
     for name in sorted(scene.movables):
         m = scene.movables[name]

@@ -11,11 +11,11 @@ comma-separated robot names, pair a robot with itself or list a pair twice
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import schemas
 from .geometry import (Disc, Pose, Rect, Rectangle, Shape, collides, collides_any,
                        shape_inside_rect)
+from .record import Record
 
 DEFAULT_GRASP_COUNT = 8
 PLACEMENT_ATTEMPTS = 100
@@ -25,54 +25,63 @@ class SceneError(ValueError):
     """Scene document is malformed or violates a world invariant."""
 
 
-@dataclass(frozen=True)
-class Region:
-    name: str
-    rect: Rect
+class Region(Record):
+    __slots__ = ("name", "rect")
+
+    def __init__(self, name: str, rect: Rect):
+        self.name = name
+        self.rect = rect
 
 
-@dataclass(frozen=True)
-class Robot:
-    name: str
-    base: tuple[float, float]
-    reach_min: float
-    reach_max: float
-    gripper_width: float
+class Robot(Record):
+    __slots__ = ("name", "base", "reach_min", "reach_max", "gripper_width")
 
-    def __post_init__(self):
-        if not (0.0 <= self.reach_min < self.reach_max):
-            raise SceneError(f"robot {self.name}: need 0 <= reach_min < reach_max")
-        if self.gripper_width <= 0.0:
-            raise SceneError(f"robot {self.name}: gripper_width must be positive")
+    def __init__(self, name: str, base: tuple[float, float], reach_min: float,
+                 reach_max: float, gripper_width: float):
+        if not (0.0 <= reach_min < reach_max):
+            raise SceneError(f"robot {name}: need 0 <= reach_min < reach_max")
+        if gripper_width <= 0.0:
+            raise SceneError(f"robot {name}: gripper_width must be positive")
+        self.name = name
+        self.base = base
+        self.reach_min = reach_min
+        self.reach_max = reach_max
+        self.gripper_width = gripper_width
 
     def in_reach(self, p: tuple[float, float]) -> bool:
         d = math.hypot(p[0] - self.base[0], p[1] - self.base[1])
         return self.reach_min <= d <= self.reach_max
 
 
-@dataclass(frozen=True)
-class Movable:
-    name: str
-    shape: Shape
-    pose: Pose
-    home_region: str
+class Movable(Record):
+    __slots__ = ("name", "shape", "pose", "home_region")
+
+    def __init__(self, name: str, shape: Shape, pose: Pose, home_region: str):
+        self.name = name
+        self.shape = shape
+        self.pose = pose
+        self.home_region = home_region
 
     @property
     def diameter(self) -> float:
         return 2.0 * self.shape.circumradius
 
 
-@dataclass
-class Scene:
-    regions: dict[str, Region]
-    fixed: list[tuple[Shape, Pose]]
-    movables: dict[str, Movable]
-    robots: dict[str, Robot]
-    handover_points: dict[tuple[str, str], tuple[float, float]]
-    grasp_count: int
-    goal: dict[str, str]  # object -> goal region
+class Scene(Record):
+    __slots__ = ("regions", "fixed", "movables", "robots", "handover_points",
+                 "grasp_count", "goal")
 
-    def __post_init__(self):
+    def __init__(self, regions: dict[str, Region], fixed: list[tuple[Shape, Pose]],
+                 movables: dict[str, Movable], robots: dict[str, Robot],
+                 handover_points: dict[tuple[str, str], tuple[float, float]],
+                 grasp_count: int, goal: dict[str, str]):
+        self.regions = regions
+        self.fixed = fixed
+        self.movables = movables
+        self.robots = robots
+        self.handover_points = handover_points
+        self.grasp_count = grasp_count
+        self.goal = goal  # object -> goal region
         self._check_invariants()
 
     # -- derived quantities ------------------------------------------------

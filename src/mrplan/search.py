@@ -12,72 +12,93 @@ when every child of the root is.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import mip
 from .facts import FactSet, compute_facts
 from .grounding import Failure, Full, ground
 from .mip import BudgetExceeded, TaskSkeleton, TimeBudgetExceeded, enumerate_skeletons
 from .plans import Plan, moved_objects
+from .record import Record
 from .scene import Scene
 from .taskgraph import build_cmtg
 from .validator import validate_plan
 
 
 class SearchError(RuntimeError):
-    """A planner fault: an internal check failed during the search."""
+    """A planner fault: an internal check failed during the search, or while
+    building a dump of its facts, task graph or model."""
 
 
-@dataclass
-class PlannerConfig:
-    c: float = 1.0
-    alpha: float = 1.0
-    t_max: int = 4
-    k_max: int = 10
-    max_iterations: int = 200
-    time_budget: float = 60.0
-    seed: int = 0
-    node_budget: int = mip.DEFAULT_NODE_BUDGET
-    exhaust: bool = False
+@contextlib.contextmanager
+def internal_checks():
+    """Raise a ``ValueError`` from inside as a ``SearchError``: on a scene and
+    config that passed their checks, a failed check is a planner fault."""
+    try:
+        yield
+    except ValueError as e:
+        raise SearchError(f"internal check failed: {e}") from e
 
-    def __post_init__(self):
+
+class PlannerConfig(Record):
+    __slots__ = ("c", "alpha", "t_max", "k_max", "max_iterations", "time_budget", "seed",
+                 "node_budget", "exhaust")
+
+    def __init__(self, c: float = 1.0, alpha: float = 1.0, t_max: int = 4, k_max: int = 10,
+                 max_iterations: int = 200, time_budget: float = 60.0, seed: int = 0,
+                 node_budget: int = mip.DEFAULT_NODE_BUDGET, exhaust: bool = False):
         # written as "not (in range)" so that NaN is out of range too; an
         # infinite c or alpha makes the UCB NaN, but time_budget=inf is no deadline
-        if not (0 <= self.c < math.inf and 0 <= self.alpha < math.inf):
+        if not (0 <= c < math.inf and 0 <= alpha < math.inf):
             raise ValueError("c and alpha must be finite and nonnegative")
-        if not (self.t_max >= 1 and self.k_max >= 1 and self.node_budget >= 1):
+        if not (t_max >= 1 and k_max >= 1 and node_budget >= 1):
             raise ValueError("t_max, k_max and node_budget must be >= 1")
-        if not (self.max_iterations >= 0 and self.time_budget >= 0):
+        if not (max_iterations >= 0 and time_budget >= 0):
             raise ValueError("max_iterations and time_budget must be nonnegative")
+        self.c = c
+        self.alpha = alpha
+        self.t_max = t_max
+        self.k_max = k_max
+        self.max_iterations = max_iterations
+        self.time_budget = time_budget
+        self.seed = seed
+        self.node_budget = node_budget
+        self.exhaust = exhaust
 
 
-@dataclass
 class SearchNode:
-    stored_steps: tuple = ()     # grounded joint actions accumulated so far
-    visits: int = 0
-    children: list = field(default_factory=list)  # SearchEdges
+    __slots__ = ("stored_steps", "visits", "children")
+
+    def __init__(self, stored_steps: tuple = ()):
+        self.stored_steps = stored_steps  # grounded joint actions accumulated so far
+        self.visits = 0
+        self.children = []                # SearchEdges
 
 
-@dataclass
 class SearchEdge:
-    id: int
-    skeleton: TaskSkeleton
-    prior: float
-    head: SearchNode | None = None   # set when grounding returns a Partial
-    value: float = 0.0
-    visits: int = 0
-    exhausted: bool = False      # a plan or a failure, or all its head's children are
+    __slots__ = ("id", "skeleton", "prior", "head", "value", "visits", "exhausted")
+
+    def __init__(self, id: int, skeleton: TaskSkeleton, prior: float):
+        self.id = id
+        self.skeleton = skeleton
+        self.prior = prior
+        self.head = None        # a SearchNode, set when grounding returns a Partial
+        self.value = 0.0
+        self.visits = 0
+        self.exhausted = False  # a plan or a failure, or all its head's children are
 
 
-@dataclass(frozen=True)
-class NoPlan:
-    reason: str                  # no_initial_skeletons | all_branches_pruned
-    iterations: int              # | budget_exhausted | solver_budget | time_budget
-    tree_size: int
+class NoPlan(Record):
+    __slots__ = ("reason", "iterations", "tree_size")
+
+    def __init__(self, reason: str, iterations: int, tree_size: int):
+        self.reason = reason            # no_initial_skeletons | all_branches_pruned
+        self.iterations = iterations    # | budget_exhausted | solver_budget | time_budget
+        self.tree_size = tree_size
 
     def to_doc(self) -> dict:
         return {"no_plan": self.reason, "iterations": self.iterations,
@@ -166,70 +187,70 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
                           for sk in skeletons]
 
     root = SearchNode()
-    try:
-        expand(root, scene.goal_objects())
-        if not root.children:
-            return give_up("no_initial_skeletons")
-        for iteration in range(1, cfg.max_iterations + 1):
-            if time.monotonic() > deadline:
-                return give_up("time_budget")
-            if all(e.exhausted for e in root.children):
-                return give_up("all_branches_pruned")
-            iterations = iteration
+    with internal_checks():
+        try:
+            expand(root, scene.goal_objects())
+            if not root.children:
+                return give_up("no_initial_skeletons")
+            for iteration in range(1, cfg.max_iterations + 1):
+                if time.monotonic() > deadline:
+                    return give_up("time_budget")
+                if all(e.exhausted for e in root.children):
+                    return give_up("all_branches_pruned")
+                iterations = iteration
 
-            # selection: descend by max UCB over non-exhausted edges; of those,
-            # the ones with a head are exactly the evaluated ones
-            node = root
-            path = []
-            while True:
-                edge = max((e for e in node.children if not e.exhausted),
-                           key=lambda e: (ucb(node, e, cfg.c), -e.id))
-                path.append((node, edge))
-                if edge.head is None:
-                    break
-                node = edge.head
+                # selection: descend by max UCB over non-exhausted edges; of those,
+                # the ones with a head are exactly the evaluated ones
+                node = root
+                path = []
+                while True:
+                    edge = max((e for e in node.children if not e.exhausted),
+                               key=lambda e: (ucb(node, e, cfg.c), -e.id))
+                    path.append((node, edge))
+                    if edge.head is None:
+                        break
+                    node = edge.head
 
-            # evaluation
-            rng = random.Random(f"{cfg.seed}:{edge.id}")
-            outcome = ground(edge.skeleton, node.stored_steps, scene, rng)
+                # evaluation
+                rng = random.Random(f"{cfg.seed}:{edge.id}")
+                outcome = ground(edge.skeleton, node.stored_steps, scene, rng)
 
-            if isinstance(outcome, Full):
-                candidate = Plan(steps=outcome.steps)
-                report = validate_plan(scene, candidate)
-                if not report.ok:
-                    raise SearchError(
-                        "grounded plan failed validation: "
-                        + "; ".join(v.message for v in report.violations))
-                r = reward(outcome, None, cfg.alpha)
-                trace.append(f"iter={iteration} edge={edge.id} outcome=full reward={r:.6f}")
-                edge.exhausted = True           # a plan ends here
+                if isinstance(outcome, Full):
+                    candidate = Plan(steps=outcome.steps)
+                    report = validate_plan(scene, candidate)
+                    if not report.ok:
+                        raise SearchError(
+                            "grounded plan failed validation: "
+                            + "; ".join(v.message for v in report.violations))
+                    r = reward(outcome, None, cfg.alpha)
+                    trace.append(f"iter={iteration} edge={edge.id} outcome=full reward={r:.6f}")
+                    edge.exhausted = True           # a plan ends here
+                    backpropagate(path, r)
+                    if not cfg.exhaust:
+                        return candidate
+                    if best_plan is None or ((candidate.motion_cost, candidate.makespan)
+                                             < (best_plan.motion_cost, best_plan.makespan)):
+                        best_plan = candidate
+                    continue
+
+                if isinstance(outcome, Failure):
+                    edge.exhausted = True
+                    trace.append(f"iter={iteration} edge={edge.id} "
+                                 "outcome=failure reward=0.000000")
+                    backpropagate(path, 0.0)
+                    continue
+
+                # partial: expand with skeletons for the conflict set
+                head = edge.head = SearchNode(outcome.steps)
+                tree_size += 1
+                expand(head, outcome.conflicts)
+                r = reward(outcome, [e.skeleton for e in head.children], cfg.alpha)
+                trace.append(f"iter={iteration} edge={edge.id} outcome=partial reward={r:.6f} "
+                             f"children={len(head.children)}")
                 backpropagate(path, r)
-                if not cfg.exhaust:
-                    return candidate
-                if best_plan is None or ((candidate.motion_cost, candidate.makespan)
-                                         < (best_plan.motion_cost, best_plan.makespan)):
-                    best_plan = candidate
-                continue
-
-            if isinstance(outcome, Failure):
-                edge.exhausted = True
-                trace.append(f"iter={iteration} edge={edge.id} outcome=failure reward=0.000000")
-                backpropagate(path, 0.0)
-                continue
-
-            # partial: expand with skeletons for the conflict set
-            head = edge.head = SearchNode(outcome.steps)
-            tree_size += 1
-            expand(head, outcome.conflicts)
-            r = reward(outcome, [e.skeleton for e in head.children], cfg.alpha)
-            trace.append(f"iter={iteration} edge={edge.id} outcome=partial reward={r:.6f} "
-                         f"children={len(head.children)}")
-            backpropagate(path, r)
-            head.visits += 1
-    except BudgetExceeded:
-        return give_up("solver_budget")
-    except TimeBudgetExceeded:
-        return give_up("time_budget")
-    except ValueError as e:     # the scene and config passed their checks above
-        raise SearchError(f"internal check failed: {e}") from e
+                head.visits += 1
+        except BudgetExceeded:
+            return give_up("solver_budget")
+        except TimeBudgetExceeded:
+            return give_up("time_budget")
     return give_up("budget_exhausted")

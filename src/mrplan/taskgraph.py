@@ -19,26 +19,31 @@ solver and the model rows read the graph as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .facts import FactSet
 from .plans import PartiallyGroundedAction
+from .record import Record
 from .scene import Scene
 
 
-@dataclass(frozen=True)
-class CMTG:
+class CMTG(Record):
     """Collaborative manipulation task graph, by position."""
-    targets: frozenset    # names
-    object_nodes: tuple   # sorted names
-    action_nodes: tuple   # canonical order
-    robots: tuple         # sorted names of the robots the actions use
-    obj_of: tuple         # action -> object
-    robots_of: tuple      # action -> robots
-    pick: tuple           # action -> objects that pick-block it, ascending
-    place: tuple          # action -> objects that place-block it, ascending
-    blockers: tuple       # action -> frozenset of pick and place blockers
-    acts: tuple           # object -> its actions, ascending
+    __slots__ = ("targets", "object_nodes", "action_nodes", "robots", "obj_of",
+                 "robots_of", "pick", "place", "blockers", "acts")
+
+    def __init__(self, targets: frozenset, object_nodes: tuple, action_nodes: tuple,
+                 robots: tuple, obj_of: tuple, robots_of: tuple, pick: tuple,
+                 place: tuple, blockers: tuple, acts: tuple):
+        self.targets = targets            # names
+        self.object_nodes = object_nodes  # sorted names
+        self.action_nodes = action_nodes  # canonical order
+        self.robots = robots              # sorted names of the robots the actions use
+        self.obj_of = obj_of              # action -> object
+        self.robots_of = robots_of        # action -> robots
+        self.pick = pick                  # action -> objects that pick-block it, ascending
+        self.place = place                # action -> objects that place-block it, ascending
+        self.blockers = blockers          # action -> frozenset of pick and place blockers
+        self.acts = acts                  # object -> its actions, ascending
 
     @property
     def block_pick_edges(self) -> list:

@@ -35,26 +35,30 @@ document that says otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .geometry import EPS, collides, collides_any, shape_inside_rect
 from .motion import bases_crossed, points_close, robot_clashes
 from .plans import Plan, PlanError, RobotMove
+from .record import Record
 from .scene import Scene
 
 CONDITIONS = ("condition_i", "condition_ii", "condition_iii", "monotonicity", "goal")
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    step: int | None
-    message: str
+class Violation(Record):
+    __slots__ = ("code", "step", "message")
+
+    def __init__(self, code: str, step: int | None, message: str):
+        self.code = code
+        self.step = step
+        self.message = message
 
 
-@dataclass
 class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+    __slots__ = ("violations",)
+
+    def __init__(self):
+        self.violations = []
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,6 @@ meets its precondition: no obstacle lies on a task-graph pick sweep.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 from mrplan.grounding import _sweep_clear
 from mrplan.motion import build_moves, robot_clashes
@@ -26,7 +25,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
         clear = []
         for g in action.grasps or (action.grasp_pick,):
             a = (action if g == action.grasp_pick
-                 else replace(action, grasp_pick=g))
+                 else action.replace(grasp_pick=g))
             moves = build_moves(scene, a, obj_pose, placement)
             if all(_sweep_clear(r, cor, obstacles, scene)
                    for r, mv in moves.items() for cor in mv.all_corridors()):

@@ -149,9 +149,10 @@ class _Step:
 
 
 def test_selection_and_reward_formulas_exact():
-    node = SearchNode(visits=9)
-    edge = SearchEdge(id=0, skeleton=sk(["M1"]), prior=0.25,
-                      value=2.0, visits=3)
+    node = SearchNode()
+    node.visits = 9
+    edge = SearchEdge(id=0, skeleton=sk(["M1"]), prior=0.25)
+    edge.value, edge.visits = 2.0, 3
     # value/(n+1) + c * prior * sqrt(N) / (n+1)
     assert abs(ucb(node, edge, 1.0) - (0.5 + 0.25 * 3.0 / 4.0)) < 1e-12
     assert abs(ucb(node, edge, 2.0) - (0.5 + 2.0 * 0.25 * 3.0 / 4.0)) < 1e-12
@@ -171,13 +172,13 @@ def test_selection_and_reward_formulas_exact():
 def test_zero_exploration_constant_is_argmax_over_means():
     rng = random.Random(1)
     for _ in range(50):
-        node = SearchNode(visits=rng.randint(1, 50))
+        node = SearchNode()
+        node.visits = rng.randint(1, 50)
         edges = []
         for i in range(5):
-            edges.append(SearchEdge(
-                id=i, skeleton=sk([f"M{i}"]),
-                prior=rng.uniform(0.1, 1.0),
-                value=rng.uniform(0.0, 5.0), visits=rng.randint(0, 10)))
+            edge = SearchEdge(id=i, skeleton=sk([f"M{i}"]), prior=rng.uniform(0.1, 1.0))
+            edge.value, edge.visits = rng.uniform(0.0, 5.0), rng.randint(0, 10)
+            edges.append(edge)
         by_ucb = max(edges, key=lambda e: (ucb(node, e, 0.0), -e.id))
         by_mean = max(edges, key=lambda e: (e.value / (e.visits + 1), -e.id))
         assert by_ucb is by_mean

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from mrplan import cli, search
+from mrplan import cli, search, taskgraph
 from mrplan.cli import main
 from mrplan.facts import compute_facts
 from mrplan.scene import load_scene
@@ -117,6 +117,22 @@ def test_plan_exits_4_when_an_internal_check_fails(fault, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error: internal check failed: {message}")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dump", ["--dump-cmtg", "--dump-mip"])
+def test_plan_exits_4_when_a_dump_fails_an_internal_check(dump, tmp_path, monkeypatch,
+                                                          capsys):
+    # the dumps build the goal task graph before the search does
+    def build_cmtg(targets, facts, scene):
+        return taskgraph.build_cmtg(targets, facts, scene, excluded=targets)
+    monkeypatch.setattr(cli, "build_cmtg", build_cmtg)
+    out = tmp_path / "plan.json"
+    assert run(["plan", scenario("pick_chain"), dump, tmp_path / "dump.txt",
+                "--out", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: targets and excluded objects overlap\n"
     assert not out.exists()
 
 

@@ -2,7 +2,6 @@
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -227,7 +226,7 @@ def test_no_obstacle_lies_on_a_task_graph_pick_sweep_in_a_plan(source, monkeypat
         for a in actions:
             pose = scene.movables[a.obj].pose
             for g in a.grasps:
-                moves = build_moves(scene, replace(a, grasp_pick=g),
+                moves = build_moves(scene, a.replace(grasp_pick=g),
                                     pose, placements[a.obj])
                 sweep = moves[a.pick_robot].pick_traj.corridor
                 assert grounding._sweep_clear(a.pick_robot, sweep, obstacles, scene), (

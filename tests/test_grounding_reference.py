@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -125,7 +124,7 @@ def test_the_first_clear_combination_in_product_order_wins():
     def moves(g1, g2):
         out = {}
         for a, g in zip(step, (g1, g2)):
-            out.update(build_moves(scene, replace(a, grasp_pick=g),
+            out.update(build_moves(scene, a.replace(grasp_pick=g),
                                    scene.movables[a.obj].pose, placements[a.obj]))
         return out
 
@@ -148,7 +147,7 @@ def test_the_grasps_of_a_class_differ_only_in_the_pick_sweep(grasp_count):
             placement = Pose(obj_pose.x + 0.3, obj_pose.y - 0.2)
             rep = build_moves(scene, action, obj_pose, placement)
             for g in action.grasps:
-                moves = build_moves(scene, replace(action, grasp_pick=g),
+                moves = build_moves(scene, action.replace(grasp_pick=g),
                                     obj_pose, placement)
                 assert moves.keys() == rep.keys()
                 for r, mv in moves.items():

@@ -3,13 +3,14 @@ the package needs nothing outside the standard library, no module-level name
 is left defined but unread, no imported name is left unread, no default
 parameter is left unpassed, no one-against-many collision test bypasses
 ``geometry.collides_any``, the validator lays out no move with the layout
-it checks, and starting the command line loads no network or XML library."""
+it checks, no loop leaves its ``enumerate`` index unread, and a ``plan``
+command loads no dataclass, network or XML library."""
 import ast
 import os
 import subprocess
 import sys
 
-from conftest import REPO
+from conftest import REPO, scenario
 
 SRC = REPO / "src" / "mrplan"
 
@@ -163,17 +164,25 @@ def calls_by_callee(paths):
     return positional, keywords
 
 
+def functions(tree):
+    """``(callee, fn)`` for each function definition in ``tree``: a class's
+    ``__init__`` is called by the class's name, any other function by its own."""
+    inits = {fn: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for fn in node.body if getattr(fn, "name", None) == "__init__"}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield inits.get(fn, fn.name), fn
+
+
 def test_no_default_parameter_is_left_unpassed():
-    """Every parameter with a default in a package function is passed, by
-    position or by keyword, by some call in the package; a default that no
-    caller overrides is a constant. ``cli.main(argv)`` is the console entry
-    point, which the interpreter calls with no argument."""
+    """Every parameter with a default in a package function or constructor
+    is passed, by position or by keyword, by some call in the package; a
+    default that no caller overrides is a constant. ``cli.main(argv)`` is the
+    console entry point, which the interpreter calls with no argument."""
     positional, keywords = calls_by_callee(sorted(SRC.rglob("*.py")))
     unpassed = []
     for path in sorted(SRC.rglob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for callee, fn in functions(ast.parse(path.read_text())):
             args = fn.args
             params = [a.arg for a in args.posonlyargs + args.args]
             defaults = dict(zip(params[len(params) - len(args.defaults):], args.defaults))
@@ -183,11 +192,42 @@ def test_no_default_parameter_is_left_unpassed():
                 params = params[1:]
             for name in defaults:
                 at = params.index(name) if name in params else None
-                passed = (name in keywords.get(fn.name, ()) or (
-                    at is not None and any(n > at for n in positional.get(fn.name, ()))))
-                if not passed and (path.name, fn.name, name) != ("cli.py", "main", "argv"):
-                    unpassed.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+                passed = (name in keywords.get(callee, ()) or (
+                    at is not None and any(n > at for n in positional.get(callee, ()))))
+                if not passed and (path.name, callee, name) != ("cli.py", "main", "argv"):
+                    unpassed.append(f"{path.name}:{fn.lineno} {callee}({name})")
     assert unpassed == []
+
+
+def unread_enumerate_indices(path):
+    """``where index`` for each loop over ``enumerate(...)`` in ``path`` that
+    never reads its index: a ``for`` statement's body and ``else``, or the
+    rest of a comprehension."""
+    out = []
+    tree = ast.parse(path.read_text())
+    loops = [(node, node.body + node.orelse) for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.AsyncFor))]
+    loops += [(gen, [comp]) for comp in ast.walk(tree)
+              if isinstance(comp, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+              for gen in comp.generators]
+    for loop, body in loops:
+        if not (isinstance(loop.iter, ast.Call) and getattr(loop.iter.func, "id", None)
+                == "enumerate" and isinstance(loop.target, ast.Tuple)
+                and isinstance(loop.target.elts[0], ast.Name)):
+            continue
+        index = loop.target.elts[0].id
+        if not any(isinstance(n, ast.Name) and n.id == index and isinstance(n.ctx, ast.Load)
+                   for stmt in body for n in ast.walk(stmt)):
+            out.append(f"{path.relative_to(REPO)}:{loop.iter.lineno} {index}")
+    return out
+
+
+def test_no_enumerate_index_is_left_unread():
+    """Every loop over ``enumerate(...)`` in the package, its tests or the
+    benchmark reads the index it binds."""
+    paths = [p for root in (SRC, REPO / "tests", REPO / "perfbench")
+             for p in sorted(root.rglob("*.py"))]
+    assert [hit for path in paths for hit in unread_enumerate_indices(path)] == []
 
 
 def test_no_any_over_pairwise_collides():
@@ -222,12 +262,19 @@ def test_validator_does_not_use_the_layout_it_checks():
     assert used & layout == set()
 
 
-def test_importing_the_cli_loads_no_network_or_xml_library():
-    # xml.sax.saxutils alone pulls in urllib.request, http.client and email,
-    # a large share of every mrplan process's start-up
-    code = ("import sys, mrplan.cli\n"
-            "print(sorted({'urllib.request', 'http.client', 'xml.sax'} & set(sys.modules)))\n")
+def test_a_plan_command_loads_no_dataclass_network_or_xml_library(tmp_path):
+    # every mrplan process pays for what it imports: dataclasses, the inspect
+    # module it pulls in and the methods it generated cost about a third of a
+    # process's time; xml.sax.saxutils alone pulls in urllib.request,
+    # http.client and email
+    code = ("import sys\n"
+            "from mrplan.cli import main\n"
+            "assert main(['plan', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(sorted({'dataclasses', 'inspect', 'urllib.request', 'http.client',"
+            " 'xml.sax'} & set(sys.modules)))\n")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code, str(scenario("unobstructed")),
+                          str(tmp_path / "plan.json")],
+                         env=env, check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+    assert (tmp_path / "plan.json").read_text().startswith("{")

@@ -2,7 +2,6 @@
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -375,7 +374,7 @@ def _map_actions(graph, fn):
 def expand_classes(graph):
     """One action per member grasp of each class, with the class's blockers."""
     return _map_actions(graph, lambda a: [
-        replace(a, grasp_pick=g, grasps=(g,)) for g in a.grasps])
+        a.replace(grasp_pick=g, grasps=(g,)) for g in a.grasps])
 
 
 def assert_collapsed_optimum_matches_expanded_oracle(graph):
@@ -395,7 +394,7 @@ def test_grasp_classes_keep_the_optimum_of_random_graphs():
         k = rng.randint(2, 4)
         angles = tuple(2.0 * math.pi * i / k for i in range(k))
         graph = _map_actions(random_cmtg(rng, max_objects=3, max_actions=3),
-                             lambda a: [replace(a, grasps=angles)])
+                             lambda a: [a.replace(grasps=angles)])
         assert_collapsed_optimum_matches_expanded_oracle(graph)
 
 

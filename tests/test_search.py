@@ -38,9 +38,10 @@ def grounded_step(obj="M1"):
 
 
 def test_ucb_formula_values():
-    node = SearchNode(visits=4)
-    edge = SearchEdge(id=0, skeleton=sk_for(["M1"]), prior=0.5,
-                      value=1.0, visits=1)
+    node = SearchNode()
+    node.visits = 4
+    edge = SearchEdge(id=0, skeleton=sk_for(["M1"]), prior=0.5)
+    edge.value, edge.visits = 1.0, 1
     assert ucb(node, edge, c=1.0) == pytest.approx(1.0)  # 1/2 + 0.5*2/2
     assert ucb(node, edge, c=0.0) == pytest.approx(0.5)
     fresh = SearchEdge(id=1, skeleton=sk_for(["M1"]), prior=1.0)
@@ -64,8 +65,10 @@ def test_reward_values():
 
 def test_backpropagate_updates_path_statistics():
     mid = SearchNode()
-    e1 = SearchEdge(id=0, skeleton=sk_for(["M1", "M2"]), prior=0.5, head=mid)
-    root = SearchNode(children=[e1])
+    e1 = SearchEdge(id=0, skeleton=sk_for(["M1", "M2"]), prior=0.5)
+    e1.head = mid
+    root = SearchNode()
+    root.children.append(e1)
     e2 = SearchEdge(id=1, skeleton=sk_for(["M3"]), prior=1.0)
     mid.children.append(e2)
     backpropagate([(root, e1), (mid, e2)], 0.75)
@@ -349,7 +352,6 @@ def rescan_exhausted(edge, grounded):
 @pytest.mark.parametrize("name", ["pa_small", "conflict_partial", "pick_chain",
                                   "parallel_goals"])
 def test_exhausted_flags_match_a_rescan_of_the_tree(monkeypatch, name):
-    # a dataclass's __init__ does not call a __post_init__ a subclass adds
     nodes = []
     trace = []
 

@@ -1,7 +1,6 @@
 """Plan validity checker: replay, per-condition violations, round trips."""
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -88,7 +87,7 @@ def test_corridor_over_another_robots_base_is_condition_i():
                     "reach_max": 0.15, "gripper_width": 0.1}],
         "grasp_count": 4,
         "goal": [["M1", "goal_zone"]]}))
-    action = replace(single_action(), grasp_pick=math.pi)
+    action = single_action().replace(grasp_pick=math.pi)
     step = step_for(scene, action, Pose(0.45, 0.55))
     report = validate_plan(scene, Plan(steps=(step,)))
     assert [(v.code, v.message) for v in report.violations] == [
@@ -137,7 +136,7 @@ def test_handover_missing_partner_slot_is_structural_error():
 def test_handover_sides_with_different_placements_are_structural_error():
     scene = load_scene(scenario("handover_required"))
     moves = handover_moves(scene)
-    moves["R1"] = replace(moves["R1"], placement=Pose(0.5, -0.3))
+    moves["R1"] = moves["R1"].replace(placement=Pose(0.5, -0.3))
     with pytest.raises(PlanError, match="disagree on its placement"):
         validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
 
@@ -182,13 +181,13 @@ def test_unknown_entity_references_are_structural_errors():
 
 
 @pytest.mark.parametrize("edit,match", [
-    (lambda c: replace(c, width=0.05), "narrower"),
-    (lambda c: replace(c, b=(c.b[0] + 0.1, c.b[1])), "does not join"),
+    (lambda c: c.replace(width=0.05), "narrower"),
+    (lambda c: c.replace(b=(c.b[0] + 0.1, c.b[1])), "does not join"),
 ], ids=["narrow", "off_waypoint"])
 def test_corridor_that_is_not_the_sweep_of_its_waypoints_is_structural(edit, match):
     scene = load_scene(scenario("unobstructed"))
     mv = step_for(scene, single_action(), Pose(0.25, 0.55)).moves["R1"]
-    bad = replace(mv, pick_traj=replace(mv.pick_traj, corridor=edit(mv.pick_traj.corridor)))
+    bad = mv.replace(pick_traj=mv.pick_traj.replace(corridor=edit(mv.pick_traj.corridor)))
     with pytest.raises(PlanError, match=match):
         validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
 
@@ -199,8 +198,8 @@ def moved_end(traj, index, to):
     wps = list(traj.waypoints)
     wps[index] = Pose(*to)
     cor = traj.corridor
-    cor = replace(cor, a=to) if index == 0 else replace(cor, b=to)
-    return replace(traj, waypoints=tuple(wps), corridor=cor)
+    cor = cor.replace(a=to) if index == 0 else cor.replace(b=to)
+    return traj.replace(waypoints=tuple(wps), corridor=cor)
 
 
 @pytest.mark.parametrize("traj,index,to,match", [
@@ -212,7 +211,7 @@ def moved_end(traj, index, to):
 def test_trajectory_away_from_its_endpoint_is_condition_ii(traj, index, to, match):
     scene = load_scene(scenario("unobstructed"))
     mv = step_for(scene, single_action(), Pose(0.25, 0.55)).moves["R1"]
-    bad = replace(mv, **{traj: moved_end(getattr(mv, traj), index, to)})
+    bad = mv.replace(**{traj: moved_end(getattr(mv, traj), index, to)})
     report = validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
     assert [v.code for v in report.violations] == ["condition_ii"]
     assert match in report.violations[0].message
@@ -237,7 +236,7 @@ def test_handover_legs_away_from_their_endpoints_are_condition_ii(robot, traj, i
     moves = handover_moves(scene)
     assert validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),))).ok
     mv = moves[robot]
-    moves[robot] = replace(mv, **{traj: moved_end(getattr(mv, traj), index, to)})
+    moves[robot] = mv.replace(**{traj: moved_end(getattr(mv, traj), index, to)})
     report = validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
     faults = [v for v in report.violations if v.code == code]
     assert len(faults) == 1 and match in faults[0].message
@@ -352,7 +351,7 @@ def test_a_leg_that_ends_out_of_reach_names_its_robot(obj_at, placement, handove
     scene = scene_of({"M1": obj_at}, {"R1": (0.0, 0.0), "R2": (2.0, 0.0)})
     action = single_action("M1", "work", "R1")
     if handover_point is not None:
-        scene = replace(scene, handover_points={("R1", "R2"): handover_point})
-        action = replace(action, place_robot="R2")
+        scene = scene.replace(handover_points={("R1", "R2"): handover_point})
+        action = action.replace(place_robot="R2")
     moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(*placement))
     assert violations(scene, GroundedJointAction(moves=moves)) == [fault]
