@@ -45,7 +45,7 @@ def cmd_plan(args) -> int:
             if args.dump_facts:
                 dumps.append((args.dump_facts, facts.dumps()))
             if args.dump_cmtg or args.dump_mip:
-                graph = build_cmtg(set(scene.goal_objects()), facts, scene)
+                graph = build_cmtg(scene.unmet_goals(), facts, scene)
                 if args.dump_cmtg:
                     dumps.append((args.dump_cmtg, graph.dumps()))
                 if args.dump_mip:
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=default.k_max)
     p.add_argument("--out", help="plan output path (default: stdout)")
     p.add_argument("--dump-facts", help="write computed facts as sorted JSON")
-    p.add_argument("--dump-cmtg", help="write the goal task graph, line-oriented")
+    p.add_argument("--dump-cmtg", help="write the search's root task graph, line-oriented")
     p.add_argument("--dump-mip", help="write the compiled model in LP format")
     p.add_argument("--trace", help="write the per-iteration search trace")
     p.add_argument("--exhaust", action="store_true",

@@ -189,8 +189,7 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
         grounded = [step] + grounded
         m_fut |= step.moved_objects()
         if relaxed:
-            unmoved_goals = scene.goal.keys() - m_fut
-            conflicts = unmoved_goals | set(
+            conflicts = (set(scene.unmet_goals()) - m_fut) | set(
                 scene.movables_hit(_occupied(grounded, scene), exclude=m_fut))
             if conflicts:
                 return Partial(steps=tuple(grounded), conflicts=frozenset(conflicts))

@@ -6,7 +6,8 @@ Scene documents are JSON; their format is ``schemas/scene.schema.json``.
 robots share a name, ``handover_points`` keys that are not two
 comma-separated robot names, pair a robot with itself or list a pair twice
 (in either order), and a goal that lists an object more than once. A
-``Scene``'s goal maps each goal object to its goal region.
+``Scene``'s goal maps each goal object to its goal region, and
+``unmet_goals`` is the one list of the goal objects a plan must move.
 """
 from __future__ import annotations
 
@@ -93,6 +94,12 @@ class Scene(Record):
     def goal_objects(self) -> list[str]:
         return sorted(self.goal)
 
+    def unmet_goals(self) -> list[str]:
+        """The goal objects outside their goal region at their start poses, in
+        name order: the objects a plan must move."""
+        return [obj for obj, m in sorted(self.movables.items()) if obj in self.goal
+                and not shape_inside_rect(m.shape, m.pose, self.regions[self.goal[obj]].rect)]
+
     def target_region_of(self, obj: str) -> str:
         """Goal region for goal objects, home region otherwise."""
         return self.goal.get(obj, self.movables[obj].home_region)
@@ -150,13 +157,6 @@ class Scene(Record):
         for (r1, r2) in self.handover_points:
             if r1 not in self.robots or r2 not in self.robots:
                 raise SceneError(f"handover point references unknown robots ({r1}, {r2})")
-
-    def goal_satisfied(self) -> bool:
-        for obj, re in self.goal.items():
-            m = self.movables[obj]
-            if not shape_inside_rect(m.shape, m.pose, self.regions[re].rect):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

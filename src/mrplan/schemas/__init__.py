@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from importlib import resources
+import os
 
 _ANNOTATIONS = frozenset({"$schema", "title", "$defs"})
 
@@ -272,5 +272,5 @@ def read(kind: str, path, error: type[ValueError]) -> str:
 @functools.cache
 def schema(kind: str) -> Schema:
     """The shipped ``<kind>.schema.json`` (``scene`` or ``plan``), read once."""
-    text = resources.files(__name__).joinpath(f"{kind}.schema.json").read_text()
-    return Schema(json.loads(text))
+    with open(os.path.join(os.path.dirname(__file__), f"{kind}.schema.json"), "rb") as f:
+        return Schema(json.load(f))     # json detects the UTF-8 of the bytes

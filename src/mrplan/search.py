@@ -141,7 +141,7 @@ def reward(outcome, new_skeletons, alpha: float) -> float:
 
 def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
          facts: FactSet | None = None):
-    """Search for a valid plan. Returns a Plan or a NoPlan report.
+    """Search for a plan that moves ``scene.unmet_goals()``: a Plan or a NoPlan report.
 
     ``cfg.time_budget`` counts from entry and is checked between iterations
     and before each skeleton solve; a single solve or grounding is not
@@ -158,8 +158,8 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
         raise ValueError("scene has an empty goal specification")
     if trace is None:
         trace = []
-
-    if scene.goal_satisfied():
+    targets = scene.unmet_goals()
+    if not targets:
         return Plan(steps=())
 
     if facts is None:
@@ -189,7 +189,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
     root = SearchNode()
     with internal_checks():
         try:
-            expand(root, scene.goal_objects())
+            expand(root, targets)
             if not root.children:
                 return give_up("no_initial_skeletons")
             for iteration in range(1, cfg.max_iterations + 1):

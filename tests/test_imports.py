@@ -4,7 +4,8 @@ is left defined but unread, no imported name is left unread, no default
 parameter is left unpassed, no one-against-many collision test bypasses
 ``geometry.collides_any``, the validator lays out no move with the layout
 it checks, no loop leaves its ``enumerate`` index unread, and a ``plan``
-command loads no dataclass, network or XML library."""
+command loads no dataclass, network or XML library, nor
+``importlib.resources``."""
 import ast
 import os
 import subprocess
@@ -262,19 +263,32 @@ def test_validator_does_not_use_the_layout_it_checks():
     assert used & layout == set()
 
 
+def plan_command_modules(tmp_path, *flags) -> set:
+    """The modules loaded after a fresh interpreter, started with ``flags``,
+    runs a whole ``plan`` command through ``mrplan.cli.main``."""
+    code = ("import sys\n"
+            "from mrplan.cli import main\n"
+            "assert main(['plan', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(' '.join(sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, *flags, "-c", code, str(scenario("unobstructed")),
+                          str(tmp_path / "plan.json")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert (tmp_path / "plan.json").read_text().startswith("{")
+    return set(out.split())
+
+
 def test_a_plan_command_loads_no_dataclass_network_or_xml_library(tmp_path):
     # every mrplan process pays for what it imports: dataclasses, the inspect
     # module it pulls in and the methods it generated cost about a third of a
     # process's time; xml.sax.saxutils alone pulls in urllib.request,
     # http.client and email
-    code = ("import sys\n"
-            "from mrplan.cli import main\n"
-            "assert main(['plan', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "print(sorted({'dataclasses', 'inspect', 'urllib.request', 'http.client',"
-            " 'xml.sax'} & set(sys.modules)))\n")
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    out = subprocess.run([sys.executable, "-c", code, str(scenario("unobstructed")),
-                          str(tmp_path / "plan.json")],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
-    assert (tmp_path / "plan.json").read_text().startswith("{")
+    loaded = plan_command_modules(tmp_path)
+    assert sorted({"dataclasses", "inspect", "urllib.request", "http.client",
+                   "xml.sax"} & loaded) == []
+
+
+def test_a_plan_command_loads_no_importlib_resources(tmp_path):
+    # importlib.resources pulls in typing, tempfile, zipfile and shutil; with
+    # the site module off (-S), no .pth file can have imported it first
+    assert "importlib.resources" not in plan_command_modules(tmp_path, "-S")

@@ -162,9 +162,19 @@ def test_grasp_point_on_circumscribed_circle():
     assert s.grasp_point("M1", 0.0, pose=moved) == pytest.approx((0.25, 0.2))
 
 
-def test_goal_satisfied():
-    s = make(goal=[["M1", "work"]])
-    assert s.goal_satisfied()
+def test_unmet_goals_are_the_goal_objects_outside_their_region():
+    # M1 lies inside "corner", M2 and M3 outside it, M3 only partly
+    disc = {"type": "disc", "radius": 0.05}
+    doc = {"regions": MINIMAL["regions"] + [{"name": "corner", "rect": [0.0, 0.0, 0.4, 0.4]}],
+           "movables": [{"name": n, "shape": disc, "pose": {"x": x, "y": y},
+                         "home_region": "work"}
+                        for n, x, y in (("M1", 0.2, 0.2), ("M2", 0.8, 0.8), ("M3", 0.38, 0.2),
+                                        ("M4", 0.6, 0.2))]}
+    assert make(doc, goal=[["M1", "corner"]]).unmet_goals() == []
+    assert make(doc, goal=[["M2", "corner"], ["M1", "corner"]]).unmet_goals() == ["M2"]
+    # in name order, not goal order; a non-goal object (M4) is never listed
+    assert make(doc, goal=[["M3", "corner"], ["M2", "corner"],
+                           ["M1", "work"]]).unmet_goals() == ["M2", "M3"]
 
 
 def test_sample_placement_respects_region_and_forbidden():

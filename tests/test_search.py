@@ -250,9 +250,18 @@ def test_time_budget_counts_the_root_enumeration(monkeypatch):
     assert (res.reason, res.iterations, trace) == ("time_budget", 0, [])
 
 
+def pa_small_with_m3_outside_its_box():
+    """``pa_small`` with M3 starting just left of its goal region ``box_b``.
+    At seed 0 its first iteration grounds fully and its second partially."""
+    doc = json.loads(scenario("pa_small").read_text())
+    (m3,) = (m for m in doc["movables"] if m["name"] == "M3")
+    m3["pose"] = {"x": 0.5, "y": -0.2}
+    return loads_scene(json.dumps(doc))
+
+
 def test_exhaustive_search_keeps_its_best_plan_past_a_solver_budget(monkeypatch):
-    # pa_small's first iteration grounds fully and its second partially;
-    # make the enumeration for that conflict run out of budget
+    # the first iteration grounds fully and the second partially; make the
+    # enumeration for that conflict run out of budget
     calls = []
     enumerate_skeletons = search.enumerate_skeletons
 
@@ -263,7 +272,7 @@ def test_exhaustive_search_keeps_its_best_plan_past_a_solver_budget(monkeypatch)
         return enumerate_skeletons(*args, **kwargs)
 
     monkeypatch.setattr(search, "enumerate_skeletons", second_call_over_budget)
-    scene = load_scene(scenario("pa_small"))
+    scene = pa_small_with_m3_outside_its_box()
     trace = []
     res = plan(scene, PlannerConfig(exhaust=True), trace=trace)
     assert isinstance(res, Plan) and validate_plan(scene, res).ok
@@ -303,7 +312,7 @@ def test_time_budget_stops_an_enumeration_before_its_next_solve(monkeypatch):
 
 
 def test_exhaustive_search_keeps_its_best_plan_past_the_time_budget(monkeypatch):
-    # pa_small's first iteration grounds fully and its second partially; the
+    # the first iteration grounds fully and the second partially; the
     # deadline passes as the enumeration for that conflict starts
     clock = fake_clock(monkeypatch)
     calls = []
@@ -316,7 +325,7 @@ def test_exhaustive_search_keeps_its_best_plan_past_the_time_budget(monkeypatch)
         return enumerate_skeletons(*args, **kwargs)
 
     monkeypatch.setattr(search, "enumerate_skeletons", late_second_call)
-    scene = load_scene(scenario("pa_small"))
+    scene = pa_small_with_m3_outside_its_box()
     trace = []
     res = plan(scene, PlannerConfig(exhaust=True, time_budget=1.0), trace=trace)
     assert isinstance(res, Plan) and validate_plan(scene, res).ok

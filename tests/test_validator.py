@@ -5,7 +5,7 @@ import math
 import pytest
 
 from mrplan.geometry import Pose
-from mrplan.motion import build_moves
+from mrplan.motion import build_moves, robot_clashes
 from mrplan.plans import (GroundedJointAction, PartiallyGroundedAction, Plan,
                           PlanError, dumps_plan, loads_plan)
 from mrplan.scene import load_scene, loads_scene
@@ -192,6 +192,19 @@ def test_corridor_that_is_not_the_sweep_of_its_waypoints_is_structural(edit, mat
         validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda c: c.replace(a=(1e-6, 0.0)),             # 1e-6 from R1's base at the origin
+    lambda c: c.replace(width=0.1 - 1e-9),          # R1's gripper width less EPS
+], ids=["off_waypoint_by_the_tolerance", "narrower_by_eps"])
+def test_a_corridor_at_the_tolerance_of_its_sweep_still_validates(edit):
+    scene = load_scene(scenario("unobstructed"))
+    result = run_planner(scene, PlannerConfig(seed=0))
+    (step,) = result.steps
+    mv = step.moves["R1"]
+    bad = mv.replace(pick_traj=mv.pick_traj.replace(corridor=edit(mv.pick_traj.corridor)))
+    assert validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),))).ok
+
+
 def moved_end(traj, index, to):
     """``traj`` with waypoint ``index`` (0 or -1) moved to ``to``; the corridor
     follows, so the trajectory stays the sweep of its waypoints."""
@@ -309,6 +322,23 @@ def test_handover_corridors_overlapping_away_from_the_handover_point_are_conditi
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
                                      place_robot="R2", grasp_pick=math.pi)
     moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(-0.1, 0.35))
+    assert violations(scene, GroundedJointAction(moves=moves)) == [
+        ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
+                          "handover neighbourhood")]
+
+
+def test_handover_corridors_overlapping_just_past_the_handover_radius_are_condition_iii():
+    # R1 carries M1 0.45 m in to the handover point (0.5, 0) and R2 delivers it
+    # 0.4 m back out, 23 degrees apart: the two 0.2-wide carries overlap 0.2 to
+    # 0.4 m from the point, between 1 and 4 times the handover radius 0.1
+    scene = scene_of({"M1": (0.1, 0.2)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)})
+    assert scene.handover_radius("R1", "R2") == 0.1
+    action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
+                                     place_robot="R2", grasp_pick=math.pi)
+    angle = math.radians(130)
+    placement = Pose(0.5 + 0.4 * math.cos(angle), 0.4 * math.sin(angle))
+    moves = build_moves(scene, action, scene.movables["M1"].pose, placement)
+    assert list(robot_clashes(scene, moves)) == [("R1", "R2", True)]
     assert violations(scene, GroundedJointAction(moves=moves)) == [
         ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
                           "handover neighbourhood")]
