@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .facts import compute_facts
-from .mip import compile_model
+from .mip import compile_model, longest_horizon
 from .plans import dumps_plan, load_plan
 from .render import render_svg
 from .scene import load_scene
@@ -49,7 +49,8 @@ def cmd_plan(args) -> int:
                 if args.dump_cmtg:
                     dumps.append((args.dump_cmtg, graph.dumps()))
                 if args.dump_mip:
-                    dumps.append((args.dump_mip, compile_model(graph, cfg.t_max).dumps_lp()))
+                    horizon = max(1, longest_horizon(graph, cfg.t_max))
+                    dumps.append((args.dump_mip, compile_model(graph, horizon).dumps_lp()))
     for path, text in dumps:
         Path(path).write_text(text)
     trace: list[str] = []

@@ -13,8 +13,9 @@ Ottosson, Math. Prog. 96, 2003):
   target moved and no other object. The master enumerates such sets by
   size, then lexicographically (0 before 1 over canonical actions),
   skipping exclusion cuts. It prunes with the objects that must move, the
-  robot steps they take (a handover takes two), |S| >= T because no step
-  is empty, and the longest chain of pick blockers, which must fit in T;
+  steps they take of each robot that all of an object's remaining actions
+  use, |S| >= T because no step is empty, and the longest chain of pick
+  blockers, which must fit in T;
 * rows (1), (4)-(7), (11) and (12) say that the set has a schedule over
   steps 1..T. For each set that has one, a depth-first search in the
   rows' branch order (X[t, a] by t, then canonical action, 0 first) finds
@@ -191,16 +192,13 @@ class Search:
         must = [o for o in undecided if need[o]]
         seen = set(must)
         forced_use = [0] * len(graph.robots)
-        slots = 0
         for o in must:
             opts = options[o]
             if not opts:
                 return None
             shared = blockers[opts[0]]
-            fewest = len(robots_of[opts[0]])
             for i in opts[1:]:
                 shared = shared & blockers[i]
-                fewest = min(fewest, len(robots_of[i]))
             for b in shared:
                 if choice[b] == _UNDECIDED and b not in seen:
                     seen.add(b)
@@ -211,15 +209,12 @@ class Search:
                         break
                 else:
                     forced_use[r] += 1
-            slots += fewest
         used = 0
         for r, u in enumerate(use):
             if u + forced_use[r] > T:
                 return None
             used += u
         free = len(graph.robots) * T - used
-        if slots > free:
-            return None
         movable = 0
         for o in undecided:
             if options[o] and o not in idle:

@@ -150,8 +150,7 @@ def _grid(rect: Rect, inset: float):
 def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
     """Candidate placement poses for ``obj`` in the region, in the order
     ``compute_facts`` tests them."""
-    grid = _grid(scene.regions[region_name].rect,
-                 scene.movables[obj].shape.circumradius)
+    grid = _grid(scene.regions[region_name], scene.movables[obj].shape.circumradius)
     return [] if grid is None else [Pose(x, y) for x, y in grid[0]]
 
 
@@ -199,7 +198,7 @@ def _places(scene: Scene, obj: str, re: str) -> dict:
     """Place reachability of ``obj`` in ``re``, goal-place occlusions too."""
     facts = {}
     shape = scene.movables[obj].shape
-    grid = _grid(scene.regions[re].rect, shape.circumradius)
+    grid = _grid(scene.regions[re], shape.circumradius)
     if grid is None:
         return facts
     points, box = grid

@@ -110,8 +110,8 @@ class MipModel:
             lhs = " ".join(term(c, v) for v, c in con.coeffs) or "0"
             name = con.label or f"c{i}"
             lines.append(f" {name}: {lhs} {sense_txt[con.sense]} {con.rhs}")
-        lines.append("Binary")
-        lines.append(" " + " ".join(names))
+        if names:
+            lines += ["Binary", " " + " ".join(names)]
         lines.append("End")
         return "\n".join(lines) + "\n"
 
@@ -263,6 +263,13 @@ def extract_skeleton(steps: dict, model: MipModel) -> TaskSkeleton:
                         moved_objects=frozenset(actions[i].obj for i in steps))
 
 
+def longest_horizon(graph: CMTG, T_max: int) -> int:
+    """The longest horizon up to ``T_max`` that can hold a skeleton of
+    ``graph``: no step is empty and no object moves twice, so no horizon
+    longer than the number of objects with an action has one."""
+    return min(T_max, sum(1 for acts in graph.acts if acts))
+
+
 def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
                         budget: int = DEFAULT_NODE_BUDGET,
                         deadline: float | None = None) -> list[TaskSkeleton]:
@@ -280,13 +287,9 @@ def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
     on), and TimeBudgetExceeded when a solve would start after
     ``deadline`` (a ``time.monotonic()`` value).
     """
-    if not graph.targets:
-        return []
     skeletons: list[TaskSkeleton] = []
     cuts: list[frozenset] = []
-    # no step is empty and no object moves twice, so no horizon longer than
-    # the number of objects with an action has a skeleton
-    for T in range(1, min(T_max, sum(1 for acts in graph.acts if acts)) + 1):
+    for T in range(1, longest_horizon(graph, T_max) + 1):
         model = compile_model(graph, T)
         model.cuts = cuts
         while True:

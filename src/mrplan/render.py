@@ -61,9 +61,9 @@ def _shape_svg(cv: _Canvas, shape, pose: Pose, cls: str, style: str) -> str:
 
 def render_svg(scene: Scene, plan: Plan | None = None) -> str:
     xs, ys = [], []
-    for reg in scene.regions.values():
-        xs += [reg.rect.xmin, reg.rect.xmax]
-        ys += [reg.rect.ymin, reg.rect.ymax]
+    for rect in scene.regions.values():
+        xs += [rect.xmin, rect.xmax]
+        ys += [rect.ymin, rect.ymax]
     for r in scene.robots.values():
         xs += [r.base[0] - r.reach_max, r.base[0] + r.reach_max]
         ys += [r.base[1] - r.reach_max, r.base[1] + r.reach_max]
@@ -75,13 +75,13 @@ def render_svg(scene: Scene, plan: Plan | None = None) -> str:
                  max(xs, default=0.0) + PAD, max(ys, default=0.0) + PAD)
 
     for name in sorted(scene.regions):
-        reg = scene.regions[name]
-        x0, y0 = cv.pt((reg.rect.xmin, reg.rect.ymax))
+        rect = scene.regions[name]
+        x0, y0 = cv.pt((rect.xmin, rect.ymax))
         cv.add(f'<rect class="region" x="{_fmt(x0)}" y="{_fmt(y0)}" '
-               f'width="{_fmt((reg.rect.xmax - reg.rect.xmin) * SCALE)}" '
-               f'height="{_fmt((reg.rect.ymax - reg.rect.ymin) * SCALE)}" '
+               f'width="{_fmt((rect.xmax - rect.xmin) * SCALE)}" '
+               f'height="{_fmt((rect.ymax - rect.ymin) * SCALE)}" '
                f'fill="none" stroke="#888" stroke-dasharray="6 3"/>')
-        lx, ly = cv.pt((reg.rect.xmin + 0.02, reg.rect.ymax - 0.02))
+        lx, ly = cv.pt((rect.xmin + 0.02, rect.ymax - 0.02))
         cv.add(f'<text class="region-label" x="{_fmt(lx)}" y="{_fmt(ly + 12)}" '
                f'font-size="12" fill="#888">{html.escape(name, quote=False)}</text>')
     for shape, pose in scene.fixed:

@@ -6,8 +6,9 @@ Scene documents are JSON; their format is ``schemas/scene.schema.json``.
 robots share a name, ``handover_points`` keys that are not two
 comma-separated robot names, pair a robot with itself or list a pair twice
 (in either order), and a goal that lists an object more than once. A
-``Scene``'s goal maps each goal object to its goal region, and
-``unmet_goals`` is the one list of the goal objects a plan must move.
+``Scene`` knows each region, movable and robot by its dict key, and a
+region is its ``Rect``. Its goal maps each goal object to its goal region,
+and ``unmet_goals`` is the one list of the goal objects a plan must move.
 """
 from __future__ import annotations
 
@@ -26,24 +27,15 @@ class SceneError(ValueError):
     """Scene document is malformed or violates a world invariant."""
 
 
-class Region(Record):
-    __slots__ = ("name", "rect")
-
-    def __init__(self, name: str, rect: Rect):
-        self.name = name
-        self.rect = rect
-
-
 class Robot(Record):
-    __slots__ = ("name", "base", "reach_min", "reach_max", "gripper_width")
+    __slots__ = ("base", "reach_min", "reach_max", "gripper_width")
 
-    def __init__(self, name: str, base: tuple[float, float], reach_min: float,
+    def __init__(self, base: tuple[float, float], reach_min: float,
                  reach_max: float, gripper_width: float):
         if not (0.0 <= reach_min < reach_max):
-            raise SceneError(f"robot {name}: need 0 <= reach_min < reach_max")
+            raise SceneError("need 0 <= reach_min < reach_max")
         if gripper_width <= 0.0:
-            raise SceneError(f"robot {name}: gripper_width must be positive")
-        self.name = name
+            raise SceneError("gripper_width must be positive")
         self.base = base
         self.reach_min = reach_min
         self.reach_max = reach_max
@@ -55,10 +47,9 @@ class Robot(Record):
 
 
 class Movable(Record):
-    __slots__ = ("name", "shape", "pose", "home_region")
+    __slots__ = ("shape", "pose", "home_region")
 
-    def __init__(self, name: str, shape: Shape, pose: Pose, home_region: str):
-        self.name = name
+    def __init__(self, shape: Shape, pose: Pose, home_region: str):
         self.shape = shape
         self.pose = pose
         self.home_region = home_region
@@ -72,7 +63,7 @@ class Scene(Record):
     __slots__ = ("regions", "fixed", "movables", "robots", "handover_points",
                  "grasp_count", "goal")
 
-    def __init__(self, regions: dict[str, Region], fixed: list[tuple[Shape, Pose]],
+    def __init__(self, regions: dict[str, Rect], fixed: list[tuple[Shape, Pose]],
                  movables: dict[str, Movable], robots: dict[str, Robot],
                  handover_points: dict[tuple[str, str], tuple[float, float]],
                  grasp_count: int, goal: dict[str, str]):
@@ -98,7 +89,7 @@ class Scene(Record):
         """The goal objects outside their goal region at their start poses, in
         name order: the objects a plan must move."""
         return [obj for obj, m in sorted(self.movables.items()) if obj in self.goal
-                and not shape_inside_rect(m.shape, m.pose, self.regions[self.goal[obj]].rect)]
+                and not shape_inside_rect(m.shape, m.pose, self.regions[self.goal[obj]])]
 
     def target_region_of(self, obj: str) -> str:
         """Goal region for goal objects, home region otherwise."""
@@ -136,19 +127,19 @@ class Scene(Record):
     def _check_invariants(self):
         if self.grasp_count < 1:
             raise SceneError("grasp_count must be >= 1")
-        for m in self.movables.values():
+        for name, m in self.movables.items():
             if m.home_region not in self.regions:
-                raise SceneError(f"movable {m.name}: unknown home_region {m.home_region!r}")
-            if not shape_inside_rect(m.shape, m.pose, self.regions[m.home_region].rect):
+                raise SceneError(f"movable {name}: unknown home_region {m.home_region!r}")
+            if not shape_inside_rect(m.shape, m.pose, self.regions[m.home_region]):
                 raise SceneError(
-                    f"movable {m.name} does not lie inside its home region {m.home_region}")
-        items = sorted(self.movables.values(), key=lambda m: m.name)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
+                    f"movable {name} does not lie inside its home region {m.home_region}")
+        items = sorted(self.movables.items())
+        for i, (na, a) in enumerate(items):
+            for nb, b in items[i + 1:]:
                 if collides((a.shape, a.pose), (b.shape, b.pose)):
-                    raise SceneError(f"movables {a.name} and {b.name} overlap at load")
+                    raise SceneError(f"movables {na} and {nb} overlap at load")
             if collides_any((a.shape, a.pose), self.fixed):
-                raise SceneError(f"movable {a.name} overlaps a fixed obstacle at load")
+                raise SceneError(f"movable {na} overlaps a fixed obstacle at load")
         for obj, re in self.goal.items():
             if obj not in self.movables:
                 raise SceneError(f"goal references unknown object {obj!r}")
@@ -180,18 +171,19 @@ def loads_scene(text: str) -> Scene:
     for r in doc["regions"]:
         xmin, ymin, xmax, ymax = r["rect"]
         try:
-            regions[r["name"]] = Region(r["name"], Rect(xmin, ymin, xmax, ymax))
+            regions[r["name"]] = Rect(xmin, ymin, xmax, ymax)
         except ValueError as e:
             raise SceneError(f"region {r['name']}: {e}") from e
     fixed = [(_parse_shape(f["shape"]), Pose.from_doc(f["pose"])) for f in doc.get("fixed", [])]
-    movables = {}
-    for m in doc["movables"]:
-        movables[m["name"]] = Movable(m["name"], _parse_shape(m["shape"]),
-                                      Pose.from_doc(m["pose"]), m["home_region"])
+    movables = {m["name"]: Movable(_parse_shape(m["shape"]), Pose.from_doc(m["pose"]),
+                                   m["home_region"]) for m in doc["movables"]}
     robots = {}
     for r in doc["robots"]:
-        robots[r["name"]] = Robot(r["name"], tuple(r["base"]), r["reach_min"],
-                                  r["reach_max"], r["gripper_width"])
+        try:
+            robots[r["name"]] = Robot(tuple(r["base"]), r["reach_min"], r["reach_max"],
+                                      r["gripper_width"])
+        except SceneError as e:
+            raise SceneError(f"robot {r['name']}: {e}") from e
     handover_points = {}
     for key, pt in doc.get("handover_points", {}).items():
         pair = tuple(name.strip() for name in key.split(","))
@@ -228,14 +220,13 @@ def load_scene(path) -> Scene:
 # placement sampling
 
 
-def sample_placement(region: Region, shape: Shape, forbidden, rng,
+def sample_placement(rect: Rect, shape: Shape, forbidden, rng,
                      robot: Robot) -> Pose | None:
-    """Rejection-sample a pose for ``shape`` fully inside ``region``, with its
+    """Rejection-sample a pose for ``shape`` fully inside ``rect``, with its
     centre in ``robot``'s reach, clear of every forbidden volume.
     ``forbidden`` entries are (Shape, Pose) pairs or Corridors. Returns None
     after ``PLACEMENT_ATTEMPTS`` rejections.
     """
-    rect = region.rect
     for _ in range(PLACEMENT_ATTEMPTS):
         x = rng.uniform(rect.xmin, rect.xmax)
         y = rng.uniform(rect.ymin, rect.ymax)

@@ -58,7 +58,7 @@ class CMTG(Record):
                 for a, objs in zip(self.action_nodes, self.place) for o in objs]
 
     def dumps(self) -> str:
-        lines = [f"targets {' '.join(sorted(self.targets))}"]
+        lines = [" ".join(["targets", *sorted(self.targets)])]
         lines += [f"object {m}" for m in self.object_nodes]
         for a in self.action_nodes:
             lines.append(

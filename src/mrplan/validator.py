@@ -202,7 +202,7 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
                       if r == step.moves[r].action.place_robot]
         for a, mv in placements:
             shape = scene.movables[a.obj].shape
-            if not shape_inside_rect(shape, mv.placement, scene.regions[a.region].rect):
+            if not shape_inside_rect(shape, mv.placement, scene.regions[a.region]):
                 report.add("condition_ii", j,
                            f"placement of {a.obj} is not inside region {a.region}")
             if collides_any((shape, mv.placement), volumes):
@@ -223,7 +223,6 @@ def validate_plan(scene: Scene, plan: Plan) -> ValidationReport:
         moved_before |= manipulated
 
     for obj, re in scene.goal.items():
-        if not shape_inside_rect(scene.movables[obj].shape, poses[obj],
-                                 scene.regions[re].rect):
+        if not shape_inside_rect(scene.movables[obj].shape, poses[obj], scene.regions[re]):
             report.add("goal", None, f"object {obj} does not end inside region {re}")
     return report

@@ -32,7 +32,7 @@ class OracleFacts:
 
 def place_candidates(scene, region_name, obj):
     """Region center plus a fixed grid of candidate placement poses."""
-    rect = scene.regions[region_name].rect
+    rect = scene.regions[region_name]
     inset = scene.movables[obj].shape.circumradius
     x0, x1 = rect.xmin + inset, rect.xmax - inset
     y0, y1 = rect.ymin + inset, rect.ymax - inset

@@ -2,6 +2,7 @@
 import copy
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,10 +10,11 @@ import pytest
 from mrplan import cli, search, taskgraph
 from mrplan.cli import main
 from mrplan.facts import compute_facts
+from mrplan.mip import compile_model, solve
 from mrplan.scene import load_scene
 from mrplan.validator import ValidationReport
 
-from conftest import scenario
+from conftest import SCENARIOS, scenario
 from test_search import PLANNER_FAULTS
 
 
@@ -42,6 +44,35 @@ def test_plan_writes_valid_plan_and_artifacts(tmp_path):
     assert trace.read_text().startswith("iter=1 ")
 
     assert run(["validate", scenario("pick_chain"), out]) == 0
+
+
+def test_the_dumped_model_is_one_the_search_solves(tmp_path):
+    # the longest horizon that can hold a skeleton: every root graph with an
+    # action has a feasible assignment there, and an empty one is dumped at 1
+    with_actions = []
+    for path in sorted(SCENARIOS.rglob("*.json")):
+        lp = tmp_path / "model.lp"
+        assert run(["plan", path, "--dump-mip", lp, "--max-iters", 1]) in (0, 2)
+        steps = {int(t) for t in re.findall(r"\bXa_t(\d+)_", lp.read_text())}
+        scene = load_scene(path)
+        graph = taskgraph.build_cmtg(scene.unmet_goals(), compute_facts(scene), scene)
+        if not graph.action_nodes:
+            assert steps == set()
+            continue
+        with_actions.append(path.stem)
+        T = max(steps)
+        assert steps == set(range(1, T + 1)), path.stem
+        assert solve(compile_model(graph, T)) != "infeasible", path.stem
+    assert len(with_actions) == 9
+
+
+def test_dumps_of_an_empty_task_graph_end_no_line_in_whitespace(tmp_path):
+    cmtg, lp = tmp_path / "graph.txt", tmp_path / "model.lp"
+    assert run(["plan", scenario("satisfied_at_start"), "--dump-cmtg", cmtg,
+                "--dump-mip", lp]) == 0
+    assert cmtg.read_text() == "targets\n"
+    for text in (cmtg.read_text(), lp.read_text()):
+        assert all(line == line.rstrip() for line in text.splitlines()), text
 
 
 def test_dumping_facts_computes_them_once_and_changes_no_output(tmp_path, monkeypatch):
@@ -302,11 +333,19 @@ def relabel_handover_pick(doc):
     rec.update(pick_robot="R2", place_robot="R2")
 
 
+def empty_reach_and_bad_handover_key(doc):
+    # robots are checked before handover point keys
+    doc["robots"][0].update(reach_min=1.0)
+    doc["handover_points"] = {"R1|R9": [0.8, 0.0]}
+
+
 # (scene, the document edited, the edit, the whole error line after "error: ")
 REFUSALS = [
     ("pick_chain", "scene", lambda d: d["regions"][1].update(rect=[1.9, 0.5, 1.5, 0.9]),
      "region goal_zone: rectangle must have positive area"),
     ("pick_chain", "scene", lambda d: d["robots"][0].update(reach_min=1.0),
+     "robot R1: need 0 <= reach_min < reach_max"),
+    ("pick_chain", "scene", empty_reach_and_bad_handover_key,
      "robot R1: need 0 <= reach_min < reach_max"),
     ("pick_chain", "scene", lambda d: d["movables"][0].update(home_region="shelf"),
      "movable M1: unknown home_region 'shelf'"),
@@ -334,8 +373,8 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("name, kind, edit, message", REFUSALS, ids=[
-    "region_inverted", "reach_empty", "home_region", "on_fixed", "goal_region",
-    "handover_robot", "plan_syntax", "makespan", "motion_cost", "unknown_object",
+    "region_inverted", "reach_empty", "reach_before_handover_key", "home_region", "on_fixed",
+    "goal_region", "handover_robot", "plan_syntax", "makespan", "motion_cost", "unknown_object",
     "pick_robot", "not_part"])
 def test_an_input_refusal_exits_1_with_its_one_error_line(
         tmp_path, capsys, name, kind, edit, message):

@@ -137,7 +137,7 @@ def test_place_candidates_grid():
     # center first, then a 5x5 grid inset by the object radius
     assert cands[0].xy == pytest.approx((0.25, 0.55))
     assert len(cands) == 26
-    rect = scene.regions["goal_zone"].rect
+    rect = scene.regions["goal_zone"]
     for p in cands:
         assert rect.xmin + 0.05 <= p.x <= rect.xmax - 0.05
         assert rect.ymin + 0.05 <= p.y <= rect.ymax - 0.05

@@ -14,7 +14,8 @@ with
 
     PYTHONPATH=src python tests/test_plan_digests.py
 
-and list the change, with the scenes and seeds whose digests moved, in
+which prints each digest key that changed, appeared or vanished (such as
+``changed pick_chain mip``), and list the change, with those keys, in
 ``CHANGES.md``.
 """
 import contextlib
@@ -77,6 +78,23 @@ def dump_digests(name: str) -> dict:
                 for kind in DUMPS + ("svg", "svg_plan") if (path := out / kind).exists()}
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """``changed``, ``appeared`` or ``vanished`` and the key, one line per
+    ``<name> <kind>`` digest that differs between two digest documents."""
+    def flat(doc):
+        return {f"{name} {kind}": d for name, kinds in doc.items() for kind, d in kinds.items()}
+    old, new = flat(old), flat(new)
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            lines.append(f"vanished {key}")
+        elif key not in old:
+            lines.append(f"appeared {key}")
+        elif old[key] != new[key]:
+            lines.append(f"changed {key}")
+    return lines
+
+
 def golden() -> dict:
     return json.loads(DIGESTS.read_text())
 
@@ -84,6 +102,13 @@ def golden() -> dict:
 def test_golden_covers_every_scene_and_seed():
     assert set(golden()) == {f"{n}:{s}" for n in scene_names() for s in SEEDS}
     assert set(json.loads(DUMP_DIGESTS.read_text())) == set(scene_names())
+
+
+def test_moved_names_each_changed_new_and_dropped_digest():
+    old = {"a": {"mip": "1", "cmtg": "2"}, "b:0": {"plan": "3"}}
+    new = {"a": {"mip": "9", "cmtg": "2", "svg": "4"}}
+    assert moved(old, new) == ["changed a mip", "appeared a svg", "vanished b:0 plan"]
+    assert moved(new, new) == []
 
 
 @pytest.mark.parametrize("name", scene_names())
@@ -102,5 +127,8 @@ if __name__ == "__main__":
     for path, doc in (
             (DIGESTS, {f"{n}:{s}": digests(n, s) for n in scene_names() for s in SEEDS}),
             (DUMP_DIGESTS, {n: dump_digests(n) for n in scene_names()})):
+        old = json.loads(path.read_text()) if path.exists() else {}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        for line in moved(old, doc):
+            print(line)
         print(f"wrote {len(doc)} digests to {path}", file=sys.stderr)

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from mrplan.geometry import Disc, Pose
-from mrplan.scene import (Region, Rect, Robot, SceneError, load_scene, loads_scene,
-                          sample_placement)
+from mrplan.geometry import Disc, Pose, Rect
+from mrplan.scene import Robot, SceneError, load_scene, loads_scene, sample_placement
 
 from conftest import scenario
 
@@ -22,7 +21,7 @@ MINIMAL = {
 
 
 # reaches every point of the unit square
-REACH_ALL = Robot("R", (0.0, 0.0), 0.0, 2.0, 0.1)
+REACH_ALL = Robot((0.0, 0.0), 0.0, 2.0, 0.1)
 
 
 def make(doc=None, **overrides):
@@ -178,7 +177,7 @@ def test_unmet_goals_are_the_goal_objects_outside_their_region():
 
 
 def test_sample_placement_respects_region_and_forbidden():
-    region = Region("r", Rect(0.0, 0.0, 1.0, 1.0))
+    region = Rect(0.0, 0.0, 1.0, 1.0)
     obj = Disc(0.1)
     blocker = (Disc(0.2), Pose(0.5, 0.5))
     rng = random.Random(3)
@@ -194,20 +193,20 @@ def test_sample_placement_infeasible_returns_none():
     # A radius-0.3 disc inside the unit square must center in [0.3, 0.7]^2;
     # no point there is >= 0.6 away from a same-size blocker at the center,
     # so sampling can never succeed.
-    region = Region("r", Rect(0.0, 0.0, 1.0, 1.0))
+    region = Rect(0.0, 0.0, 1.0, 1.0)
     obj = Disc(0.3)
     blocker = (Disc(0.3), Pose(0.5, 0.5))
     assert sample_placement(region, obj, [blocker], random.Random(0), REACH_ALL) is None
 
 
 def test_sample_placement_deterministic_and_in_reach():
-    region = Region("r", Rect(0.0, 0.0, 1.0, 1.0))
+    region = Rect(0.0, 0.0, 1.0, 1.0)
     obj = Disc(0.05)
     p1 = sample_placement(region, obj, [], random.Random(7), REACH_ALL)
     p2 = sample_placement(region, obj, [], random.Random(7), REACH_ALL)
     assert p1 == p2
-    short = Robot("R", (0.0, 0.0), 0.1, 0.4, 0.1)
+    short = Robot((0.0, 0.0), 0.1, 0.4, 0.1)
     near = sample_placement(region, obj, [], random.Random(7), short)
     assert near is not None and 0.1 <= math.hypot(near.x, near.y) <= 0.4
-    far = Robot("R", (5.0, 5.0), 0.1, 1.0, 0.1)
+    far = Robot((5.0, 5.0), 0.1, 1.0, 0.1)
     assert sample_placement(region, obj, [], random.Random(7), far) is None
