@@ -3,7 +3,13 @@
 ``golden/plan_digests.json`` maps ``<scene>:<seed>`` (the scene's path under
 ``scenarios/`` without ``.json``) to the sha256 of what ``mrplan plan --seed
 <seed>`` writes with default settings: the plan JSON, or the ``NoPlan``
-document when there is none, and the ``--trace`` file.
+document when there is none, and the ``--trace`` file. It also maps
+``fixtures/<tree>:<seed>`` and ``fixtures/<tree>:<seed>:exhaust`` to the
+same digests for the deep-tree scenes under ``tests/fixtures/``, planned
+with default settings and with ``--exhaust``. Those two ``dense_g1`` scenes
+grow trees of up to 14 iterations and depth 6, where the shipped scenes
+reach 4 iterations and one partial grounding: ``deep_tree_solved`` plans at
+every seed, ``deep_tree_pruned`` ends ``all_branches_pruned``.
 ``golden/dump_digests.json`` maps ``<scene>`` to the sha256 of the files
 ``mrplan plan`` writes for ``--dump-facts``, ``--dump-cmtg`` and
 ``--dump-mip`` at the default ``--t-max``, and of the SVG ``mrplan render``
@@ -28,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, SCENARIOS
+from conftest import GOLDEN, SCENARIOS, TESTS
 
 from mrplan import cli
 from mrplan.plans import dumps_plan
@@ -39,6 +45,7 @@ SEEDS = range(5)
 DIGESTS = GOLDEN / "plan_digests.json"
 DUMP_DIGESTS = GOLDEN / "dump_digests.json"
 DUMPS = ("facts", "cmtg", "mip")
+DEEP_TREES = ("deep_tree_solved", "deep_tree_pruned")
 
 
 def scene_names():
@@ -46,11 +53,25 @@ def scene_names():
     return [p.relative_to(SCENARIOS).with_suffix("").as_posix() for p in paths]
 
 
-def digests(name: str, seed: int) -> dict:
+def runs(names=None, trees=DEEP_TREES) -> dict:
+    """Each ``plan_digests.json`` key of the named shipped scenes (all when
+    None) and deep trees, mapped to its scene path and planner config."""
+    keys = {f"{n}:{s}": (SCENARIOS / f"{n}.json", PlannerConfig(seed=s))
+            for n in (scene_names() if names is None else names) for s in SEEDS}
+    for tree in trees:
+        for s in SEEDS:
+            keys[f"fixtures/{tree}:{s}"] = (TESTS / "fixtures" / f"{tree}.json",
+                                            PlannerConfig(seed=s))
+            keys[f"fixtures/{tree}:{s}:exhaust"] = (TESTS / "fixtures" / f"{tree}.json",
+                                                    PlannerConfig(seed=s, exhaust=True))
+    return keys
+
+
+def digests(path: Path, cfg: PlannerConfig) -> dict:
     """sha256 of the plan (or NoPlan) text and the trace text, as the CLI writes them."""
-    scene = load_scene(SCENARIOS / f"{name}.json")
+    scene = load_scene(path)
     trace: list[str] = []
-    result = plan(scene, PlannerConfig(seed=seed), trace=trace)
+    result = plan(scene, cfg, trace=trace)
     if isinstance(result, NoPlan):
         text = json.dumps(result.to_doc(), sort_keys=True) + "\n"
     else:
@@ -100,7 +121,7 @@ def golden() -> dict:
 
 
 def test_golden_covers_every_scene_and_seed():
-    assert set(golden()) == {f"{n}:{s}" for n in scene_names() for s in SEEDS}
+    assert set(golden()) == set(runs())
     assert set(json.loads(DUMP_DIGESTS.read_text())) == set(scene_names())
 
 
@@ -114,8 +135,15 @@ def test_moved_names_each_changed_new_and_dropped_digest():
 @pytest.mark.parametrize("name", scene_names())
 def test_plans_and_traces_match_the_golden_digests(name):
     expected = golden()
-    for seed in SEEDS:
-        assert digests(name, seed) == expected[f"{name}:{seed}"], f"{name} seed {seed}"
+    for key, (path, cfg) in runs([name], trees=()).items():
+        assert digests(path, cfg) == expected[key], key
+
+
+@pytest.mark.parametrize("tree", DEEP_TREES)
+def test_deep_tree_plans_and_traces_match_the_golden_digests(tree):
+    expected = golden()
+    for key, (path, cfg) in runs([], trees=[tree]).items():
+        assert digests(path, cfg) == expected[key], key
 
 
 @pytest.mark.parametrize("name", scene_names())
@@ -125,7 +153,7 @@ def test_dumps_match_the_golden_digests(name):
 
 if __name__ == "__main__":
     for path, doc in (
-            (DIGESTS, {f"{n}:{s}": digests(n, s) for n in scene_names() for s in SEEDS}),
+            (DIGESTS, {key: digests(*run) for key, run in runs().items()}),
             (DUMP_DIGESTS, {n: dump_digests(n) for n in scene_names()})):
         old = json.loads(path.read_text()) if path.exists() else {}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
