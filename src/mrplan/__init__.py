@@ -5,22 +5,15 @@ enablement), task-graph construction, integer-programming skeleton
 enumeration, reverse grounding, and tree search — plus an independent plan
 validator and SVG renderer.
 """
-from .facts import FactSet, compute_facts
-from .grounding import Failure, Full, Partial, ground
-from .mip import TaskSkeleton, compile_model, enumerate_skeletons, solve
-from .plans import Plan, PartiallyGroundedAction, dumps_plan, load_plan, loads_plan
-from .scene import Scene, SceneError, load_scene, loads_scene
+from .facts import compute_facts
+from .plans import dumps_plan, loads_plan
+from .scene import load_scene, loads_scene
 from .search import NoPlan, PlannerConfig, plan
-from .taskgraph import CMTG, build_cmtg
-from .validator import validate_plan
+from .taskgraph import build_cmtg
 
 __all__ = [
-    "CMTG", "FactSet", "Failure", "Full", "NoPlan", "Partial",
-    "PartiallyGroundedAction", "Plan", "PlannerConfig", "Scene",
-    "SceneError", "TaskSkeleton", "build_cmtg", "compile_model",
-    "compute_facts", "dumps_plan", "enumerate_skeletons", "ground",
-    "load_plan", "load_scene", "loads_plan", "loads_scene", "plan", "solve",
-    "validate_plan",
+    "NoPlan", "PlannerConfig", "build_cmtg", "compute_facts", "dumps_plan",
+    "load_scene", "loads_plan", "loads_scene", "plan",
 ]
 
 __version__ = "0.1.0"

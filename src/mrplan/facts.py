@@ -1,11 +1,14 @@
 """Phase 1: occlusion / reachability / handover facts for a scene.
 
 Every sweep a fact tests is laid out by ``mrplan.motion``, whose docstring
-states the conventions; grounding executes the same sweeps, so each fact
-certifies what grounding will do. Facts carry a grasp only where the
-geometry reads one: the pick sweep runs from the robot's base to the grasp
-point, so pick facts are per grasp, while place, goal-place and handover
-facts are the same for every grasp and carry none. A pick fact's grasp
+states the conventions. Grounding executes the pick sweep and a handover's
+carry and receive, so pick and handover facts certify what grounding will
+do. A place fact's carry runs from the robot's base to a candidate, which
+grounding never runs: it carries from the start pose or the handover point
+to a placement it samples, and tests that carry itself. Facts carry a grasp
+only where the geometry reads one: the pick sweep runs from the robot's
+base to the grasp point, so pick facts are per grasp, while place,
+goal-place and handover facts are the same for every grasp and carry none. A pick fact's grasp
 point is in the robot's reach, and its gripper sweep clears the fixed
 obstacles and covers no other robot's base; the movables it hits are its
 occluders. Grounding lays that sweep out again at the object's start pose

@@ -11,7 +11,8 @@ the collision constraints against the not-planned-to-move objects are
 relaxed; a relaxed success stops grounding and returns the grounded suffix
 plus the conflict set of objects that a caller must plan to relocate first.
 The sweeps of each move are laid out by ``mrplan.motion`` (see its
-docstring), the same sweeps the fact phase tested. ``find_trajectories``
+docstring), as the fact phase laid out those of its pick and handover
+facts. ``find_trajectories``
 tests only the sweeps an action's whole grasp class shares (the carry; a
 handover's carry, receive and delivery), once per action, then tries the
 grasp combinations in ``itertools.product`` order and keeps the first in

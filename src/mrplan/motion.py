@@ -14,8 +14,10 @@ and every move is a straight capsule (``Corridor``).
   certificate (base to candidate placement).
 
 The fact phase (``mrplan.facts``) tests these sweeps and grounding
-(``build_moves``) executes them, so a fact certifies the sweep that
-grounding lays out. No sweep may cover another robot's base
+(``build_moves``) executes them, so a pick or handover fact certifies a
+sweep that grounding lays out. The place certificate does not: grounding
+never carries from the base, so it tests each carry it lays out itself.
+No sweep may cover another robot's base
 (``bases_crossed``); the fact phase, grounding and the validator all ask
 this one predicate. A handover splits the transfer at the pair's handover
 point; the partners' corridors may overlap only near it. The same-step

@@ -1,7 +1,8 @@
 """World model: regions, robots, movable/fixed objects, scene loading.
 
 Scene documents are JSON; their format is ``schemas/scene.schema.json``.
-``mrplan.schemas.load`` reads them, refusing a number that is not finite.
+``mrplan.schemas.load`` reads them, refusing a number that is not finite
+and an object that repeats a key.
 ``loads_scene`` also refuses a scene in which two regions, movables or
 robots share a name, ``handover_points`` keys that are not two
 comma-separated robot names, pair a robot with itself or list a pair twice

@@ -223,10 +223,21 @@ def parse(text: str):
     a literal beyond the float range, such as ``1e400``, as infinity. No
     document quantity may be non-finite: ``minimum`` and ``exclusiveMinimum``
     are false on NaN, and a NaN volume collides with nothing. Such a number
-    raises ``ValueError``; malformed text raises ``json.JSONDecodeError``.
+    raises ``ValueError``, and so does an object that repeats a key, which
+    ``json`` would read as its last value; malformed text raises
+    ``json.JSONDecodeError``.
     """
     return json.loads(text, parse_float=_finite_float, parse_int=_finite_int,
-                      parse_constant=_finite_float)
+                      parse_constant=_finite_float, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _finite_float(token: str) -> float:

@@ -1,14 +1,17 @@
 """Skeleton-level tree search.
 
-The tree's nodes store sequences of grounded joint actions; each edge stores
-a task skeleton proposed to be grounded in front of its tail node's sequence.
-A node holds its edges, and an edge holds its head node once its grounding
-returns a partial plan. Iterations select an unevaluated edge by upper
-confidence bound, ground its skeleton, and either return a finished plan,
-expand the tree with new skeletons for the grounding conflicts, or prune the
-edge on failure. An edge is exhausted when its grounding ends in a plan or a
-failure, or when every child of its head is exhausted; the search gives up
-when every child of the root is.
+Each node of the tree holds a task skeleton, proposed to be grounded in front
+of its parent's sequence of grounded joint actions, and, once that grounding
+returns a partial plan, the longer sequence it grounded. The root holds no
+skeleton and the empty sequence. A node also holds the statistics of the move
+from its parent into it. Iterations descend from the root by upper confidence
+bound to a node not yet grounded, ground its skeleton, and either return a
+finished plan, expand the tree with new skeletons for the grounding
+conflicts, or prune the node on failure; every outcome is then valued,
+traced and backpropagated along one path. A grounded node is exhausted once
+every child of it is, so a grounding that adds no child (a plan, a failure,
+or conflicts with no skeleton) exhausts its node at once; the search gives
+up when the root is.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import time
 
 from . import mip
 from .facts import FactSet, compute_facts
-from .grounding import Failure, Full, ground
+from .grounding import Failure, Full, Partial, ground
 from .mip import BudgetExceeded, TaskSkeleton, TimeBudgetExceeded, enumerate_skeletons
 from .plans import Plan, moved_objects
 from .record import Record
@@ -71,25 +74,16 @@ class PlannerConfig(Record):
 
 
 class SearchNode:
-    __slots__ = ("stored_steps", "visits", "children")
+    __slots__ = ("id", "skeleton", "steps", "children", "value", "visits", "exhausted")
 
-    def __init__(self, stored_steps: tuple = ()):
-        self.stored_steps = stored_steps  # grounded joint actions accumulated so far
+    def __init__(self, id: int | None, skeleton: TaskSkeleton | None, steps: tuple | None):
+        self.id = id                # None at the root
+        self.skeleton = skeleton    # None at the root
+        self.steps = steps          # grounded joint actions so far; None until grounded
+        self.children = []
+        self.value = 0.0            # value and visits of the move from the parent
         self.visits = 0
-        self.children = []                # SearchEdges
-
-
-class SearchEdge:
-    __slots__ = ("id", "skeleton", "prior", "head", "value", "visits", "exhausted")
-
-    def __init__(self, id: int, skeleton: TaskSkeleton, prior: float):
-        self.id = id
-        self.skeleton = skeleton
-        self.prior = prior
-        self.head = None        # a SearchNode, set when grounding returns a Partial
-        self.value = 0.0
-        self.visits = 0
-        self.exhausted = False  # a plan or a failure, or all its head's children are
+        self.exhausted = False      # grounded, and all its children are
 
 
 class NoPlan(Record):
@@ -105,23 +99,24 @@ class NoPlan(Record):
                 "tree_size": self.tree_size}
 
 
-def ucb(node: SearchNode, edge: SearchEdge, c: float) -> float:
-    return (edge.value / (edge.visits + 1)
-            + c * edge.prior * math.sqrt(node.visits) / (edge.visits + 1))
+def ucb(parent_visits: int, node: SearchNode, c: float) -> float:
+    prior = 1 / len(node.skeleton.moved_objects)
+    return (node.value / (node.visits + 1)
+            + c * prior * math.sqrt(parent_visits) / (node.visits + 1))
 
 
 def backpropagate(path, r: float) -> None:
-    """path is a root-to-edge alternation: [(node, edge), ...].
+    """path is the list of nodes from the root to the one just grounded.
 
-    On the way up, an edge is exhausted once every child of its head is,
-    which a head with no children meets at once.
+    On the way up, a node is exhausted once every child of it is. The node
+    just grounded meets that at once when its grounding added no child: a
+    plan, a failure, or a partial plan whose conflicts have no skeleton.
     """
-    for node, edge in reversed(path):
+    for node in reversed(path):
         node.visits += 1
-        edge.visits += 1
-        edge.value += r
-        if edge.head is not None and all(e.exhausted for e in edge.head.children):
-            edge.exhausted = True
+        node.value += r
+        if all(child.exhausted for child in node.children):
+            node.exhausted = True
 
 
 def reward(outcome, new_skeletons, alpha: float) -> float:
@@ -164,8 +159,8 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
 
     if facts is None:
         facts = compute_facts(scene)
-    edge_ids = itertools.count()
-    tree_size = 1                   # the root, plus a head per partial grounding
+    node_ids = itertools.count()
+    tree_size = 1                   # the root, plus a node per partial grounding
     best_plan: Plan | None = None
     iterations = 0
 
@@ -176,17 +171,15 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
         return NoPlan(reason, iterations, tree_size)
 
     def expand(node: SearchNode, conflicts) -> None:
-        """Add an edge from ``node`` for each skeleton that moves
-        ``conflicts``, which its stored steps leave unmoved. A budget that
-        enumeration runs out of raises through to ``plan``'s one handler."""
-        graph = build_cmtg(conflicts, facts, scene,
-                           excluded=moved_objects(node.stored_steps))
+        """Add a child to ``node`` for each skeleton that moves ``conflicts``,
+        which its steps leave unmoved. A budget that enumeration runs out of
+        raises through to ``plan``'s one handler."""
+        graph = build_cmtg(conflicts, facts, scene, excluded=moved_objects(node.steps))
         skeletons = enumerate_skeletons(graph, cfg.t_max, cfg.k_max,
                                         cfg.node_budget, deadline=deadline)
-        node.children += [SearchEdge(next(edge_ids), sk, prior=1.0 / len(sk.moved_objects))
-                          for sk in skeletons]
+        node.children += [SearchNode(next(node_ids), sk, None) for sk in skeletons]
 
-    root = SearchNode()
+    root = SearchNode(None, None, ())
     with internal_checks():
         try:
             expand(root, targets)
@@ -195,26 +188,21 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
             for iteration in range(1, cfg.max_iterations + 1):
                 if time.monotonic() > deadline:
                     return give_up("time_budget")
-                if all(e.exhausted for e in root.children):
+                if root.exhausted:
                     return give_up("all_branches_pruned")
                 iterations = iteration
 
-                # selection: descend by max UCB over non-exhausted edges; of those,
-                # the ones with a head are exactly the evaluated ones
-                node = root
-                path = []
-                while True:
-                    edge = max((e for e in node.children if not e.exhausted),
-                               key=lambda e: (ucb(node, e, cfg.c), -e.id))
-                    path.append((node, edge))
-                    if edge.head is None:
-                        break
-                    node = edge.head
+                # selection: descend by max UCB over non-exhausted children
+                # until a node not yet grounded
+                path = [root]
+                while (parent := path[-1]).steps is not None:
+                    path.append(max((n for n in parent.children if not n.exhausted),
+                                    key=lambda n: (ucb(parent.visits, n, cfg.c), -n.id)))
+                node = path[-1]
 
                 # evaluation
-                rng = random.Random(f"{cfg.seed}:{edge.id}")
-                outcome = ground(edge.skeleton, node.stored_steps, scene, rng)
-
+                rng = random.Random(f"{cfg.seed}:{node.id}")
+                outcome = ground(node.skeleton, path[-2].steps, scene, rng)
                 if isinstance(outcome, Full):
                     candidate = Plan(steps=outcome.steps)
                     report = validate_plan(scene, candidate)
@@ -222,33 +210,25 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
                         raise SearchError(
                             "grounded plan failed validation: "
                             + "; ".join(v.message for v in report.violations))
-                    r = reward(outcome, None, cfg.alpha)
-                    trace.append(f"iter={iteration} edge={edge.id} outcome=full reward={r:.6f}")
-                    edge.exhausted = True           # a plan ends here
-                    backpropagate(path, r)
+                children = ""
+                if isinstance(outcome, Partial):
+                    # expand with skeletons for the conflict set
+                    node.steps = outcome.steps
+                    tree_size += 1
+                    expand(node, outcome.conflicts)
+                    children = f" children={len(node.children)}"
+                r = reward(outcome, [n.skeleton for n in node.children], cfg.alpha)
+                # the trace names a node "edge", for the move into it
+                trace.append(f"iter={iteration} edge={node.id} "
+                             f"outcome={type(outcome).__name__.lower()} reward={r:.6f}{children}")
+                backpropagate(path, r)
+
+                if isinstance(outcome, Full):
                     if not cfg.exhaust:
                         return candidate
                     if best_plan is None or ((candidate.motion_cost, candidate.makespan)
                                              < (best_plan.motion_cost, best_plan.makespan)):
                         best_plan = candidate
-                    continue
-
-                if isinstance(outcome, Failure):
-                    edge.exhausted = True
-                    trace.append(f"iter={iteration} edge={edge.id} "
-                                 "outcome=failure reward=0.000000")
-                    backpropagate(path, 0.0)
-                    continue
-
-                # partial: expand with skeletons for the conflict set
-                head = edge.head = SearchNode(outcome.steps)
-                tree_size += 1
-                expand(head, outcome.conflicts)
-                r = reward(outcome, [e.skeleton for e in head.children], cfg.alpha)
-                trace.append(f"iter={iteration} edge={edge.id} outcome=partial reward={r:.6f} "
-                             f"children={len(head.children)}")
-                backpropagate(path, r)
-                head.visits += 1
         except BudgetExceeded:
             return give_up("solver_budget")
         except TimeBudgetExceeded:

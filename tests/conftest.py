@@ -6,6 +6,7 @@ REPO = TESTS.parent
 SCENARIOS = REPO / "scenarios"
 EXTRA = SCENARIOS / "extra"
 GOLDEN = TESTS / "golden"
+FIXTURES = TESTS / "fixtures"
 
 # make oracle_mip importable from test modules
 sys.path.insert(0, str(TESTS))

@@ -16,7 +16,7 @@ from mrplan.grounding import Partial, ground, volumes_of
 from mrplan.mip import TaskSkeleton, compile_model, solve
 from mrplan.plans import PartiallyGroundedAction, Plan
 from mrplan.scene import load_scene
-from mrplan.search import NoPlan, PlannerConfig, SearchEdge, SearchNode
+from mrplan.search import NoPlan, PlannerConfig, SearchNode
 from mrplan.search import plan as search_plan
 from mrplan.search import reward, ucb
 from mrplan.taskgraph import build_cmtg
@@ -149,14 +149,13 @@ class _Step:
 
 
 def test_selection_and_reward_formulas_exact():
-    node = SearchNode()
-    node.visits = 9
-    edge = SearchEdge(id=0, skeleton=sk(["M1"]), prior=0.25)
-    edge.value, edge.visits = 2.0, 3
-    # value/(n+1) + c * prior * sqrt(N) / (n+1)
-    assert abs(ucb(node, edge, 1.0) - (0.5 + 0.25 * 3.0 / 4.0)) < 1e-12
-    assert abs(ucb(node, edge, 2.0) - (0.5 + 2.0 * 0.25 * 3.0 / 4.0)) < 1e-12
-    assert abs(ucb(node, edge, 0.0) - 0.5) < 1e-12
+    # a skeleton moving 4 objects has prior 1/4
+    node = SearchNode(id=0, skeleton=sk(["M1", "M2", "M3", "M4"]), steps=None)
+    node.value, node.visits = 2.0, 3
+    # value/(n+1) + c * prior * sqrt(N) / (n+1), at parent visits N = 9
+    assert abs(ucb(9, node, 1.0) - (0.5 + 0.25 * 3.0 / 4.0)) < 1e-12
+    assert abs(ucb(9, node, 2.0) - (0.5 + 2.0 * 0.25 * 3.0 / 4.0)) < 1e-12
+    assert abs(ucb(9, node, 0.0) - 0.5) < 1e-12
 
     from mrplan.grounding import Failure, Full
     assert reward(Failure(""), None, 1.0) == 0.0
@@ -172,15 +171,17 @@ def test_selection_and_reward_formulas_exact():
 def test_zero_exploration_constant_is_argmax_over_means():
     rng = random.Random(1)
     for _ in range(50):
-        node = SearchNode()
-        node.visits = rng.randint(1, 50)
-        edges = []
+        parent_visits = rng.randint(1, 50)
+        nodes = []
         for i in range(5):
-            edge = SearchEdge(id=i, skeleton=sk([f"M{i}"]), prior=rng.uniform(0.1, 1.0))
-            edge.value, edge.visits = rng.uniform(0.0, 5.0), rng.randint(0, 10)
-            edges.append(edge)
-        by_ucb = max(edges, key=lambda e: (ucb(node, e, 0.0), -e.id))
-        by_mean = max(edges, key=lambda e: (e.value / (e.visits + 1), -e.id))
+            # a prior drawn in [0.1, 1], rounded to 1 / (1 to 10 objects)
+            objects = round(1 / rng.uniform(0.1, 1.0))
+            node = SearchNode(id=i, skeleton=sk([f"M{i}_{j}" for j in range(objects)]),
+                              steps=None)
+            node.value, node.visits = rng.uniform(0.0, 5.0), rng.randint(0, 10)
+            nodes.append(node)
+        by_ucb = max(nodes, key=lambda n: (ucb(parent_visits, n, 0.0), -n.id))
+        by_mean = max(nodes, key=lambda n: (n.value / (n.visits + 1), -n.id))
         assert by_ucb is by_mean
 
 

@@ -333,6 +333,16 @@ def relabel_handover_pick(doc):
     rec.update(pick_robot="R2", place_robot="R2")
 
 
+def repeat_a_handover_key(doc):
+    # json alone would keep the last value; a reversed pair is refused already
+    return json.dumps(doc).replace('"handover_points": {',
+                                   '"handover_points": {"R1,R2": [9, 9], ', 1)
+
+
+def repeat_a_robot_key(doc):
+    return json.dumps(doc).replace('"robot": "R1"', '"robot": "R2", "robot": "R1"', 1)
+
+
 def empty_reach_and_bad_handover_key(doc):
     # robots are checked before handover point keys
     doc["robots"][0].update(reach_min=1.0)
@@ -356,8 +366,10 @@ REFUSALS = [
      "goal references unknown region 'shelf'"),
     ("pick_chain", "scene", lambda d: d.update(handover_points={"R1,R9": [0.8, 0.0]}),
      "handover point references unknown robots (R1, R9)"),
+    ("pick_chain", "scene", repeat_a_handover_key, "scene parse error: duplicate key 'R1,R2'"),
     ("unobstructed", "plan", lambda d: json.dumps(d)[:-1],
      "plan parse error at line 1: Expecting ',' delimiter"),
+    ("unobstructed", "plan", repeat_a_robot_key, "plan parse error: duplicate key 'robot'"),
     ("unobstructed", "plan", lambda d: d.update(makespan=2),
      "makespan field 2 != number of steps 1"),
     ("unobstructed", "plan", lambda d: d.update(motion_cost=2),
@@ -374,7 +386,8 @@ REFUSALS = [
 
 @pytest.mark.parametrize("name, kind, edit, message", REFUSALS, ids=[
     "region_inverted", "reach_empty", "reach_before_handover_key", "home_region", "on_fixed",
-    "goal_region", "handover_robot", "plan_syntax", "makespan", "motion_cost", "unknown_object",
+    "goal_region", "handover_robot", "handover_key_repeated", "plan_syntax",
+    "robot_key_repeated", "makespan", "motion_cost", "unknown_object",
     "pick_robot", "not_part"])
 def test_an_input_refusal_exits_1_with_its_one_error_line(
         tmp_path, capsys, name, kind, edit, message):

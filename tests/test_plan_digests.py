@@ -8,7 +8,7 @@ document when there is none, and the ``--trace`` file. It also maps
 same digests for the deep-tree scenes under ``tests/fixtures/``, planned
 with default settings and with ``--exhaust``. Those two ``dense_g1`` scenes
 grow trees of up to 14 iterations and depth 6, where the shipped scenes
-reach 4 iterations and one partial grounding: ``deep_tree_solved`` plans at
+reach at most 2 iterations and one partial grounding: ``deep_tree_solved`` plans at
 every seed, ``deep_tree_pruned`` ends ``all_branches_pruned``.
 ``golden/dump_digests.json`` maps ``<scene>`` to the sha256 of the files
 ``mrplan plan`` writes for ``--dump-facts``, ``--dump-cmtg`` and
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, SCENARIOS, TESTS
+from conftest import FIXTURES, GOLDEN, SCENARIOS
 
 from mrplan import cli
 from mrplan.plans import dumps_plan
@@ -53,16 +53,15 @@ def scene_names():
     return [p.relative_to(SCENARIOS).with_suffix("").as_posix() for p in paths]
 
 
-def runs(names=None, trees=DEEP_TREES) -> dict:
-    """Each ``plan_digests.json`` key of the named shipped scenes (all when
-    None) and deep trees, mapped to its scene path and planner config."""
+def runs(names, trees) -> dict:
+    """Each ``plan_digests.json`` key of the named shipped scenes and deep
+    trees, mapped to its scene path and planner config."""
     keys = {f"{n}:{s}": (SCENARIOS / f"{n}.json", PlannerConfig(seed=s))
-            for n in (scene_names() if names is None else names) for s in SEEDS}
+            for n in names for s in SEEDS}
     for tree in trees:
         for s in SEEDS:
-            keys[f"fixtures/{tree}:{s}"] = (TESTS / "fixtures" / f"{tree}.json",
-                                            PlannerConfig(seed=s))
-            keys[f"fixtures/{tree}:{s}:exhaust"] = (TESTS / "fixtures" / f"{tree}.json",
+            keys[f"fixtures/{tree}:{s}"] = (FIXTURES / f"{tree}.json", PlannerConfig(seed=s))
+            keys[f"fixtures/{tree}:{s}:exhaust"] = (FIXTURES / f"{tree}.json",
                                                     PlannerConfig(seed=s, exhaust=True))
     return keys
 
@@ -121,7 +120,7 @@ def golden() -> dict:
 
 
 def test_golden_covers_every_scene_and_seed():
-    assert set(golden()) == set(runs())
+    assert set(golden()) == set(runs(scene_names(), DEEP_TREES))
     assert set(json.loads(DUMP_DIGESTS.read_text())) == set(scene_names())
 
 
@@ -135,14 +134,14 @@ def test_moved_names_each_changed_new_and_dropped_digest():
 @pytest.mark.parametrize("name", scene_names())
 def test_plans_and_traces_match_the_golden_digests(name):
     expected = golden()
-    for key, (path, cfg) in runs([name], trees=()).items():
+    for key, (path, cfg) in runs([name], []).items():
         assert digests(path, cfg) == expected[key], key
 
 
 @pytest.mark.parametrize("tree", DEEP_TREES)
 def test_deep_tree_plans_and_traces_match_the_golden_digests(tree):
     expected = golden()
-    for key, (path, cfg) in runs([], trees=[tree]).items():
+    for key, (path, cfg) in runs([], [tree]).items():
         assert digests(path, cfg) == expected[key], key
 
 
@@ -153,7 +152,8 @@ def test_dumps_match_the_golden_digests(name):
 
 if __name__ == "__main__":
     for path, doc in (
-            (DIGESTS, {key: digests(*run) for key, run in runs().items()}),
+            (DIGESTS, {key: digests(*run)
+                       for key, run in runs(scene_names(), DEEP_TREES).items()}),
             (DUMP_DIGESTS, {n: dump_digests(n) for n in scene_names()})):
         old = json.loads(path.read_text()) if path.exists() else {}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -1,5 +1,6 @@
 """Skeleton-level tree search: selection arithmetic, rewards, end-to-end runs."""
 import json
+import math
 import re
 import types
 
@@ -11,11 +12,11 @@ from mrplan.grounding import Failure, Full, Partial
 from mrplan.mip import BudgetExceeded, TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan, moved_objects
 from mrplan.scene import load_scene, loads_scene
-from mrplan.search import (NoPlan, PlannerConfig, SearchEdge, SearchError, SearchNode,
-                           backpropagate, plan, reward, ucb)
+from mrplan.search import (NoPlan, PlannerConfig, SearchError, SearchNode, backpropagate,
+                           plan, reward, ucb)
 from mrplan.validator import validate_plan
 
-from conftest import SCENARIOS, scenario
+from conftest import FIXTURES, SCENARIOS, scenario
 
 TRACE_RE = re.compile(
     r"^iter=\d+ edge=\d+ outcome=(full|partial|failure) reward=\d+\.\d{6}"
@@ -38,15 +39,14 @@ def grounded_step(obj="M1"):
 
 
 def test_ucb_formula_values():
-    node = SearchNode()
-    node.visits = 4
-    edge = SearchEdge(id=0, skeleton=sk_for(["M1"]), prior=0.5)
-    edge.value, edge.visits = 1.0, 1
-    assert ucb(node, edge, c=1.0) == pytest.approx(1.0)  # 1/2 + 0.5*2/2
-    assert ucb(node, edge, c=0.0) == pytest.approx(0.5)
-    fresh = SearchEdge(id=1, skeleton=sk_for(["M1"]), prior=1.0)
-    assert ucb(SearchNode(), fresh, c=1.0) == 0.0
-    assert ucb(node, fresh, c=2.0) == pytest.approx(2.0 * 1.0 * 2.0)
+    # the prior is 1 / the number of objects the node's skeleton moves
+    node = SearchNode(id=0, skeleton=sk_for(["M1", "M2"]), steps=None)
+    node.value, node.visits = 1.0, 1
+    assert ucb(4, node, c=1.0) == pytest.approx(1.0)  # 1/2 + 0.5*2/2
+    assert ucb(4, node, c=0.0) == pytest.approx(0.5)
+    fresh = SearchNode(id=1, skeleton=sk_for(["M1"]), steps=None)
+    assert ucb(0, fresh, c=1.0) == 0.0
+    assert ucb(4, fresh, c=2.0) == pytest.approx(2.0 * 1.0 * 2.0)
 
 
 def test_reward_values():
@@ -64,20 +64,24 @@ def test_reward_values():
 
 
 def test_backpropagate_updates_path_statistics():
-    mid = SearchNode()
-    e1 = SearchEdge(id=0, skeleton=sk_for(["M1", "M2"]), prior=0.5)
-    e1.head = mid
-    root = SearchNode()
-    root.children.append(e1)
-    e2 = SearchEdge(id=1, skeleton=sk_for(["M3"]), prior=1.0)
-    mid.children.append(e2)
-    backpropagate([(root, e1), (mid, e2)], 0.75)
-    assert root.visits == 1 and mid.visits == 1
-    assert e1.visits == 1 and e1.value == pytest.approx(0.75)
-    assert e2.visits == 1 and e2.value == pytest.approx(0.75)
-    backpropagate([(root, e1)], 0.25)
-    assert e1.value == pytest.approx(1.0) and e1.visits == 2
-    assert root.visits == 2 and mid.visits == 1
+    root = SearchNode(id=None, skeleton=None, steps=())
+    mid = SearchNode(id=0, skeleton=sk_for(["M1", "M2"]), steps=(grounded_step("M1"),))
+    leaf = SearchNode(id=1, skeleton=sk_for(["M3"]), steps=None)
+    other = SearchNode(id=2, skeleton=sk_for(["M4"]), steps=None)
+    root.children.append(mid)
+    mid.children += [leaf, other]
+    backpropagate([root, mid, leaf], 0.75)
+    assert root.visits == 1
+    assert mid.visits == 1 and mid.value == pytest.approx(0.75)
+    assert leaf.visits == 1 and leaf.value == pytest.approx(0.75)
+    backpropagate([root, mid], 0.25)
+    assert mid.value == pytest.approx(1.0) and mid.visits == 2
+    assert root.visits == 2 and leaf.visits == 1
+    # the grounded leaf has no child, so it is exhausted; its parent is once
+    # its other child is too
+    assert leaf.exhausted and not (mid.exhausted or root.exhausted or other.exhausted)
+    backpropagate([root, mid, other], 0.0)
+    assert other.exhausted and mid.exhausted and root.exhausted
 
 
 def test_config_rejects_negative_exploration_parameters():
@@ -350,17 +354,20 @@ def test_time_budget_stops_the_search_between_iterations(monkeypatch):
     assert trace == ["iter=1 edge=0 outcome=failure reward=0.000000"]
 
 
-def rescan_exhausted(edge, grounded):
-    """The exhaustion rule, recomputed from the tree and the ids of the edges
+def rescan_exhausted(node, grounded):
+    """The exhaustion rule, recomputed from the tree and the ids of the nodes
     grounded so far."""
-    if edge.head is None:           # not grounded, or grounded to a plan or a failure
-        return edge.id in grounded
-    return all(rescan_exhausted(e, grounded) for e in edge.head.children)
+    if node.steps is None:          # not grounded, or grounded to a plan or a failure
+        return node.id in grounded
+    return all(rescan_exhausted(child, grounded) for child in node.children)
 
 
-@pytest.mark.parametrize("name", ["pa_small", "conflict_partial", "pick_chain",
-                                  "parallel_goals"])
-def test_exhausted_flags_match_a_rescan_of_the_tree(monkeypatch, name):
+@pytest.mark.parametrize("path", [scenario(name) for name in ("pa_small", "conflict_partial",
+                                                               "pick_chain", "parallel_goals")]
+                         + [FIXTURES / "deep_tree_solved.json",
+                            FIXTURES / "deep_tree_pruned.json"],
+                         ids=lambda path: path.stem)
+def test_exhausted_flags_match_a_rescan_of_the_tree(monkeypatch, path):
     nodes = []
     trace = []
 
@@ -372,9 +379,13 @@ def test_exhausted_flags_match_a_rescan_of_the_tree(monkeypatch, name):
     def check():
         grounded = {int(line.split()[1].removeprefix("edge=")) for line in trace}
         for node in nodes:
-            for edge in node.children:
-                assert edge.exhausted == rescan_exhausted(edge, grounded), edge.id
-                assert edge.prior == pytest.approx(1 / len(edge.skeleton.moved_objects))
+            assert node.exhausted == rescan_exhausted(node, grounded), node.id
+            for child in node.children:
+                # ucb's exploration term has the prior 1 / objects moved
+                explore = ucb(node.visits, child, 1.0) - ucb(node.visits, child, 0.0)
+                assert explore == pytest.approx(
+                    math.sqrt(node.visits) / len(child.skeleton.moved_objects)
+                    / (child.visits + 1)), child.id
 
     def checked_backpropagate(path, r):
         backpropagate(path, r)
@@ -382,12 +393,13 @@ def test_exhausted_flags_match_a_rescan_of_the_tree(monkeypatch, name):
 
     monkeypatch.setattr(search, "SearchNode", RecordedNode)
     monkeypatch.setattr(search, "backpropagate", checked_backpropagate)
+    scene = load_scene(path)
     for seed in range(3):
         nodes.clear()
         trace.clear()
-        plan(load_scene(scenario(name)),
-             PlannerConfig(seed=seed, exhaust=True, max_iterations=40), trace=trace)
+        plan(scene, PlannerConfig(seed=seed, exhaust=True, max_iterations=40), trace=trace)
         check()
+        assert len(nodes) > 1
 
 
 def test_no_plan_tree_size_counts_the_root_and_each_partial_grounding():
