@@ -16,7 +16,9 @@ and does not test it again.
 
 Place facts test candidate placements: the region centre first, then a
 PLACE_GRID x PLACE_GRID grid inset by the object's circumradius, row by
-row; the inset keeps every candidate's footprint inside the region. A
+row; the inset keeps every candidate's footprint inside the region. The
+grid is built only when a robot's scan reads past the centre: when the
+centre settles every robot's answer, it is never built. A
 candidate is valid for a robot when it lies in the robot's reach annulus
 and its transfer sweep from the base clears the fixed obstacles. Each
 (object, region) grid is built once and shared by the robots, and each
@@ -135,8 +137,10 @@ def _grid(rect: Rect, inset: float):
     region centre, then a PLACE_GRID x PLACE_GRID grid inset by ``inset``,
     row by row, without a second copy of the centre. The shape placed at any
     of them lies inside ``rect``, because no point of it is farther than its
-    circumradius from its centre. Returns the points and their bounding box
-    (xmin, ymin, xmax, ymax), or None when nothing fits."""
+    circumradius from its centre. Returns ``(points, box)``, or None when
+    nothing fits: ``points()`` yields the candidates, and ``box`` is their
+    bounding box (xmin, ymin, xmax, ymax). The grid is built when a scan
+    first reads past the centre, and kept for later scans."""
     x0, x1 = rect.xmin + inset, rect.xmax - inset
     y0, y1 = rect.ymin + inset, rect.ymax - inset
     if x0 > x1 or y0 > y1:
@@ -144,9 +148,16 @@ def _grid(rect: Rect, inset: float):
     n = PLACE_GRID
     xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
     ys = [y0 + (y1 - y0) * i / (n - 1) for i in range(n)]
-    cx, cy = rect.center
-    points = [(cx, cy)] + [(x, y) for y in ys for x in xs if (x, y) != (cx, cy)]
-    box = (min(min(xs), cx), min(min(ys), cy), max(max(xs), cx), max(max(ys), cy))
+    centre = rect.center
+    box = (min(min(xs), centre[0]), min(min(ys), centre[1]),
+           max(max(xs), centre[0]), max(max(ys), centre[1]))
+    rest = []
+
+    def points():
+        yield centre
+        if not rest:
+            rest.extend((x, y) for y in ys for x in xs if (x, y) != centre)
+        yield from rest
     return points, box
 
 
@@ -154,7 +165,7 @@ def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
     """Candidate placement poses for ``obj`` in the region, in the order
     ``compute_facts`` tests them."""
     grid = _grid(scene.regions[region_name], scene.movables[obj].shape.circumradius)
-    return [] if grid is None else [Pose(x, y) for x, y in grid[0]]
+    return [] if grid is None else [Pose(x, y) for x, y in grid[0]()]
 
 
 def _avoids_fixed(scene: Scene, cor: Corridor) -> bool:
@@ -184,8 +195,7 @@ def _picks(scene: Scene, obj: str) -> dict:
     whose gripper sweep covers another robot's base is left out."""
     facts = {}
     angles = scene.grasp_angles()
-    for rname in sorted(scene.robots):
-        robot = scene.robots[rname]
+    for rname, robot in scene.robots_by_name:
         for g in angles:
             gp = scene.grasp_point(obj, g)
             if not robot.in_reach(gp):
@@ -206,14 +216,13 @@ def _places(scene: Scene, obj: str, re: str) -> dict:
         return facts
     points, box = grid
     goal_pair = scene.goal.get(obj) == re
-    for rname in sorted(scene.robots):
-        robot = scene.robots[rname]
+    for rname, robot in scene.robots_by_name:
         if not _annulus_meets_box(robot, box):
             continue
         # None until a candidate is valid; then the occluders of the
         # earliest valid candidate with the fewest of them
         best = None
-        for xy in points:
+        for xy in points():
             if not robot.in_reach(xy):
                 continue
             cor = carry_sweep(scene, rname, obj, robot.base, xy)
@@ -238,13 +247,12 @@ def _handovers(scene: Scene, obj: str) -> set:
     if obj not in scene.goal:
         return facts
     m = scene.movables[obj]
-    robot_names = sorted(scene.robots)
-    for r1 in robot_names:
-        for r2 in robot_names:
+    for r1, robot1 in scene.robots_by_name:
+        for r2, robot2 in scene.robots_by_name:
             if r1 == r2:
                 continue
             h = scene.handover_point(r1, r2)
-            if not (scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)):
+            if not (robot1.in_reach(h) and robot2.in_reach(h)):
                 continue
             if (_avoids_fixed(scene, carry_sweep(scene, r1, obj, m.pose.xy, h))
                     and _avoids_fixed(scene, gripper_sweep(scene, r2, h))):

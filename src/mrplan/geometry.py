@@ -5,12 +5,19 @@ EPS does not count as a collision, so tangent configurations are stable.
 
 The collision kernel is ``collides_any(vol, volumes)``: does ``vol`` overlap
 any of ``volumes``? It dispatches on ``vol``'s type once per call and stops
-at the first hit. The disc-disc test and a corridor's tests against discs
-run inline, the latter with the segment's direction computed once and the
-float operations of ``point_segment_distance`` in order, so each decision
-is bit-identical to the helper's. Every one-against-many test in the
-package goes through it; ``collides(a, b)`` is its one-volume case, so each
-pair test has one definition.
+at the first hit. A ``Corridor`` derives its half width and its segment
+(start point, direction, squared length) once, in ``__init__``; the
+disc-disc test and a corridor's tests against discs run on those values
+with the float operations of ``point_segment_distance`` in order, so each
+decision is bit-identical to the helper's. A corridor-corridor pair whose
+segments' axis-aligned boxes lie at least the two half widths apart along
+x or y is rejected without ``segment_segment_distance``. The reject is
+exact: the box gap is a lower bound on the segments' distance, and the
+rounding of either side (a few ulps of the coordinates, ~1e-13 m at
+1 000 m) is far below the EPS that the exact test subtracts. Every
+one-against-many test in the package goes through the kernel;
+``collides(a, b)`` is its one-volume case, so each pair test has one
+definition.
 """
 from __future__ import annotations
 
@@ -37,7 +44,9 @@ class Pose(Record):
     def __init__(self, x: float, y: float, theta: float = 0.0):
         self.x = x
         self.y = y
-        self.theta = norm_angle(theta)
+        # fmod leaves a float in [0, 2*pi) as it is; an int still becomes a float
+        self.theta = (theta if 0.0 <= theta < TWO_PI and type(theta) is float
+                      else norm_angle(theta))
 
     @property
     def xy(self) -> tuple[float, float]:
@@ -101,8 +110,11 @@ class Rect(Record):
 
 
 class Corridor(Record):
-    """Capsule: a segment inflated by width/2. Zero-length segments are discs."""
-    __slots__ = ("a", "b", "width")
+    """Capsule: a segment inflated by width/2. Zero-length segments are discs.
+
+    ``__init__`` derives the half width and the segment as its start point,
+    direction and squared length, which every distance to it reads."""
+    __slots__ = ("a", "b", "width", "_half_width", "_seg")
 
     def __init__(self, a: tuple[float, float], b: tuple[float, float], width: float):
         if width <= 0.0:
@@ -110,13 +122,15 @@ class Corridor(Record):
         self.a = a
         self.b = b
         self.width = width
+        self._half_width = 0.5 * width
+        self._seg = _segment(a, b)
 
     @property
     def half_width(self) -> float:
-        return 0.5 * self.width
+        return self._half_width
 
     def contains_point(self, p: tuple[float, float]) -> bool:
-        return point_segment_distance(p, self.a, self.b) < self.half_width - EPS
+        return _segment_distance(self._seg, p[0], p[1]) < self._half_width - EPS
 
     def trimmed(self, end: tuple[float, float], amount: float) -> "Corridor | None":
         """Shorten the endpoint nearer to `end` by `amount`.
@@ -145,12 +159,16 @@ class Corridor(Record):
 # distance helpers
 
 
-def point_segment_distance(p, a, b) -> float:
+def _segment(a, b) -> tuple:
+    """The segment from ``a`` to ``b`` as (ax, ay, dx, dy, squared length)."""
     ax, ay = a
     bx, by = b
-    px, py = p
     dx, dy = bx - ax, by - ay
-    d2 = dx * dx + dy * dy
+    return (ax, ay, dx, dy, dx * dx + dy * dy)
+
+
+def _segment_distance(seg, px, py) -> float:
+    ax, ay, dx, dy, d2 = seg
     if d2 == 0.0:
         return math.hypot(px - ax, py - ay)
     t = ((px - ax) * dx + (py - ay) * dy) / d2
@@ -159,6 +177,10 @@ def point_segment_distance(p, a, b) -> float:
     elif t > 1.0:
         t = 1.0
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def point_segment_distance(p, a, b) -> float:
+    return _segment_distance(_segment(a, b), p[0], p[1])
 
 
 def _orient(a, b, c):
@@ -200,6 +222,15 @@ def segment_segment_distance(a1, a2, b1, b2) -> float:
         point_segment_distance(b1, a1, a2),
         point_segment_distance(b2, a1, a2),
     )
+
+
+def _boxes_apart(c1: Corridor, c2: Corridor, gap: float) -> bool:
+    """True when the two segments' axis-aligned boxes lie ``gap`` or more
+    apart along x or along y: then so do the segments."""
+    (ax, ay), (bx, by) = c1.a, c1.b
+    (cx, cy), (dx, dy) = c2.a, c2.b
+    return (min(cx, dx) - max(ax, bx) >= gap or min(ax, bx) - max(cx, dx) >= gap
+            or min(cy, dy) - max(ay, by) >= gap or min(ay, by) - max(cy, dy) >= gap)
 
 
 def _rect_corners(shape: Rectangle, pose: Pose):
@@ -270,14 +301,13 @@ def collides_any(vol, volumes) -> bool:
     non-colliding (EPS tolerance).
     """
     if isinstance(vol, Corridor):
-        a, b, hw = vol.a, vol.b, vol.half_width
-        ax, ay = a
-        bx, by = b
-        dx, dy = bx - ax, by - ay
-        d2 = dx * dx + dy * dy
+        a, b, hw = vol.a, vol.b, vol._half_width
+        ax, ay, dx, dy, d2 = vol._seg
         for v in volumes:
             if isinstance(v, Corridor):
-                if segment_segment_distance(a, b, v.a, v.b) < hw + v.half_width - EPS:
+                reach = hw + v._half_width
+                if (not _boxes_apart(vol, v, reach)
+                        and segment_segment_distance(a, b, v.a, v.b) < reach - EPS):
                     return True
                 continue
             shape, pose = v
@@ -285,7 +315,7 @@ def collides_any(vol, volumes) -> bool:
                 if _segment_rect_distance(a, b, shape, pose) < hw - EPS:
                     return True
                 continue
-            # point_segment_distance(pose, a, b), its float operations in order
+            # _segment_distance(vol._seg, pose.x, pose.y), its float operations in order
             px, py = pose.x, pose.y
             if d2 == 0.0:
                 dist = math.hypot(px - ax, py - ay)
@@ -303,7 +333,7 @@ def collides_any(vol, volumes) -> bool:
     if not isinstance(shape, Disc):
         for v in volumes:
             if isinstance(v, Corridor):
-                if _segment_rect_distance(v.a, v.b, shape, pose) < v.half_width - EPS:
+                if _segment_rect_distance(v.a, v.b, shape, pose) < v._half_width - EPS:
                     return True
             elif isinstance(v[0], Disc):
                 if _disc_rect(v[0].radius, v[1], shape, pose):
@@ -314,7 +344,7 @@ def collides_any(vol, volumes) -> bool:
     r, px, py = shape.radius, pose.x, pose.y
     for v in volumes:
         if isinstance(v, Corridor):
-            if point_segment_distance((px, py), v.a, v.b) < v.half_width + r - EPS:
+            if _segment_distance(v._seg, px, py) < v._half_width + r - EPS:
                 return True
             continue
         s2, p2 = v

@@ -50,8 +50,8 @@ def carry_sweep(scene: Scene, robot: str, obj: str, frm: tuple[float, float],
 
 def bases_crossed(scene: Scene, robot: str, cor: Corridor) -> list[str]:
     """The other robots, in name order, whose base ``robot``'s sweep covers."""
-    return [other for other in sorted(scene.robots)
-            if other != robot and cor.contains_point(scene.robots[other].base)]
+    return [other for other, r in scene.robots_by_name
+            if other != robot and cor.contains_point(r.base)]
 
 
 def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,

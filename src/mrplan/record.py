@@ -5,9 +5,11 @@ A record lists its fields in ``__slots__``, in constructor order, and its
 hashing and a ``repr`` keyed on its fields: two records are equal when they
 are of the same class and their fields are, and a record hashes as the tuple
 of its fields. A class that names ``_fields`` is keyed on those slots only.
-``replace`` copies a record with some fields changed; the copy runs
-``__init__``, so its checks too. Nothing assigns to a record's fields after
-``__init__``.
+A slot whose name starts with an underscore is not a field: ``__init__``
+derives it from the fields, so it takes no part in equality, hashing or
+``repr``. ``replace`` copies a record with some fields changed; the copy
+runs ``__init__``, so its checks too, and derives its own underscore slots.
+Nothing assigns to a record's slots after ``__init__``.
 """
 from operator import attrgetter
 
@@ -17,7 +19,8 @@ class Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        fields = cls._fields = getattr(cls, "_fields", cls.__slots__)
+        cls._args = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        fields = cls._fields = getattr(cls, "_fields", cls._args)
         get = attrgetter(*fields)
         # one field: attrgetter returns the value, not a 1-tuple
         cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
@@ -36,5 +39,5 @@ class Record:
 
     def replace(self, **changes):
         """A copy with ``changes`` applied, built by ``__init__``."""
-        return type(self)(**{**{name: getattr(self, name) for name in self.__slots__},
+        return type(self)(**{**{name: getattr(self, name) for name in self._args},
                              **changes})

@@ -10,6 +10,18 @@ comma-separated robot names, pair a robot with itself or list a pair twice
 ``Scene`` knows each region, movable and robot by its dict key, and a
 region is its ``Rect``. Its goal maps each goal object to its goal region,
 and ``unmet_goals`` is the one list of the goal objects a plan must move.
+
+A ``Scene`` derives its constant tables once, in ``__init__``: its robots
+in name order, its movables in name order with their start volumes, its
+grasp angles, each movable's grasp points at its start pose and each
+(robot, movable) transfer width. The fact phase, grounding and the
+validator ask for these on every sweep; ``robots_by_name``,
+``grasp_angles``, ``grasp_point``, ``transfer_width`` and ``movables_hit``
+read the tables, computed with the float operations they would use. At
+load, two movables overlap only if their boxes (centre plus and minus
+circumradius) do, so ``_check_invariants`` sorts the movables' boxes along
+the wider axis and sweeps them: only pairs whose boxes meet get the exact
+``collides`` test.
 """
 from __future__ import annotations
 
@@ -62,7 +74,9 @@ class Movable(Record):
 
 class Scene(Record):
     __slots__ = ("regions", "fixed", "movables", "robots", "handover_points",
-                 "grasp_count", "goal")
+                 "grasp_count", "goal",
+                 "_robots", "_movables", "_grasp_angles", "_grasp_points",
+                 "_transfer_widths")
 
     def __init__(self, regions: dict[str, Rect], fixed: list[tuple[Shape, Pose]],
                  movables: dict[str, Movable], robots: dict[str, Robot],
@@ -75,13 +89,30 @@ class Scene(Record):
         self.handover_points = handover_points
         self.grasp_count = grasp_count
         self.goal = goal  # object -> goal region
+        self._robots = tuple(sorted(robots.items()))
+        self._movables = tuple((name, (m.shape, m.pose)) for name, m in sorted(movables.items()))
+        k = grasp_count
+        self._grasp_angles = tuple(2.0 * math.pi * i / k for i in range(k))
+        turns = [(g, math.cos(g), math.sin(g)) for g in self._grasp_angles]
+        self._grasp_points = {}  # (movable, angle) -> grasp point at the start pose
+        for name, m in movables.items():
+            p, r = m.pose, m.shape.circumradius
+            for g, cos_g, sin_g in turns:
+                self._grasp_points[name, g] = (p.x + r * cos_g, p.y + r * sin_g)
+        self._transfer_widths = {(rname, name): robot.gripper_width + m.diameter
+                                 for rname, robot in robots.items()
+                                 for name, m in movables.items()}
         self._check_invariants()
 
     # -- derived quantities ------------------------------------------------
 
-    def grasp_angles(self) -> list[float]:
-        k = self.grasp_count
-        return [2.0 * math.pi * i / k for i in range(k)]
+    @property
+    def robots_by_name(self) -> tuple[tuple[str, Robot], ...]:
+        """``(name, robot)`` for every robot, in name order."""
+        return self._robots
+
+    def grasp_angles(self) -> tuple[float, ...]:
+        return self._grasp_angles
 
     def goal_objects(self) -> list[str]:
         return sorted(self.goal)
@@ -89,8 +120,8 @@ class Scene(Record):
     def unmet_goals(self) -> list[str]:
         """The goal objects outside their goal region at their start poses, in
         name order: the objects a plan must move."""
-        return [obj for obj, m in sorted(self.movables.items()) if obj in self.goal
-                and not shape_inside_rect(m.shape, m.pose, self.regions[self.goal[obj]])]
+        return [obj for obj, (shape, pose) in self._movables if obj in self.goal
+                and not shape_inside_rect(shape, pose, self.regions[self.goal[obj]])]
 
     def target_region_of(self, obj: str) -> str:
         """Goal region for goal objects, home region otherwise."""
@@ -108,20 +139,25 @@ class Scene(Record):
 
     def grasp_point(self, obj: str, angle: float,
                     pose: Pose | None = None) -> tuple[float, float]:
-        """Approach point on the object's circumscribed circle for a grasp angle."""
+        """Approach point on the object's circumscribed circle for a grasp
+        angle, at ``pose`` or else at the object's start pose."""
         m = self.movables[obj]
-        p = pose if pose is not None else m.pose
+        if pose is None or pose is m.pose:
+            gp = self._grasp_points.get((obj, angle))
+            if gp is not None:
+                return gp
+            pose = m.pose
         r = m.shape.circumradius
-        return (p.x + r * math.cos(angle), p.y + r * math.sin(angle))
+        return (pose.x + r * math.cos(angle), pose.y + r * math.sin(angle))
 
     def transfer_width(self, robot: str, obj: str) -> float:
-        return self.robots[robot].gripper_width + self.movables[obj].diameter
+        return self._transfer_widths[robot, obj]
 
     def movables_hit(self, volumes, exclude=()) -> list[str]:
         """Movables outside ``exclude`` that any of ``volumes`` hits at their
         start poses, in name order."""
-        return [name for name, m in sorted(self.movables.items())
-                if name not in exclude and collides_any((m.shape, m.pose), volumes)]
+        return [name for name, vol in self._movables
+                if name not in exclude and collides_any(vol, volumes)]
 
     # -- invariants ----------------------------------------------------------
 
@@ -134,13 +170,14 @@ class Scene(Record):
             if not shape_inside_rect(m.shape, m.pose, self.regions[m.home_region]):
                 raise SceneError(
                     f"movable {name} does not lie inside its home region {m.home_region}")
-        items = sorted(self.movables.items())
-        for i, (na, a) in enumerate(items):
-            for nb, b in items[i + 1:]:
-                if collides((a.shape, a.pose), (b.shape, b.pose)):
-                    raise SceneError(f"movables {na} and {nb} overlap at load")
-            if collides_any((a.shape, a.pose), self.fixed):
-                raise SceneError(f"movable {na} overlaps a fixed obstacle at load")
+        # the first movable in name order that overlaps a later one or a
+        # fixed obstacle is refused, with its first such partner in name order
+        later = _overlapping_later(self._movables)
+        for name, vol in self._movables:
+            if name in later:
+                raise SceneError(f"movables {name} and {min(later[name])} overlap at load")
+            if collides_any(vol, self.fixed):
+                raise SceneError(f"movable {name} overlaps a fixed obstacle at load")
         for obj, re in self.goal.items():
             if obj not in self.movables:
                 raise SceneError(f"goal references unknown object {obj!r}")
@@ -149,6 +186,42 @@ class Scene(Record):
         for (r1, r2) in self.handover_points:
             if r1 not in self.robots or r2 not in self.robots:
                 raise SceneError(f"handover point references unknown robots ({r1}, {r2})")
+
+
+def _overlapping_later(movables) -> dict[str, list[str]]:
+    """For each of the ``(name, (shape, pose))`` movables, in name order,
+    that overlaps a later one: the later names it overlaps.
+
+    Sort and sweep: the boxes, each centre plus and minus its shape's
+    circumradius, are sorted by their low edge along the axis on which the
+    centres spread widest. A box is compared only with the later boxes whose
+    low edge is not past its high edge, and ``collides`` runs only when the
+    two boxes meet on the other axis too. Boxes that merely touch are
+    tested, so no overlap is missed.
+    """
+    if not movables:
+        return {}
+    xs = [pose.x for _, (_, pose) in movables]
+    ys = [pose.y for _, (_, pose) in movables]
+    along_x = max(xs) - min(xs) >= max(ys) - min(ys)
+    boxes = []  # (low, high) along the sweep axis, (low, high) across it, rank
+    for rank, (_, (shape, pose)) in enumerate(movables):
+        r = shape.circumradius
+        u, v = (pose.x, pose.y) if along_x else (pose.y, pose.x)
+        boxes.append((u - r, u + r, v - r, v + r, rank))
+    boxes.sort()
+    later: dict[str, list[str]] = {}
+    for i, (_, hi, lo_v, hi_v, rank) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            lo2, _, lo2_v, hi2_v, rank2 = boxes[j]
+            if lo2 > hi:
+                break
+            if lo2_v > hi_v or lo_v > hi2_v:
+                continue
+            (na, a), (nb, b) = movables[min(rank, rank2)], movables[max(rank, rank2)]
+            if collides(a, b):
+                later.setdefault(na, []).append(nb)
+    return later
 
 
 # ---------------------------------------------------------------------------

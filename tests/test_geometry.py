@@ -125,6 +125,10 @@ corridors = st.one_of(
     st.builds(Corridor, points, points, st.floats(0.02, 0.6)),
     st.builds(lambda p, w: Corridor(p, p, w), points, st.floats(0.02, 0.6)))
 volumes = st.one_of(st.tuples(shapes, poses), corridors)
+# corridors anywhere in a 2 km square: mostly far apart
+far = st.floats(-1000, 1000)
+far_corridors = st.builds(Corridor, st.tuples(far, far), st.tuples(far, far),
+                          st.floats(0.02, 0.6))
 
 
 def shrunk(vol):
@@ -178,8 +182,35 @@ def boundary_pairs(draw):
     return first, (Disc(r2), Pose(gap, 0.0))
 
 
-@settings(max_examples=300, deadline=None)
-@given(vol=volumes, others=st.lists(volumes, max_size=8), pair=boundary_pairs(),
+@st.composite
+def box_boundary_pairs(draw):
+    """Two corridors, coordinates up to 1 000 m, whose segments' boxes lie
+    apart along x or y by the two half widths (where the kernel's box reject
+    starts) or by that less EPS (where the exact test decides), or one ulp
+    of the coordinate either side. The second corridor runs across that axis
+    through the first's extreme endpoint, so the segments' distance is the
+    box gap."""
+    c1 = draw(far_corridors)
+    w2 = draw(st.floats(0.02, 0.6))
+    reach = c1.half_width + 0.5 * w2
+    gap = draw(st.sampled_from([reach, reach - EPS]))
+    axis, side = draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1.0, 1.0]))
+    end = max((c1.a, c1.b), key=lambda p: side * p[axis])
+    at = draw(st.sampled_from([math.nextafter(end[axis] + side * gap, -math.inf),
+                               end[axis] + side * gap,
+                               math.nextafter(end[axis] + side * gap, math.inf)]))
+    across = 1 - axis
+    lo, hi = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+    p, q = [0.0, 0.0], [0.0, 0.0]
+    p[axis] = q[axis] = at
+    p[across], q[across] = end[across] - lo, end[across] + hi
+    return c1, Corridor(tuple(p), tuple(q), w2)
+
+
+@settings(max_examples=600, deadline=None)
+@given(vol=volumes, others=st.lists(st.one_of(volumes, far_corridors), max_size=8),
+       pair=st.one_of(boundary_pairs(), box_boundary_pairs(), st.tuples(far_corridors,
+                                                                         far_corridors)),
        swap=st.booleans())
 def test_collides_any_matches_the_pairwise_reference(vol, others, pair, swap):
     """The kernel gives the pairwise reference's answer on every pair, in

@@ -2,11 +2,14 @@
 the search trace byte-identical.
 
 No oracle says what one run should plan; these tests compare two runs
-instead. An edit passes when ``mrplan plan`` writes the same plan (or
+instead. The edits: a disc out of every robot's reach, the same disc as a
+goal it already meets, and a document whose entity lists and handover
+keys come in another order. An edit passes when ``mrplan plan`` writes the same plan (or
 ``NoPlan`` document) and the same ``--trace`` on every shipped scene, at
 seeds 0 and 1.
 """
 import json
+import random
 
 import pytest
 
@@ -58,3 +61,28 @@ def test_a_goal_already_met_changes_no_plan(path, seed):
     doc = with_far_disc(json.loads(path.read_text()))
     met = {**doc, "goal": doc["goal"] + [["Z9", "far"]]}
     assert run(met, seed) == run(doc, seed)
+
+
+def shuffled(doc: dict, rng: random.Random) -> dict:
+    """``doc`` with its ``regions``, ``movables``, ``robots``, ``fixed`` and
+    ``goal`` lists shuffled, and its ``handover_points`` keys in shuffled
+    order, each pair's two names in shuffled order."""
+    out = dict(doc)
+    for kind in ("regions", "movables", "robots", "fixed", "goal"):
+        if kind in doc:
+            out[kind] = rng.sample(doc[kind], len(doc[kind]))
+    if "handover_points" in doc:
+        keys = rng.sample(sorted(doc["handover_points"]), len(doc["handover_points"]))
+        out["handover_points"] = {
+            ",".join(rng.sample(key.split(","), 2)): doc["handover_points"][key]
+            for key in keys}
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("path", SCENES, ids=scene_id)
+def test_a_shuffled_document_changes_no_plan(path, seed):
+    # the scene's tables are kept in name order, whatever the document's order
+    doc = json.loads(path.read_text())
+    rng = random.Random(f"{scene_id(path)}:{seed}")
+    assert run(shuffled(doc, rng), seed) == run(doc, seed)

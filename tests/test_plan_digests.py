@@ -23,6 +23,17 @@ with
 which prints each digest key that changed, appeared or vanished (such as
 ``changed pick_chain mip``), and list the change, with those keys, in
 ``CHANGES.md``.
+
+A change meant to keep behaviour can also be checked on more scenes than
+the goldens cover, with
+
+    PYTHONPATH=src python tests/test_plan_digests.py --identity
+
+which writes no file and prints one sha256 over the plan (or ``NoPlan``
+document) and the trace of every ``dense_g1`` and ``crowded_goals`` scene
+that ``perfbench/workloads.py`` generates at seed 0 (160 scenes), each
+planned at seeds 0-2 with default settings and with ``--exhaust``. Run it
+at the parent commit and at the change: the two lines must match.
 """
 import contextlib
 import hashlib
@@ -34,11 +45,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN, SCENARIOS
+from conftest import FIXTURES, GOLDEN, REPO, SCENARIOS
 
 from mrplan import cli
 from mrplan.plans import dumps_plan
-from mrplan.scene import load_scene
+from mrplan.scene import load_scene, loads_scene
 from mrplan.search import NoPlan, PlannerConfig, plan
 
 SEEDS = range(5)
@@ -46,6 +57,8 @@ DIGESTS = GOLDEN / "plan_digests.json"
 DUMP_DIGESTS = GOLDEN / "dump_digests.json"
 DUMPS = ("facts", "cmtg", "mip")
 DEEP_TREES = ("deep_tree_solved", "deep_tree_pruned")
+IDENTITY_WORKLOADS = ("dense_g1", "crowded_goals")
+IDENTITY_SEEDS = range(3)
 
 
 def scene_names():
@@ -66,18 +79,40 @@ def runs(names, trees) -> dict:
     return keys
 
 
-def digests(path: Path, cfg: PlannerConfig) -> dict:
-    """sha256 of the plan (or NoPlan) text and the trace text, as the CLI writes them."""
-    scene = load_scene(path)
+def outputs(scene, cfg: PlannerConfig) -> tuple[str, str]:
+    """The plan (or NoPlan) text and the trace text, as the CLI writes them."""
     trace: list[str] = []
     result = plan(scene, cfg, trace=trace)
     if isinstance(result, NoPlan):
         text = json.dumps(result.to_doc(), sort_keys=True) + "\n"
     else:
         text = dumps_plan(result, sorted(scene.robots))
-    trace_text = "\n".join(trace) + ("\n" if trace else "")
+    return text, "\n".join(trace) + ("\n" if trace else "")
+
+
+def digests(path: Path, cfg: PlannerConfig) -> dict:
+    """sha256 of the plan (or NoPlan) text and the trace text."""
+    text, trace_text = outputs(load_scene(path), cfg)
     return {"plan": hashlib.sha256(text.encode()).hexdigest(),
             "trace": hashlib.sha256(trace_text.encode()).hexdigest()}
+
+
+def identity_digest() -> str:
+    """One sha256 over ``outputs`` of every scene of the ``IDENTITY_WORKLOADS``
+    at workload seed 0, each at ``IDENTITY_SEEDS``, default and exhaust."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+    h = hashlib.sha256()
+    for name in IDENTITY_WORKLOADS:
+        # crowded_goals plans each scene at three planner seeds: keep one copy
+        texts = dict.fromkeys(a.scene_text for a in workloads.BY_NAME[name].attempts(0, REPO))
+        for text in texts:
+            scene = loads_scene(text)
+            for seed in IDENTITY_SEEDS:
+                for exhaust in (False, True):
+                    for out in outputs(scene, PlannerConfig(seed=seed, exhaust=exhaust)):
+                        h.update(out.encode() + b"\0")
+    return h.hexdigest()
 
 
 def dump_digests(name: str) -> dict:
@@ -151,6 +186,9 @@ def test_dumps_match_the_golden_digests(name):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--identity"]:
+        print(identity_digest())
+        sys.exit()
     for path, doc in (
             (DIGESTS, {key: digests(*run)
                        for key, run in runs(scene_names(), DEEP_TREES).items()}),

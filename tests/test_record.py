@@ -38,3 +38,18 @@ def test_an_action_is_identified_and_ordered_without_its_grasps():
     assert sorted(actions) == sorted(actions, key=lambda x: (
         x.obj, x.region, x.pick_robot, x.place_robot, x.grasp_pick))
     assert sorted(actions)[0] == a.replace(place_robot="R1")
+
+
+def test_a_derived_slot_is_recomputed_by_replace_and_is_not_a_field():
+    cor = Corridor((0.0, 0.0), (1.0, 0.0), 0.2)
+    wider = cor.replace(width=0.6, b=(0.0, 2.0))
+    # replace rebuilds the underscore slots from the new fields
+    assert wider.half_width == 0.3 and wider._seg == Corridor((0.0, 0.0), (0.0, 2.0), 0.6)._seg
+    assert cor.half_width == 0.1
+    assert Corridor._fields == ("a", "b", "width")
+    assert repr(cor) == "Corridor(a=(0.0, 0.0), b=(1.0, 0.0), width=0.2)"
+    assert hash(cor) == hash(((0.0, 0.0), (1.0, 0.0), 0.2))
+    # records that differ only in a derived slot are equal
+    twin = Corridor((0.0, 0.0), (1.0, 0.0), 0.2)
+    twin._half_width = 5.0
+    assert twin == cor and hash(twin) == hash(cor) and repr(twin) == repr(cor)

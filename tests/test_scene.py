@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mrplan import scene as scene_module
 from mrplan.geometry import Disc, Pose, Rect
 from mrplan.scene import Robot, SceneError, load_scene, loads_scene, sample_placement
 
@@ -46,6 +47,57 @@ def test_overlapping_movables_rejected_with_both_names():
     with pytest.raises(SceneError) as e:
         make(doc)
     assert "M1" in str(e.value) and "M2" in str(e.value)
+
+
+def disc_doc(name, x, y=0.5, radius=0.05):
+    return {"name": name, "shape": {"type": "disc", "radius": radius},
+            "pose": {"x": x, "y": y}, "home_region": "work"}
+
+
+def block_doc(x, y=0.5):
+    return {"shape": {"type": "rectangle", "half_w": 0.02, "half_h": 0.02},
+            "pose": {"x": x, "y": y}}
+
+
+@pytest.mark.parametrize("movables, fixed, message", [
+    # three mutually overlapping discs, listed out of name order
+    ([disc_doc("M3", 0.5), disc_doc("M1", 0.52), disc_doc("M2", 0.54)], [],
+     "movables M1 and M2 overlap at load"),
+    # M1's first partner in name order, though M3 lies nearer it
+    ([disc_doc("M1", 0.5), disc_doc("M3", 0.51), disc_doc("M2", 0.58)], [],
+     "movables M1 and M2 overlap at load"),
+    # the first faulty movable in name order decides
+    ([disc_doc("M2", 0.3), disc_doc("M3", 0.34), disc_doc("M1", 0.7)], [block_doc(0.7)],
+     "movable M1 overlaps a fixed obstacle at load"),
+    # a movable's overlap with a later one comes before its fixed obstacle
+    ([disc_doc("M1", 0.5), disc_doc("M2", 0.56)], [block_doc(0.5)],
+     "movables M1 and M2 overlap at load"),
+    ([disc_doc("M1", 0.2), disc_doc("M2", 0.5)], [block_doc(0.5)],
+     "movable M2 overlaps a fixed obstacle at load"),
+])
+def test_load_refuses_the_first_overlap_in_name_order(movables, fixed, message):
+    with pytest.raises(SceneError) as e:
+        make({"movables": movables, "fixed": fixed, "goal": []})
+    assert str(e.value) == message
+
+
+def test_loading_a_row_of_discs_tests_only_pairs_whose_boxes_meet(monkeypatch):
+    n = 1600
+    exact = scene_module.collides
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return exact(a, b)
+
+    monkeypatch.setattr(scene_module, "collides", counted)
+    # a zigzag row of 0.1 m discs, each 0.113 m from its neighbours, whose
+    # boxes overlap; every pair of non-neighbours' boxes lies apart
+    doc = {"regions": [{"name": "work", "rect": [0.0, 0.0, 0.08 * n + 1.0, 1.0]}],
+           "movables": [disc_doc(f"M{i:04d}", 0.5 + 0.08 * i, 0.46 + 0.08 * (i % 2))
+                        for i in range(n)], "goal": []}
+    s = make(doc)
+    assert len(s.movables) == n and len(calls) == n - 1 <= 2 * n
 
 
 def test_duplicate_names_rejected():
@@ -159,6 +211,19 @@ def test_grasp_point_on_circumscribed_circle():
     assert s.grasp_point("M1", math.pi / 2) == pytest.approx((0.5, 0.55))
     moved = Pose(0.2, 0.2)
     assert s.grasp_point("M1", 0.0, pose=moved) == pytest.approx((0.25, 0.2))
+
+
+def test_replace_derives_the_scene_tables_from_the_new_fields():
+    s = make()
+    moved = s.replace(grasp_count=2, movables={"M1": s.movables["M1"].replace(
+        pose=Pose(0.25, 0.5), shape=Disc(0.1))})
+    assert moved.grasp_angles() == (0.0, math.pi)
+    assert moved.grasp_point("M1", 0.0) == (0.35, 0.5)
+    assert moved.transfer_width("R1", "M1") == 0.1 + 0.2
+    assert moved.movables_hit([(Disc(0.05), Pose(0.2, 0.5))]) == ["M1"]
+    assert s.movables_hit([(Disc(0.05), Pose(0.2, 0.5))]) == []
+    assert moved == loads_scene(json.dumps({**MINIMAL, "grasp_count": 2, "movables": [
+        disc_doc("M1", 0.25, radius=0.1)]}))
 
 
 def test_unmet_goals_are_the_goal_objects_outside_their_region():
