@@ -3,16 +3,17 @@
 Every sweep a fact tests is laid out by ``mrplan.motion``, whose docstring
 states the conventions. Grounding executes the pick sweep and a handover's
 carry and receive, so pick and handover facts certify what grounding will
-do. A place fact's carry runs from the robot's base to a candidate, which
-grounding never runs: it carries from the start pose or the handover point
-to a placement it samples, and tests that carry itself. Facts carry a grasp
-only where the geometry reads one: the pick sweep runs from the robot's
-base to the grasp point, so pick facts are per grasp, while place,
-goal-place and handover facts are the same for every grasp and carry none. A pick fact's grasp
-point is in the robot's reach, and its gripper sweep clears the fixed
-obstacles and covers no other robot's base; the movables it hits are its
-occluders. Grounding lays that sweep out again at the object's start pose
-and does not test it again.
+do: each such sweep clears the fixed obstacles and covers no other robot's
+base (``motion.bases_crossed``). A place fact's carry runs from the robot's
+base to a candidate, which grounding never runs: it carries from the start
+pose or the handover point to a placement it samples, and tests that carry
+itself. Facts carry a grasp only where the geometry reads one: the pick
+sweep runs from the robot's base to the grasp point, so pick facts are per
+grasp, while place, goal-place and handover facts carry none. A pick fact's
+grasp point is in the robot's reach, and the movables its gripper sweep
+hits are its occluders. Grounding lays that sweep out again at the
+object's start pose and does not test it again. Only the pairs
+``Scene.handover_pairs`` lists, in either order, can hold handover facts.
 
 Place facts test candidate placements: the region centre first, then a
 PLACE_GRID x PLACE_GRID grid inset by the object's circumradius, row by
@@ -172,6 +173,11 @@ def _avoids_fixed(scene: Scene, cor: Corridor) -> bool:
     return not scene.fixed or not collides_any(cor, scene.fixed)
 
 
+def _clear(scene: Scene, robot: str, cor: Corridor) -> bool:
+    """``robot``'s sweep covers no other robot's base and no fixed obstacle."""
+    return not bases_crossed(scene, robot, cor) and _avoids_fixed(scene, cor)
+
+
 def _annulus_meets_box(robot: Robot, box) -> bool:
     """False when no point of the box can pass ``robot.in_reach``.
 
@@ -201,7 +207,7 @@ def _picks(scene: Scene, obj: str) -> dict:
             if not robot.in_reach(gp):
                 continue
             cor = gripper_sweep(scene, rname, gp)
-            if bases_crossed(scene, rname, cor) or not _avoids_fixed(scene, cor):
+            if not _clear(scene, rname, cor):
                 continue
             facts[(obj, g, rname)] = frozenset(scene.movables_hit([cor], exclude=(obj,)))
     return facts
@@ -242,19 +248,13 @@ def _places(scene: Scene, obj: str, re: str) -> dict:
 
 
 def _handovers(scene: Scene, obj: str) -> set:
-    """Handover enablement of ``obj``, none unless it is a goal object."""
-    facts = set()
+    """Handover enablement of ``obj`` by each listed pair, none unless it is a
+    goal object: both robots reach the point, and the giver's carry and the
+    receiver's reach are clear."""
     if obj not in scene.goal:
-        return facts
-    m = scene.movables[obj]
-    for r1, robot1 in scene.robots_by_name:
-        for r2, robot2 in scene.robots_by_name:
-            if r1 == r2:
-                continue
-            h = scene.handover_point(r1, r2)
-            if not (robot1.in_reach(h) and robot2.in_reach(h)):
-                continue
-            if (_avoids_fixed(scene, carry_sweep(scene, r1, obj, m.pose.xy, h))
-                    and _avoids_fixed(scene, gripper_sweep(scene, r2, h))):
-                facts.add((obj, r1, r2))
-    return facts
+        return set()
+    start = scene.movables[obj].pose.xy
+    return {(obj, r1, r2) for (r1, r2), h in scene.handover_pairs.items()
+            if scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)
+            and _clear(scene, r1, carry_sweep(scene, r1, obj, start, h))
+            and _clear(scene, r2, gripper_sweep(scene, r2, h))}

@@ -12,17 +12,13 @@ relaxed; a relaxed success stops grounding and returns the grounded suffix
 plus the conflict set of objects that a caller must plan to relocate first.
 The sweeps of each move are laid out by ``mrplan.motion`` (see its
 docstring), as the fact phase laid out those of its pick and handover
-facts. ``find_trajectories``
-tests only the sweeps an action's whole grasp class shares (the carry; a
-handover's carry, receive and delivery), once per action, then tries the
-grasp combinations in ``itertools.product`` order and keeps the first in
-which ``motion.robot_clashes`` finds no two robots' corridors colliding.
-For the one sweep that depends on the grasp, the pick robot's gripper
-sweep, it relies on a precondition: no obstacle lies on a task-graph pick
-sweep. A pick fact clears that sweep of the fixed obstacles and the other
-robots' bases, every movable it hits is a pick blocker that the skeleton
-moves strictly earlier, and ``build_cmtg`` drops any action an
-already-moved object blocks.
+facts. ``find_trajectories`` tests the sweeps an action's whole grasp
+class shares (the carry; a handover's carry, receive and delivery), but not
+the one that depends on the grasp, the pick robot's gripper sweep: no
+obstacle lies on a task-graph pick sweep. A pick fact clears that sweep of
+the fixed obstacles and the other robots' bases, every movable it hits is a
+pick blocker that the skeleton moves strictly earlier, and ``build_cmtg``
+drops any action an already-moved object blocks.
 """
 from __future__ import annotations
 

@@ -17,14 +17,14 @@ The fact phase (``mrplan.facts``) tests these sweeps and grounding
 (``build_moves``) executes them, so a pick or handover fact certifies a
 sweep that grounding lays out. The place certificate does not: grounding
 never carries from the base, so it tests each carry it lays out itself.
-No sweep may cover another robot's base
-(``bases_crossed``); the fact phase, grounding and the validator all ask
-this one predicate. A handover splits the transfer at the pair's handover
-point; the partners' corridors may overlap only near it. The same-step
-corridors of two robots may not collide, partners' corridors trimmed
-around their handover point first (``robot_clashes``); grounding and the
-validator both ask this one predicate. Only the pick robot's gripper
-sweep, to the grasp point, depends on the grasp.
+No sweep may cover another robot's base (``bases_crossed``); pick and
+handover facts, grounding and the validator all ask this one predicate. A
+handover splits the transfer at the point the scene lists for the pair
+(``Scene.handover_point``); the partners' corridors may overlap only near
+it. The same-step corridors of two robots may not collide, partners'
+corridors trimmed around their handover point first (``robot_clashes``);
+grounding and the validator both ask this one predicate. Only the pick
+robot's gripper sweep, to the grasp point, depends on the grasp.
 """
 from __future__ import annotations
 

@@ -14,9 +14,10 @@ and ``unmet_goals`` is the one list of the goal objects a plan must move.
 A ``Scene`` derives its constant tables once, in ``__init__``: its robots
 in name order, its movables in name order with their start volumes, its
 grasp angles, each movable's grasp points at its start pose and each
-(robot, movable) transfer width. The fact phase, grounding and the
-validator ask for these on every sweep; ``robots_by_name``,
-``grasp_angles``, ``grasp_point``, ``transfer_width`` and ``movables_hit``
+(robot, movable) transfer width, and each listed handover pair's point in
+both orders: no other pair hands over. The fact phase, grounding and the
+validator ask for these on every sweep; ``robots_by_name``, ``grasp_angles``,
+``grasp_point``, ``transfer_width``, ``handover_pairs`` and ``movables_hit``
 read the tables, computed with the float operations they would use. At
 load, two movables overlap only if their boxes (centre plus and minus
 circumradius) do, so ``_check_invariants`` sorts the movables' boxes along
@@ -67,16 +68,12 @@ class Movable(Record):
         self.pose = pose
         self.home_region = home_region
 
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.shape.circumradius
-
 
 class Scene(Record):
     __slots__ = ("regions", "fixed", "movables", "robots", "handover_points",
                  "grasp_count", "goal",
                  "_robots", "_movables", "_grasp_angles", "_grasp_points",
-                 "_transfer_widths")
+                 "_transfer_widths", "_handover_points")
 
     def __init__(self, regions: dict[str, Rect], fixed: list[tuple[Shape, Pose]],
                  movables: dict[str, Movable], robots: dict[str, Robot],
@@ -99,9 +96,11 @@ class Scene(Record):
             p, r = m.pose, m.shape.circumradius
             for g, cos_g, sin_g in turns:
                 self._grasp_points[name, g] = (p.x + r * cos_g, p.y + r * sin_g)
-        self._transfer_widths = {(rname, name): robot.gripper_width + m.diameter
+        self._transfer_widths = {(rname, name): robot.gripper_width + 2.0 * m.shape.circumradius
                                  for rname, robot in robots.items()
                                  for name, m in movables.items()}
+        self._handover_points = dict(sorted((pair, h) for (r1, r2), h in handover_points.items()
+                                            for pair in ((r1, r2), (r2, r1))))
         self._check_invariants()
 
     # -- derived quantities ------------------------------------------------
@@ -127,12 +126,13 @@ class Scene(Record):
         """Goal region for goal objects, home region otherwise."""
         return self.goal.get(obj, self.movables[obj].home_region)
 
+    @property
+    def handover_pairs(self) -> dict[tuple[str, str], tuple[float, float]]:
+        """``(giver, receiver) -> point``: each listed pair, both orders, sorted."""
+        return self._handover_points
+
     def handover_point(self, r1: str, r2: str) -> tuple[float, float]:
-        key = (r1, r2) if (r1, r2) in self.handover_points else (r2, r1)
-        if key in self.handover_points:
-            return self.handover_points[key]
-        b1, b2 = self.robots[r1].base, self.robots[r2].base
-        return (0.5 * (b1[0] + b2[0]), 0.5 * (b1[1] + b2[1]))
+        return self._handover_points[r1, r2]
 
     def handover_radius(self, r1: str, r2: str) -> float:
         return max(self.robots[r1].gripper_width, self.robots[r2].gripper_width)

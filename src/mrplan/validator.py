@@ -26,9 +26,10 @@ the collision kernel, it shares with grounding the bases a sweep covers
 (``motion.robot_clashes``) and the tolerance of a point match
 (``motion.points_close``).
 A plan that names unknown entities, gives a robot an action it is not part
-of, fills one slot of a handover, gives a handover's two sides different
-placements, or has a corridor that is not the sweep of its two waypoints
-raises PlanError. A move's role is its action's, and each record's robot,
+of, hands over between robots the scene lists no handover point for, fills
+one slot of a handover, gives a handover's two sides different placements,
+or has a corridor that is not the sweep of its two waypoints raises
+PlanError. A move's role is its action's, and each record's robot,
 a wait's too, is one of the scene's; ``plans.loads_plan`` refuses a plan
 document that says otherwise.
 """
@@ -94,6 +95,9 @@ def _check_structure(scene: Scene, plan: Plan):
                 raise PlanError(f"step {j}: unknown region {a.region!r}")
             if a.pick_robot not in scene.robots or a.place_robot not in scene.robots:
                 raise PlanError(f"step {j}: unknown robot in action for {a.obj}")
+            if a.is_handover and (a.pick_robot, a.place_robot) not in scene.handover_pairs:
+                raise PlanError(f"step {j}: robots {a.pick_robot} and {a.place_robot} "
+                                "have no handover point")
             if robot not in a.robots:
                 raise PlanError(f"step {j}: robot {robot} holds an action it is not part of")
             _check_sweep(j, robot, "pick_traj", mv.pick_traj,

@@ -3,10 +3,12 @@
 Used only by tests. It tests every place candidate for every robot, with
 the candidate grid rebuilt per robot and no early stop or reach pruning,
 so the planner's pruned fact phase can be checked against it record for
-record. It builds its corridors with ``Corridor`` directly, and tests a
-pick sweep against the other robots' bases with its own distance test, so
-it does not share ``mrplan.motion``'s sweep layout or base predicate with
-the code it checks.
+record. It builds its corridors with ``Corridor`` directly, and tests pick
+and handover sweeps against the other robots' bases with its own distance
+test, so it does not share ``mrplan.motion``'s sweep layout or base
+predicate with the code it checks. It reads the handover pairs from the
+scene's ``handover_points`` field, each in both orders, not from
+``Scene.handover_pairs``: a pair the scene does not list never hands over.
 """
 from __future__ import annotations
 
@@ -56,6 +58,12 @@ def avoids_fixed(scene, cor):
     return not any(collides(cor, fp) for fp in scene.fixed)
 
 
+def covers_other_base(scene, robot, cor):
+    """``robot``'s sweep ``cor`` runs over another robot's base."""
+    return any(point_segment_distance(other.base, cor.a, cor.b) < cor.width / 2 - EPS
+               for name, other in scene.robots.items() if name != robot)
+
+
 def compute_facts(scene) -> OracleFacts:
     facts = OracleFacts()
     goal_objects = set(scene.goal_objects())
@@ -70,12 +78,8 @@ def compute_facts(scene) -> OracleFacts:
                 if not robot.in_reach(gp):
                     continue
                 cor = Corridor(robot.base, gp, robot.gripper_width)
-                if not avoids_fixed(scene, cor):
+                if not avoids_fixed(scene, cor) or covers_other_base(scene, rname, cor):
                     continue
-                if any(point_segment_distance(other.base, robot.base, gp)
-                       < robot.gripper_width / 2 - EPS
-                       for oname, other in scene.robots.items() if oname != rname):
-                    continue  # the gripper sweeps over another robot's base
                 facts.reachable_pick[(obj, g, rname)] = frozenset(
                     scene.movables_hit([cor], exclude=(obj,)))
 
@@ -107,17 +111,16 @@ def compute_facts(scene) -> OracleFacts:
                         best = occ
                 facts.reachable_place[(obj, re, rname)] = frozenset(best)
 
+    pairs = [(r1, r2, h) for (a, b), h in scene.handover_points.items()
+             for r1, r2 in ((a, b), (b, a))]
     for obj in sorted(goal_objects):
         m = scene.movables[obj]
-        for r1 in robot_names:
-            for r2 in robot_names:
-                if r1 == r2:
-                    continue
-                h = scene.handover_point(r1, r2)
-                if not (scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)):
-                    continue
-                carry = Corridor(m.pose.xy, h, scene.transfer_width(r1, obj))
-                reach = Corridor(scene.robots[r2].base, h, scene.robots[r2].gripper_width)
-                if avoids_fixed(scene, carry) and avoids_fixed(scene, reach):
-                    facts.enable_goal_handover.add((obj, r1, r2))
+        for r1, r2, h in pairs:
+            if not (scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)):
+                continue
+            carry = Corridor(m.pose.xy, h, scene.transfer_width(r1, obj))
+            reach = Corridor(scene.robots[r2].base, h, scene.robots[r2].gripper_width)
+            if all(avoids_fixed(scene, cor) and not covers_other_base(scene, r, cor)
+                   for r, cor in ((r1, carry), (r2, reach))):
+                facts.enable_goal_handover.add((obj, r1, r2))
     return facts

@@ -405,6 +405,19 @@ def test_an_input_refusal_exits_1_with_its_one_error_line(
     assert kind == "plan" or not plan.exists()
 
 
+def test_validate_exits_1_on_a_handover_between_robots_with_no_listed_point(
+        tmp_path, capsys):
+    # a pair hands over only at the point its scene lists, never at a default
+    plan, scene = tmp_path / "plan.json", tmp_path / "scene.json"
+    assert run(["plan", scenario("handover_required"), "--out", plan]) == 0
+    def drop_handover_points(doc):
+        del doc["handover_points"]
+    rewrite(scenario("handover_required"), scene, drop_handover_points)
+    capsys.readouterr()
+    assert run(["validate", scene, plan]) == 1
+    assert capsys.readouterr() == ("", "error: step 1: robots R1 and R2 have no handover point\n")
+
+
 def test_validate_exits_1_on_non_finite_corridor_widths(tmp_path, capsys):
     # a NaN-wide corridor collides with nothing, so it would clear any obstacle
     def edit(moves):

@@ -1,4 +1,5 @@
 """Occlusion / reachability / handover facts and their certificates."""
+import itertools
 import json
 import math
 import random
@@ -11,6 +12,9 @@ from mrplan.geometry import Corridor, Disc, Pose, Rectangle, collides
 from mrplan.motion import build_moves
 from mrplan.plans import PartiallyGroundedAction
 from mrplan.scene import load_scene, loads_scene
+from mrplan.search import PlannerConfig, plan
+from mrplan.taskgraph import build_cmtg
+from mrplan.validator import validate_plan
 
 from conftest import EXTRA, SCENARIOS, scenario
 
@@ -201,10 +205,11 @@ def parse_shape(d):
 
 
 def generated_scene(rng):
-    """Two or three robots, R1 with a wide reach_min hole around its base;
-    fixed obstacles on the sweeps from the bases to the regions; discs and
-    rotated rectangles in a work strip; random regions plus one beyond every
-    robot's reach, one inside R1's hole and one too small for any object."""
+    """Two or three robots, R1 with a wide reach_min hole around its base,
+    each pair listing its handover point at the bases' midpoint; fixed
+    obstacles on the sweeps from the bases to the regions; discs and rotated
+    rectangles in a work strip; random regions plus one beyond every robot's
+    reach, one inside R1's hole and one too small for any object."""
     robots = [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.3,
                "reach_max": 1.2, "gripper_width": 0.08}]
     for k in range(rng.randint(1, 2)):
@@ -258,8 +263,13 @@ def generated_scene(rng):
     names = [m["name"] for m in movables]
     goal = [[m, rng.choice(regions)["name"]]
             for m in rng.sample(names, rng.randint(1, len(names)))]
+    handover_points = {
+        f"{a['name']},{b['name']}": [0.5 * (a["base"][0] + b["base"][0]),
+                                     0.5 * (a["base"][1] + b["base"][1])]
+        for a, b in itertools.combinations(robots, 2)}
     return {"regions": regions, "fixed": fixed, "movables": movables,
-            "robots": robots, "grasp_count": rng.randint(1, 4), "goal": goal}
+            "robots": robots, "handover_points": handover_points,
+            "grasp_count": rng.randint(1, 4), "goal": goal}
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -337,3 +347,66 @@ def test_goal_place_ties_go_to_the_earliest_candidate_the_centre():
     assert all(len(h) == 1 for h in hits)
     assert hits[0] == ["E"] and hits[1] == ["C"] and hits[-1] == ["D"]
     assert compute_facts(scene).occludes_goal_place == {("E", "M1", "shelf", "R1")}
+
+
+def robot(name, base, reach_max=1.0):
+    return {"name": name, "base": list(base), "reach_min": 0.1,
+            "reach_max": reach_max, "gripper_width": 0.1}
+
+
+@pytest.mark.parametrize("r3, handovers", [
+    ((0.4, 0.2), set()),
+    ((0.75, 0.0), {("M1", "R2", "R1")}),
+    ((0.0, -0.8), {("M1", "R1", "R2"), ("M1", "R2", "R1")}),
+], ids=["on_both_carries", "on_r2_receive", "clear"])
+def test_a_handover_fact_needs_both_sweeps_clear_of_the_other_robots_bases(r3, handovers):
+    """R1 and R2 hand M1 over at (0.5, 0). R3, which reaches almost nothing,
+    sits on the carry from M1 to that point (either giver's), on R2's
+    receive from its base, or clear of both; grounding would reject a
+    sweep over its base, so the fact phase does too."""
+    scene = loads_scene(json.dumps({
+        "regions": [{"name": "work", "rect": [-1.0, -1.0, 2.0, 1.0]}],
+        "movables": [{"name": "M1", "shape": disc(0.05), "pose": {"x": 0.3, "y": 0.4},
+                      "home_region": "work"}],
+        "robots": [robot("R1", (0.0, 0.0)), robot("R2", (1.0, 0.0)),
+                   robot("R3", r3, reach_max=0.12)],
+        "handover_points": {"R1,R2": [0.5, 0.0]},
+        "grasp_count": 1,
+        "goal": [["M1", "work"]]}))
+    assert compute_facts(scene).handovers("M1") == handovers
+    assert_matches_oracle(scene)
+
+
+# only R1 and R2 reach M1, and only R3 reaches the bin; R1 and R3 both reach
+# the midpoint (0.8, 0) of their bases, but the scene lists handover points
+# for R1-R2 and R2-R3 only. B lies on every one of R2's approaches to M1, so
+# R1 handing M1 to R3 would take one step, and R2 handing it over takes two
+UNLISTED_PAIR = {
+    "regions": [{"name": "work", "rect": [-1.0, -1.0, 2.6, 1.6]},
+                {"name": "bin", "rect": [1.5, -0.3, 1.7, -0.1]}],
+    "movables": [{"name": "M1", "shape": disc(0.05), "pose": {"x": 0.4, "y": 0.1},
+                  "home_region": "work"},
+                 {"name": "B", "shape": disc(0.05), "pose": {"x": 0.6, "y": 0.35},
+                  "home_region": "work"}],
+    "robots": [robot("R1", (0.0, 0.0)), robot("R2", (0.8, 0.6)), robot("R3", (1.6, 0.0))],
+    "handover_points": {"R1,R2": [0.4, 0.3], "R2,R3": [1.2, 0.3]},
+    "grasp_count": 4,
+    "goal": [["M1", "bin"]],
+}
+
+
+def test_a_pair_the_scene_lists_no_point_for_never_hands_over():
+    scene = loads_scene(json.dumps(UNLISTED_PAIR))
+    assert all(scene.robots[r].in_reach((0.8, 0.0)) for r in ("R1", "R3"))
+    facts = compute_facts(scene)
+    assert not {("M1", "R1", "R3"), ("M1", "R3", "R1")} & facts.handovers("M1")
+    assert facts.handovers("M1") == {("M1", "R1", "R2"), ("M1", "R2", "R1"),
+                                     ("M1", "R2", "R3"), ("M1", "R3", "R2")}
+    assert_matches_oracle(scene)
+    graph = build_cmtg(scene.unmet_goals(), facts, scene)
+    assert {a.robots for a in graph.action_nodes if a.is_handover} == {("R2", "R3")}
+    for seed in range(3):
+        result = plan(scene, PlannerConfig(seed=seed))
+        actions = {mv.action for step in result.steps for mv in step.moves.values()}
+        assert [a.robots for a in actions if a.is_handover] == [("R2", "R3")], seed
+        assert validate_plan(scene, result).ok, seed

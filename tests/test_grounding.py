@@ -261,6 +261,7 @@ def test_find_trajectories_rejects_a_shared_sweep_over_another_robots_base():
         "movables": [{"name": "M1", "shape": {"type": "disc", "radius": 0.05},
                       "pose": {"x": 0.3, "y": 0.3}, "home_region": "work"}],
         "robots": [robot("R1", 0.0, 0.0), robot("R2", 1.0, 0.0), robot("R3", 0.75, 0.25)],
+        "handover_points": {"R1,R2": [0.5, 0.0]},
         "grasp_count": 1,
         "goal": [["M1", "work"]]}))
     # (action, robot whose carry or delivery runs over R3, placements)

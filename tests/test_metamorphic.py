@@ -3,10 +3,12 @@ the search trace byte-identical.
 
 No oracle says what one run should plan; these tests compare two runs
 instead. The edits: a disc out of every robot's reach, the same disc as a
-goal it already meets, and a document whose entity lists and handover
-keys come in another order. An edit passes when ``mrplan plan`` writes the same plan (or
+goal it already meets, a robot that reaches nothing and hands over with no
+one, and a document whose entity lists and handover keys come in another
+order. An edit passes when ``mrplan plan`` writes the same plan (or
 ``NoPlan`` document) and the same ``--trace`` on every shipped scene, at
-seeds 0 and 1.
+seeds 0 and 1; the plan is written for the original scene's robots, so an
+added robot's wait records are left out.
 """
 import json
 import random
@@ -27,14 +29,15 @@ def scene_id(path) -> str:
     return path.relative_to(SCENARIOS).with_suffix("").as_posix()
 
 
-def run(doc: dict, seed: int) -> tuple[str, list[str]]:
-    """The plan text (or NoPlan document) and the trace of one run."""
+def run(doc: dict, seed: int, robots=None) -> tuple[str, list[str]]:
+    """The plan text (or NoPlan document) and the trace of one run; the plan
+    lists ``robots``, by default every robot of the scene."""
     scene = loads_scene(json.dumps(doc))
     trace: list[str] = []
     result = plan(scene, PlannerConfig(seed=seed), trace=trace)
     if isinstance(result, NoPlan):
         return json.dumps(result.to_doc(), sort_keys=True), trace
-    return dumps_plan(result, sorted(scene.robots)), trace
+    return dumps_plan(result, sorted(robots or scene.robots)), trace
 
 
 def with_far_disc(doc: dict) -> dict:
@@ -61,6 +64,18 @@ def test_a_goal_already_met_changes_no_plan(path, seed):
     doc = with_far_disc(json.loads(path.read_text()))
     met = {**doc, "goal": doc["goal"] + [["Z9", "far"]]}
     assert run(met, seed) == run(doc, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("path", SCENES, ids=scene_id)
+def test_a_far_robot_with_no_handover_point_changes_no_plan(path, seed):
+    # Z9 reaches nothing, and no pair of it is listed, so it never hands over
+    doc = json.loads(path.read_text())
+    far = {**doc, "robots": doc["robots"] + [
+        {"name": "Z9", "base": [40.0, 40.0], "reach_min": 0.1, "reach_max": 1.0,
+         "gripper_width": 0.1}]}
+    robots = [r["name"] for r in doc["robots"]]
+    assert run(far, seed, robots) == run(doc, seed)
 
 
 def shuffled(doc: dict, rng: random.Random) -> dict:

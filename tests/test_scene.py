@@ -196,13 +196,18 @@ def test_scenario_file_loads():
     assert s.handover_radius("R1", "R2") == 0.1
 
 
-def test_handover_point_defaults_to_base_midpoint():
+def test_a_pair_with_no_listed_point_has_no_handover_point():
     doc = {"robots": MINIMAL["robots"] + [
         {"name": "R2", "base": [2.0, 0.4], "reach_min": 0.1,
          "reach_max": 2.0, "gripper_width": 0.2}]}
     s = make(doc)
-    assert s.handover_point("R1", "R2") == pytest.approx((1.0, 0.2))
+    assert s.handover_pairs == {}
+    for pair in (("R1", "R2"), ("R2", "R1")):
+        with pytest.raises(KeyError):
+            s.handover_point(*pair)
     assert s.handover_radius("R1", "R2") == 0.2  # max gripper width
+    listed = make(doc, handover_points={"R2,R1": [1.0, 0.2]})
+    assert listed.handover_pairs == {("R1", "R2"): (1.0, 0.2), ("R2", "R1"): (1.0, 0.2)}
 
 
 def test_grasp_point_on_circumscribed_circle():

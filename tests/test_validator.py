@@ -318,7 +318,8 @@ def test_crossing_corridors_of_two_robots_are_condition_i():
 
 def test_handover_corridors_overlapping_away_from_the_handover_point_are_condition_iii():
     # R2 delivers from the handover point (0.5, 0) back across R1's pick sweep
-    scene = scene_of({"M1": (0.3, 0.4)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)})
+    scene = scene_of({"M1": (0.3, 0.4)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)}).replace(
+        handover_points={("R1", "R2"): (0.5, 0.0)})
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
                                      place_robot="R2", grasp_pick=math.pi)
     moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(-0.1, 0.35))
@@ -331,7 +332,8 @@ def test_handover_corridors_overlapping_just_past_the_handover_radius_are_condit
     # R1 carries M1 0.45 m in to the handover point (0.5, 0) and R2 delivers it
     # 0.4 m back out, 23 degrees apart: the two 0.2-wide carries overlap 0.2 to
     # 0.4 m from the point, between 1 and 4 times the handover radius 0.1
-    scene = scene_of({"M1": (0.1, 0.2)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)})
+    scene = scene_of({"M1": (0.1, 0.2)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)}).replace(
+        handover_points={("R1", "R2"): (0.5, 0.0)})
     assert scene.handover_radius("R1", "R2") == 0.1
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
                                      place_robot="R2", grasp_pick=math.pi)
