@@ -3,17 +3,17 @@
 Every sweep a fact tests is laid out by ``mrplan.motion``, whose docstring
 states the conventions. Grounding executes the pick sweep and a handover's
 carry and receive, so pick and handover facts certify what grounding will
-do: each such sweep clears the fixed obstacles and covers no other robot's
-base (``motion.bases_crossed``). A place fact's carry runs from the robot's
-base to a candidate, which grounding never runs: it carries from the start
-pose or the handover point to a placement it samples, and tests that carry
-itself. Facts carry a grasp only where the geometry reads one: the pick
-sweep runs from the robot's base to the grasp point, so pick facts are per
-grasp, while place, goal-place and handover facts carry none. A pick fact's
-grasp point is in the robot's reach, and the movables its gripper sweep
-hits are its occluders. Grounding lays that sweep out again at the
-object's start pose and does not test it again. Only the pairs
-``Scene.handover_pairs`` lists, in either order, can hold handover facts.
+do: each such sweep passes ``motion.sweep_clear`` with the fixed obstacles.
+A place fact's carry runs from the robot's base to a candidate, which
+grounding never runs: it carries from the start pose or the handover point
+to a placement it samples, and tests that carry itself. Facts carry a grasp
+only where the geometry reads one: the pick sweep runs from the robot's
+base to the grasp point, so pick facts are per grasp, while place,
+goal-place and handover facts carry none. A pick fact's grasp point is in
+the robot's reach, and the movables its gripper sweep hits are its
+occluders. Grounding lays that sweep out again at the object's start pose
+and does not test it again. Only the pairs ``Scene.handover_pairs`` lists,
+in either order, can hold handover facts.
 
 Place facts test candidate placements: the region centre first, then a
 PLACE_GRID x PLACE_GRID grid inset by the object's circumradius, row by
@@ -52,8 +52,8 @@ from __future__ import annotations
 import json
 import math
 
-from .geometry import Corridor, Pose, Rect, collides_any
-from .motion import bases_crossed, carry_sweep, gripper_sweep
+from .geometry import Pose, Rect, collides_any
+from .motion import carry_sweep, gripper_sweep, sweep_clear
 from .scene import Robot, Scene
 
 PLACE_GRID = 5  # candidate placements per region axis for the place certificate
@@ -169,15 +169,6 @@ def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
     return [] if grid is None else [Pose(x, y) for x, y in grid[0]()]
 
 
-def _avoids_fixed(scene: Scene, cor: Corridor) -> bool:
-    return not scene.fixed or not collides_any(cor, scene.fixed)
-
-
-def _clear(scene: Scene, robot: str, cor: Corridor) -> bool:
-    """``robot``'s sweep covers no other robot's base and no fixed obstacle."""
-    return not bases_crossed(scene, robot, cor) and _avoids_fixed(scene, cor)
-
-
 def _annulus_meets_box(robot: Robot, box) -> bool:
     """False when no point of the box can pass ``robot.in_reach``.
 
@@ -207,7 +198,7 @@ def _picks(scene: Scene, obj: str) -> dict:
             if not robot.in_reach(gp):
                 continue
             cor = gripper_sweep(scene, rname, gp)
-            if not _clear(scene, rname, cor):
+            if not sweep_clear(scene, rname, cor, scene.fixed):
                 continue
             facts[(obj, g, rname)] = frozenset(scene.movables_hit([cor], exclude=(obj,)))
     return facts
@@ -232,7 +223,7 @@ def _places(scene: Scene, obj: str, re: str) -> dict:
             if not robot.in_reach(xy):
                 continue
             cor = carry_sweep(scene, rname, obj, robot.base, xy)
-            if not _avoids_fixed(scene, cor):
+            if collides_any(cor, scene.fixed):
                 continue
             if not goal_pair:
                 best = []
@@ -256,5 +247,5 @@ def _handovers(scene: Scene, obj: str) -> set:
     start = scene.movables[obj].pose.xy
     return {(obj, r1, r2) for (r1, r2), h in scene.handover_pairs.items()
             if scene.robots[r1].in_reach(h) and scene.robots[r2].in_reach(h)
-            and _clear(scene, r1, carry_sweep(scene, r1, obj, start, h))
-            and _clear(scene, r2, gripper_sweep(scene, r2, h))}
+            and sweep_clear(scene, r1, carry_sweep(scene, r1, obj, start, h), scene.fixed)
+            and sweep_clear(scene, r2, gripper_sweep(scene, r2, h), scene.fixed)}

@@ -12,21 +12,22 @@ relaxed; a relaxed success stops grounding and returns the grounded suffix
 plus the conflict set of objects that a caller must plan to relocate first.
 The sweeps of each move are laid out by ``mrplan.motion`` (see its
 docstring), as the fact phase laid out those of its pick and handover
-facts. ``find_trajectories`` tests the sweeps an action's whole grasp
-class shares (the carry; a handover's carry, receive and delivery), but not
-the one that depends on the grasp, the pick robot's gripper sweep: no
-obstacle lies on a task-graph pick sweep. A pick fact clears that sweep of
-the fixed obstacles and the other robots' bases, every movable it hits is a
-pick blocker that the skeleton moves strictly earlier, and ``build_cmtg``
-drops any action an already-moved object blocks.
+facts. ``find_trajectories`` asks ``motion.sweep_clear`` of the sweeps an
+action's whole grasp class shares (the carry; a handover's carry, receive
+and delivery), but not of the one that depends on the grasp, the pick
+robot's gripper sweep: no obstacle lies on a task-graph pick sweep. A pick
+fact clears that sweep of the fixed obstacles and the other robots' bases,
+every movable it hits is a pick blocker that the skeleton moves strictly
+earlier, and ``build_cmtg`` drops any action an already-moved object
+blocks.
 """
 from __future__ import annotations
 
 import itertools
 
-from .geometry import Pose, collides_any
+from .geometry import Pose
 from .mip import TaskSkeleton
-from .motion import bases_crossed, build_moves, robot_clashes
+from .motion import build_moves, robot_clashes, sweep_clear
 from .plans import GroundedJointAction, moved_objects
 from .record import Record
 from .scene import Scene, sample_placement
@@ -100,8 +101,8 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
     Objects move at most once, so each is picked at its start pose.
     Same-step corridors of distinct robots must be mutually clear, except
     around a shared handover point. Only the sweeps an action's whole grasp
-    class shares are tested against ``obstacles`` and the other robots'
-    bases, once per action. Precondition: no obstacle lies on a task-graph
+    class shares are tested, by ``motion.sweep_clear`` with ``obstacles``,
+    once per action. Precondition: no obstacle lies on a task-graph
     pick sweep (see the module docstring), so no pick sweep is tested. The
     grasp combinations are tried in ``itertools.product`` order, class
     representatives first, and the first for which ``motion.robot_clashes``
@@ -114,7 +115,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
         moves = build_moves(scene, action, scene.movables[action.obj].pose,
                             placements[action.obj])
         pick = action.pick_robot
-        if not all(_sweep_clear(r, cor, obstacles, scene) for r, mv in moves.items()
+        if not all(sweep_clear(scene, r, cor, obstacles) for r, mv in moves.items()
                    for cor in ((mv.place_traj.corridor,) if r == pick else mv.all_corridors())):
             return None
         layouts.append({action.grasp_pick: moves})
@@ -128,10 +129,6 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
         if not any(robot_clashes(scene, moves)):
             return moves
     return None
-
-
-def _sweep_clear(robot: str, cor, obstacles, scene: Scene) -> bool:
-    return not (collides_any(cor, obstacles) or bases_crossed(scene, robot, cor))
 
 
 def _sample_step(actions, forbidden, obstacles, scene: Scene, rng):

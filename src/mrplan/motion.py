@@ -17,14 +17,15 @@ The fact phase (``mrplan.facts``) tests these sweeps and grounding
 (``build_moves``) executes them, so a pick or handover fact certifies a
 sweep that grounding lays out. The place certificate does not: grounding
 never carries from the base, so it tests each carry it lays out itself.
-No sweep may cover another robot's base (``bases_crossed``); pick and
-handover facts, grounding and the validator all ask this one predicate. A
-handover splits the transfer at the point the scene lists for the pair
-(``Scene.handover_point``); the partners' corridors may overlap only near
-it. The same-step corridors of two robots may not collide, partners'
-corridors trimmed around their handover point first (``robot_clashes``);
-grounding and the validator both ask this one predicate. Only the pick
-robot's gripper sweep, to the grasp point, depends on the grasp.
+Facts and grounding ask one rule of a sweep, ``sweep_clear``: it hits no
+given obstacle and covers no other robot's base; the validator composes
+that test itself. A handover splits the transfer at the point the scene
+lists for the pair (``Scene.handover_point``); the partners' corridors may
+overlap only near it. The same-step corridors of two robots may not
+collide, partners' corridors trimmed around their handover point first
+(``robot_clashes``); grounding and the validator both ask this one
+predicate. Only the pick robot's gripper sweep, to the grasp point, depends
+on the grasp.
 """
 from __future__ import annotations
 
@@ -52,6 +53,11 @@ def bases_crossed(scene: Scene, robot: str, cor: Corridor) -> list[str]:
     """The other robots, in name order, whose base ``robot``'s sweep covers."""
     return [other for other, r in scene.robots_by_name
             if other != robot and cor.contains_point(r.base)]
+
+
+def sweep_clear(scene: Scene, robot: str, cor: Corridor, obstacles) -> bool:
+    """``robot``'s sweep hits none of ``obstacles`` and no other robot's base."""
+    return not (collides_any(cor, obstacles) or bases_crossed(scene, robot, cor))
 
 
 def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,

@@ -4,12 +4,13 @@ Scene documents are JSON; their format is ``schemas/scene.schema.json``.
 ``mrplan.schemas.load`` reads them, refusing a number that is not finite
 and an object that repeats a key.
 ``loads_scene`` also refuses a scene in which two regions, movables or
-robots share a name, ``handover_points`` keys that are not two
-comma-separated robot names, pair a robot with itself or list a pair twice
-(in either order), and a goal that lists an object more than once. A
-``Scene`` knows each region, movable and robot by its dict key, and a
-region is its ``Rect``. Its goal maps each goal object to its goal region,
-and ``unmet_goals`` is the one list of the goal objects a plan must move.
+robots share a name, a ``handover_points`` key that is not two
+comma-separated robot names or that repeats a pair, and a goal that lists
+an object more than once; any ``Scene`` refuses a handover pair of one
+robot or one listed in both orders. A ``Scene`` knows each region, movable
+and robot by its dict key, and a region is its ``Rect``. Its goal maps
+each goal object to its goal region, and ``unmet_goals`` is the one list
+of the goal objects a plan must move.
 
 A ``Scene`` derives its constant tables once, in ``__init__``: its robots
 in name order, its movables in name order with their start volumes, its
@@ -183,9 +184,14 @@ class Scene(Record):
                 raise SceneError(f"goal references unknown object {obj!r}")
             if re not in self.regions:
                 raise SceneError(f"goal references unknown region {re!r}")
+        first = {}  # each pair, either order -> the order listed first
         for (r1, r2) in self.handover_points:
             if r1 not in self.robots or r2 not in self.robots:
                 raise SceneError(f"handover point references unknown robots ({r1}, {r2})")
+            if r1 == r2:
+                raise SceneError(f"handover point key '{r1},{r2}' pairs robot {r1} with itself")
+            if first.setdefault(frozenset((r1, r2)), (r1, r2)) != (r1, r2):
+                raise SceneError(f"handover points list robots {r1} and {r2} twice")
 
 
 def _overlapping_later(movables) -> dict[str, list[str]]:
@@ -263,9 +269,7 @@ def loads_scene(text: str) -> Scene:
         pair = tuple(name.strip() for name in key.split(","))
         if len(pair) != 2 or not all(pair):
             raise SceneError(f"handover point key {key!r} is not two comma-separated robot names")
-        if pair[0] == pair[1]:
-            raise SceneError(f"handover point key {key!r} pairs robot {pair[0]} with itself")
-        if pair in handover_points or pair[::-1] in handover_points:
+        if pair in handover_points:
             raise SceneError(f"handover points list robots {pair[0]} and {pair[1]} twice")
         handover_points[pair] = (pt[0], pt[1])
     goal_objs = [obj for obj, _ in doc.get("goal", [])]

@@ -127,7 +127,7 @@ def reward(outcome, new_skeletons, alpha: float) -> float:
     # partial
     if not new_skeletons:
         return 0.0
-    best = min(new_skeletons, key=lambda sk: (sk.makespan, len(sk.moved_objects)))
+    best = new_skeletons[0]  # enumeration yields the cheapest first
     grounded_len = len(outcome.steps)
     grounded_objs = len(moved_objects(outcome.steps))
     return (grounded_len / (grounded_len + best.makespan)

@@ -24,7 +24,8 @@ never with the layout grounding executes (``motion.build_moves``). Besides
 the collision kernel, it shares with grounding the bases a sweep covers
 (``motion.bases_crossed``), the robot pairs that clash
 (``motion.robot_clashes``) and the tolerance of a point match
-(``motion.points_close``).
+(``motion.points_close``), but not ``motion.sweep_clear``: it composes
+condition (i) itself, so a fault in that rule shows as a violation.
 A plan that names unknown entities, gives a robot an action it is not part
 of, hands over between robots the scene lists no handover point for, fills
 one slot of a handover, gives a handover's two sides different placements,

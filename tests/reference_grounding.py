@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from mrplan.grounding import _sweep_clear
-from mrplan.motion import build_moves, robot_clashes
+from mrplan.motion import build_moves, robot_clashes, sweep_clear
 from mrplan.scene import Scene
 
 
@@ -27,7 +26,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
             a = (action if g == action.grasp_pick
                  else action.replace(grasp_pick=g))
             moves = build_moves(scene, a, obj_pose, placement)
-            if all(_sweep_clear(r, cor, obstacles, scene)
+            if all(sweep_clear(scene, r, cor, obstacles)
                    for r, mv in moves.items() for cor in mv.all_corridors()):
                 clear.append(moves)
         if not clear:

@@ -11,7 +11,7 @@ from mrplan.geometry import Disc, Pose
 from mrplan.grounding import (Failure, Full, Partial, find_placements,
                               find_trajectories, ground, volumes_of)
 from mrplan.mip import TaskSkeleton
-from mrplan.motion import bases_crossed, build_moves
+from mrplan.motion import bases_crossed, build_moves, sweep_clear
 from mrplan.plans import PartiallyGroundedAction, Plan, moved_objects
 from mrplan.scene import load_scene, loads_scene
 from mrplan.search import PlannerConfig, plan
@@ -229,7 +229,7 @@ def test_no_obstacle_lies_on_a_task_graph_pick_sweep_in_a_plan(source, monkeypat
                 moves = build_moves(scene, a.replace(grasp_pick=g),
                                     pose, placements[a.obj])
                 sweep = moves[a.pick_robot].pick_traj.corridor
-                assert grounding._sweep_clear(a.pick_robot, sweep, obstacles, scene), (
+                assert sweep_clear(scene, a.pick_robot, sweep, obstacles), (
                     name, a, g)
         calls.append(len(actions))
         return real(actions, placements, obstacles, scene)

@@ -253,9 +253,10 @@ def test_no_any_over_pairwise_collides():
 
 def test_validator_does_not_use_the_layout_it_checks():
     """``validator`` derives each leg's ends itself; it neither imports nor
-    reads ``motion.build_moves`` or the sweeps that lay out grounded moves,
-    so a fault in that layout cannot pass its own check."""
-    layout = {"build_moves", "gripper_sweep", "carry_sweep"}
+    reads ``motion.build_moves``, the sweeps that lay out grounded moves or
+    ``motion.sweep_clear``, the clearance rule facts and grounding share,
+    so a fault in that layout or rule cannot pass its own check."""
+    layout = {"build_moves", "gripper_sweep", "carry_sweep", "sweep_clear"}
     tree = ast.parse((SRC / "validator.py").read_text())
     used = {alias.name.split(".")[-1] for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}

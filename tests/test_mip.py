@@ -304,13 +304,21 @@ def assert_steps_map_acting_robots(sk):
             assert all(step[other] == a for other in a.robots)
 
 
+def assert_cheapest_first(sks):
+    """``search.reward`` reads the first skeleton as the cheapest."""
+    costs = [(sk.makespan, len(sk.moved_objects)) for sk in sks]
+    assert costs == sorted(costs)
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),
                          ids=lambda path: path.stem)
 def test_scene_skeletons_map_each_robot_to_an_action_it_runs(path):
     scene = loads_scene(path.read_text())
     graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
-    for sk in enumerate_skeletons(graph):
+    sks = enumerate_skeletons(graph)
+    for sk in sks:
         assert_steps_map_acting_robots(sk)
+    assert_cheapest_first(sks)
 
 
 def test_random_skeletons_map_each_robot_to_an_action_it_runs():
@@ -318,9 +326,11 @@ def test_random_skeletons_map_each_robot_to_an_action_it_runs():
     checked = 0
     for _ in range(40):
         graph = random_cmtg(rng, 5, 7, robots=("A", "B", "C"))
-        for sk in enumerate_skeletons(graph, T_max=3):
+        sks = enumerate_skeletons(graph, T_max=3)
+        for sk in sks:
             assert_steps_map_acting_robots(sk)
             checked += 1
+        assert_cheapest_first(sks)
     assert checked > 40
 
 

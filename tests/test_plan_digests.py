@@ -9,7 +9,9 @@ same digests for the deep-tree scenes under ``tests/fixtures/``, planned
 with default settings and with ``--exhaust``. Those two ``dense_g1`` scenes
 grow trees of up to 14 iterations and depth 6, where the shipped scenes
 reach at most 2 iterations and one partial grounding: ``deep_tree_solved`` plans at
-every seed, ``deep_tree_pruned`` ends ``all_branches_pruned``.
+every seed, ``deep_tree_pruned`` ends ``all_branches_pruned``. Every key
+also matches in a process started with ``PYTHONHASHSEED`` 1 or 2, so no
+plan or trace depends on how ``str`` hashes.
 ``golden/dump_digests.json`` maps ``<scene>`` to the sha256 of the files
 ``mrplan plan`` writes for ``--dump-facts``, ``--dump-cmtg`` and
 ``--dump-mip`` at the default ``--t-max``, and of the SVG ``mrplan render``
@@ -39,13 +41,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN, REPO, SCENARIOS
+from conftest import FIXTURES, GOLDEN, REPO, SCENARIOS, TESTS
 
 from mrplan import cli
 from mrplan.plans import dumps_plan
@@ -178,6 +182,19 @@ def test_deep_tree_plans_and_traces_match_the_golden_digests(tree):
     expected = golden()
     for key, (path, cfg) in runs([], [tree]).items():
         assert digests(path, cfg) == expected[key], key
+
+
+@pytest.mark.parametrize("hashseed", ["1", "2"])
+def test_plans_and_traces_match_the_golden_digests_under_another_hash_seed(hashseed):
+    code = ("import json\n"
+            "from test_plan_digests import DEEP_TREES, digests, runs, scene_names\n"
+            "print(json.dumps({key: digests(*run)"
+            " for key, run in runs(scene_names(), DEEP_TREES).items()}))\n")
+    env = {**os.environ, "PYTHONHASHSEED": hashseed,
+           "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(TESTS)])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == golden()
 
 
 @pytest.mark.parametrize("name", scene_names())

@@ -210,6 +210,22 @@ def test_a_pair_with_no_listed_point_has_no_handover_point():
     assert listed.handover_pairs == {("R1", "R2"): (1.0, 0.2), ("R2", "R1"): (1.0, 0.2)}
 
 
+@pytest.mark.parametrize("points, message", [
+    ({("R1", "R1"): (0.8, 0.0)}, "handover point key 'R1,R1' pairs robot R1 with itself"),
+    # one point would silently win for both orders
+    ({("R1", "R2"): (0.8, 0.0), ("R2", "R1"): (0.9, 0.1)},
+     "handover points list robots R2 and R1 twice"),
+], ids=["self_pair", "both_orders"])
+def test_a_scene_built_through_the_api_refuses_the_pairs_loading_refuses(points, message):
+    doc = {"robots": MINIMAL["robots"] + [
+        {"name": "R2", "base": [2.0, 0.4], "reach_min": 0.1,
+         "reach_max": 2.0, "gripper_width": 0.2}]}
+    s = make(doc)
+    with pytest.raises(SceneError) as e:
+        s.replace(handover_points=points)
+    assert str(e.value) == message
+
+
 def test_grasp_point_on_circumscribed_circle():
     s = make()
     assert s.grasp_point("M1", 0.0) == pytest.approx((0.55, 0.5))

@@ -58,8 +58,9 @@ def test_reward_values():
     assert reward(partial, [], alpha=1.0) == 0.0
     # one grounded step/object vs a one-step one-object repair skeleton
     assert reward(partial, [sk_for(["M2"])], alpha=1.0) == pytest.approx(1.0)
-    # the repair skeleton chosen for the estimate is the cheapest one
-    assert reward(partial, [sk_for(["M2", "M3"], makespan=2), sk_for(["M2"])],
+    # the estimate reads the cheapest repair skeleton, the first that
+    # enumerate_skeletons yields
+    assert reward(partial, [sk_for(["M2"]), sk_for(["M2", "M3"], makespan=2)],
                   alpha=1.0) == pytest.approx(1.0)
 
 
