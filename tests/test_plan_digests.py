@@ -3,7 +3,10 @@
 ``golden/plan_digests.json`` maps ``<scene>:<seed>`` (the scene's path under
 ``scenarios/`` without ``.json``) to the sha256 of what ``mrplan plan --seed
 <seed>`` writes with default settings: the plan JSON, or the ``NoPlan``
-document when there is none, and the ``--trace`` file. It also maps
+document when there is none, and the ``--trace`` file. Every shipped scene
+has ``grasp_count`` 1, so ``<scene>:<seed>:g8`` maps the same scene with its
+``grasp_count`` replaced by 8: those keys pin grasp points, grasp classes
+and the grasp product walk. It also maps
 ``fixtures/<tree>:<seed>`` and ``fixtures/<tree>:<seed>:exhaust`` to the
 same digests for the deep-tree scenes under ``tests/fixtures/``, planned
 with default settings and with ``--exhaust``. Those two ``dense_g1`` scenes
@@ -32,16 +35,19 @@ the goldens cover, with
     PYTHONPATH=src python tests/test_plan_digests.py --identity
 
 which writes no file and prints one sha256 over the plan (or ``NoPlan``
-document) and the trace of every ``dense_g1`` and ``crowded_goals`` scene
-that ``perfbench/workloads.py`` generates at seed 0 (160 scenes), each
-planned at seeds 0-2 with default settings and with ``--exhaust``. Run it
-at the parent commit and at the change: the two lines must match.
+document) and the trace of every ``dense_g1``, ``crowded_goals`` and
+``grasp_sym`` scene that ``perfbench/workloads.py`` generates at seed 0
+(163 scenes) and of the 16 clutter-tier scenes at 5 and 10 movables and
+``grasp_count`` 8, each planned at seeds 0-2 with default settings and
+with ``--exhaust``. Run it at the parent commit and at the change: the two
+lines must match.
 """
 import contextlib
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -61,7 +67,9 @@ DIGESTS = GOLDEN / "plan_digests.json"
 DUMP_DIGESTS = GOLDEN / "dump_digests.json"
 DUMPS = ("facts", "cmtg", "mip")
 DEEP_TREES = ("deep_tree_solved", "deep_tree_pruned")
-IDENTITY_WORKLOADS = ("dense_g1", "crowded_goals")
+GRASP_COUNT = 8
+IDENTITY_WORKLOADS = ("dense_g1", "crowded_goals", "grasp_sym")
+IDENTITY_TIER = (5, 10)  # clutter-tier cells (n movables, grasp_count 8)
 IDENTITY_SEEDS = range(3)
 
 
@@ -72,14 +80,20 @@ def scene_names():
 
 def runs(names, trees) -> dict:
     """Each ``plan_digests.json`` key of the named shipped scenes and deep
-    trees, mapped to its scene path and planner config."""
-    keys = {f"{n}:{s}": (SCENARIOS / f"{n}.json", PlannerConfig(seed=s))
-            for n in names for s in SEEDS}
+    trees, mapped to its scene path, planner config and grasp count (None:
+    the scene's own)."""
+    keys = {}
+    for n in names:
+        for s in SEEDS:
+            keys[f"{n}:{s}"] = (SCENARIOS / f"{n}.json", PlannerConfig(seed=s), None)
+            keys[f"{n}:{s}:g{GRASP_COUNT}"] = (SCENARIOS / f"{n}.json", PlannerConfig(seed=s),
+                                                GRASP_COUNT)
     for tree in trees:
         for s in SEEDS:
-            keys[f"fixtures/{tree}:{s}"] = (FIXTURES / f"{tree}.json", PlannerConfig(seed=s))
+            keys[f"fixtures/{tree}:{s}"] = (FIXTURES / f"{tree}.json", PlannerConfig(seed=s),
+                                            None)
             keys[f"fixtures/{tree}:{s}:exhaust"] = (FIXTURES / f"{tree}.json",
-                                                    PlannerConfig(seed=s, exhaust=True))
+                                                    PlannerConfig(seed=s, exhaust=True), None)
     return keys
 
 
@@ -94,28 +108,38 @@ def outputs(scene, cfg: PlannerConfig) -> tuple[str, str]:
     return text, "\n".join(trace) + ("\n" if trace else "")
 
 
-def digests(path: Path, cfg: PlannerConfig) -> dict:
-    """sha256 of the plan (or NoPlan) text and the trace text."""
-    text, trace_text = outputs(load_scene(path), cfg)
+def digests(path: Path, cfg: PlannerConfig, grasp_count: int | None = None) -> dict:
+    """sha256 of the plan (or NoPlan) text and the trace text, with the
+    scene's ``grasp_count`` replaced when one is given."""
+    scene = load_scene(path)
+    if grasp_count is not None:
+        scene = scene.replace(grasp_count=grasp_count)
+    text, trace_text = outputs(scene, cfg)
     return {"plan": hashlib.sha256(text.encode()).hexdigest(),
             "trace": hashlib.sha256(trace_text.encode()).hexdigest()}
 
 
 def identity_digest() -> str:
     """One sha256 over ``outputs`` of every scene of the ``IDENTITY_WORKLOADS``
-    at workload seed 0, each at ``IDENTITY_SEEDS``, default and exhaust."""
+    at workload seed 0 and of the 8 scenes of each ``IDENTITY_TIER`` cell,
+    each at ``IDENTITY_SEEDS``, default and exhaust."""
     sys.path.insert(0, str(REPO / "perfbench"))
+    import clutter
     import workloads
+    # crowded_goals plans each scene at three planner seeds: keep one copy
+    texts = dict.fromkeys(a.scene_text for name in IDENTITY_WORKLOADS
+                          for a in workloads.BY_NAME[name].attempts(0, REPO))
+    for n in IDENTITY_TIER:
+        rng = random.Random(f"tier:{n}:{GRASP_COUNT}")
+        texts.update(dict.fromkeys(
+            json.dumps(clutter.generate(rng, (n, n), (1, 2), GRASP_COUNT)) for _ in range(8)))
     h = hashlib.sha256()
-    for name in IDENTITY_WORKLOADS:
-        # crowded_goals plans each scene at three planner seeds: keep one copy
-        texts = dict.fromkeys(a.scene_text for a in workloads.BY_NAME[name].attempts(0, REPO))
-        for text in texts:
-            scene = loads_scene(text)
-            for seed in IDENTITY_SEEDS:
-                for exhaust in (False, True):
-                    for out in outputs(scene, PlannerConfig(seed=seed, exhaust=exhaust)):
-                        h.update(out.encode() + b"\0")
+    for text in texts:
+        scene = loads_scene(text)
+        for seed in IDENTITY_SEEDS:
+            for exhaust in (False, True):
+                for out in outputs(scene, PlannerConfig(seed=seed, exhaust=exhaust)):
+                    h.update(out.encode() + b"\0")
     return h.hexdigest()
 
 
@@ -173,15 +197,15 @@ def test_moved_names_each_changed_new_and_dropped_digest():
 @pytest.mark.parametrize("name", scene_names())
 def test_plans_and_traces_match_the_golden_digests(name):
     expected = golden()
-    for key, (path, cfg) in runs([name], []).items():
-        assert digests(path, cfg) == expected[key], key
+    for key, run in runs([name], []).items():
+        assert digests(*run) == expected[key], key
 
 
 @pytest.mark.parametrize("tree", DEEP_TREES)
 def test_deep_tree_plans_and_traces_match_the_golden_digests(tree):
     expected = golden()
-    for key, (path, cfg) in runs([], [tree]).items():
-        assert digests(path, cfg) == expected[key], key
+    for key, run in runs([], [tree]).items():
+        assert digests(*run) == expected[key], key
 
 
 @pytest.mark.parametrize("hashseed", ["1", "2"])
