@@ -17,12 +17,10 @@ in either order, can hold handover facts.
 
 Place facts test candidate placements: the region centre first, then a
 PLACE_GRID x PLACE_GRID grid inset by the object's circumradius, row by
-row; the inset keeps every candidate's footprint inside the region. The
-grid is built only when a robot's scan reads past the centre: when the
-centre settles every robot's answer, it is never built. A
+row; the inset keeps every candidate's footprint inside the region. A
 candidate is valid for a robot when it lies in the robot's reach annulus
 and its transfer sweep from the base clears the fixed obstacles. Each
-(object, region) grid is built once and shared by the robots, and each
+(object, region) list is built once and shared by the robots, and each
 robot tests it only until its answer is known:
 
 * ``reachable_place`` needs one valid candidate, so for a non-goal pair
@@ -30,10 +28,6 @@ robot tests it only until its answer is known:
 * for a goal pair we keep the earliest valid candidate with the fewest
   movable occluders (corridor plus footprint) and record those occluders,
   so the scan stops at the first valid candidate with none.
-
-A robot whose reach annulus misses the grid's bounding box (nearest point
-beyond ``reach_max``, or farthest point inside ``reach_min``) is skipped
-without testing any candidate; no candidate can be valid for it.
 
 ``compute_facts`` computes nothing up front. Its ``FactSet`` computes an
 object's pick facts (``picks``), a goal object's handover facts
@@ -50,11 +44,10 @@ same facts as (occluder, object, ...) records. These full views and
 from __future__ import annotations
 
 import json
-import math
 
 from .geometry import Pose, Rect, collides_any
 from .motion import carry_sweep, gripper_sweep, sweep_clear
-from .scene import Robot, Scene
+from .scene import Scene
 
 PLACE_GRID = 5  # candidate placements per region axis for the place certificate
 
@@ -133,54 +126,28 @@ class FactSet:
         return json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n"
 
 
-def _grid(rect: Rect, inset: float):
+def _grid(rect: Rect, inset: float) -> list[tuple[float, float]]:
     """Candidate placement points for a shape of circumradius ``inset``: the
     region centre, then a PLACE_GRID x PLACE_GRID grid inset by ``inset``,
-    row by row, without a second copy of the centre. The shape placed at any
-    of them lies inside ``rect``, because no point of it is farther than its
-    circumradius from its centre. Returns ``(points, box)``, or None when
-    nothing fits: ``points()`` yields the candidates, and ``box`` is their
-    bounding box (xmin, ymin, xmax, ymax). The grid is built when a scan
-    first reads past the centre, and kept for later scans."""
+    row by row, without a second copy of the centre; ``[]`` when nothing
+    fits. The shape placed at any of them lies inside ``rect``, because no
+    point of it is farther than its circumradius from its centre."""
     x0, x1 = rect.xmin + inset, rect.xmax - inset
     y0, y1 = rect.ymin + inset, rect.ymax - inset
     if x0 > x1 or y0 > y1:
-        return None
+        return []
     n = PLACE_GRID
     xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
     ys = [y0 + (y1 - y0) * i / (n - 1) for i in range(n)]
     centre = rect.center
-    box = (min(min(xs), centre[0]), min(min(ys), centre[1]),
-           max(max(xs), centre[0]), max(max(ys), centre[1]))
-    rest = []
-
-    def points():
-        yield centre
-        if not rest:
-            rest.extend((x, y) for y in ys for x in xs if (x, y) != centre)
-        yield from rest
-    return points, box
+    return [centre] + [(x, y) for y in ys for x in xs if (x, y) != centre]
 
 
 def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
     """Candidate placement poses for ``obj`` in the region, in the order
     ``compute_facts`` tests them."""
-    grid = _grid(scene.regions[region_name], scene.movables[obj].shape.circumradius)
-    return [] if grid is None else [Pose(x, y) for x, y in grid[0]()]
-
-
-def _annulus_meets_box(robot: Robot, box) -> bool:
-    """False when no point of the box can pass ``robot.in_reach``.
-
-    The distances to the box's nearest and farthest points are computed
-    with the same float operations ``in_reach`` uses, and subtraction and
-    hypot are monotone, so no point of the box rounds nearer or farther.
-    """
-    xmin, ymin, xmax, ymax = box
-    bx, by = robot.base
-    near = math.hypot(max(xmin - bx, 0.0, bx - xmax), max(ymin - by, 0.0, by - ymax))
-    far = math.hypot(max(bx - xmin, xmax - bx), max(by - ymin, ymax - by))
-    return near <= robot.reach_max and far >= robot.reach_min
+    return [Pose(x, y) for x, y in
+            _grid(scene.regions[region_name], scene.movables[obj].shape.circumradius)]
 
 
 def compute_facts(scene: Scene) -> FactSet:
@@ -208,18 +175,13 @@ def _places(scene: Scene, obj: str, re: str) -> dict:
     """Place reachability of ``obj`` in ``re``, goal-place occlusions too."""
     facts = {}
     shape = scene.movables[obj].shape
-    grid = _grid(scene.regions[re], shape.circumradius)
-    if grid is None:
-        return facts
-    points, box = grid
+    points = _grid(scene.regions[re], shape.circumradius)
     goal_pair = scene.goal.get(obj) == re
     for rname, robot in scene.robots_by_name:
-        if not _annulus_meets_box(robot, box):
-            continue
         # None until a candidate is valid; then the occluders of the
         # earliest valid candidate with the fewest of them
         best = None
-        for xy in points():
+        for xy in points:
             if not robot.in_reach(xy):
                 continue
             cor = carry_sweep(scene, rname, obj, robot.base, xy)

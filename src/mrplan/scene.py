@@ -14,13 +14,12 @@ of the goal objects a plan must move.
 
 A ``Scene`` derives its constant tables once, in ``__init__``: its robots
 in name order, its movables in name order with their start volumes, its
-grasp angles, each movable's grasp points at its start pose and each
-(robot, movable) transfer width, and each listed handover pair's point in
-both orders: no other pair hands over. The fact phase, grounding and the
-validator ask for these on every sweep; ``robots_by_name``, ``grasp_angles``,
-``grasp_point``, ``transfer_width``, ``handover_pairs`` and ``movables_hit``
-read the tables, computed with the float operations they would use. At
-load, two movables overlap only if their boxes (centre plus and minus
+grasp angles, and each listed handover pair's point in both orders: no
+other pair hands over. ``robots_by_name``, ``grasp_angles``,
+``handover_pairs`` and ``movables_hit`` read the tables. ``grasp_point``
+and ``transfer_width`` compute their one formula each time the fact phase,
+grounding or the validator reads them, so a movable costs no table entry
+per grasp or per robot. At load, two movables overlap only if their boxes (centre plus and minus
 circumradius) do, so ``_check_invariants`` sorts the movables' boxes along
 the wider axis and sweeps them: only pairs whose boxes meet get the exact
 ``collides`` test.
@@ -73,8 +72,7 @@ class Movable(Record):
 class Scene(Record):
     __slots__ = ("regions", "fixed", "movables", "robots", "handover_points",
                  "grasp_count", "goal",
-                 "_robots", "_movables", "_grasp_angles", "_grasp_points",
-                 "_transfer_widths", "_handover_points")
+                 "_robots", "_movables", "_grasp_angles", "_handover_points")
 
     def __init__(self, regions: dict[str, Rect], fixed: list[tuple[Shape, Pose]],
                  movables: dict[str, Movable], robots: dict[str, Robot],
@@ -91,15 +89,6 @@ class Scene(Record):
         self._movables = tuple((name, (m.shape, m.pose)) for name, m in sorted(movables.items()))
         k = grasp_count
         self._grasp_angles = tuple(2.0 * math.pi * i / k for i in range(k))
-        turns = [(g, math.cos(g), math.sin(g)) for g in self._grasp_angles]
-        self._grasp_points = {}  # (movable, angle) -> grasp point at the start pose
-        for name, m in movables.items():
-            p, r = m.pose, m.shape.circumradius
-            for g, cos_g, sin_g in turns:
-                self._grasp_points[name, g] = (p.x + r * cos_g, p.y + r * sin_g)
-        self._transfer_widths = {(rname, name): robot.gripper_width + 2.0 * m.shape.circumradius
-                                 for rname, robot in robots.items()
-                                 for name, m in movables.items()}
         self._handover_points = dict(sorted((pair, h) for (r1, r2), h in handover_points.items()
                                             for pair in ((r1, r2), (r2, r1))))
         self._check_invariants()
@@ -143,16 +132,15 @@ class Scene(Record):
         """Approach point on the object's circumscribed circle for a grasp
         angle, at ``pose`` or else at the object's start pose."""
         m = self.movables[obj]
-        if pose is None or pose is m.pose:
-            gp = self._grasp_points.get((obj, angle))
-            if gp is not None:
-                return gp
+        if pose is None:
             pose = m.pose
         r = m.shape.circumradius
         return (pose.x + r * math.cos(angle), pose.y + r * math.sin(angle))
 
     def transfer_width(self, robot: str, obj: str) -> float:
-        return self._transfer_widths[robot, obj]
+        """Width of ``robot``'s sweep carrying ``obj``: its gripper plus the
+        object's diameter."""
+        return self.robots[robot].gripper_width + 2.0 * self.movables[obj].shape.circumradius
 
     def movables_hit(self, volumes, exclude=()) -> list[str]:
         """Movables outside ``exclude`` that any of ``volumes`` hits at their
