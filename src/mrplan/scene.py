@@ -19,10 +19,10 @@ other pair hands over. ``robots_by_name``, ``grasp_angles``,
 ``handover_pairs`` and ``movables_hit`` read the tables. ``grasp_point``
 and ``transfer_width`` compute their one formula each time the fact phase,
 grounding or the validator reads them, so a movable costs no table entry
-per grasp or per robot. At load, two movables overlap only if their boxes (centre plus and minus
-circumradius) do, so ``_check_invariants`` sorts the movables' boxes along
-the wider axis and sweeps them: only pairs whose boxes meet get the exact
-``collides`` test.
+per grasp or per robot. At load, two movables overlap only if their boxes
+(centre plus and minus circumradius) do, so ``_check_invariants`` sorts the
+movables' boxes along the wider axis and sweeps them: only pairs whose
+boxes meet get the exact ``collides`` test.
 """
 from __future__ import annotations
 

@@ -13,7 +13,8 @@ message. ``Schema`` interprets the subset of JSON Schema
   value is an integer), ``required``, ``properties``,
   ``additionalProperties``;
 - ``items``, ``prefixItems``, ``minItems``, ``maxItems``;
-- ``minimum``, ``exclusiveMinimum``, ``const``, ``enum``, ``oneOf``;
+- ``minimum``, ``exclusiveMinimum``, ``maximum``, ``const``, ``enum``,
+  ``oneOf``;
 - ``$ref`` to a JSON pointer inside the same schema;
 - the annotations ``$schema``, ``title`` and ``$defs``.
 
@@ -168,6 +169,10 @@ class Schema:
             raise DocumentError(
                 path, f"{v!r} is less than or equal to the minimum of {m!r}")
 
+    def _maximum(self, v, m, s, path):
+        if _is_number(v) and v > m:
+            raise DocumentError(path, f"{v!r} is greater than the maximum of {m!r}")
+
     def _const(self, v, c, s, path):
         if not _equal(v, c):
             raise DocumentError(path, f"{c!r} was expected")
@@ -209,6 +214,7 @@ _KEYWORDS = {
     "maxItems": Schema._max_items,
     "minimum": Schema._minimum,
     "exclusiveMinimum": Schema._exclusive_minimum,
+    "maximum": Schema._maximum,
     "const": Schema._const,
     "enum": Schema._enum,
     "oneOf": Schema._one_of,
@@ -225,7 +231,8 @@ def parse(text: str):
     are false on NaN, and a NaN volume collides with nothing. Such a number
     raises ``ValueError``, and so does an object that repeats a key, which
     ``json`` would read as its last value; malformed text raises
-    ``json.JSONDecodeError``.
+    ``json.JSONDecodeError``, and arrays and objects nested deeper than the
+    interpreter's recursion limit raise ``RecursionError``.
     """
     return json.loads(text, parse_float=_finite_float, parse_int=_finite_int,
                       parse_constant=_finite_float, object_pairs_hook=_unique_keys)
@@ -255,8 +262,8 @@ def _finite_int(token: str) -> int:
 def load(kind: str, text: str, error: type[ValueError]):
     """The JSON value of ``text``, a ``kind`` document that its schema accepts.
 
-    Raises ``error`` for text that ``parse`` refuses or a value the schema
-    refuses.
+    Raises ``error``, on one line, for text that ``parse`` refuses or a
+    value the schema refuses.
     """
     try:
         doc = parse(text)
@@ -264,6 +271,8 @@ def load(kind: str, text: str, error: type[ValueError]):
         raise error(f"{kind} parse error at line {e.lineno}: {e.msg}") from e
     except ValueError as e:
         raise error(f"{kind} parse error: {e}") from e
+    except RecursionError as e:
+        raise error(f"{kind} parse error: arrays and objects nest too deeply") from e
     try:
         schema(kind).check(doc)
     except DocumentError as e:

@@ -23,8 +23,11 @@ to name what was hit. It derives the legs' ends with its own arithmetic,
 never with the layout grounding executes (``motion.build_moves``). Besides
 the collision kernel, it shares with grounding the bases a sweep covers
 (``motion.bases_crossed``), the robot pairs that clash
-(``motion.robot_clashes``) and the tolerance of a point match
-(``motion.points_close``), but not ``motion.sweep_clear``: it composes
+(``motion.robot_clashes``), the tolerance of a point match
+(``motion.points_close``), a grasp point (``Scene.grasp_point``, a pick
+leg's end), the width of a carry (``Scene.transfer_width``, the narrowest
+carry corridor ``_check_sweep`` accepts) and a pair's handover point
+(``Scene.handover_point``), but not ``motion.sweep_clear``: it composes
 condition (i) itself, so a fault in that rule shows as a violation.
 A plan that names unknown entities, gives a robot an action it is not part
 of, hands over between robots the scene lists no handover point for, fills

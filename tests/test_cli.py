@@ -367,9 +367,16 @@ REFUSALS = [
     ("pick_chain", "scene", lambda d: d.update(handover_points={"R1,R9": [0.8, 0.0]}),
      "handover point references unknown robots (R1, R9)"),
     ("pick_chain", "scene", repeat_a_handover_key, "scene parse error: duplicate key 'R1,R2'"),
+    ("pick_chain", "scene", lambda d: "[" * 200_000 + "]" * 200_000,
+     "scene parse error: arrays and objects nest too deeply"),
+    # one grasp per 0.1 degree; a larger count would build a table that size
+    ("unobstructed", "scene", lambda d: d.update(grasp_count=3601),
+     "scene schema error at grasp_count: 3601 is greater than the maximum of 3600"),
     ("unobstructed", "plan", lambda d: json.dumps(d)[:-1],
      "plan parse error at line 1: Expecting ',' delimiter"),
     ("unobstructed", "plan", repeat_a_robot_key, "plan parse error: duplicate key 'robot'"),
+    ("unobstructed", "plan", lambda d: '{"a":' * 3000 + "0" + "}" * 3000,
+     "plan parse error: arrays and objects nest too deeply"),
     ("unobstructed", "plan", lambda d: d.update(makespan=2),
      "makespan field 2 != number of steps 1"),
     ("unobstructed", "plan", lambda d: d.update(motion_cost=2),
@@ -386,9 +393,9 @@ REFUSALS = [
 
 @pytest.mark.parametrize("name, kind, edit, message", REFUSALS, ids=[
     "region_inverted", "reach_empty", "reach_before_handover_key", "home_region", "on_fixed",
-    "goal_region", "handover_robot", "handover_key_repeated", "plan_syntax",
-    "robot_key_repeated", "makespan", "motion_cost", "unknown_object",
-    "pick_robot", "not_part"])
+    "goal_region", "handover_robot", "handover_key_repeated", "scene_nested",
+    "grasp_count_above_maximum", "plan_syntax", "robot_key_repeated", "plan_nested",
+    "makespan", "motion_cost", "unknown_object", "pick_robot", "not_part"])
 def test_an_input_refusal_exits_1_with_its_one_error_line(
         tmp_path, capsys, name, kind, edit, message):
     scene, plan = scenario(name), tmp_path / "plan.json"

@@ -4,8 +4,10 @@ the search trace byte-identical.
 No oracle says what one run should plan; these tests compare two runs
 instead. The edits: a disc out of every robot's reach, the same disc as a
 goal it already meets, a robot that reaches nothing and hands over with no
-one, and a document whose entity lists and handover keys come in another
-order. An edit passes when ``mrplan plan`` writes the same plan (or
+one, a document whose entity lists and handover keys come in another
+order, and one prefix before every entity name, which keeps the names'
+sort order; that plan is compared with its names mapped back. An edit
+passes when ``mrplan plan`` writes the same plan (or
 ``NoPlan`` document) and the same ``--trace`` on every shipped scene, at
 seeds 0 and 1; the plan is written for the original scene's robots, so an
 added robot's wait records are left out.
@@ -101,3 +103,42 @@ def test_a_shuffled_document_changes_no_plan(path, seed):
     doc = json.loads(path.read_text())
     rng = random.Random(f"{scene_id(path)}:{seed}")
     assert run(shuffled(doc, rng), seed) == run(doc, seed)
+
+
+def renamed(doc: dict, prefix: str) -> dict:
+    """``doc`` with ``prefix`` before every region, movable and robot name,
+    wherever the document names one."""
+    out = {**doc, "goal": [[prefix + obj, prefix + re] for obj, re in doc.get("goal", [])]}
+    for kind in ("regions", "movables", "robots"):
+        out[kind] = [{**item, "name": prefix + item["name"]} for item in doc[kind]]
+    out["movables"] = [{**m, "home_region": prefix + m["home_region"]}
+                       for m in out["movables"]]
+    if "handover_points" in doc:
+        out["handover_points"] = {
+            ",".join(prefix + name.strip() for name in key.split(",")): point
+            for key, point in doc["handover_points"].items()}
+    return out
+
+
+def mapped(value, names: dict):
+    """A JSON value with each string that is a key of ``names`` replaced by
+    its value."""
+    if isinstance(value, dict):
+        return {k: mapped(v, names) for k, v in value.items()}
+    if isinstance(value, list):
+        return [mapped(v, names) for v in value]
+    return names.get(value, value) if isinstance(value, str) else value
+
+
+@pytest.mark.parametrize("prefix", ["x", "Rob_", "0"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("path", SCENES, ids=scene_id)
+def test_renaming_every_entity_in_sort_order_changes_no_plan(path, seed, prefix):
+    # the planner orders entities by name and never reads a name otherwise
+    doc = json.loads(path.read_text())
+    names = {prefix + item["name"]: item["name"]
+             for kind in ("regions", "movables", "robots") for item in doc[kind]}
+    text, trace = run(renamed(doc, prefix), seed)
+    expected_text, expected_trace = run(doc, seed)
+    assert mapped(json.loads(text), names) == json.loads(expected_text)
+    assert trace == expected_trace

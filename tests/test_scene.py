@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mrplan import scene as scene_module
-from mrplan.geometry import Disc, Pose, Rect
+from mrplan.geometry import Disc, Pose, Rect, Rectangle
 from mrplan.scene import Robot, SceneError, load_scene, loads_scene, sample_placement
 
 from conftest import scenario
@@ -223,6 +223,20 @@ def test_a_scene_built_through_the_api_refuses_the_pairs_loading_refuses(points,
     s = make(doc)
     with pytest.raises(SceneError) as e:
         s.replace(handover_points=points)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Disc(0.0), "disc radius must be positive"),
+    (lambda: Rectangle(0.0, 0.1), "rectangle extents must be positive"),
+    (lambda: Robot((0.0, 0.0), 0.1, 1.0, gripper_width=0.0),
+     "gripper_width must be positive"),
+    (lambda: make().replace(grasp_count=0), "grasp_count must be >= 1"),
+], ids=["disc_radius", "rectangle_extent", "gripper_width", "grasp_count"])
+def test_an_api_value_the_schema_would_refuse_is_refused_by_its_constructor(build, message):
+    # a document never reaches these checks: the schema refuses it first
+    with pytest.raises(ValueError) as e:
+        build()
     assert str(e.value) == message
 
 

@@ -117,7 +117,7 @@ def test_shipped_schemas_are_valid_draft_2020_12(kind):
 
 @pytest.mark.parametrize("doc", [
     {"type": "string", "pattern": "^R"},
-    {"properties": {"a": {"type": "number", "maximum": 1}}},
+    {"properties": {"a": {"type": "number", "multipleOf": 1}}},
     {"$defs": {"unused": {"anyOf": []}}},
     {"oneOf": [{"type": "object"}, {"format": "date"}]},
     {"items": {"uniqueItems": True}},
@@ -130,6 +130,19 @@ def test_shipped_schemas_are_valid_draft_2020_12(kind):
 def test_unsupported_keyword_is_refused_at_load(doc):
     with pytest.raises(ValueError, match="unsupported"):
         Schema(doc)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, 4, 4.5, True, "x"])
+def test_maximum_agrees_with_jsonschema(value):
+    jsonschema = pytest.importorskip("jsonschema")
+    expected = [e.message for e in jsonschema.Draft202012Validator(
+        {"maximum": 3}).iter_errors(value)]
+    try:
+        Schema({"maximum": 3}).check(value)
+    except DocumentError as e:
+        assert [e.message] == expected
+    else:
+        assert expected == []
 
 
 def test_error_path_and_message():
