@@ -26,8 +26,10 @@ robot tests it only until its answer is known:
 * ``reachable_place`` needs one valid candidate, so for a non-goal pair
   the first valid candidate settles it;
 * for a goal pair we keep the earliest valid candidate with the fewest
-  movable occluders (corridor plus footprint) and record those occluders,
-  so the scan stops at the first valid candidate with none.
+  movable occluders and record those occluders, so the scan stops at the
+  first valid candidate with none. A candidate's occluders are the movables
+  its carry hits: the carry's end cap, of half width the gripper's half
+  width plus the object's circumradius, covers the placed footprint.
 
 ``compute_facts`` computes nothing up front. Its ``FactSet`` computes an
 object's pick facts (``picks``), a goal object's handover facts
@@ -174,8 +176,7 @@ def _picks(scene: Scene, obj: str) -> dict:
 def _places(scene: Scene, obj: str, re: str) -> dict:
     """Place reachability of ``obj`` in ``re``, goal-place occlusions too."""
     facts = {}
-    shape = scene.movables[obj].shape
-    points = _grid(scene.regions[re], shape.circumradius)
+    points = _grid(scene.regions[re], scene.movables[obj].shape.circumradius)
     goal_pair = scene.goal.get(obj) == re
     for rname, robot in scene.robots_by_name:
         # None until a candidate is valid; then the occluders of the
@@ -190,7 +191,7 @@ def _places(scene: Scene, obj: str, re: str) -> dict:
             if not goal_pair:
                 best = []
                 break
-            occ = scene.movables_hit([cor, (shape, Pose(*xy))], exclude=(obj,))
+            occ = scene.movables_hit([cor], exclude=(obj,))
             if best is None or len(occ) < len(best):
                 best = occ
             if not best:

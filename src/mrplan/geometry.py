@@ -3,21 +3,20 @@
 All lengths are in meters, angles in radians. Boundary contact within
 EPS does not count as a collision, so tangent configurations are stable.
 
-The collision kernel is ``collides_any(vol, volumes)``: does ``vol`` overlap
-any of ``volumes``? It dispatches on ``vol``'s type once per call and stops
-at the first hit. A ``Corridor`` derives its half width and its segment
-(start point, direction, squared length) once, in ``__init__``; the
-disc-disc test and a corridor's tests against discs run on those values
-with the float operations of ``point_segment_distance`` in order, so each
-decision is bit-identical to the helper's. A corridor-corridor pair whose
-segments' axis-aligned boxes lie at least the two half widths apart along
-x or y is rejected without ``segment_segment_distance``. The reject is
-exact: the box gap is a lower bound on the segments' distance, and the
-rounding of either side (a few ulps of the coordinates, ~1e-13 m at
-1 000 m) is far below the EPS that the exact test subtracts. Every
-one-against-many test in the package goes through the kernel;
-``collides(a, b)`` is its one-volume case, so each pair test has one
-definition.
+The collision kernel is ``collides_any(vol, volumes)``: does ``vol``
+overlap any of ``volumes``? It dispatches on ``vol``'s type once per call
+and stops at the first hit. A ``Corridor`` derives its half width and its
+segment (start point, direction, squared length) once, in ``__init__``;
+the corridor-vs-disc test, in either argument order, calls
+``_segment_distance`` on that segment, as ``point_segment_distance`` does.
+A corridor-corridor pair whose segments' axis-aligned boxes lie at least
+the two half widths apart along x or y is rejected without
+``segment_segment_distance``. The reject is exact: the box gap is a lower
+bound on the segments' distance, and the rounding of either side (a few
+ulps of the coordinates, ~1e-13 m at 1 000 m) is far below the EPS that
+the exact test subtracts. Every one-against-many test in the package goes
+through the kernel; ``collides(a, b)`` is its one-volume case, so each
+pair test has one definition.
 """
 from __future__ import annotations
 
@@ -44,9 +43,7 @@ class Pose(Record):
     def __init__(self, x: float, y: float, theta: float = 0.0):
         self.x = x
         self.y = y
-        # fmod leaves a float in [0, 2*pi) as it is; an int still becomes a float
-        self.theta = (theta if 0.0 <= theta < TWO_PI and type(theta) is float
-                      else norm_angle(theta))
+        self.theta = norm_angle(theta)
 
     @property
     def xy(self) -> tuple[float, float]:
@@ -301,8 +298,7 @@ def collides_any(vol, volumes) -> bool:
     non-colliding (EPS tolerance).
     """
     if isinstance(vol, Corridor):
-        a, b, hw = vol.a, vol.b, vol._half_width
-        ax, ay, dx, dy, d2 = vol._seg
+        a, b, hw, seg = vol.a, vol.b, vol._half_width, vol._seg
         for v in volumes:
             if isinstance(v, Corridor):
                 reach = hw + v._half_width
@@ -315,18 +311,7 @@ def collides_any(vol, volumes) -> bool:
                 if _segment_rect_distance(a, b, shape, pose) < hw - EPS:
                     return True
                 continue
-            # _segment_distance(vol._seg, pose.x, pose.y), its float operations in order
-            px, py = pose.x, pose.y
-            if d2 == 0.0:
-                dist = math.hypot(px - ax, py - ay)
-            else:
-                t = ((px - ax) * dx + (py - ay) * dy) / d2
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                dist = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-            if dist < hw + shape.radius - EPS:
+            if _segment_distance(seg, pose.x, pose.y) < hw + shape.radius - EPS:
                 return True
         return False
     shape, pose = vol

@@ -36,15 +36,10 @@ STEP_RESTARTS = 10
 
 
 def volumes_of(steps) -> list:
-    """Swept corridors of grounded joint actions."""
+    """What grounded joint actions occupy: their swept corridors. These cover
+    the placed objects too, each inside the end cap of the carry placing it."""
     return [cor for step in steps for r in sorted(step.moves)
             for cor in step.moves[r].all_corridors()]
-
-
-def _occupied(steps, scene: Scene) -> list:
-    """What grounded joint actions occupy: their corridors and placed objects."""
-    return volumes_of(steps) + [(scene.movables[obj].shape, pose) for step in steps
-                                for obj, pose in step.placements().items()]
 
 
 class Full(Record):
@@ -157,7 +152,7 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
     m_fut = moved_objects(future)
     if skeleton.moved_objects & m_fut:
         raise ValueError("skeleton re-moves an object already moved later")
-    v_fut = _occupied(future, scene)
+    v_fut = volumes_of(future)
     m_out = set(scene.movables) - m_fut - set(skeleton.moved_objects)
     grounded = list(future)
 
@@ -184,10 +179,10 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
         m_fut |= step.moved_objects()
         if relaxed:
             conflicts = (set(scene.unmet_goals()) - m_fut) | set(
-                scene.movables_hit(_occupied(grounded, scene), exclude=m_fut))
+                scene.movables_hit(volumes_of(grounded), exclude=m_fut))
             if conflicts:
                 return Partial(steps=tuple(grounded), conflicts=frozenset(conflicts))
             # the relaxed sample happens to be strictly consistent:
             # keep going as if the strict pass had succeeded
-        v_fut += _occupied([step], scene)
+        v_fut += volumes_of([step])
     return Full(steps=tuple(grounded))

@@ -96,15 +96,19 @@ def test_dumping_facts_computes_them_once_and_changes_no_output(tmp_path, monkey
     assert facts.read_text() == compute_facts(load_scene(scenario("pick_chain"))).dumps()
 
 
-def test_validate_exit_3_on_a_carry_away_from_the_object(tmp_path, capsys):
+@pytest.mark.parametrize("shift", [0.05, 5e-4], ids=["5_cm", "half_a_millimetre"])
+def test_validate_exit_3_on_a_carry_away_from_the_object(tmp_path, capsys, shift):
+    # the corridor's end follows the waypoint, so the carry is still the
+    # sweep of its waypoints; only where it starts is wrong
     def edit(moves):
         traj = moves[0]["place_traj"]
-        traj["waypoints"][0]["y"] += 0.05
-        traj["corridors"][0]["a"][1] += 0.05
+        traj["waypoints"][0]["y"] += shift
+        traj["corridors"][0]["a"][1] += shift
     out = planned_then_edited(tmp_path, "unobstructed", edit)
     assert run(["validate", scenario("unobstructed"), out]) == 3
     report = json.loads(capsys.readouterr().out)
-    assert [v["code"] for v in report["violations"]] == ["condition_ii"]
+    assert [(v["code"], v["message"]) for v in report["violations"]] == [
+        ("condition_ii", "carry of M1 by R1 does not start at its current pose")]
 
 
 def test_plan_stdout_when_no_out_given(tmp_path, capsys):

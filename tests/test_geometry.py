@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import reference_geometry as ref
 from mrplan.geometry import (EPS, Corridor, Disc, Pose, Rect, Rectangle, collides,
                              collides_any, shape_inside_rect)
+from mrplan.motion import carry_sweep
+from mrplan.scene import Movable, Robot, Scene
 
 # ---------------------------------------------------------------------------
 # membership oracle (independent of the implementation's distance math)
@@ -221,6 +223,25 @@ def test_collides_any_matches_the_pairwise_reference(vol, others, pair, swap):
         for o in vols:
             assert collides(v, o) == ref.collides(v, o)
             assert collides(o, v) == ref.collides(o, v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=shapes, placement=poses, start=st.one_of(st.none(), points),
+       gripper=st.floats(1e-3, 0.5), probe=volumes)
+def test_a_carry_covers_the_object_it_places(shape, placement, start, gripper, probe):
+    """Whatever hits a placed object also hits the carry that places it,
+    from any start (``None``: the placement itself). The carry's end cap,
+    of half width the gripper's half width plus the object's circumradius,
+    holds the footprint, so grounding and the place facts test the carry
+    alone."""
+    scene = Scene(regions={"work": Rect(-10.0, -10.0, 10.0, 10.0)}, fixed=[],
+                  movables={"M1": Movable(shape, placement, "work")},
+                  robots={"R1": Robot((0.0, 0.0), 0.0, 1.0, gripper)},
+                  handover_points={}, grasp_count=1, goal={})
+    carry = carry_sweep(scene, "R1", "M1", placement.xy if start is None else start,
+                        placement.xy)
+    if collides(probe, (shape, placement)):
+        assert collides(probe, carry)
 
 
 def test_boundary_pairs_collide_only_below_the_gap():

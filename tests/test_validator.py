@@ -346,6 +346,26 @@ def test_handover_corridors_overlapping_just_past_the_handover_radius_are_condit
                           "handover neighbourhood")]
 
 
+def test_a_carry_meeting_the_receivers_reach_at_a_shallow_angle_is_condition_iii():
+    # R1 carries M1 0.4 m in to the handover point (0.5, 0) at 33 degrees to
+    # R2's reach, which comes in along the x axis. The 0.2-wide carry and the
+    # 0.1-wide reach overlap out to about 0.27 m from the point: past the
+    # carry's trim (the handover radius 0.1 plus its half width 0.1), short
+    # of that trim plus one more half width (0.3 m)
+    angle = math.radians(33)
+    scene = scene_of({"M1": (0.5 + 0.4 * math.cos(angle), 0.4 * math.sin(angle))},
+                     {"R1": (0.0, 0.0), "R2": (1.0, 0.0)}).replace(
+        handover_points={("R1", "R2"): (0.5, 0.0)})
+    assert scene.handover_radius("R1", "R2") == 0.1
+    action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
+                                     place_robot="R2", grasp_pick=math.pi / 2)
+    moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(0.5, -0.4))
+    assert list(robot_clashes(scene, moves)) == [("R1", "R2", True)]
+    assert violations(scene, GroundedJointAction(moves=moves)) == [
+        ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
+                          "handover neighbourhood")]
+
+
 def test_a_placement_reports_the_fixed_obstacle_before_the_object_it_hits():
     box = {"shape": {"type": "rectangle", "half_w": 0.05, "half_h": 0.05},
            "pose": {"x": 0.5, "y": 0.55, "theta": 0.0}}
