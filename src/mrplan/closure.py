@@ -329,8 +329,6 @@ class Search:
         def decide(t, open_, j, later):
             self.tick()
             if j == len(open_):
-                if count[t - 1] == 0:
-                    return False
                 return t > T or decide(t + 1, later, 0, [])
             a = open_[j]
             rest = len(open_) - j - 1

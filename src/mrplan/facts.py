@@ -131,9 +131,10 @@ class FactSet:
 def _grid(rect: Rect, inset: float) -> list[tuple[float, float]]:
     """Candidate placement points for a shape of circumradius ``inset``: the
     region centre, then a PLACE_GRID x PLACE_GRID grid inset by ``inset``,
-    row by row, without a second copy of the centre; ``[]`` when nothing
-    fits. The shape placed at any of them lies inside ``rect``, because no
-    point of it is farther than its circumradius from its centre."""
+    row by row, without its middle point, which is the centre up to
+    rounding; ``[]`` when nothing fits. The shape placed at any of them lies
+    inside ``rect``, because no point of it is farther than its circumradius
+    from its centre."""
     x0, x1 = rect.xmin + inset, rect.xmax - inset
     y0, y1 = rect.ymin + inset, rect.ymax - inset
     if x0 > x1 or y0 > y1:
@@ -141,8 +142,9 @@ def _grid(rect: Rect, inset: float) -> list[tuple[float, float]]:
     n = PLACE_GRID
     xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
     ys = [y0 + (y1 - y0) * i / (n - 1) for i in range(n)]
-    centre = rect.center
-    return [centre] + [(x, y) for y in ys for x in xs if (x, y) != centre]
+    mid = n // 2
+    return [rect.center] + [(x, y) for j, y in enumerate(ys) for i, x in enumerate(xs)
+                            if (i, j) != (mid, mid)]
 
 
 def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:

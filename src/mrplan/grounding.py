@@ -5,8 +5,8 @@ grounded joint actions already fixed after it (a search node's stored
 steps). Those future actions constrain the present: newly sampled placements
 must avoid the volumes the future occupies, and trajectories must avoid the
 objects the future still expects at their initial poses. Each step draws up
-to ``STEP_RESTARTS`` placement samples, each of at most
-``scene.PLACEMENT_ATTEMPTS`` draws per object. When the strict pass fails,
+to ``STEP_RESTARTS`` placement samples from ``find_placements``, each of at
+most ``PLACEMENT_ATTEMPTS`` draws per object. When the strict pass fails,
 the collision constraints against the not-planned-to-move objects are
 relaxed; a relaxed success stops grounding and returns the grounded suffix
 plus the conflict set of objects that a caller must plan to relocate first.
@@ -24,14 +24,16 @@ blocks.
 from __future__ import annotations
 
 import itertools
+import math
 
-from .geometry import Pose
+from .geometry import Disc, Pose, collides_any, shape_inside_rect
 from .mip import TaskSkeleton
 from .motion import build_moves, robot_clashes, sweep_clear
 from .plans import GroundedJointAction, moved_objects
 from .record import Record
-from .scene import Scene, sample_placement
+from .scene import Scene
 
+PLACEMENT_ATTEMPTS = 100
 STEP_RESTARTS = 10
 
 
@@ -69,22 +71,32 @@ class Failure(Record):
 def find_placements(actions, forbidden, scene: Scene, rng):
     """Jointly consistent placements for one skeleton step.
 
-    ``actions`` are the distinct actions of the step; placements are sampled
-    in canonical object order, each within reach of its place robot and clear
-    of ``forbidden`` plus the placements already chosen for this step.
-    Returns obj -> Pose or None.
+    ``actions`` are the distinct actions of the step; placements are
+    rejection-sampled in canonical object order. Each object gets up to
+    ``PLACEMENT_ATTEMPTS`` draws of x, then y, then theta (rectangles only),
+    and takes the first pose that lies inside its region, has its centre in
+    its place robot's reach, and is clear of ``forbidden`` ((shape, pose)
+    volumes or corridors) plus the placements already chosen for this step.
+    Returns obj -> Pose, or None when an object gets no pose.
     """
     placements: dict[str, Pose] = {}
-    placed_volumes: list = []
+    forbidden = list(forbidden)
     for action in sorted(actions):
         shape = scene.movables[action.obj].shape
-        pose = sample_placement(scene.regions[action.region], shape,
-                                list(forbidden) + placed_volumes, rng,
-                                scene.robots[action.place_robot])
-        if pose is None:
+        rect = scene.regions[action.region]
+        robot = scene.robots[action.place_robot]
+        for _ in range(PLACEMENT_ATTEMPTS):
+            x = rng.uniform(rect.xmin, rect.xmax)
+            y = rng.uniform(rect.ymin, rect.ymax)
+            theta = 0.0 if isinstance(shape, Disc) else rng.uniform(0.0, 2.0 * math.pi)
+            pose = Pose(x, y, theta)
+            if (shape_inside_rect(shape, pose, rect) and robot.in_reach(pose.xy)
+                    and not collides_any((shape, pose), forbidden)):
+                break
+        else:
             return None
         placements[action.obj] = pose
-        placed_volumes.append((shape, pose))
+        forbidden.append((shape, pose))
     return placements
 
 
@@ -145,7 +157,7 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
     guarantees reach: each grasp comes from a ``reachable_pick`` fact at the
     object's start pose, where grounding picks it, and each handover from an
     ``enable_goal_handover`` fact, which needs both robots to reach the
-    handover point. ``sample_placement`` keeps placements in the place
+    handover point. ``find_placements`` keeps placements in the place
     robot's reach. So grounding tests only collisions; the validator
     re-checks reach on every returned plan.
     """

@@ -21,11 +21,11 @@ Facts and grounding ask one rule of a sweep, ``sweep_clear``: it hits no
 given obstacle and covers no other robot's base; the validator composes
 that test itself. A handover splits the transfer at the point the scene
 lists for the pair (``Scene.handover_point``); the partners' corridors may
-overlap only near it. The same-step corridors of two robots may not
-collide, partners' corridors trimmed around their handover point first
-(``robot_clashes``); grounding and the validator both ask this one
-predicate. Only the pick robot's gripper sweep, to the grasp point, depends
-on the grasp.
+overlap only inside its neighbourhood (``trim_for_handover``). The
+same-step corridors of two robots may not collide, partners' corridors
+trimmed around their handover point first (``robot_clashes``); grounding
+and the validator both ask this one predicate. Only the pick robot's
+gripper sweep, to the grasp point, depends on the grasp.
 """
 from __future__ import annotations
 
@@ -92,10 +92,17 @@ def points_close(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 
 def trim_for_handover(scene: Scene, mv: RobotMove) -> list:
-    """Corridors of a handover participant, trimmed around the handover point."""
+    """Corridors of a handover participant, trimmed around the handover point.
+
+    The handover neighbourhood of a pair is the disc around its handover
+    point whose radius is the wider of the two robots' grippers. Each
+    corridor with an end at the point loses that radius plus its own half
+    width at that end, so its end cap stays inside the neighbourhood; a
+    corridor trimmed away entirely is dropped."""
     a = mv.action
     h = scene.handover_point(a.pick_robot, a.place_robot)
-    radius = scene.handover_radius(a.pick_robot, a.place_robot)
+    radius = max(scene.robots[a.pick_robot].gripper_width,
+                 scene.robots[a.place_robot].gripper_width)
     cors = (cor.trimmed(h, radius + cor.half_width)
             if points_close(cor.a, h) or points_close(cor.b, h) else cor
             for cor in mv.all_corridors())

@@ -1,5 +1,10 @@
 """World model: regions, robots, movable/fixed objects, scene loading.
 
+The module holds the world and what more than one layer derives from it.
+A rule with one user lives with that user: placements are drawn by
+``grounding.find_placements``, and the handover neighbourhood is
+``motion.trim_for_handover``'s.
+
 Scene documents are JSON; their format is ``schemas/scene.schema.json``.
 ``mrplan.schemas.load`` reads them, refusing a number that is not finite
 and an object that repeats a key.
@@ -34,7 +39,6 @@ from .geometry import (Disc, Pose, Rect, Rectangle, Shape, collides, collides_an
 from .record import Record
 
 DEFAULT_GRASP_COUNT = 8
-PLACEMENT_ATTEMPTS = 100
 
 
 class SceneError(ValueError):
@@ -123,9 +127,6 @@ class Scene(Record):
 
     def handover_point(self, r1: str, r2: str) -> tuple[float, float]:
         return self._handover_points[r1, r2]
-
-    def handover_radius(self, r1: str, r2: str) -> float:
-        return max(self.robots[r1].gripper_width, self.robots[r2].gripper_width)
 
     def grasp_point(self, obj: str, angle: float,
                     pose: Pose | None = None) -> tuple[float, float]:
@@ -281,28 +282,3 @@ def loads_scene(text: str) -> Scene:
 def load_scene(path) -> Scene:
     return loads_scene(schemas.read("scene", path, SceneError))
 
-
-# ---------------------------------------------------------------------------
-# placement sampling
-
-
-def sample_placement(rect: Rect, shape: Shape, forbidden, rng,
-                     robot: Robot) -> Pose | None:
-    """Rejection-sample a pose for ``shape`` fully inside ``rect``, with its
-    centre in ``robot``'s reach, clear of every forbidden volume.
-    ``forbidden`` entries are (Shape, Pose) pairs or Corridors. Returns None
-    after ``PLACEMENT_ATTEMPTS`` rejections.
-    """
-    for _ in range(PLACEMENT_ATTEMPTS):
-        x = rng.uniform(rect.xmin, rect.xmax)
-        y = rng.uniform(rect.ymin, rect.ymax)
-        theta = 0.0 if isinstance(shape, Disc) else rng.uniform(0.0, 2.0 * math.pi)
-        pose = Pose(x, y, theta)
-        if not shape_inside_rect(shape, pose, rect):
-            continue
-        if not robot.in_reach(pose.xy):
-            continue
-        if collides_any((shape, pose), forbidden):
-            continue
-        return pose
-    return None

@@ -45,11 +45,11 @@ def place_candidates(scene, region_name, obj):
     n = PLACE_GRID
     for iy in range(n):
         for ix in range(n):
+            if (ix, iy) == (n // 2, n // 2):
+                continue  # the grid's middle point is the center, listed first
             x = x0 + (x1 - x0) * ix / (n - 1)
             y = y0 + (y1 - y0) * iy / (n - 1)
-            p = Pose(x, y)
-            if (p.x, p.y) != (cx, cy):
-                cands.append(p)
+            cands.append(Pose(x, y))
     return [p for p in cands
             if shape_inside_rect(scene.movables[obj].shape, p, rect)]
 

@@ -138,9 +138,12 @@ def test_place_and_handover_facts_do_not_depend_on_grasp_count():
 def test_place_candidates_grid():
     scene = load_scene(scenario("unobstructed"))
     cands = place_candidates(scene, "goal_zone", "M1")
-    # center first, then a 5x5 grid inset by the object radius
+    # center first, then a 5x5 grid inset by the object radius without its
+    # middle point, which is the center up to rounding: no point is repeated
     assert cands[0].xy == pytest.approx((0.25, 0.55))
-    assert len(cands) == 26
+    assert len(cands) == 25
+    assert min(math.dist(p.xy, q.xy) for i, p in enumerate(cands)
+               for q in cands[i + 1:]) > 0.01
     rect = scene.regions["goal_zone"]
     for p in cands:
         assert rect.xmin + 0.05 <= p.x <= rect.xmax - 0.05

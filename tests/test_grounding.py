@@ -117,9 +117,82 @@ def test_find_placements_joint_consistency_pigeonhole():
     # M1's chosen pose is forbidden ground for M2-and-M1 retry; joint samples
     # must still avoid each other
     if both is not None:
-        import math
         d = math.hypot(both["M1"].x - both["M2"].x, both["M1"].y - both["M2"].y)
         assert d >= 0.1 - 1e-9
+
+
+def box_scene(radius, robots=(("R1", (0.0, 0.0), 0.0, 2.0),), movables=("M1",)):
+    """Discs of ``radius`` at home outside the unit-square region "box";
+    ``robots`` are (name, base, reach_min, reach_max). The default robot
+    reaches every point of the box."""
+    disc = {"type": "disc", "radius": radius}
+    return loads_scene(json.dumps({
+        "regions": [{"name": "home", "rect": [-3.0, -3.0, -1.0, -1.0]},
+                    {"name": "box", "rect": [0.0, 0.0, 1.0, 1.0]}],
+        "movables": [{"name": n, "shape": disc, "pose": {"x": -2.5 + i, "y": -2.0},
+                      "home_region": "home"} for i, n in enumerate(movables)],
+        "robots": [{"name": n, "base": list(base), "reach_min": lo, "reach_max": hi,
+                    "gripper_width": 0.1} for n, base, lo, hi in robots],
+        "goal": [[n, "box"] for n in movables]}))
+
+
+def test_find_placements_keeps_to_the_region_and_clear_of_forbidden():
+    scene = box_scene(0.1)
+    blocker = (Disc(0.2), Pose(0.5, 0.5))
+    rng = random.Random(3)
+    for _ in range(50):
+        pose = find_placements([act("M1", "box")], [blocker], scene, rng)["M1"]
+        assert 0.1 <= pose.x <= 0.9 and 0.1 <= pose.y <= 0.9
+        # clear of the blocker (boundary grazing allowed by tolerance)
+        assert math.hypot(pose.x - 0.5, pose.y - 0.5) >= 0.3 - 1e-9
+
+
+def test_find_placements_returns_none_when_no_pose_fits():
+    # A radius-0.3 disc inside the unit square must center in [0.3, 0.7]^2;
+    # no point there is >= 0.6 away from a same-size blocker at the center,
+    # so sampling can never succeed.
+    scene = box_scene(0.3)
+    blocker = (Disc(0.3), Pose(0.5, 0.5))
+    assert find_placements([act("M1", "box")], [blocker], scene, random.Random(0)) is None
+
+
+def test_find_placements_is_deterministic_and_keeps_to_the_place_robots_reach():
+    scene = box_scene(0.05, robots=(("R1", (0.0, 0.0), 0.0, 2.0),
+                                    ("R2", (0.0, 0.0), 0.1, 0.4),
+                                    ("R3", (5.0, 5.0), 0.1, 1.0)))
+    p1 = find_placements([act("M1", "box")], [], scene, random.Random(7))
+    p2 = find_placements([act("M1", "box")], [], scene, random.Random(7))
+    assert p1 == p2
+    near = find_placements([act("M1", "box", "R2")], [], scene, random.Random(7))["M1"]
+    assert 0.1 <= math.hypot(near.x, near.y) <= 0.4
+    assert find_placements([act("M1", "box", "R3")], [], scene, random.Random(7)) is None
+
+
+def test_find_placements_returns_no_pose_past_reach_max():
+    # the box reaches 1.41 from the base, the robot 0.5: many draws land just
+    # past reach_max, which a reach test a few centimetres too lenient takes
+    scene = box_scene(0.05, robots=(("R1", (0.0, 0.0), 0.1, 0.5),))
+    rng = random.Random(0)
+    dists = [math.hypot(*find_placements([act("M1", "box")], [], scene, rng)["M1"].xy)
+             for _ in range(100)]
+    assert max(dists) <= 0.5
+    assert max(dists) > 0.45
+
+
+def test_the_second_placement_of_a_step_clears_the_first():
+    # two radius-0.2 discs in the unit square: drawn independently, their
+    # centres would often lie closer than 0.4. M1 is drawn first, as alone
+    scene = box_scene(0.2, movables=("M1", "M2"))
+    a1, a2 = act("M1", "box"), act("M2", "box")
+    found = 0
+    for seed in range(20):
+        both = find_placements([a2, a1], [], scene, random.Random(seed))
+        if both is None:
+            continue
+        found += 1
+        assert both["M1"] == find_placements([a1], [], scene, random.Random(seed))["M1"]
+        assert math.dist(both["M1"].xy, both["M2"].xy) >= 0.4 - 1e-9
+    assert found >= 10
 
 
 def test_find_trajectories_rejects_blocked_corridor():

@@ -1,13 +1,12 @@
-"""Scene loading, invariants, derived quantities, placement sampling."""
+"""Scene loading, invariants, derived quantities."""
 import json
 import math
-import random
 
 import pytest
 
 from mrplan import scene as scene_module
-from mrplan.geometry import Disc, Pose, Rect, Rectangle
-from mrplan.scene import Robot, SceneError, load_scene, loads_scene, sample_placement
+from mrplan.geometry import Disc, Pose, Rectangle
+from mrplan.scene import Robot, SceneError, load_scene, loads_scene
 
 from conftest import scenario
 
@@ -19,10 +18,6 @@ MINIMAL = {
                 "reach_max": 2.0, "gripper_width": 0.1}],
     "goal": [["M1", "work"]],
 }
-
-
-# reaches every point of the unit square
-REACH_ALL = Robot((0.0, 0.0), 0.0, 2.0, 0.1)
 
 
 def make(doc=None, **overrides):
@@ -193,7 +188,6 @@ def test_scenario_file_loads():
     assert s.target_region_of("M1") == "box_c"
     assert s.target_region_of("M4") == "work"  # non-goal: home region
     assert s.handover_point("R2", "R1") == (0.8, 0.0)  # order-insensitive
-    assert s.handover_radius("R1", "R2") == 0.1
 
 
 def test_a_pair_with_no_listed_point_has_no_handover_point():
@@ -205,7 +199,6 @@ def test_a_pair_with_no_listed_point_has_no_handover_point():
     for pair in (("R1", "R2"), ("R2", "R1")):
         with pytest.raises(KeyError):
             s.handover_point(*pair)
-    assert s.handover_radius("R1", "R2") == 0.2  # max gripper width
     listed = make(doc, handover_points={"R2,R1": [1.0, 0.2]})
     assert listed.handover_pairs == {("R1", "R2"): (1.0, 0.2), ("R2", "R1"): (1.0, 0.2)}
 
@@ -274,39 +267,3 @@ def test_unmet_goals_are_the_goal_objects_outside_their_region():
     # in name order, not goal order; a non-goal object (M4) is never listed
     assert make(doc, goal=[["M3", "corner"], ["M2", "corner"],
                            ["M1", "work"]]).unmet_goals() == ["M2", "M3"]
-
-
-def test_sample_placement_respects_region_and_forbidden():
-    region = Rect(0.0, 0.0, 1.0, 1.0)
-    obj = Disc(0.1)
-    blocker = (Disc(0.2), Pose(0.5, 0.5))
-    rng = random.Random(3)
-    for _ in range(50):
-        pose = sample_placement(region, obj, [blocker], rng, REACH_ALL)
-        assert pose is not None
-        assert 0.1 <= pose.x <= 0.9 and 0.1 <= pose.y <= 0.9
-        # clear of the blocker (boundary grazing allowed by tolerance)
-        assert math.hypot(pose.x - 0.5, pose.y - 0.5) >= 0.3 - 1e-9
-
-
-def test_sample_placement_infeasible_returns_none():
-    # A radius-0.3 disc inside the unit square must center in [0.3, 0.7]^2;
-    # no point there is >= 0.6 away from a same-size blocker at the center,
-    # so sampling can never succeed.
-    region = Rect(0.0, 0.0, 1.0, 1.0)
-    obj = Disc(0.3)
-    blocker = (Disc(0.3), Pose(0.5, 0.5))
-    assert sample_placement(region, obj, [blocker], random.Random(0), REACH_ALL) is None
-
-
-def test_sample_placement_deterministic_and_in_reach():
-    region = Rect(0.0, 0.0, 1.0, 1.0)
-    obj = Disc(0.05)
-    p1 = sample_placement(region, obj, [], random.Random(7), REACH_ALL)
-    p2 = sample_placement(region, obj, [], random.Random(7), REACH_ALL)
-    assert p1 == p2
-    short = Robot((0.0, 0.0), 0.1, 0.4, 0.1)
-    near = sample_placement(region, obj, [], random.Random(7), short)
-    assert near is not None and 0.1 <= math.hypot(near.x, near.y) <= 0.4
-    far = Robot((5.0, 5.0), 0.1, 1.0, 0.1)
-    assert sample_placement(region, obj, [], random.Random(7), far) is None

@@ -334,7 +334,7 @@ def test_handover_corridors_overlapping_just_past_the_handover_radius_are_condit
     # 0.4 m from the point, between 1 and 4 times the handover radius 0.1
     scene = scene_of({"M1": (0.1, 0.2)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)}).replace(
         handover_points={("R1", "R2"): (0.5, 0.0)})
-    assert scene.handover_radius("R1", "R2") == 0.1
+    assert [r.gripper_width for r in scene.robots.values()] == [0.1, 0.1]
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
                                      place_robot="R2", grasp_pick=math.pi)
     angle = math.radians(130)
@@ -356,7 +356,7 @@ def test_a_carry_meeting_the_receivers_reach_at_a_shallow_angle_is_condition_iii
     scene = scene_of({"M1": (0.5 + 0.4 * math.cos(angle), 0.4 * math.sin(angle))},
                      {"R1": (0.0, 0.0), "R2": (1.0, 0.0)}).replace(
         handover_points={("R1", "R2"): (0.5, 0.0)})
-    assert scene.handover_radius("R1", "R2") == 0.1
+    assert [r.gripper_width for r in scene.robots.values()] == [0.1, 0.1]
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
                                      place_robot="R2", grasp_pick=math.pi / 2)
     moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(0.5, -0.4))
@@ -364,6 +364,26 @@ def test_a_carry_meeting_the_receivers_reach_at_a_shallow_angle_is_condition_iii
     assert violations(scene, GroundedJointAction(moves=moves)) == [
         ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
                           "handover neighbourhood")]
+
+
+def test_the_handover_neighbourhood_is_as_wide_as_the_wider_gripper():
+    # R1 (gripper 0.1) carries M1 in to the handover point (0.5, 0) from 153
+    # degrees and R2 (gripper 0.2) delivers it 0.5 m back out at 100 degrees.
+    # Trimmed by the wider gripper plus their half widths (0.1 and 0.15), the
+    # carry ends 0.3 m and the delivery starts 0.35 m from the point, 0.296 m
+    # apart: clear of the 0.25 m the two half widths need. Trimmed by the
+    # narrower gripper they would end 0.2 and 0.25 m out, 0.207 m apart
+    scene = scene_of({"M1": (0.1, 0.2)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)}).replace(
+        handover_points={("R1", "R2"): (0.5, 0.0)})
+    scene = scene.replace(robots={**scene.robots,
+                                  "R2": scene.robots["R2"].replace(gripper_width=0.2)})
+    action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
+                                     place_robot="R2", grasp_pick=math.pi)
+    angle = math.radians(100)
+    placement = Pose(0.5 + 0.5 * math.cos(angle), 0.5 * math.sin(angle))
+    moves = build_moves(scene, action, scene.movables["M1"].pose, placement)
+    assert list(robot_clashes(scene, moves)) == []
+    assert violations(scene, GroundedJointAction(moves=moves)) == []
 
 
 def test_a_placement_reports_the_fixed_obstacle_before_the_object_it_hits():
@@ -390,13 +410,17 @@ def test_unmet_goals_are_reported_in_goal_order():
 @pytest.mark.parametrize("obj_at,placement,handover_point,fault", [
     ((0.5, 0.0), (1.3, 0.0), None,
      ("condition_ii", "carry of M1 by R1 ends out of reach at its placement")),
+    # 2 cm past reach_max: a reach test 5 cm too lenient passes it
+    ((0.5, 0.0), (1.22, 0.0), None,
+     ("condition_ii", "carry of M1 by R1 ends out of reach at its placement")),
     ((1.25, 0.0), (0.5, 0.5), None,
      ("condition_ii", "pick trajectory of R1 ends out of reach at the grasp point of M1")),
     ((0.5, 0.4), (1.5, 0.4), (1.3, 0.0),
      ("condition_iii", "carry of M1 by R1 ends out of reach at the handover point")),
     ((0.5, 0.4), (1.5, 0.4), (0.7, 0.0),
      ("condition_iii", "pick trajectory of R2 ends out of reach at the handover point")),
-], ids=["placement", "grasp_point", "handover_giver", "handover_receiver"])
+], ids=["placement", "placement_2cm_past", "grasp_point", "handover_giver",
+        "handover_receiver"])
 def test_a_leg_that_ends_out_of_reach_names_its_robot(obj_at, placement, handover_point,
                                                      fault):
     # every robot reaches 0.1 to 1.2 from its base; R2 sits 2.0 from R1
