@@ -37,7 +37,6 @@ def _config_from_args(args) -> PlannerConfig:
 def cmd_plan(args) -> int:
     scene = load_scene(args.scene)
     cfg = _config_from_args(args)
-    facts = None
     dumps = []      # (path, text), built before any is written
     if args.dump_facts or args.dump_cmtg or args.dump_mip:
         facts = compute_facts(scene)
@@ -54,7 +53,7 @@ def cmd_plan(args) -> int:
     for path, text in dumps:
         Path(path).write_text(text)
     trace: list[str] = []
-    result = search_plan(scene, cfg, trace=trace, facts=facts)
+    result = search_plan(scene, cfg, trace=trace)
     if args.trace:
         Path(args.trace).write_text("\n".join(trace) + ("\n" if trace else ""))
     if isinstance(result, NoPlan):

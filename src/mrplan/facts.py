@@ -142,9 +142,10 @@ def _grid(rect: Rect, inset: float) -> list[tuple[float, float]]:
     n = PLACE_GRID
     xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
     ys = [y0 + (y1 - y0) * i / (n - 1) for i in range(n)]
+    points = [(x, y) for y in ys for x in xs]
     mid = n // 2
-    return [rect.center] + [(x, y) for j, y in enumerate(ys) for i, x in enumerate(xs)
-                            if (i, j) != (mid, mid)]
+    del points[mid * n + mid]
+    return [rect.center] + points
 
 
 def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:

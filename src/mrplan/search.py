@@ -22,7 +22,7 @@ import random
 import time
 
 from . import mip
-from .facts import FactSet, compute_facts
+from .facts import compute_facts
 from .grounding import Failure, Full, Partial, ground
 from .mip import BudgetExceeded, TaskSkeleton, TimeBudgetExceeded, enumerate_skeletons
 from .plans import Plan, moved_objects
@@ -134,15 +134,12 @@ def reward(outcome, new_skeletons, alpha: float) -> float:
             + alpha / (grounded_objs + len(best.moved_objects)))
 
 
-def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
-         facts: FactSet | None = None):
+def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None):
     """Search for a plan that moves ``scene.unmet_goals()``: a Plan or a NoPlan report.
 
     ``cfg.time_budget`` counts from entry and is checked between iterations
     and before each skeleton solve; a single solve or grounding is not
-    interrupted. ``facts``, when given, must be ``compute_facts(scene)``.
-    Facts are computed as the task graphs read them, so those a caller has
-    already read, for a dump, are not computed again.
+    interrupted.
 
     Every stop but a plan is ``give_up``'s: ``BudgetExceeded`` or
     ``TimeBudgetExceeded`` from below is ``solver_budget`` or ``time_budget``.
@@ -157,8 +154,7 @@ def plan(scene: Scene, cfg: PlannerConfig = PlannerConfig(), trace=None,
     if not targets:
         return Plan(steps=())
 
-    if facts is None:
-        facts = compute_facts(scene)
+    facts = compute_facts(scene)
     node_ids = itertools.count()
     tree_size = 1                   # the root, plus a node per partial grounding
     best_plan: Plan | None = None

@@ -65,6 +65,36 @@ MUTANTS = [
      "footprint (test_a_carry_covers_the_object_it_places), so testing the "
      "footprint too changes no goal-place occluder; that is why the term is "
      "gone from facts._places and from grounding"),
+    ("bases_crossed_self", "src/mrplan/motion.py",
+     "if other != robot and", "if other == robot and",
+     "every sweep starts at its own robot's base, so counting that base, and "
+     "no other, marks every sweep as crossing a base and hides the real "
+     "crossings; killed by test_task_graph_structure_pick_chain"),
+    ("partners_untrimmed", "src/mrplan/motion.py",
+     "handover = moves[r1].action == moves[r2].action", "handover = False",
+     "handover partners whose corridors are not trimmed around the handover "
+     "point overlap there, so every grounded handover reads as a collision; "
+     "killed by test_all_returned_plans_validate_across_suite_and_seeds"),
+    ("grasp_point_mirrored", "src/mrplan/scene.py",
+     "pose.y + r * math.sin(angle))", "pose.y - r * math.sin(angle))",
+     "a grasp point mirrored in y approaches from the wrong side, so a grasp "
+     "that the class's first blocks is not the one the next falls back to; "
+     "killed by test_grounding_falls_back_to_the_next_grasp_of_the_class"),
+    ("handover_point_shifted", "src/mrplan/scene.py",
+     "return self._handover_points[r1, r2]",
+     "x, y = self._handover_points[r1, r2]\n        return (x + 0.01, y)",
+     "a handover point 1 cm off the listed one moves every handover leg; "
+     "killed by test_handover_key_that_is_not_two_names_rejected"),
+    ("tangent_discs_collide", "src/mrplan/geometry.py",
+     "< r + s2.radius - EPS:", "< r + s2.radius + EPS:",
+     "discs that touch at one point overlap with no area, so they must not "
+     "collide; killed by test_boundary_touch_is_not_a_collision"),
+    ("boxes_apart_strict", "src/mrplan/geometry.py",
+     "min(cx, dx) - max(ax, bx) >= gap or min(ax, bx) - max(cx, dx) >= gap",
+     "min(cx, dx) - max(ax, bx) > gap or min(ax, bx) - max(cx, dx) > gap",
+     "equivalent, so it survives: at a box gap equal to the reach, the exact "
+     "segment distance is at least the gap, so the exact test's "
+     "``< reach - EPS`` is false either way"),
     ("schedule_level_ends_empty", "src/mrplan/closure.py",
      "if j == len(open_):\n",
      "if j == len(open_):\n"

@@ -104,21 +104,14 @@ def test_grounded_multi_step_skeleton_validates():
 
 
 def test_find_placements_joint_consistency_pigeonhole():
-    # region_a holds one disc but never two: centers would need to be 0.1
-    # apart inside a 0.2-wide admissible square minus reach filtering
-    scene = load_scene(scenario("parallel_goals"))
-    a1 = act("M1", "region_a", "R1")
-    a2 = act("M2", "region_a", "R1")
-    rng = random.Random(0)
-    one = find_placements([a1], [], scene, rng)
-    assert one is not None
-    both = find_placements([a1, a2], [(scene.movables["M1"].shape, one["M1"])],
-                           scene, rng)
-    # M1's chosen pose is forbidden ground for M2-and-M1 retry; joint samples
-    # must still avoid each other
-    if both is not None:
-        d = math.hypot(both["M1"].x - both["M2"].x, both["M1"].y - both["M2"].y)
-        assert d >= 0.1 - 1e-9
+    # A radius-0.3 disc in the unit box must centre in [0.3, 0.7]^2, whose
+    # diagonal, 0.57, is shorter than the 0.6 two such discs need between
+    # their centres: one fits at every seed, two at none.
+    scene = box_scene(0.3, movables=("M1", "M2"))
+    a1, a2 = act("M1", "box"), act("M2", "box")
+    for seed in range(20):
+        assert find_placements([a1], [], scene, random.Random(seed)) is not None
+        assert find_placements([a1, a2], [], scene, random.Random(seed)) is None
 
 
 def box_scene(radius, robots=(("R1", (0.0, 0.0), 0.0, 2.0),), movables=("M1",)):
