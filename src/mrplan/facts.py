@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 
-from .geometry import Pose, Rect, collides_any
+from .geometry import Rect, collides_any
 from .motion import carry_sweep, gripper_sweep, sweep_clear
 from .scene import Scene
 
@@ -146,13 +146,6 @@ def _grid(rect: Rect, inset: float) -> list[tuple[float, float]]:
     mid = n // 2
     del points[mid * n + mid]
     return [rect.center] + points
-
-
-def place_candidates(scene: Scene, region_name: str, obj: str) -> list[Pose]:
-    """Candidate placement poses for ``obj`` in the region, in the order
-    ``compute_facts`` tests them."""
-    return [Pose(x, y) for x, y in
-            _grid(scene.regions[region_name], scene.movables[obj].shape.circumradius)]
 
 
 def compute_facts(scene: Scene) -> FactSet:

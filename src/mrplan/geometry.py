@@ -13,8 +13,10 @@ A corridor-corridor pair whose segments' axis-aligned boxes lie at least
 the two half widths apart along x or y is rejected without
 ``segment_segment_distance``. The reject is exact: the box gap is a lower
 bound on the segments' distance, and the rounding of either side (a few
-ulps of the coordinates, ~1e-13 m at 1 000 m) is far below the EPS that
-the exact test subtracts. Every one-against-many test in the package goes
+ulps of the coordinates, ~2e-12 m at the 1e4 m the scene schema allows)
+is far below the EPS that the exact test subtracts. The bound also keeps
+a squared length finite: past ~1e154 m it is inf, every distance NaN and
+every collision test false. Every one-against-many test in the package goes
 through the kernel; ``collides(a, b)`` is its one-volume case, so each
 pair test has one definition.
 """

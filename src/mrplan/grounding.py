@@ -105,7 +105,6 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
 
     ``obstacles`` are (shape, pose) volumes every corridor must avoid (the
     fixed obstacles plus the movables protected at their initial poses).
-    Objects move at most once, so each is picked at its start pose.
     Same-step corridors of distinct robots must be mutually clear, except
     around a shared handover point. Only the sweeps an action's whole grasp
     class shares are tested, by ``motion.sweep_clear`` with ``obstacles``,
@@ -119,8 +118,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
     actions = sorted(actions)
     layouts = []  # per action: grasp -> its moves, each built on first use
     for action in actions:
-        moves = build_moves(scene, action, scene.movables[action.obj].pose,
-                            placements[action.obj])
+        moves = build_moves(scene, action, placements[action.obj])
         pick = action.pick_robot
         if not all(sweep_clear(scene, r, cor, obstacles) for r, mv in moves.items()
                    for cor in ((mv.place_traj.corridor,) if r == pick else mv.all_corridors())):
@@ -130,8 +128,7 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
         moves = {}
         for a, g, built in zip(actions, combo, layouts):
             if g not in built:
-                built[g] = build_moves(scene, a.replace(grasp_pick=g),
-                                       scene.movables[a.obj].pose, placements[a.obj])
+                built[g] = build_moves(scene, a.replace(grasp_pick=g), placements[a.obj])
             moves.update(built[g])
         if not any(robot_clashes(scene, moves)):
             return moves
@@ -155,17 +152,17 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
 
     The skeleton's actions come from the scene's task graph, which
     guarantees reach: each grasp comes from a ``reachable_pick`` fact at the
-    object's start pose, where grounding picks it, and each handover from an
-    ``enable_goal_handover`` fact, which needs both robots to reach the
-    handover point. ``find_placements`` keeps placements in the place
-    robot's reach. So grounding tests only collisions; the validator
+    object's start pose, where ``motion.build_moves`` picks it, and each
+    handover from an ``enable_goal_handover`` fact, which needs both robots
+    to reach the handover point. ``find_placements`` keeps placements in the
+    place robot's reach. So grounding tests only collisions; the validator
     re-checks reach on every returned plan.
     """
     m_fut = moved_objects(future)
     if skeleton.moved_objects & m_fut:
         raise ValueError("skeleton re-moves an object already moved later")
     v_fut = volumes_of(future)
-    m_out = set(scene.movables) - m_fut - set(skeleton.moved_objects)
+    m_out = set(scene.movables) - m_fut - skeleton.moved_objects
     grounded = list(future)
 
     def obstacle_poses(names):

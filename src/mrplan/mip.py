@@ -118,12 +118,17 @@ class MipModel:
 
 class TaskSkeleton(Record):
     """Per step, each robot that acts -> its action; a handover maps both of
-    its robots to it, and a robot that waits is absent."""
-    __slots__ = ("steps", "moved_objects")
+    its robots to it, and a robot that waits is absent. ``moved_objects``,
+    the objects the steps move, is derived from them in ``__init__``."""
+    __slots__ = ("steps", "_moved_objects")
 
-    def __init__(self, steps: tuple, moved_objects: frozenset):
+    def __init__(self, steps: tuple):
         self.steps = steps  # tuple of dict robot -> action
-        self.moved_objects = moved_objects
+        self._moved_objects = frozenset(a.obj for step in steps for a in step.values())
+
+    @property
+    def moved_objects(self) -> frozenset:
+        return self._moved_objects
 
     @property
     def makespan(self) -> int:
@@ -259,8 +264,7 @@ def extract_skeleton(steps: dict, model: MipModel) -> TaskSkeleton:
     for i, step in steps.items():
         for r in actions[i].robots:
             by_step[step - 1][r] = actions[i]
-    return TaskSkeleton(steps=tuple(by_step),
-                        moved_objects=frozenset(actions[i].obj for i in steps))
+    return TaskSkeleton(steps=tuple(by_step))
 
 
 def longest_horizon(graph: CMTG, T_max: int) -> int:
@@ -270,10 +274,10 @@ def longest_horizon(graph: CMTG, T_max: int) -> int:
     return min(T_max, sum(1 for acts in graph.acts if acts))
 
 
-def enumerate_skeletons(graph: CMTG, T_max: int = 4, K_max: int = 10,
-                        budget: int = DEFAULT_NODE_BUDGET,
+def enumerate_skeletons(graph: CMTG, T_max: int, K_max: int, budget: int,
                         deadline: float | None = None) -> list[TaskSkeleton]:
-    """Up to ``K_max`` distinct task skeletons, by increasing horizon.
+    """Up to ``K_max`` distinct task skeletons, by increasing horizon up to
+    ``T_max``; the search passes its ``PlannerConfig``'s limits.
 
     Each solve's action selection is cut from all later solves, so no two
     skeletons select the same actions. Every horizon's model lists the

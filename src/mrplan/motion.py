@@ -60,11 +60,13 @@ def sweep_clear(scene: Scene, robot: str, cor: Corridor, obstacles) -> bool:
     return not (collides_any(cor, obstacles) or bases_crossed(scene, robot, cor))
 
 
-def build_moves(scene: Scene, action: PartiallyGroundedAction, obj_pose: Pose,
+def build_moves(scene: Scene, action: PartiallyGroundedAction,
                 placement: Pose) -> dict[str, RobotMove]:
-    """Grounded per-robot moves for one action: trajectories with corridors."""
+    """Grounded per-robot moves for one action: trajectories with corridors.
+    An object moves at most once, so it is picked at its start pose."""
     pick, obj = action.pick_robot, action.obj
-    gp = scene.grasp_point(obj, action.grasp_pick, pose=obj_pose)
+    obj_pose = scene.movables[obj].pose
+    gp = scene.grasp_point(obj, action.grasp_pick)
     pick_traj = Trajectory(waypoints=(Pose(*scene.robots[pick].base), Pose(*gp)),
                            corridor=gripper_sweep(scene, pick, gp))
     if not action.is_handover:

@@ -104,6 +104,22 @@ MUTANTS = [
      "because deferring the last open action needs count[t - 1] or a later "
      "open action, and fixing it at step t - 1 fills that step; that is why "
      "the check is gone from closure.Search.schedule"),
+    ("skeleton_moved_first_step", "src/mrplan/mip.py",
+     "frozenset(a.obj for step in steps for a in step.values())",
+     "frozenset(a.obj for step in steps[:1] for a in step.values())",
+     "a moved set read off the first step alone undercounts every skeleton "
+     "of more than one step, so the search's prior and grounding's protected "
+     "objects go wrong; killed by test_selection_and_reward_formulas_exact"),
+    ("build_moves_picks_at_placement", "src/mrplan/motion.py",
+     "obj_pose = scene.movables[obj].pose\n"
+     "    gp = scene.grasp_point(obj, action.grasp_pick)\n",
+     "obj_pose = placement\n"
+     "    gp = scene.grasp_point(obj, action.grasp_pick, pose=placement)\n",
+     "an object moves at most once, so a move that picks it at its placement "
+     "and not at its start pose runs every pick and carry from the wrong "
+     "place, which the validator refuses; killed first in the collection of "
+     "tests/test_schemas.py, which plans the documents it checks, and also by "
+     "test_all_returned_plans_validate_across_suite_and_seeds"),
 ]
 
 # the row check would fail on every mutated copy, whose old text is gone

@@ -85,7 +85,6 @@ def decode_skeleton(vector, model) -> TaskSkeleton:
     schedule: monotone indicators, no robot twice in a step, no empty step."""
     T = model.T
     steps: list[dict] = [{} for _ in range(T)]
-    moved = set()
     for i, a in enumerate(model.graph.action_nodes):
         col = [vector[model.var(t, i)] for t in range(1, T + 1)]
         assert all(col[t] >= col[t + 1] for t in range(T - 1)), \
@@ -97,9 +96,8 @@ def decode_skeleton(vector, model) -> TaskSkeleton:
         for r in a.robots:
             assert r not in step, f"robot {r} assigned twice at step {k}"
             step[r] = a
-        moved.add(a.obj)
     assert all(steps), "solution leaves an empty step"
-    return TaskSkeleton(steps=tuple(steps), moved_objects=frozenset(moved))
+    return TaskSkeleton(steps=tuple(steps))
 
 
 def rows_satisfied(model, vector) -> bool:

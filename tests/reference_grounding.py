@@ -19,13 +19,12 @@ from mrplan.scene import Scene
 def find_trajectories(actions, placements, obstacles, scene: Scene):
     options = []  # per action: the moves of each grasp clear on its own
     for action in sorted(actions):
-        obj_pose = scene.movables[action.obj].pose
         placement = placements[action.obj]
         clear = []
         for g in action.grasps or (action.grasp_pick,):
             a = (action if g == action.grasp_pick
                  else action.replace(grasp_pick=g))
-            moves = build_moves(scene, a, obj_pose, placement)
+            moves = build_moves(scene, a, placement)
             if all(sweep_clear(scene, r, cor, obstacles)
                    for r, mv in moves.items() for cor in mv.all_corridors()):
                 clear.append(moves)

@@ -133,11 +133,12 @@ def test_all_returned_plans_validate_across_suite_and_seeds():
 # 5. selection and reward arithmetic ----------------------------------------
 
 
-def sk(objs, makespan=1):
-    a = PartiallyGroundedAction(obj=objs[0], region="re", pick_robot="R1",
-                                place_robot="R1", grasp_pick=0.0)
-    return TaskSkeleton(steps=tuple({"R1": a} for _ in range(makespan)),
-                        moved_objects=frozenset(objs))
+def sk(objs):
+    """A skeleton in which R1 moves ``objs`` in turn, one per step."""
+    return TaskSkeleton(steps=tuple(
+        {"R1": PartiallyGroundedAction(obj=o, region="re", pick_robot="R1",
+                                       place_robot="R1", grasp_pick=0.0)}
+        for o in objs))
 
 
 class _Step:
@@ -163,7 +164,7 @@ def test_selection_and_reward_formulas_exact():
     assert abs(reward(full, None, 1.0) - (1.0 + 1.0 / 3.0)) < 1e-12
     partial = Partial(steps=(_Step({"M1"}), _Step({"M2"})),
                       conflicts=frozenset({"M4"}))
-    got = reward(partial, [sk(["M4"], makespan=1)], 0.5)
+    got = reward(partial, [sk(["M4"])], 0.5)
     assert abs(got - (2.0 / 3.0 + 0.5 / 3.0)) < 1e-12
     assert reward(partial, [], 1.0) == 0.0
 
@@ -192,7 +193,7 @@ def test_partial_grounding_reports_verified_conflicts_and_search_resolves():
     scene = load_scene(scenario("conflict_partial"))
     a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
                                 place_robot="R1", grasp_pick=0.0)
-    skel = TaskSkeleton(steps=({"R1": a},), moved_objects=frozenset({"M1"}))
+    skel = TaskSkeleton(steps=({"R1": a},))
     outcome = ground(skel, (), scene, random.Random(0))
     assert isinstance(outcome, Partial)
 

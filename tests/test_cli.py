@@ -343,6 +343,21 @@ def empty_reach_and_bad_handover_key(doc):
     doc["handover_points"] = {"R1|R9": [0.8, 0.0]}
 
 
+# a scene whose squared corridor lengths overflow to inf: the pick sweep from
+# R1's base to M1 runs through the fixed disc at (1e154, 0)
+HUGE_SCENE = {
+    "regions": [{"name": "start", "rect": [1.5e154, -1.0, 2.5e154, 1.0]},
+                {"name": "goal", "rect": [-2.5e154, -1.0, -1.5e154, 1.0]}],
+    "fixed": [{"shape": {"type": "disc", "radius": 0.5}, "pose": {"x": x, "y": 0.0}}
+              for x in (1e154, -1e154)],
+    "movables": [{"name": "M1", "shape": {"type": "disc", "radius": 0.05},
+                  "pose": {"x": 2e154, "y": 0.0}, "home_region": "start"}],
+    "robots": [{"name": "R1", "base": [0.0, 0.0], "reach_min": 0.0,
+                "reach_max": 3e154, "gripper_width": 0.1}],
+    "grasp_count": 1,
+    "goal": [["M1", "goal"]],
+}
+
 # (scene, the document edited, the edit, the whole error line after "error: ")
 REFUSALS = [
     ("pick_chain", "scene", lambda d: d["regions"][1].update(rect=[1.9, 0.5, 1.5, 0.9]),
@@ -366,6 +381,11 @@ REFUSALS = [
     # one grasp per 0.1 degree; a larger count would build a table that size
     ("unobstructed", "scene", lambda d: d.update(grasp_count=3601),
      "scene schema error at grasp_count: 3601 is greater than the maximum of 3600"),
+    # every coordinate and length is bounded at 1e4 m
+    ("unobstructed", "scene", lambda d: json.dumps(HUGE_SCENE),
+     "scene schema error at regions/0/rect/0: 1.5e+154 is greater than the maximum of 10000"),
+    ("unobstructed", "scene", lambda d: d["robots"][0].update(reach_max=10000.5),
+     "scene schema error at robots/0/reach_max: 10000.5 is greater than the maximum of 10000"),
     ("unobstructed", "plan", lambda d: json.dumps(d)[:-1],
      "plan parse error at line 1: Expecting ',' delimiter"),
     ("unobstructed", "plan", repeat_a_robot_key, "plan parse error: duplicate key 'robot'"),
@@ -388,7 +408,7 @@ REFUSALS = [
 @pytest.mark.parametrize("name, kind, edit, message", REFUSALS, ids=[
     "region_inverted", "reach_empty", "reach_before_handover_key", "home_region", "on_fixed",
     "goal_region", "handover_robot", "handover_key_repeated", "scene_nested",
-    "grasp_count_above_maximum", "plan_syntax", "robot_key_repeated", "plan_nested",
+    "grasp_count_above_maximum", "coordinates_beyond_1e4", "reach_beyond_1e4", "plan_syntax", "robot_key_repeated", "plan_nested",
     "makespan", "motion_cost", "unknown_object", "pick_robot", "not_part"])
 def test_an_input_refusal_exits_1_with_its_one_error_line(
         tmp_path, capsys, name, kind, edit, message):

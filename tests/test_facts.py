@@ -7,7 +7,7 @@ import random
 import pytest
 
 import oracle_facts
-from mrplan.facts import compute_facts, place_candidates
+from mrplan.facts import _grid, compute_facts
 from mrplan.geometry import Corridor, Disc, Pose, Rectangle, collides
 from mrplan.motion import build_moves
 from mrplan.plans import PartiallyGroundedAction
@@ -20,6 +20,11 @@ from conftest import EXTRA, SCENARIOS, scenario
 
 
 SHIPPED = sorted(SCENARIOS.glob("*.json")) + sorted(EXTRA.glob("*.json"))
+
+
+def grid(scene, re, obj):
+    """The candidate points the place facts test for ``obj`` in ``re``."""
+    return _grid(scene.regions[re], scene.movables[obj].shape.circumradius)
 
 
 def action(obj, region, pick_robot, place_robot=None, g=0.0):
@@ -104,8 +109,7 @@ def test_pick_occluders_certified_by_pick_corridors():
         assert facts.reachable_pick
         for obj, g, r in facts.reachable_pick:
             pose = scene.movables[obj].pose
-            moves = build_moves(scene, action(obj, scene.target_region_of(obj), r, g=g),
-                                pose, pose)
+            moves = build_moves(scene, action(obj, scene.target_region_of(obj), r, g=g), pose)
             cor = moves[r].pick_traj.corridor
             recorded = {m1 for (m1, m2, g2, r2) in facts.occludes_pick
                         if (m2, g2, r2) == (obj, g, r)}
@@ -137,17 +141,17 @@ def test_place_and_handover_facts_do_not_depend_on_grasp_count():
 
 def test_place_candidates_grid():
     scene = load_scene(scenario("unobstructed"))
-    cands = place_candidates(scene, "goal_zone", "M1")
+    cands = grid(scene, "goal_zone", "M1")
     # center first, then a 5x5 grid inset by the object radius without its
     # middle point, which is the center up to rounding: no point is repeated
-    assert cands[0].xy == pytest.approx((0.25, 0.55))
+    assert cands[0] == pytest.approx((0.25, 0.55))
     assert len(cands) == 25
-    assert min(math.dist(p.xy, q.xy) for i, p in enumerate(cands)
+    assert min(math.dist(p, q) for i, p in enumerate(cands)
                for q in cands[i + 1:]) > 0.01
     rect = scene.regions["goal_zone"]
-    for p in cands:
-        assert rect.xmin + 0.05 <= p.x <= rect.xmax - 0.05
-        assert rect.ymin + 0.05 <= p.y <= rect.ymax - 0.05
+    for x, y in cands:
+        assert rect.xmin + 0.05 <= x <= rect.xmax - 0.05
+        assert rect.ymin + 0.05 <= y <= rect.ymax - 0.05
 
 
 def test_place_candidates_empty_when_object_too_large():
@@ -161,7 +165,7 @@ def test_place_candidates_empty_when_object_too_large():
         "goal": [["M1", "slot"]],
     }
     scene = loads_scene(json.dumps(doc))
-    assert place_candidates(scene, "slot", "M1") == []
+    assert grid(scene, "slot", "M1") == []
 
 
 def test_facts_deterministic_and_serializable():
@@ -183,8 +187,8 @@ def assert_matches_oracle(scene):
     assert compute_facts(scene).dumps() == oracle_facts.compute_facts(scene).dumps()
     for re in scene.regions:
         for obj in scene.movables:
-            assert (place_candidates(scene, re, obj)
-                    == oracle_facts.place_candidates(scene, re, obj))
+            assert (grid(scene, re, obj)
+                    == [p.xy for p in oracle_facts.place_candidates(scene, re, obj)])
 
 
 @pytest.mark.parametrize("grasp_count", [1, 3, 8])
@@ -311,9 +315,10 @@ def test_goal_place_without_a_clear_candidate_keeps_the_fewest_occluders():
     scene = loads_scene(json.dumps(doc))
     assert_matches_oracle(scene)
     shape = scene.movables["M1"].shape
+    cands = [Pose(*xy) for xy in grid(scene, "nook", "M1")]
     hits = [scene.movables_hit([scene_sweep(scene, "R1", "M1", p), (shape, p)],
                                exclude=("M1",))
-            for p in place_candidates(scene, "nook", "M1")]
+            for p in cands]
     assert hits[:3] == [["B", "C"], ["B", "C"], ["B"]]
     assert compute_facts(scene).occludes_goal_place == {("B", "M1", "nook", "R1")}
 
@@ -343,7 +348,7 @@ def test_goal_place_ties_go_to_the_earliest_candidate_the_centre():
     scene = loads_scene(json.dumps(doc))
     assert_matches_oracle(scene)
     shape = scene.movables["M1"].shape
-    cands = place_candidates(scene, "shelf", "M1")
+    cands = [Pose(*xy) for xy in grid(scene, "shelf", "M1")]
     hits = [scene.movables_hit([scene_sweep(scene, "R1", "M1", p), (shape, p)],
                                exclude=("M1",))
             for p in cands]

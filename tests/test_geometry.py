@@ -98,6 +98,17 @@ def test_pick_corridor_contains_midpoint_obstacle():
     assert mc_overlap(cor, obstacle, random.Random(2))
 
 
+@pytest.mark.parametrize("x", [-9999.0, 0.0, 5000.0, 9999.5])
+def test_a_corridor_as_long_as_the_scene_bounds_allow_hits_a_disc_on_its_axis(x):
+    # the scene schema bounds every coordinate at 1e4 m: the squared length
+    # of a corridor across the whole range stays finite, and the boundary
+    # still resolves to well under a micrometre
+    cor = Corridor((-1e4, 0.0), (1e4, 0.0), 0.1)
+    assert collides(cor, (Disc(0.5), Pose(x, 0.0)))
+    assert collides(cor, (Disc(0.5), Pose(x, 0.55 - 1e-6)))
+    assert not collides(cor, (Disc(0.5), Pose(x, 0.55 + 1e-6)))
+
+
 def test_corridor_trimmed():
     cor = Corridor((0, 0), (1, 0), 0.2)
     t = cor.trimmed((1, 0), 0.3)

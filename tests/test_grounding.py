@@ -29,16 +29,8 @@ def act(obj, region, pick_robot="R1", place_robot=None):
 
 
 def skeleton(*steps):
-    moved = set()
-    out = []
-    for actions in steps:
-        robots = {}
-        for a in actions:
-            for r in a.robots:
-                robots[r] = a
-            moved.add(a.obj)
-        out.append(robots)
-    return TaskSkeleton(steps=tuple(out), moved_objects=frozenset(moved))
+    return TaskSkeleton(steps=tuple({r: a for a in actions for r in a.robots}
+                                    for actions in steps))
 
 
 def test_full_grounding_of_single_step_skeleton():
@@ -267,10 +259,9 @@ def test_task_graph_actions_are_in_reach_where_grounding_executes_them():
             scene = loads_scene(json.dumps({**doc, "grasp_count": grasp_count}))
             graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
             for a in graph.action_nodes:
-                start = scene.movables[a.obj].pose
                 assert a.grasps, (path.name, a)
                 for g in a.grasps:
-                    gp = scene.grasp_point(a.obj, g, pose=start)
+                    gp = scene.grasp_point(a.obj, g)
                     assert scene.robots[a.pick_robot].in_reach(gp), (path.name, a, g)
                 if a.is_handover:
                     h = scene.handover_point(a.pick_robot, a.place_robot)
@@ -290,10 +281,8 @@ def test_no_obstacle_lies_on_a_task_graph_pick_sweep_in_a_plan(source, monkeypat
 
     def checked(actions, placements, obstacles, scene):
         for a in actions:
-            pose = scene.movables[a.obj].pose
             for g in a.grasps:
-                moves = build_moves(scene, a.replace(grasp_pick=g),
-                                    pose, placements[a.obj])
+                moves = build_moves(scene, a.replace(grasp_pick=g), placements[a.obj])
                 sweep = moves[a.pick_robot].pick_traj.corridor
                 assert sweep_clear(scene, a.pick_robot, sweep, obstacles), (
                     name, a, g)
@@ -336,6 +325,6 @@ def test_find_trajectories_rejects_a_shared_sweep_over_another_robots_base():
             (act("M1", "work", "R1", "R2"), "R2", Pose(1.0, 0.5), Pose(1.0, -0.5))):
         assert find_trajectories([action], {"M1": clear}, [], scene) is not None, action
         assert find_trajectories([action], {"M1": over_r3}, [], scene) is None, action
-        moves = build_moves(scene, action, scene.movables["M1"].pose, over_r3)
+        moves = build_moves(scene, action, over_r3)
         sweep = moves[mover].place_traj.corridor
         assert bases_crossed(scene, mover, sweep) == ["R3"], action

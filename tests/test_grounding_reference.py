@@ -50,8 +50,7 @@ def pebbles(scene, step, placements):
     but the pick robot's gripper sweep. Each one blocks the whole class."""
     out = []
     for action in step:
-        obj_pose = scene.movables[action.obj].pose
-        moves = build_moves(scene, action, obj_pose, placements[action.obj])
+        moves = build_moves(scene, action, placements[action.obj])
         for r, mv in moves.items():
             shared = ((mv.place_traj.corridor,) if r == action.pick_robot
                       else mv.all_corridors())
@@ -124,8 +123,7 @@ def test_the_first_clear_combination_in_product_order_wins():
     def moves(g1, g2):
         out = {}
         for a, g in zip(step, (g1, g2)):
-            out.update(build_moves(scene, a.replace(grasp_pick=g),
-                                   scene.movables[a.obj].pose, placements[a.obj]))
+            out.update(build_moves(scene, a.replace(grasp_pick=g), placements[a.obj]))
         return out
 
     assert [not any(robot_clashes(scene, moves(g1, g2)))
@@ -145,10 +143,9 @@ def test_the_grasps_of_a_class_differ_only_in_the_pick_sweep(grasp_count):
         for action in graph.action_nodes:
             obj_pose = scene.movables[action.obj].pose
             placement = Pose(obj_pose.x + 0.3, obj_pose.y - 0.2)
-            rep = build_moves(scene, action, obj_pose, placement)
+            rep = build_moves(scene, action, placement)
             for g in action.grasps:
-                moves = build_moves(scene, action.replace(grasp_pick=g),
-                                    obj_pose, placement)
+                moves = build_moves(scene, action.replace(grasp_pick=g), placement)
                 assert moves.keys() == rep.keys()
                 for r, mv in moves.items():
                     assert mv.place_traj == rep[r].place_traj, (path.name, action, g)

@@ -162,15 +162,15 @@ def test_budget_zero_raises():
 def test_enumerate_skeletons_ordering_and_dedup():
     g = small_graph([act("M1"), act("M2"), act("M3")], ["M1"],
                    pick_blocks=[("M1", "M2"), ("M2", "M3")])
-    sks = enumerate_skeletons(g)
+    sks = enumerate_skeletons(g, 4, 10, mip.DEFAULT_NODE_BUDGET)
     assert sks, "chain should be solvable at T=3"
     first = sks[0]
     assert first.makespan == 3
     assert [s["R1"].obj for s in first.steps] == ["M3", "M2", "M1"]
     selections = [frozenset(a for step in sk.steps for a in step.values()) for sk in sks]
     assert len(selections) == len(set(selections))
-    assert enumerate_skeletons(make_graph((), {})) == []
-    assert enumerate_skeletons(g, K_max=1) == sks[:1]
+    assert enumerate_skeletons(make_graph((), {}), 4, 10, mip.DEFAULT_NODE_BUDGET) == []
+    assert enumerate_skeletons(g, 4, 1, mip.DEFAULT_NODE_BUDGET) == sks[:1]
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),
@@ -182,7 +182,7 @@ def test_enumeration_stops_at_the_number_of_objects_with_an_action(path, monkeyp
     scene = loads_scene(path.read_text())
     graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
     cap = sum(1 for acts in graph.acts if acts)
-    expected = enumerate_skeletons(graph, T_max=cap)
+    expected = enumerate_skeletons(graph, cap, 10, mip.DEFAULT_NODE_BUDGET)
     calls = []
     solve = mip.solve
 
@@ -192,7 +192,7 @@ def test_enumeration_stops_at_the_number_of_objects_with_an_action(path, monkeyp
         return solve(model, budget)
 
     monkeypatch.setattr(mip, "solve", counted_solve)
-    assert enumerate_skeletons(graph, T_max=10**9) == expected
+    assert enumerate_skeletons(graph, 10**9, 10, mip.DEFAULT_NODE_BUDGET) == expected
 
 
 def scene_graph(path, grasp_count=None):
@@ -226,7 +226,7 @@ def test_enumeration_resumes_one_search_per_horizon(searches):
         graph = scene_graph(path)
         horizons = min(4, sum(1 for acts in graph.acts if acts))
         searches.clear()
-        enumerate_skeletons(graph, T_max=4, K_max=10**6)
+        enumerate_skeletons(graph, 4, 10**6, mip.DEFAULT_NODE_BUDGET)
         assert [s.T for s in searches] == list(range(1, horizons + 1)), path.stem
         resumed = sum(s.nodes for s in searches)
         searches.clear()
@@ -315,7 +315,7 @@ def assert_cheapest_first(sks):
 def test_scene_skeletons_map_each_robot_to_an_action_it_runs(path):
     scene = loads_scene(path.read_text())
     graph = build_cmtg(scene.goal_objects(), compute_facts(scene), scene)
-    sks = enumerate_skeletons(graph)
+    sks = enumerate_skeletons(graph, 4, 10, mip.DEFAULT_NODE_BUDGET)
     for sk in sks:
         assert_steps_map_acting_robots(sk)
     assert_cheapest_first(sks)
@@ -326,7 +326,7 @@ def test_random_skeletons_map_each_robot_to_an_action_it_runs():
     checked = 0
     for _ in range(40):
         graph = random_cmtg(rng, 5, 7, robots=("A", "B", "C"))
-        sks = enumerate_skeletons(graph, T_max=3)
+        sks = enumerate_skeletons(graph, 3, 10, mip.DEFAULT_NODE_BUDGET)
         for sk in sks:
             assert_steps_map_acting_robots(sk)
             checked += 1
@@ -338,7 +338,7 @@ def test_enumerate_respects_increasing_horizon():
     a1 = act("M1", robot="R1")
     a1b = act("M1", robot="R2")
     g = small_graph([a1, a1b], ["M1"])
-    sks = enumerate_skeletons(g)
+    sks = enumerate_skeletons(g, 4, 10, mip.DEFAULT_NODE_BUDGET)
     assert len(sks) == 2
     assert all(sk.makespan == 1 for sk in sks)
     assert {frozenset(sk.steps[0].values()) for sk in sks} == {frozenset({a1}),

@@ -23,11 +23,12 @@ TRACE_RE = re.compile(
     r"( children=\d+)?$")
 
 
-def sk_for(objs, makespan=1):
-    a = PartiallyGroundedAction(obj=objs[0], region="re", pick_robot="R1",
-                                place_robot="R1", grasp_pick=0.0)
-    steps = tuple({"R1": a} for _ in range(makespan))
-    return TaskSkeleton(steps=steps, moved_objects=frozenset(objs))
+def sk_for(objs):
+    """A skeleton in which R1 moves ``objs`` in turn, one per step."""
+    return TaskSkeleton(steps=tuple(
+        {"R1": PartiallyGroundedAction(obj=o, region="re", pick_robot="R1",
+                                       place_robot="R1", grasp_pick=0.0)}
+        for o in objs))
 
 
 def grounded_step(obj="M1"):
@@ -60,7 +61,7 @@ def test_reward_values():
     assert reward(partial, [sk_for(["M2"])], alpha=1.0) == pytest.approx(1.0)
     # the estimate reads the cheapest repair skeleton, the first that
     # enumerate_skeletons yields
-    assert reward(partial, [sk_for(["M2"]), sk_for(["M2", "M3"], makespan=2)],
+    assert reward(partial, [sk_for(["M2"]), sk_for(["M2", "M3"])],
                   alpha=1.0) == pytest.approx(1.0)
 
 

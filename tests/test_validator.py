@@ -20,9 +20,8 @@ def single_action(obj="M1", region="goal_zone", robot="R1"):
                                    place_robot=robot, grasp_pick=0.0)
 
 
-def step_for(scene, action, placement, obj_pose=None):
-    pose = obj_pose if obj_pose is not None else scene.movables[action.obj].pose
-    return GroundedJointAction(moves=build_moves(scene, action, pose, placement))
+def step_for(scene, action, placement):
+    return GroundedJointAction(moves=build_moves(scene, action, placement))
 
 
 def test_empty_plan_valid_when_goal_already_met():
@@ -57,7 +56,10 @@ def test_placement_outside_region_is_condition_ii():
 def test_object_moved_twice_is_monotonicity_violation():
     scene = load_scene(scenario("unobstructed"))
     s1 = step_for(scene, single_action(), Pose(0.25, 0.55))
-    s2 = step_for(scene, single_action(), Pose(0.3, 0.5), obj_pose=Pose(0.25, 0.55))
+    # the second move picks M1 where the first placed it, in goal_zone
+    moved = scene.replace(movables={**scene.movables, "M1": scene.movables["M1"].replace(
+        pose=Pose(0.25, 0.55), home_region="goal_zone")})
+    s2 = step_for(moved, single_action(), Pose(0.3, 0.5))
     report = validate_plan(scene, Plan(steps=(s1, s2)))
     assert report.condition_results()["monotonicity"] is False
 
@@ -101,8 +103,8 @@ def test_coincident_placements_are_condition_ii():
     a2 = PartiallyGroundedAction(obj="M2", region="region_a", pick_robot="R2",
                                  place_robot="R2", grasp_pick=0.0)
     target = Pose(0.25, -0.35)
-    moves = {**build_moves(scene, a1, scene.movables["M1"].pose, target),
-             **build_moves(scene, a2, scene.movables["M2"].pose, target)}
+    moves = {**build_moves(scene, a1, target),
+             **build_moves(scene, a2, target)}
     report = validate_plan(scene, Plan(steps=(GroundedJointAction(moves=moves),)))
     assert report.condition_results()["condition_ii"] is False
     assert any("overlap" in v.message for v in report.violations
@@ -122,7 +124,7 @@ def test_handover_step_passes_condition_iii():
 def handover_moves(scene):
     a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
                                 place_robot="R2", grasp_pick=0.0)
-    return build_moves(scene, a, scene.movables["M1"].pose, Pose(1.6, 0.7))
+    return build_moves(scene, a, Pose(1.6, 0.7))
 
 
 def test_handover_missing_partner_slot_is_structural_error():
@@ -174,8 +176,7 @@ def test_unknown_entity_references_are_structural_errors():
         validate_plan(scene, Plan(steps=(bad,)))
     a = PartiallyGroundedAction(obj="M1", region="nowhere", pick_robot="R1",
                                 place_robot="R1", grasp_pick=0.0)
-    bad_region = GroundedJointAction(moves=build_moves(
-        scene, a, scene.movables["M1"].pose, Pose(0.25, 0.55)))
+    bad_region = GroundedJointAction(moves=build_moves(scene, a, Pose(0.25, 0.55)))
     with pytest.raises(PlanError, match="unknown region"):
         validate_plan(scene, Plan(steps=(bad_region,)))
 
@@ -308,10 +309,8 @@ def test_crossing_corridors_of_two_robots_are_condition_i():
     # each robot reaches across the other's pick sweep to its object
     scene = scene_of({"M1": (0.7, 0.4), "M2": (0.3, 0.4)},
                      {"R1": (0.0, 0.0), "R2": (1.0, 0.0)})
-    moves = {**build_moves(scene, single_action("M1", "work", "R1"),
-                           scene.movables["M1"].pose, Pose(0.7, 0.7)),
-             **build_moves(scene, single_action("M2", "work", "R2"),
-                           scene.movables["M2"].pose, Pose(0.3, 0.7))}
+    moves = {**build_moves(scene, single_action("M1", "work", "R1"), Pose(0.7, 0.7)),
+             **build_moves(scene, single_action("M2", "work", "R2"), Pose(0.3, 0.7))}
     assert violations(scene, GroundedJointAction(moves=moves)) == [
         ("condition_i", "corridors of R1 and R2 collide")]
 
@@ -322,7 +321,7 @@ def test_handover_corridors_overlapping_away_from_the_handover_point_are_conditi
         handover_points={("R1", "R2"): (0.5, 0.0)})
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
                                      place_robot="R2", grasp_pick=math.pi)
-    moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(-0.1, 0.35))
+    moves = build_moves(scene, action, Pose(-0.1, 0.35))
     assert violations(scene, GroundedJointAction(moves=moves)) == [
         ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
                           "handover neighbourhood")]
@@ -339,7 +338,7 @@ def test_handover_corridors_overlapping_just_past_the_handover_radius_are_condit
                                      place_robot="R2", grasp_pick=math.pi)
     angle = math.radians(130)
     placement = Pose(0.5 + 0.4 * math.cos(angle), 0.4 * math.sin(angle))
-    moves = build_moves(scene, action, scene.movables["M1"].pose, placement)
+    moves = build_moves(scene, action, placement)
     assert list(robot_clashes(scene, moves)) == [("R1", "R2", True)]
     assert violations(scene, GroundedJointAction(moves=moves)) == [
         ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
@@ -359,7 +358,7 @@ def test_a_carry_meeting_the_receivers_reach_at_a_shallow_angle_is_condition_iii
     assert [r.gripper_width for r in scene.robots.values()] == [0.1, 0.1]
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
                                      place_robot="R2", grasp_pick=math.pi / 2)
-    moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(0.5, -0.4))
+    moves = build_moves(scene, action, Pose(0.5, -0.4))
     assert list(robot_clashes(scene, moves)) == [("R1", "R2", True)]
     assert violations(scene, GroundedJointAction(moves=moves)) == [
         ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
@@ -381,7 +380,7 @@ def test_the_handover_neighbourhood_is_as_wide_as_the_wider_gripper():
                                      place_robot="R2", grasp_pick=math.pi)
     angle = math.radians(100)
     placement = Pose(0.5 + 0.5 * math.cos(angle), 0.5 * math.sin(angle))
-    moves = build_moves(scene, action, scene.movables["M1"].pose, placement)
+    moves = build_moves(scene, action, placement)
     assert list(robot_clashes(scene, moves)) == []
     assert violations(scene, GroundedJointAction(moves=moves)) == []
 
@@ -429,5 +428,5 @@ def test_a_leg_that_ends_out_of_reach_names_its_robot(obj_at, placement, handove
     if handover_point is not None:
         scene = scene.replace(handover_points={("R1", "R2"): handover_point})
         action = action.replace(place_robot="R2")
-    moves = build_moves(scene, action, scene.movables["M1"].pose, Pose(*placement))
+    moves = build_moves(scene, action, Pose(*placement))
     assert violations(scene, GroundedJointAction(moves=moves)) == [fault]
