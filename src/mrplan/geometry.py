@@ -13,7 +13,7 @@ A corridor-corridor pair whose segments' axis-aligned boxes lie at least
 the two half widths apart along x or y is rejected without
 ``segment_segment_distance``. The reject is exact: the box gap is a lower
 bound on the segments' distance, and the rounding of either side (a few
-ulps of the coordinates, ~2e-12 m at the 1e4 m the scene schema allows)
+ulps of the coordinates, ~2e-12 m at the 1e4 m that ``scene.LIMIT`` allows)
 is far below the EPS that the exact test subtracts. The bound also keeps
 a squared length finite: past ~1e154 m it is inf, every distance NaN and
 every collision test false. Every one-against-many test in the package goes
@@ -61,8 +61,6 @@ class Disc(Record):
     __slots__ = ("radius",)
 
     def __init__(self, radius: float):
-        if radius <= 0.0:
-            raise ValueError("disc radius must be positive")
         self.radius = radius
 
     @property
@@ -74,8 +72,6 @@ class Rectangle(Record):
     __slots__ = ("half_w", "half_h")
 
     def __init__(self, half_w: float, half_h: float):
-        if half_w <= 0.0 or half_h <= 0.0:
-            raise ValueError("rectangle extents must be positive")
         self.half_w = half_w
         self.half_h = half_h
 
@@ -92,8 +88,6 @@ class Rect(Record):
     __slots__ = ("xmin", "ymin", "xmax", "ymax")
 
     def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float):
-        if xmax <= xmin or ymax <= ymin:
-            raise ValueError("rectangle must have positive area")
         self.xmin = xmin
         self.ymin = ymin
         self.xmax = xmax

@@ -5,17 +5,21 @@ A rule with one user lives with that user: placements are drawn by
 ``grounding.find_placements``, and the handover neighbourhood is
 ``motion.trim_for_handover``'s.
 
-Scene documents are JSON; their format is ``schemas/scene.schema.json``.
-``mrplan.schemas.load`` reads them, refusing a number that is not finite
-and an object that repeats a key.
-``loads_scene`` also refuses a scene in which two regions, movables or
-robots share a name, a ``handover_points`` key that is not two
-comma-separated robot names or that repeats a pair, and a goal that lists
-an object more than once; any ``Scene`` refuses a handover pair of one
-robot or one listed in both orders. A ``Scene`` knows each region, movable
-and robot by its dict key, and a region is its ``Rect``. Its goal maps
-each goal object to its goal region, and ``unmet_goals`` is the one list
-of the goal objects a plan must move.
+``Scene.__init__``, and so ``replace``, is the one gate for a scene's
+values, whether a document or code built it; the constructors of its
+parts check nothing. It refuses a number that is not finite, a coordinate
+or length beyond ``LIMIT``, a length that is not positive and an empty
+reach or region, then a scene that breaks a world invariant, naming the
+first faulty part. A scene knows each region, movable and robot by its
+dict key; its goal maps each goal object to its goal region, and
+``unmet_goals`` lists the goal objects a plan must move.
+
+Scene documents are JSON (``schemas/scene.schema.json``, bounded by
+``LIMIT``); ``mrplan.schemas.load`` refuses a number that is not finite
+and a repeated key. ``loads_scene`` refuses only what its dicts cannot
+carry: a name that two regions, movables or robots share, before the
+``Scene``'s checks; after them, a malformed or repeated ``handover_points``
+key and a goal that lists an object twice.
 
 A ``Scene`` derives its constant tables once, in ``__init__``: its robots
 in name order, its movables in name order with their start volumes, its
@@ -24,10 +28,7 @@ other pair hands over. ``robots_by_name``, ``grasp_angles``,
 ``handover_pairs`` and ``movables_hit`` read the tables. ``grasp_point``
 and ``transfer_width`` compute their one formula each time the fact phase,
 grounding or the validator reads them, so a movable costs no table entry
-per grasp or per robot. At load, two movables overlap only if their boxes
-(centre plus and minus circumradius) do, so ``_check_invariants`` sorts the
-movables' boxes along the wider axis and sweeps them: only pairs whose
-boxes meet get the exact ``collides`` test.
+per grasp or per robot.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .geometry import (Disc, Pose, Rect, Rectangle, Shape, collides, collides_an
 from .record import Record
 
 DEFAULT_GRASP_COUNT = 8
+LIMIT = 1e4  # metres: the bound on every scene coordinate and length
 
 
 class SceneError(ValueError):
@@ -50,10 +52,6 @@ class Robot(Record):
 
     def __init__(self, base: tuple[float, float], reach_min: float,
                  reach_max: float, gripper_width: float):
-        if not (0.0 <= reach_min < reach_max):
-            raise SceneError("need 0 <= reach_min < reach_max")
-        if gripper_width <= 0.0:
-            raise SceneError("gripper_width must be positive")
         self.base = base
         self.reach_min = reach_min
         self.reach_max = reach_max
@@ -91,13 +89,10 @@ class Scene(Record):
         self.goal = goal  # object -> goal region
         self._robots = tuple(sorted(robots.items()))
         self._movables = tuple((name, (m.shape, m.pose)) for name, m in sorted(movables.items()))
-        k = grasp_count
-        self._grasp_angles = tuple(2.0 * math.pi * i / k for i in range(k))
+        self._check_invariants()
+        self._grasp_angles = tuple(2.0 * math.pi * i / grasp_count for i in range(grasp_count))
         self._handover_points = dict(sorted((pair, h) for (r1, r2), h in handover_points.items()
                                             for pair in ((r1, r2), (r2, r1))))
-        self._check_invariants()
-
-    # -- derived quantities ------------------------------------------------
 
     @property
     def robots_by_name(self) -> tuple[tuple[str, Robot], ...]:
@@ -149,9 +144,28 @@ class Scene(Record):
         return [name for name, vol in self._movables
                 if name not in exclude and collides_any(vol, volumes)]
 
-    # -- invariants ----------------------------------------------------------
-
     def _check_invariants(self):
+        # the values first (movables and robots in name order); each test fails on NaN
+        for name, r in self.regions.items():
+            _bounded(f"region {name}", r.xmin, r.ymin, r.xmax, r.ymax)
+            if r.xmax <= r.xmin or r.ymax <= r.ymin:
+                raise SceneError(f"region {name}: rectangle must have positive area")
+        solids = [(f"fixed obstacle {i}", *solid) for i, solid in enumerate(self.fixed)]
+        for what, shape, pose in solids + [(f"movable {n}", *vol) for n, vol in self._movables]:
+            lengths = (shape.radius,) if isinstance(shape, Disc) else (shape.half_w, shape.half_h)
+            _bounded(what, pose.x, pose.y, pose.theta, *lengths)
+            if min(lengths) <= 0.0:
+                kind = "disc radius" if len(lengths) == 1 else "rectangle extents"
+                raise SceneError(f"{what}: {kind} must be positive")
+        for name, r in self._robots:
+            _bounded(f"robot {name}", *r.base, r.reach_min, r.reach_max, r.gripper_width)
+            if not 0.0 <= r.reach_min < r.reach_max:
+                raise SceneError(f"robot {name}: need 0 <= reach_min < reach_max")
+            if r.gripper_width <= 0.0:
+                raise SceneError(f"robot {name}: gripper_width must be positive")
+        for (r1, r2), h in self.handover_points.items():
+            _bounded(f"handover point {r1},{r2}", *h)
+        _bounded("grasp_count", self.grasp_count)
         if self.grasp_count < 1:
             raise SceneError("grasp_count must be >= 1")
         for name, m in self.movables.items():
@@ -181,6 +195,12 @@ class Scene(Record):
                 raise SceneError(f"handover point key '{r1},{r2}' pairs robot {r1} with itself")
             if first.setdefault(frozenset((r1, r2)), (r1, r2)) != (r1, r2):
                 raise SceneError(f"handover points list robots {r1} and {r2} twice")
+
+
+def _bounded(what: str, *values: float):
+    for v in values:
+        if not -LIMIT <= v <= LIMIT:
+            raise SceneError(f"{what}: {v!r} is not a finite number within ±{LIMIT:g}")
 
 
 def _overlapping_later(movables) -> dict[str, list[str]]:
@@ -236,47 +256,33 @@ def loads_scene(text: str) -> Scene:
         dup = sorted({n for n in names if names.count(n) > 1})
         raise SceneError(f"duplicate entity names: {dup}")
 
-    regions = {}
-    for r in doc["regions"]:
-        xmin, ymin, xmax, ymax = r["rect"]
-        try:
-            regions[r["name"]] = Rect(xmin, ymin, xmax, ymax)
-        except ValueError as e:
-            raise SceneError(f"region {r['name']}: {e}") from e
+    regions = {r["name"]: Rect(*r["rect"]) for r in doc["regions"]}
     fixed = [(_parse_shape(f["shape"]), Pose.from_doc(f["pose"])) for f in doc.get("fixed", [])]
     movables = {m["name"]: Movable(_parse_shape(m["shape"]), Pose.from_doc(m["pose"]),
                                    m["home_region"]) for m in doc["movables"]}
-    robots = {}
-    for r in doc["robots"]:
-        try:
-            robots[r["name"]] = Robot(tuple(r["base"]), r["reach_min"], r["reach_max"],
-                                      r["gripper_width"])
-        except SceneError as e:
-            raise SceneError(f"robot {r['name']}: {e}") from e
-    handover_points = {}
+    robots = {r["name"]: Robot(tuple(r["base"]), r["reach_min"], r["reach_max"],
+                               r["gripper_width"]) for r in doc["robots"]}
+    # what the dicts drop is refused after the Scene's checks, in document order
+    handover_points, dropped = {}, []
     for key, pt in doc.get("handover_points", {}).items():
         pair = tuple(name.strip() for name in key.split(","))
         if len(pair) != 2 or not all(pair):
-            raise SceneError(f"handover point key {key!r} is not two comma-separated robot names")
-        if pair in handover_points:
-            raise SceneError(f"handover points list robots {pair[0]} and {pair[1]} twice")
-        handover_points[pair] = (pt[0], pt[1])
+            dropped.append(f"handover point key {key!r} is not two comma-separated robot names")
+        elif pair in handover_points:
+            dropped.append(f"handover points list robots {pair[0]} and {pair[1]} twice")
+        else:
+            handover_points[pair] = (pt[0], pt[1])
     goal_objs = [obj for obj, _ in doc.get("goal", [])]
-    dup = sorted({o for o in goal_objs if goal_objs.count(o) > 1})
-    if dup:
-        raise SceneError(f"goal lists objects more than once: {dup}")
-    goal = dict(doc.get("goal", []))
+    if dup := sorted({o for o in goal_objs if goal_objs.count(o) > 1}):
+        dropped.append(f"goal lists objects more than once: {dup}")
     # the schema takes 2.0 as an integer; range() does not
-    grasp_count = int(doc.get("grasp_count", DEFAULT_GRASP_COUNT))
-    return Scene(
-        regions=regions,
-        fixed=fixed,
-        movables=movables,
-        robots=robots,
-        handover_points=handover_points,
-        grasp_count=grasp_count,
-        goal=goal,
-    )
+    scene = Scene(regions=regions, fixed=fixed, movables=movables, robots=robots,
+                  handover_points=handover_points,
+                  grasp_count=int(doc.get("grasp_count", DEFAULT_GRASP_COUNT)),
+                  goal=dict(doc.get("goal", [])))
+    if dropped:
+        raise SceneError(dropped[0])
+    return scene
 
 
 def load_scene(path) -> Scene:

@@ -173,6 +173,18 @@ def test_enumerate_skeletons_ordering_and_dedup():
     assert enumerate_skeletons(g, 4, 1, mip.DEFAULT_NODE_BUDGET) == sks[:1]
 
 
+def test_enumeration_returns_k_max_skeletons_when_the_graph_has_more():
+    # either robot can move either target, so there are more skeletons than
+    # the smaller K_max; each K_max gets the first K_max of them
+    g = small_graph([act(obj, robot) for obj in ("M1", "M2") for robot in ("R1", "R2")],
+                    ["M1", "M2"])
+    every = enumerate_skeletons(g, 2, 100, mip.DEFAULT_NODE_BUDGET)
+    assert len(every) > 3
+    for k_max in range(1, len(every) + 2):
+        sks = enumerate_skeletons(g, 2, k_max, mip.DEFAULT_NODE_BUDGET)
+        assert len(sks) == min(k_max, len(every)) and sks == every[:k_max]
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),
                          ids=lambda path: path.stem)
 def test_enumeration_stops_at_the_number_of_objects_with_an_action(path, monkeypatch):

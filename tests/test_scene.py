@@ -5,10 +5,11 @@ import math
 import pytest
 
 from mrplan import scene as scene_module
-from mrplan.geometry import Disc, Pose, Rectangle
-from mrplan.scene import Robot, SceneError, load_scene, loads_scene
+from mrplan.geometry import Disc, Pose, Rect, Rectangle
+from mrplan.scene import LIMIT, Movable, Robot, SceneError, load_scene, loads_scene
 
-from conftest import scenario
+from conftest import REPO, scenario
+from test_cli import HUGE_SCENE
 
 MINIMAL = {
     "regions": [{"name": "work", "rect": [0.0, 0.0, 1.0, 1.0]}],
@@ -219,18 +220,114 @@ def test_a_scene_built_through_the_api_refuses_the_pairs_loading_refuses(points,
     assert str(e.value) == message
 
 
+def with_movable(shape=Disc(0.05), pose=Pose(0.5, 0.5)):
+    return make().replace(movables={"M1": Movable(shape, pose, "work")})
+
+
+def two_robots():
+    return make(robots=MINIMAL["robots"] + [
+        {"name": "R2", "base": [2.0, 0.4], "reach_min": 0.1, "reach_max": 2.0,
+         "gripper_width": 0.2}])
+
+
+def with_robot(base=(0.0, 0.0), reach_min=0.1, reach_max=2.0, gripper_width=0.1):
+    return make().replace(robots={"R1": Robot(base, reach_min, reach_max, gripper_width)})
+
+
+BEYOND = " is not a finite number within ±10000"
+
+
 @pytest.mark.parametrize("build, message", [
-    (lambda: Disc(0.0), "disc radius must be positive"),
-    (lambda: Rectangle(0.0, 0.1), "rectangle extents must be positive"),
-    (lambda: Robot((0.0, 0.0), 0.1, 1.0, gripper_width=0.0),
-     "gripper_width must be positive"),
+    (lambda: with_movable(shape=Disc(0.0)), "movable M1: disc radius must be positive"),
+    (lambda: with_movable(shape=Rectangle(0.0, 0.1)),
+     "movable M1: rectangle extents must be positive"),
+    (lambda: with_robot(gripper_width=0.0), "robot R1: gripper_width must be positive"),
     (lambda: make().replace(grasp_count=0), "grasp_count must be >= 1"),
-], ids=["disc_radius", "rectangle_extent", "gripper_width", "grasp_count"])
-def test_an_api_value_the_schema_would_refuse_is_refused_by_its_constructor(build, message):
-    # a document never reaches these checks: the schema refuses it first
-    with pytest.raises(ValueError) as e:
+    # a NaN fails every collision test, so a NaN part would collide with nothing
+    (lambda: with_robot(base=(math.inf, 0.0)), "robot R1: inf" + BEYOND),
+    (lambda: with_robot(base=(0.0, -math.inf)), "robot R1: -inf" + BEYOND),
+    (lambda: with_robot(reach_max=math.nan), "robot R1: nan" + BEYOND),
+    (lambda: with_movable(pose=Pose(math.nan, 0.5)), "movable M1: nan" + BEYOND),
+    (lambda: with_movable(pose=Pose(0.5, 0.5, math.nan)), "movable M1: nan" + BEYOND),
+    (lambda: with_movable(shape=Rectangle(0.05, math.nan)), "movable M1: nan" + BEYOND),
+    (lambda: two_robots().replace(handover_points={("R1", "R2"): (math.nan, 0.0)}),
+     "handover point R1,R2: nan" + BEYOND),
+    (lambda: make().replace(grasp_count=math.nan), "grasp_count: nan" + BEYOND),
+    (lambda: make().replace(grasp_count=math.inf), "grasp_count: inf" + BEYOND),
+    # past 1e4 m
+    (lambda: with_movable(shape=Disc(2e4)), "movable M1: 20000.0" + BEYOND),
+    (lambda: with_movable(shape=Rectangle(0.05, 2e4)), "movable M1: 20000.0" + BEYOND),
+    (lambda: with_robot(reach_max=2e4), "robot R1: 20000.0" + BEYOND),
+    (lambda: with_robot(gripper_width=2e4), "robot R1: 20000.0" + BEYOND),
+    (lambda: make().replace(regions={"work": Rect(0.0, 0.0, 1.0, 2e4)}),
+     "region work: 20000.0" + BEYOND),
+    (lambda: make().replace(regions={"work": Rect(0.0, 0.0, 1.0, math.nextafter(LIMIT, 2e4))}),
+     "region work: 10000.000000000002" + BEYOND),
+], ids=["disc_radius", "rectangle_extent", "gripper_width", "grasp_count",
+        "base_inf", "base_minus_inf", "reach_nan", "pose_x_nan", "pose_theta_nan",
+        "half_h_nan", "handover_point_nan", "grasp_count_nan", "grasp_count_inf",
+        "radius_2e4", "half_h_2e4", "reach_max_2e4", "gripper_width_2e4", "coordinate_2e4",
+        "coordinate_one_ulp_past"])
+def test_an_api_value_a_document_would_refuse_is_refused_by_the_scene(build, message):
+    # a document never reaches these checks: its parser or schema refuses it first
+    with pytest.raises(SceneError) as e:
         build()
     assert str(e.value) == message
+
+
+def test_a_nan_fixed_obstacle_is_refused_though_it_would_collide_with_nothing():
+    # the rectangle shadows every carry into the goal zone; a NaN disc in its
+    # place hits nothing, so the scene would plan and the plan would validate
+    s = load_scene(scenario("unsat_fixed_blocked"))
+    (_, pose), = s.fixed
+    with pytest.raises(SceneError) as e:
+        s.replace(fixed=[(Disc(math.nan), pose)])
+    assert str(e.value) == "fixed obstacle 0: nan" + BEYOND
+
+
+def huge_parts():
+    """``HUGE_SCENE``'s parts, built through the API; its shapes are discs."""
+    return {
+        "regions": {r["name"]: Rect(*r["rect"]) for r in HUGE_SCENE["regions"]},
+        "fixed": [(Disc(f["shape"]["radius"]), Pose.from_doc(f["pose"]))
+                  for f in HUGE_SCENE["fixed"]],
+        "movables": {m["name"]: Movable(Disc(m["shape"]["radius"]), Pose.from_doc(m["pose"]),
+                                        m["home_region"]) for m in HUGE_SCENE["movables"]},
+        "robots": {r["name"]: Robot(tuple(r["base"]), r["reach_min"], r["reach_max"],
+                                    r["gripper_width"]) for r in HUGE_SCENE["robots"]},
+    }
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("regions",), "region start: 1.5e+154" + BEYOND),
+    (("fixed",), "fixed obstacle 0: 1e+154" + BEYOND),
+    (("movables",), "movable M1: 2e+154" + BEYOND),
+    (("robots",), "robot R1: 3e+154" + BEYOND),
+    (("regions", "fixed", "movables", "robots"),
+     "region start: 1.5e+154" + BEYOND),
+], ids=["regions", "fixed", "movables", "robots", "all"])
+def test_the_huge_scenes_values_set_by_replace_are_refused(fields, message):
+    # the scene whose squared corridor lengths overflow, so that a plan runs
+    # through a fixed disc and validates
+    parts = huge_parts()
+    with pytest.raises(SceneError) as e:
+        load_scene(scenario("unobstructed")).replace(**{f: parts[f] for f in fields})
+    assert str(e.value) == message
+
+
+def test_a_value_at_the_limit_is_accepted():
+    s = make(regions=[{"name": "work", "rect": [-LIMIT, -LIMIT, LIMIT, LIMIT]}],
+             robots=[{"name": "R1", "base": [LIMIT, -LIMIT], "reach_min": 0.0,
+                      "reach_max": LIMIT, "gripper_width": LIMIT}])
+    disc = Disc(LIMIT)
+    assert s.replace(movables={"M1": Movable(disc, Pose(0.0, 0.0), "work")}).movables[
+        "M1"].shape is disc
+
+
+def test_the_limit_is_the_scene_schemas_bound():
+    defs = json.loads((REPO / "src/mrplan/schemas/scene.schema.json").read_text())["$defs"]
+    assert defs["coordinate"]["maximum"] == -defs["coordinate"]["minimum"] == LIMIT
+    assert defs["length"]["maximum"] == LIMIT
 
 
 def test_grasp_point_on_circumscribed_circle():
