@@ -33,10 +33,7 @@ TWO_PI = 2.0 * math.pi
 
 def norm_angle(theta: float) -> float:
     """Normalize an angle to [0, 2*pi)."""
-    t = math.fmod(theta, TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
-    return t
+    return theta % TWO_PI
 
 
 class Pose(Record):

@@ -4,12 +4,16 @@
 grounded joint actions already fixed after it (a search node's stored
 steps). Those future actions constrain the present: newly sampled placements
 must avoid the volumes the future occupies, and trajectories must avoid the
-objects the future still expects at their initial poses. Each step draws up
-to ``STEP_RESTARTS`` placement samples from ``find_placements``, each of at
-most ``PLACEMENT_ATTEMPTS`` draws per object. When the strict pass fails,
-the collision constraints against the not-planned-to-move objects are
-relaxed; a relaxed success stops grounding and returns the grounded suffix
-plus the conflict set of objects that a caller must plan to relocate first.
+objects the future still expects at their initial poses. Each step runs
+one loop of two passes, each of up to ``STEP_RESTARTS`` placement samples
+from ``find_placements`` of at most ``PLACEMENT_ATTEMPTS`` draws per object:
+the strict pass protects every object still at its start pose, the relaxed
+pass only the objects moved later. One conflict rule decides both exits:
+the unmet goals left unmoved, plus the unmoved objects that the grounded
+volumes hit. After a relaxed step, or after the last step, a nonempty
+conflict set stops grounding and returns the grounded suffix with it: the
+objects that a caller must plan to relocate first. Only an empty one after
+the last step makes the grounding ``Full``.
 The sweeps of each move are laid out by ``mrplan.motion`` (see its
 docstring), as the fact phase laid out those of its pick and handover
 facts. ``find_trajectories`` asks ``motion.sweep_clear`` of the sweeps an
@@ -150,6 +154,10 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
     """Ground ``skeleton`` in reverse in front of ``future``, the grounded
     joint actions (time order) that run after it.
 
+    Each step tries the strict pass, then the relaxed one; ``Failure`` when
+    neither grounds it. ``Full`` needs the conflict rule to find nothing
+    after the last step, whatever the skeleton was enumerated for.
+
     The skeleton's actions come from the scene's task graph, which
     guarantees reach: each grasp comes from a ``reachable_pick`` fact at the
     object's start pose, where ``motion.build_moves`` picks it, and each
@@ -162,36 +170,25 @@ def ground(skeleton: TaskSkeleton, future, scene: Scene, rng):
     if skeleton.moved_objects & m_fut:
         raise ValueError("skeleton re-moves an object already moved later")
     v_fut = volumes_of(future)
-    m_out = set(scene.movables) - m_fut - skeleton.moved_objects
     grounded = list(future)
-
-    def obstacle_poses(names):
-        return [(scene.movables[n].shape, scene.movables[n].pose)
-                for n in sorted(names)]
-
-    fixed = list(scene.fixed)
-
     for t in range(skeleton.makespan, 0, -1):
         actions = set(skeleton.steps[t - 1].values())
-        strict = fixed + obstacle_poses(m_out | m_fut)
-        moves = _sample_step(actions, strict + v_fut, strict, scene, rng)
-        relaxed = moves is None
-        if relaxed:
-            # relaxed pass: the not-planned objects may be collided with,
-            # since new skeletons can be generated to move them first
-            loose = fixed + obstacle_poses(m_fut)
-            moves = _sample_step(actions, loose + v_fut, loose, scene, rng)
-            if moves is None:
-                return Failure(f"step {t}: no feasible placements or trajectories")
+        unmoved = set(scene.movables) - (skeleton.moved_objects - m_fut)
+        for relaxed, protected in ((False, unmoved), (True, m_fut)):
+            obstacles = list(scene.fixed) + [(scene.movables[n].shape, scene.movables[n].pose)
+                                             for n in sorted(protected)]
+            moves = _sample_step(actions, obstacles + v_fut, obstacles, scene, rng)
+            if moves is not None:
+                break
+        else:
+            return Failure(f"step {t}: no feasible placements or trajectories")
         step = GroundedJointAction(moves=moves)
-        grounded = [step] + grounded
+        grounded.insert(0, step)
         m_fut |= step.moved_objects()
-        if relaxed:
+        v_fut += volumes_of([step])
+        if relaxed or t == 1:
             conflicts = (set(scene.unmet_goals()) - m_fut) | set(
-                scene.movables_hit(volumes_of(grounded), exclude=m_fut))
+                scene.movables_hit(v_fut, exclude=m_fut))
             if conflicts:
                 return Partial(steps=tuple(grounded), conflicts=frozenset(conflicts))
-            # the relaxed sample happens to be strictly consistent:
-            # keep going as if the strict pass had succeeded
-        v_fut += volumes_of([step])
     return Full(steps=tuple(grounded))

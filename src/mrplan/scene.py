@@ -8,11 +8,13 @@ A rule with one user lives with that user: placements are drawn by
 ``Scene.__init__``, and so ``replace``, is the one gate for a scene's
 values, whether a document or code built it; the constructors of its
 parts check nothing. It refuses a number that is not finite, a coordinate
-or length beyond ``LIMIT``, a length that is not positive and an empty
-reach or region, then a scene that breaks a world invariant, naming the
-first faulty part. A scene knows each region, movable and robot by its
-dict key; its goal maps each goal object to its goal region, and
-``unmet_goals`` lists the goal objects a plan must move.
+or length beyond ``LIMIT``, a length that is not positive, an empty reach
+or region, a handover key that is not a pair and a fractional
+``grasp_count`` (an integral one is stored as an ``int``), then a scene
+that breaks a world invariant, naming the first faulty part. A scene
+knows each region, movable and robot by its dict key; its goal maps each
+goal object to its goal region, and ``unmet_goals`` lists the goal
+objects a plan must move.
 
 Scene documents are JSON (``schemas/scene.schema.json``, bounded by
 ``LIMIT``); ``mrplan.schemas.load`` refuses a number that is not finite
@@ -90,7 +92,8 @@ class Scene(Record):
         self._robots = tuple(sorted(robots.items()))
         self._movables = tuple((name, (m.shape, m.pose)) for name, m in sorted(movables.items()))
         self._check_invariants()
-        self._grasp_angles = tuple(2.0 * math.pi * i / grasp_count for i in range(grasp_count))
+        n = self.grasp_count = int(grasp_count)  # the gate takes 2.0 as a count; range() does not
+        self._grasp_angles = tuple(2.0 * math.pi * i / n for i in range(n))
         self._handover_points = dict(sorted((pair, h) for (r1, r2), h in handover_points.items()
                                             for pair in ((r1, r2), (r2, r1))))
 
@@ -163,9 +166,13 @@ class Scene(Record):
                 raise SceneError(f"robot {name}: need 0 <= reach_min < reach_max")
             if r.gripper_width <= 0.0:
                 raise SceneError(f"robot {name}: gripper_width must be positive")
-        for (r1, r2), h in self.handover_points.items():
-            _bounded(f"handover point {r1},{r2}", *h)
+        for key, h in self.handover_points.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise SceneError(f"handover point key {key!r} is not a pair of robot names")
+            _bounded("handover point {},{}".format(*key), *h)
         _bounded("grasp_count", self.grasp_count)
+        if self.grasp_count != int(self.grasp_count):
+            raise SceneError(f"grasp_count: {self.grasp_count!r} is not an integer")
         if self.grasp_count < 1:
             raise SceneError("grasp_count must be >= 1")
         for name, m in self.movables.items():
@@ -275,10 +282,9 @@ def loads_scene(text: str) -> Scene:
     goal_objs = [obj for obj, _ in doc.get("goal", [])]
     if dup := sorted({o for o in goal_objs if goal_objs.count(o) > 1}):
         dropped.append(f"goal lists objects more than once: {dup}")
-    # the schema takes 2.0 as an integer; range() does not
     scene = Scene(regions=regions, fixed=fixed, movables=movables, robots=robots,
                   handover_points=handover_points,
-                  grasp_count=int(doc.get("grasp_count", DEFAULT_GRASP_COUNT)),
+                  grasp_count=doc.get("grasp_count", DEFAULT_GRASP_COUNT),
                   goal=dict(doc.get("goal", [])))
     if dropped:
         raise SceneError(dropped[0])

@@ -129,7 +129,8 @@ MUTANTS = [
      "if len(skeletons) >= K_max:", "if len(skeletons) > K_max:",
      "an enumeration that stops one skeleton late returns K_max + 1 skeletons "
      "from a graph that has more; killed by "
-     "test_enumeration_returns_k_max_skeletons_when_the_graph_has_more"),
+     "test_enumeration_returns_k_max_skeletons_when_the_graph_has_more and, "
+     "through plan, by test_k_max_bounds_the_skeletons_of_the_root"),
     ("schedule_pick_same_step", "src/mrplan/closure.py",
      "if hi[y] < s + strict:", "if hi[y] < s:",
      "equivalent, so it survives: the successor test in can_fix fails only "
@@ -139,6 +140,92 @@ MUTANTS = [
      "walks more nodes. Through test_mip_reference.assert_solvers_agree at "
      "T_max 5, the mutant agreed with tests/reference_bnb.py on 37 323 solves "
      "over 6 000 seeded oracle_mip.random_cmtg graphs of up to 7 objects"),
+    ("conflict_goal_term_dropped", "src/mrplan/grounding.py",
+     "(set(scene.unmet_goals()) - m_fut) | set(", "set(",
+     "a conflict rule without its goal term returns Full for a skeleton that "
+     "leaves a goal unmet, which the validator refuses; killed by "
+     "test_a_full_grounding_that_leaves_a_goal_unmet_is_partial"),
+    ("conflict_hit_term_dropped", "src/mrplan/grounding.py",
+     "scene.movables_hit(v_fut, exclude=m_fut)", "()",
+     "a conflict rule without its hit term returns Full for a carry that runs "
+     "over an object still at its start pose; killed by "
+     "test_partial_outcome_reports_exact_conflict_set and "
+     "test_a_future_that_hits_an_object_no_one_moves_makes_the_grounding_partial"),
+    ("conflict_rule_skips_the_last_step", "src/mrplan/grounding.py",
+     "if relaxed or t == 1:", "if relaxed:",
+     "the Full exit without the conflict rule is right only when the caller "
+     "enumerated the skeleton for every conflict of the future; killed by "
+     "test_a_full_grounding_that_leaves_a_goal_unmet_is_partial and "
+     "test_a_goal_the_root_graph_leaves_out_is_planned_as_a_grounding_conflict"),
+    ("conflict_rule_skips_relaxed_steps", "src/mrplan/grounding.py",
+     "if relaxed or t == 1:", "if t == 1:",
+     "a relaxed step whose conflicts do not end the grounding grounds the "
+     "earlier steps in front of a suffix that needs other objects moved first; "
+     "killed by "
+     "test_a_relaxed_step_with_conflicts_ends_the_grounding_before_the_earlier_steps"),
+    ("strict_protects_only_later_moves", "src/mrplan/grounding.py",
+     "unmoved = set(scene.movables) - (skeleton.moved_objects - m_fut)",
+     "unmoved = set(m_fut)",
+     "a strict pass that protects only the objects moved later is the relaxed "
+     "pass, so a step runs over an object it could have avoided; killed by "
+     "test_the_strict_pass_keeps_a_step_clear_of_the_objects_at_their_start_poses"),
+    ("strict_forgets_the_skeletons_later_objects", "src/mrplan/grounding.py",
+     "unmoved = set(scene.movables) - (skeleton.moved_objects - m_fut)",
+     "unmoved = set(scene.movables) - skeleton.moved_objects",
+     "an object the skeleton moves at a later step is still at its start pose "
+     "when an earlier step runs; unprotected, an earlier carry runs over it "
+     "and the validator refuses the plan; killed by "
+     "test_all_returned_plans_validate_across_suite_and_seeds"),
+    ("step_restarts_1", "src/mrplan/grounding.py",
+     "STEP_RESTARTS = 10", "STEP_RESTARTS = 1",
+     "one placement sample per pass leaves a shipped scene with no plan at "
+     "some seed; killed by test_all_returned_plans_validate_across_suite_and_seeds"),
+    ("placement_attempts_10", "src/mrplan/grounding.py",
+     "PLACEMENT_ATTEMPTS = 100", "PLACEMENT_ATTEMPTS = 10",
+     "ten draws per object often find no pose where one fits; killed by "
+     "test_find_placements_joint_consistency_pigeonhole"),
+    ("ucb_prior_flat", "src/mrplan/search.py",
+     "prior = 1 / len(node.skeleton.moved_objects)", "prior = 1.0",
+     "the prior favours skeletons that move fewer objects; killed by "
+     "test_ucb_formula_values and test_selection_and_reward_formulas_exact"),
+    ("ucb_tie_break_newest", "src/mrplan/search.py",
+     "-n.id", "n.id",
+     "among children of equal UCB the search takes the one enumerated first, "
+     "the cheapest skeleton; taking the last lengthens the plans of a "
+     "two-robot scene; killed by test_two_robots_give_shorter_mean_makespan"),
+    ("rng_one_stream_per_seed", "src/mrplan/search.py",
+     'random.Random(f"{cfg.seed}:{node.id}")', "random.Random(cfg.seed)",
+     "every node drawing the seed's one stream grounds differently from a "
+     "node grounded alone; killed by "
+     "test_each_node_grounds_from_its_own_stream_of_the_seed"),
+    ("reward_partial_length_swapped", "src/mrplan/search.py",
+     "grounded_len / (grounded_len + best.makespan)",
+     "best.makespan / (grounded_len + best.makespan)",
+     "a partial reward that grows with the repair's makespan, not the grounded "
+     "length, agrees with the right one only when the two are equal; killed "
+     "by test_reward_values and test_selection_and_reward_formulas_exact"),
+    ("backpropagate_keeps_leaves_open", "src/mrplan/search.py",
+     "if all(child.exhausted for child in node.children):",
+     "if node.children and all(child.exhausted for child in node.children):",
+     "a grounding that adds no child must exhaust its node at once, or the "
+     "search grounds it again; killed by "
+     "test_backpropagate_updates_path_statistics"),
+    ("excluded_place_blocker_kept", "src/mrplan/taskgraph.py",
+     "if blockers & excluded:", "if pick & excluded:",
+     "an already-moved object that blocks an action's placement can never be "
+     "cleared again, so that action must go too; killed by "
+     "test_excluded_blocker_drops_dependent_actions[place_blocker]"),
+    ("excluded_pick_blocker_kept", "src/mrplan/taskgraph.py",
+     "if blockers & excluded:", "if place & excluded:",
+     "an already-moved object that blocks an action's pick can never be "
+     "cleared again, so that action must go too; killed by "
+     "test_excluded_blocker_drops_dependent_actions[pick_blocker]"),
+    ("reach_pick_depth_not_strict", "src/mrplan/closure.py",
+     "d = depth[p] + 1", "d = depth[p]",
+     "a pick blocker moves strictly earlier; a depth bound that lets it share "
+     "the step is still sound but prunes less, so the solver's infeasibility "
+     "proof for a heavy clutter graph runs past its node budget; killed by "
+     "test_heavy_clutter_infeasibility_proof_is_fast"),
 ]
 
 # the row check would fail on every mutated copy, whose old text is gone

@@ -73,13 +73,15 @@ def test_target_insertion_order_does_not_matter():
     assert a.dumps() == b.dumps()
 
 
-def test_excluded_blocker_drops_dependent_actions():
-    # with M4 excluded, the handover action for M1 (pick-blocked by M4)
-    # must disappear, leaving M1 without any action
-    graph, _, _ = graph_for("pick_chain", targets=["M1"],
-                            excluded=frozenset({"M4"}))
+@pytest.mark.parametrize("name, blocker", [("pick_chain", "M4"), ("place_blocked", "M2")],
+                         ids=["pick_blocker", "place_blocker"])
+def test_excluded_blocker_drops_dependent_actions(name, blocker):
+    # M1's one action is pick-blocked by M4 in pick_chain, place-blocked by
+    # M2 in place_blocked; with that blocker excluded, the action must
+    # disappear, leaving M1 without any action
+    graph, _, _ = graph_for(name, targets=["M1"], excluded=frozenset({blocker}))
     assert not any(a.obj == "M1" for a in graph.action_nodes)
-    assert "M4" not in graph.object_nodes
+    assert blocker not in graph.object_nodes
 
 
 def test_excluded_target_rejected():

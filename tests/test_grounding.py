@@ -216,6 +216,51 @@ def test_partial_conflicts_are_actionable():
     assert report.ok, report.to_doc()
 
 
+def test_a_full_grounding_that_leaves_a_goal_unmet_is_partial():
+    # the skeleton moves M1 alone; M2, the other goal, is left for a caller
+    scene = load_scene(scenario("parallel_goals"))
+    res = ground(skeleton([act("M1", "region_a")]), (), scene, random.Random(0))
+    assert isinstance(res, Partial)
+    assert res.conflicts == frozenset({"M2"})
+    assert moved_objects(res.steps) == {"M1"}
+
+
+def with_disc(name, doc_name, x, y, home):
+    """The scene ``doc_name`` with one more disc of radius 0.05."""
+    doc = json.loads(scenario(doc_name).read_text())
+    doc["movables"].append({"name": name, "shape": {"type": "disc", "radius": 0.05},
+                            "pose": {"x": x, "y": y}, "home_region": home})
+    return loads_scene(json.dumps(doc))
+
+
+def test_a_future_that_hits_an_object_no_one_moves_makes_the_grounding_partial():
+    # M1's carry runs over M2 (a relaxed step); M3, far from both, then
+    # grounds strictly in front of it, but M2 is still in that carry's way
+    scene = with_disc("M3", "conflict_partial", 0.8, -0.25, "work")
+    future = ground(skeleton([act("M1", "goal_zone")]), (), scene, random.Random(0))
+    assert isinstance(future, Partial) and future.conflicts == frozenset({"M2"})
+    res = ground(skeleton([act("M3", "work")]), future.steps, scene, random.Random(0))
+    assert isinstance(res, Partial)
+    assert res.conflicts == frozenset({"M2"})
+    assert moved_objects(res.steps) == {"M1", "M3"}
+
+
+def test_a_relaxed_step_with_conflicts_ends_the_grounding_before_the_earlier_steps():
+    scene = with_disc("M3", "conflict_partial", 0.8, -0.25, "work")
+    sk = skeleton([act("M3", "work")], [act("M1", "goal_zone")])
+    res = ground(sk, (), scene, random.Random(0))
+    assert isinstance(res, Partial) and res.conflicts == frozenset({"M2"})
+    assert moved_objects(res.steps) == {"M1"}
+
+
+def test_the_strict_pass_keeps_a_step_clear_of_the_objects_at_their_start_poses():
+    # M2 sits in a corner of the goal zone, where many of M1's carries would end
+    scene = with_disc("M2", "unobstructed", 0.15, 0.65, "goal_zone")
+    for seed in range(10):
+        res = ground(skeleton([act("M1", "goal_zone")]), (), scene, random.Random(seed))
+        assert isinstance(res, Full), seed
+
+
 # R2 reaches nothing, but its base sits on R1's approaches to grasps pi (the
 # nearest), 3pi/2 and 0 of M1; only the approach to pi/2 clears it
 BASE_ON_APPROACH = {

@@ -136,8 +136,11 @@ def test_handover_key_that_is_not_two_names_rejected(points, message):
         == (1.0, 0.0)
 
 
-def test_integral_float_grasp_count_is_an_integer():
-    s = make(grasp_count=2.0)
+@pytest.mark.parametrize("build", [lambda: make(grasp_count=2.0),
+                                   lambda: make().replace(grasp_count=2.0)],
+                         ids=["document", "replace"])
+def test_integral_float_grasp_count_is_an_integer(build):
+    s = build()
     assert s.grasp_count == 2 and isinstance(s.grasp_count, int)
     assert len(s.grasp_angles()) == 2
 
@@ -249,11 +252,18 @@ BEYOND = " is not a finite number within ±10000"
     (lambda: with_robot(reach_max=math.nan), "robot R1: nan" + BEYOND),
     (lambda: with_movable(pose=Pose(math.nan, 0.5)), "movable M1: nan" + BEYOND),
     (lambda: with_movable(pose=Pose(0.5, 0.5, math.nan)), "movable M1: nan" + BEYOND),
+    # an infinite angle normalises to NaN, which the gate names
+    (lambda: with_movable(pose=Pose(0.5, 0.5, math.inf)), "movable M1: nan" + BEYOND),
     (lambda: with_movable(shape=Rectangle(0.05, math.nan)), "movable M1: nan" + BEYOND),
     (lambda: two_robots().replace(handover_points={("R1", "R2"): (math.nan, 0.0)}),
      "handover point R1,R2: nan" + BEYOND),
     (lambda: make().replace(grasp_count=math.nan), "grasp_count: nan" + BEYOND),
     (lambda: make().replace(grasp_count=math.inf), "grasp_count: inf" + BEYOND),
+    (lambda: make().replace(grasp_count=2.5), "grasp_count: 2.5 is not an integer"),
+    (lambda: two_robots().replace(handover_points={("R1",): (0.5, 0.0)}),
+     "handover point key ('R1',) is not a pair of robot names"),
+    (lambda: two_robots().replace(handover_points={"R1R2": (0.5, 0.0)}),
+     "handover point key 'R1R2' is not a pair of robot names"),
     # past 1e4 m
     (lambda: with_movable(shape=Disc(2e4)), "movable M1: 20000.0" + BEYOND),
     (lambda: with_movable(shape=Rectangle(0.05, 2e4)), "movable M1: 20000.0" + BEYOND),
@@ -265,7 +275,9 @@ BEYOND = " is not a finite number within ±10000"
      "region work: 10000.000000000002" + BEYOND),
 ], ids=["disc_radius", "rectangle_extent", "gripper_width", "grasp_count",
         "base_inf", "base_minus_inf", "reach_nan", "pose_x_nan", "pose_theta_nan",
-        "half_h_nan", "handover_point_nan", "grasp_count_nan", "grasp_count_inf",
+        "pose_theta_inf", "half_h_nan", "handover_point_nan", "grasp_count_nan",
+        "grasp_count_inf", "grasp_count_fractional", "handover_key_one_name",
+        "handover_key_not_a_tuple",
         "radius_2e4", "half_h_2e4", "reach_max_2e4", "gripper_width_2e4", "coordinate_2e4",
         "coordinate_one_ulp_past"])
 def test_an_api_value_a_document_would_refuse_is_refused_by_the_scene(build, message):

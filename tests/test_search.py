@@ -1,6 +1,7 @@
 """Skeleton-level tree search: selection arithmetic, rewards, end-to-end runs."""
 import json
 import math
+import random
 import re
 import types
 
@@ -8,7 +9,7 @@ import pytest
 
 from mrplan import mip, motion, search, taskgraph
 from mrplan.geometry import Corridor
-from mrplan.grounding import Failure, Full, Partial
+from mrplan.grounding import Failure, Full, Partial, ground
 from mrplan.mip import BudgetExceeded, TaskSkeleton
 from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan, moved_objects
 from mrplan.scene import load_scene, loads_scene
@@ -63,6 +64,12 @@ def test_reward_values():
     # enumerate_skeletons yields
     assert reward(partial, [sk_for(["M2"]), sk_for(["M2", "M3"])],
                   alpha=1.0) == pytest.approx(1.0)
+    # two grounded steps and objects vs a three-step repair: 2/5 + alpha/5
+    longer = Partial(steps=(grounded_step("M1"), grounded_step("M2")),
+                     conflicts=frozenset({"M3"}))
+    repair = sk_for(["M3", "M4", "M5"])
+    assert reward(longer, [repair], alpha=1.0) == pytest.approx(0.6)
+    assert reward(longer, [repair], alpha=0.5) == pytest.approx(0.5)
 
 
 def test_backpropagate_updates_path_statistics():
@@ -163,6 +170,54 @@ def test_conflict_discovered_in_grounding_is_resolved():
     assert isinstance(result, Plan)
     assert moved_objects(result.steps) == {"M1", "M2"}
     assert validate_plan(scene, result).ok
+
+
+def test_a_goal_the_root_graph_leaves_out_is_planned_as_a_grounding_conflict(monkeypatch):
+    # the root graph targets M1 alone; its skeletons ground in full but leave
+    # the goal M2 unmet, so grounding returns it as a conflict to move first
+    def root_without_m2(targets, facts, scene, excluded):
+        return taskgraph.build_cmtg(["M1"] if not excluded else targets, facts, scene,
+                                    excluded=excluded)
+    monkeypatch.setattr(search, "build_cmtg", root_without_m2)
+    scene = load_scene(scenario("parallel_goals"))
+    result = plan(scene, PlannerConfig(seed=0))
+    assert isinstance(result, Plan)
+    assert result.makespan == 2 and moved_objects(result.steps) == {"M1", "M2"}
+    assert validate_plan(scene, result).ok
+
+
+def test_k_max_bounds_the_skeletons_of_the_root():
+    # parallel_goals's root graph has four skeletons, each of which grounds to
+    # a plan, so an exhaustive search grounds each root child once, and no
+    # other node
+    scene = load_scene(scenario("parallel_goals"))
+    for k_max in range(1, 6):
+        trace = []
+        result = plan(scene, PlannerConfig(k_max=k_max, exhaust=True), trace=trace)
+        assert isinstance(result, Plan)
+        assert sorted(line.split()[1] for line in trace) == [
+            f"edge={i}" for i in range(min(k_max, 4))]
+
+
+def test_each_node_grounds_from_its_own_stream_of_the_seed(monkeypatch):
+    # a node's grounding draws from Random(f"{seed}:{id}"), whichever nodes
+    # were grounded before it
+    calls = []
+
+    def recorded_ground(skeleton, future, scene, rng):
+        calls.append((skeleton, future, ground(skeleton, future, scene, rng)))
+        return calls[-1][2]
+    monkeypatch.setattr(search, "ground", recorded_ground)
+    scene = load_scene(scenario("pick_chain"))
+    for seed in range(3):
+        calls.clear()
+        trace = []
+        plan(scene, PlannerConfig(seed=seed, exhaust=True, max_iterations=20), trace=trace)
+        edges = [line.split()[1].removeprefix("edge=") for line in trace]
+        assert len(edges) == len(calls) > 1
+        for edge, (skeleton, future, outcome) in zip(edges, calls):
+            rng = random.Random(f"{seed}:{edge}")
+            assert ground(skeleton, future, scene, rng) == outcome, (seed, edge)
 
 
 def test_handover_scene_produces_single_handover_step():
