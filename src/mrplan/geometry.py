@@ -19,6 +19,9 @@ a squared length finite: past ~1e154 m it is inf, every distance NaN and
 every collision test false. Every one-against-many test in the package goes
 through the kernel; ``collides(a, b)`` is its one-volume case, so each
 pair test has one definition.
+
+The constructors check nothing: ``Scene.__init__`` admits a scene's shapes
+and poses, and the validator every plan's corridor widths.
 """
 from __future__ import annotations
 
@@ -103,12 +106,11 @@ class Corridor(Record):
     """Capsule: a segment inflated by width/2. Zero-length segments are discs.
 
     ``__init__`` derives the half width and the segment as its start point,
-    direction and squared length, which every distance to it reads."""
+    direction and squared length, which every distance to it reads. It
+    checks nothing: ``validator._check_sweep`` admits a plan's widths."""
     __slots__ = ("a", "b", "width", "_half_width", "_seg")
 
     def __init__(self, a: tuple[float, float], b: tuple[float, float], width: float):
-        if width <= 0.0:
-            raise ValueError("corridor width must be positive")
         self.a = a
         self.b = b
         self.width = width
@@ -175,11 +177,7 @@ def point_segment_distance(p, a, b) -> float:
 
 def _orient(a, b, c):
     v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+    return (v > 0) - (v < 0)
 
 
 def _on_seg(a, b, c):
@@ -249,19 +247,10 @@ def _rect_rect(s1: Rectangle, p1: Pose, s2: Rectangle, p2: Pose) -> bool:
     # separating-axis test on both rectangles' edge normals
     c1, c2 = _rect_corners(s1, p1), _rect_corners(s2, p2)
     for corners, pose, shape in ((c2, p1, s1), (c1, p2, s2)):
-        cos_t, sin_t = math.cos(pose.theta), math.sin(pose.theta)
-        lo_x = hi_x = lo_y = hi_y = None
-        for p in corners:
-            dx, dy = p[0] - pose.x, p[1] - pose.y
-            lx = cos_t * dx + sin_t * dy
-            ly = -sin_t * dx + cos_t * dy
-            lo_x = lx if lo_x is None else min(lo_x, lx)
-            hi_x = lx if hi_x is None else max(hi_x, lx)
-            lo_y = ly if lo_y is None else min(lo_y, ly)
-            hi_y = ly if hi_y is None else max(hi_y, ly)
-        if hi_x <= -shape.half_w + EPS or lo_x >= shape.half_w - EPS:
+        xs, ys = zip(*(_to_local(pose, p) for p in corners))
+        if max(xs) <= -shape.half_w + EPS or min(xs) >= shape.half_w - EPS:
             return False
-        if hi_y <= -shape.half_h + EPS or lo_y >= shape.half_h - EPS:
+        if max(ys) <= -shape.half_h + EPS or min(ys) >= shape.half_h - EPS:
             return False
     return True
 

@@ -10,18 +10,18 @@ values, whether a document or code built it; the constructors of its
 parts check nothing. It refuses a number that is not finite, a coordinate
 or length beyond ``LIMIT``, a length that is not positive, an empty reach
 or region, a handover key that is not a pair and a fractional
-``grasp_count`` (an integral one is stored as an ``int``), then a scene
-that breaks a world invariant, naming the first faulty part. A scene
-knows each region, movable and robot by its dict key; its goal maps each
-goal object to its goal region, and ``unmet_goals`` lists the goal
-objects a plan must move.
+``grasp_count`` or one past ``GRASP_LIMIT`` (an integral one is stored as
+an ``int``), then a scene that breaks a world invariant, naming the first
+faulty part. A scene knows each region, movable and robot by its dict
+key; its goal maps each goal object to its goal region, and
+``unmet_goals`` lists the goal objects a plan must move.
 
 Scene documents are JSON (``schemas/scene.schema.json``, bounded by
-``LIMIT``); ``mrplan.schemas.load`` refuses a number that is not finite
-and a repeated key. ``loads_scene`` refuses only what its dicts cannot
-carry: a name that two regions, movables or robots share, before the
-``Scene``'s checks; after them, a malformed or repeated ``handover_points``
-key and a goal that lists an object twice.
+``LIMIT`` and ``GRASP_LIMIT``); ``mrplan.schemas.load`` refuses a number
+that is not finite and a repeated key. ``loads_scene`` refuses only what
+its dicts cannot carry: a name that two regions, movables or robots
+share, before the ``Scene``'s checks; after them, a malformed or repeated
+``handover_points`` key and a goal that lists an object twice.
 
 A ``Scene`` derives its constant tables once, in ``__init__``: its robots
 in name order, its movables in name order with their start volumes, its
@@ -43,6 +43,7 @@ from .record import Record
 
 DEFAULT_GRASP_COUNT = 8
 LIMIT = 1e4  # metres: the bound on every scene coordinate and length
+GRASP_LIMIT = 3600  # the bound on grasp_count: one grasp per 0.1 degree
 
 
 class SceneError(ValueError):
@@ -175,6 +176,9 @@ class Scene(Record):
             raise SceneError(f"grasp_count: {self.grasp_count!r} is not an integer")
         if self.grasp_count < 1:
             raise SceneError("grasp_count must be >= 1")
+        if self.grasp_count > GRASP_LIMIT:
+            raise SceneError(f"grasp_count: {self.grasp_count!r} is greater than the "
+                             f"maximum of {GRASP_LIMIT}")
         for name, m in self.movables.items():
             if m.home_region not in self.regions:
                 raise SceneError(f"movable {name}: unknown home_region {m.home_region!r}")

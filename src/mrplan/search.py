@@ -54,6 +54,8 @@ class PlannerConfig(Record):
     def __init__(self, c: float = 1.0, alpha: float = 1.0, t_max: int = 4, k_max: int = 10,
                  max_iterations: int = 200, time_budget: float = 60.0, seed: int = 0,
                  node_budget: int = mip.DEFAULT_NODE_BUDGET, exhaust: bool = False):
+        if not all(isinstance(n, int) for n in (t_max, k_max, max_iterations, node_budget)):
+            raise ValueError("t_max, k_max, max_iterations and node_budget must be integers")
         # written as "not (in range)" so that NaN is out of range too; an
         # infinite c or alpha makes the UCB NaN, but time_budget=inf is no deadline
         if not (0 <= c < math.inf and 0 <= alpha < math.inf):

@@ -32,14 +32,17 @@ condition (i) itself, so a fault in that rule shows as a violation.
 A plan that names unknown entities, gives a robot an action it is not part
 of, hands over between robots the scene lists no handover point for, fills
 one slot of a handover, gives a handover's two sides different placements,
-or has a corridor that is not the sweep of its two waypoints raises
-PlanError. A move's role is its action's, and each record's robot,
-a wait's too, is one of the scene's; ``plans.loads_plan`` refuses a plan
-document that says otherwise.
+has a grasp angle that is not finite, or has a corridor that is not the
+sweep of its two waypoints or whose width is NaN or narrower than the
+sweep's raises PlanError; no other layer checks a plan built in code. A
+move's role is its action's, and each record's robot, a wait's too, is one
+of the scene's; ``plans.loads_plan`` refuses a plan document that says
+otherwise.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 from .geometry import EPS, collides, collides_any, shape_inside_rect
 from .motion import bases_crossed, points_close, robot_clashes
@@ -104,6 +107,8 @@ def _check_structure(scene: Scene, plan: Plan):
                                 "have no handover point")
             if robot not in a.robots:
                 raise PlanError(f"step {j}: robot {robot} holds an action it is not part of")
+            if not math.isfinite(a.grasp_pick):
+                raise PlanError(f"step {j}: {robot} grasp_pick {a.grasp_pick!r} is not finite")
             _check_sweep(j, robot, "pick_traj", mv.pick_traj,
                          scene.robots[robot].gripper_width)
             _check_sweep(j, robot, "place_traj", mv.place_traj,
@@ -129,7 +134,7 @@ def _check_sweep(j: int, robot: str, name: str, traj, min_width: float):
     (p, q), cor = traj.waypoints, traj.corridor
     if not (points_close(cor.a, p.xy) and points_close(cor.b, q.xy)):
         raise PlanError(f"step {j}: {robot} {name} corridor does not join its waypoints")
-    if cor.width < min_width - EPS:
+    if not cor.width >= min_width - EPS:  # NaN fails it
         raise PlanError(f"step {j}: {robot} {name} corridor is narrower than "
                         f"{min_width:g}")
 

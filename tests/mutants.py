@@ -226,6 +226,29 @@ MUTANTS = [
      "the step is still sound but prunes less, so the solver's infeasibility "
      "proof for a heavy clutter graph runs past its node budget; killed by "
      "test_heavy_clutter_infeasibility_proof_is_fast"),
+    ("sweep_width_nan_blind", "src/mrplan/validator.py",
+     "if not cor.width >= min_width - EPS:", "if cor.width < min_width - EPS:",
+     "a NaN width is not less than the sweep's, so a code-built corridor of "
+     "NaN width, which fails every collision test, passes the validator; "
+     "killed by "
+     "test_a_nan_corridor_width_is_structural_though_the_corridor_would_hit_nothing"),
+    ("grasp_pick_finite_unchecked", "src/mrplan/validator.py",
+     "if not math.isfinite(a.grasp_pick):", "if not math.isfinite(0.0):",
+     "an infinite grasp angle escapes as a bare ValueError from the grasp "
+     "point's cosine, and a NaN one is reported as a leg fault; killed by "
+     "test_a_grasp_angle_that_is_not_finite_is_structural"),
+    ("grasp_limit_read_as_limit", "src/mrplan/scene.py",
+     "if self.grasp_count > GRASP_LIMIT:", "if self.grasp_count > LIMIT:",
+     "a scene built in code would take grasp counts up to 10000 that a "
+     "document's schema refuses; killed by "
+     "test_an_api_value_a_document_would_refuse_is_refused_by_the_scene"
+     "[grasp_count_3601]"),
+    ("config_integers_unchecked", "src/mrplan/search.py",
+     "if not all(isinstance(n, int) for n in (t_max, k_max, max_iterations, node_budget)):",
+     "if False:",
+     "a fractional or infinite limit passes the range checks and fails later "
+     "in range() with a bare TypeError; killed by "
+     "test_config_rejects_out_of_range_limits"),
 ]
 
 # the row check would fail on every mutated copy, whose old text is gone

@@ -5,6 +5,7 @@ import pytest
 
 from mrplan.geometry import Corridor, Disc, Pose
 from mrplan.plans import PartiallyGroundedAction
+from mrplan.search import PlannerConfig
 
 
 def test_records_compare_and_hash_by_class_and_fields():
@@ -21,8 +22,8 @@ def test_replace_builds_a_new_record_through_its_checks():
     assert cor.replace(width=0.3) == Corridor((0.0, 0.0), (1.0, 0.0), 0.3)
     assert cor.width == 0.2
     assert Pose(0.0, 0.0).replace(theta=-math.pi / 2).theta == 1.5 * math.pi
-    with pytest.raises(ValueError, match="corridor width must be positive"):
-        cor.replace(width=0.0)
+    with pytest.raises(ValueError, match="t_max, k_max and node_budget must be >= 1"):
+        PlannerConfig().replace(t_max=0)
     with pytest.raises(TypeError):
         cor.replace(length=1.0)
 

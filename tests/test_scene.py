@@ -6,7 +6,7 @@ import pytest
 
 from mrplan import scene as scene_module
 from mrplan.geometry import Disc, Pose, Rect, Rectangle
-from mrplan.scene import LIMIT, Movable, Robot, SceneError, load_scene, loads_scene
+from mrplan.scene import GRASP_LIMIT, LIMIT, Movable, Robot, SceneError, load_scene, loads_scene
 
 from conftest import REPO, scenario
 from test_cli import HUGE_SCENE
@@ -260,6 +260,10 @@ BEYOND = " is not a finite number within ±10000"
     (lambda: make().replace(grasp_count=math.nan), "grasp_count: nan" + BEYOND),
     (lambda: make().replace(grasp_count=math.inf), "grasp_count: inf" + BEYOND),
     (lambda: make().replace(grasp_count=2.5), "grasp_count: 2.5 is not an integer"),
+    (lambda: make().replace(grasp_count=3601),
+     "grasp_count: 3601 is greater than the maximum of 3600"),
+    (lambda: make().replace(grasp_count=10000),
+     "grasp_count: 10000 is greater than the maximum of 3600"),
     (lambda: two_robots().replace(handover_points={("R1",): (0.5, 0.0)}),
      "handover point key ('R1',) is not a pair of robot names"),
     (lambda: two_robots().replace(handover_points={"R1R2": (0.5, 0.0)}),
@@ -276,7 +280,8 @@ BEYOND = " is not a finite number within ±10000"
 ], ids=["disc_radius", "rectangle_extent", "gripper_width", "grasp_count",
         "base_inf", "base_minus_inf", "reach_nan", "pose_x_nan", "pose_theta_nan",
         "pose_theta_inf", "half_h_nan", "handover_point_nan", "grasp_count_nan",
-        "grasp_count_inf", "grasp_count_fractional", "handover_key_one_name",
+        "grasp_count_inf", "grasp_count_fractional", "grasp_count_3601",
+        "grasp_count_10000", "handover_key_one_name",
         "handover_key_not_a_tuple",
         "radius_2e4", "half_h_2e4", "reach_max_2e4", "gripper_width_2e4", "coordinate_2e4",
         "coordinate_one_ulp_past"])
@@ -334,12 +339,16 @@ def test_a_value_at_the_limit_is_accepted():
     disc = Disc(LIMIT)
     assert s.replace(movables={"M1": Movable(disc, Pose(0.0, 0.0), "work")}).movables[
         "M1"].shape is disc
+    assert len(s.replace(grasp_count=GRASP_LIMIT).grasp_angles()) == 3600
 
 
 def test_the_limit_is_the_scene_schemas_bound():
-    defs = json.loads((REPO / "src/mrplan/schemas/scene.schema.json").read_text())["$defs"]
+    schema = json.loads((REPO / "src/mrplan/schemas/scene.schema.json").read_text())
+    defs = schema["$defs"]
     assert defs["coordinate"]["maximum"] == -defs["coordinate"]["minimum"] == LIMIT
     assert defs["length"]["maximum"] == LIMIT
+    assert schema["properties"]["grasp_count"]["maximum"] == GRASP_LIMIT
+
 
 
 def test_grasp_point_on_circumscribed_circle():

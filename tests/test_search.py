@@ -275,10 +275,20 @@ def test_solver_budget_is_a_no_plan(budget, iterations):
                                          ("time_budget", -0.5),
                                          ("time_budget", float("nan")),
                                          ("c", float("nan")), ("alpha", float("nan")),
-                                         ("c", float("inf")), ("alpha", float("inf"))])
+                                         ("c", float("inf")), ("alpha", float("inf")),
+                                         ("t_max", 2.5), ("max_iterations", 2.5),
+                                         ("k_max", 3.0), ("node_budget", 1e6),
+                                         ("t_max", float("inf")),
+                                         ("max_iterations", float("inf")),
+                                         ("k_max", float("nan")),
+                                         ("node_budget", float("nan"))])
 def test_config_rejects_out_of_range_limits(field, value):
     with pytest.raises(ValueError):
         PlannerConfig(**{field: value})
+
+
+def test_config_takes_an_infinite_time_budget_as_no_deadline():
+    assert PlannerConfig(time_budget=math.inf).time_budget == math.inf
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),

@@ -206,6 +206,34 @@ def test_a_corridor_at_the_tolerance_of_its_sweep_still_validates(edit):
     assert validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),))).ok
 
 
+def test_a_nan_corridor_width_is_structural_though_the_corridor_would_hit_nothing():
+    # alone, the last step of pick_chain sweeps R1 through M4 and M2, which
+    # the earlier steps moved away; a NaN width fails every collision test
+    scene = load_scene(scenario("pick_chain"))
+    last = run_planner(scene, PlannerConfig(seed=0)).steps[-1]
+    assert [m for _, m in violations(scene, last)] == [
+        "corridor of R1 hits object M4", "corridor of R1 hits object M2"]
+    def nan_width(traj):
+        return traj.replace(corridor=traj.corridor.replace(width=math.nan))
+
+    mv = last.moves["R1"]
+    nan = mv.replace(pick_traj=nan_width(mv.pick_traj), place_traj=nan_width(mv.place_traj))
+    step = GroundedJointAction(moves={**last.moves, "R1": nan})
+    with pytest.raises(PlanError) as e:
+        validate_plan(scene, Plan(steps=(step,)))
+    assert str(e.value) == "step 1: R1 pick_traj corridor is narrower than 0.1"
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_a_grasp_angle_that_is_not_finite_is_structural(angle):
+    scene = load_scene(scenario("unobstructed"))
+    mv = step_for(scene, single_action(), Pose(0.25, 0.55)).moves["R1"]
+    bad = mv.replace(action=mv.action.replace(grasp_pick=angle))
+    with pytest.raises(PlanError) as e:
+        validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
+    assert str(e.value) == f"step 1: R1 grasp_pick {angle!r} is not finite"
+
+
 def moved_end(traj, index, to):
     """``traj`` with waypoint ``index`` (0 or -1) moved to ``to``; the corridor
     follows, so the trajectory stays the sweep of its waypoints."""
