@@ -92,7 +92,7 @@ class Search:
             return
         for k in range(max(bounds[0], self.T), bounds[1] + 1):
             self.k = k
-            yield from self.sets(0, bounds)
+            yield from self.sets(0)
 
     def usable(self, i: int) -> bool:
         """No blocker of action i stays unmoved and its robots have a free step."""
@@ -231,13 +231,12 @@ class Search:
         for b in graph.blockers[i]:
             self.need[b] += sign
 
-    def sets(self, pos: int, bounds=None):
+    def sets(self, pos: int):
         """Depth-first over the objects from ``order[pos]`` on: each closed
-        set of exactly ``k`` actions that has a schedule. ``bounds`` is
-        ``reach()`` of the current choices, when the caller has it; a
-        complete choice goes to its leaf without one."""
+        set of exactly ``k`` actions that has a schedule. A complete choice
+        goes to its leaf without ``reach()``."""
         self.tick()
-        if bounds is None and pos < len(self.order):
+        if pos < len(self.order):
             bounds = self.reach()
             if bounds is None or not bounds[0] <= self.k <= bounds[1]:
                 return
@@ -291,8 +290,8 @@ class Search:
 
         Level t decides X[t, a] for every action a still open (step >= t-1),
         by canonical action, 0 (step t-1) before 1 (step >= t). Step bounds
-        [lo, hi] check each precedence as soon as it can fail; both ends of
-        a pair are exact once its later action is fixed.
+        [lo, hi] check each precedence: fixing an action checks its
+        predecessors, deferring one its fixed successors (a place block).
         """
         graph, T, choice = self.graph, self.T, self.choice
         lo = dict.fromkeys(selection, 1)
@@ -314,9 +313,6 @@ class Search:
                 return False
             for b, strict in preds[a]:
                 if s < lo[b] + strict:
-                    return False
-            for y, strict in succs[a]:
-                if hi[y] < s + strict:
                     return False
             return True
 

@@ -114,25 +114,27 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
     class shares are tested, by ``motion.sweep_clear`` with ``obstacles``,
     once per action. Precondition: no obstacle lies on a task-graph
     pick sweep (see the module docstring), so no pick sweep is tested. The
-    grasp combinations are tried in ``itertools.product`` order, class
-    representatives first, and the first for which ``motion.robot_clashes``
-    yields nothing wins; its moves carry the grasp used as ``grasp_pick``.
+    grasp combinations are tried in ``itertools.product`` order, each
+    class's first grasp first, and the first for which
+    ``motion.robot_clashes`` yields nothing wins; each of its moves holds
+    its action narrowed to the one grasp it runs.
     Returns robot -> RobotMove or None.
     """
     actions = sorted(actions)
     layouts = []  # per action: grasp -> its moves, each built on first use
     for action in actions:
-        moves = build_moves(scene, action, placements[action.obj])
+        g = action.grasp_pick
+        moves = build_moves(scene, action.replace(grasps=(g,)), placements[action.obj])
         pick = action.pick_robot
         if not all(sweep_clear(scene, r, cor, obstacles) for r, mv in moves.items()
                    for cor in ((mv.place_traj.corridor,) if r == pick else mv.all_corridors())):
             return None
-        layouts.append({action.grasp_pick: moves})
-    for combo in itertools.product(*(a.grasps or (a.grasp_pick,) for a in actions)):
+        layouts.append({g: moves})
+    for combo in itertools.product(*(a.grasps for a in actions)):
         moves = {}
         for a, g, built in zip(actions, combo, layouts):
             if g not in built:
-                built[g] = build_moves(scene, a.replace(grasp_pick=g), placements[a.obj])
+                built[g] = build_moves(scene, a.replace(grasps=(g,)), placements[a.obj])
             moves.update(built[g])
         if not any(robot_clashes(scene, moves)):
             return moves

@@ -28,26 +28,28 @@ class PartiallyGroundedAction(Record):
 
     A task-graph action stands for its grasp-equivalence class: ``grasps``
     lists the class's grasp angles, nearest to the pick robot first, and
-    grounding tries them in that order. They take no part in identity or
-    order: actions sort by their other fields, the canonical action order.
-    ``grasp_pick`` is the action's one grasp, from pick to place.
+    grounding tries them in that order. A plan move's action holds the one
+    grasp it ran. ``grasp_pick`` is the first grasp, from pick to place.
+    Actions sort by their fields, the canonical action order.
     """
-    __slots__ = ("obj", "region", "pick_robot", "place_robot", "grasp_pick", "grasps")
-    _fields = __slots__[:-1]
+    __slots__ = ("obj", "region", "pick_robot", "place_robot", "grasps")
 
     def __init__(self, obj: str, region: str, pick_robot: str, place_robot: str,
-                 grasp_pick: float, grasps: tuple = ()):
+                 grasps: tuple):
         self.obj = obj
         self.region = region
         self.pick_robot = pick_robot
         self.place_robot = place_robot
-        self.grasp_pick = grasp_pick
         self.grasps = grasps
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) < other._key(other)
+
+    @property
+    def grasp_pick(self) -> float:
+        return self.grasps[0]
 
     @property
     def is_handover(self) -> bool:
@@ -195,7 +197,7 @@ def loads_plan(text: str, robots) -> Plan:
             action = PartiallyGroundedAction(
                 obj=rec["object"], region=rec["region"],
                 pick_robot=rec["pick_robot"], place_robot=rec["place_robot"],
-                grasp_pick=rec["grasp_pick"])
+                grasps=(rec["grasp_pick"],))
             if rec["grasp_place"] != action.grasp_pick:
                 raise PlanError(f"step {t}: {robot} has grasp_place {rec['grasp_place']!r} "
                                 f"in a move of {action.obj} picked at {action.grasp_pick!r}")

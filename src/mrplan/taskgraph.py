@@ -4,10 +4,11 @@ objects block those actions.
 The graph is bipartite. Object nodes and action nodes are connected by
 action edges (object -> action that moves it). An action node stands for a
 grasp-equivalence class: grasps that no model row can tell apart share one
-node, and grounding picks the grasp. Block-pick edges (action ->
-object) record objects whose current pose intersects the pick sweep;
-block-place edges (only for actions that deliver a goal object) record
-objects intersecting the goal-place sweep the fact phase chose.
+node, whose action lists them all, and grounding picks the grasp.
+Block-pick edges (action -> object) record objects whose current pose
+intersects the pick sweep; block-place edges (only for actions that deliver
+a goal object) record objects intersecting the goal-place sweep the fact
+phase chose.
 
 ``build_cmtg`` walks a worklist from the targets, adding each referenced
 object's action classes once, and hands them to ``make_graph``. That is
@@ -108,11 +109,10 @@ def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
 
     A class is every grasp that moves ``obj`` to its target region with the
     same robots and the same blockers; no model row can tell its members
-    apart. The representative holds the member whose grasp point lies
-    nearest the pick robot's base (ties, to 1e-9 m, broken by angle) and
-    lists all members in that order. A handover places at its pick grasp;
-    place and handover facts carry no grasp, and only a goal pair has place
-    blockers.
+    apart. The action's ``grasps`` are its members, nearest grasp point to
+    the pick robot's base first (ties, to 1e-9 m, broken by angle). A
+    handover places at its pick grasp; place and handover facts carry no
+    grasp, and only a goal pair has place blockers.
     """
     region = scene.target_region_of(obj)
     robots = sorted(scene.robots)
@@ -133,8 +133,7 @@ def _candidate_actions(obj: str, facts: FactSet, scene: Scene) -> list[tuple]:
     for (r1, r2, pick, place), grasps in classes.items():
         base = scene.robots[r1].base
         grasps.sort(key=lambda g: (round(math.dist(base, scene.grasp_point(obj, g)), 9), g))
-        out.append((PartiallyGroundedAction(obj, region, r1, r2, grasps[0], tuple(grasps)),
-                    pick, place))
+        out.append((PartiallyGroundedAction(obj, region, r1, r2, tuple(grasps)), pick, place))
     return out
 
 

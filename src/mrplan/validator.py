@@ -32,12 +32,12 @@ condition (i) itself, so a fault in that rule shows as a violation.
 A plan that names unknown entities, gives a robot an action it is not part
 of, hands over between robots the scene lists no handover point for, fills
 one slot of a handover, gives a handover's two sides different placements,
-has a grasp angle that is not finite, or has a corridor that is not the
-sweep of its two waypoints or whose width is NaN or narrower than the
-sweep's raises PlanError; no other layer checks a plan built in code. A
-move's role is its action's, and each record's robot, a wait's too, is one
-of the scene's; ``plans.loads_plan`` refuses a plan document that says
-otherwise.
+has a move whose action holds other than one grasp, or a grasp angle that
+is not finite, or has a corridor that is not the sweep of its two
+waypoints or whose width is NaN or narrower than the sweep's raises
+PlanError; no other layer checks a plan built in code. A move's role is
+its action's, and each record's robot, a wait's too, is one of the
+scene's; ``plans.loads_plan`` refuses a plan document that says otherwise.
 """
 from __future__ import annotations
 
@@ -107,6 +107,8 @@ def _check_structure(scene: Scene, plan: Plan):
                                 "have no handover point")
             if robot not in a.robots:
                 raise PlanError(f"step {j}: robot {robot} holds an action it is not part of")
+            if len(a.grasps) != 1:
+                raise PlanError(f"step {j}: {robot} holds {len(a.grasps)} grasps, not one")
             if not math.isfinite(a.grasp_pick):
                 raise PlanError(f"step {j}: {robot} grasp_pick {a.grasp_pick!r} is not finite")
             _check_sweep(j, robot, "pick_traj", mv.pick_traj,

@@ -131,15 +131,6 @@ MUTANTS = [
      "from a graph that has more; killed by "
      "test_enumeration_returns_k_max_skeletons_when_the_graph_has_more and, "
      "through plan, by test_k_max_bounds_the_skeletons_of_the_root"),
-    ("schedule_pick_same_step", "src/mrplan/closure.py",
-     "if hi[y] < s + strict:", "if hi[y] < s:",
-     "equivalent, so it survives: the successor test in can_fix fails only "
-     "when a is fixed at the last step T before a pick-blocked successor y "
-     "that is still open; y's predecessor test then refuses step T and no "
-     "step follows T, so the mutant's branch dies one level deeper and only "
-     "walks more nodes. Through test_mip_reference.assert_solvers_agree at "
-     "T_max 5, the mutant agreed with tests/reference_bnb.py on 37 323 solves "
-     "over 6 000 seeded oracle_mip.random_cmtg graphs of up to 7 objects"),
     ("conflict_goal_term_dropped", "src/mrplan/grounding.py",
      "(set(scene.unmet_goals()) - m_fut) | set(", "set(",
      "a conflict rule without its goal term returns Full for a skeleton that "
@@ -237,6 +228,19 @@ MUTANTS = [
      "an infinite grasp angle escapes as a bare ValueError from the grasp "
      "point's cosine, and a NaN one is reported as a leg fault; killed by "
      "test_a_grasp_angle_that_is_not_finite_is_structural"),
+    ("moves_hold_the_grasp_class", "src/mrplan/grounding.py",
+     "moves = build_moves(scene, action.replace(grasps=(g,)), placements[action.obj])",
+     "moves = build_moves(scene, action, placements[action.obj])",
+     "a move built from the task graph's class action carries every grasp of "
+     "the class, though it ran only the first, and the validator's one-grasp "
+     "check turns the plan into a SearchError; killed first by "
+     "test_a_pair_the_scene_lists_no_point_for_never_hands_over, and by "
+     "test_a_plan_move_holds_only_the_grasp_it_ran"),
+    ("one_grasp_unchecked", "src/mrplan/validator.py",
+     "if len(a.grasps) != 1:", "if False:",
+     "a code-built move whose action holds two grasps passes the validator, "
+     "and one that holds none escapes as a bare IndexError; killed by "
+     "test_a_move_whose_action_holds_other_than_one_grasp_is_structural"),
     ("grasp_limit_read_as_limit", "src/mrplan/scene.py",
      "if self.grasp_count > GRASP_LIMIT:", "if self.grasp_count > LIMIT:",
      "a scene built in code would take grasp counts up to 10000 that a "

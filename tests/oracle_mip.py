@@ -228,7 +228,7 @@ def random_cmtg(rng: random.Random, max_objects: int = 6,
             r1 = r2 = rng.choice(robots)
         a = PartiallyGroundedAction(obj=obj, region=f"re{rng.randint(0, 1)}",
                                     pick_robot=r1, place_robot=r2,
-                                    grasp_pick=0.0)
+                                    grasps=(0.0,))
         if a in blocks:
             continue
         pick, place = blocks[a] = set(), set()
@@ -256,7 +256,7 @@ def loads_cmtg(text: str) -> CMTG:
         elif kind == "action":
             f = dict(field.split("=") for field in rest)
             a = PartiallyGroundedAction(f["obj"], f["region"], f["pick"], f["place"],
-                                        float(f["g_pick"]))
+                                        (float(f["g_pick"]),))
             actions.append(a)
             blocks[a] = (set(), set())
         elif kind in ("block_pick_edge", "block_place_edge"):

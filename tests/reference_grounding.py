@@ -2,8 +2,8 @@
 checked against.
 
 Used only by tests. For each action it lays out and tests every sweep of
-every grasp in the class, keeps the grasps whose moves are clear on their
-own, then tries the combinations in ``itertools.product`` order and returns
+every grasp in the class, each move holding its action narrowed to that
+grasp, keeps the grasps whose moves are clear on their own, then tries the combinations in ``itertools.product`` order and returns
 the first one whose robots are mutually clear. The planner's version must
 return the same moves, or ``None`` when this one does, on every input that
 meets its precondition: no obstacle lies on a task-graph pick sweep.
@@ -21,10 +21,8 @@ def find_trajectories(actions, placements, obstacles, scene: Scene):
     for action in sorted(actions):
         placement = placements[action.obj]
         clear = []
-        for g in action.grasps or (action.grasp_pick,):
-            a = (action if g == action.grasp_pick
-                 else action.replace(grasp_pick=g))
-            moves = build_moves(scene, a, placement)
+        for g in action.grasps:
+            moves = build_moves(scene, action.replace(grasps=(g,)), placement)
             if all(sweep_clear(scene, r, cor, obstacles)
                    for r, mv in moves.items() for cor in mv.all_corridors()):
                 clear.append(moves)

@@ -137,7 +137,7 @@ def sk(objs):
     """A skeleton in which R1 moves ``objs`` in turn, one per step."""
     return TaskSkeleton(steps=tuple(
         {"R1": PartiallyGroundedAction(obj=o, region="re", pick_robot="R1",
-                                       place_robot="R1", grasp_pick=0.0)}
+                                       place_robot="R1", grasps=(0.0,))}
         for o in objs))
 
 
@@ -192,7 +192,7 @@ def test_zero_exploration_constant_is_argmax_over_means():
 def test_partial_grounding_reports_verified_conflicts_and_search_resolves():
     scene = load_scene(scenario("conflict_partial"))
     a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
-                                place_robot="R1", grasp_pick=0.0)
+                                place_robot="R1", grasps=(0.0,))
     skel = TaskSkeleton(steps=({"R1": a},))
     outcome = ground(skel, (), scene, random.Random(0))
     assert isinstance(outcome, Partial)

@@ -30,7 +30,7 @@ def grid(scene, re, obj):
 def action(obj, region, pick_robot, place_robot=None, g=0.0):
     return PartiallyGroundedAction(obj=obj, region=region, pick_robot=pick_robot,
                                    place_robot=place_robot or pick_robot,
-                                   grasp_pick=g)
+                                   grasps=(g,))
 
 
 def test_unobstructed_scene_facts():

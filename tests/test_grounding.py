@@ -25,7 +25,7 @@ from test_facts import generated_scene
 def act(obj, region, pick_robot="R1", place_robot=None):
     return PartiallyGroundedAction(obj=obj, region=region, pick_robot=pick_robot,
                                    place_robot=place_robot or pick_robot,
-                                   grasp_pick=0.0)
+                                   grasps=(0.0,))
 
 
 def skeleton(*steps):
@@ -287,7 +287,7 @@ def test_grounding_falls_back_to_the_next_grasp_of_the_class():
     res = ground(skeleton([action]), (), scene, random.Random(0))
     assert isinstance(res, Full)
     grounded = res.steps[0].moves["R1"].action
-    assert grounded.grasp_pick == math.pi / 2
+    assert grounded.grasps == (math.pi / 2,)
     report = validate_plan(scene, Plan(steps=res.steps))
     assert report.ok, report.to_doc()
 
@@ -327,7 +327,7 @@ def test_no_obstacle_lies_on_a_task_graph_pick_sweep_in_a_plan(source, monkeypat
     def checked(actions, placements, obstacles, scene):
         for a in actions:
             for g in a.grasps:
-                moves = build_moves(scene, a.replace(grasp_pick=g), placements[a.obj])
+                moves = build_moves(scene, a.replace(grasps=(g,)), placements[a.obj])
                 sweep = moves[a.pick_robot].pick_traj.corridor
                 assert sweep_clear(scene, a.pick_robot, sweep, obstacles), (
                     name, a, g)

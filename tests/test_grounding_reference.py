@@ -116,14 +116,14 @@ def test_the_first_clear_combination_in_product_order_wins():
         "grasp_count": 2,
         "goal": [["M1", "work"]]}))
     grasps = (0.0, math.pi)
-    step = [PartiallyGroundedAction(obj, "work", robot, robot, 0.0, grasps)
+    step = [PartiallyGroundedAction(obj, "work", robot, robot, grasps)
             for obj, robot in (("M1", "R1"), ("M2", "R2"))]
     placements = {"M1": Pose(0.0, 1.5), "M2": Pose(0.0, -1.5)}
 
     def moves(g1, g2):
         out = {}
         for a, g in zip(step, (g1, g2)):
-            out.update(build_moves(scene, a.replace(grasp_pick=g), placements[a.obj]))
+            out.update(build_moves(scene, a.replace(grasps=(g,)), placements[a.obj]))
         return out
 
     assert [not any(robot_clashes(scene, moves(g1, g2)))
@@ -145,7 +145,7 @@ def test_the_grasps_of_a_class_differ_only_in_the_pick_sweep(grasp_count):
             placement = Pose(obj_pose.x + 0.3, obj_pose.y - 0.2)
             rep = build_moves(scene, action, placement)
             for g in action.grasps:
-                moves = build_moves(scene, action.replace(grasp_pick=g), placement)
+                moves = build_moves(scene, action.replace(grasps=(g,)), placement)
                 assert moves.keys() == rep.keys()
                 for r, mv in moves.items():
                     assert mv.place_traj == rep[r].place_traj, (path.name, action, g)

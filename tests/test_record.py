@@ -1,10 +1,14 @@
 """Value records: equality, hashing, ordering and ``replace`` keyed on slots."""
+import importlib
 import math
+import pkgutil
 
 import pytest
 
+import mrplan
 from mrplan.geometry import Corridor, Disc, Pose
 from mrplan.plans import PartiallyGroundedAction
+from mrplan.record import Record
 from mrplan.search import PlannerConfig
 
 
@@ -28,17 +32,19 @@ def test_replace_builds_a_new_record_through_its_checks():
         cor.replace(length=1.0)
 
 
-def test_an_action_is_identified_and_ordered_without_its_grasps():
-    a = PartiallyGroundedAction("M1", "goal", "R1", "R2", 0.5, (0.5, 1.0))
-    b = a.replace(grasps=())
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a.replace(grasp_pick=1.0) != a
+def test_an_action_is_identified_and_ordered_by_all_its_fields():
+    a = PartiallyGroundedAction("M1", "goal", "R1", "R2", (0.5, 1.0))
+    b = a.replace(grasps=(0.5,))
+    assert a.grasp_pick == b.grasp_pick == 0.5
+    assert a != b and len({a, b}) == 2
+    assert a == PartiallyGroundedAction("M1", "goal", "R1", "R2", (0.5, 1.0))
+    assert hash(a) == hash(("M1", "goal", "R1", "R2", (0.5, 1.0)))
     assert repr(a) == ("PartiallyGroundedAction(obj='M1', region='goal', pick_robot='R1', "
-                       "place_robot='R2', grasp_pick=0.5)")
-    actions = [a.replace(obj="M2"), a.replace(place_robot="R1"), a.replace(grasp_pick=0.1), a]
+                       "place_robot='R2', grasps=(0.5, 1.0))")
+    actions = [a.replace(obj="M2"), a.replace(place_robot="R1"), a.replace(grasps=(0.1,)), a, b]
     assert sorted(actions) == sorted(actions, key=lambda x: (
-        x.obj, x.region, x.pick_robot, x.place_robot, x.grasp_pick))
-    assert sorted(actions)[0] == a.replace(place_robot="R1")
+        x.obj, x.region, x.pick_robot, x.place_robot, x.grasps))
+    assert sorted(actions)[:3] == [a.replace(place_robot="R1"), a.replace(grasps=(0.1,)), b]
 
 
 def test_a_derived_slot_is_recomputed_by_replace_and_is_not_a_field():
@@ -54,3 +60,24 @@ def test_a_derived_slot_is_recomputed_by_replace_and_is_not_a_field():
     twin = Corridor((0.0, 0.0), (1.0, 0.0), 0.2)
     twin._half_width = 5.0
     assert twin == cor and hash(twin) == hash(cor) and repr(twin) == repr(cor)
+
+
+def _records(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_every_record_is_keyed_on_exactly_its_slots_without_an_underscore():
+    for info in pkgutil.walk_packages(mrplan.__path__, "mrplan."):
+        importlib.import_module(info.name)
+    records = [cls for cls in _records(Record) if cls.__module__.startswith("mrplan.")]
+    assert PartiallyGroundedAction in records and Corridor in records
+    for cls in records:
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # a distinct marker in every slot, underscore slots too
+        r = object.__new__(cls)
+        for k, name in enumerate(cls.__slots__):
+            setattr(r, name, (name, k))
+        assert r._key(r) == tuple(getattr(r, name) for name in fields), cls
+        assert repr(r).startswith(f"{cls.__qualname__}({fields[0]}="), cls

@@ -11,7 +11,8 @@ from mrplan import mip, motion, search, taskgraph
 from mrplan.geometry import Corridor
 from mrplan.grounding import Failure, Full, Partial, ground
 from mrplan.mip import BudgetExceeded, TaskSkeleton
-from mrplan.plans import PartiallyGroundedAction, Plan, dumps_plan, moved_objects
+from mrplan.plans import (PartiallyGroundedAction, Plan, dumps_plan, loads_plan,
+                          moved_objects)
 from mrplan.scene import load_scene, loads_scene
 from mrplan.search import (NoPlan, PlannerConfig, SearchError, SearchNode, backpropagate,
                            plan, reward, ucb)
@@ -28,7 +29,7 @@ def sk_for(objs):
     """A skeleton in which R1 moves ``objs`` in turn, one per step."""
     return TaskSkeleton(steps=tuple(
         {"R1": PartiallyGroundedAction(obj=o, region="re", pick_robot="R1",
-                                       place_robot="R1", grasp_pick=0.0)}
+                                       place_robot="R1", grasps=(0.0,))}
         for o in objs))
 
 
@@ -301,6 +302,30 @@ def test_planning_reads_no_rows_or_variable_names(path, monkeypatch):
     monkeypatch.setattr(mip.MipModel, "var_names", property(unread))
     monkeypatch.setattr(mip.MipModel, "objective", property(unread))
     plan(load_scene(path), PlannerConfig(seed=0))
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.rglob("*.json")),
+                         ids=lambda path: path.stem)
+def test_a_plan_move_holds_only_the_grasp_it_ran(path):
+    # at 8 grasps, a task-graph action holds up to 8; its move holds one,
+    # so the plan reads back from its document as it is
+    doc = json.loads(path.read_text())
+    scene = loads_scene(json.dumps({**doc, "grasp_count": 8}))
+    moves = 0
+    for seed in range(3):
+        res = plan(scene, PlannerConfig(seed=seed))
+        if isinstance(res, NoPlan):
+            continue
+        for step in res.steps:
+            for mv in step.moves.values():
+                assert len(mv.action.grasps) == 1, (seed, mv.action)
+                moves += 1
+        back = loads_plan(dumps_plan(res, scene.robots), scene.robots)
+        # a document lists a step's moves by robot, the planner by action
+        assert back == res and [repr(sorted(s.moves.items())) for s in back.steps] == [
+            repr(sorted(s.moves.items())) for s in res.steps], seed
+    assert moves or path.stem in ("satisfied_at_start", "unsat_fixed_blocked",
+                                  "handover_required_1robot")
 
 
 def test_time_budget_counts_the_root_enumeration(monkeypatch):

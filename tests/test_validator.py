@@ -17,7 +17,7 @@ from conftest import EXTRA, SCENARIOS, scenario
 
 def single_action(obj="M1", region="goal_zone", robot="R1"):
     return PartiallyGroundedAction(obj=obj, region=region, pick_robot=robot,
-                                   place_robot=robot, grasp_pick=0.0)
+                                   place_robot=robot, grasps=(0.0,))
 
 
 def step_for(scene, action, placement):
@@ -89,7 +89,7 @@ def test_corridor_over_another_robots_base_is_condition_i():
                     "reach_max": 0.15, "gripper_width": 0.1}],
         "grasp_count": 4,
         "goal": [["M1", "goal_zone"]]}))
-    action = single_action().replace(grasp_pick=math.pi)
+    action = single_action().replace(grasps=(math.pi,))
     step = step_for(scene, action, Pose(0.45, 0.55))
     report = validate_plan(scene, Plan(steps=(step,)))
     assert [(v.code, v.message) for v in report.violations] == [
@@ -99,9 +99,9 @@ def test_corridor_over_another_robots_base_is_condition_i():
 def test_coincident_placements_are_condition_ii():
     scene = load_scene(scenario("parallel_goals"))
     a1 = PartiallyGroundedAction(obj="M1", region="region_a", pick_robot="R1",
-                                 place_robot="R1", grasp_pick=0.0)
+                                 place_robot="R1", grasps=(0.0,))
     a2 = PartiallyGroundedAction(obj="M2", region="region_a", pick_robot="R2",
-                                 place_robot="R2", grasp_pick=0.0)
+                                 place_robot="R2", grasps=(0.0,))
     target = Pose(0.25, -0.35)
     moves = {**build_moves(scene, a1, target),
              **build_moves(scene, a2, target)}
@@ -123,7 +123,7 @@ def test_handover_step_passes_condition_iii():
 
 def handover_moves(scene):
     a = PartiallyGroundedAction(obj="M1", region="goal_zone", pick_robot="R1",
-                                place_robot="R2", grasp_pick=0.0)
+                                place_robot="R2", grasps=(0.0,))
     return build_moves(scene, a, Pose(1.6, 0.7))
 
 
@@ -175,7 +175,7 @@ def test_unknown_entity_references_are_structural_errors():
     with pytest.raises(PlanError, match="unknown robot"):
         validate_plan(scene, Plan(steps=(bad,)))
     a = PartiallyGroundedAction(obj="M1", region="nowhere", pick_robot="R1",
-                                place_robot="R1", grasp_pick=0.0)
+                                place_robot="R1", grasps=(0.0,))
     bad_region = GroundedJointAction(moves=build_moves(scene, a, Pose(0.25, 0.55)))
     with pytest.raises(PlanError, match="unknown region"):
         validate_plan(scene, Plan(steps=(bad_region,)))
@@ -228,10 +228,25 @@ def test_a_nan_corridor_width_is_structural_though_the_corridor_would_hit_nothin
 def test_a_grasp_angle_that_is_not_finite_is_structural(angle):
     scene = load_scene(scenario("unobstructed"))
     mv = step_for(scene, single_action(), Pose(0.25, 0.55)).moves["R1"]
-    bad = mv.replace(action=mv.action.replace(grasp_pick=angle))
+    bad = mv.replace(action=mv.action.replace(grasps=(angle,)))
     with pytest.raises(PlanError) as e:
         validate_plan(scene, Plan(steps=(GroundedJointAction(moves={"R1": bad}),)))
     assert str(e.value) == f"step 1: R1 grasp_pick {angle!r} is not finite"
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_a_move_whose_action_holds_other_than_one_grasp_is_structural(count):
+    # the last of pick_chain's steps; with no grasp, the finite check that
+    # follows would fail on an IndexError
+    scene = load_scene(scenario("pick_chain"))
+    steps = run_planner(scene, PlannerConfig(seed=0)).steps
+    mv = steps[-1].moves["R1"]
+    grasps = (mv.action.grasp_pick, mv.action.grasp_pick + math.pi)[:count]
+    bad = GroundedJointAction(
+        moves={**steps[-1].moves, "R1": mv.replace(action=mv.action.replace(grasps=grasps))})
+    with pytest.raises(PlanError) as e:
+        validate_plan(scene, Plan(steps=(*steps[:-1], bad)))
+    assert str(e.value) == f"step {len(steps)}: R1 holds {count} grasps, not one"
 
 
 def moved_end(traj, index, to):
@@ -348,7 +363,7 @@ def test_handover_corridors_overlapping_away_from_the_handover_point_are_conditi
     scene = scene_of({"M1": (0.3, 0.4)}, {"R1": (0.0, 0.0), "R2": (1.0, 0.0)}).replace(
         handover_points={("R1", "R2"): (0.5, 0.0)})
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
-                                     place_robot="R2", grasp_pick=math.pi)
+                                     place_robot="R2", grasps=(math.pi,))
     moves = build_moves(scene, action, Pose(-0.1, 0.35))
     assert violations(scene, GroundedJointAction(moves=moves)) == [
         ("condition_iii", "handover corridors of R1 and R2 overlap outside the "
@@ -363,7 +378,7 @@ def test_handover_corridors_overlapping_just_past_the_handover_radius_are_condit
         handover_points={("R1", "R2"): (0.5, 0.0)})
     assert [r.gripper_width for r in scene.robots.values()] == [0.1, 0.1]
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
-                                     place_robot="R2", grasp_pick=math.pi)
+                                     place_robot="R2", grasps=(math.pi,))
     angle = math.radians(130)
     placement = Pose(0.5 + 0.4 * math.cos(angle), 0.4 * math.sin(angle))
     moves = build_moves(scene, action, placement)
@@ -385,7 +400,7 @@ def test_a_carry_meeting_the_receivers_reach_at_a_shallow_angle_is_condition_iii
         handover_points={("R1", "R2"): (0.5, 0.0)})
     assert [r.gripper_width for r in scene.robots.values()] == [0.1, 0.1]
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
-                                     place_robot="R2", grasp_pick=math.pi / 2)
+                                     place_robot="R2", grasps=(math.pi / 2,))
     moves = build_moves(scene, action, Pose(0.5, -0.4))
     assert list(robot_clashes(scene, moves)) == [("R1", "R2", True)]
     assert violations(scene, GroundedJointAction(moves=moves)) == [
@@ -405,7 +420,7 @@ def test_the_handover_neighbourhood_is_as_wide_as_the_wider_gripper():
     scene = scene.replace(robots={**scene.robots,
                                   "R2": scene.robots["R2"].replace(gripper_width=0.2)})
     action = PartiallyGroundedAction(obj="M1", region="work", pick_robot="R1",
-                                     place_robot="R2", grasp_pick=math.pi)
+                                     place_robot="R2", grasps=(math.pi,))
     angle = math.radians(100)
     placement = Pose(0.5 + 0.5 * math.cos(angle), 0.5 * math.sin(angle))
     moves = build_moves(scene, action, placement)
